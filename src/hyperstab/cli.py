@@ -51,7 +51,7 @@ from .ffcount import (
     psi_roundtrip_check,
     stratified_count,
 )
-from .linalg import rank_drop_witness, verify_bundle_rank
+from .linalg import _degree_bound, rank_drop_witness, verify_bundle_rank
 from .m0n import equivariant_poincare_m0n
 from .spectral import (
     ConfigurationType,
@@ -581,10 +581,7 @@ def suite_euler() -> SuiteResult:
 
 def _minimal_valid_degree(config: ConfigurationType, n: int) -> int:
     """Smallest d accepted by the rank verifier for this type and n."""
-    bound = max(
-        Fraction(3 * (config.k1 + config.k2) + 5 * config.h, 3) + n - 1,
-        Fraction(2 * config.k1 + 2 * config.k2 + config.h + 2 * n - 1),
-    )
+    bound = _degree_bound(config, n)
     ceiling = -(-bound.numerator // bound.denominator)
     return max(ceiling, 2 * n) + 1
 

@@ -15,8 +15,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
+from .ffcount import _is_prime
 from .spectral import ConfigurationType
 
 __all__ = [
@@ -107,8 +108,22 @@ class PointOnSurface:
         return self.coords[:2]
 
 
-def _power(base: Fraction, exponent: int) -> Fraction:
-    return Fraction(1) if exponent == 0 else base**exponent
+def _powers(base: int, top: int) -> list:
+    """[base^0, base^1, ..., base^top] as Python integers."""
+    table = [1] * (top + 1)
+    for e in range(1, top + 1):
+        table[e] = table[e - 1] * base
+    return table
+
+
+def _integral_base(u, v) -> tuple:
+    """(lam*u, lam*v, lam) with lam the lcm of the denominators of u and v."""
+    lam = lcm(u.denominator, v.denominator)
+    return (
+        u.numerator * (lam // u.denominator),
+        v.numerator * (lam // v.denominator),
+        lam,
+    )
 
 
 def singularity_rows(point: PointOnSurface, space: SectionSpace) -> tuple:
@@ -118,46 +133,57 @@ def singularity_rows(point: PointOnSurface, space: SectionSpace) -> tuple:
     the weighted coordinates; on it, where the fiber chart around the section
     reads alpha + beta*w + gamma*w^2, they are the two base derivatives of
     the top coefficient together with the middle coefficient.
+
+    The rows are integers.  A point is first moved to integer coordinates
+    by the weighted action (x, y, z) -> (lam*x, lam*y, lam^n*z), lam the lcm
+    of the base denominators; if the fiber coordinate is still fractional
+    (always possible for n = 0) with denominator D, the entries are also
+    multiplied by D^2 (D for the fiber derivative).  Each row is thereby
+    scaled by one nonzero constant, so the common kernel is unchanged, and
+    points with integer coordinates and x = 1, as sampled by
+    ``sample_configuration``, get exactly their unscaled rows.
     """
     basis = space.monomials
+    top = space.d
     if point.locus == "off_exceptional":
         if point.weight != space.n:
             raise ValueError(
                 f"point has fiber weight {point.weight}, space has twist {space.n}"
             )
         x0, y0, z0 = point.coords
-        row_x = tuple(
-            a * _power(x0, a - 1) * _power(y0, b) * _power(z0, c) if a else Fraction(0)
-            for a, b, c in basis
-        )
-        row_y = tuple(
-            b * _power(x0, a) * _power(y0, b - 1) * _power(z0, c) if b else Fraction(0)
-            for a, b, c in basis
-        )
-        row_z = tuple(
-            c * _power(x0, a) * _power(y0, b) * _power(z0, c - 1) if c else Fraction(0)
-            for a, b, c in basis
-        )
+        x, y, lam = _integral_base(x0, y0)
+        z_num = lam**space.n * z0.numerator
+        z_den = z0.denominator
+        common = gcd(z_num, z_den)
+        z, den = z_num // common, z_den // common
+        xp, yp = _powers(x, top), _powers(y, top)
+        # z^c and the fiber derivative c*z^(c-1), homogenised by the denominator
+        zp = (den * den, z * den, z * z)
+        dz = (0, den, 2 * z)
+        row_x = tuple(a * xp[a - 1] * yp[b] * zp[c] if a else 0 for a, b, c in basis)
+        row_y = tuple(b * xp[a] * yp[b - 1] * zp[c] if b else 0 for a, b, c in basis)
+        row_z = tuple(xp[a] * yp[b] * dz[c] for a, b, c in basis)
         return (row_x, row_y, row_z)
 
-    u0, v0 = point.coords
+    u, v, _ = _integral_base(*point.coords)
+    up, vp = _powers(u, top), _powers(v, top)
     row_ax = tuple(
-        a * _power(u0, a - 1) * _power(v0, b) if c == 2 and a else Fraction(0)
-        for a, b, c in basis
+        a * up[a - 1] * vp[b] if c == 2 and a else 0 for a, b, c in basis
     )
     row_ay = tuple(
-        b * _power(u0, a) * _power(v0, b - 1) if c == 2 and b else Fraction(0)
-        for a, b, c in basis
+        b * up[a] * vp[b - 1] if c == 2 and b else 0 for a, b, c in basis
     )
-    row_b = tuple(
-        _power(u0, a) * _power(v0, b) if c == 1 else Fraction(0) for a, b, c in basis
-    )
+    row_b = tuple(up[a] * vp[b] if c == 1 else 0 for a, b, c in basis)
     return (row_ax, row_ay, row_b)
 
 
 def _integer_rows(rows) -> list:
+    """Rows as integer lists; a row with rational entries is cleared of denominators."""
     cleared = []
     for row in rows:
+        if set(map(type, row)) <= {int}:
+            cleared.append(list(row))
+            continue
         fracs = [Fraction(entry) for entry in row]
         scale = lcm(*(f.denominator for f in fracs)) if fracs else 1
         cleared.append([int(f * scale) for f in fracs])
@@ -176,11 +202,14 @@ def _rank_bareiss(matrix: list) -> int:
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
+        tail = m[r][col:]
+        lead = tail[0]
         for i in range(r + 1, n_rows):
-            for j in range(col + 1, n_cols):
-                m[i][j] = (m[r][col] * m[i][j] - m[i][col] * m[r][j]) // prev
-            m[i][col] = 0
-        prev = m[r][col]
+            row = m[i]
+            factor = row[col]
+            # entries left of col are zero in rows r.. and the col entry cancels
+            row[col:] = [(lead * a - factor * b) // prev for a, b in zip(row[col:], tail)]
+        prev = lead
         rank += 1
         r += 1
         if r == n_rows:
@@ -222,7 +251,7 @@ def kernel_dimension(rows, modulus: int | None = None) -> int:
     matrix = _integer_rows(rows)
     if modulus is None:
         return width - _rank_bareiss(matrix)
-    if modulus < 2 or any(modulus % k == 0 for k in range(2, int(modulus**0.5) + 1)):
+    if not _is_prime(modulus):
         raise ValueError(f"modulus {modulus} is not prime")
     return width - _rank_mod_p(matrix, modulus)
 
@@ -273,7 +302,7 @@ def sample_configuration(
 def _validate_modulus(modulus: int, d: int, n: int) -> None:
     if modulus == 2:
         raise ValueError("characteristic 2 is excluded")
-    if modulus < 2 or any(modulus % k == 0 for k in range(2, int(modulus**0.5) + 1)):
+    if not _is_prime(modulus):
         raise ValueError(f"modulus {modulus} is not prime")
     if modulus <= 2 * d:
         raise ValueError(f"need a prime > 2d = {2 * d}, got {modulus}")

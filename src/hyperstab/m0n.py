@@ -4,7 +4,18 @@ The trace of a permutation sigma acting on the cohomology of M_{0,n} is read
 off from the number of fixed points of (sigma o Frobenius) acting on ordered
 configurations of n points of P^1: the count N_mu(q) is a polynomial in q,
 divisible by #PGL_2(F_q) = q^3 - q, and the quotient's coefficients carry the
-traces layer by layer.  Everything is exact integer arithmetic end to end.
+traces layer by layer.
+
+The layers are computed in integers only (Kisin-Lehrer, J. Algebra 2002).
+With b_d = d * a_d the number of points of P^1(F_{q^d}) of exact degree d, the
+share d^c a_d (a_d - 1) ... (a_d - c + 1) of c cycles of length d is the
+integer polynomial prod_{k<c} (b_d - d*k); b_d itself is q^d minus the b_e of
+the proper divisors e of d, plus 1 at d = 1 for the point at infinity.  Each
+N_mu is a dense product of memoised factors, divided by q^3 - q by integer
+synthetic division.  The sparse `QPolynomial` route (`closed_point_count`,
+`twisted_count_config_p1`), which goes through Moebius sums and rational
+coefficients, is kept as the oracle for this one, and `brute_twisted_count`
+checks both by walking Frobenius orbits.
 """
 
 from __future__ import annotations
@@ -405,6 +416,62 @@ def brute_twisted_count(n: int, mu, q: int, max_points: int = 2 ** 20) -> int:
 
 
 # --------------------------------------------------------------------------
+# integer twisted counts: dense coefficient tuples, ascending in q
+# --------------------------------------------------------------------------
+
+def _dense_mul(a, b) -> list:
+    out = [0] * (len(a) + len(b) - 1)
+    terms = [(j, c) for j, c in enumerate(b) if c]
+    for i, c1 in enumerate(a):
+        if c1:
+            for j, c2 in terms:
+                out[i + j] += c1 * c2
+    return out
+
+
+@lru_cache(maxsize=None)
+def _exact_degree_points(d: int) -> tuple:
+    """Points of A^1(F_{q^d}) of exact degree d: q^d minus those of the proper subfields."""
+    coeffs = [0] * (d + 1)
+    coeffs[d] = 1
+    for e in range(1, d):
+        if d % e == 0:
+            for i, c in enumerate(_exact_degree_points(e)):
+                coeffs[i] -= c
+    return tuple(coeffs)
+
+
+@lru_cache(maxsize=None)
+def _cycle_factor(d: int, c: int) -> tuple:
+    """prod_{k<c} (b_d - d*k), the share of c cycles of length d in N_mu."""
+    if c == 0:
+        return (1,)
+    factor = list(_exact_degree_points(d))
+    factor[0] += (d == 1) - d * (c - 1)  # d = 1: the point at infinity
+    return tuple(_dense_mul(_cycle_factor(d, c - 1), factor))
+
+
+def _integer_twisted_count(mu: tuple) -> list:
+    """N_mu(q) for a canonical cycle type, as dense integer coefficients."""
+    count = [1]
+    for d in set(mu):
+        count = _dense_mul(count, _cycle_factor(d, mu.count(d)))
+    return count
+
+
+def _divide_by_pgl2(count: list) -> list:
+    """Exact quotient of a dense polynomial by q^3 - q (synthetic division)."""
+    rem = list(count)
+    quot = [0] * (len(rem) - 3)
+    for e in range(len(rem) - 1, 2, -1):
+        quot[e - 3] = rem[e]
+        rem[e - 2] += rem[e]
+    if any(rem[:3]):
+        raise ArithmeticError(f"inexact division by q^3 - q: remainder {rem[:3]}")
+    return quot
+
+
+# --------------------------------------------------------------------------
 # equivariant layers
 # --------------------------------------------------------------------------
 
@@ -432,14 +499,17 @@ def _cache_path(cache_dir, n: int) -> Path:
 
 
 def _save_cache(path: Path, ep: EquivariantPoincare) -> None:
+    # every layer lists the same cycle types (partitions() is descending): render them once
+    cycle_types = partitions(ep.n)
+    labels = [[str(p) for p in mu] for mu in cycle_types]
     payload = {
         "n": str(ep.n),
         "layers": [
             {
                 "i": str(i),
                 "values": [
-                    {"cycle_type": [str(p) for p in mu], "trace": str(trace)}
-                    for mu, trace in sorted(layer.values.items(), reverse=True)
+                    {"cycle_type": label, "trace": str(layer.values[mu])}
+                    for mu, label in zip(cycle_types, labels)
                 ],
             }
             for i, layer in sorted(ep.layers.items())
@@ -449,7 +519,7 @@ def _save_cache(path: Path, ep: EquivariantPoincare) -> None:
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
-            json.dump(payload, handle, indent=1)
+            handle.write(json.dumps(payload, separators=(",", ":")))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -489,6 +559,7 @@ def equivariant_poincare_m0n(n: int, cache_dir=None) -> EquivariantPoincare:
     For each cycle type mu, the twisted configuration count N_mu(q) is divided
     exactly by #PGL_2(F_q) = q^3 - q; writing the quotient as
     sum_i (-1)^i tr(sigma | H^i) q^{(n-3)-i} recovers each layer's character.
+    Both steps are integer-only (see the module docstring).
     Results are cached on disk (one JSON file per n, integers as decimal
     strings) under `cache_dir`, the HYPERSTAB_CACHE directory, or
     ~/.cache/hyperstab, in that order of preference.
@@ -498,16 +569,11 @@ def equivariant_poincare_m0n(n: int, cache_dir=None) -> EquivariantPoincare:
     path = _cache_path(cache_dir, n)
     if path.exists():
         return _load_cache(path, n)
-    pgl2 = QPolynomial({3: 1, 1: -1})
     traces = {i: {} for i in range(n - 2)}
     for mu in partitions(n):
-        quotient = twisted_count_config_p1(n, mu).divide_exact(pgl2)
-        if quotient.degree() > n - 3 or not quotient.is_integral():
-            raise ArithmeticError(
-                f"quotient for mu={mu} is not a valid trace polynomial: {quotient!r}"
-            )
+        quotient = _divide_by_pgl2(_integer_twisted_count(mu))
         for i in range(n - 2):
-            value = quotient.coefficient(n - 3 - i)
+            value = quotient[n - 3 - i]
             traces[i][mu] = -value if i % 2 else value
     layers = {i: CharacterVector(n, values) for i, values in traces.items()}
     _validate_layers(n, layers, source=f"computed layers for n={n}")

@@ -269,7 +269,11 @@ def five_point_configuration_table() -> dict:
         pos = positions[config]
         for t, poly in sorted(series.terms.items()):
             for w, mult in poly.coeffs.items():
-                assert mult == 1
+                if mult != 1:
+                    raise ArithmeticError(
+                        f"five-point type {config}: class L^{w} in degree {t} "
+                        f"has multiplicity {mult}, the table layout needs 1"
+                    )
                 table.setdefault(t - pos, []).append((config, -w))
     for row in table:
         table[row].sort(key=lambda entry: positions[entry[0]])

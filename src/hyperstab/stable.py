@@ -105,7 +105,6 @@ def stable_series(
     max_degree: int,
     *,
     triple_bound: int | None = None,
-    cache_dir=None,
 ) -> GradedTateSeries:
     """The stable series for the surface-index-zero regime, truncated exactly.
 
@@ -118,15 +117,15 @@ def stable_series(
     bound = max(max_degree, triple_bound if triple_bound is not None else -1)
     numerator = GradedTateSeries.zero(max_degree)
     for k1, k2, h in _configuration_types(bound):
-        ep = equivariant_poincare_m0n(k1 + k2 + h, cache_dir=cache_dir)
+        ep = equivariant_poincare_m0n(k1 + k2 + h)
         numerator = numerator + numerator_term(k1, k2, h, ep, truncation=max_degree)
     inverse = invert_unit(_denominator(max_degree))
     return GradedTateSeries.one(max_degree) + multiply(numerator, inverse)
 
 
-def stable_series_positive_n(max_degree: int, *, cache_dir=None) -> GradedTateSeries:
+def stable_series_positive_n(max_degree: int) -> GradedTateSeries:
     """The stable series for positive surface index: (1+Lt^2) times the base series."""
-    base = stable_series(max_degree, cache_dir=cache_dir)
+    base = stable_series(max_degree)
     factor = {0: TatePolynomial.one(), 2: TatePolynomial({1: 1})}
     modifier = GradedTateSeries(
         max_degree, {t: p for t, p in factor.items() if t <= max_degree}
@@ -160,14 +159,14 @@ def table_from_series(s: GradedTateSeries) -> StableCohomologyTable:
     return StableCohomologyTable(max_degree=s.truncation, rows=rows)
 
 
-def cohomology_table(n: int, max_degree: int, *, cache_dir=None) -> StableCohomologyTable:
+def cohomology_table(n: int, max_degree: int) -> StableCohomologyTable:
     """Stable cohomology table for surface index n (n = 0 and n > 0 regimes)."""
     if n < 0:
         raise ValueError("surface index must be nonnegative")
     if n == 0:
-        s = stable_series(max_degree, cache_dir=cache_dir)
+        s = stable_series(max_degree)
     else:
-        s = stable_series_positive_n(max_degree, cache_dir=cache_dir)
+        s = stable_series_positive_n(max_degree)
     return table_from_series(s)
 
 

@@ -11,6 +11,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperstab.linalg import (
     PointOnSurface,
@@ -26,11 +28,43 @@ from hyperstab.spectral import ConfigurationType
 CT = ConfigurationType
 
 
-def stacked_rows(points, space):
+def stacked_rows(points, space, rows_of=singularity_rows):
     rows = []
     for p in points:
-        rows.extend(singularity_rows(p, space))
+        rows.extend(rows_of(p, space))
     return rows
+
+
+def _frac_power(base, exponent):
+    return Fraction(1) if exponent == 0 else base**exponent
+
+
+def fraction_singularity_rows(point, space):
+    """Frozen rational-arithmetic construction of the singularity rows.
+
+    Entries are the derivatives evaluated at the point's normalised
+    rational coordinates, one ``Fraction`` power per monomial.
+    """
+    basis = space.monomials
+    if point.locus == "off_exceptional":
+        x0, y0, z0 = (Fraction(c) for c in point.coords)
+        return (
+            tuple(a * _frac_power(x0, a - 1) * _frac_power(y0, b) * _frac_power(z0, c)
+                  if a else Fraction(0) for a, b, c in basis),
+            tuple(b * _frac_power(x0, a) * _frac_power(y0, b - 1) * _frac_power(z0, c)
+                  if b else Fraction(0) for a, b, c in basis),
+            tuple(c * _frac_power(x0, a) * _frac_power(y0, b) * _frac_power(z0, c - 1)
+                  if c else Fraction(0) for a, b, c in basis),
+        )
+    u0, v0 = (Fraction(c) for c in point.coords)
+    return (
+        tuple(a * _frac_power(u0, a - 1) * _frac_power(v0, b) if c == 2 and a
+              else Fraction(0) for a, b, c in basis),
+        tuple(b * _frac_power(u0, a) * _frac_power(v0, b - 1) if c == 2 and b
+              else Fraction(0) for a, b, c in basis),
+        tuple(_frac_power(u0, a) * _frac_power(v0, b) if c == 1 else Fraction(0)
+              for a, b, c in basis),
+    )
 
 
 # --------------------------------------------------------------------------
@@ -120,6 +154,66 @@ def test_rows_on_exceptional_point():
     assert rows[0] == (0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 2, 0)
     assert rows[1] == (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 4)
     assert rows[2] == (0, 0, 0, 0, 0, 1, 2, 4, 8, 0, 0, 0)
+
+
+def _non_integral():
+    return st.builds(
+        Fraction,
+        st.integers(-30, 30).filter(bool),
+        st.integers(2, 12),
+    ).filter(lambda f: f.denominator > 1)
+
+
+@st.composite
+def _rational_configuration(draw):
+    n = draw(st.integers(0, 3))
+    d = draw(st.integers(max(2, 2 * n), 2 * n + 7))
+    coordinate = st.one_of(_non_integral(), st.integers(-9, 9))
+    points = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            x = draw(st.one_of(_non_integral(), st.just(0)))
+            y = draw(_non_integral())
+            points.append(PointOnSurface.off_exceptional(x, y, draw(_non_integral()), n))
+        else:
+            u = draw(st.one_of(_non_integral(), st.just(0)))
+            points.append(PointOnSurface.on_exceptional(u, draw(_non_integral())))
+    point = PointOnSurface.off_exceptional(
+        draw(coordinate), draw(_non_integral()), draw(coordinate), n
+    )
+    points.append(point)
+    return SectionSpace(d, n), points
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rational_configuration())
+def test_integer_rows_rescale_the_fraction_rows(case):
+    space, points = case
+    for point in points:
+        for new, old in zip(singularity_rows(point, space),
+                            fraction_singularity_rows(point, space)):
+            assert all(type(entry) is int for entry in new)
+            pivot = next((j for j, entry in enumerate(old) if entry), None)
+            if pivot is None:
+                assert not any(new)
+                continue
+            scale = Fraction(new[pivot]) / old[pivot]
+            assert scale != 0
+            assert all(a == scale * b for a, b in zip(new, old))
+    assert kernel_dimension(stacked_rows(points, space)) == kernel_dimension(
+        stacked_rows(points, space, fraction_singularity_rows)
+    )
+
+
+def test_integral_points_keep_the_fraction_rows_exactly():
+    rng = random.Random(2024)
+    for config, d, n in [(CT(2, 1, 1), 12, 1), (CT(1, 2, 2), 14, 0), (CT(0, 1, 2), 13, 3)]:
+        space = SectionSpace(d, n)
+        points = list(sample_configuration(config, d, n, rng))
+        points.append(PointOnSurface.off_exceptional(0, 1, -7, n))
+        points.append(PointOnSurface.on_exceptional(0, 5))
+        for point in points:
+            assert singularity_rows(point, space) == fraction_singularity_rows(point, space)
 
 
 def test_off_exceptional_weight_must_match_space():

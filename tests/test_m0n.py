@@ -152,6 +152,35 @@ def test_m0n_divisibility_by_pgl2_count():
             m0n.twisted_count_config_p1(n, mu).divide_exact(pgl2)
 
 
+def test_integer_layers_match_qpolynomial_route():
+    """Dense integer counts and quotients == the sparse rational route, n <= 12."""
+    pgl2 = QPolynomial({3: 1, 1: -1})
+    for n in range(3, 13):
+        for mu in sf.partitions(n):
+            oracle = m0n.twisted_count_config_p1(n, mu)
+            count = m0n._integer_twisted_count(mu)
+            assert count == [oracle.coefficient(e) for e in range(n + 1)], mu
+            quotient = oracle.divide_exact(pgl2)
+            assert m0n._divide_by_pgl2(count) == [
+                quotient.coefficient(e) for e in range(n - 2)
+            ], mu
+
+
+def test_integer_counts_match_brute_enumeration():
+    for n in range(1, 6):
+        for mu in sf.partitions(n):
+            count = m0n._integer_twisted_count(mu)
+            for q in (3, 5):
+                assert sum(c * q**e for e, c in enumerate(count)) == \
+                    m0n.brute_twisted_count(n, mu, q), (mu, q)
+
+
+def test_division_by_pgl2_rejects_a_remainder():
+    assert m0n._divide_by_pgl2([0, -1, 0, 1]) == [1]
+    with pytest.raises(ArithmeticError, match="inexact"):
+        m0n._divide_by_pgl2([1, 0, 0, 1])
+
+
 def test_equivariant_poincare_small_cases(tmp_path):
     ep3 = m0n.equivariant_poincare_m0n(3, cache_dir=tmp_path)
     assert set(ep3.layers) == {0}
@@ -211,6 +240,30 @@ def test_cache_roundtrip(tmp_path):
     # a reload must parse the cache, not recompute
     again = m0n.equivariant_poincare_m0n(6, cache_dir=tmp_path)
     assert again.layers == ep.layers
+
+
+def test_cache_file_is_compact_and_indented_files_still_load(tmp_path, monkeypatch):
+    written = tmp_path / "written"
+    ep = m0n.equivariant_poincare_m0n(5, cache_dir=written)
+    text = (written / "m0n_5.json").read_text()
+    assert "\n" not in text and ": " not in text
+    payload = json.loads(text)
+    traces = [[int(v["trace"]) for v in layer["values"]] for layer in payload["layers"]]
+    cycle_types = [
+        tuple(int(p) for p in v["cycle_type"]) for v in payload["layers"][0]["values"]
+    ]
+    assert cycle_types == sorted(sf.partitions(5), reverse=True)
+    assert traces == [[ep.layers[i][mu] for mu in cycle_types] for i in range(3)]
+
+    indented = tmp_path / "indented"
+    indented.mkdir()
+    (indented / "m0n_5.json").write_text(json.dumps(payload, indent=1))
+
+    def no_recompute(mu):
+        raise AssertionError("the cache file was not read")
+
+    monkeypatch.setattr(m0n, "_integer_twisted_count", no_recompute)
+    assert m0n.equivariant_poincare_m0n(5, cache_dir=indented).layers == ep.layers
 
 
 def test_cache_env_var(tmp_path, monkeypatch):

@@ -216,6 +216,12 @@ def test_five_point_configuration_table():
     }
 
 
+def test_five_point_table_rejects_a_repeated_class(monkeypatch):
+    monkeypatch.setattr(spectral, "hall_inner_product_induced", lambda *args: 2)
+    with pytest.raises(ArithmeticError, match="multiplicity"):
+        five_point_configuration_table()
+
+
 def test_five_point_cancellation_pairing():
     """Arrow-paired columns cancel: they differ by one homological degree."""
     ep3 = m0n.equivariant_poincare_m0n(3)

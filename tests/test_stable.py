@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from hyperstab import m0n, stable
+from hyperstab import m0n, spectral, stable
 from hyperstab.series import GradedTateSeries, TatePolynomial, evaluate_t
 from hyperstab.stable import (
     StableCohomologyTable,
@@ -162,6 +162,18 @@ def test_all_multiplicities_nonnegative_to_degree_30():
         assert all(
             mult > 0 for row in table.rows.values() for mult in row.values()
         )
+
+
+def test_stable_series_shares_the_layer_cache_with_spectral():
+    """The assembly and the column code call the layers with one key shape."""
+    stable_series(8)
+    misses = m0n.equivariant_poincare_m0n.cache_info().misses
+    for L in range(3, 9):
+        spectral.e1_column(L, 30)
+        config = spectral.ConfigurationType(1, 0, L - 1)
+        spectral.twisted_config_homology(config, m0n.equivariant_poincare_m0n(L))
+    spectral.five_point_configuration_table()
+    assert m0n.equivariant_poincare_m0n.cache_info().misses == misses
 
 
 # --------------------------------------------------------------------------
