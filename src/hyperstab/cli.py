@@ -22,7 +22,8 @@ of the outputs); without ``--out`` the report goes to stdout.  Nothing in
 the outputs depends on time, process, or machine, so re-running a command
 with identical flags produces byte-identical files.
 
-Exit codes: 0 success, 1 failing check, 2 usage or argument error.
+Exit codes: 0 success, 1 failing check, 2 usage or argument error; a request
+over the tuple budget of the resource guard is a usage error.
 
 Each verification check carries a ``source`` classifying its expected
 value: ``tabulated`` for frozen reference tables, ``identity`` for
@@ -52,7 +53,7 @@ from .ffcount import (
     stratified_count,
 )
 from .linalg import _degree_bound, rank_drop_witness, verify_bundle_rank
-from .m0n import equivariant_poincare_m0n
+from .m0n import ResourceGuardError, equivariant_poincare_m0n
 from .spectral import (
     ConfigurationType,
     differential_candidates,
@@ -471,25 +472,23 @@ def suite_tables() -> SuiteResult:
         )
     )
 
+    config_ok = five_point_configuration_table() == REFERENCE_FIVE_POINT_CONFIGURATION
     checks.append(
         _check(
             "five-point-config-table",
-            five_point_configuration_table() == REFERENCE_FIVE_POINT_CONFIGURATION,
+            config_ok,
             "reference five-point block table",
-            "equal"
-            if five_point_configuration_table() == REFERENCE_FIVE_POINT_CONFIGURATION
-            else "differs",
+            "equal" if config_ok else "differs",
             "tabulated",
         )
     )
+    strata_ok = five_point_stratum_table() == REFERENCE_FIVE_POINT_STRATA
     checks.append(
         _check(
             "five-point-stratum-table",
-            five_point_stratum_table() == REFERENCE_FIVE_POINT_STRATA,
+            strata_ok,
             "reference five-point stratum table",
-            "equal"
-            if five_point_stratum_table() == REFERENCE_FIVE_POINT_STRATA
-            else "differs",
+            "equal" if strata_ok else "differs",
             "tabulated",
         )
     )
@@ -1017,7 +1016,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, ResourceGuardError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

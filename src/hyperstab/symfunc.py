@@ -59,6 +59,12 @@ def partitions(n: int) -> tuple:
     return tuple(gen(n, n))
 
 
+@lru_cache(maxsize=None)
+def _partition_set(n: int) -> frozenset:
+    """The partitions of n as a set, for membership tests."""
+    return frozenset(partitions(n))
+
+
 def z_order(mu) -> int:
     """Centralizer order of a permutation of cycle type mu: prod d^c_d c_d!."""
     mu = canonical_partition(mu)
@@ -126,17 +132,22 @@ class CharacterVector:
     __slots__ = ("degree", "values")
 
     def __init__(self, degree: int, values: dict):
+        expected = _partition_set(degree)
         normalized = {}
+        stray = False
         for mu, v in values.items():
-            mu = canonical_partition(mu)
-            if sum(mu) != degree:
-                raise ValueError(f"cycle type {mu} does not have weight {degree}")
+            if mu not in expected:
+                mu = canonical_partition(mu)
+                if sum(mu) != degree:
+                    raise ValueError(f"cycle type {mu} does not have weight {degree}")
+                stray = stray or mu not in expected
             if not isinstance(v, int):
                 raise ValueError(f"character value at {mu} must be an integer")
             normalized[mu] = v
-        expected = set(partitions(degree))
-        if set(normalized) != expected:
-            missing = expected - set(normalized)
+        # Every key is now a partition of the degree unless one was stray, so
+        # equal sizes mean equal key sets.
+        if stray or len(normalized) != len(expected):
+            missing = expected - normalized.keys()
             raise ValueError(f"values missing for cycle types: {sorted(missing)}")
         self.degree = degree
         self.values = normalized

@@ -2,9 +2,14 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hyperstab
 from hyperstab import cli
 from hyperstab.cli import Check, SuiteResult, main
 
@@ -95,6 +100,22 @@ def test_verify_tables_passes_with_documented_skips(capsys):
     assert "SKIP tables/e1-L5-entrywise" in out
     assert "SKIP tables/e1-L6-entrywise" in out
     assert "suite tables: 8 passed, 0 failed, 2 skipped" in out
+
+
+def test_suite_tables_computes_each_five_point_table_once(monkeypatch):
+    calls = []
+    for name in ("five_point_configuration_table", "five_point_stratum_table"):
+        real = getattr(cli, name)
+
+        def counted(real=real, name=name):
+            calls.append(name)
+            return real()
+
+        monkeypatch.setattr(cli, name, counted)
+    result = cli.suite_tables()
+    assert sorted(calls) == ["five_point_configuration_table", "five_point_stratum_table"]
+    five_point = [c for c in result.checks if c.id.startswith("five-point-")]
+    assert [(c.status, c.actual) for c in five_point] == [("pass", "equal")] * 2
 
 
 def test_verify_counts_small_budget(capsys):
@@ -230,6 +251,20 @@ def test_count_closed_only(capsys):
 def test_count_rejects_out_of_family_l(capsys):
     assert main(["count", "--g", "2", "--l", "9", "--q", "3"]) == 2
     assert "l must satisfy" in capsys.readouterr().err
+
+
+def test_count_over_the_tuple_budget_is_usage_error():
+    src = str(Path(hyperstab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-m", "hyperstab.cli", "count", "--g", "9", "--l", "1", "--q", "3"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: (g=9, l=1, q=3) spans q^(3g+6)")
+    assert "feasible grid at this budget: q=3: g<=4" in done.stderr
+    assert "Traceback" not in done.stderr
 
 
 # --------------------------------------------------------------------------

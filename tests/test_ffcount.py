@@ -9,14 +9,19 @@ Oracles:
   with the fast route it checks;
 * closed-form counts evaluated exactly as polynomials in q and compared to
   the enumerated stack counts;
-* brute-force orders of the small matrix groups acting on the triples.
+* brute-force orders of the small matrix groups acting on the triples;
+* the scalar walk of the substitution round trip, frozen as it stood before
+  the walk went to blocks of row operations.
 """
 
 import itertools
 from fractions import Fraction
 from math import comb
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperstab import ffcount
 from hyperstab.ffcount import (
@@ -557,6 +562,142 @@ def test_psi_roundtrip_check_reports():
     assert report["ok"] is True
     assert report["members"] == 4000
     assert report["g"] == 2 and report["l"] == 1 and report["q"] == 3
+
+
+@st.composite
+def _division_case(draw):
+    """(numerator rows, divisor, q): products of the divisor, perturbed ones,
+    and random rows; the divisor may be zero or carry top zeros."""
+    q = draw(st.sampled_from([3, 5, 7]))
+    coeff = st.integers(-q, 2 * q - 1)
+    den_len = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        top = draw(st.integers(0, den_len - 1))
+        den = (
+            draw(st.lists(coeff, min_size=top, max_size=top))
+            + [draw(st.integers(1, q - 1))]
+            + [0] * (den_len - 1 - top)
+        )
+    else:
+        den = draw(st.lists(coeff, min_size=den_len, max_size=den_len))
+    width = draw(st.integers(1, 8))
+    rows = []
+    for kind in draw(st.lists(st.sampled_from("pxr"), min_size=1, max_size=10)):
+        if kind in "px" and width >= den_len:
+            cof = draw(st.lists(coeff, min_size=width - den_len + 1,
+                                max_size=width - den_len + 1))
+            row = list(o_mul(den, cof, q))
+            if kind == "x":
+                row[draw(st.integers(0, width - 1))] += draw(st.integers(1, q - 1))
+        else:
+            row = draw(st.lists(coeff, min_size=width, max_size=width))
+        rows.append(row)
+    return rows, tuple(den), q
+
+
+@settings(max_examples=300, deadline=None)
+@given(_division_case())
+def test_exact_div_rows_agrees_with_the_scalar_division(case):
+    rows, den, q = case
+    quotient, divides = ffcount._exact_div_rows(np.array(rows), den, q)
+    assert divides.shape == (len(rows),)
+    for r, row in enumerate(rows):
+        expected = ffcount._exact_div(row, den, q)
+        assert bool(divides[r]) == (expected is not None)
+        if expected is not None:
+            assert tuple(int(c) for c in quotient[r]) == expected
+
+
+def o_psi_roundtrip_check(g, l, q, *, limit=None):
+    """The scalar walk over every tuple, one division per member."""
+    disc_degree = 2 * g + 2
+    squarefree = ffcount._squarefree_bitmap(disc_degree, q)
+    beta_squares = [
+        ffcount._mul(b, b, q) for b in itertools.product(range(q), repeat=g + 2)
+    ]
+    members = 0
+    failures = 0
+    done = False
+    for alpha in itertools.product(range(q), repeat=l + 1):
+        if not any(alpha):
+            continue
+        den = tuple(4 * c % q for c in alpha)
+        for gamma in itertools.product(range(q), repeat=disc_degree - l + 1):
+            scaled = tuple(4 * c % q for c in ffcount._mul(alpha, gamma, q))
+            for bsq in beta_squares:
+                delta = tuple((x - y) % q for x, y in zip(bsq, scaled))
+                idx = 0
+                for c in reversed(delta):
+                    idx = idx * q + c
+                if not squarefree[idx]:
+                    continue
+                members += 1
+                num = tuple((x - y) % q for x, y in zip(bsq, delta))
+                if ffcount._exact_div(num, den, q) != gamma:
+                    failures += 1
+                if limit is not None and members >= limit:
+                    done = True
+                    break
+            if done:
+                break
+        if done:
+            break
+    return {
+        "g": g,
+        "l": l,
+        "q": q,
+        "members": members,
+        "failures": failures,
+        "ok": failures == 0,
+        "limit": limit,
+    }
+
+
+@pytest.mark.parametrize("limit", [1, 37, 4000])
+@pytest.mark.parametrize("g, l, q", [(2, 1, 3), (2, 2, 3), (2, 3, 3), (2, 0, 3)])
+def test_psi_roundtrip_check_matches_the_scalar_walk(g, l, q, limit):
+    report = psi_roundtrip_check(g, l, q, limit=limit)
+    assert report == o_psi_roundtrip_check(g, l, q, limit=limit)
+    assert report["members"] == limit
+
+
+@pytest.mark.parametrize("rows", [1, 50, 200])
+@pytest.mark.parametrize("g, l, q", [(2, 1, 3), (2, 2, 5)])
+def test_psi_roundtrip_check_blocks_keep_the_walk_order(monkeypatch, rows, g, l, q):
+    # 50 rows split the 81 betas at q = 3; 200 rows take whole runs of gammas.
+    monkeypatch.setattr(ffcount, "_PSI_BLOCK_ROWS", rows)
+    assert psi_roundtrip_check(g, l, q, limit=1500) == o_psi_roundtrip_check(
+        g, l, q, limit=1500
+    )
+
+
+@pytest.mark.parametrize(
+    "g, l, q, variant", [(2, 0, 3, None), (2, 1, 3, None), (2, 2, 3, None), (2, 3, 3, "g0prime")]
+)
+def test_psi_roundtrip_check_full_run_counts_every_member(g, l, q, variant):
+    report = psi_roundtrip_check(g, l, q)
+    assert report["ok"] is True and report["failures"] == 0
+    assert report["members"] == enumerate_count(g, l, q, variant=variant).raw_count
+
+
+def test_psi_roundtrip_check_reports_a_wrong_quotient(monkeypatch):
+    real = ffcount._exact_div_rows
+    corrupted = []
+
+    def corrupt_once(num_rows, den, q):
+        quotient, divides = real(num_rows, den, q)
+        if not corrupted and len(quotient):
+            quotient = quotient.copy()
+            quotient[0, 0] = (quotient[0, 0] + 1) % q
+            corrupted.append(True)
+        return quotient, divides
+
+    monkeypatch.setattr(ffcount, "_exact_div_rows", corrupt_once)
+    report = psi_roundtrip_check(2, 1, 3, limit=4000)
+    assert corrupted
+    assert report["ok"] is False
+    assert report["failures"] == 1
+    assert report["members"] == 4000
 
 
 # --------------------------------------------------------------------------

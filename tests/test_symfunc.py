@@ -323,6 +323,20 @@ def test_character_vector_canonicalizes_lookup():
     assert chi[(1, 2)] == chi[(2, 1)]
 
 
+def test_character_vector_normalizes_keys_and_keeps_its_errors():
+    chi = sf.CharacterVector(3, {(1, 1, 1): 2, (1, 2): 0, (3,): -1})
+    assert chi.values == {(1, 1, 1): 2, (2, 1): 0, (3,): -1}
+    assert chi == sf.CharacterVector.irreducible((2, 1))
+    with pytest.raises(ValueError, match=r"missing for cycle types: \[\(3,\)\]"):
+        sf.CharacterVector(3, {(1, 1, 1): 2, (1, 2): 0})
+    with pytest.raises(ValueError, match="weight 3"):
+        sf.CharacterVector(3, {(1, 1, 1): 2, (2, 1): 0, (3,): -1, (1, 1): 1})
+    with pytest.raises(ValueError, match="integer"):
+        sf.CharacterVector(3, {(1, 1, 1): 2, (2, 1): 0, (3,): 0.5})
+    with pytest.raises(ValueError, match="positive"):
+        sf.CharacterVector(3, {(1, 1, 1): 2, (2, 1): 0, (3,): -1, (3, 0): 1})
+
+
 # --------------------------------------------------------------------------
 # hall_inner_product_induced and schur_expand
 # --------------------------------------------------------------------------
