@@ -22,8 +22,10 @@ of the outputs); without ``--out`` the report goes to stdout.  Nothing in
 the outputs depends on time, process, or machine, so re-running a command
 with identical flags produces byte-identical files.
 
-Exit codes: 0 success, 1 failing check, 2 usage or argument error; a request
-over the tuple budget of the resource guard is a usage error.
+Exit codes: 0 success, 1 failing check, 2 usage or argument error, 3 broken
+internal invariant (an ArithmeticError or AssertionError, reported as
+``error: internal invariant: ...``); a request over the tuple budget of the
+resource guard is a usage error.
 
 Each verification check carries a ``source`` classifying its expected
 value: ``tabulated`` for frozen reference tables, ``identity`` for
@@ -46,6 +48,7 @@ import numpy as np
 
 from . import __version__
 from .ffcount import (
+    DEFAULT_SEED,
     closed_form_count,
     enumerate_count,
     euler_identity_check,
@@ -66,8 +69,6 @@ from .spectral import (
 )
 from .stable import cli_payload, cohomology_table, stable_series
 from .symfunc import schur_expand
-
-DEFAULT_SEED = 20260816
 
 CT = ConfigurationType
 
@@ -1019,6 +1020,9 @@ def main(argv=None) -> int:
     except (ValueError, ResourceGuardError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (ArithmeticError, AssertionError) as exc:
+        print(f"error: internal invariant: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

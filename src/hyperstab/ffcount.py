@@ -63,14 +63,37 @@ _PSI_BLOCK_ROWS = 1024
 _VARIANTS = ("full", "g0", "g0prime")
 
 
+# The first 13 primes as Miller-Rabin bases decide primality of every n below
+# _MILLER_RABIN_BOUND (Sorenson and Webster, Math. Comp. 86, 2017).
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MILLER_RABIN_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; ValueError at or above the proven bound."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    if n >= _MILLER_RABIN_BOUND:
+        raise ValueError(
+            f"{n} is beyond the deterministic primality bound {_MILLER_RABIN_BOUND}"
+        )
+    for a in _MILLER_RABIN_BASES:
+        if n % a == 0:
+            return n == a
+    odd, twos = n - 1, 0
+    while odd % 2 == 0:
+        odd //= 2
+        twos += 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, odd, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(twos - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -221,6 +244,9 @@ def _exact_div(num, den, q):
     if top is None:
         return None
     y_power = len(den) - 1 - top
+    if y_power >= len(num):
+        # y^y_power exceeds the degree of num, so only zero is divisible
+        return None if any(num) else ()
     if y_power:
         if any(num[len(num) - y_power:]):
             return None
@@ -256,6 +282,8 @@ def _exact_div_rows(num_rows, den, q):
     if top is None:
         return np.zeros((rows, 0), dtype=np.int64), np.zeros(rows, dtype=bool)
     y_power = len(den) - 1 - top
+    if y_power >= width:
+        return np.zeros((rows, 0), dtype=np.int64), ~(num % q).any(axis=0)
     divides = ~(num[width - y_power :] % q).any(axis=0)
     num = num[: width - y_power]
     quot = np.zeros((max(len(num) - top, 0), rows), dtype=np.int64)
@@ -906,9 +934,8 @@ def psi_roundtrip_check(
     # way they follow the lexicographic order of (gamma, beta).
     gamma_step = max(1, _PSI_BLOCK_ROWS // len(beta_squares))
     beta_step = min(len(beta_squares), _PSI_BLOCK_ROWS)
-    # The scalar walk stopped after the member that reached the limit, so a
-    # limit below 1 still visits one member.
-    cap = None if limit is None else max(limit, 1)
+    if limit is not None and limit < 1:
+        raise ValueError(f"limit must be at least 1, got {limit}")
     members = 0
     failures = 0
     for alpha in itertools.product(range(q), repeat=l + 1):
@@ -925,15 +952,15 @@ def psi_roundtrip_check(
                     -1, disc_degree + 1
                 )
                 found = np.flatnonzero(squarefree[delta @ powers])
-                if cap is not None:
-                    found = found[: cap - members]
+                if limit is not None:
+                    found = found[: limit - members]
                 delta = delta[found]
                 gamma_of, beta_of = np.divmod(found, len(bsq))
                 quotient, divides = _exact_div_rows(bsq[beta_of] - delta, den, q)
                 wrong = ~divides | (quotient != gamma[gamma_of]).any(axis=1)
                 members += len(found)
                 failures += int(np.count_nonzero(wrong))
-                if cap is not None and members >= cap:
+                if limit is not None and members >= limit:
                     return _psi_report(g, l, q, members, failures, limit)
     return _psi_report(g, l, q, members, failures, limit)
 

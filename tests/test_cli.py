@@ -1,6 +1,7 @@
 """Tests for the command-line front end: parsing, suites, files, exit codes."""
 
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import hyperstab
-from hyperstab import cli
+from hyperstab import cli, ffcount, linalg, m0n
 from hyperstab.cli import Check, SuiteResult, main
 
 
@@ -281,6 +282,27 @@ def test_rankcheck_report(capsys):
     assert report["seed"] == 20260816
 
 
+# the report the integer (Bareiss) route gives for type 2,0,0 at d = 7, n = 1
+RANKCHECK_200_D7_N1 = {
+    "d": 7, "expected_rank": 15, "failures": [], "n": 1, "seed": 20260816,
+    "trials": 100, "type": [2, 0, 0], "v": 21,
+}
+
+
+@pytest.mark.parametrize("modulus", ["101", "2147483659", "2305843009213693951"])
+def test_rankcheck_modulus(capsys, modulus):
+    # 2147483659 is above 2^31 (object arrays); 2^61 - 1 needs a fast prime test
+    assert main(["rankcheck", "--type", "2,0,0", "--d", "7", "--n", "1",
+                 "--modulus", modulus]) == 0
+    assert json.loads(capsys.readouterr().out) == RANKCHECK_200_D7_N1
+
+
+def test_rankcheck_modulus_beyond_the_prime_test_is_usage_error(capsys):
+    assert main(["rankcheck", "--type", "2,0,0", "--d", "7", "--n", "1",
+                 "--modulus", str(2**89 - 1)]) == 2
+    assert "bound" in capsys.readouterr().err
+
+
 def test_rankcheck_witness(capsys):
     assert main(["rankcheck", "--witness", "--trials", "6", "--format", "md"]) == 0
     out = capsys.readouterr().out
@@ -294,6 +316,34 @@ def test_rankcheck_below_bound_is_usage_error(capsys):
 
 def test_rankcheck_requires_type_or_witness(capsys):
     assert main(["rankcheck", "--d", "7"]) == 2
+
+
+def test_default_seed_is_the_one_of_ffcount():
+    assert cli.DEFAULT_SEED is ffcount.DEFAULT_SEED == 20260816
+    witness = inspect.signature(linalg.rank_drop_witness).parameters["seed"]
+    assert witness.default == ffcount.DEFAULT_SEED
+
+
+# --------------------------------------------------------------------------
+# broken internal invariants
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("error", [ArithmeticError, AssertionError])
+def test_broken_invariant_exits_three(monkeypatch, tmp_path, capsys, error):
+    def broken(count):
+        raise error("inexact division by q^3 - q")
+
+    monkeypatch.setenv("HYPERSTAB_CACHE", str(tmp_path))
+    monkeypatch.setattr(m0n, "_divide_by_pgl2", broken)
+    m0n.equivariant_poincare_m0n.cache_clear()
+    try:
+        assert main(["m0n", "--n", "5"]) == 3
+    finally:
+        m0n.equivariant_poincare_m0n.cache_clear()
+    captured = capsys.readouterr()
+    assert captured.err == "error: internal invariant: inexact division by q^3 - q\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 # --------------------------------------------------------------------------

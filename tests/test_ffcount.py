@@ -135,6 +135,50 @@ def all_forms(degree, q):
 
 
 # --------------------------------------------------------------------------
+# prime test
+# --------------------------------------------------------------------------
+
+def o_is_prime(n):
+    """Trial division."""
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.integers(-5, 10**6))
+def test_is_prime_agrees_with_trial_division(n):
+    assert ffcount._is_prime(n) == o_is_prime(n)
+
+
+def test_is_prime_on_large_primes_and_strong_pseudoprimes():
+    for p in (2**31 - 1, 2147483659, 2**61 - 1):
+        assert ffcount._is_prime(p)
+    composites = (
+        (2**31 - 1) * 2147483659,
+        3215031751,  # strong pseudoprime to the bases 2, 3, 5, 7
+        3825123056546413051,  # strong pseudoprime to the first nine prime bases
+        318665857834031151167461,  # strong pseudoprime to the first twelve
+    )
+    for n in composites:
+        assert not ffcount._is_prime(n)
+    assert not ffcount._is_prime(True) and not ffcount._is_prime(7.0)
+
+
+def test_is_prime_refuses_beyond_the_deterministic_bound():
+    assert not ffcount._is_prime(ffcount._MILLER_RABIN_BOUND - 1)  # even
+    with pytest.raises(ValueError, match="bound"):
+        ffcount._is_prime(ffcount._MILLER_RABIN_BOUND)
+    with pytest.raises(ValueError, match="bound"):
+        ffcount._is_prime(2**127 - 1)
+
+
+# --------------------------------------------------------------------------
 # square-freeness
 # --------------------------------------------------------------------------
 
@@ -567,23 +611,32 @@ def test_psi_roundtrip_check_reports():
 @st.composite
 def _division_case(draw):
     """(numerator rows, divisor, q): products of the divisor, perturbed ones,
-    and random rows; the divisor may be zero or carry top zeros."""
+    zero and random rows; the divisor may be zero or carry top zeros, and
+    its y-power may exceed the degree of the rows."""
     q = draw(st.sampled_from([3, 5, 7]))
     coeff = st.integers(-q, 2 * q - 1)
-    den_len = draw(st.integers(1, 4))
-    if draw(st.booleans()):
-        top = draw(st.integers(0, den_len - 1))
+    width = draw(st.integers(1, 8))
+    den_kind = draw(st.sampled_from(("top zeros", "long y-power", "any")))
+    if den_kind == "any":
+        den_len = draw(st.integers(1, 4))
+        den = draw(st.lists(coeff, min_size=den_len, max_size=den_len))
+    else:
+        top = draw(st.integers(0, 3))
+        if den_kind == "long y-power":
+            y_power = draw(st.integers(width, width + 2))
+        else:
+            y_power = draw(st.integers(0, 3 - top))
         den = (
             draw(st.lists(coeff, min_size=top, max_size=top))
             + [draw(st.integers(1, q - 1))]
-            + [0] * (den_len - 1 - top)
+            + [0] * y_power
         )
-    else:
-        den = draw(st.lists(coeff, min_size=den_len, max_size=den_len))
-    width = draw(st.integers(1, 8))
+    den_len = len(den)
     rows = []
-    for kind in draw(st.lists(st.sampled_from("pxr"), min_size=1, max_size=10)):
-        if kind in "px" and width >= den_len:
+    for kind in draw(st.lists(st.sampled_from("pxrz"), min_size=1, max_size=10)):
+        if kind == "z":
+            row = [0] * width
+        elif kind in "px" and width >= den_len:
             cof = draw(st.lists(coeff, min_size=width - den_len + 1,
                                 max_size=width - den_len + 1))
             row = list(o_mul(den, cof, q))
@@ -606,6 +659,17 @@ def test_exact_div_rows_agrees_with_the_scalar_division(case):
         assert bool(divides[r]) == (expected is not None)
         if expected is not None:
             assert tuple(int(c) for c in quotient[r]) == expected
+
+
+def test_exact_div_rejects_a_y_power_beyond_the_numerator_degree():
+    # y / y^3 and (x + y) / y^2 are not forms; zero divides into the empty form
+    assert ffcount._exact_div((1, 0), (1, 0, 0, 0), 3) is None
+    assert ffcount._exact_div((1, 1), (2, 0, 0), 5) is None
+    assert ffcount._exact_div((0, 3), (1, 0, 0), 3) == ()
+    assert ffcount._exact_div((2, 0, 0), (1, 0), 3) == (2, 0)
+    quotient, divides = ffcount._exact_div_rows(np.array([[1, 0], [0, 3]]), (1, 0, 0, 0), 3)
+    assert divides.tolist() == [False, True]
+    assert quotient.shape == (2, 0)
 
 
 def o_psi_roundtrip_check(g, l, q, *, limit=None):
@@ -678,6 +742,12 @@ def test_psi_roundtrip_check_full_run_counts_every_member(g, l, q, variant):
     report = psi_roundtrip_check(g, l, q)
     assert report["ok"] is True and report["failures"] == 0
     assert report["members"] == enumerate_count(g, l, q, variant=variant).raw_count
+
+
+@pytest.mark.parametrize("limit", [0, -1, -37])
+def test_psi_roundtrip_check_rejects_a_limit_below_one(limit):
+    with pytest.raises(ValueError, match="limit"):
+        psi_roundtrip_check(2, 1, 3, limit=limit)
 
 
 def test_psi_roundtrip_check_reports_a_wrong_quotient(monkeypatch):

@@ -6,6 +6,7 @@ them, against the codimension count 3*k1 + 3*k2 + 5*h.
 """
 
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -14,6 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyperstab import linalg
+from hyperstab.cli import RANK_TYPES, _minimal_valid_degree
 from hyperstab.linalg import (
     PointOnSurface,
     SectionSpace,
@@ -251,10 +254,12 @@ def test_kernel_dimension_matches_numpy_rank():
 
 def test_kernel_dimension_with_fractions_and_modulus():
     assert kernel_dimension([(Fraction(1, 2), 1)]) == 1
-    # rank drops mod 7 but not over the rationals
-    mat = [(7, 0), (0, 1)]
-    assert kernel_dimension(mat) == 0
-    assert kernel_dimension(mat, modulus=7) == 1
+    # rank drops mod p but not over the rationals; primes from 2^31 up take
+    # the object-array path
+    for p in (7, 2147483659, 2**61 - 1):
+        mat = [(p, 0), (0, 1)]
+        assert kernel_dimension(mat) == 0
+        assert kernel_dimension(mat, modulus=p) == 1
     rng = random.Random(99)
     generic = [tuple(rng.randint(-9, 9) for _ in range(6)) for _ in range(4)]
     assert kernel_dimension(generic) == kernel_dimension(generic, modulus=101)
@@ -421,3 +426,189 @@ def test_kernel_dimension_constant_for_small_types():
             d = max(-(-bound.numerator // bound.denominator), 2 * n) + 1
             report = verify_bundle_rank(config, d, n, trials=4, seed=8)
             assert report["failures"] == [], (config, d, n)
+
+
+# --------------------------------------------------------------------------
+# certified ranks: batched F_p elimination, fiber-pair relation, fallback
+# --------------------------------------------------------------------------
+
+def o_rank_mod_p(matrix, p):
+    """Frozen single-matrix elimination over F_p with a normalised pivot row."""
+    m = [[entry % p for entry in row] for row in matrix]
+    n_rows, n_cols = len(m), len(m[0])
+    rank = 0
+    r = 0
+    for col in range(n_cols):
+        pivot = next((i for i in range(r, n_rows) if m[i][col]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = pow(m[r][col], -1, p)
+        m[r] = [(entry * inv) % p for entry in m[r]]
+        for i in range(r + 1, n_rows):
+            factor = m[i][col]
+            if factor:
+                m[i] = [(a - factor * b) % p for a, b in zip(m[i], m[r])]
+        rank += 1
+        r += 1
+        if r == n_rows:
+            break
+    return rank
+
+
+def bareiss_report(config, d, n, trials, seed):
+    """verify_bundle_rank's report with every kernel from Bareiss elimination."""
+    space = SectionSpace(d, n)
+    expected = space.dimension - config.codimension
+    failures = []
+    for trial in range(trials):
+        points = sample_configuration(config, d, n, random.Random(f"{seed}:{trial}"))
+        kernel = kernel_dimension(stacked_rows(points, space))
+        if kernel != expected:
+            failures.append({"trial": trial, "kernel_dimension": kernel})
+    return {
+        "type": [config.k1, config.k2, config.h],
+        "d": d,
+        "n": n,
+        "v": space.dimension,
+        "expected_rank": expected,
+        "trials": trials,
+        "failures": failures,
+        "seed": seed,
+    }
+
+
+_PRIMES = (3, 5, 7, 101, 65537, 2**31 - 1, 2147483659, 2**61 - 1)
+
+
+@st.composite
+def _matrix_batch(draw):
+    """(matrices, p): 1-8 matrices of one shape, some products of thin
+    factors (rank-deficient), some with entries far beyond the prime."""
+    p = draw(st.sampled_from(_PRIMES))
+    n_rows, n_cols = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    small = st.integers(-4, 4)
+    batch = []
+    for kind in draw(st.lists(st.sampled_from("tgwz"), min_size=1, max_size=8)):
+        if kind == "t":
+            inner = draw(st.integers(1, min(n_rows, n_cols)))
+            left = draw(st.lists(st.lists(small, min_size=inner, max_size=inner),
+                                 min_size=n_rows, max_size=n_rows))
+            right = draw(st.lists(st.lists(small, min_size=n_cols, max_size=n_cols),
+                                  min_size=inner, max_size=inner))
+            matrix = [[sum(a * b for a, b in zip(row, column)) for column in zip(*right)]
+                      for row in left]
+        else:
+            entries = {"g": small, "w": st.integers(-(2**70), 2**70), "z": st.just(0)}
+            matrix = draw(st.lists(
+                st.lists(entries[kind], min_size=n_cols, max_size=n_cols),
+                min_size=n_rows, max_size=n_rows))
+        batch.append(matrix)
+    return batch, p
+
+
+def _hadamard_bound(matrix):
+    """An integer at least the absolute value of every minor."""
+    bound = 1
+    for row in matrix:
+        bound *= max(1, math.isqrt(sum(a * a for a in row)) + 1)
+    return bound
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matrix_batch())
+def test_batched_ranks_agree_with_the_frozen_kernel_and_bareiss(case):
+    batch, p = case
+    ranks = linalg._ranks_mod_p(batch, p)
+    assert ranks.shape == (len(batch),)
+    for matrix, rank in zip(batch, ranks):
+        exact = len(matrix[0]) - kernel_dimension(matrix)
+        assert rank == o_rank_mod_p(matrix, p)
+        assert rank <= exact
+        if p > _hadamard_bound(matrix):
+            assert rank == exact
+
+
+def test_batched_ranks_of_an_empty_batch():
+    assert linalg._ranks_mod_p([], 101).shape == (0,)
+
+
+@pytest.mark.parametrize("n", [0, 2])
+def test_certified_kernels_equal_bareiss_on_every_rank_type(n):
+    for config in RANK_TYPES:
+        d = _minimal_valid_degree(config, n)
+        space = SectionSpace(d, n)
+        for trial in range(10):
+            points = sample_configuration(config, d, n, random.Random(f"5:{trial}"))
+            rows = stacked_rows(points, space)
+            rank = linalg._ranks_mod_p([rows], linalg._CERTIFYING_PRIME)[0]
+            assert rank == config.codimension, (config, trial)
+            assert linalg._pairs_certified(points, rows, config, space), (config, trial)
+            assert kernel_dimension(rows) == space.dimension - config.codimension
+        assert verify_bundle_rank(config, d, n, trials=10, seed=5) == bareiss_report(
+            config, d, n, trials=10, seed=5
+        )
+
+
+def test_pair_certificate_rejects_points_on_different_ruling_lines():
+    space = SectionSpace(9, 1)
+    config = CT(0, 0, 1)
+    same = (PointOnSurface.off_exceptional(1, 4, -3, 1),
+            PointOnSurface.off_exceptional(1, 4, 7, 1))
+    apart = (same[0], PointOnSurface.off_exceptional(1, 5, 7, 1))
+    assert linalg._pairs_certified(same, stacked_rows(same, space), config, space)
+    assert not linalg._pairs_certified(apart, stacked_rows(apart, space), config, space)
+    # the two points on different lines impose six conditions, not five
+    assert kernel_dimension(stacked_rows(apart, space)) == space.dimension - 6
+
+
+def test_pair_certificate_needs_integral_points_with_x_one():
+    space = SectionSpace(9, 1)
+    config = CT(0, 0, 1)
+    for pair in (
+        (PointOnSurface.off_exceptional(1, Fraction(1, 2), 3, 1),
+         PointOnSurface.off_exceptional(1, Fraction(1, 2), 5, 1)),
+        (PointOnSurface.off_exceptional(0, 1, 3, 1),
+         PointOnSurface.off_exceptional(0, 1, 5, 1)),
+    ):
+        assert not linalg._pairs_certified(pair, stacked_rows(pair, space), config, space)
+
+
+def test_under_reported_ranks_fall_back_to_bareiss(monkeypatch):
+    real = linalg._ranks_mod_p
+    calls = []
+
+    def under_report(matrices, p):
+        return real(matrices, p) - 1
+
+    def counting_kernel(rows, modulus=None):
+        calls.append(modulus)
+        return kernel_dimension(rows, modulus)
+
+    monkeypatch.setattr(linalg, "_ranks_mod_p", under_report)
+    monkeypatch.setattr(linalg, "kernel_dimension", counting_kernel)
+    for config, d, n in ((CT(0, 0, 2), 9, 0), (CT(1, 1, 1), 9, 1), (CT(2, 0, 0), 7, 1)):
+        calls.clear()
+        report = verify_bundle_rank(config, d, n, trials=8, seed=20260816)
+        assert report == bareiss_report(config, d, n, trials=8, seed=20260816)
+        assert report["failures"] == []
+        assert calls == [None] * 8
+
+
+def test_failed_pair_certificates_fall_back_to_bareiss(monkeypatch):
+    monkeypatch.setattr(linalg, "_pairs_certified", lambda *args: False)
+    report = verify_bundle_rank(CT(0, 1, 1), 7, 0, trials=6, seed=2)
+    assert report == bareiss_report(CT(0, 1, 1), 7, 0, trials=6, seed=2)
+
+
+def test_witness_trials_all_go_to_bareiss(monkeypatch):
+    calls = []
+
+    def counting_kernel(rows, modulus=None):
+        calls.append(modulus)
+        return kernel_dimension(rows, modulus)
+
+    monkeypatch.setattr(linalg, "kernel_dimension", counting_kernel)
+    report = rank_drop_witness(trials=12)
+    assert calls == [None] * 12
+    assert report == bareiss_report(CT(2, 0, 0), 3, 1, trials=12, seed=20260816)
