@@ -395,6 +395,8 @@ def verify_bundle_rank(
     has exactly the expected kernel, and any other trial gets its kernel
     dimension from Bareiss elimination over the integers.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, not {trials}")
     space = SectionSpace(d, n)
     bound = _degree_bound(config, n)
     if enforce_bound and d < bound:

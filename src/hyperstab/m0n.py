@@ -527,17 +527,32 @@ def _save_cache(path: Path, ep: EquivariantPoincare) -> None:
         raise
 
 
+@lru_cache(maxsize=None)
+def _label_index(n: int) -> dict:
+    """Each cycle-type label as `_save_cache` writes it, mapped to its partition of n.
+
+    The partitions are the tuples `partitions(n)` holds, so every layer of a
+    loaded file shares one key object per cycle type.
+    """
+    return {tuple(str(p) for p in mu): mu for mu in partitions(n)}
+
+
 def _load_cache(path: Path, n: int) -> EquivariantPoincare:
     payload = json.loads(path.read_text())
     if int(payload["n"]) != n:
         raise ValueError(f"cache file {path} is for n={payload['n']}, not {n}")
+    index = _label_index(n)
     layers = {}
     for entry in payload["layers"]:
         i = int(entry["i"])
-        values = {
-            tuple(int(p) for p in item["cycle_type"]): int(item["trace"])
-            for item in entry["values"]
-        }
+        values = {}
+        for item in entry["values"]:
+            label = tuple(item["cycle_type"])
+            mu = index.get(label)
+            if mu is None:
+                # not spelled as `_save_cache` writes it: CharacterVector checks the parse
+                mu = tuple(int(p) for p in label)
+            values[mu] = int(item["trace"])
         layers[i] = CharacterVector(n, values)
     _validate_layers(n, layers, source=str(path))
     return EquivariantPoincare(n=n, layers=layers)

@@ -9,6 +9,7 @@ data is recovered from them on demand.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
@@ -187,30 +188,89 @@ class CharacterVector:
         return cls(n, {mu: irreducible_character(lam, mu) for mu in partitions(n)})
 
 
+# A cycle type is also coded as one integer: a 16-bit field per part length d
+# counts the parts equal to d.  The code of a merged cycle type mu1 u mu2 is then
+# the sum of the two codes, and no field overflows below degree 2^16.
+_FIELD_BITS = 16
+
+
+@lru_cache(maxsize=None)
+def _codes(n: int) -> tuple:
+    """The code of each partition of n, in the order of `partitions(n)`."""
+    return tuple(sum([1 << (_FIELD_BITS * (d - 1)) for d in mu]) for mu in partitions(n))
+
+
+@lru_cache(maxsize=None)
+def _by_code(n: int) -> dict:
+    """The partitions of n keyed by their codes (the tuples `partitions(n)` holds)."""
+    return dict(zip(_codes(n), partitions(n)))
+
+
+@lru_cache(maxsize=None)
+def _block_weights(k: int, signed: bool) -> tuple:
+    """k! e_k (signed) or k! h_k in the power-sum basis, as (code, weight) pairs.
+
+    k! h_k = sum_mu (k!/z_mu) p_mu and k! e_k = sum_mu sgn(mu) (k!/z_mu) p_mu
+    (Macdonald, Symmetric Functions and Hall Polynomials, I.2).
+    """
+    f = math.factorial(k)
+    return tuple(
+        (code, (sign(mu) if signed else 1) * (f // z_order(mu)))
+        for code, mu in zip(_codes(k), partitions(k))
+    )
+
+
+def _times(table, block) -> dict:
+    """Product of two power-sum expansions, p_a p_b = p_(a u b), keyed by code."""
+    out = {}
+    for c1, w1 in table:
+        for c2, w2 in block:
+            c = c1 + c2
+            out[c] = out.get(c, 0) + w1 * w2
+    return out
+
+
+@lru_cache(maxsize=64)
+def _e_pair_weights(k1: int, k2: int) -> tuple:
+    """k1! k2! e_{k1} e_{k2} in the power-sum basis, as (code, weight) pairs."""
+    return tuple(_times(_block_weights(k1, True), _block_weights(k2, True)).items())
+
+
+@lru_cache(maxsize=8)
+def _induced_weights(k1: int, k2: int, h: int) -> tuple:
+    """k1! k2! h! e_{k1} e_{k2} h_h in the power-sum basis: (keys, weights).
+
+    The keys are the cycle types of nonzero weight, as the tuples of
+    `partitions(k1 + k2 + h)`; the weight at mu is the sum over all triples
+    merging to mu that the Frobenius-reciprocity pairing walks.  Callers pair
+    every layer of one type back to back, so a small memo suffices.
+    """
+    pair = _e_pair_weights(min(k1, k2), max(k1, k2))
+    by_code = _by_code(k1 + k2 + h)
+    nonzero = [
+        (by_code[c], w) for c, w in _times(pair, _block_weights(h, False)).items() if w
+    ]
+    return tuple(mu for mu, _ in nonzero), tuple(w for _, w in nonzero)
+
+
 def hall_inner_product_induced(char: CharacterVector, k1: int, k2: int, h: int) -> int:
     """Hall pairing <char, e_{k1} e_{k2} h_h> by Frobenius reciprocity.
 
     Sums sgn(mu1) sgn(mu2) char(mu1 + mu2 + mu3) / (z(mu1) z(mu2) z(mu3))
     over partition triples; the result of pairing an honest virtual character
-    is always an integer, and anything else raises.
+    is always an integer, and anything else raises.  The triples are summed
+    once per type into the power-sum weights of k1! k2! h! e_{k1} e_{k2} h_h
+    (`_induced_weights`), so each pairing is one integer dot product with the
+    character's values, divided once by k1! k2! h!.
     """
     if min(k1, k2, h) < 0:
         raise ValueError("block sizes must be nonnegative")
     n = k1 + k2 + h
     if char.degree != n:
         raise ValueError(f"character degree {char.degree} != k1+k2+h = {n}")
-    # integer accumulation: weight each term by the class sizes k!/z, then
-    # divide once by k1! k2! h! at the end
-    f1, f2, f3 = math.factorial(k1), math.factorial(k2), math.factorial(h)
-    total = 0
-    for mu1 in partitions(k1):
-        w1 = sign(mu1) * (f1 // z_order(mu1))
-        for mu2 in partitions(k2):
-            w12 = w1 * sign(mu2) * (f2 // z_order(mu2))
-            for mu3 in partitions(h):
-                mu = canonical_partition(mu1 + mu2 + mu3)
-                total += w12 * (f3 // z_order(mu3)) * char[mu]
-    denom = f1 * f2 * f3
+    keys, weights = _induced_weights(k1, k2, h)
+    total = sum(map(operator.mul, weights, map(char.values.__getitem__, keys)))
+    denom = math.factorial(k1) * math.factorial(k2) * math.factorial(h)
     if total % denom:
         raise ArithmeticError(
             f"pairing of degree-{n} class function is not integral: {total}/{denom}"

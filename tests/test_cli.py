@@ -314,6 +314,23 @@ def test_rankcheck_below_bound_is_usage_error(capsys):
     assert "bound" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rankcheck", "--type", "2,0,0", "--d", "7", "--n", "1", "--trials", "-5"],
+        ["rankcheck", "--witness", "--trials", "0"],
+        ["verify", "ranks", "--trials", "0"],
+    ],
+    ids=["rankcheck-negative", "rankcheck-witness-zero", "verify-ranks-zero"],
+)
+def test_no_trials_is_usage_error(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: trials must be at least 1")
+    assert "Traceback" not in captured.err
+    assert "PASS" not in captured.out
+
+
 def test_rankcheck_requires_type_or_witness(capsys):
     assert main(["rankcheck", "--d", "7"]) == 2
 

@@ -368,6 +368,14 @@ def test_degree_bound_is_enforced_with_explanation():
     assert report["failures"] == []
 
 
+@pytest.mark.parametrize("trials", [0, -5])
+def test_a_rank_check_needs_at_least_one_trial(trials):
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        verify_bundle_rank(CT(2, 0, 0), 7, 1, trials=trials, seed=0)
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        rank_drop_witness(trials=trials)
+
+
 def test_below_bound_witness_shows_rank_drop():
     report = rank_drop_witness(trials=12, seed=20260816)
     assert report["type"] == [2, 0, 0]

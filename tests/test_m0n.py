@@ -279,3 +279,70 @@ def test_corrupt_cache_rejected(tmp_path):
     path.write_text(json.dumps({"n": "4", "layers": []}))
     with pytest.raises(ValueError):
         m0n.equivariant_poincare_m0n(4, cache_dir=tmp_path)
+
+
+def _rewritten_cache(tmp_path, n, edit, indent=None):
+    """A cache directory holding the written m0n_<n>.json after ``edit(payload)``."""
+    written = tmp_path / "written"
+    m0n.equivariant_poincare_m0n(n, cache_dir=written)
+    payload = json.loads((written / f"m0n_{n}.json").read_text())
+    edit(payload)
+    edited = tmp_path / "edited"
+    edited.mkdir(exist_ok=True)
+    (edited / f"m0n_{n}.json").write_text(json.dumps(payload, indent=indent))
+    return edited
+
+
+def _relabel(label_of):
+    def edit(payload):
+        for layer in payload["layers"]:
+            for item in layer["values"]:
+                item["cycle_type"] = label_of(item["cycle_type"])
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, indent",
+    [
+        (_relabel(lambda label: label[::-1]), None),  # ["1", "2"] for (2, 1)
+        (_relabel(lambda label: ["0" + p for p in label]), None),  # "01"
+        (_relabel(lambda label: [int(p) for p in label]), None),  # [2, 1]
+        (lambda payload: None, 2),
+    ],
+    ids=["reordered", "zero-padded", "integers", "indented"],
+)
+def test_loader_accepts_every_label_spelling(tmp_path, monkeypatch, edit, indent):
+    computed = m0n.equivariant_poincare_m0n(6, cache_dir=tmp_path / "computed")
+    cache = _rewritten_cache(tmp_path, 6, edit, indent)
+
+    def no_recompute(mu):
+        raise AssertionError("the cache file was not read")
+
+    monkeypatch.setattr(m0n, "_integer_twisted_count", no_recompute)
+    assert m0n._load_cache(cache / "m0n_6.json", 6).layers == computed.layers
+
+
+def test_loader_keeps_the_character_errors(tmp_path):
+    def stray(payload):
+        payload["layers"][1]["values"].append({"cycle_type": ["7"], "trace": "1"})
+
+    cache = _rewritten_cache(tmp_path / "stray", 5, stray)
+    with pytest.raises(ValueError, match="does not have weight 5"):
+        m0n._load_cache(cache / "m0n_5.json", 5)
+
+    def missing(payload):
+        del payload["layers"][2]["values"][0]
+
+    cache = _rewritten_cache(tmp_path / "missing", 5, missing)
+    with pytest.raises(ValueError, match=r"values missing for cycle types: \[\(5,\)\]"):
+        m0n._load_cache(cache / "m0n_5.json", 5)
+
+
+def test_loaded_layers_share_the_partition_tuples(tmp_path):
+    m0n.equivariant_poincare_m0n(7, cache_dir=tmp_path)
+    loaded = m0n._load_cache(tmp_path / "m0n_7.json", 7)
+    interned = sf.partitions(7)
+    for layer in loaded.layers.values():
+        keys = sorted(layer.values, reverse=True)
+        assert len(keys) == len(interned)
+        assert all(key is mu for key, mu in zip(keys, interned))

@@ -176,6 +176,36 @@ def test_stable_series_shares_the_layer_cache_with_spectral():
     assert m0n.equivariant_poincare_m0n.cache_info().misses == misses
 
 
+def test_stable_series_from_loaded_layers_equals_the_cold_series(tmp_path, monkeypatch):
+    """A warm run reads every layer from disk and pairs exactly as a cold one."""
+    monkeypatch.setenv("HYPERSTAB_CACHE", str(tmp_path))
+    calls = []
+    pairing = stable.hall_inner_product_induced
+
+    def counting(*args):
+        calls.append(args[1:])
+        return pairing(*args)
+
+    monkeypatch.setattr(stable, "hall_inner_product_induced", counting)
+    m0n.equivariant_poincare_m0n.cache_clear()
+    try:
+        cold = stable_series(24)
+        assert len(calls) == 1283
+        assert len(list(tmp_path.glob("m0n_*.json"))) == 22
+
+        def no_recompute(mu):
+            raise AssertionError("a layer was recomputed, not loaded")
+
+        monkeypatch.setattr(m0n, "_integer_twisted_count", no_recompute)
+        m0n.equivariant_poincare_m0n.cache_clear()
+        del calls[:]
+        warm = stable_series(24)
+    finally:
+        m0n.equivariant_poincare_m0n.cache_clear()
+    assert warm == cold
+    assert len(calls) == 1283
+
+
 # --------------------------------------------------------------------------
 # CLI payload
 # --------------------------------------------------------------------------

@@ -8,7 +8,10 @@ library internals:
 * the character table rebuilt from permutation characters of Young subgroups
   by Gram-Schmidt orthonormalization;
 * Pieri-rule expansion of e_{k1} e_{k2} h_h in the Schur basis for the
-  product pairing.
+  product pairing;
+* the walk over partition triples that the Hall pairing used to take for
+  every class function (`o_hall_inner_product_induced`), for the memoised
+  power-sum weights that replaced it.
 """
 
 import itertools
@@ -18,7 +21,10 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hyperstab import m0n
 from hyperstab import symfunc as sf
 
 
@@ -186,6 +192,35 @@ def ekh_schur_expansion(k1, k2, h):
     expansion = _pieri_multiply(expansion, k2, "e")
     expansion = _pieri_multiply(expansion, h, "h")
     return expansion
+
+
+def o_hall_inner_product_induced(char, k1, k2, h):
+    """<char, e_{k1} e_{k2} h_h> summed over every partition triple, term by term."""
+    if min(k1, k2, h) < 0:
+        raise ValueError("block sizes must be nonnegative")
+    n = k1 + k2 + h
+    if char.degree != n:
+        raise ValueError(f"character degree {char.degree} != k1+k2+h = {n}")
+    f1, f2, f3 = math.factorial(k1), math.factorial(k2), math.factorial(h)
+    total = 0
+    for mu1 in sf.partitions(k1):
+        w1 = sf.sign(mu1) * (f1 // sf.z_order(mu1))
+        for mu2 in sf.partitions(k2):
+            w12 = w1 * sf.sign(mu2) * (f2 // sf.z_order(mu2))
+            for mu3 in sf.partitions(h):
+                mu = sf.canonical_partition(mu1 + mu2 + mu3)
+                total += w12 * (f3 // sf.z_order(mu3)) * char[mu]
+    denom = f1 * f2 * f3
+    if total % denom:
+        raise ArithmeticError(
+            f"pairing of degree-{n} class function is not integral: {total}/{denom}"
+        )
+    return total // denom
+
+
+def splits(n):
+    """Every (k1, k2, h) with k1 + k2 + h = n."""
+    return [(k1, k2, n - k1 - k2) for k1 in range(n + 1) for k2 in range(n + 1 - k1)]
 
 
 # --------------------------------------------------------------------------
@@ -379,12 +414,7 @@ def test_hall_matches_pieri_route_for_irreducibles():
     """<chi, e_{k1} e_{k2} h_h> must agree with the Pieri/Schur expansion."""
     for n in range(1, 9):
         parts = sf.partitions(n)
-        triples = [
-            (k1, k2, n - k1 - k2)
-            for k1 in range(n + 1)
-            for k2 in range(n + 1 - k1)
-        ]
-        for k1, k2, h in triples:
+        for k1, k2, h in splits(n):
             expansion = ekh_schur_expansion(k1, k2, h)
             for lam in parts:
                 chi = sf.CharacterVector.irreducible(lam)
@@ -416,3 +446,62 @@ def test_hall_rejects_non_integral_result():
     bad = sf.CharacterVector(2, {(1, 1): 1, (2,): 0})
     with pytest.raises(ArithmeticError):
         sf.hall_inner_product_induced(bad, 2, 0, 0)
+
+
+@st.composite
+def _virtual_character(draw):
+    """A random integer combination of the irreducible characters of degree <= 9."""
+    n = draw(st.integers(0, 9))
+    parts = sf.partitions(n)
+    coeffs = draw(st.lists(st.integers(-4, 4), min_size=len(parts), max_size=len(parts)))
+    values = {
+        mu: sum(c * sf.irreducible_character(lam, mu) for lam, c in zip(parts, coeffs))
+        for mu in parts
+    }
+    return sf.CharacterVector(n, values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_virtual_character())
+def test_hall_pairing_agrees_with_the_triple_walk(char):
+    n = char.degree
+    identity = (1,) * n
+    for k1, k2, h in splits(n):
+        assert sf.hall_inner_product_induced(char, k1, k2, h) == (
+            o_hall_inner_product_induced(char, k1, k2, h)
+        ), (k1, k2, h)
+    if n == 0:
+        return
+    # one more at the identity adds 1/(k1! k2! h!) to every pairing, so it is
+    # a virtual character's pairing exactly when the denominator is 1
+    bumped = sf.CharacterVector(n, {**char.values, identity: char.values[identity] + 1})
+    for k1, k2, h in splits(n):
+        denom = math.factorial(k1) * math.factorial(k2) * math.factorial(h)
+        if denom == 1:
+            assert sf.hall_inner_product_induced(bumped, k1, k2, h) == (
+                o_hall_inner_product_induced(bumped, k1, k2, h)
+            )
+            continue
+        for route in (sf.hall_inner_product_induced, o_hall_inner_product_induced):
+            with pytest.raises(ArithmeticError, match="not integral"):
+                route(bumped, k1, k2, h)
+
+
+def test_hall_pairing_agrees_with_the_triple_walk_on_every_m0n_layer():
+    for n in range(3, 13):
+        ep = m0n.equivariant_poincare_m0n(n)
+        for k1, k2, h in splits(n):
+            for i, layer in ep.layers.items():
+                assert sf.hall_inner_product_induced(layer, k1, k2, h) == (
+                    o_hall_inner_product_induced(layer, k1, k2, h)
+                ), (n, i, k1, k2, h)
+
+
+def test_induced_weights_are_keyed_by_the_partition_tuples():
+    keys, weights = sf._induced_weights(2, 1, 3)
+    interned = {id(mu) for mu in sf.partitions(6)}
+    assert all(id(mu) in interned for mu in keys)
+    assert 0 not in weights
+    assert sf._induced_weights(1, 2, 3) == (keys, weights)
+    # k1! k2! h! e_{k1} e_{k2} h_h at the identity class is the single triple of all-ones
+    assert dict(zip(keys, weights))[(1,) * 6] == 1
