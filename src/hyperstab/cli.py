@@ -59,8 +59,8 @@ from .linalg import _degree_bound, rank_drop_witness, verify_bundle_rank
 from .m0n import ResourceGuardError, equivariant_poincare_m0n
 from .spectral import (
     ConfigurationType,
+    column_rows,
     differential_candidates,
-    e1_column,
     five_point_configuration_table,
     five_point_stratum_table,
     render_columns_csv,
@@ -313,15 +313,6 @@ def _render_rows_diff(computed: dict, reference: dict) -> str:
     return "differs at rows " + ", ".join(str(r) for r in rows)
 
 
-def _column_rows(L: int, v: int = 40) -> dict:
-    """Column of ``e1_column(L, v)`` keyed by row ``bm_degree - 2v``."""
-    rows: dict = {}
-    for cls in e1_column(L, v).classes:
-        row = rows.setdefault(cls.bm_degree - 2 * v, {})
-        row[cls.weight_twist] = row.get(cls.weight_twist, 0) + cls.multiplicity
-    return rows
-
-
 def _pairing_chains_consistent(rows: dict) -> bool:
     """Whether a column splits into orbit pairs (row, m), (row-3, m+2).
 
@@ -374,7 +365,7 @@ def suite_example19() -> SuiteResult:
 def suite_tables() -> SuiteResult:
     """Main-table columns L = 3..6 and the five-point tables."""
     checks = []
-    computed = {L: _column_rows(L) for L in (3, 4, 5, 6)}
+    computed = {L: column_rows(L, 40) for L in (3, 4, 5, 6)}
 
     for L in (3, 4):
         checks.append(
@@ -678,27 +669,28 @@ def suite_diffscan() -> SuiteResult:
     return SuiteResult("diffscan", tuple(checks))
 
 
-SUITE_ORDER = ("example19", "tables", "counts", "euler", "ranks", "diffscan")
+# Suite name -> runner on the shared options, in the order of ``verify all``.
+# Each runner looks its suite function up when it runs, so a suite function
+# rebound on this module (a test double, a tracing wrapper) is the one called.
+_SUITES = {
+    "example19": lambda o: suite_example19(),
+    "tables": lambda o: suite_tables(),
+    "counts": lambda o: suite_counts(budget=o["budget"], jobs=o["jobs"]),
+    "euler": lambda o: suite_euler(),
+    "ranks": lambda o: suite_ranks(seed=o["seed"], trials=o["trials"]),
+    "diffscan": lambda o: suite_diffscan(),
+}
+SUITE_ORDER = tuple(_SUITES)
 
 
 def run_suites(names, *, budget: str = "small", jobs: int = 1,
                seed: int = DEFAULT_SEED, trials: int = 100) -> list:
+    options = {"budget": budget, "jobs": jobs, "seed": seed, "trials": trials}
     results = []
     for name in names:
-        if name == "example19":
-            results.append(suite_example19())
-        elif name == "tables":
-            results.append(suite_tables())
-        elif name == "counts":
-            results.append(suite_counts(budget=budget, jobs=jobs))
-        elif name == "euler":
-            results.append(suite_euler())
-        elif name == "ranks":
-            results.append(suite_ranks(seed=seed, trials=trials))
-        elif name == "diffscan":
-            results.append(suite_diffscan())
-        else:
+        if name not in _SUITES:
             raise ValueError(f"unknown suite: {name!r}")
+        results.append(_SUITES[name](options))
     return results
 
 

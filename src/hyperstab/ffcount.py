@@ -15,8 +15,8 @@ the subspace alpha * (forms of complementary degree), so counting admissible
 gamma reduces to bucketing square-free forms by coset label.  The naive
 triple loop survives as ``method="naive"`` and doubles as an oracle at the
 smallest sizes; it decides square-freeness by gcd with the derivative, while
-the fast route uses a sieve over irreducible squares, so the two routes are
-independent in both strategy and primitive.
+the fast route uses a sieve over irreducible squares, so the two routes differ
+in strategy and share only the F_q polynomial kernels of `fq`.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import fq
 from .m0n import QPolynomial, ResourceGuardError
 from .series import GradedTateSeries, TatePolynomial, evaluate_t
 
@@ -218,16 +219,6 @@ class CountRecord:
 # coefficient-tuple arithmetic (ascending x-exponent)
 # --------------------------------------------------------------------------
 
-def _mul(a, b, q):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                if cb:
-                    out[i + j] = (out[i + j] + ca * cb) % q
-    return tuple(out)
-
-
 def _exact_div(num, den, q):
     """Quotient form of num/den, or None when den does not divide num.
 
@@ -297,24 +288,6 @@ def _exact_div_rows(num_rows, den, q):
     return quot.T, divides
 
 
-def _poly_mod(a, b, q):
-    """Remainder of a modulo b for univariate ascending coefficients, b != 0."""
-    a = list(a)
-    inv = pow(b[-1], q - 2, q)
-    while a and len(a) >= len(b):
-        if a[-1] == 0:
-            a.pop()
-            continue
-        c = a[-1] * inv % q
-        off = len(a) - len(b)
-        for i, bc in enumerate(b):
-            a[off + i] = (a[off + i] - c * bc) % q
-        a.pop()
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
 def _gcd_with_derivative_is_constant(u, q):
     """Whether gcd(u, u') is a nonzero constant; u nonzero, top coefficient set."""
     du = [(i * c) % q for i, c in enumerate(u)][1:]
@@ -322,7 +295,7 @@ def _gcd_with_derivative_is_constant(u, q):
         du.pop()
     a, b = list(u), du
     while b:
-        a, b = b, _poly_mod(a, b, q)
+        a, b = b, fq.poly_mod(a, b, q)
     return len(a) == 1
 
 
@@ -346,22 +319,9 @@ def is_squarefree(f: BinaryForm) -> bool:
 # irreducible forms and the square-free sieve
 # --------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
 def _monic_irreducible_forms(q, max_deg):
-    """Monic irreducible forms of degree 1..max_deg, including the form y."""
-    if max_deg < 1:
-        return ()
-    univariate = []
-    for d in range(1, max_deg + 1):
-        for tail in itertools.product(range(q), repeat=d):
-            p = tail + (1,)
-            if any(
-                2 * (len(low) - 1) <= d and not _poly_mod(p, low, q)
-                for low in univariate
-            ):
-                continue
-            univariate.append(p)
-    return ((1, 0),) + tuple(univariate)
+    """Monic irreducible forms of degree 1..max_deg: the form y, then the univariate ones."""
+    return ((1, 0),) + fq.monic_irreducibles(q, max_deg)
 
 
 def _factor_form(coeffs, q, irreducibles):
@@ -415,7 +375,7 @@ def _squarefree_bitmap(degree, q):
     bad = np.zeros(size, dtype=bool)
     powers = q ** np.arange(degree + 1, dtype=np.int64)
     for pi in _monic_irreducible_forms(q, degree // 2):
-        pisq = _mul(pi, pi, q)
+        pisq = fq.mul(pi, pi, q)
         cofactor_deg = degree - (len(pisq) - 1)
         if cofactor_deg < 0:
             continue
@@ -570,7 +530,7 @@ def _labels(rows, pivots, free, block, q):
 
 def _beta_square_rows(g, q):
     betas = itertools.product(range(q), repeat=g + 2)
-    return np.array([_mul(b, b, q) for b in betas], dtype=np.int16)
+    return np.array([fq.mul(b, b, q) for b in betas], dtype=np.int16)
 
 
 def _enumerate_raw(g, l, q, method="coset", jobs=1):
@@ -590,7 +550,7 @@ def _enumerate_raw(g, l, q, method="coset", jobs=1):
             return cached
 
         betas = [
-            _mul(b, b, q) for b in itertools.product(range(q), repeat=g + 2)
+            fq.mul(b, b, q) for b in itertools.product(range(q), repeat=g + 2)
         ]
         total = 0
         for alpha in itertools.product(range(q), repeat=l + 1):
@@ -602,7 +562,7 @@ def _enumerate_raw(g, l, q, method="coset", jobs=1):
                         raise AssertionError("a pure square tested square-free")
                 continue
             for gamma in itertools.product(range(q), repeat=disc_degree - l + 1):
-                prod = _mul(alpha, gamma, q)
+                prod = fq.mul(alpha, gamma, q)
                 scaled = tuple(4 * c % q for c in prod)
                 for bsq in betas:
                     delta = tuple((x - y) % q for x, y in zip(bsq, scaled))
@@ -692,20 +652,6 @@ def enumerate_count(
 # closed forms
 # --------------------------------------------------------------------------
 
-def _qpoly_floordiv(num: QPolynomial, den: QPolynomial):
-    """Euclidean division of polynomials in q; returns (quotient, remainder)."""
-    quot = QPolynomial({})
-    rem = num
-    dd = den.degree()
-    lead = den.coefficient(dd)
-    while rem.coeffs and rem.degree() >= dd:
-        e = rem.degree()
-        term = QPolynomial({e - dd: Fraction(rem.coefficient(e), lead)})
-        quot = quot + term
-        rem = rem - term * den
-    return quot, rem
-
-
 _UNSUPPORTED_HINT = (
     "supported: l in {1, 2, 3} for any genus, l = 4 (part='stable' for any "
     "genus, part='total' only when 12 divides g), and part='g0prime' at "
@@ -718,7 +664,7 @@ def _stable_l4_form(g: int) -> QPolynomial:
         {6: 1, 5: 2, 4: 2, 3: 2, 2: 1, 0: 1}
     )
     denominator = QPolynomial({2: 1, 0: 1}) * QPolynomial({1: 1, 0: 1})
-    quotient, remainder = _qpoly_floordiv(numerator, denominator)
+    quotient, remainder = numerator.divmod(denominator)
     if denominator * quotient + remainder != numerator:
         raise AssertionError("Euclidean division dropped mass")
     if remainder.coeffs and remainder.degree() >= denominator.degree():
@@ -833,9 +779,9 @@ def _stratified_raw(g, l, q):
             for i, (pi, exponent) in enumerate(factors):
                 if bits >> i & 1:
                     if exponent != 1:
-                        raise RuntimeError(
-                            "internal error: a repeated factor of the leading "
-                            "form divides a square-free discriminant"
+                        raise AssertionError(
+                            "a repeated factor of the leading form divides a "
+                            "square-free discriminant"
                         )
                     meeting_degree += len(pi) - 1
                 else:
@@ -874,8 +820,8 @@ def stratified_count(
 def psi_forward(triple: SectionTriple) -> BinaryForm:
     """Discriminant beta^2 - 4 alpha gamma of a section triple."""
     q = triple.q
-    bsq = _mul(triple.beta.coefficients, triple.beta.coefficients, q)
-    prod = _mul(triple.alpha.coefficients, triple.gamma.coefficients, q)
+    bsq = fq.mul(triple.beta.coefficients, triple.beta.coefficients, q)
+    prod = fq.mul(triple.alpha.coefficients, triple.gamma.coefficients, q)
     delta = tuple((x - 4 * y) % q for x, y in zip(bsq, prod))
     return BinaryForm(len(delta) - 1, delta, q)
 
@@ -893,7 +839,7 @@ def psi_inverse(alpha: BinaryForm, beta: BinaryForm, delta: BinaryForm) -> Secti
         raise ValueError(
             f"the discriminant must have degree {2 * g + 2}, got {delta.degree}"
         )
-    bsq = _mul(beta.coefficients, beta.coefficients, q)
+    bsq = fq.mul(beta.coefficients, beta.coefficients, q)
     num = tuple((x - y) % q for x, y in zip(bsq, delta.coefficients))
     den = tuple(4 * c % q for c in alpha.coefficients)
     gamma = _exact_div(num, den, q)
@@ -990,12 +936,12 @@ def _compose(coeffs, matrix, q):
     u_pow = [(1,)]
     v_pow = [(1,)]
     for _ in range(degree):
-        u_pow.append(_mul(u_pow[-1], u, q))
-        v_pow.append(_mul(v_pow[-1], v, q))
+        u_pow.append(fq.mul(u_pow[-1], u, q))
+        v_pow.append(fq.mul(v_pow[-1], v, q))
     out = [0] * (degree + 1)
     for i, cf in enumerate(coeffs):
         if cf:
-            term = _mul(u_pow[i], v_pow[degree - i], q)
+            term = fq.mul(u_pow[i], v_pow[degree - i], q)
             for j, t in enumerate(term):
                 out[j] = (out[j] + cf * t) % q
     return tuple(out)
@@ -1026,12 +972,12 @@ def apply_group_element(
     beta_c = _compose(triple.beta.coefficients, matrix, q)
     gamma_c = _compose(triple.gamma.coefficients, matrix, q)
     new_alpha = tuple(scale * scale * v % q for v in alpha_c)
-    shift_alpha = _mul(shift, alpha_c, q)
+    shift_alpha = fq.mul(shift, alpha_c, q)
     new_beta = tuple(
         scale * (2 * x + y) % q for x, y in zip(shift_alpha, beta_c)
     )
-    shift_sq_alpha = _mul(_mul(shift, shift, q), alpha_c, q)
-    shift_beta = _mul(shift, beta_c, q)
+    shift_sq_alpha = fq.mul(fq.mul(shift, shift, q), alpha_c, q)
+    shift_beta = fq.mul(shift, beta_c, q)
     new_gamma = tuple(
         (x + y + z) % q for x, y, z in zip(shift_sq_alpha, shift_beta, gamma_c)
     )

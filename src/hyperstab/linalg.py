@@ -73,9 +73,12 @@ def _monomial_basis(d: int, n: int) -> tuple:
     return tuple(basis)
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, (int, Fraction)):
-        return Fraction(value)
+def _rational(value):
+    """A coordinate as an int or a Fraction, whichever it was given as."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
+        return int(value)
     raise ValueError(f"coordinates must be rational, got {value!r}")
 
 
@@ -87,7 +90,8 @@ class PointOnSurface:
     the representative is [x, y, z] with z the fiber coordinate of weight
     ``weight`` (the surface twist n), normalized so that the first nonzero
     base coordinate is 1.  Off-section points must have a well-defined
-    ruling line, i.e. (x, y) != (0, 0).
+    ruling line, i.e. (x, y) != (0, 0).  Integer coordinates stay ints
+    unless that normalization divides them.
     """
 
     locus: str
@@ -96,21 +100,23 @@ class PointOnSurface:
 
     @classmethod
     def on_exceptional(cls, u, v) -> "PointOnSurface":
-        u, v = _as_fraction(u), _as_fraction(v)
+        u, v = _rational(u), _rational(v)
         if u == 0 and v == 0:
             raise ValueError("degenerate point: [0, 0]")
         scale = u if u != 0 else v
         if scale != 1:
+            scale = Fraction(scale)
             u, v = u / scale, v / scale
         return cls("on_exceptional", (u, v))
 
     @classmethod
     def off_exceptional(cls, x, y, z, n) -> "PointOnSurface":
-        x, y, z = _as_fraction(x), _as_fraction(y), _as_fraction(z)
+        x, y, z = _rational(x), _rational(y), _rational(z)
         if x == 0 and y == 0:
             raise ValueError("degenerate point: no ruling line through [0, 0, z]")
         scale = x if x != 0 else y
         if scale != 1:
+            scale = Fraction(scale)
             x, y, z = x / scale, y / scale, z / scale**n
         return cls("off_exceptional", (x, y, z), n)
 

@@ -15,11 +15,14 @@ N_mu is a dense product of memoised factors, divided by q^3 - q by integer
 synthetic division.  The sparse `QPolynomial` route (`closed_point_count`,
 `twisted_count_config_p1`), which goes through Moebius sums and rational
 coefficients, is kept as the oracle for this one, and `brute_twisted_count`
-checks both by walking Frobenius orbits.
+checks both by walking Frobenius orbits.  That oracle builds F_{q^d} with the
+shared F_q kernels of `fq` but walks and counts the orbits itself; it never
+counts irreducibles.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -29,6 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
+from . import fq
 from .symfunc import CharacterVector, canonical_partition, partitions
 
 __all__ = [
@@ -147,8 +151,8 @@ class QPolynomial:
         total = sum(c * q ** e for e, c in self.coeffs.items())
         return _normalize_coeff(Fraction(total)) if total else 0
 
-    def divide_exact(self, other: "QPolynomial") -> "QPolynomial":
-        """Polynomial long division; raises unless the remainder is zero."""
+    def divmod(self, other: "QPolynomial") -> tuple:
+        """Euclidean division: (quotient, remainder), the remainder of lower degree."""
         other = self._coerce(other)
         if not other.coeffs:
             raise ZeroDivisionError("division by the zero polynomial")
@@ -167,9 +171,14 @@ class QPolynomial:
                 rem[e3] = rem.get(e3, 0) - f * c2
                 if rem[e3] == 0:
                     del rem[e3]
-        if rem:
-            raise ArithmeticError(f"inexact division: remainder {rem}")
-        return QPolynomial(quot)
+        return QPolynomial(quot), QPolynomial(rem)
+
+    def divide_exact(self, other: "QPolynomial") -> "QPolynomial":
+        """Polynomial long division; raises unless the remainder is zero."""
+        quot, rem = self.divmod(other)
+        if rem.coeffs:
+            raise ArithmeticError(f"inexact division: remainder {rem.coeffs}")
+        return quot
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -257,109 +266,40 @@ def twisted_count_config_p1(n: int, mu) -> QPolynomial:
 # brute-force oracle: explicit Frobenius orbits in small extension fields
 # --------------------------------------------------------------------------
 
-def _poly_mul_mod(a, b, modulus, q):
-    """Product of coefficient tuples (ascending) reduced mod (modulus, q)."""
-    d = len(modulus) - 1
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % q
-    # reduce: modulus is monic of degree d
-    for top in range(len(prod) - 1, d - 1, -1):
-        c = prod[top]
-        if c:
-            prod[top] = 0
-            for j in range(d):
-                prod[top - d + j] = (prod[top - d + j] - c * modulus[j]) % q
-    out = prod[:d]
-    out += [0] * (d - len(out))
-    return tuple(out)
-
-
-def _find_irreducible(d: int, q: int):
-    """Monic irreducible polynomial of degree d over F_q, coefficients ascending."""
-    if d == 1:
-        return (0, 1)
-
-    def is_irreducible(poly):
-        # trial division by all monic polynomials of degree <= d/2
-        for deg in range(1, d // 2 + 1):
-            for tail in _tuples(deg, q):
-                divisor = tail + (1,)
-                if _poly_remainder_zero(poly, divisor, q):
-                    return False
-        return True
-
-    for tail in _tuples(d, q):
-        poly = tail + (1,)
-        if is_irreducible(poly):
-            return poly
-    raise RuntimeError(f"no irreducible polynomial of degree {d} over F_{q}")
-
-
-def _tuples(length, q):
-    if length == 0:
-        yield ()
-        return
-    for rest in _tuples(length - 1, q):
-        for c in range(q):
-            yield rest + (c,)
-
-
-def _poly_remainder_zero(a, b, q):
-    a = list(a)
-    db = len(b) - 1
-    inv_lead = pow(b[-1], -1, q)
-    for top in range(len(a) - 1, db - 1, -1):
-        c = a[top]
-        if c:
-            f = c * inv_lead % q
-            for j in range(db + 1):
-                a[top - db + j] = (a[top - db + j] - f * b[j]) % q
-    return not any(a)
-
-
 @lru_cache(maxsize=None)
 def _closed_point_orbits(d: int, q: int):
     """Frobenius orbits of size exactly d on P^1(F_{q^d}), each verified.
 
-    Returns the number of orbits.  Each orbit is walked explicitly: we check
-    that the Frobenius x -> x^q returns to the start after exactly d steps.
+    Returns the number of orbits.  F_{q^d} is F_q[x] modulo the first monic
+    irreducible of degree d.  Each orbit is walked explicitly: we check that
+    the Frobenius x -> x^q returns to the start after exactly d steps.
     """
-    modulus = _find_irreducible(d, q)
-    # Frobenius is F_q-linear; precompute images of the basis 1, x, ..., x^{d-1}
-    x = tuple(1 if i == 1 else 0 for i in range(max(d, 2)))[:d] if d > 1 else (1,)
     if d == 1:
         # P^1(F_q): every point is its own orbit
         return q + 1
+    modulus = fq.first_irreducible(d, q)
 
-    def frob_basis():
-        images = []
-        xq = (1,) + (0,) * (d - 1)
-        for _ in range(q):  # x^q = x * x * ... (q times) -- q is small here
-            xq = _poly_mul_mod(xq, x, modulus, q)
-        power = (1,) + (0,) * (d - 1)
-        for i in range(d):
-            images.append(power)
-            power = _poly_mul_mod(power, xq, modulus, q)
-        # images[i] = (x^q)^i = (x^i)^q since Frobenius is a ring map
-        return images
+    def reduce(poly):
+        rem = fq.poly_mod(poly, modulus, q)
+        return tuple(rem) + (0,) * (d - len(rem))
 
-    images = frob_basis()
+    # Frobenius is F_q-linear and a ring map: it sends x^i to (x^q)^i
+    xq = reduce((0,) * q + (1,))
+    images = [(1,) + (0,) * (d - 1)]
+    for _ in range(d - 1):
+        images.append(reduce(fq.mul(images[-1], xq, q)))
 
     def frob(elem):
         out = [0] * d
-        for i, coeff in enumerate(elem):
+        for coeff, img in zip(elem, images):
             if coeff:
-                img = images[i]
                 for j in range(d):
                     out[j] = (out[j] + coeff * img[j]) % q
         return tuple(out)
 
     seen = set()
     orbits = 0
-    for elem in _tuples(d, q):
+    for elem in itertools.product(range(q), repeat=d):
         if elem in seen:
             continue
         orbit = [elem]

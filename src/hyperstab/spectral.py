@@ -233,6 +233,14 @@ def e1_column(L: int, v: int) -> E1Column:
     return E1Column(L=L, classes=classes)
 
 
+def column_rows(L: int, v: int) -> dict:
+    """{row: {twist: multiplicity}} of ``e1_column(L, v)``, row = bm_degree - 2v."""
+    rows: dict = {}
+    for cls in e1_column(L, v).classes:
+        rows.setdefault(cls.bm_degree - 2 * v, {})[cls.weight_twist] = cls.multiplicity
+    return rows
+
+
 # --------------------------------------------------------------------------
 # five-point example tables
 # --------------------------------------------------------------------------
@@ -516,14 +524,7 @@ def render_columns_csv(v: int, L_values: Iterable[int] = (3, 4, 5, 6)) -> str:
 def render_columns_markdown(v: int, L_values: Iterable[int] = (3, 4, 5, 6)) -> str:
     """Render merged columns as a Markdown grid, one column per site count."""
     L_values = tuple(L_values)
-    columns = {}
-    for L in L_values:
-        rows: dict = {}
-        for cls in e1_column(L, v).classes:
-            rows.setdefault(cls.bm_degree - 2 * v, {})[cls.weight_twist] = (
-                cls.multiplicity
-            )
-        columns[L] = rows
+    columns = {L: column_rows(L, v) for L in L_values}
     all_rows = sorted({row for rows in columns.values() for row in rows}, reverse=True)
     lines = ["| row | " + " | ".join(f"L={L}" for L in L_values) + " |"]
     lines.append("| --- | " + " | ".join("---" for _ in L_values) + " |")

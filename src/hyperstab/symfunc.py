@@ -145,6 +145,8 @@ class CharacterVector:
             if not isinstance(v, int):
                 raise ValueError(f"character value at {mu} must be an integer")
             normalized[mu] = v
+        if len(normalized) != len(values):
+            raise ValueError("a cycle type is given more than once, in another order")
         # Every key is now a partition of the degree unless one was stray, so
         # equal sizes mean equal key sets.
         if stray or len(normalized) != len(expected):

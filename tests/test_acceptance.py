@@ -26,7 +26,6 @@ from hyperstab.cli import (
     REFERENCE_FIVE_POINT_CONFIGURATION,
     REFERENCE_FIVE_POINT_STRATA,
     REFERENCE_STABLE_ROWS,
-    _column_rows,
     _expected_stack,
     suite_diffscan,
     suite_euler,
@@ -38,6 +37,7 @@ from hyperstab.ffcount import (
     stratified_count,
 )
 from hyperstab.spectral import (
+    column_rows,
     five_point_configuration_table,
     five_point_stratum_table,
 )
@@ -82,7 +82,7 @@ def test_criterion_1_example_reproduction(tmp_path):
 # --------------------------------------------------------------------------
 
 def test_criterion_2_main_table_and_example_columns():
-    computed = {L: _column_rows(L) for L in (3, 4, 5, 6)}
+    computed = {L: column_rows(L, 40) for L in (3, 4, 5, 6)}
     for L in (3, 4):
         assert computed[L] == REFERENCE_COLUMNS[L], f"L={L}"
     assert five_point_configuration_table() == REFERENCE_FIVE_POINT_CONFIGURATION
@@ -111,7 +111,7 @@ def test_criterion_2_main_table_and_example_columns():
 
 
 def test_criterion_2_literal_entrywise_clause():
-    computed = {L: _column_rows(L) for L in (5, 6)}
+    computed = {L: column_rows(L, 40) for L in (5, 6)}
     if all(computed[L] == REFERENCE_COLUMNS[L] for L in (5, 6)):
         _report(2, "PASS", "L=5/L=6 also match entry-for-entry")
         return

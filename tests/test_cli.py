@@ -363,6 +363,43 @@ def test_broken_invariant_exits_three(monkeypatch, tmp_path, capsys, error):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_broken_stratification_invariant_exits_three(monkeypatch, capsys):
+    factor_form = ffcount._factor_form
+
+    def squared(coeffs, q, irreducibles):
+        return [(pi, 2 * e) for pi, e in factor_form(coeffs, q, irreducibles)]
+
+    monkeypatch.setattr(ffcount, "_factor_form", squared)
+    assert main(["verify", "counts"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: internal invariant: a repeated factor of the leading form "
+        "divides a square-free discriminant\n"
+    )
+
+
+def test_cache_with_a_cycle_type_spelled_twice_is_a_usage_error(
+    monkeypatch, tmp_path, capsys
+):
+    m0n.equivariant_poincare_m0n(5, cache_dir=tmp_path)
+    path = tmp_path / "m0n_5.json"
+    payload = json.loads(path.read_text())
+    payload["layers"][1]["values"].append({"cycle_type": ["1", "1", "3"], "trace": "99"})
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="more than once"):
+        m0n._load_cache(path, 5)
+
+    monkeypatch.setenv("HYPERSTAB_CACHE", str(tmp_path))
+    m0n.equivariant_poincare_m0n.cache_clear()
+    try:
+        assert main(["stable", "--max-deg", "8"]) == 2
+    finally:
+        m0n.equivariant_poincare_m0n.cache_clear()
+    captured = capsys.readouterr()
+    assert "more than once" in captured.err
+    assert captured.out == ""
+
+
 # --------------------------------------------------------------------------
 # output files and manifests
 # --------------------------------------------------------------------------
@@ -387,3 +424,38 @@ def test_manifest_hashes_match_written_files(tmp_path, capsys):
         "format": "csv", "max_deg": 8, "regime": "n0",
     }
     assert manifest["versions"].keys() == {"hyperstab", "numpy", "python"}
+
+
+# SHA-256 of each report file; the hashes were recorded before the F_q
+# kernels were shared, and every refactor must keep them.
+PINNED_OUT_HASHES = [
+    (["stable", "--max-deg", "24", "--format", "json"], "stable.json",
+     "6ee147a5cbd378c6400f2e3a090cf0eba9de2f69793adad1dd33ef68fb17786c"),
+    (["stable", "--max-deg", "18", "--format", "md"], "stable.md",
+     "b0ded0f4d58016a4ae922cdafb15486bb72317240b1224af0633b898657f6dca"),
+    (["stable", "--max-deg", "20", "--regime", "npos", "--format", "csv"], "stable.csv",
+     "0ae61fe13e64c3787a4a455ebcceeaebd9d66a9fc8d81fdf55ea596dae849338"),
+    (["e1", "--L", "3..6", "--d", "24"], "e1.md",
+     "08498592ffe2ab2492fff1159b1d0d73a3d8fbc3e6ebc345d28507f791ee57c0"),
+    (["e1", "--L", "3..6", "--d", "24", "--format", "csv"], "e1.csv",
+     "863f55139c8b5d4174778afc8b14d1de01a5ad16be2d2112c31eeda0ef1abea0"),
+    (["m0n", "--n", "7"], "m0n.md",
+     "96cdc29139d19f62e4fd0c05239b1dac2d7006079fd1bb275416f29aed35483f"),
+    (["m0n", "--n", "7", "--format", "json"], "m0n.json",
+     "9d37feeb520ee381ce619b518a3ac8b5c733e3a0682b983e6af1eb37b40b921a"),
+    (["count", "--g", "2", "--l", "1", "--q", "3"], "count.md",
+     "65f11b92f5eb520fae754eea22923f9b70665c7efc59f6517075894e1012c576"),
+    (["rankcheck", "--type", "2,0,0", "--d", "7", "--n", "1"], "rankcheck.json",
+     "e2db1c00a95de53f15f232f956f40f5f4513feb7c1c333dd9487fb130cd6161c"),
+    (["rankcheck", "--witness", "--format", "md"], "rankcheck.md",
+     "c6e336329b4bce15f4e9daa488fdb2bbcc0a5f689a26dda973b8832a390041d9"),
+    (["verify", "all", "--budget", "small", "--seed", "11"], "verify.json",
+     "1ee1d7d5b5332b6de39274b58bbc2a4232f8ca6f6df38d8ab80fab400b44d249"),
+]
+
+
+def test_out_hashes_are_pinned(tmp_path, capsys):
+    for i, (argv, name, digest) in enumerate(PINNED_OUT_HASHES):
+        out = tmp_path / str(i)
+        assert main(argv + ["--out", str(out)]) == 0, argv
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, argv

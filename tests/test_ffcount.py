@@ -448,14 +448,19 @@ def test_closed_form_marked_section_cases():
     assert closed_form_count(4, 5, 3, part="g0prime") == 709092
 
 
-def _local_floordiv(num, den):
-    """Test-local Euclidean quotient of QPolynomials, remainder discarded."""
+def o_qpoly_floordiv(num, den):
+    """Euclidean division of polynomials in q: (quotient, remainder).
+
+    Frozen copy of ``ffcount._qpoly_floordiv``, which ``QPolynomial.divmod``
+    replaced.
+    """
     quot = QPolynomial({})
     rem = num
-    while rem.degree() >= den.degree() and rem.coeffs:
+    dd = den.degree()
+    lead = den.coefficient(dd)
+    while rem.coeffs and rem.degree() >= dd:
         e = rem.degree()
-        c = Fraction(rem.coefficient(e), den.coefficient(den.degree()))
-        term = QPolynomial({e - den.degree(): c})
+        term = QPolynomial({e - dd: Fraction(rem.coefficient(e), lead)})
         quot = quot + term
         rem = rem - term * den
     return quot, rem
@@ -467,7 +472,7 @@ def test_closed_form_stable_l4_is_the_euclidean_quotient():
     for g in (2, 3, 5, 12):
         num = QPolynomial({2 * g: 1}) * sextic
         got = closed_form_count(g, 4, part="stable")
-        quot, rem = _local_floordiv(num, den)
+        quot, rem = o_qpoly_floordiv(num, den)
         assert got == quot
         assert den * got + rem == num
         assert rem.degree() < den.degree()
@@ -475,8 +480,27 @@ def test_closed_form_stable_l4_is_the_euclidean_quotient():
     # The g = 12 case splits as q^24 (q^3 + q^2) plus the quotient of q^24
     # by q^3 + q^2 + q + 1.
     head = QPolynomial({27: 1, 26: 1})
-    tail, _ = _local_floordiv(QPolynomial({24: 1}), QPolynomial({3: 1, 2: 1, 1: 1, 0: 1}))
+    tail, _ = o_qpoly_floordiv(QPolynomial({24: 1}), QPolynomial({3: 1, 2: 1, 1: 1, 0: 1}))
     assert closed_form_count(12, 4, part="stable") == head + tail
+
+
+def _qpolynomials(nonzero=False):
+    coeffs = st.one_of(
+        st.integers(-12, 12),
+        st.fractions(min_value=-12, max_value=12, max_denominator=7),
+    )
+    polys = st.dictionaries(st.integers(0, 5), coeffs, max_size=6).map(QPolynomial)
+    return polys.filter(lambda p: p.coeffs) if nonzero else polys
+
+
+@settings(max_examples=120, deadline=None)
+@given(_qpolynomials(), _qpolynomials(nonzero=True), st.sampled_from((3, 5, 7, 11)))
+def test_divmod_matches_the_frozen_floordiv(num, den, q):
+    quot, rem = num.divmod(den)
+    assert (quot, rem) == o_qpoly_floordiv(num, den)
+    assert rem.degree() < den.degree()
+    assert (den * quot + rem)(q) == num(q)
+    assert (num * den).divide_exact(den) == num
 
 
 def test_closed_form_total_l4_only_at_genus_multiples_of_twelve():
@@ -677,7 +701,7 @@ def o_psi_roundtrip_check(g, l, q, *, limit=None):
     disc_degree = 2 * g + 2
     squarefree = ffcount._squarefree_bitmap(disc_degree, q)
     beta_squares = [
-        ffcount._mul(b, b, q) for b in itertools.product(range(q), repeat=g + 2)
+        o_mul(b, b, q) for b in itertools.product(range(q), repeat=g + 2)
     ]
     members = 0
     failures = 0
@@ -687,7 +711,7 @@ def o_psi_roundtrip_check(g, l, q, *, limit=None):
             continue
         den = tuple(4 * c % q for c in alpha)
         for gamma in itertools.product(range(q), repeat=disc_degree - l + 1):
-            scaled = tuple(4 * c % q for c in ffcount._mul(alpha, gamma, q))
+            scaled = tuple(4 * c % q for c in o_mul(alpha, gamma, q))
             for bsq in beta_squares:
                 delta = tuple((x - y) % q for x, y in zip(bsq, scaled))
                 idx = 0

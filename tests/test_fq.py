@@ -1,0 +1,133 @@
+"""Tests for the shared polynomial kernels over F_q.
+
+Oracles: the Frobenius-orbit oracle's own arithmetic, frozen as it stood
+before it moved onto these kernels: multiplication reduced modulo a monic
+polynomial, a divisibility test, and the search for a monic irreducible by
+trial division by every monic polynomial of at most half the degree.
+"""
+
+import itertools
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hyperstab import fq
+
+PRIMES = (3, 5, 7, 11)
+
+
+def o_tuples(length, q):
+    if length == 0:
+        yield ()
+        return
+    for rest in o_tuples(length - 1, q):
+        for c in range(q):
+            yield rest + (c,)
+
+
+def o_poly_mul_mod(a, b, modulus, q):
+    """Product of coefficient tuples (ascending) reduced mod (modulus, q)."""
+    d = len(modulus) - 1
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                prod[i + j] = (prod[i + j] + ai * bj) % q
+    # reduce: modulus is monic of degree d
+    for top in range(len(prod) - 1, d - 1, -1):
+        c = prod[top]
+        if c:
+            prod[top] = 0
+            for j in range(d):
+                prod[top - d + j] = (prod[top - d + j] - c * modulus[j]) % q
+    out = prod[:d]
+    out += [0] * (d - len(out))
+    return tuple(out)
+
+
+def o_poly_remainder_zero(a, b, q):
+    a = list(a)
+    db = len(b) - 1
+    inv_lead = pow(b[-1], -1, q)
+    for top in range(len(a) - 1, db - 1, -1):
+        c = a[top]
+        if c:
+            f = c * inv_lead % q
+            for j in range(db + 1):
+                a[top - db + j] = (a[top - db + j] - f * b[j]) % q
+    return not any(a)
+
+
+def o_find_irreducible(d, q):
+    """Monic irreducible polynomial of degree d over F_q, coefficients ascending."""
+    if d == 1:
+        return (0, 1)
+
+    def is_irreducible(poly):
+        # trial division by all monic polynomials of degree <= d/2
+        for deg in range(1, d // 2 + 1):
+            for tail in o_tuples(deg, q):
+                divisor = tail + (1,)
+                if o_poly_remainder_zero(poly, divisor, q):
+                    return False
+        return True
+
+    for tail in o_tuples(d, q):
+        poly = tail + (1,)
+        if is_irreducible(poly):
+            return poly
+    raise AssertionError(f"no irreducible polynomial of degree {d} over F_{q}")
+
+
+@st.composite
+def _field_and_degree(draw, low=1):
+    return draw(st.sampled_from(PRIMES)), draw(st.integers(low, 5))
+
+
+def _residues(q, length):
+    return st.lists(st.integers(0, q - 1), min_size=length, max_size=length).map(tuple)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_reduced_product_matches_the_frozen_oracle(data):
+    q, d = data.draw(_field_and_degree())
+    modulus = data.draw(_residues(q, d)) + (1,)
+    a, b = data.draw(_residues(q, d)), data.draw(_residues(q, d))
+    rem = fq.poly_mod(fq.mul(a, b, q), modulus, q)
+    assert tuple(rem) + (0,) * (d - len(rem)) == o_poly_mul_mod(a, b, modulus, q)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_remainder_zero_matches_the_frozen_oracle(data):
+    q, d = data.draw(_field_and_degree(low=0))
+    lead = data.draw(st.integers(1, q - 1))
+    b = data.draw(_residues(q, d)) + (lead,)
+    a = data.draw(_residues(q, data.draw(st.integers(0, 11))))
+    if data.draw(st.booleans()):
+        a = fq.mul(b, a, q) if a else b  # a multiple of b
+    assert (not fq.poly_mod(a, b, q)) == o_poly_remainder_zero(a, b, q)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_field_and_degree())
+def test_first_irreducible_matches_the_frozen_oracle(field_and_degree):
+    q, d = field_and_degree
+    assert fq.first_irreducible(d, q) == o_find_irreducible(d, q)
+
+
+def test_monic_irreducibles_are_the_necklace_count_in_search_order():
+    for q in (3, 5):
+        listed = fq.monic_irreducibles(q, 4)
+        for d in range(1, 5):
+            of_degree = [p for p in listed if len(p) == d + 1]
+            necklaces = sum(
+                mobius * q ** (d // e)
+                for e, mobius in ((1, 1), (2, -1), (3, -1), (4, 0))
+                if d % e == 0
+            )
+            assert len(of_degree) * d == necklaces, (q, d)
+            monic = [t + (1,) for t in itertools.product(range(q), repeat=d)]
+            assert of_degree == [p for p in monic if fq.is_irreducible(p, q)]
+            assert of_degree[0] == fq.first_irreducible(d, q)

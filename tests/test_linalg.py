@@ -317,6 +317,7 @@ def test_sample_configuration_structure():
     on = [p for p in points if p.locus == "on_exceptional"]
     off = [p for p in points if p.locus == "off_exceptional"]
     assert len(on) == 2 and len(off) == 7
+    assert all(type(c) is int for p in points for c in p.coords)
     lines = {}
     for p in points:
         lines.setdefault(p.ruling_line, []).append(p)

@@ -372,6 +372,13 @@ def test_character_vector_normalizes_keys_and_keeps_its_errors():
         sf.CharacterVector(3, {(1, 1, 1): 2, (2, 1): 0, (3,): -1, (3, 0): 1})
 
 
+def test_character_vector_rejects_a_cycle_type_spelled_twice():
+    with pytest.raises(ValueError, match="more than once"):
+        sf.CharacterVector(3, {(3,): 1, (2, 1): 0, (1, 1, 1): 2, (1, 2): 5})
+    with pytest.raises(ValueError, match="more than once"):
+        sf.CharacterVector(3, {(3,): 1, (1, 2): 0, (1, 1, 1): 2, (2, 1): 5})
+
+
 # --------------------------------------------------------------------------
 # hall_inner_product_induced and schur_expand
 # --------------------------------------------------------------------------
