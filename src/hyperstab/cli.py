@@ -496,12 +496,12 @@ def _expected_stack(g: int, l: int, q: int):
     return closed_form_count(g, l, q)
 
 
-def suite_counts(budget: str = "small", jobs: int = 1) -> SuiteResult:
+def suite_counts(budget: str = "small") -> SuiteResult:
     """Enumerated stack counts against closed forms, plus stratifications."""
     cases = COUNT_CASES_FULL if budget == "full" else COUNT_CASES_SMALL
     checks = []
     for g, l, q, variant in cases:
-        record = enumerate_count(g, l, q, variant=variant, jobs=jobs)
+        record = enumerate_count(g, l, q, variant=variant)
         expected = _expected_stack(g, l, q)
         cid = f"count-g{g}-l{l}-q{q}"
         checks.append(
@@ -675,7 +675,7 @@ def suite_diffscan() -> SuiteResult:
 _SUITES = {
     "example19": lambda o: suite_example19(),
     "tables": lambda o: suite_tables(),
-    "counts": lambda o: suite_counts(budget=o["budget"], jobs=o["jobs"]),
+    "counts": lambda o: suite_counts(budget=o["budget"]),
     "euler": lambda o: suite_euler(),
     "ranks": lambda o: suite_ranks(seed=o["seed"], trials=o["trials"]),
     "diffscan": lambda o: suite_diffscan(),
@@ -683,9 +683,9 @@ _SUITES = {
 SUITE_ORDER = tuple(_SUITES)
 
 
-def run_suites(names, *, budget: str = "small", jobs: int = 1,
+def run_suites(names, *, budget: str = "small",
                seed: int = DEFAULT_SEED, trials: int = 100) -> list:
-    options = {"budget": budget, "jobs": jobs, "seed": seed, "trials": trials}
+    options = {"budget": budget, "seed": seed, "trials": trials}
     results = []
     for name in names:
         if name not in _SUITES:
@@ -773,9 +773,7 @@ def cmd_stable(args) -> int:
 
 def cmd_verify(args) -> int:
     names = SUITE_ORDER if args.suite == "all" else (args.suite,)
-    results = run_suites(
-        names, budget=args.budget, jobs=args.jobs, seed=args.seed, trials=args.trials
-    )
+    results = run_suites(names, budget=args.budget, seed=args.seed, trials=args.trials)
     label = {"pass": "PASS", "fail": "FAIL", "skipped": "SKIP"}
     for result in results:
         for check in result.checks:
@@ -871,7 +869,7 @@ def cmd_count(args) -> int:
     record = None
     if args.method != "closed":
         method = "naive" if args.method == "brute" else args.method
-        record = enumerate_count(g, l, q, variant=variant, method=method, jobs=args.jobs)
+        record = enumerate_count(g, l, q, variant=variant, method=method)
     row = {
         "g": g,
         "l": l,
@@ -957,7 +955,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=SUITE_ORDER + ("all",))
     p.add_argument("--budget", choices=("small", "full"), default="small")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--out")
@@ -983,7 +980,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--method", choices=("coset", "brute", "closed"), default="coset")
     p.add_argument("--variant", choices=("auto", "full", "g0", "g0prime"), default="auto")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--format", choices=("md", "csv", "json"), default="md")
     p.add_argument("--out")
     p.set_defaults(func=cmd_count)

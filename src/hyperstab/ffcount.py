@@ -12,11 +12,18 @@ characteristic of the stable series against the reversed count polynomials.
 Enumeration never walks all q^(3g+6) tuples one by one: for a fixed nonzero
 alpha the map gamma -> beta^2 - 4 alpha gamma is a bijection onto a coset of
 the subspace alpha * (forms of complementary degree), so counting admissible
-gamma reduces to bucketing square-free forms by coset label.  The naive
-triple loop survives as ``method="naive"`` and doubles as an oracle at the
-smallest sizes; it decides square-freeness by gcd with the derivative, while
-the fast route uses a sieve over irreducible squares, so the two routes differ
-in strategy and share only the F_q polynomial kernels of `fq`.
+gamma reduces to bucketing square-free forms by coset label.  Nor does it
+visit every alpha.  Let G = GL_2(F_q) x F_q^* act by alpha -> c (alpha o g).
+Substituting g in all three forms maps triples bijectively and the
+discriminant to its composite with g, square-free exactly when it is, and
+(alpha, gamma) -> (c alpha, gamma / c) keeps the discriminant; so the members
+with leading form alpha, and their strata (m, lambda), depend only on the
+G-orbit of alpha, and one representative per orbit, weighted by the orbit
+size, stands for all of it.  The naive loop over every triple survives as
+``method="naive"`` and doubles as an oracle at the smallest sizes; it decides
+square-freeness by gcd with the derivative, while the fast route uses a sieve
+over irreducible squares, so the two routes differ in strategy and share only
+the F_q polynomial kernels of `fq`.
 """
 
 from __future__ import annotations
@@ -64,42 +71,8 @@ _PSI_BLOCK_ROWS = 1024
 _VARIANTS = ("full", "g0", "g0prime")
 
 
-# The first 13 primes as Miller-Rabin bases decide primality of every n below
-# _MILLER_RABIN_BOUND (Sorenson and Webster, Math. Comp. 86, 2017).
-_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MILLER_RABIN_BOUND = 3317044064679887385961981
-
-
-def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; ValueError at or above the proven bound."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
-        return False
-    if n >= _MILLER_RABIN_BOUND:
-        raise ValueError(
-            f"{n} is beyond the deterministic primality bound {_MILLER_RABIN_BOUND}"
-        )
-    for a in _MILLER_RABIN_BASES:
-        if n % a == 0:
-            return n == a
-    odd, twos = n - 1, 0
-    while odd % 2 == 0:
-        odd //= 2
-        twos += 1
-    for a in _MILLER_RABIN_BASES:
-        x = pow(a, odd, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(twos - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
 def _validate_prime(q) -> None:
-    if not _is_prime(q):
+    if not fq.is_prime(q):
         raise ValueError(f"field size must be a prime: {q!r}")
 
 
@@ -224,38 +197,20 @@ def _exact_div(num, den, q):
 
     Degrees are read from the tuple lengths, so a divisor with top zeros is
     a y-power times its x-part and is handled by truncation before the
-    univariate-style long division.
+    Euclidean division by the x-part.
     """
     num = [c % q for c in num]
-    top = None
-    for i in range(len(den) - 1, -1, -1):
-        if den[i] % q:
-            top = i
-            break
+    top = max((i for i, c in enumerate(den) if c % q), default=None)
     if top is None:
         return None
     y_power = len(den) - 1 - top
     if y_power >= len(num):
         # y^y_power exceeds the degree of num, so only zero is divisible
         return None if any(num) else ()
-    if y_power:
-        if any(num[len(num) - y_power:]):
-            return None
-        del num[len(num) - y_power:]
-    quot_deg = len(num) - 1 - top
-    if quot_deg < 0:
-        return None if any(num) else ()
-    inv = pow(den[top] % q, q - 2, q)
-    quot = [0] * (quot_deg + 1)
-    for i in range(quot_deg, -1, -1):
-        c = (num[top + i] * inv) % q
-        quot[i] = c
-        if c:
-            for j in range(top + 1):
-                num[i + j] = (num[i + j] - c * den[j]) % q
-    if any(num):
+    if any(num[len(num) - y_power :]):
         return None
-    return tuple(quot)
+    quot, rem = fq.divmod(num[: len(num) - y_power], den[: top + 1], q)
+    return None if rem else quot
 
 
 def _exact_div_rows(num_rows, den, q):
@@ -499,13 +454,7 @@ def _coset_labeler(form, target_degree, q):
     that two coefficient vectors lie in the same coset exactly when their
     labels computed by :func:`_labels` agree.
     """
-    deg = len(form) - 1
-    rows = []
-    for i in range(target_degree - deg + 1):
-        row = [0] * (target_degree + 1)
-        for j, c in enumerate(form):
-            row[i + j] = c % q
-        rows.append(row)
+    rows = _times_matrix(form, target_degree - (len(form) - 1)).tolist()
     pivots, reduced = _rref_mod(rows, q, target_degree + 1)
     pivot_set = set(pivots)
     free = [c for c in range(target_degree + 1) if c not in pivot_set]
@@ -533,7 +482,57 @@ def _beta_square_rows(g, q):
     return np.array([fq.mul(b, b, q) for b in betas], dtype=np.int16)
 
 
-def _enumerate_raw(g, l, q, method="coset", jobs=1):
+def _alpha_orbits(l, q):
+    """Orbits of the nonzero forms of degree l under alpha -> c (alpha o g).
+
+    g runs over GL_2(F_q) and c over F_q^*.  Returns [(representative,
+    orbit size)], each representative the lexicographically first form of its
+    orbit, in that order.  Each form takes the least index reached along the
+    generators (elementary matrices, diag(a, 1), scalars c) until none drops.
+    """
+    forms = _digit_matrix(l + 1, q)[:, ::-1].astype(np.int64)  # lexicographic
+    basis = np.eye(l + 1, dtype=np.int64)
+    matrices = [((1, 1), (0, 1)), ((0, 1), (1, 0))] + [((a, 0), (0, 1)) for a in range(2, q)]
+    maps = [np.array([_compose(e, m, q) for e in basis.tolist()]) for m in matrices]
+    maps += [c * basis for c in range(2, q)]
+    steps = np.array([(forms @ m) % q @ q ** np.arange(l, -1, -1) for m in maps])
+    first = np.arange(len(forms))
+    while True:
+        lower = np.minimum(first, first[steps].min(axis=0))
+        if (lower == first).all():
+            break
+        first = lower
+    reps, sizes = np.unique(first[first > 0], return_counts=True)
+    if sizes.sum() != q ** (l + 1) - 1:
+        raise AssertionError("the alpha orbits do not partition the nonzero forms")
+    return [(tuple(int(c) for c in forms[r]), int(size)) for r, size in zip(reps, sizes)]
+
+
+def _member_weights(g, l, q):
+    """(representative, orbit size, weights) per orbit of nonzero alphas.
+
+    weights[i] counts the members with the representative as leading form
+    and the i-th discriminant of `_digit_matrix`: one gamma per beta whose
+    square lies in its coset, none off the square-free discriminants.
+    """
+    disc_degree = 2 * g + 2
+    digits = _digit_matrix(disc_degree + 1, q)
+    squarefree = _squarefree_bitmap(disc_degree, q)
+    beta_squares = _beta_square_rows(g, q)
+    if squarefree[beta_squares.astype(np.int64) @ q ** np.arange(disc_degree + 1)].any():
+        raise AssertionError("a pure square discriminant tested square-free")
+    for alpha, size in _alpha_orbits(l, q):
+        pivots, free, block = _coset_labeler(alpha, disc_degree, q)
+        if len(free) != l:
+            raise AssertionError("multiplication by a nonzero form lost rank")
+        per_label = np.bincount(
+            _labels(beta_squares, pivots, free, block, q), minlength=q**l
+        )
+        labels = _labels(digits, pivots, free, block, q)
+        yield alpha, size, np.where(squarefree, per_label[labels], 0)
+
+
+def _enumerate_raw(g, l, q, method="coset"):
     """Raw count of triples with square-free discriminant; no group division."""
     disc_degree = 2 * g + 2
     if method == "naive":
@@ -573,31 +572,7 @@ def _enumerate_raw(g, l, q, method="coset", jobs=1):
     if method != "coset":
         raise ValueError(f"unknown method {method!r}: expected 'coset' or 'naive'")
 
-    digits = _digit_matrix(disc_degree + 1, q)
-    squarefree = _squarefree_bitmap(disc_degree, q)
-    powers = q ** np.arange(disc_degree + 1, dtype=np.int64)
-    beta_squares = _beta_square_rows(g, q)
-    if squarefree[beta_squares.astype(np.int64) @ powers].any():
-        raise AssertionError("a pure square discriminant tested square-free")
-
-    def contribution(alpha):
-        pivots, free, block = _coset_labeler(alpha, disc_degree, q)
-        if len(free) != l:
-            raise AssertionError("multiplication by a nonzero form lost rank")
-        bucket = np.bincount(
-            _labels(digits, pivots, free, block, q)[squarefree],
-            minlength=q ** len(free),
-        )
-        beta_labels = _labels(beta_squares, pivots, free, block, q)
-        return int(bucket[beta_labels].sum())
-
-    alphas = [a for a in itertools.product(range(q), repeat=l + 1) if any(a)]
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return sum(pool.map(contribution, alphas))
-    return sum(contribution(alpha) for alpha in alphas)
+    return sum(size * int(weights.sum()) for _, size, weights in _member_weights(g, l, q))
 
 
 def enumerate_count(
@@ -607,7 +582,6 @@ def enumerate_count(
     *,
     variant: str | None = None,
     method: str = "coset",
-    jobs: int = 1,
     tuple_budget: int = DEFAULT_TUPLE_BUDGET,
 ) -> CountRecord:
     """Count triples with square-free discriminant and divide by the group.
@@ -619,8 +593,6 @@ def enumerate_count(
     """
     _validate_genus_pair(g, l)
     _validate_odd_prime(q)
-    if not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 1:
-        raise ValueError(f"jobs must be a positive integer: {jobs!r}")
     if method not in ("coset", "naive"):
         raise ValueError(f"unknown method {method!r}: expected 'coset' or 'naive'")
     _check_budget(g, l, q, tuple_budget)
@@ -636,7 +608,7 @@ def enumerate_count(
         )
     else:
         variant = "full"
-    raw = _enumerate_raw(g, l, q, method=method, jobs=jobs)
+    raw = _enumerate_raw(g, l, q, method=method)
     order = group_order(n, q, variant)
     return CountRecord(
         g=g,
@@ -749,19 +721,9 @@ def closed_form_count(g: int, l: int, q: int | None = None, *, part: str = "tota
 def _stratified_raw(g, l, q):
     disc_degree = 2 * g + 2
     digits = _digit_matrix(disc_degree + 1, q)
-    squarefree = _squarefree_bitmap(disc_degree, q)
-    beta_squares = _beta_square_rows(g, q)
     irreducibles = _monic_irreducible_forms(q, max(l, 1))
-
-    def contribution(alpha):
-        pivots, free, block = _coset_labeler(alpha, disc_degree, q)
-        beta_labels = _labels(beta_squares, pivots, free, block, q)
-        per_label = np.bincount(beta_labels, minlength=q ** len(free))
-        # members with this alpha and a given square-free delta: one gamma per
-        # beta whose square sits in the same coset
-        weights = np.where(
-            squarefree, per_label[_labels(digits, pivots, free, block, q)], 0
-        )
+    strata = {}
+    for alpha, size, weights in _member_weights(g, l, q):
         factors = _factor_form(alpha, q, irreducibles)
         pattern = np.zeros(len(digits), dtype=np.int64)
         for i, (pi, _) in enumerate(factors):
@@ -769,7 +731,6 @@ def _stratified_raw(g, l, q):
             labels2 = _labels(digits, piv2, free2, block2, q)
             divides = labels2 == 0
             pattern += divides.astype(np.int64) << i
-        local = {}
         for bits in range(1 << len(factors)):
             count = int(weights[pattern == bits].sum())
             if count == 0:
@@ -787,14 +748,7 @@ def _stratified_raw(g, l, q):
                 else:
                     coprime_parts.extend([exponent] * (len(pi) - 1))
             key = (meeting_degree, tuple(sorted(coprime_parts, reverse=True)))
-            local[key] = local.get(key, 0) + count
-        return local
-
-    strata = {}
-    alphas = [a for a in itertools.product(range(q), repeat=l + 1) if any(a)]
-    for alpha in alphas:
-        for key, count in contribution(alpha).items():
-            strata[key] = strata.get(key, 0) + count
+            strata[key] = strata.get(key, 0) + size * count
     return strata
 
 

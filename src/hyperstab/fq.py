@@ -1,9 +1,10 @@
-"""Polynomial arithmetic over a prime field F_q.
+"""Prime fields F_q and polynomial arithmetic over them.
 
 A polynomial is a tuple of residues in ascending order of the exponent.
-These kernels are shared by the square-free sieve of `ffcount` and the
-Frobenius-orbit oracle of `m0n`.  Irreducibility is decided in one place:
-trial division by the memoised monic irreducibles of at most half the degree.
+These kernels are shared by the square-free sieve and the exact division of
+`ffcount` and the Frobenius-orbit oracle of `m0n`.  Primality is decided in
+one place, `is_prime`, and irreducibility in one place: trial division by
+the memoised monic irreducibles of at most half the degree.
 """
 
 from __future__ import annotations
@@ -11,7 +12,43 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-__all__ = ["first_irreducible", "is_irreducible", "monic_irreducibles", "mul", "poly_mod"]
+__all__ = [
+    "divmod", "first_irreducible", "is_irreducible", "is_prime",
+    "monic_irreducibles", "mul", "poly_mod",
+]
+
+# The first 13 primes as Miller-Rabin bases decide primality of every n below
+# _MILLER_RABIN_BOUND (Sorenson and Webster, Math. Comp. 86, 2017).
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MILLER_RABIN_BOUND = 3317044064679887385961981
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; ValueError at or above the proven bound."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
+        return False
+    if n >= _MILLER_RABIN_BOUND:
+        raise ValueError(
+            f"{n} is beyond the deterministic primality bound {_MILLER_RABIN_BOUND}"
+        )
+    for a in _MILLER_RABIN_BASES:
+        if n % a == 0:
+            return n == a
+    odd, twos = n - 1, 0
+    while odd % 2 == 0:
+        odd //= 2
+        twos += 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, odd, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(twos - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def mul(a, b, q):
@@ -25,22 +62,31 @@ def mul(a, b, q):
     return tuple(out)
 
 
+def divmod(a, b, q):
+    """Euclidean division of a by b: (quotient, remainder).
+
+    b has a nonzero top coefficient.  The quotient has len(a) - len(b) + 1
+    coefficients (none when a is shorter than b), top zeros included; the
+    remainder is a list with its top zeros stripped.
+    """
+    rem = list(a)
+    inv = pow(b[-1], q - 2, q)
+    quot = [0] * max(len(a) - len(b) + 1, 0)
+    for off in range(len(quot) - 1, -1, -1):
+        c = rem[off + len(b) - 1] * inv % q
+        quot[off] = c
+        if c:
+            for i, bc in enumerate(b):
+                rem[off + i] = (rem[off + i] - c * bc) % q
+    del rem[len(b) - 1 :]
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return tuple(quot), rem
+
+
 def poly_mod(a, b, q):
     """Remainder of a modulo b, top zeros stripped; b has a nonzero top coefficient."""
-    a = list(a)
-    inv = pow(b[-1], q - 2, q)
-    while a and len(a) >= len(b):
-        if a[-1] == 0:
-            a.pop()
-            continue
-        c = a[-1] * inv % q
-        off = len(a) - len(b)
-        for i, bc in enumerate(b):
-            a[off + i] = (a[off + i] - c * bc) % q
-        a.pop()
-    while a and a[-1] == 0:
-        a.pop()
-    return a
+    return divmod(a, b, q)[1]
 
 
 def _monic(d, q):

@@ -24,7 +24,8 @@ from math import gcd, lcm
 
 import numpy as np
 
-from .ffcount import DEFAULT_SEED, _is_prime
+from . import fq
+from .ffcount import DEFAULT_SEED
 from .spectral import ConfigurationType
 
 __all__ = [
@@ -287,7 +288,7 @@ def kernel_dimension(rows, modulus: int | None = None) -> int:
     matrix = _integer_rows(rows)
     if modulus is None:
         return width - _rank_bareiss(matrix)
-    if not _is_prime(modulus):
+    if not fq.is_prime(modulus):
         raise ValueError(f"modulus {modulus} is not prime")
     return width - int(_ranks_mod_p([matrix], modulus)[0])
 
@@ -338,7 +339,7 @@ def sample_configuration(
 def _validate_modulus(modulus: int, d: int, n: int) -> None:
     if modulus == 2:
         raise ValueError("characteristic 2 is excluded")
-    if not _is_prime(modulus):
+    if not fq.is_prime(modulus):
         raise ValueError(f"modulus {modulus} is not prime")
     if modulus <= 2 * d:
         raise ValueError(f"need a prime > 2d = {2 * d}, got {modulus}")

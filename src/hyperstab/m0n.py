@@ -330,6 +330,8 @@ def brute_twisted_count(n: int, mu, q: int, max_points: int = 2 ** 20) -> int:
         raise ValueError("brute enumeration supports n <= 6 only")
     if q > 11:
         raise ValueError("brute enumeration supports q <= 11 only")
+    if not fq.is_prime(q):
+        raise ValueError(f"brute enumeration needs a prime field size: {q!r}")
     if n == 0:
         return 1
     lcm = math.lcm(*mu)

@@ -42,8 +42,6 @@ from hyperstab.spectral import (
     five_point_stratum_table,
 )
 
-JOBS = min(8, os.cpu_count() or 1)
-
 
 def _report(criterion: int, status: str, detail: str) -> None:
     print(f"[criterion {criterion}] {status} - {detail}")
@@ -199,7 +197,7 @@ def full_grid():
     timings = {}
     for g, l, q, variant in COUNT_CASES_FULL:
         started = time.perf_counter()
-        records[(g, l, q)] = enumerate_count(g, l, q, variant=variant, jobs=JOBS)
+        records[(g, l, q)] = enumerate_count(g, l, q, variant=variant)
         timings[(g, l, q)] = time.perf_counter() - started
     return records, timings
 
@@ -213,7 +211,7 @@ def test_criterion_6_point_counts(full_grid):
     _report(6, "PASS", f"{len(records)}/{len(records)} closed forms reproduced "
                        f"by exhaustive enumeration (l = 0 through the marked "
                        f"l = g+1 families; slowest case "
-                       f"{max(timings.values()):.1f}s on {JOBS} workers)")
+                       f"{max(timings.values()):.1f}s)")
 
 
 def test_criterion_6_reference_parity_clause(full_grid):

@@ -120,7 +120,7 @@ def test_suite_tables_computes_each_five_point_table_once(monkeypatch):
 
 
 def test_verify_counts_small_budget(capsys):
-    assert main(["verify", "counts", "--jobs", "2"]) == 0
+    assert main(["verify", "counts"]) == 0
     out = capsys.readouterr().out
     assert "PASS counts/count-g2-l1-q3 [tabulated] expected stack count 108" in out
     assert "PASS counts/count-g2-l2-q3 [tabulated] expected stack count 323" in out

@@ -24,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperstab import ffcount
+from hyperstab.cli import COUNT_CASES_SMALL
 from hyperstab.ffcount import (
     BinaryForm,
     SectionTriple,
@@ -61,16 +62,27 @@ def o_mul(a, b, q):
 
 
 def o_exact_div(num, den, q):
-    """Quotient form of num/den, or None when den does not divide num."""
+    """Quotient form of num/den, or None when den does not divide num.
+
+    Frozen copy of ``ffcount._exact_div`` as it stood before its long
+    division moved to ``fq.divmod``.
+    """
     num = [c % q for c in num]
-    top = max((i for i, c in enumerate(den) if c % q), default=None)
+    top = None
+    for i in range(len(den) - 1, -1, -1):
+        if den[i] % q:
+            top = i
+            break
     if top is None:
         return None
     y_power = len(den) - 1 - top
+    if y_power >= len(num):
+        # y^y_power exceeds the degree of num, so only zero is divisible
+        return None if any(num) else ()
     if y_power:
         if any(num[len(num) - y_power:]):
             return None
-        num = num[: len(num) - y_power]
+        del num[len(num) - y_power:]
     quot_deg = len(num) - 1 - top
     if quot_deg < 0:
         return None if any(num) else ()
@@ -132,50 +144,6 @@ def o_factor(coeffs, q, irreducibles):
 
 def all_forms(degree, q):
     return itertools.product(range(q), repeat=degree + 1)
-
-
-# --------------------------------------------------------------------------
-# prime test
-# --------------------------------------------------------------------------
-
-def o_is_prime(n):
-    """Trial division."""
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
-@settings(max_examples=2000, deadline=None)
-@given(st.integers(-5, 10**6))
-def test_is_prime_agrees_with_trial_division(n):
-    assert ffcount._is_prime(n) == o_is_prime(n)
-
-
-def test_is_prime_on_large_primes_and_strong_pseudoprimes():
-    for p in (2**31 - 1, 2147483659, 2**61 - 1):
-        assert ffcount._is_prime(p)
-    composites = (
-        (2**31 - 1) * 2147483659,
-        3215031751,  # strong pseudoprime to the bases 2, 3, 5, 7
-        3825123056546413051,  # strong pseudoprime to the first nine prime bases
-        318665857834031151167461,  # strong pseudoprime to the first twelve
-    )
-    for n in composites:
-        assert not ffcount._is_prime(n)
-    assert not ffcount._is_prime(True) and not ffcount._is_prime(7.0)
-
-
-def test_is_prime_refuses_beyond_the_deterministic_bound():
-    assert not ffcount._is_prime(ffcount._MILLER_RABIN_BOUND - 1)  # even
-    with pytest.raises(ValueError, match="bound"):
-        ffcount._is_prime(ffcount._MILLER_RABIN_BOUND)
-    with pytest.raises(ValueError, match="bound"):
-        ffcount._is_prime(2**127 - 1)
 
 
 # --------------------------------------------------------------------------
@@ -370,9 +338,9 @@ def test_enumerate_count_l_zero_reproduces_hyperelliptic_stack_counts():
     assert enumerate_count(2, 0, 5).stack_count == 125
 
 
-def test_enumerate_count_is_deterministic_and_parallel_safe():
-    assert enumerate_count(3, 1, 3, jobs=2) == enumerate_count(3, 1, 3)
-    assert enumerate_count(2, 2, 3, jobs=3) == enumerate_count(2, 2, 3, jobs=1)
+def test_enumerate_count_is_deterministic():
+    assert enumerate_count(3, 1, 3) == enumerate_count(3, 1, 3)
+    assert enumerate_count(2, 2, 3) == enumerate_count(2, 2, 3)
 
 
 def test_enumerate_count_stack_counts_are_integral_here():
@@ -538,6 +506,153 @@ def test_closed_form_rejects_unsupported_inputs():
 
 
 # --------------------------------------------------------------------------
+# one leading form per orbit
+# --------------------------------------------------------------------------
+
+def o_substitute(coeffs, matrix, q):
+    """f(a x + b y, c x + d y) for the form f with the given coefficients."""
+    (a, b), (c, d) = matrix
+    degree = len(coeffs) - 1
+    out = [0] * (degree + 1)
+    for i, cf in enumerate(coeffs):
+        term = (1,)
+        for _ in range(i):
+            term = o_mul(term, (b, a), q)
+        for _ in range(degree - i):
+            term = o_mul(term, (d, c), q)
+        for j, t in enumerate(term):
+            out[j] = (out[j] + cf * t) % q
+    return tuple(out)
+
+
+def o_gl2(q):
+    return [
+        ((a, b), (c, d))
+        for a, b, c, d in itertools.product(range(q), repeat=4)
+        if (a * d - b * c) % q
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_alpha_orbits_are_closed_and_partition_the_nonzero_forms(data):
+    q = data.draw(st.sampled_from((3, 5, 7)))
+    l = data.draw(st.integers(0, 4))
+    orbits = ffcount._alpha_orbits(l, q)
+    reps = [rep for rep, _ in orbits]
+    assert reps == sorted(set(reps))
+    assert all(len(rep) == l + 1 and any(rep) for rep in reps)
+    assert sum(size for _, size in orbits) == q ** (l + 1) - 1
+    assert all((q - 1) * gl2_order(q) % size == 0 for _, size in orbits)
+    elements = data.draw(
+        st.lists(
+            st.tuples(st.sampled_from(o_gl2(q)), st.integers(1, q - 1)),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    for matrix, scale in elements:
+        for rep in reps:
+            image = tuple(scale * c % q for c in o_substitute(rep, matrix, q))
+            # the image stays in the orbit of rep, whose first form rep is
+            assert image >= rep
+            assert image == rep or image not in reps
+
+
+@pytest.mark.parametrize(
+    "l, q", [(0, 3), (1, 3), (2, 3), (3, 3), (4, 3), (5, 3), (1, 5), (2, 5), (3, 5)]
+)
+def test_alpha_orbits_match_a_walk_over_the_whole_group(l, q):
+    gl2 = o_gl2(q)
+    expected = []
+    seen = set()
+    for alpha in all_forms(l, q):
+        if not any(alpha) or alpha in seen:
+            continue
+        images = {o_substitute(alpha, matrix, q) for matrix in gl2}
+        orbit = {tuple(c * v % q for v in image) for image in images for c in range(1, q)}
+        seen |= orbit
+        expected.append((min(orbit), len(orbit)))
+    assert ffcount._alpha_orbits(l, q) == expected
+
+
+def o_enumerate_raw(g, l, q):
+    """The coset route over every nonzero alpha, frozen as it stood before
+    enumeration took one alpha per orbit."""
+    disc_degree = 2 * g + 2
+    digits = ffcount._digit_matrix(disc_degree + 1, q)
+    squarefree = ffcount._squarefree_bitmap(disc_degree, q)
+    beta_squares = ffcount._beta_square_rows(g, q)
+    total = 0
+    for alpha in all_forms(l, q):
+        if not any(alpha):
+            continue
+        pivots, free, block = ffcount._coset_labeler(alpha, disc_degree, q)
+        bucket = np.bincount(
+            ffcount._labels(digits, pivots, free, block, q)[squarefree],
+            minlength=q ** len(free),
+        )
+        beta_labels = ffcount._labels(beta_squares, pivots, free, block, q)
+        total += int(bucket[beta_labels].sum())
+    return total
+
+
+def o_stratified_raw(g, l, q):
+    """The stratification over every nonzero alpha, frozen as it stood
+    before it took one alpha per orbit."""
+    disc_degree = 2 * g + 2
+    digits = ffcount._digit_matrix(disc_degree + 1, q)
+    squarefree = ffcount._squarefree_bitmap(disc_degree, q)
+    beta_squares = ffcount._beta_square_rows(g, q)
+    irreducibles = ffcount._monic_irreducible_forms(q, max(l, 1))
+    strata = {}
+    for alpha in all_forms(l, q):
+        if not any(alpha):
+            continue
+        pivots, free, block = ffcount._coset_labeler(alpha, disc_degree, q)
+        beta_labels = ffcount._labels(beta_squares, pivots, free, block, q)
+        per_label = np.bincount(beta_labels, minlength=q ** len(free))
+        weights = np.where(
+            squarefree, per_label[ffcount._labels(digits, pivots, free, block, q)], 0
+        )
+        factors = ffcount._factor_form(alpha, q, irreducibles)
+        pattern = np.zeros(len(digits), dtype=np.int64)
+        for i, (pi, _) in enumerate(factors):
+            piv2, free2, block2 = ffcount._coset_labeler(pi, disc_degree, q)
+            divides = ffcount._labels(digits, piv2, free2, block2, q) == 0
+            pattern += divides.astype(np.int64) << i
+        local = {}
+        for bits in range(1 << len(factors)):
+            count = int(weights[pattern == bits].sum())
+            if count == 0:
+                continue
+            meeting_degree = 0
+            coprime_parts = []
+            for i, (pi, exponent) in enumerate(factors):
+                if bits >> i & 1:
+                    assert exponent == 1
+                    meeting_degree += len(pi) - 1
+                else:
+                    coprime_parts.extend([exponent] * (len(pi) - 1))
+            key = (meeting_degree, tuple(sorted(coprime_parts, reverse=True)))
+            local[key] = local.get(key, 0) + count
+        for key, count in local.items():
+            strata[key] = strata.get(key, 0) + count
+    return strata
+
+
+@pytest.mark.parametrize(
+    "g, l, q",
+    [(g, l, q) for g, l, q, _ in COUNT_CASES_SMALL] + [(3, 1, 3), (3, 2, 3), (2, 1, 5)],
+)
+def test_orbit_walk_equals_the_full_alpha_loop(g, l, q):
+    assert ffcount._enumerate_raw(g, l, q) == o_enumerate_raw(g, l, q)
+    # same counts and the same key order
+    strata = ffcount._stratified_raw(g, l, q)
+    assert list(strata.items()) == list(o_stratified_raw(g, l, q).items())
+
+
+# --------------------------------------------------------------------------
 # stratification and the discriminant substitution
 # --------------------------------------------------------------------------
 
@@ -633,11 +748,11 @@ def test_psi_roundtrip_check_reports():
 
 
 @st.composite
-def _division_case(draw):
+def _division_case(draw, primes=(3, 5, 7)):
     """(numerator rows, divisor, q): products of the divisor, perturbed ones,
     zero and random rows; the divisor may be zero or carry top zeros, and
     its y-power may exceed the degree of the rows."""
-    q = draw(st.sampled_from([3, 5, 7]))
+    q = draw(st.sampled_from(primes))
     coeff = st.integers(-q, 2 * q - 1)
     width = draw(st.integers(1, 8))
     den_kind = draw(st.sampled_from(("top zeros", "long y-power", "any")))
@@ -683,6 +798,14 @@ def test_exact_div_rows_agrees_with_the_scalar_division(case):
         assert bool(divides[r]) == (expected is not None)
         if expected is not None:
             assert tuple(int(c) for c in quotient[r]) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(_division_case(primes=(3, 5, 7, 11)))
+def test_exact_div_matches_the_frozen_long_division(case):
+    rows, den, q = case
+    for row in rows:
+        assert ffcount._exact_div(row, den, q) == o_exact_div(row, den, q)
 
 
 def test_exact_div_rejects_a_y_power_beyond_the_numerator_degree():

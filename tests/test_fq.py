@@ -1,19 +1,70 @@
-"""Tests for the shared polynomial kernels over F_q.
+"""Tests for the prime test and the shared polynomial kernels over F_q.
 
-Oracles: the Frobenius-orbit oracle's own arithmetic, frozen as it stood
-before it moved onto these kernels: multiplication reduced modulo a monic
-polynomial, a divisibility test, and the search for a monic irreducible by
-trial division by every monic polynomial of at most half the degree.
+Oracles: trial division for the prime test; the Frobenius-orbit oracle's own
+arithmetic, frozen as it stood before it moved onto these kernels:
+multiplication reduced modulo a monic polynomial, a divisibility test, and
+the search for a monic irreducible by trial division by every monic
+polynomial of at most half the degree.
 """
 
 import itertools
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperstab import fq
 
 PRIMES = (3, 5, 7, 11)
+
+
+# --------------------------------------------------------------------------
+# prime test
+# --------------------------------------------------------------------------
+
+def o_is_prime(n):
+    """Trial division."""
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.integers(-5, 10**6))
+def test_is_prime_agrees_with_trial_division(n):
+    assert fq.is_prime(n) == o_is_prime(n)
+
+
+def test_is_prime_on_large_primes_and_strong_pseudoprimes():
+    for p in (2**31 - 1, 2147483659, 2**61 - 1):
+        assert fq.is_prime(p)
+    composites = (
+        (2**31 - 1) * 2147483659,
+        3215031751,  # strong pseudoprime to the bases 2, 3, 5, 7
+        3825123056546413051,  # strong pseudoprime to the first nine prime bases
+        318665857834031151167461,  # strong pseudoprime to the first twelve
+    )
+    for n in composites:
+        assert not fq.is_prime(n)
+    assert not fq.is_prime(True) and not fq.is_prime(7.0)
+
+
+def test_is_prime_refuses_beyond_the_deterministic_bound():
+    assert not fq.is_prime(fq._MILLER_RABIN_BOUND - 1)  # even
+    with pytest.raises(ValueError, match="bound"):
+        fq.is_prime(fq._MILLER_RABIN_BOUND)
+    with pytest.raises(ValueError, match="bound"):
+        fq.is_prime(2**127 - 1)
+
+
+# --------------------------------------------------------------------------
+# polynomial kernels
+# --------------------------------------------------------------------------
 
 
 def o_tuples(length, q):
@@ -108,6 +159,24 @@ def test_remainder_zero_matches_the_frozen_oracle(data):
     if data.draw(st.booleans()):
         a = fq.mul(b, a, q) if a else b  # a multiple of b
     assert (not fq.poly_mod(a, b, q)) == o_poly_remainder_zero(a, b, q)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_divmod_has_a_fixed_length_quotient_and_a_short_remainder(data):
+    q, d = data.draw(_field_and_degree(low=0))
+    b = data.draw(_residues(q, d)) + (data.draw(st.integers(1, q - 1)),)
+    a = data.draw(_residues(q, data.draw(st.integers(0, 11))))
+    quot, rem = fq.divmod(a, b, q)
+    assert len(quot) == max(len(a) - len(b) + 1, 0)
+    assert len(rem) < len(b) and (not rem or rem[-1])
+    assert rem == fq.poly_mod(a, b, q)
+    product = fq.mul(b, quot, q) if quot else ()
+    recombined = [0] * max(len(a), len(product), len(rem))
+    for part in (product, rem):
+        for i, c in enumerate(part):
+            recombined[i] = (recombined[i] + c) % q
+    assert recombined == list(a) + [0] * (len(recombined) - len(a))
 
 
 @settings(max_examples=40, deadline=None)

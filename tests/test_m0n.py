@@ -130,6 +130,14 @@ def test_brute_twisted_count_resource_guard():
         m0n.brute_twisted_count(6, (6,), 11, max_points=1000)
 
 
+@pytest.mark.parametrize("q", [4, 6, 9])
+def test_brute_twisted_count_rejects_a_field_size_that_is_not_prime(q):
+    # Z/q[x] is no field here: at 4 and 6 the orbit walk never ends, at 9
+    # it counted 0 where the twisted count is 720
+    with pytest.raises(ValueError, match="prime"):
+        m0n.brute_twisted_count(3, (2, 1), q)
+
+
 def test_twisted_count_matches_brute_enumeration():
     """Closed product formula == direct Frobenius-orbit enumeration."""
     for n in range(1, 6):
