@@ -126,14 +126,6 @@ class PointOnSurface:
         return self.coords[:2]
 
 
-def _powers(base: int, top: int) -> list:
-    """[base^0, base^1, ..., base^top] as Python integers."""
-    table = [1] * (top + 1)
-    for e in range(1, top + 1):
-        table[e] = table[e - 1] * base
-    return table
-
-
 def _integral_base(u, v) -> tuple:
     """(lam*u, lam*v, lam) with lam the lcm of the denominators of u and v."""
     lam = lcm(u.denominator, v.denominator)
@@ -142,6 +134,74 @@ def _integral_base(u, v) -> tuple:
         v.numerator * (lam // v.denominator),
         lam,
     )
+
+
+# Fiber tables of a point on the distinguished section: its two base
+# derivatives read the top coefficient (the z^2 block) and its third row the
+# middle coefficient (the z block).
+_SECTION_FIBER = ((0, 0, 1), (0, 1, 0))
+
+
+def _integral_point(point: PointOnSurface, space: SectionSpace) -> tuple:
+    """A point as integers (x, y, zp, dz), its rows built from x^a y^b zp[c] and dz[c].
+
+    Off the section zp[c] is z^c and dz[c] is c*z^(c-1), both homogenised by
+    the denominator D of the fiber coordinate: zp = (D^2, zD, z^2) and
+    dz = (0, D, 2z).  On the section they are ``_SECTION_FIBER``.
+    """
+    if point.locus == "off_exceptional":
+        if point.weight != space.n:
+            raise ValueError(
+                f"point has fiber weight {point.weight}, space has twist {space.n}"
+            )
+        x0, y0, z0 = point.coords
+        x, y, lam = _integral_base(x0, y0)
+        z_num = lam**space.n * z0.numerator
+        z_den = z0.denominator
+        common = gcd(z_num, z_den)
+        z, den = z_num // common, z_den // common
+        return x, y, (den * den, z * den, z * z), (0, den, 2 * z)
+    u, v, _ = _integral_base(*point.coords)
+    return (u, v) + _SECTION_FIBER
+
+
+def _power_tables(bases: np.ndarray, top: int) -> tuple:
+    """Object arrays of base^e and of e*base^(e-1), e = 0..top, one row per base."""
+    powers = np.empty((len(bases), top + 1), dtype=object)
+    powers[:, 0] = 1
+    for e in range(1, top + 1):
+        powers[:, e] = powers[:, e - 1] * bases
+    derivatives = np.empty_like(powers)
+    derivatives[:, 0] = 0
+    derivatives[:, 1:] = powers[:, :-1] * np.arange(1, top + 1, dtype=object)
+    return powers, derivatives
+
+
+def _singularity_array(configurations, space: SectionSpace) -> np.ndarray:
+    """The stacked singularity rows of equal-size configurations, as one array.
+
+    The result has shape (configurations, 3 * points, space.dimension) and
+    ``dtype=object``, so its entries are exact Python integers; the rows of
+    each configuration are those of its points in order, three per point, as
+    ``singularity_rows`` gives them.  Each point is moved to integers once
+    and its rows are products of its power tables, indexed by the basis.
+    """
+    configurations = list(configurations)
+    size = len(configurations[0])
+    if any(len(points) != size for points in configurations):
+        raise ValueError("configurations in one batch must have equal sizes")
+    xs, ys, zp, dz = zip(*(
+        _integral_point(point, space) for points in configurations for point in points
+    ))
+    a, b, c = np.array(space.monomials, dtype=np.intp).T
+    xp, dxp = _power_tables(np.array(xs, dtype=object), space.d)
+    yp, dyp = _power_tables(np.array(ys, dtype=object), space.d)
+    zp, dz = np.array(zp, dtype=object), np.array(dz, dtype=object)
+    xa, yb, zc = xp[:, a], yp[:, b], zp[:, c]
+    rows = np.stack(
+        (dxp[:, a] * yb * zc, xa * dyp[:, b] * zc, xa * yb * dz[:, c]), axis=1
+    )
+    return rows.reshape(len(configurations), 3 * size, space.dimension)
 
 
 def singularity_rows(point: PointOnSurface, space: SectionSpace) -> tuple:
@@ -159,40 +219,10 @@ def singularity_rows(point: PointOnSurface, space: SectionSpace) -> tuple:
     multiplied by D^2 (D for the fiber derivative).  Each row is thereby
     scaled by one nonzero constant, so the common kernel is unchanged, and
     points with integer coordinates and x = 1, as sampled by
-    ``sample_configuration``, get exactly their unscaled rows.
+    ``sample_configuration``, get exactly their unscaled rows.  This is a
+    batch of one for ``_singularity_array``.
     """
-    basis = space.monomials
-    top = space.d
-    if point.locus == "off_exceptional":
-        if point.weight != space.n:
-            raise ValueError(
-                f"point has fiber weight {point.weight}, space has twist {space.n}"
-            )
-        x0, y0, z0 = point.coords
-        x, y, lam = _integral_base(x0, y0)
-        z_num = lam**space.n * z0.numerator
-        z_den = z0.denominator
-        common = gcd(z_num, z_den)
-        z, den = z_num // common, z_den // common
-        xp, yp = _powers(x, top), _powers(y, top)
-        # z^c and the fiber derivative c*z^(c-1), homogenised by the denominator
-        zp = (den * den, z * den, z * z)
-        dz = (0, den, 2 * z)
-        row_x = tuple(a * xp[a - 1] * yp[b] * zp[c] if a else 0 for a, b, c in basis)
-        row_y = tuple(b * xp[a] * yp[b - 1] * zp[c] if b else 0 for a, b, c in basis)
-        row_z = tuple(xp[a] * yp[b] * dz[c] for a, b, c in basis)
-        return (row_x, row_y, row_z)
-
-    u, v, _ = _integral_base(*point.coords)
-    up, vp = _powers(u, top), _powers(v, top)
-    row_ax = tuple(
-        a * up[a - 1] * vp[b] if c == 2 and a else 0 for a, b, c in basis
-    )
-    row_ay = tuple(
-        b * up[a] * vp[b - 1] if c == 2 and b else 0 for a, b, c in basis
-    )
-    row_b = tuple(up[a] * vp[b] if c == 1 else 0 for a, b, c in basis)
-    return (row_ax, row_ay, row_b)
+    return tuple(map(tuple, _singularity_array([(point,)], space)[0].tolist()))
 
 
 def _integer_rows(rows) -> list:
@@ -250,7 +280,7 @@ def _ranks_mod_p(matrices, p: int) -> np.ndarray:
     """
     if not len(matrices):
         return np.zeros(0, dtype=np.intp)
-    m = np.array(matrices, dtype=object) % p
+    m = np.asarray(matrices, dtype=object) % p
     if p < 2**31:
         m = m.astype(np.int64)
     batch, n_rows, n_cols = m.shape
@@ -348,12 +378,13 @@ def _validate_modulus(modulus: int, d: int, n: int) -> None:
 
 
 def _pairs_certified(
-    points, rows, config: ConfigurationType, space: SectionSpace
-) -> bool:
-    """Whether every fiber pair's six rows satisfy the Euler relation exactly.
+    configurations, rows: np.ndarray, config: ConfigurationType, space: SectionSpace
+) -> np.ndarray:
+    """Which trials' fiber pairs all satisfy the Euler relation exactly.
 
-    For p1 = (1, s, z1) and p2 = (1, s, z2) on one ruling line, Euler's
-    identity for each coefficient form gives, for every section f,
+    ``rows`` is the ``_singularity_array`` of the configurations.  For
+    p1 = (1, s, z1) and p2 = (1, s, z2) on one ruling line, Euler's identity
+    for each coefficient form gives, for every section f,
 
         2(f_x + s f_y)(p1) - 2(f_x + s f_y)(p2)
           + [2(d-n) z2 - (d-2n)(z1+z2)] f_z(p1)
@@ -363,24 +394,35 @@ def _pairs_certified(
     is a linear dependency (its first coefficient is 2).  The h relations
     have disjoint supports, so when all hold the rank is at most rows - h,
     which is the codimension.  Pairs are the trailing points, adjacent, as
-    ``sample_configuration`` orders them; a point not of the form (1, s, z)
-    with integer s and z gets no certificate.
+    ``sample_configuration`` orders them; a trial with a pair point not of
+    the form (1, s, z) with integer s and z gets no certificate.
     """
     d, n = space.d, space.n
     first = config.k1 + config.k2
+    certified = np.ones(len(configurations), dtype=bool)
     for i in range(first, first + 2 * config.h, 2):
-        coords = points[i].coords + points[i + 1].coords
-        if any(c.denominator != 1 for c in coords) or (coords[0], coords[3]) != (1, 1):
-            return False
-        _, s, z1, _, _, z2 = map(int, coords)
-        w1 = 2 * (d - n) * z2 - (d - 2 * n) * (z1 + z2)
-        w2 = (d - 2 * n) * (z1 + z2) - 2 * (d - n) * z1
-        if any(
-            2 * (x1 + s * y1 - x2 - s * y2) + w1 * f1 + w2 * f2
-            for x1, y1, f1, x2, y2, f2 in zip(*rows[3 * i : 3 * i + 6])
-        ):
-            return False
-    return True
+        weights = []  # (s, w1, w2) per trial; zeros where the guard fails
+        for trial, points in enumerate(configurations):
+            coords = points[i].coords + points[i + 1].coords
+            if any(c.denominator != 1 for c in coords) or (coords[0], coords[3]) != (1, 1):
+                certified[trial] = False
+                weights.append((0, 0, 0))
+                continue
+            _, s, z1, _, _, z2 = map(int, coords)
+            w1 = 2 * (d - n) * z2 - (d - 2 * n) * (z1 + z2)
+            w2 = (d - 2 * n) * (z1 + z2) - 2 * (d - n) * z1
+            weights.append((s, w1, w2))
+        s, w1, w2 = np.array(weights, dtype=object).T[:, :, None]
+        x1, y1, f1, x2, y2, f2 = rows[:, 3 * i : 3 * i + 6].transpose(1, 0, 2)
+        relation = 2 * (x1 + s * y1 - x2 - s * y2) + w1 * f1 + w2 * f2
+        certified &= ~(relation != 0).any(axis=1)
+    return certified
+
+
+# Trials sampled, built and ranked together in verify_bundle_rank.  At least
+# the 100 trials of ``verify ranks``, so that suite takes one block per type;
+# the block bounds memory when many more trials are asked for.
+_RANK_BLOCK_TRIALS = 128
 
 
 def verify_bundle_rank(
@@ -395,12 +437,14 @@ def verify_bundle_rank(
     """Check that every sampled configuration cuts exactly codim conditions.
 
     Returns a JSON-ready report; ``failures`` lists the trials whose kernel
-    dimension differed from dimension - (3*k1 + 3*k2 + 5*h).  All trials are
-    ranked in one batched elimination modulo ``modulus``, which then gives
-    the answer, or else modulo ``_CERTIFYING_PRIME``: a trial whose rank
-    there is the codimension and whose fiber pairs pass ``_pairs_certified``
-    has exactly the expected kernel, and any other trial gets its kernel
-    dimension from Bareiss elimination over the integers.
+    dimension differed from dimension - (3*k1 + 3*k2 + 5*h).  The trials
+    go in blocks of ``_RANK_BLOCK_TRIALS``.  The rows of a block form one
+    array, ranked in one batched elimination modulo ``modulus``, which then
+    gives the answer, or else modulo ``_CERTIFYING_PRIME``: a trial whose
+    rank there is the codimension and whose fiber pairs pass
+    ``_pairs_certified`` has exactly the expected kernel, and any other
+    trial gets its kernel dimension from Bareiss elimination over the
+    integers.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, not {trials}")
@@ -415,24 +459,29 @@ def verify_bundle_rank(
     if modulus is not None:
         _validate_modulus(modulus, d, n)
     expected = space.dimension - config.codimension
-    samples = []
-    for trial in range(trials):
-        rng = random.Random(f"{seed}:{trial}")
-        points = sample_configuration(config, d, n, rng)
-        rows = [row for p in points for row in singularity_rows(p, space)]
-        samples.append((points, rows))
     prime = modulus or _CERTIFYING_PRIME
-    ranks = _ranks_mod_p([rows for _, rows in samples], prime)
     failures = []
-    for trial, ((points, rows), rank) in enumerate(zip(samples, ranks)):
-        if modulus is not None:
-            kernel = space.dimension - int(rank)
-        elif rank == config.codimension and _pairs_certified(points, rows, config, space):
-            kernel = expected
-        else:
-            kernel = kernel_dimension(rows)
-        if kernel != expected:
-            failures.append({"trial": trial, "kernel_dimension": kernel})
+    for start in range(0, trials, _RANK_BLOCK_TRIALS):
+        block = range(start, min(trials, start + _RANK_BLOCK_TRIALS))
+        configurations = [
+            sample_configuration(config, d, n, random.Random(f"{seed}:{trial}"))
+            for trial in block
+        ]
+        rows = _singularity_array(configurations, space)
+        ranks = _ranks_mod_p(rows, prime)
+        if modulus is None:
+            certified = (ranks == config.codimension) & _pairs_certified(
+                configurations, rows, config, space
+            )
+        for offset, trial in enumerate(block):
+            if modulus is not None:
+                kernel = space.dimension - int(ranks[offset])
+            elif certified[offset]:
+                kernel = expected
+            else:
+                kernel = kernel_dimension(rows[offset].tolist())
+            if kernel != expected:
+                failures.append({"trial": trial, "kernel_dimension": kernel})
     return {
         "type": [config.k1, config.k2, config.h],
         "d": d,

@@ -14,9 +14,11 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import hyperstab
 from hyperstab import m0n
 from hyperstab import symfunc as sf
 from hyperstab.cli import (
@@ -52,7 +54,8 @@ def _report(criterion: int, status: str, detail: str) -> None:
 # --------------------------------------------------------------------------
 
 def test_criterion_1_example_reproduction(tmp_path):
-    env = dict(os.environ, HYPERSTAB_CACHE=str(tmp_path))
+    src = str(Path(hyperstab.__file__).resolve().parents[1])
+    env = dict(os.environ, HYPERSTAB_CACHE=str(tmp_path), PYTHONPATH=src)
     started = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "hyperstab.cli", "stable", "--max-deg", "18",

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyperstab import linalg
@@ -67,6 +67,49 @@ def fraction_singularity_rows(point, space):
               else Fraction(0) for a, b, c in basis),
         tuple(_frac_power(u0, a) * _frac_power(v0, b) if c == 1 else Fraction(0)
               for a, b, c in basis),
+    )
+
+
+def o_singularity_rows(point, space):
+    """Frozen per-point construction of the integer singularity rows.
+
+    The point is moved to integers by the weighted action (lam*x, lam*y,
+    lam^n*z), the fiber coordinate homogenised by its remaining denominator,
+    and every entry is one product of Python integer powers.
+    """
+    def powers(base):
+        table = [1] * (space.d + 1)
+        for e in range(1, space.d + 1):
+            table[e] = table[e - 1] * base
+        return table
+
+    def integral_base(u, v):
+        lam = math.lcm(u.denominator, v.denominator)
+        return u.numerator * (lam // u.denominator), v.numerator * (lam // v.denominator), lam
+
+    basis = space.monomials
+    if point.locus == "off_exceptional":
+        if point.weight != space.n:
+            raise ValueError("fiber weight differs from the twist")
+        x0, y0, z0 = point.coords
+        x, y, lam = integral_base(x0, y0)
+        z_num, z_den = lam**space.n * z0.numerator, z0.denominator
+        common = math.gcd(z_num, z_den)
+        z, den = z_num // common, z_den // common
+        xp, yp = powers(x), powers(y)
+        zp = (den * den, z * den, z * z)
+        dz = (0, den, 2 * z)
+        return (
+            tuple(a * xp[a - 1] * yp[b] * zp[c] if a else 0 for a, b, c in basis),
+            tuple(b * xp[a] * yp[b - 1] * zp[c] if b else 0 for a, b, c in basis),
+            tuple(xp[a] * yp[b] * dz[c] for a, b, c in basis),
+        )
+    u, v, _ = integral_base(*point.coords)
+    up, vp = powers(u), powers(v)
+    return (
+        tuple(a * up[a - 1] * vp[b] if c == 2 and a else 0 for a, b, c in basis),
+        tuple(b * up[a] * vp[b - 1] if c == 2 and b else 0 for a, b, c in basis),
+        tuple(up[a] * vp[b] if c == 1 else 0 for a, b, c in basis),
     )
 
 
@@ -224,6 +267,59 @@ def test_off_exceptional_weight_must_match_space():
     p = PointOnSurface.off_exceptional(1, 2, 3, 1)
     with pytest.raises(ValueError):
         singularity_rows(p, space)
+    good = PointOnSurface.off_exceptional(1, 2, 3, 2)
+    with pytest.raises(ValueError):
+        linalg._singularity_array([(good, good), (good, p)], space)
+
+
+def test_batched_rows_need_equal_size_configurations():
+    space = SectionSpace(6, 1)
+    p = PointOnSurface.on_exceptional(1, 2)
+    with pytest.raises(ValueError, match="equal sizes"):
+        linalg._singularity_array([(p,), (p, p)], space)
+
+
+@st.composite
+def _point_batch(draw):
+    """(space, configurations): 1-4 configurations of one size, mixing points
+    on and off the section, with integer, Fraction and zero coordinates."""
+    n = draw(st.integers(0, 3))
+    d = draw(st.integers(max(2, 2 * n), 2 * n + 7))
+    coordinate = st.one_of(_non_integral(), st.integers(-9, 9))
+    size = draw(st.integers(1, 4))
+    configurations = []
+    for _ in range(draw(st.integers(1, 4))):
+        points = []
+        for _ in range(size):
+            base = draw(st.one_of(coordinate, st.just(0)))
+            other = draw(coordinate if base else coordinate.filter(bool))
+            if draw(st.booleans()):
+                z = draw(coordinate)
+                points.append(PointOnSurface.off_exceptional(base, other, z, n))
+            else:
+                points.append(PointOnSurface.on_exceptional(base, other))
+        configurations.append(tuple(points))
+    return SectionSpace(d, n), configurations
+
+
+@settings(max_examples=200, deadline=None)
+@given(_point_batch())
+@example((SectionSpace(4, 0), [
+    (PointOnSurface.off_exceptional(0, Fraction(2, 3), Fraction(5, 7), 0),
+     PointOnSurface.on_exceptional(Fraction(-1, 2), 3)),
+    (PointOnSurface.on_exceptional(0, Fraction(4, 9)),
+     PointOnSurface.off_exceptional(Fraction(3, 2), 1, Fraction(-1, 6), 0)),
+]))
+def test_batched_rows_equal_the_frozen_per_point_rows(case):
+    space, configurations = case
+    rows = linalg._singularity_array(configurations, space)
+    size = len(configurations[0])
+    assert rows.shape == (len(configurations), 3 * size, space.dimension)
+    for matrix, points in zip(rows.tolist(), configurations):
+        assert all(type(entry) is int for row in matrix for entry in row)
+        assert list(map(tuple, matrix)) == stacked_rows(points, space, o_singularity_rows)
+    for point in configurations[-1]:
+        assert singularity_rows(point, space) == o_singularity_rows(point, space)
 
 
 # --------------------------------------------------------------------------
@@ -487,6 +583,26 @@ def bareiss_report(config, d, n, trials, seed):
     }
 
 
+def pair_certificate(points, space, config):
+    """``_pairs_certified`` on a batch of one configuration."""
+    rows = np.array([stacked_rows(points, space)], dtype=object)
+    (certified,) = linalg._pairs_certified([points], rows, config, space)
+    return certified
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The modulus of each kernel_dimension call that linalg makes."""
+    calls = []
+
+    def counting_kernel(rows, modulus=None):
+        calls.append(modulus)
+        return kernel_dimension(rows, modulus)
+
+    monkeypatch.setattr(linalg, "kernel_dimension", counting_kernel)
+    return calls
+
+
 _PRIMES = (3, 5, 7, 101, 65537, 2**31 - 1, 2147483659, 2**61 - 1)
 
 
@@ -552,7 +668,7 @@ def test_certified_kernels_equal_bareiss_on_every_rank_type(n):
             rows = stacked_rows(points, space)
             rank = linalg._ranks_mod_p([rows], linalg._CERTIFYING_PRIME)[0]
             assert rank == config.codimension, (config, trial)
-            assert linalg._pairs_certified(points, rows, config, space), (config, trial)
+            assert pair_certificate(points, space, config), (config, trial)
             assert kernel_dimension(rows) == space.dimension - config.codimension
         assert verify_bundle_rank(config, d, n, trials=10, seed=5) == bareiss_report(
             config, d, n, trials=10, seed=5
@@ -565,8 +681,8 @@ def test_pair_certificate_rejects_points_on_different_ruling_lines():
     same = (PointOnSurface.off_exceptional(1, 4, -3, 1),
             PointOnSurface.off_exceptional(1, 4, 7, 1))
     apart = (same[0], PointOnSurface.off_exceptional(1, 5, 7, 1))
-    assert linalg._pairs_certified(same, stacked_rows(same, space), config, space)
-    assert not linalg._pairs_certified(apart, stacked_rows(apart, space), config, space)
+    assert pair_certificate(same, space, config)
+    assert not pair_certificate(apart, space, config)
     # the two points on different lines impose six conditions, not five
     assert kernel_dimension(stacked_rows(apart, space)) == space.dimension - 6
 
@@ -580,44 +696,57 @@ def test_pair_certificate_needs_integral_points_with_x_one():
         (PointOnSurface.off_exceptional(0, 1, 3, 1),
          PointOnSurface.off_exceptional(0, 1, 5, 1)),
     ):
-        assert not linalg._pairs_certified(pair, stacked_rows(pair, space), config, space)
+        assert not pair_certificate(pair, space, config)
 
 
-def test_under_reported_ranks_fall_back_to_bareiss(monkeypatch):
+def test_under_reported_ranks_fall_back_to_bareiss(monkeypatch, kernel_calls):
     real = linalg._ranks_mod_p
-    calls = []
 
     def under_report(matrices, p):
         return real(matrices, p) - 1
 
-    def counting_kernel(rows, modulus=None):
-        calls.append(modulus)
-        return kernel_dimension(rows, modulus)
-
     monkeypatch.setattr(linalg, "_ranks_mod_p", under_report)
-    monkeypatch.setattr(linalg, "kernel_dimension", counting_kernel)
     for config, d, n in ((CT(0, 0, 2), 9, 0), (CT(1, 1, 1), 9, 1), (CT(2, 0, 0), 7, 1)):
-        calls.clear()
+        kernel_calls.clear()
         report = verify_bundle_rank(config, d, n, trials=8, seed=20260816)
         assert report == bareiss_report(config, d, n, trials=8, seed=20260816)
         assert report["failures"] == []
-        assert calls == [None] * 8
+        assert kernel_calls == [None] * 8
 
 
-def test_failed_pair_certificates_fall_back_to_bareiss(monkeypatch):
-    monkeypatch.setattr(linalg, "_pairs_certified", lambda *args: False)
+def test_failed_pair_certificates_fall_back_to_bareiss(monkeypatch, kernel_calls):
+    monkeypatch.setattr(
+        linalg, "_pairs_certified",
+        lambda configurations, *rest: np.zeros(len(configurations), dtype=bool),
+    )
     report = verify_bundle_rank(CT(0, 1, 1), 7, 0, trials=6, seed=2)
+    assert kernel_calls == [None] * 6
     assert report == bareiss_report(CT(0, 1, 1), 7, 0, trials=6, seed=2)
 
 
-def test_witness_trials_all_go_to_bareiss(monkeypatch):
-    calls = []
-
-    def counting_kernel(rows, modulus=None):
-        calls.append(modulus)
-        return kernel_dimension(rows, modulus)
-
-    monkeypatch.setattr(linalg, "kernel_dimension", counting_kernel)
+def test_witness_trials_all_go_to_bareiss(kernel_calls):
     report = rank_drop_witness(trials=12)
-    assert calls == [None] * 12
+    assert kernel_calls == [None] * 12
     assert report == bareiss_report(CT(2, 0, 0), 3, 1, trials=12, seed=20260816)
+
+
+def test_block_size_leaves_reports_unchanged(monkeypatch):
+    default = linalg._RANK_BLOCK_TRIALS
+    assert default >= 100  # verify ranks: one block per type
+    cases = (
+        # a small prime: some trials drop rank, so failures span blocks
+        dict(config=CT(1, 1, 1), d=9, n=1, trials=40, seed=3, modulus=19),
+        # more trials than one default block, certified by fiber pairs
+        dict(config=CT(0, 1, 2), d=12, n=0, trials=default + 22, seed=11),
+        # below the bound: every trial falls back to Bareiss
+        dict(config=CT(2, 0, 0), d=3, n=1, trials=12, seed=5, enforce_bound=False),
+    )
+    reports = {}
+    for block in (default, 1, 7):
+        monkeypatch.setattr(linalg, "_RANK_BLOCK_TRIALS", block)
+        reports[block] = [verify_bundle_rank(**case) for case in cases]
+    assert reports[1] == reports[7] == reports[default]
+    modular, paired, witness = reports[1]
+    assert 0 < len(modular["failures"]) < 40
+    assert paired["failures"] == []
+    assert len(witness["failures"]) == 12
