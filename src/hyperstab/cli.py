@@ -25,7 +25,8 @@ with identical flags produces byte-identical files.
 Exit codes: 0 success, 1 failing check, 2 usage or argument error, 3 broken
 internal invariant (an ArithmeticError or AssertionError, reported as
 ``error: internal invariant: ...``); a request over the tuple budget of the
-resource guard is a usage error.
+resource guard is a usage error, and so is an ``--out`` directory or layer
+cache that cannot be written (an ``OSError``).
 
 Each verification check carries a ``source`` classifying its expected
 value: ``tabulated`` for frozen reference tables, ``identity`` for
@@ -43,8 +44,6 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .ffcount import (
@@ -699,6 +698,9 @@ def run_suites(names, *, budget: str = "small",
 # ---------------------------------------------------------------------------
 
 def _manifest(command: str, args, files: dict) -> str:
+    # numpy's version without importing numpy, which stable, e1 and m0n never use
+    from importlib.metadata import version
+
     inputs = {
         key: value
         for key, value in sorted(vars(args).items())
@@ -714,7 +716,7 @@ def _manifest(command: str, args, files: dict) -> str:
         "seeds": {"seed": inputs["seed"]} if "seed" in inputs else {},
         "versions": {
             "hyperstab": __version__,
-            "numpy": np.__version__,
+            "numpy": version("numpy"),
             "python": platform.python_version(),
         },
     }
@@ -1005,7 +1007,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, ResourceGuardError) as exc:
+    except (ValueError, ResourceGuardError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ArithmeticError, AssertionError) as exc:

@@ -34,8 +34,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
 from . import fq
 from .m0n import QPolynomial, ResourceGuardError
 from .series import GradedTateSeries, TatePolynomial, evaluate_t
@@ -220,6 +218,8 @@ def _exact_div_rows(num_rows, den, q):
     the mask is set; where it is clear the quotient row is meaningless.  A
     divisor with top zeros truncates the same y-power as the scalar route.
     """
+    import numpy as np
+
     # Coefficient-major copy: each step of the division reads one contiguous
     # row.  Entries stay unreduced until the final remainder test.
     num = np.array(np.asarray(num_rows).T, dtype=np.int64)
@@ -300,6 +300,8 @@ def _factor_form(coeffs, q, irreducibles):
 
 def _times_matrix(form, cofactor_deg):
     """Matrix of h -> form * h on forms h of degree cofactor_deg (row vectors)."""
+    import numpy as np
+
     out = np.zeros((cofactor_deg + 1, cofactor_deg + len(form)), dtype=np.int64)
     for i in range(cofactor_deg + 1):
         out[i, i : i + len(form)] = form
@@ -309,6 +311,8 @@ def _times_matrix(form, cofactor_deg):
 @lru_cache(maxsize=None)
 def _digit_matrix(length, q):
     """All base-q digit rows of the given length: shape (q^length, length)."""
+    import numpy as np
+
     idx = np.arange(q**length, dtype=np.int64)
     out = np.empty((q**length, length), dtype=np.int16)
     for j in range(length):
@@ -325,6 +329,8 @@ def _squarefree_bitmap(degree, q):
     some monic irreducible form divides it, so the failures are the images
     of the multiplication maps h -> pi^2 h.
     """
+    import numpy as np
+
     _validate_odd_prime(q)
     size = q ** (degree + 1)
     bad = np.zeros(size, dtype=bool)
@@ -454,6 +460,8 @@ def _coset_labeler(form, target_degree, q):
     that two coefficient vectors lie in the same coset exactly when their
     labels computed by :func:`_labels` agree.
     """
+    import numpy as np
+
     rows = _times_matrix(form, target_degree - (len(form) - 1)).tolist()
     pivots, reduced = _rref_mod(rows, q, target_degree + 1)
     pivot_set = set(pivots)
@@ -470,6 +478,8 @@ def _coset_labeler(form, target_degree, q):
 
 def _labels(rows, pivots, free, block, q):
     """Coset label index for each coefficient row (canonical representative)."""
+    import numpy as np
+
     if len(free) == 0:
         return np.zeros(len(rows), dtype=np.int64)
     rows = rows.astype(np.int64, copy=False)
@@ -478,6 +488,8 @@ def _labels(rows, pivots, free, block, q):
 
 
 def _beta_square_rows(g, q):
+    import numpy as np
+
     betas = itertools.product(range(q), repeat=g + 2)
     return np.array([fq.mul(b, b, q) for b in betas], dtype=np.int16)
 
@@ -490,6 +502,8 @@ def _alpha_orbits(l, q):
     orbit, in that order.  Each form takes the least index reached along the
     generators (elementary matrices, diag(a, 1), scalars c) until none drops.
     """
+    import numpy as np
+
     forms = _digit_matrix(l + 1, q)[:, ::-1].astype(np.int64)  # lexicographic
     basis = np.eye(l + 1, dtype=np.int64)
     matrices = [((1, 1), (0, 1)), ((0, 1), (1, 0))] + [((a, 0), (0, 1)) for a in range(2, q)]
@@ -515,6 +529,8 @@ def _member_weights(g, l, q):
     and the i-th discriminant of `_digit_matrix`: one gamma per beta whose
     square lies in its coset, none off the square-free discriminants.
     """
+    import numpy as np
+
     disc_degree = 2 * g + 2
     digits = _digit_matrix(disc_degree + 1, q)
     squarefree = _squarefree_bitmap(disc_degree, q)
@@ -719,6 +735,8 @@ def closed_form_count(g: int, l: int, q: int | None = None, *, part: str = "tota
 # --------------------------------------------------------------------------
 
 def _stratified_raw(g, l, q):
+    import numpy as np
+
     disc_degree = 2 * g + 2
     digits = _digit_matrix(disc_degree + 1, q)
     irreducibles = _monic_irreducible_forms(q, max(l, 1))
@@ -821,6 +839,8 @@ def psi_roundtrip_check(
     product forms every discriminant of a block, the square-free bitmap
     picks the members, and one row-wise division recovers their gammas.
     """
+    import numpy as np
+
     _validate_genus_pair(g, l)
     _validate_odd_prime(q)
     _check_budget(g, l, q, tuple_budget)

@@ -21,12 +21,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import fq
 from .ffcount import DEFAULT_SEED
 from .spectral import ConfigurationType
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "SectionSpace",
@@ -167,6 +169,8 @@ def _integral_point(point: PointOnSurface, space: SectionSpace) -> tuple:
 
 def _power_tables(bases: np.ndarray, top: int) -> tuple:
     """Object arrays of base^e and of e*base^(e-1), e = 0..top, one row per base."""
+    import numpy as np
+
     powers = np.empty((len(bases), top + 1), dtype=object)
     powers[:, 0] = 1
     for e in range(1, top + 1):
@@ -186,6 +190,8 @@ def _singularity_array(configurations, space: SectionSpace) -> np.ndarray:
     ``singularity_rows`` gives them.  Each point is moved to integers once
     and its rows are products of its power tables, indexed by the basis.
     """
+    import numpy as np
+
     configurations = list(configurations)
     size = len(configurations[0])
     if any(len(points) != size for points in configurations):
@@ -278,6 +284,8 @@ def _ranks_mod_p(matrices, p: int) -> np.ndarray:
     2^31 the residues and the product of any two fit in int64; larger
     primes run the same code on Python integers in an ``object`` array.
     """
+    import numpy as np
+
     if not len(matrices):
         return np.zeros(0, dtype=np.intp)
     m = np.asarray(matrices, dtype=object) % p
@@ -397,6 +405,8 @@ def _pairs_certified(
     ``sample_configuration`` orders them; a trial with a pair point not of
     the form (1, s, z) with integer s and z gets no certificate.
     """
+    import numpy as np
+
     d, n = space.d, space.n
     first = config.k1 + config.k2
     certified = np.ones(len(configurations), dtype=bool)

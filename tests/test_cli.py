@@ -8,11 +8,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy
 import pytest
 
 import hyperstab
 from hyperstab import cli, ffcount, linalg, m0n
 from hyperstab.cli import Check, SuiteResult, main
+
+# the package's parent directory, for the PYTHONPATH of child processes
+_SRC = str(Path(hyperstab.__file__).resolve().parents[1])
 
 
 # --------------------------------------------------------------------------
@@ -255,8 +259,7 @@ def test_count_rejects_out_of_family_l(capsys):
 
 
 def test_count_over_the_tuple_budget_is_usage_error():
-    src = str(Path(hyperstab.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=_SRC)
     done = subprocess.run(
         [sys.executable, "-m", "hyperstab.cli", "count", "--g", "9", "--l", "1", "--q", "3"],
         capture_output=True, text=True, env=env, timeout=120,
@@ -424,6 +427,52 @@ def test_manifest_hashes_match_written_files(tmp_path, capsys):
         "format": "csv", "max_deg": 8, "regime": "n0",
     }
     assert manifest["versions"].keys() == {"hyperstab", "numpy", "python"}
+    assert manifest["versions"]["numpy"] == numpy.__version__
+
+
+def test_unwritable_out_is_usage_error(tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "out"
+    assert main(["stable", "--max-deg", "4", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert str(out) in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_unwritable_layer_cache_is_usage_error(tmp_path):
+    (tmp_path / "file").write_text("")
+    cache = tmp_path / "file" / "cache"
+    env = dict(os.environ, PYTHONPATH=_SRC, HYPERSTAB_CACHE=str(cache))
+    done = subprocess.run(
+        [sys.executable, "-m", "hyperstab.cli", "stable", "--max-deg", "6"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: ")
+    assert str(cache) in done.stderr
+    assert "Traceback" not in done.stderr
+    assert done.stdout == ""
+
+
+def test_stable_e1_and_m0n_never_import_numpy():
+    # Each step asserts in the child, so a failure names the step that
+    # loaded numpy; the layer cache is the session's, inherited through env.
+    script = "\n".join([
+        "import sys",
+        "import hyperstab.cli",
+        "assert 'numpy' not in sys.modules, 'import hyperstab.cli'",
+        "for argv in (['stable', '--max-deg', '8'], ['e1', '--L', '3..4', '--d', '12'],",
+        "             ['m0n', '--n', '6']):",
+        "    assert hyperstab.cli.main(argv) == 0, argv",
+        "    assert 'numpy' not in sys.modules, argv",
+    ])
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 # SHA-256 of each report file; the hashes were recorded before the F_q
