@@ -441,19 +441,13 @@ def _cache_path(cache_dir, n: int) -> Path:
 
 
 def _save_cache(path: Path, ep: EquivariantPoincare) -> None:
-    # every layer lists the same cycle types (partitions() is descending): render them once
+    # every layer lists its traces in the order of the one top-level cycle-type list
     cycle_types = partitions(ep.n)
-    labels = [[str(p) for p in mu] for mu in cycle_types]
     payload = {
         "n": str(ep.n),
+        "cycle_types": [[str(p) for p in mu] for mu in cycle_types],
         "layers": [
-            {
-                "i": str(i),
-                "values": [
-                    {"cycle_type": label, "trace": str(layer.values[mu])}
-                    for mu, label in zip(cycle_types, labels)
-                ],
-            }
+            {"i": str(i), "values": [{"trace": str(layer.values[mu])} for mu in cycle_types]}
             for i, layer in sorted(ep.layers.items())
         ],
     }
@@ -473,31 +467,65 @@ def _save_cache(path: Path, ep: EquivariantPoincare) -> None:
 def _label_index(n: int) -> dict:
     """Each cycle-type label as `_save_cache` writes it, mapped to its partition of n.
 
-    The partitions are the tuples `partitions(n)` holds, so every layer of a
-    loaded file shares one key object per cycle type.
+    A cache file spells each cycle type once, in its top-level
+    ``cycle_types`` list; the partitions are the tuples `partitions(n)` holds,
+    so every layer of a loaded file shares one key object per cycle type.
     """
     return {tuple(str(p) for p in mu): mu for mu in partitions(n)}
 
 
 def _load_cache(path: Path, n: int) -> EquivariantPoincare:
-    payload = json.loads(path.read_text())
+    try:
+        layers = _parse_cache(json.loads(path.read_text(), parse_float=_no_float), n)
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc}") from exc
+    except TypeError as exc:
+        raise ValueError(f"{path}: wrong type: {exc}") from exc
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    _validate_layers(n, layers, source=str(path))
+    return EquivariantPoincare(n=n, layers=layers)
+
+
+def _no_float(text: str):
+    raise ValueError(f"a number is not an integer: {text}")
+
+
+def _parse_cache(payload, n: int) -> dict:
+    """The layers of a decoded cache file; raises KeyError, TypeError or ValueError."""
+    if not isinstance(payload, dict):
+        raise TypeError(f"the file holds a JSON {type(payload).__name__}, not an object")
+    if "cycle_types" not in payload:
+        raise ValueError(
+            "no top-level cycle_types list (an older version's layout, or a damaged "
+            "file): delete the file to recompute it"
+        )
     if int(payload["n"]) != n:
-        raise ValueError(f"cache file {path} is for n={payload['n']}, not {n}")
+        raise ValueError(f"the file is for n={payload['n']}, not {n}")
     index = _label_index(n)
+    keys = []
+    for label in payload["cycle_types"]:
+        if not isinstance(label, list):
+            raise TypeError(f"cycle type {label!r} is not a list")
+        mu = index.get(tuple(label))
+        if mu is None:
+            # not spelled as `_save_cache` writes it: CharacterVector checks the parse
+            mu = tuple(int(p) for p in label)
+        keys.append(mu)
+    if len(set(keys)) != len(keys):
+        raise ValueError("a cycle type is listed more than once")
     layers = {}
     for entry in payload["layers"]:
         i = int(entry["i"])
-        values = {}
-        for item in entry["values"]:
-            label = tuple(item["cycle_type"])
-            mu = index.get(label)
-            if mu is None:
-                # not spelled as `_save_cache` writes it: CharacterVector checks the parse
-                mu = tuple(int(p) for p in label)
-            values[mu] = int(item["trace"])
-        layers[i] = CharacterVector(n, values)
-    _validate_layers(n, layers, source=str(path))
-    return EquivariantPoincare(n=n, layers=layers)
+        if i in layers:
+            raise ValueError(f"layer {i} is listed more than once")
+        traces = [int(item["trace"]) for item in entry["values"]]
+        if len(traces) != len(keys):
+            raise ValueError(
+                f"layer {i} has {len(traces)} traces for {len(keys)} cycle types"
+            )
+        layers[i] = CharacterVector(n, dict(zip(keys, traces)))
+    return layers
 
 
 def _validate_layers(n: int, layers: dict, source: str) -> None:
@@ -517,9 +545,14 @@ def equivariant_poincare_m0n(n: int, cache_dir=None) -> EquivariantPoincare:
     exactly by #PGL_2(F_q) = q^3 - q; writing the quotient as
     sum_i (-1)^i tr(sigma | H^i) q^{(n-3)-i} recovers each layer's character.
     Both steps are integer-only (see the module docstring).
-    Results are cached on disk (one JSON file per n, integers as decimal
-    strings) under `cache_dir`, the HYPERSTAB_CACHE directory, or
-    ~/.cache/hyperstab, in that order of preference.
+    Results are cached on disk under `cache_dir`, the HYPERSTAB_CACHE
+    directory, or ~/.cache/hyperstab, in that order of preference: one file
+    m0n_<n>.json per n, integers as decimal strings, holding
+    ``{"n": ..., "cycle_types": [...], "layers": [{"i": ..., "values":
+    [{"trace": ...}, ...]}, ...]}``.  ``cycle_types`` spells each partition of
+    n once, in `partitions(n)` order, and every layer lists its traces in that
+    order.  A file in any other shape, such as the one older versions wrote
+    with a label in every value, raises ValueError naming the file.
     """
     if n < 3:
         raise ValueError("n must be >= 3")

@@ -387,7 +387,9 @@ def test_cache_with_a_cycle_type_spelled_twice_is_a_usage_error(
     m0n.equivariant_poincare_m0n(5, cache_dir=tmp_path)
     path = tmp_path / "m0n_5.json"
     payload = json.loads(path.read_text())
-    payload["layers"][1]["values"].append({"cycle_type": ["1", "1", "3"], "trace": "99"})
+    payload["cycle_types"].append(["1", "1", "3"])
+    for layer in payload["layers"]:
+        layer["values"].append({"trace": "99"})
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match="more than once"):
         m0n._load_cache(path, 5)
@@ -400,6 +402,92 @@ def test_cache_with_a_cycle_type_spelled_twice_is_a_usage_error(
         m0n.equivariant_poincare_m0n.cache_clear()
     captured = capsys.readouterr()
     assert "more than once" in captured.err
+    assert captured.out == ""
+
+
+def _previous_layout(payload):
+    # the layout of older versions: a label in every value, no cycle_types
+    labels = payload.pop("cycle_types")
+    for layer in payload["layers"]:
+        for label, item in zip(labels, layer["values"]):
+            item["cycle_type"] = label
+    return payload
+
+
+def _without(key):
+    def edit(payload):
+        del payload[key]
+        return payload
+    return edit
+
+
+def _edit_layer(i, edit_values):
+    def edit(payload):
+        edit_values(payload["layers"][i]["values"])
+        return payload
+    return edit
+
+
+def _set_first_trace(value):
+    def edit_values(values):
+        values[0]["trace"] = value
+    return _edit_layer(0, edit_values)
+
+
+def _repeat_first_label(payload):
+    payload["cycle_types"].append(payload["cycle_types"][0])
+    for layer in payload["layers"]:
+        layer["values"].append({"trace": "0"})
+    return payload
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda payload: {"n": "4"}, "delete the file"),
+        (lambda payload: {"n": "4", "layers": [{"i": "0"}]}, "delete the file"),
+        (_previous_layout, "delete the file"),
+        (_without("layers"), "missing key 'layers'"),
+        (_without("n"), "missing key 'n'"),
+        (_edit_layer(1, lambda values: values[0].pop("trace")), "missing key 'trace'"),
+        (lambda payload: [payload], "wrong type"),
+        (lambda payload: {**payload, "layers": {"0": []}}, "wrong type"),
+        (lambda payload: {**payload, "cycle_types": "4"}, "wrong type"),
+        (_set_first_trace(["1"]), "wrong type"),
+        (_set_first_trace(1.0), "not an integer"),
+        (_edit_layer(1, lambda values: values.pop()), "layer 1 has 4 traces for 5"),
+        (_edit_layer(0, lambda values: values.append({"trace": "1"})),
+         "layer 0 has 6 traces for 5"),
+        (_repeat_first_label, "a cycle type is listed more than once"),
+        (lambda payload: {**payload, "layers": payload["layers"] * 2},
+         "layer 0 is listed more than once"),
+    ],
+    ids=[
+        "n-only", "layer-without-values", "previous-layout", "no-layers", "no-n",
+        "no-trace", "top-level-list", "layers-object", "cycle-types-string",
+        "trace-list", "trace-float", "trace-short", "trace-long", "label-repeated",
+        "layer-repeated",
+    ],
+)
+def test_malformed_layer_cache_is_a_usage_error(
+    monkeypatch, tmp_path, capsys, edit, message
+):
+    m0n.equivariant_poincare_m0n(4, cache_dir=tmp_path)
+    path = tmp_path / "m0n_4.json"
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    with pytest.raises(ValueError, match=message) as raised:
+        m0n._load_cache(path, 4)
+    assert str(path) in str(raised.value)
+
+    monkeypatch.setenv("HYPERSTAB_CACHE", str(tmp_path))
+    m0n.equivariant_poincare_m0n.cache_clear()
+    try:
+        assert main(["stable", "--max-deg", "8"]) == 2
+    finally:
+        m0n.equivariant_poincare_m0n.cache_clear()
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {path}: ")
+    assert message in captured.err
     assert captured.out == ""
 
 

@@ -240,10 +240,13 @@ def test_cache_roundtrip(tmp_path):
     assert path.exists()
     payload = json.loads(path.read_text())
     assert payload["n"] == "6"
+    for label in payload["cycle_types"]:
+        assert all(isinstance(p, str) for p in label)
     for layer in payload["layers"]:
         int(layer["i"])
+        assert len(layer["values"]) == len(payload["cycle_types"])
         for entry in layer["values"]:
-            assert all(isinstance(p, str) for p in entry["cycle_type"])
+            assert list(entry) == ["trace"]
             int(entry["trace"])
     # a reload must parse the cache, not recompute
     again = m0n.equivariant_poincare_m0n(6, cache_dir=tmp_path)
@@ -257,10 +260,11 @@ def test_cache_file_is_compact_and_indented_files_still_load(tmp_path, monkeypat
     assert "\n" not in text and ": " not in text
     payload = json.loads(text)
     traces = [[int(v["trace"]) for v in layer["values"]] for layer in payload["layers"]]
-    cycle_types = [
-        tuple(int(p) for p in v["cycle_type"]) for v in payload["layers"][0]["values"]
-    ]
+    cycle_types = [tuple(int(p) for p in label) for label in payload["cycle_types"]]
     assert cycle_types == sorted(sf.partitions(5), reverse=True)
+    # each label is written exactly once in the file
+    for label in payload["cycle_types"]:
+        assert text.count(json.dumps(label, separators=(",", ":"))) == 1, label
     assert traces == [[ep.layers[i][mu] for mu in cycle_types] for i in range(3)]
 
     indented = tmp_path / "indented"
@@ -303,9 +307,7 @@ def _rewritten_cache(tmp_path, n, edit, indent=None):
 
 def _relabel(label_of):
     def edit(payload):
-        for layer in payload["layers"]:
-            for item in layer["values"]:
-                item["cycle_type"] = label_of(item["cycle_type"])
+        payload["cycle_types"] = [label_of(label) for label in payload["cycle_types"]]
     return edit
 
 
@@ -332,14 +334,18 @@ def test_loader_accepts_every_label_spelling(tmp_path, monkeypatch, edit, indent
 
 def test_loader_keeps_the_character_errors(tmp_path):
     def stray(payload):
-        payload["layers"][1]["values"].append({"cycle_type": ["7"], "trace": "1"})
+        payload["cycle_types"].append(["7"])
+        for layer in payload["layers"]:
+            layer["values"].append({"trace": "1"})
 
     cache = _rewritten_cache(tmp_path / "stray", 5, stray)
     with pytest.raises(ValueError, match="does not have weight 5"):
         m0n._load_cache(cache / "m0n_5.json", 5)
 
     def missing(payload):
-        del payload["layers"][2]["values"][0]
+        del payload["cycle_types"][0]
+        for layer in payload["layers"]:
+            del layer["values"][0]
 
     cache = _rewritten_cache(tmp_path / "missing", 5, missing)
     with pytest.raises(ValueError, match=r"values missing for cycle types: \[\(5,\)\]"):
