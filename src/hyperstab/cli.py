@@ -697,10 +697,18 @@ def run_suites(names, *, budget: str = "small",
 # output plumbing
 # ---------------------------------------------------------------------------
 
-def _manifest(command: str, args, files: dict) -> str:
-    # numpy's version without importing numpy, which stable, e1 and m0n never use
+def _numpy_version() -> str:
+    # verify, count and rankcheck have loaded numpy; stable, e1 and m0n never
+    # import it, so they read the installed version instead
+    numpy = sys.modules.get("numpy")
+    if numpy is not None:
+        return numpy.__version__
     from importlib.metadata import version
 
+    return version("numpy")
+
+
+def _manifest(command: str, args, files: dict) -> str:
     inputs = {
         key: value
         for key, value in sorted(vars(args).items())
@@ -716,7 +724,7 @@ def _manifest(command: str, args, files: dict) -> str:
         "seeds": {"seed": inputs["seed"]} if "seed" in inputs else {},
         "versions": {
             "hyperstab": __version__,
-            "numpy": version("numpy"),
+            "numpy": _numpy_version(),
             "python": platform.python_version(),
         },
     }

@@ -25,6 +25,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 import os
 import tempfile
 from dataclasses import dataclass
@@ -440,14 +441,18 @@ def _cache_path(cache_dir, n: int) -> Path:
     return base / f"m0n_{n}.json"
 
 
+def _cycle_type_labels(n: int) -> list:
+    """The partitions of n as `_save_cache` spells them, in `partitions(n)` order."""
+    return [[str(p) for p in mu] for mu in partitions(n)]
+
+
 def _save_cache(path: Path, ep: EquivariantPoincare) -> None:
     # every layer lists its traces in the order of the one top-level cycle-type list
-    cycle_types = partitions(ep.n)
     payload = {
         "n": str(ep.n),
-        "cycle_types": [[str(p) for p in mu] for mu in cycle_types],
+        "cycle_types": _cycle_type_labels(ep.n),
         "layers": [
-            {"i": str(i), "values": [{"trace": str(layer.values[mu])} for mu in cycle_types]}
+            {"i": str(i), "values": [{"trace": str(v)} for v in layer.vector]}
             for i, layer in sorted(ep.layers.items())
         ],
     }
@@ -461,17 +466,6 @@ def _save_cache(path: Path, ep: EquivariantPoincare) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-@lru_cache(maxsize=None)
-def _label_index(n: int) -> dict:
-    """Each cycle-type label as `_save_cache` writes it, mapped to its partition of n.
-
-    A cache file spells each cycle type once, in its top-level
-    ``cycle_types`` list; the partitions are the tuples `partitions(n)` holds,
-    so every layer of a loaded file shares one key object per cycle type.
-    """
-    return {tuple(str(p) for p in mu): mu for mu in partitions(n)}
 
 
 def _load_cache(path: Path, n: int) -> EquivariantPoincare:
@@ -492,7 +486,13 @@ def _no_float(text: str):
 
 
 def _parse_cache(payload, n: int) -> dict:
-    """The layers of a decoded cache file; raises KeyError, TypeError or ValueError."""
+    """The layers of a decoded cache file; raises KeyError, TypeError or ValueError.
+
+    A file whose ``cycle_types`` are spelled and ordered as `_save_cache`
+    writes them holds its traces in `partitions(n)` order, so each layer is
+    taken as it stands (`CharacterVector.from_vector`).  Any other spelling or
+    order is parsed label by label, and the dict constructor checks it.
+    """
     if not isinstance(payload, dict):
         raise TypeError(f"the file holds a JSON {type(payload).__name__}, not an object")
     if "cycle_types" not in payload:
@@ -502,29 +502,31 @@ def _parse_cache(payload, n: int) -> dict:
         )
     if int(payload["n"]) != n:
         raise ValueError(f"the file is for n={payload['n']}, not {n}")
-    index = _label_index(n)
-    keys = []
-    for label in payload["cycle_types"]:
-        if not isinstance(label, list):
-            raise TypeError(f"cycle type {label!r} is not a list")
-        mu = index.get(tuple(label))
-        if mu is None:
-            # not spelled as `_save_cache` writes it: CharacterVector checks the parse
-            mu = tuple(int(p) for p in label)
-        keys.append(mu)
-    if len(set(keys)) != len(keys):
-        raise ValueError("a cycle type is listed more than once")
+    labels = payload["cycle_types"]
+    keys = None
+    if labels != _cycle_type_labels(n):
+        keys = []
+        for label in labels:
+            if not isinstance(label, list):
+                raise TypeError(f"cycle type {label!r} is not a list")
+            keys.append(tuple(int(p) for p in label))
+        if len(set(keys)) != len(keys):
+            raise ValueError("a cycle type is listed more than once")
     layers = {}
+    trace = operator.itemgetter("trace")
     for entry in payload["layers"]:
         i = int(entry["i"])
         if i in layers:
             raise ValueError(f"layer {i} is listed more than once")
-        traces = [int(item["trace"]) for item in entry["values"]]
-        if len(traces) != len(keys):
+        traces = list(map(int, map(trace, entry["values"])))
+        if len(traces) != len(labels):
             raise ValueError(
-                f"layer {i} has {len(traces)} traces for {len(keys)} cycle types"
+                f"layer {i} has {len(traces)} traces for {len(labels)} cycle types"
             )
-        layers[i] = CharacterVector(n, dict(zip(keys, traces)))
+        if keys is None:
+            layers[i] = CharacterVector.from_vector(n, traces)
+        else:
+            layers[i] = CharacterVector(n, dict(zip(keys, traces)))
     return layers
 
 
@@ -551,21 +553,24 @@ def equivariant_poincare_m0n(n: int, cache_dir=None) -> EquivariantPoincare:
     ``{"n": ..., "cycle_types": [...], "layers": [{"i": ..., "values":
     [{"trace": ...}, ...]}, ...]}``.  ``cycle_types`` spells each partition of
     n once, in `partitions(n)` order, and every layer lists its traces in that
-    order.  A file in any other shape, such as the one older versions wrote
-    with a label in every value, raises ValueError naming the file.
+    order.  A file that spells or orders its cycle types otherwise (reordered
+    parts, zero-padded or integer labels, a shuffled list) still loads, label
+    by label, with every character check.  A file in any other shape, such as
+    the one older versions wrote with a label in every value, raises
+    ValueError naming the file.
     """
     if n < 3:
         raise ValueError("n must be >= 3")
     path = _cache_path(cache_dir, n)
     if path.exists():
         return _load_cache(path, n)
-    traces = {i: {} for i in range(n - 2)}
+    traces = [[] for _ in range(n - 2)]
     for mu in partitions(n):
         quotient = _divide_by_pgl2(_integer_twisted_count(mu))
-        for i in range(n - 2):
+        for i, layer in enumerate(traces):
             value = quotient[n - 3 - i]
-            traces[i][mu] = -value if i % 2 else value
-    layers = {i: CharacterVector(n, values) for i, values in traces.items()}
+            layer.append(-value if i % 2 else value)
+    layers = {i: CharacterVector.from_vector(n, vector) for i, vector in enumerate(traces)}
     _validate_layers(n, layers, source=f"computed layers for n={n}")
     ep = EquivariantPoincare(n=n, layers=layers)
     _save_cache(path, ep)

@@ -3,13 +3,16 @@
 Partitions double as cycle types: a partition of n read as cycle lengths
 indexes a conjugacy class of S_n.  Characters are stored as class functions
 (`CharacterVector`), which keeps every pairing exact and integral; Schur-basis
-data is recovered from them on demand.
+data is recovered from them on demand.  A class function of degree n is one
+tuple of integers, dense in the order of `partitions(n)`, so a pairing reads
+its values by position and never hashes a cycle type.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 
@@ -31,7 +34,15 @@ Partition = tuple
 
 
 def canonical_partition(parts) -> tuple:
-    """Sort into weakly decreasing order and validate positivity."""
+    """Sort into weakly decreasing order and validate the parts.
+
+    Every part must be a positive int; a bool, a float or any other number
+    raises ValueError, so the exact routes never see a non-integer part.
+    """
+    parts = tuple(parts)
+    for p in parts:
+        if type(p) is not int:
+            raise ValueError(f"partition parts must be integers: {parts!r}")
     out = tuple(sorted(parts, reverse=True))
     if out and out[-1] <= 0:
         raise ValueError(f"partition parts must be positive: {parts!r}")
@@ -43,33 +54,39 @@ def partitions(n: int) -> tuple:
     """All partitions of n in reverse lexicographic order, (n,) first.
 
     Reverse lexicographic means plain tuple comparison descending, so the
-    sequence starts at (n,) and ends at (1,)*n.  The result is cached and
-    must not be mutated.
+    sequence starts at (n,) and ends at (1,)*n.  The partitions with first
+    part p are p followed by the partitions of n - p whose parts are at most
+    p, which are a suffix of the memoised `partitions(n - p)`.  The result is
+    cached and must not be mutated.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-
-    def gen(remaining, largest):
-        if remaining == 0:
-            yield ()
-            return
-        for part in range(min(remaining, largest), 0, -1):
-            for rest in gen(remaining - part, part):
-                yield (part,) + rest
-
-    return tuple(gen(n, n))
+    if n == 0:
+        return ((),)
+    out = []
+    for part in range(n, 0, -1):
+        rest = partitions(n - part)
+        if n - part > part:
+            # rest descends by first part: drop the prefix whose first part exceeds part
+            rest = rest[bisect_left(rest, -part, key=lambda mu: -mu[0]):]
+        out.extend([(part, *mu) for mu in rest])
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
-def _partition_set(n: int) -> frozenset:
-    """The partitions of n as a set, for membership tests."""
-    return frozenset(partitions(n))
+def _positions(n: int) -> dict:
+    """Each partition of n mapped to its index in `partitions(n)`."""
+    return {mu: i for i, mu in enumerate(partitions(n))}
 
 
-def z_order(mu) -> int:
-    """Centralizer order of a permutation of cycle type mu: prod d^c_d c_d!."""
-    mu = canonical_partition(mu)
-    out = 1
+def _z_sign(mu: tuple) -> tuple:
+    """(z_mu, sgn(mu)) for a canonical cycle type, in one pass over its parts.
+
+    z_mu = prod_d d^c_d c_d! is the centralizer order, and the sign is
+    (-1)^(number of even parts).
+    """
+    z = 1
+    even = 0
     run_value = None
     run_length = 0
     for d in mu:
@@ -77,14 +94,19 @@ def z_order(mu) -> int:
             run_length += 1
         else:
             run_value, run_length = d, 1
-        out *= d * run_length
-    return out
+        z *= d * run_length
+        even += not d & 1
+    return z, -1 if even & 1 else 1
+
+
+def z_order(mu) -> int:
+    """Centralizer order of a permutation of cycle type mu: prod d^c_d c_d!."""
+    return _z_sign(canonical_partition(mu))[0]
 
 
 def sign(mu) -> int:
     """Sign of a permutation of cycle type mu: (-1)^(|mu| - #parts)."""
-    mu = canonical_partition(mu)
-    return -1 if (sum(mu) - len(mu)) % 2 else 1
+    return _z_sign(canonical_partition(mu))[1]
 
 
 @lru_cache(maxsize=None)
@@ -124,16 +146,20 @@ def irreducible_character(lam, mu) -> int:
 
 
 class CharacterVector:
-    """Integer class function on S_n, stored by cycle type.
+    """Integer class function on S_n, stored densely by cycle type.
 
-    Values must be supplied for every partition of the degree.  Lookups
+    ``vector`` holds one int per partition of the degree, in the order of
+    `partitions(degree)`; ``values`` derives the same data as a fresh dict
+    keyed by those partitions.  The dict constructor accepts the cycle
+    lengths in any order and must be given a value for every partition of
+    the degree; `from_vector` takes the dense tuple as it stands.  Lookups
     accept any ordering of the cycle lengths.
     """
 
-    __slots__ = ("degree", "values")
+    __slots__ = ("degree", "vector")
 
     def __init__(self, degree: int, values: dict):
-        expected = _partition_set(degree)
+        expected = _positions(degree)
         normalized = {}
         stray = False
         for mu, v in values.items():
@@ -142,52 +168,75 @@ class CharacterVector:
                 if sum(mu) != degree:
                     raise ValueError(f"cycle type {mu} does not have weight {degree}")
                 stray = stray or mu not in expected
-            if not isinstance(v, int):
-                raise ValueError(f"character value at {mu} must be an integer")
+            if type(v) is not int:
+                raise ValueError(f"character value at {mu} must be an integer: {v!r}")
             normalized[mu] = v
         if len(normalized) != len(values):
             raise ValueError("a cycle type is given more than once, in another order")
         # Every key is now a partition of the degree unless one was stray, so
         # equal sizes mean equal key sets.
         if stray or len(normalized) != len(expected):
-            missing = expected - normalized.keys()
+            missing = expected.keys() - normalized.keys()
             raise ValueError(f"values missing for cycle types: {sorted(missing)}")
         self.degree = degree
-        self.values = normalized
+        self.vector = tuple(map(normalized.__getitem__, partitions(degree)))
+
+    @classmethod
+    def from_vector(cls, degree: int, vector) -> "CharacterVector":
+        """The class function whose value at ``partitions(degree)[j]`` is ``vector[j]``."""
+        vector = tuple(vector)
+        parts = partitions(degree)
+        if len(vector) != len(parts):
+            raise ValueError(
+                f"{len(vector)} values for the {len(parts)} cycle types of degree {degree}"
+            )
+        if not set(map(type, vector)) <= {int}:
+            for mu, v in zip(parts, vector):
+                if type(v) is not int:
+                    raise ValueError(f"character value at {mu} must be an integer: {v!r}")
+        self = cls.__new__(cls)
+        self.degree = degree
+        self.vector = vector
+        return self
+
+    @property
+    def values(self) -> dict:
+        """The values keyed by the partitions of the degree (a fresh dict)."""
+        return dict(zip(partitions(self.degree), self.vector))
 
     def __getitem__(self, mu) -> int:
-        return self.values[canonical_partition(mu)]
+        return self.vector[_positions(self.degree)[canonical_partition(mu)]]
 
     def __eq__(self, other):
         return (
             isinstance(other, CharacterVector)
             and self.degree == other.degree
-            and self.values == other.values
+            and self.vector == other.vector
         )
 
     def __hash__(self):
-        return hash((self.degree, tuple(sorted(self.values.items()))))
+        return hash((self.degree, self.vector))
 
     def __repr__(self):
         return f"CharacterVector(degree={self.degree}, dim={self.dimension()})"
 
     def dimension(self) -> int:
-        """Value at the identity class."""
-        return self.values[(1,) * self.degree]
+        """Value at the identity class, the last cycle type (1,)*n."""
+        return self.vector[-1]
 
     @classmethod
     def trivial(cls, n: int) -> "CharacterVector":
-        return cls(n, {mu: 1 for mu in partitions(n)})
+        return cls.from_vector(n, (1,) * len(partitions(n)))
 
     @classmethod
     def sign_character(cls, n: int) -> "CharacterVector":
-        return cls(n, {mu: sign(mu) for mu in partitions(n)})
+        return cls.from_vector(n, (_z_sign(mu)[1] for mu in partitions(n)))
 
     @classmethod
     def irreducible(cls, lam) -> "CharacterVector":
         lam = canonical_partition(lam)
         n = sum(lam)
-        return cls(n, {mu: irreducible_character(lam, mu) for mu in partitions(n)})
+        return cls.from_vector(n, (_mn(lam, mu) for mu in partitions(n)))
 
 
 # A cycle type is also coded as one integer: a 16-bit field per part length d
@@ -203,9 +252,9 @@ def _codes(n: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _by_code(n: int) -> dict:
-    """The partitions of n keyed by their codes (the tuples `partitions(n)` holds)."""
-    return dict(zip(_codes(n), partitions(n)))
+def _code_positions(n: int) -> dict:
+    """The code of each partition of n mapped to its index in `partitions(n)`."""
+    return {code: i for i, code in enumerate(_codes(n))}
 
 
 @lru_cache(maxsize=None)
@@ -216,10 +265,11 @@ def _block_weights(k: int, signed: bool) -> tuple:
     (Macdonald, Symmetric Functions and Hall Polynomials, I.2).
     """
     f = math.factorial(k)
-    return tuple(
-        (code, (sign(mu) if signed else 1) * (f // z_order(mu)))
-        for code, mu in zip(_codes(k), partitions(k))
-    )
+    out = []
+    for code, mu in zip(_codes(k), partitions(k)):
+        z, s = _z_sign(mu)
+        out.append((code, (s if signed else 1) * (f // z)))
+    return tuple(out)
 
 
 def _times(table, block) -> dict:
@@ -240,19 +290,20 @@ def _e_pair_weights(k1: int, k2: int) -> tuple:
 
 @lru_cache(maxsize=8)
 def _induced_weights(k1: int, k2: int, h: int) -> tuple:
-    """k1! k2! h! e_{k1} e_{k2} h_h in the power-sum basis: (keys, weights).
+    """k1! k2! h! e_{k1} e_{k2} h_h in the power-sum basis: (positions, weights).
 
-    The keys are the cycle types of nonzero weight, as the tuples of
-    `partitions(k1 + k2 + h)`; the weight at mu is the sum over all triples
-    merging to mu that the Frobenius-reciprocity pairing walks.  Callers pair
-    every layer of one type back to back, so a small memo suffices.
+    The positions index the cycle types of nonzero weight in
+    `partitions(k1 + k2 + h)`, the order of `CharacterVector.vector`; the
+    weight at mu is the sum over all triples merging to mu that the
+    Frobenius-reciprocity pairing walks.  Callers pair every layer of one type
+    back to back, so a small memo suffices.
     """
     pair = _e_pair_weights(min(k1, k2), max(k1, k2))
-    by_code = _by_code(k1 + k2 + h)
+    position = _code_positions(k1 + k2 + h)
     nonzero = [
-        (by_code[c], w) for c, w in _times(pair, _block_weights(h, False)).items() if w
+        (position[c], w) for c, w in _times(pair, _block_weights(h, False)).items() if w
     ]
-    return tuple(mu for mu, _ in nonzero), tuple(w for _, w in nonzero)
+    return tuple(i for i, _ in nonzero), tuple(w for _, w in nonzero)
 
 
 def hall_inner_product_induced(char: CharacterVector, k1: int, k2: int, h: int) -> int:
@@ -263,15 +314,15 @@ def hall_inner_product_induced(char: CharacterVector, k1: int, k2: int, h: int) 
     is always an integer, and anything else raises.  The triples are summed
     once per type into the power-sum weights of k1! k2! h! e_{k1} e_{k2} h_h
     (`_induced_weights`), so each pairing is one integer dot product with the
-    character's values, divided once by k1! k2! h!.
+    character's dense values, divided once by k1! k2! h!.
     """
     if min(k1, k2, h) < 0:
         raise ValueError("block sizes must be nonnegative")
     n = k1 + k2 + h
     if char.degree != n:
         raise ValueError(f"character degree {char.degree} != k1+k2+h = {n}")
-    keys, weights = _induced_weights(k1, k2, h)
-    total = sum(map(operator.mul, weights, map(char.values.__getitem__, keys)))
+    positions, weights = _induced_weights(k1, k2, h)
+    total = sum(map(operator.mul, weights, map(char.vector.__getitem__, positions)))
     denom = math.factorial(k1) * math.factorial(k2) * math.factorial(h)
     if total % denom:
         raise ArithmeticError(
@@ -288,11 +339,11 @@ def schur_expand(char: CharacterVector) -> dict:
     """
     n = char.degree
     fact = math.factorial(n)
+    parts = partitions(n)
+    weighted = [(fact // _z_sign(mu)[0]) * v for mu, v in zip(parts, char.vector)]
     out = {}
-    for lam in partitions(n):
-        total = 0
-        for mu in partitions(n):
-            total += (fact // z_order(mu)) * char[mu] * irreducible_character(lam, mu)
+    for lam in parts:
+        total = sum(w * _mn(lam, mu) for w, mu in zip(weighted, parts))
         if total % fact:
             raise ValueError(
                 f"multiplicity of chi^{lam} is not integral: {Fraction(total, fact)}"

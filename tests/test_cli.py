@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from importlib.metadata import version
 from pathlib import Path
 
 import numpy
@@ -505,7 +506,7 @@ def test_out_files_are_byte_identical_across_reruns(tmp_path, capsys):
         assert (first / name).read_bytes() == (second / name).read_bytes()
 
 
-def test_manifest_hashes_match_written_files(tmp_path, capsys):
+def test_manifest_hashes_match_written_files(tmp_path, capsys, monkeypatch):
     assert main(["stable", "--max-deg", "8", "--format", "csv",
                  "--out", str(tmp_path)]) == 0
     manifest = json.loads((tmp_path / "manifest.json").read_text())
@@ -516,6 +517,25 @@ def test_manifest_hashes_match_written_files(tmp_path, capsys):
     }
     assert manifest["versions"].keys() == {"hyperstab", "numpy", "python"}
     assert manifest["versions"]["numpy"] == numpy.__version__
+
+    # verify has loaded numpy and reads its version from the module; the
+    # manifest bytes are those of the installed package metadata's version
+    out = tmp_path / "verify"
+    assert main(["verify", "euler", "--seed", "11", "--out", str(out)]) == 0
+    text = (out / "manifest.json").read_text()
+    manifest = json.loads(text)
+    digest = hashlib.sha256((out / "verify.json").read_bytes()).hexdigest()
+    assert manifest["outputs"] == {"verify.json": f"sha256:{digest}"}
+    assert manifest["inputs"] == {
+        "budget": "small", "seed": 11, "suite": "euler", "trials": 100,
+    }
+    assert manifest["seeds"] == {"seed": 11}
+    assert manifest["versions"]["numpy"] == numpy.__version__ == version("numpy")
+    args = cli._build_parser().parse_args(["verify", "euler", "--seed", "11"])
+    files = {"verify.json": (out / "verify.json").read_text()}
+    assert cli._manifest("verify", args, files) == text
+    monkeypatch.delitem(sys.modules, "numpy")
+    assert cli._manifest("verify", args, files) == text
 
 
 def test_unwritable_out_is_usage_error(tmp_path, capsys):

@@ -8,9 +8,11 @@ Oracles:
 * the classical identity-layer Poincare product prod_{j=2}^{n-2} (1 + j t).
 """
 
+import hashlib
 import itertools
 import json
 import math
+import random
 
 import pytest
 
@@ -330,6 +332,46 @@ def test_loader_accepts_every_label_spelling(tmp_path, monkeypatch, edit, indent
 
     monkeypatch.setattr(m0n, "_integer_twisted_count", no_recompute)
     assert m0n._load_cache(cache / "m0n_6.json", 6).layers == computed.layers
+
+
+def _shuffle_cycle_types(payload):
+    order = list(range(len(payload["cycle_types"])))
+    random.Random(7).shuffle(order)
+    payload["cycle_types"] = [payload["cycle_types"][j] for j in order]
+    for layer in payload["layers"]:
+        layer["values"] = [layer["values"][j] for j in order]
+
+
+def test_loader_reads_shuffled_cycle_types_label_by_label(tmp_path, monkeypatch):
+    canonical = tmp_path / "canonical"
+    m0n.equivariant_poincare_m0n(7, cache_dir=canonical)
+    cache = _rewritten_cache(tmp_path, 7, _shuffle_cycle_types)
+    shuffled = json.loads((cache / "m0n_7.json").read_text())["cycle_types"]
+    assert shuffled != m0n._cycle_type_labels(7)
+    assert sorted(shuffled) == sorted(m0n._cycle_type_labels(7))
+
+    def no_recompute(mu):
+        raise AssertionError("the cache file was not read")
+
+    monkeypatch.setattr(m0n, "_integer_twisted_count", no_recompute)
+    expected = m0n._load_cache(canonical / "m0n_7.json", 7).layers
+    assert m0n._load_cache(cache / "m0n_7.json", 7).layers == expected
+
+
+# SHA-256 of the layer files as written before characters were stored densely;
+# the benchmark harness edits m0n_{5,6,7}.json, so their bytes must not move.
+PINNED_CACHE_HASHES = {
+    5: "26f6ca432dc3509a66615b10372b91bceba89a94febd90740c3289209a3cfdeb",
+    6: "03edb99f6a9be4c875b561cf8d857eb99eb35143f6eccf2c83311b99e8fba036",
+    7: "162153752830f63647561f4e881ac3a4862b204be7ed45011da97a87ae3db0fa",
+}
+
+
+@pytest.mark.parametrize("n", sorted(PINNED_CACHE_HASHES))
+def test_written_cache_files_keep_their_bytes(tmp_path, n):
+    m0n.equivariant_poincare_m0n(n, cache_dir=tmp_path)
+    digest = hashlib.sha256((tmp_path / f"m0n_{n}.json").read_bytes()).hexdigest()
+    assert digest == PINNED_CACHE_HASHES[n]
 
 
 def test_loader_keeps_the_character_errors(tmp_path):

@@ -3,7 +3,8 @@
 The oracle routes live in this file and are deliberately independent of the
 library internals:
 
-* Euler's pentagonal-number recurrence for p(n);
+* Euler's pentagonal-number recurrence for p(n), and the recursive generator
+  that listed the partitions before they were built from memoised suffixes;
 * explicit enumeration of S_n for class sizes and centralizer orders;
 * the character table rebuilt from permutation characters of Young subgroups
   by Gram-Schmidt orthonormalization;
@@ -79,18 +80,21 @@ def brute_class_sizes(n):
 
 
 def oracle_partitions(n):
-    """All partitions of n as sorted-descending tuples (order not specified)."""
-    result = []
+    """All partitions of n in reverse lexicographic order, (n,) first.
 
-    def rec(remaining, largest, prefix):
+    The recursive generator the library used before it built `partitions(n)`
+    from the memoised suffixes of `partitions(n - part)`.
+    """
+
+    def gen(remaining, largest):
         if remaining == 0:
-            result.append(tuple(prefix))
+            yield ()
             return
         for part in range(min(remaining, largest), 0, -1):
-            rec(remaining - part, part, prefix + [part])
+            for rest in gen(remaining - part, part):
+                yield (part,) + rest
 
-    rec(n, n, [])
-    return result
+    return list(gen(n, n))
 
 
 def perm_character(lam, mu):
@@ -233,6 +237,13 @@ def test_partition_counts_match_pentagonal_recurrence():
         assert len(sf.partitions(n)) == p[n]
 
 
+def test_partitions_match_the_recursive_generator():
+    for n in range(31):
+        assert list(sf.partitions(n)) == oracle_partitions(n), n
+    assert len(sf.partitions(24)) == 1575
+    assert len(sf.partitions(30)) == 5604
+
+
 def test_partition_count_examples():
     assert sf.partitions(0) == ((),)
     assert len(sf.partitions(4)) == 5
@@ -261,6 +272,29 @@ def test_z_order_against_brute_enumeration():
         sizes = brute_class_sizes(n)
         for mu in sf.partitions(n):
             assert sf.z_order(mu) * sizes[mu] == math.factorial(n)
+
+
+def test_sign_against_permutation_parity():
+    for n in range(1, 7):
+        for perm in itertools.permutations(range(n)):
+            inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+            assert sf.sign(cycle_type_of(perm)) == (-1) ** inversions, perm
+
+
+@pytest.mark.parametrize("parts", [(1.5, 1.5), (2.5, 0.5), (2, 1.0), (True, 1), ("2", 1)])
+def test_canonical_partition_rejects_non_integer_parts(parts):
+    with pytest.raises(ValueError, match="integers"):
+        sf.canonical_partition(parts)
+    with pytest.raises(ValueError, match="integers"):
+        sf.z_order(parts)
+    with pytest.raises(ValueError, match="integers"):
+        sf.sign(parts)
+    with pytest.raises(ValueError, match="integers"):
+        sf.irreducible_character(parts, (3,))
+    with pytest.raises(ValueError, match="integers"):
+        sf.irreducible_character((3,), parts)
+    with pytest.raises(ValueError, match="integers"):
+        sf.CharacterVector.trivial(3)[parts]
 
 
 def test_z_order_examples():
@@ -370,6 +404,57 @@ def test_character_vector_normalizes_keys_and_keeps_its_errors():
         sf.CharacterVector(3, {(1, 1, 1): 2, (2, 1): 0, (3,): 0.5})
     with pytest.raises(ValueError, match="positive"):
         sf.CharacterVector(3, {(1, 1, 1): 2, (2, 1): 0, (3,): -1, (3, 0): 1})
+
+
+def test_character_vector_rejects_bools_and_misshapen_vectors():
+    with pytest.raises(ValueError, match="integer"):
+        sf.CharacterVector(2, {(2,): True, (1, 1): 1})
+    with pytest.raises(ValueError, match=r"at \(2,\) must be an integer"):
+        sf.CharacterVector.from_vector(2, (True, 1))
+    with pytest.raises(ValueError, match=r"at \(1, 1\) must be an integer"):
+        sf.CharacterVector.from_vector(2, (1, 1.0))
+    with pytest.raises(ValueError, match="3 values for the 2 cycle types"):
+        sf.CharacterVector.from_vector(2, (1, 1, 1))
+    chi = sf.CharacterVector.from_vector(2, [-1, 1])
+    assert chi.vector == (-1, 1)
+    assert chi == sf.CharacterVector.sign_character(2)
+
+
+def test_character_vector_values_is_derived_and_read_only():
+    chi = sf.CharacterVector.irreducible((2, 1))
+    assert chi.vector == (-1, 0, 2)
+    assert chi.values == {(3,): -1, (2, 1): 0, (1, 1, 1): 2}
+    chi.values[(3,)] = 7
+    assert chi[(3,)] == -1
+    with pytest.raises(AttributeError):
+        chi.values = {}
+
+
+@st.composite
+def _dense_and_keyed(draw):
+    """A random class function, as a dense vector and as a dict of shuffled cycle types."""
+    n = draw(st.integers(0, 8))
+    parts = sf.partitions(n)
+    vector = draw(st.lists(st.integers(-10**6, 10**6), min_size=len(parts), max_size=len(parts)))
+    keyed = {tuple(draw(st.permutations(mu))): v for mu, v in zip(parts, vector)}
+    order = draw(st.permutations(list(keyed)))
+    return n, vector, {mu: keyed[mu] for mu in order}
+
+
+@settings(max_examples=80, deadline=None)
+@given(_dense_and_keyed(), st.randoms(use_true_random=False))
+def test_from_vector_agrees_with_the_dict_constructor(case, rng):
+    n, vector, keyed = case
+    dense = sf.CharacterVector.from_vector(n, vector)
+    by_dict = sf.CharacterVector(n, keyed)
+    assert dense == by_dict and by_dict == dense
+    assert hash(dense) == hash(by_dict)
+    assert dense.vector == by_dict.vector == tuple(vector)
+    assert dense.values == by_dict.values
+    for mu, v in zip(sf.partitions(n), vector):
+        lookup = list(mu)
+        rng.shuffle(lookup)
+        assert dense[lookup] == by_dict[tuple(lookup)] == v
 
 
 def test_character_vector_rejects_a_cycle_type_spelled_twice():
@@ -504,11 +589,12 @@ def test_hall_pairing_agrees_with_the_triple_walk_on_every_m0n_layer():
                 ), (n, i, k1, k2, h)
 
 
-def test_induced_weights_are_keyed_by_the_partition_tuples():
-    keys, weights = sf._induced_weights(2, 1, 3)
-    interned = {id(mu) for mu in sf.partitions(6)}
-    assert all(id(mu) in interned for mu in keys)
+def test_induced_weights_are_positions_into_the_partitions():
+    positions, weights = sf._induced_weights(2, 1, 3)
+    parts = sf.partitions(6)
+    assert all(type(i) is int and 0 <= i < len(parts) for i in positions)
+    assert len(set(positions)) == len(positions)
     assert 0 not in weights
-    assert sf._induced_weights(1, 2, 3) == (keys, weights)
+    assert sf._induced_weights(1, 2, 3) == (positions, weights)
     # k1! k2! h! e_{k1} e_{k2} h_h at the identity class is the single triple of all-ones
-    assert dict(zip(keys, weights))[(1,) * 6] == 1
+    assert dict(zip(positions, weights))[parts.index((1,) * 6)] == 1
