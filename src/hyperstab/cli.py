@@ -6,13 +6,18 @@ Subcommands
     Emit the genus-independent cohomology table (markdown, CSV, or JSON).
 ``verify``
     Run a named verification suite (or ``all``) and print one line per
-    check; exit 1 if any check fails.
+    check; exit 1 if any check fails.  ``--budget full`` widens the counts
+    suite to the whole enumeration grid and adds an orbit spot check per
+    case: random members moved by random group elements stay members.
 ``e1``
     Render discriminant-column tables for a range of L values.
 ``m0n``
     Emit the symmetric-group layer table of the genus-zero moduli space.
 ``count``
-    Enumerate one section-triple family and compare the closed form.
+    Enumerate one section-triple family and compare the closed form.  At
+    l = g+1 the closed forms count the g0prime stack; g0 is q+1 times larger,
+    so ``--variant g0`` compares against the closed form divided by q+1.
+    ``--method closed`` exits 2 where no closed form exists.
 ``rankcheck``
     Re-run the evaluation-matrix rank verification for one type.
 
@@ -48,9 +53,13 @@ from pathlib import Path
 from . import __version__
 from .ffcount import (
     DEFAULT_SEED,
+    _validate_genus_pair,
+    _validate_odd_prime,
     closed_form_count,
     enumerate_count,
     euler_identity_check,
+    group_order,
+    orbit_spot_check,
     psi_roundtrip_check,
     stratified_count,
 )
@@ -486,18 +495,32 @@ def suite_tables() -> SuiteResult:
     return SuiteResult("tables", tuple(checks))
 
 
-def _expected_stack(g: int, l: int, q: int):
-    """Closed-form stack count for an enumeration case of the suite grid."""
+def _expected_stack(g: int, l: int, q: int, variant: str | None = None):
+    """Closed-form stack count for an enumeration case of the suite grid.
+
+    At l = g+1 the closed forms count the g0prime stack; the count for the
+    larger group g0 is that one times |g0prime| / |g0|.
+    """
     if l == 0:
         return q ** (2 * g - 1)
     if l == g + 1 and g >= 3:
-        return closed_form_count(g, l, q, part="g0prime")
-    return closed_form_count(g, l, q)
+        count = closed_form_count(g, l, q, part="g0prime")
+    else:
+        count = closed_form_count(g, l, q)
+    if variant != "g0":
+        return count
+    value = Fraction(count * group_order(0, q, "g0prime"), group_order(0, q, "g0"))
+    return int(value) if value.denominator == 1 else value
 
 
-def suite_counts(budget: str = "small") -> SuiteResult:
-    """Enumerated stack counts against closed forms, plus stratifications."""
-    cases = COUNT_CASES_FULL if budget == "full" else COUNT_CASES_SMALL
+def suite_counts(budget: str = "small", seed: int = DEFAULT_SEED) -> SuiteResult:
+    """Enumerated stack counts against closed forms, plus stratifications.
+
+    The full budget also spot-checks each case's family for closure under
+    the group, the invariance that the orbit walk of the enumeration uses.
+    """
+    full = budget == "full"
+    cases = COUNT_CASES_FULL if full else COUNT_CASES_SMALL
     checks = []
     for g, l, q, variant in cases:
         record = enumerate_count(g, l, q, variant=variant)
@@ -524,6 +547,20 @@ def suite_counts(budget: str = "small") -> SuiteResult:
                 "identity",
             )
         )
+        if full:
+            orbit = orbit_spot_check(g, l, q, seed=seed)
+            moved = orbit["images_checked"]
+            checks.append(
+                _check(
+                    f"orbit-g{g}-l{l}-q{q}",
+                    orbit["all_in_family"],
+                    f"all {moved} images of random members under random group "
+                    "elements in the family",
+                    f"{moved} images, "
+                    + ("all in the family" if orbit["all_in_family"] else "some outside it"),
+                    "identity",
+                )
+            )
     roundtrip = psi_roundtrip_check(2, 1, 3)
     checks.append(
         _check(
@@ -674,7 +711,7 @@ def suite_diffscan() -> SuiteResult:
 _SUITES = {
     "example19": lambda o: suite_example19(),
     "tables": lambda o: suite_tables(),
-    "counts": lambda o: suite_counts(budget=o["budget"]),
+    "counts": lambda o: suite_counts(budget=o["budget"], seed=o["seed"]),
     "euler": lambda o: suite_euler(),
     "ranks": lambda o: suite_ranks(seed=o["seed"], trials=o["trials"]),
     "diffscan": lambda o: suite_diffscan(),
@@ -820,8 +857,10 @@ def _parse_L_values(text: str) -> tuple:
 
 def cmd_e1(args) -> int:
     L_values = _parse_L_values(args.L)
-    if args.d < 2 * args.n:
-        raise ValueError(f"need d >= 2n for a base-point-free system: d={args.d}, n={args.n}")
+    if not args.d >= 2 * args.n >= 0:
+        raise ValueError(
+            f"need d >= 2n >= 0 for a base-point-free system: d={args.d}, n={args.n}"
+        )
     v = 3 * (args.d - args.n + 1)
     if args.format == "md":
         text = render_columns_markdown(v, L_values)
@@ -872,14 +911,20 @@ def cmd_count(args) -> int:
     variant = args.variant
     if variant == "auto":
         variant = "g0prime" if l == g + 1 else None
-    try:
-        closed = _expected_stack(g, l, q)
-    except ValueError:
-        closed = None
     record = None
-    if args.method != "closed":
+    if args.method == "closed":
+        # the input checks of enumerate_count, which this method skips
+        _validate_genus_pair(g, l)
+        _validate_odd_prime(q)
+        group_order(g + 1 - l, q, variant or "full")
+        closed = _expected_stack(g, l, q, variant)
+    else:
         method = "naive" if args.method == "brute" else args.method
         record = enumerate_count(g, l, q, variant=variant, method=method)
+        try:
+            closed = _expected_stack(g, l, q, variant)
+        except ValueError:  # the case is valid, so it has no closed form
+            closed = None
     row = {
         "g": g,
         "l": l,

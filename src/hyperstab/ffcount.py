@@ -24,6 +24,12 @@ size, stands for all of it.  The naive loop over every triple survives as
 square-freeness by gcd with the derivative, while the fast route uses a sieve
 over irreducible squares, so the two routes differ in strategy and share only
 the F_q polynomial kernels of `fq`.
+
+`is_squarefree` is the oracle test of the naive route and of
+`SectionTriple.is_member`.  `psi_inverse`, the inverse of the paper's
+substitution psi, is API that no command calls; `psi_roundtrip_check` runs its
+row-wise form.  `verify counts --budget full` runs `orbit_spot_check`, which
+moves members by `apply_group_element`.
 """
 
 from __future__ import annotations
@@ -46,7 +52,6 @@ __all__ = [
     "DEFAULT_TUPLE_BUDGET",
     "apply_group_element",
     "closed_form_count",
-    "congruence_satisfied",
     "enumerate_count",
     "euler_identity_check",
     "gl2_order",
@@ -387,19 +392,6 @@ def group_order(n: int, q: int, variant: str = "full") -> int:
             raise ValueError("variant 'g0prime' applies to the index-0 surface only")
         return q * (q - 1) * gl2_order(q)
     raise ValueError(f"unknown variant {variant!r}: expected one of {_VARIANTS}")
-
-
-def congruence_satisfied(g: int, l: int, q: int) -> bool:
-    """Whether F_q contains the n-th roots of unity needed at index n >= 3.
-
-    The condition q = 1 mod n matters for identifying the quotient with the
-    coarse moduli problem; raw and stack counts are well defined without it,
-    so enumeration reports this flag instead of enforcing it.
-    """
-    _validate_genus_pair(g, l)
-    _validate_odd_prime(q)
-    n = g + 1 - l
-    return n < 3 or q % n == 1
 
 
 # --------------------------------------------------------------------------

@@ -12,6 +12,9 @@ The verification certifies most trials without the integer elimination: a
 rank modulo a prime is a lower bound on the rank over Q, and one exact
 linear relation per fiber pair (``_pairs_certified``) bounds it above by the
 codimension.  Trials where the two bounds do not meet fall back to Bareiss.
+
+No command calls `singularity_rows`, the rows of one point; it is the oracle
+of the batched rows that the verification builds.
 """
 
 from __future__ import annotations
@@ -315,7 +318,7 @@ def _ranks_mod_p(matrices, p: int) -> np.ndarray:
     return rank
 
 
-def kernel_dimension(rows, modulus: int | None = None) -> int:
+def kernel_dimension(rows) -> int:
     """Dimension of the common kernel of the given row functionals."""
     rows = list(rows)
     if not rows:
@@ -323,12 +326,7 @@ def kernel_dimension(rows, modulus: int | None = None) -> int:
     width = len(rows[0])
     if any(len(row) != width for row in rows):
         raise ValueError("rows have inconsistent lengths")
-    matrix = _integer_rows(rows)
-    if modulus is None:
-        return width - _rank_bareiss(matrix)
-    if not fq.is_prime(modulus):
-        raise ValueError(f"modulus {modulus} is not prime")
-    return width - int(_ranks_mod_p([matrix], modulus)[0])
+    return width - _rank_bareiss(_integer_rows(rows))
 
 
 def _degree_bound(config: ConfigurationType, n: int) -> Fraction:

@@ -15,9 +15,9 @@ N_mu is a dense product of memoised factors, divided by q^3 - q by integer
 synthetic division.  The sparse `QPolynomial` route (`closed_point_count`,
 `twisted_count_config_p1`), which goes through Moebius sums and rational
 coefficients, is kept as the oracle for this one, and `brute_twisted_count`
-checks both by walking Frobenius orbits.  That oracle builds F_{q^d} with the
-shared F_q kernels of `fq` but walks and counts the orbits itself; it never
-counts irreducibles.
+checks both by walking Frobenius orbits; no command calls these three oracles.
+`brute_twisted_count` builds F_{q^d} with the shared F_q kernels of `fq` but
+walks and counts the orbits itself; it never counts irreducibles.
 """
 
 from __future__ import annotations
@@ -85,10 +85,6 @@ class QPolynomial:
 
     def is_integral(self) -> bool:
         return all(isinstance(c, int) for c in self.coeffs.values())
-
-    @classmethod
-    def constant(cls, value: int) -> "QPolynomial":
-        return cls({0: value})
 
     def coefficient(self, e: int) -> int:
         return self.coeffs.get(e, 0)
@@ -425,9 +421,6 @@ class EquivariantPoincare:
     n: int
     layers: dict
 
-    def layer_count(self) -> int:
-        return len(self.layers)
-
 
 def default_cache_dir() -> Path:
     env = os.environ.get("HYPERSTAB_CACHE")
@@ -488,10 +481,9 @@ def _no_float(text: str):
 def _parse_cache(payload, n: int) -> dict:
     """The layers of a decoded cache file; raises KeyError, TypeError or ValueError.
 
-    A file whose ``cycle_types`` are spelled and ordered as `_save_cache`
-    writes them holds its traces in `partitions(n)` order, so each layer is
-    taken as it stands (`CharacterVector.from_vector`).  Any other spelling or
-    order is parsed label by label, and the dict constructor checks it.
+    ``cycle_types`` must be spelled and ordered as `_save_cache` writes it.
+    Then every layer holds its traces in `partitions(n)` order and is taken
+    as it stands (`CharacterVector.from_vector`).
     """
     if not isinstance(payload, dict):
         raise TypeError(f"the file holds a JSON {type(payload).__name__}, not an object")
@@ -503,15 +495,11 @@ def _parse_cache(payload, n: int) -> dict:
     if int(payload["n"]) != n:
         raise ValueError(f"the file is for n={payload['n']}, not {n}")
     labels = payload["cycle_types"]
-    keys = None
     if labels != _cycle_type_labels(n):
-        keys = []
-        for label in labels:
-            if not isinstance(label, list):
-                raise TypeError(f"cycle type {label!r} is not a list")
-            keys.append(tuple(int(p) for p in label))
-        if len(set(keys)) != len(keys):
-            raise ValueError("a cycle type is listed more than once")
+        raise ValueError(
+            f"cycle_types is not the list of the partitions of {n} that this version "
+            "writes: delete the file to recompute it"
+        )
     layers = {}
     trace = operator.itemgetter("trace")
     for entry in payload["layers"]:
@@ -523,10 +511,7 @@ def _parse_cache(payload, n: int) -> dict:
             raise ValueError(
                 f"layer {i} has {len(traces)} traces for {len(labels)} cycle types"
             )
-        if keys is None:
-            layers[i] = CharacterVector.from_vector(n, traces)
-        else:
-            layers[i] = CharacterVector(n, dict(zip(keys, traces)))
+        layers[i] = CharacterVector.from_vector(n, traces)
     return layers
 
 
@@ -553,11 +538,9 @@ def equivariant_poincare_m0n(n: int, cache_dir=None) -> EquivariantPoincare:
     ``{"n": ..., "cycle_types": [...], "layers": [{"i": ..., "values":
     [{"trace": ...}, ...]}, ...]}``.  ``cycle_types`` spells each partition of
     n once, in `partitions(n)` order, and every layer lists its traces in that
-    order.  A file that spells or orders its cycle types otherwise (reordered
-    parts, zero-padded or integer labels, a shuffled list) still loads, label
-    by label, with every character check.  A file in any other shape, such as
-    the one older versions wrote with a label in every value, raises
-    ValueError naming the file.
+    order.  Only that list loads, in any JSON whitespace.  Any other file
+    (another spelling or order of the cycle types, or the layout of older
+    versions with a label in every value) raises ValueError naming the file.
     """
     if n < 3:
         raise ValueError("n must be >= 3")

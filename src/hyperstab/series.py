@@ -9,8 +9,6 @@ All values are immutable and all arithmetic is exact.
 
 from __future__ import annotations
 
-import json
-
 __all__ = [
     "TatePolynomial",
     "GradedTateSeries",
@@ -149,32 +147,6 @@ class GradedTateSeries:
 
     def __repr__(self):
         return f"GradedTateSeries(T={self.truncation}, terms={self.terms!r})"
-
-    def to_json(self) -> str:
-        payload = {
-            "truncation": self.truncation,
-            "terms": [
-                {
-                    "t": t,
-                    "L_coeffs": [
-                        {"e": e, "c": c} for e, c in sorted(poly.coeffs.items())
-                    ],
-                }
-                for t, poly in sorted(self.terms.items())
-            ],
-        }
-        return json.dumps(payload, indent=1)
-
-    @classmethod
-    def from_json(cls, blob: str) -> "GradedTateSeries":
-        payload = json.loads(blob)
-        terms = {
-            entry["t"]: TatePolynomial(
-                {item["e"]: item["c"] for item in entry["L_coeffs"]}
-            )
-            for entry in payload["terms"]
-        }
-        return cls(payload["truncation"], terms)
 
 
 def _check_truncations(a: GradedTateSeries, b: GradedTateSeries) -> None:

@@ -3,14 +3,14 @@
 Singular sections degenerate along configurations of points and double
 lines; each configuration type contributes a block of Borel-Moore classes
 to a column indexed by its number of distinct sites.  This module computes
-those blocks, merges them into columns, stores the transcribed small-type
-columns, and scans the numerical admissibility system for differentials
-between blocks.
+those blocks, merges them into columns and scans the numerical admissibility
+system for differentials between blocks.  Columns start at three sites; the
+package holds no table of the one- and two-site columns.
 """
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
 
@@ -59,11 +59,6 @@ class ConfigurationType:
         return f"ConfigurationType({self.k1}, {self.k2}, {self.h})"
 
 
-def codimension(config: ConfigurationType) -> int:
-    """Codimension of the locus of sections degenerating along ``config``."""
-    return config.codimension
-
-
 def type_sort_key(config: ConfigurationType) -> tuple:
     """Sort key: codimension, then point count, then inverse lexicographic."""
     return (
@@ -71,16 +66,6 @@ def type_sort_key(config: ConfigurationType) -> tuple:
         config.point_count,
         (-config.k1, -config.k2, -config.h),
     )
-
-
-def type_order(a: ConfigurationType, b: ConfigurationType) -> int:
-    """Three-way comparison of configuration types (-1, 0, or 1)."""
-    ka, kb = type_sort_key(a), type_sort_key(b)
-    if ka < kb:
-        return -1
-    if ka > kb:
-        return 1
-    return 0
 
 
 def types_with_sites(sites: int) -> Iterator[ConfigurationType]:
@@ -218,8 +203,7 @@ def e1_column(L: int, v: int) -> E1Column:
     """The merged column of all site-count-``L`` strata classes.
 
     Multiplicities of coinciding (degree, twist) pairs are summed across
-    configuration types.  Requires ``L >= 3``; smaller site counts are
-    covered by the transcribed ``small_columns`` data.
+    configuration types.  Requires ``L >= 3``.
     """
     if L < 3:
         raise ValueError("merged columns are computed for at least three sites")
@@ -308,68 +292,6 @@ def five_point_stratum_table() -> dict:
     for row in table:
         table[row].sort(key=lambda entry: positions[entry[0]])
     return dict(sorted(table.items(), reverse=True))
-
-
-# --------------------------------------------------------------------------
-# small-type columns (transcribed reference data)
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SmallColumn:
-    """A transcribed column for types with fewer than three sites.
-
-    ``rows`` maps a table row to ``{twist exponent: multiplicity}``;
-    ``arrows_to_previous`` lists rows where a cancelling differential to
-    the previous column is known; ``post_differential`` marks the merged
-    survivor column.
-    """
-
-    label: str
-    types: tuple
-    rows: dict = field(compare=False)
-    arrows_to_previous: tuple = ()
-    post_differential: bool = False
-
-
-def small_columns() -> tuple:
-    """Transcribed one- and two-site columns plus the surviving merged column."""
-    CT = ConfigurationType
-    return (
-        SmallColumn(
-            label="one point",
-            types=(CT(1, 0, 0), CT(0, 1, 0)),
-            rows={-3: {1: 1}, -5: {2: 2}, -7: {3: 1}},
-        ),
-        SmallColumn(
-            label="one double line",
-            types=(CT(0, 0, 1),),
-            rows={-7: {3: 1}, -9: {4: 1}},
-            arrows_to_previous=(-7,),
-        ),
-        SmallColumn(
-            label="two points",
-            types=(CT(2, 0, 0), CT(1, 1, 0), CT(0, 2, 0)),
-            rows={-8: {3: 2}, -10: {4: 1}, -12: {5: 1}},
-        ),
-        SmallColumn(
-            label="point and double line",
-            types=(CT(1, 0, 1), CT(0, 1, 1)),
-            rows={-10: {4: 1}, -12: {5: 2}, -14: {6: 1}},
-            arrows_to_previous=(-10, -12),
-        ),
-        SmallColumn(
-            label="two double lines",
-            types=(CT(0, 0, 2),),
-            rows={-14: {6: 1}},
-            arrows_to_previous=(-14,),
-        ),
-        SmallColumn(
-            label="one- and two-site survivors",
-            types=(),
-            rows={-3: {1: 1}, -5: {2: 2}, -6: {3: 2}, -8: {4: 1}, -9: {5: 1}},
-            post_differential=True,
-        ),
-    )
 
 
 # --------------------------------------------------------------------------

@@ -10,7 +10,6 @@ multisets of Tate twists gives the cohomology table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .m0n import EquivariantPoincare, equivariant_poincare_m0n
 from .series import GradedTateSeries, TatePolynomial, invert_unit, multiply
@@ -21,7 +20,6 @@ __all__ = [
     "numerator_term",
     "stable_series",
     "stable_series_positive_n",
-    "stable_range",
     "table_from_series",
     "cohomology_table",
     "cli_payload",
@@ -131,15 +129,6 @@ def stable_series_positive_n(max_degree: int) -> GradedTateSeries:
         max_degree, {t: p for t, p in factor.items() if t <= max_degree}
     )
     return multiply(modifier, base)
-
-
-def stable_range(g: int, n: int) -> Fraction:
-    """Largest validated degree, (g-n+2)/2, as an exact rational."""
-    if g < 2:
-        raise ValueError("genus must be at least 2")
-    if n < 0 or n > g + 1:
-        raise ValueError(f"surface index {n} outside 0..{g + 1}")
-    return Fraction(g - n + 2, 2)
 
 
 def table_from_series(s: GradedTateSeries) -> StableCohomologyTable:

@@ -6,6 +6,10 @@ indexes a conjugacy class of S_n.  Characters are stored as class functions
 data is recovered from them on demand.  A class function of degree n is one
 tuple of integers, dense in the order of `partitions(n)`, so a pairing reads
 its values by position and never hashes a cycle type.
+
+`z_order`, `sign` and `irreducible_character` are the textbook API on single
+cycle types; no command calls them, and the tests use them as the oracles of
+the dense class functions.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 __all__ = [
-    "Partition",
     "canonical_partition",
     "partitions",
     "z_order",
@@ -27,10 +30,6 @@ __all__ = [
     "hall_inner_product_induced",
     "schur_expand",
 ]
-
-# A partition is a weakly decreasing tuple of positive integers; the empty
-# tuple is the partition of 0.  The same tuples serve as cycle types.
-Partition = tuple
 
 
 def canonical_partition(parts) -> tuple:

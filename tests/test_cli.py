@@ -134,6 +134,17 @@ def test_verify_counts_small_budget(capsys):
     assert " 0 failed" in out
 
 
+def test_verify_counts_full_budget_adds_one_orbit_check_per_case(monkeypatch):
+    monkeypatch.setattr(cli, "COUNT_CASES_FULL", cli.COUNT_CASES_SMALL[:2])
+    small = cli.suite_counts("small")
+    assert not [c for c in small.checks if c.id.startswith("orbit-")]
+    full = cli.suite_counts("full")
+    orbit = [c for c in full.checks if c.id.startswith("orbit-")]
+    assert [c.id for c in orbit] == ["orbit-g2-l1-q3", "orbit-g2-l2-q3"]
+    assert all(c.status == "pass" and c.source == "identity" for c in orbit)
+    assert orbit[0].actual == "500 images, all in the family"
+
+
 def test_verify_euler_window(capsys):
     assert main(["verify", "euler"]) == 0
     out = capsys.readouterr().out
@@ -205,6 +216,9 @@ def test_e1_csv_and_list_syntax(capsys):
 def test_e1_rejects_empty_range_and_small_degree(capsys):
     assert main(["e1", "--L", "4..3", "--d", "30"]) == 2
     assert main(["e1", "--L", "3", "--d", "1", "--n", "1"]) == 2
+    capsys.readouterr()
+    assert main(["e1", "--L", "3", "--d", "-5", "--n", "-3"]) == 2
+    assert "need d >= 2n >= 0" in capsys.readouterr().err
 
 
 # --------------------------------------------------------------------------
@@ -252,6 +266,38 @@ def test_count_closed_only(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["stack"] == 2916
     assert payload["raw"] is None and payload["match"] is None
+
+
+def test_count_g0_divides_the_g0prime_closed_form_by_q_plus_one(capsys):
+    for method in ("coset", "closed"):
+        assert main(["count", "--g", "2", "--l", "3", "--q", "3", "--variant", "g0",
+                     "--method", method, "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["closed_form"] == 242 and payload["stack"] == 242
+        assert payload["match"] is (True if method == "coset" else None)
+
+
+@pytest.mark.parametrize(
+    "g, l, q, message",
+    [
+        (2, 1, 9, "field size must be a prime: 9"),
+        (5, 5, 3, ffcount._UNSUPPORTED_HINT),
+    ],
+    ids=["q-not-prime", "no-closed-form"],
+)
+def test_count_closed_usage_errors(capsys, g, l, q, message):
+    assert main(["count", "--g", str(g), "--l", str(l), "--q", str(q),
+                 "--method", "closed"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.out == ""
+
+
+def test_count_enumeration_without_a_closed_form_leaves_the_cell_blank(capsys):
+    assert main(["count", "--g", "4", "--l", "4", "--q", "3", "--format", "csv"]) == 0
+    row = dict(zip(*(line.split(",") for line in capsys.readouterr().out.splitlines())))
+    assert row["closed_form"] == "" and row["match"] == ""
+    assert row["stack"] != ""
 
 
 def test_count_rejects_out_of_family_l(capsys):
@@ -392,7 +438,7 @@ def test_cache_with_a_cycle_type_spelled_twice_is_a_usage_error(
     for layer in payload["layers"]:
         layer["values"].append({"trace": "99"})
     path.write_text(json.dumps(payload))
-    with pytest.raises(ValueError, match="more than once"):
+    with pytest.raises(ValueError, match="cycle_types is not the list"):
         m0n._load_cache(path, 5)
 
     monkeypatch.setenv("HYPERSTAB_CACHE", str(tmp_path))
@@ -402,7 +448,7 @@ def test_cache_with_a_cycle_type_spelled_twice_is_a_usage_error(
     finally:
         m0n.equivariant_poincare_m0n.cache_clear()
     captured = capsys.readouterr()
-    assert "more than once" in captured.err
+    assert "cycle_types is not the list" in captured.err
     assert captured.out == ""
 
 
@@ -453,13 +499,13 @@ def _repeat_first_label(payload):
         (_edit_layer(1, lambda values: values[0].pop("trace")), "missing key 'trace'"),
         (lambda payload: [payload], "wrong type"),
         (lambda payload: {**payload, "layers": {"0": []}}, "wrong type"),
-        (lambda payload: {**payload, "cycle_types": "4"}, "wrong type"),
+        (lambda payload: {**payload, "cycle_types": "4"}, "cycle_types is not the list"),
         (_set_first_trace(["1"]), "wrong type"),
         (_set_first_trace(1.0), "not an integer"),
         (_edit_layer(1, lambda values: values.pop()), "layer 1 has 4 traces for 5"),
         (_edit_layer(0, lambda values: values.append({"trace": "1"})),
          "layer 0 has 6 traces for 5"),
-        (_repeat_first_label, "a cycle type is listed more than once"),
+        (_repeat_first_label, "cycle_types is not the list"),
         (lambda payload: {**payload, "layers": payload["layers"] * 2},
          "layer 0 is listed more than once"),
     ],

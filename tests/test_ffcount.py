@@ -30,7 +30,6 @@ from hyperstab.ffcount import (
     SectionTriple,
     apply_group_element,
     closed_form_count,
-    congruence_satisfied,
     enumerate_count,
     euler_identity_check,
     gl2_order,
@@ -374,18 +373,6 @@ def test_enumerate_count_budget_guard_names_feasible_grid():
         enumerate_count(5, 1, 3)
     with pytest.raises(ResourceGuardError):
         enumerate_count(2, 1, 3, tuple_budget=1000)
-
-
-def test_congruence_flag_reports_root_of_unity_availability():
-    # The ruled-surface index n = g+1-l needs n-th roots of unity in F_q
-    # only when n >= 3; the flag records it without blocking enumeration.
-    assert congruence_satisfied(2, 1, 3)       # n = 2: no condition
-    assert not congruence_satisfied(3, 1, 3)   # n = 3, 3 != 1 mod 3
-    assert congruence_satisfied(3, 1, 7)       # 7 == 1 mod 3
-    assert not congruence_satisfied(4, 1, 3)   # n = 4, 3 != 1 mod 4
-    assert congruence_satisfied(4, 1, 5)       # 5 == 1 mod 4
-    # Counts at a non-satisfying pair still enumerate and match the form.
-    assert enumerate_count(3, 1, 3).stack_count == 972
 
 
 # --------------------------------------------------------------------------

@@ -255,6 +255,10 @@ def test_cache_roundtrip(tmp_path):
     assert again.layers == ep.layers
 
 
+def _no_recompute(mu):
+    raise AssertionError("the cache file was not read")
+
+
 def test_cache_file_is_compact_and_indented_files_still_load(tmp_path, monkeypatch):
     written = tmp_path / "written"
     ep = m0n.equivariant_poincare_m0n(5, cache_dir=written)
@@ -269,15 +273,13 @@ def test_cache_file_is_compact_and_indented_files_still_load(tmp_path, monkeypat
         assert text.count(json.dumps(label, separators=(",", ":"))) == 1, label
     assert traces == [[ep.layers[i][mu] for mu in cycle_types] for i in range(3)]
 
-    indented = tmp_path / "indented"
-    indented.mkdir()
-    (indented / "m0n_5.json").write_text(json.dumps(payload, indent=1))
-
-    def no_recompute(mu):
-        raise AssertionError("the cache file was not read")
-
-    monkeypatch.setattr(m0n, "_integer_twisted_count", no_recompute)
-    assert m0n.equivariant_poincare_m0n(5, cache_dir=indented).layers == ep.layers
+    # any JSON whitespace loads: spaced separators, indents, tabs
+    monkeypatch.setattr(m0n, "_integer_twisted_count", _no_recompute)
+    for k, indent in enumerate((None, 1, "\t")):
+        layout = tmp_path / f"layout{k}"
+        layout.mkdir()
+        (layout / "m0n_5.json").write_text(json.dumps(payload, indent=indent))
+        assert m0n.equivariant_poincare_m0n(5, cache_dir=layout).layers == ep.layers
 
 
 def test_cache_env_var(tmp_path, monkeypatch):
@@ -313,27 +315,6 @@ def _relabel(label_of):
     return edit
 
 
-@pytest.mark.parametrize(
-    "edit, indent",
-    [
-        (_relabel(lambda label: label[::-1]), None),  # ["1", "2"] for (2, 1)
-        (_relabel(lambda label: ["0" + p for p in label]), None),  # "01"
-        (_relabel(lambda label: [int(p) for p in label]), None),  # [2, 1]
-        (lambda payload: None, 2),
-    ],
-    ids=["reordered", "zero-padded", "integers", "indented"],
-)
-def test_loader_accepts_every_label_spelling(tmp_path, monkeypatch, edit, indent):
-    computed = m0n.equivariant_poincare_m0n(6, cache_dir=tmp_path / "computed")
-    cache = _rewritten_cache(tmp_path, 6, edit, indent)
-
-    def no_recompute(mu):
-        raise AssertionError("the cache file was not read")
-
-    monkeypatch.setattr(m0n, "_integer_twisted_count", no_recompute)
-    assert m0n._load_cache(cache / "m0n_6.json", 6).layers == computed.layers
-
-
 def _shuffle_cycle_types(payload):
     order = list(range(len(payload["cycle_types"])))
     random.Random(7).shuffle(order)
@@ -342,20 +323,38 @@ def _shuffle_cycle_types(payload):
         layer["values"] = [layer["values"][j] for j in order]
 
 
-def test_loader_reads_shuffled_cycle_types_label_by_label(tmp_path, monkeypatch):
-    canonical = tmp_path / "canonical"
-    m0n.equivariant_poincare_m0n(7, cache_dir=canonical)
-    cache = _rewritten_cache(tmp_path, 7, _shuffle_cycle_types)
-    shuffled = json.loads((cache / "m0n_7.json").read_text())["cycle_types"]
-    assert shuffled != m0n._cycle_type_labels(7)
-    assert sorted(shuffled) == sorted(m0n._cycle_type_labels(7))
+def _add_stray_cycle_type(payload):
+    payload["cycle_types"].append(["7"])
+    for layer in payload["layers"]:
+        layer["values"].append({"trace": "1"})
 
-    def no_recompute(mu):
-        raise AssertionError("the cache file was not read")
 
-    monkeypatch.setattr(m0n, "_integer_twisted_count", no_recompute)
-    expected = m0n._load_cache(canonical / "m0n_7.json", 7).layers
-    assert m0n._load_cache(cache / "m0n_7.json", 7).layers == expected
+def _drop_first_cycle_type(payload):
+    del payload["cycle_types"][0]
+    for layer in payload["layers"]:
+        del layer["values"][0]
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _relabel(lambda label: label[::-1]),  # ["1", "2"] for (2, 1)
+        _relabel(lambda label: ["0" + p for p in label]),  # "01"
+        _relabel(lambda label: [int(p) for p in label]),  # [2, 1]
+        _shuffle_cycle_types,
+        _add_stray_cycle_type,
+        _drop_first_cycle_type,
+    ],
+    ids=["reordered", "zero-padded", "integers", "shuffled", "stray", "missing"],
+)
+def test_loader_rejects_any_other_cycle_types_list(tmp_path, monkeypatch, edit):
+    cache = _rewritten_cache(tmp_path, 6, edit)
+    path = cache / "m0n_6.json"
+    assert json.loads(path.read_text())["cycle_types"] != m0n._cycle_type_labels(6)
+    monkeypatch.setattr(m0n, "_integer_twisted_count", _no_recompute)
+    with pytest.raises(ValueError, match="delete the file to recompute it") as raised:
+        m0n._load_cache(path, 6)
+    assert str(path) in str(raised.value)
 
 
 # SHA-256 of the layer files as written before characters were stored densely;
@@ -375,22 +374,18 @@ def test_written_cache_files_keep_their_bytes(tmp_path, n):
 
 
 def test_loader_keeps_the_character_errors(tmp_path):
-    def stray(payload):
-        payload["cycle_types"].append(["7"])
-        for layer in payload["layers"]:
-            layer["values"].append({"trace": "1"})
+    def untrivial(payload):
+        payload["layers"][0]["values"][0]["trace"] = "2"
 
-    cache = _rewritten_cache(tmp_path / "stray", 5, stray)
-    with pytest.raises(ValueError, match="does not have weight 5"):
+    cache = _rewritten_cache(tmp_path / "untrivial", 5, untrivial)
+    with pytest.raises(ValueError, match="layer 0 is not the trivial character"):
         m0n._load_cache(cache / "m0n_5.json", 5)
 
-    def missing(payload):
-        del payload["cycle_types"][0]
-        for layer in payload["layers"]:
-            del layer["values"][0]
+    def layer_dropped(payload):
+        del payload["layers"][-1]
 
-    cache = _rewritten_cache(tmp_path / "missing", 5, missing)
-    with pytest.raises(ValueError, match=r"values missing for cycle types: \[\(5,\)\]"):
+    cache = _rewritten_cache(tmp_path / "dropped", 5, layer_dropped)
+    with pytest.raises(ValueError, match=r"expected layers 0..2, found \[0, 1\]"):
         m0n._load_cache(cache / "m0n_5.json", 5)
 
 

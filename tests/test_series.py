@@ -5,7 +5,6 @@ expansions are written out literally and convolved in the test, never through
 the module under test.
 """
 
-import json
 import random
 
 import pytest
@@ -198,16 +197,3 @@ def test_evaluate_t_ring_homomorphism_below_half_truncation():
         rhs = series.evaluate_t(a, t0) * series.evaluate_t(b, t0)
         assert lhs == rhs
 
-
-# --------------------------------------------------------------------------
-# serialization
-# --------------------------------------------------------------------------
-
-def test_json_roundtrip():
-    s = from_table({0: {0: 1}, 2: {-1: 3, 4: -2}, 5: {0: 7}}, 6)
-    blob = s.to_json()
-    payload = json.loads(blob)
-    assert payload["truncation"] == 6
-    entry = next(item for item in payload["terms"] if item["t"] == 2)
-    assert {(d["e"], d["c"]) for d in entry["L_coeffs"]} == {(-1, 3), (4, -2)}
-    assert GradedTateSeries.from_json(blob) == s

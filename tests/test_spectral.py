@@ -18,16 +18,13 @@ from hyperstab import m0n, spectral
 from hyperstab.spectral import (
     ConfigurationType,
     StratumClass,
-    codimension,
     differential_candidates,
     e1_column,
     five_point_configuration_table,
     five_point_stratum_table,
     scan_differential_system,
-    small_columns,
     stratum_homology,
     twisted_config_homology,
-    type_order,
     type_sort_key,
 )
 from hyperstab.symfunc import hall_inner_product_induced
@@ -140,9 +137,9 @@ def pairing_chains_consistent(cells):
 # --------------------------------------------------------------------------
 
 def test_codimension_examples():
-    assert codimension(CT(1, 0, 0)) == 3
-    assert codimension(CT(0, 0, 1)) == 5
-    assert codimension(CT(1, 1, 1)) == 11
+    assert CT(1, 0, 0).codimension == 3
+    assert CT(0, 0, 1).codimension == 5
+    assert CT(1, 1, 1).codimension == 11
 
 
 def test_configuration_type_validation():
@@ -153,9 +150,8 @@ def test_configuration_type_validation():
 
 
 def test_type_order_examples():
-    assert type_order(CT(1, 0, 0), CT(0, 0, 1)) == -1
-    assert type_order(CT(0, 0, 1), CT(1, 0, 0)) == 1
-    assert type_order(CT(2, 0, 0), CT(2, 0, 0)) == 0
+    assert type_sort_key(CT(1, 0, 0)) < type_sort_key(CT(0, 0, 1))
+    assert type_sort_key(CT(2, 0, 0)) == type_sort_key(CT(2, 0, 0))
     # inverse lexicographic among equal codimension and point count
     assert sorted([CT(0, 2, 0), CT(2, 0, 0), CT(1, 1, 0)], key=type_sort_key) == [
         CT(2, 0, 0),
@@ -164,7 +160,7 @@ def test_type_order_examples():
     ]
     # a big pile of points on the section comes before one fewer double line
     for N in (3, 5, 8):
-        assert type_order(CT(N, 0, 0), CT(0, 0, N - 1)) == -1
+        assert type_sort_key(CT(N, 0, 0)) < type_sort_key(CT(0, 0, N - 1))
 
 
 def test_type_order_matches_listed_sequence():
@@ -383,38 +379,6 @@ def test_column_rows_independent_of_section_dimension():
 def test_e1_column_requires_L_at_least_3():
     with pytest.raises(ValueError):
         e1_column(2, 40)
-
-
-# --------------------------------------------------------------------------
-# small-type columns (literal reference data)
-# --------------------------------------------------------------------------
-
-def test_small_columns_literals():
-    cols = small_columns()
-    by_types = {col.types: col for col in cols if col.types}
-
-    first = by_types[(CT(1, 0, 0), CT(0, 1, 0))]
-    assert first.rows == {-3: {1: 1}, -5: {2: 2}, -7: {3: 1}}
-    assert first.arrows_to_previous == ()
-
-    second = by_types[(CT(0, 0, 1),)]
-    assert second.rows == {-7: {3: 1}, -9: {4: 1}}
-    assert second.arrows_to_previous == (-7,)
-
-    third = by_types[(CT(2, 0, 0), CT(1, 1, 0), CT(0, 2, 0))]
-    assert third.rows == {-8: {3: 2}, -10: {4: 1}, -12: {5: 1}}
-
-    fourth = by_types[(CT(1, 0, 1), CT(0, 1, 1))]
-    assert fourth.rows == {-10: {4: 1}, -12: {5: 2}, -14: {6: 1}}
-    assert fourth.arrows_to_previous == (-10, -12)
-
-    fifth = by_types[(CT(0, 0, 2),)]
-    assert fifth.rows == {-14: {6: 1}}
-    assert fifth.arrows_to_previous == (-14,)
-
-    summary = [col for col in cols if col.post_differential]
-    assert len(summary) == 1
-    assert summary[0].rows == {-3: {1: 1}, -5: {2: 2}, -6: {3: 2}, -8: {4: 1}, -9: {5: 1}}
 
 
 # --------------------------------------------------------------------------

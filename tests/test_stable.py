@@ -6,8 +6,6 @@ consistency, the positive-n factor) is checked against independent
 recomputation.
 """
 
-from fractions import Fraction
-
 import pytest
 
 from hyperstab import m0n, spectral, stable
@@ -16,7 +14,6 @@ from hyperstab.stable import (
     StableCohomologyTable,
     cohomology_table,
     numerator_term,
-    stable_range,
     stable_series,
     stable_series_positive_n,
     table_from_series,
@@ -111,26 +108,6 @@ def test_positive_n_series():
     base = stable_series(10)
     expected = TatePolynomial({1: 1}) * base.term(8) + base.term(10)
     assert psn.term(10) == expected
-
-
-# --------------------------------------------------------------------------
-# stable range
-# --------------------------------------------------------------------------
-
-def test_stable_range_examples():
-    assert stable_range(38, 0) == 20
-    assert stable_range(10, 10) == 1
-    assert stable_range(5, 1) == 3
-    assert stable_range(3, 0) == Fraction(5, 2)
-
-
-def test_stable_range_domain():
-    with pytest.raises(ValueError):
-        stable_range(1, 0)
-    with pytest.raises(ValueError):
-        stable_range(5, -1)
-    with pytest.raises(ValueError):
-        stable_range(5, 7)
 
 
 # --------------------------------------------------------------------------

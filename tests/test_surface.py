@@ -1,0 +1,109 @@
+"""Every public name of the package is reached from the package itself, or kept.
+
+A module's public names are its ``__all__``; a module without one exports
+every top-level name that does not start with an underscore.  A name is
+reached when some module of the package refers to it outside its own
+definition and outside ``__all__``; importing it does not count.  The few
+names that nothing refers to are the oracles and API in ``KEPT``, each with
+the reason it stays.  A public name that is neither goes, with its tests.
+"""
+
+import ast
+from pathlib import Path
+
+import hyperstab
+
+PACKAGE = Path(hyperstab.__file__).parent
+
+# (module, name, why it stays although no module of the package refers to it)
+KEPT = (
+    ("ffcount", "psi_inverse",
+     "the inverse of the paper's substitution psi; psi_roundtrip_check runs "
+     "its row-wise form"),
+    ("linalg", "singularity_rows",
+     "the rows of one point; the oracle of the batched rows of the rank checks"),
+    ("m0n", "twisted_count_config_p1",
+     "the sparse-polynomial oracle of the integer layer counts"),
+    ("m0n", "brute_twisted_count",
+     "the oracle that counts by walking Frobenius orbits"),
+    ("symfunc", "z_order",
+     "centralizer order of one cycle type; the oracle of the Hall pairings"),
+    ("symfunc", "sign",
+     "sign of one cycle type; the oracle of the sign character"),
+    ("symfunc", "irreducible_character",
+     "one irreducible character value; the oracle of the dense characters"),
+)
+
+
+def _modules() -> dict:
+    return {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _is_all(node) -> bool:
+    return isinstance(node, ast.Assign) and any(
+        isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+    )
+
+
+def _definitions(tree) -> dict:
+    """Top-level name -> the node that defines it."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out[node.name] = node
+        elif isinstance(node, ast.Assign) and not _is_all(node):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    out[target.id] = node
+    return out
+
+
+def _public_names(tree) -> tuple:
+    for node in tree.body:
+        if _is_all(node):
+            return tuple(ast.literal_eval(node.value))
+    return tuple(name for name in _definitions(tree) if not name.startswith("_"))
+
+
+def _references(node) -> set:
+    """The names and attribute names used anywhere in ``node``."""
+    found = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            found.add(sub.attr)
+    return found
+
+
+def _unreached() -> set:
+    modules = _modules()
+    # one reference set per top-level node of the package, __all__ left out
+    uses = [
+        (node, _references(node))
+        for tree in modules.values()
+        for node in tree.body
+        if not _is_all(node)
+    ]
+    out = set()
+    for module, tree in modules.items():
+        definitions = _definitions(tree)
+        for name in _public_names(tree):
+            own = definitions.get(name)
+            if not any(name in refs for node, refs in uses if node is not own):
+                out.add((module, name))
+    return out
+
+
+def test_every_public_name_is_reached_or_kept():
+    kept = {(module, name) for module, name, _ in KEPT}
+    assert sorted(_unreached() - kept) == []
+
+
+def test_kept_names_are_public_unreached_and_explained():
+    modules = _modules()
+    unreached = _unreached()
+    for module, name, reason in KEPT:
+        assert name in _public_names(modules[module]), (module, name)
+        assert (module, name) in unreached, f"{module}.{name} is reached; drop it from KEPT"
+        assert reason, (module, name)
