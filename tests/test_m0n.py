@@ -273,13 +273,11 @@ def test_cache_file_is_compact_and_indented_files_still_load(tmp_path, monkeypat
         assert text.count(json.dumps(label, separators=(",", ":"))) == 1, label
     assert traces == [[ep.layers[i][mu] for mu in cycle_types] for i in range(3)]
 
-    # any JSON whitespace loads: spaced separators, indents, tabs
+    indented = tmp_path / "indented"
+    indented.mkdir()
+    (indented / "m0n_5.json").write_text(json.dumps(payload, indent=1))
     monkeypatch.setattr(m0n, "_integer_twisted_count", _no_recompute)
-    for k, indent in enumerate((None, 1, "\t")):
-        layout = tmp_path / f"layout{k}"
-        layout.mkdir()
-        (layout / "m0n_5.json").write_text(json.dumps(payload, indent=indent))
-        assert m0n.equivariant_poincare_m0n(5, cache_dir=layout).layers == ep.layers
+    assert m0n.equivariant_poincare_m0n(5, cache_dir=indented).layers == ep.layers
 
 
 def test_cache_env_var(tmp_path, monkeypatch):
@@ -313,6 +311,18 @@ def _relabel(label_of):
     def edit(payload):
         payload["cycle_types"] = [label_of(label) for label in payload["cycle_types"]]
     return edit
+
+
+@pytest.mark.parametrize(
+    "indent", [2, None, "\t"], ids=["indented", "spaced", "tabs"]
+)
+def test_loader_accepts_every_label_spelling(tmp_path, monkeypatch, indent):
+    # the labels must be written as the writer spells them; only the JSON
+    # whitespace around them may differ
+    computed = m0n.equivariant_poincare_m0n(6, cache_dir=tmp_path / "computed")
+    cache = _rewritten_cache(tmp_path, 6, lambda payload: None, indent)
+    monkeypatch.setattr(m0n, "_integer_twisted_count", _no_recompute)
+    assert m0n._load_cache(cache / "m0n_6.json", 6).layers == computed.layers
 
 
 def _shuffle_cycle_types(payload):
