@@ -14,10 +14,11 @@ Subcommands
 ``m0n``
     Emit the symmetric-group layer table of the genus-zero moduli space.
 ``count``
-    Enumerate one section-triple family and compare the closed form.  At
-    l = g+1 the closed forms count the g0prime stack; g0 is q+1 times larger,
-    so ``--variant g0`` compares against the closed form divided by q+1.
-    ``--method closed`` exits 2 where no closed form exists.
+    Enumerate one section-triple family and compare it with
+    ``ffcount.closed_form_count`` for the same (g, l, q, variant).
+    ``--method closed`` prints the closed form alone.  It exits 2 on bad
+    input (the pair is checked first, then q, then the variant) and where
+    no closed form exists.
 ``rankcheck``
     Re-run the evaluation-matrix rank verification for one type.
 
@@ -53,12 +54,9 @@ from pathlib import Path
 from . import __version__
 from .ffcount import (
     DEFAULT_SEED,
-    _validate_genus_pair,
-    _validate_odd_prime,
     closed_form_count,
     enumerate_count,
     euler_identity_check,
-    group_order,
     orbit_spot_check,
     psi_roundtrip_check,
     stratified_count,
@@ -495,24 +493,6 @@ def suite_tables() -> SuiteResult:
     return SuiteResult("tables", tuple(checks))
 
 
-def _expected_stack(g: int, l: int, q: int, variant: str | None = None):
-    """Closed-form stack count for an enumeration case of the suite grid.
-
-    At l = g+1 the closed forms count the g0prime stack; the count for the
-    larger group g0 is that one times |g0prime| / |g0|.
-    """
-    if l == 0:
-        return q ** (2 * g - 1)
-    if l == g + 1 and g >= 3:
-        count = closed_form_count(g, l, q, part="g0prime")
-    else:
-        count = closed_form_count(g, l, q)
-    if variant != "g0":
-        return count
-    value = Fraction(count * group_order(0, q, "g0prime"), group_order(0, q, "g0"))
-    return int(value) if value.denominator == 1 else value
-
-
 def suite_counts(budget: str = "small", seed: int = DEFAULT_SEED) -> SuiteResult:
     """Enumerated stack counts against closed forms, plus stratifications.
 
@@ -524,7 +504,7 @@ def suite_counts(budget: str = "small", seed: int = DEFAULT_SEED) -> SuiteResult
     checks = []
     for g, l, q, variant in cases:
         record = enumerate_count(g, l, q, variant=variant)
-        expected = _expected_stack(g, l, q)
+        expected = closed_form_count(g, l, q, variant=variant)
         cid = f"count-g{g}-l{l}-q{q}"
         checks.append(
             _check(
@@ -913,16 +893,12 @@ def cmd_count(args) -> int:
         variant = "g0prime" if l == g + 1 else None
     record = None
     if args.method == "closed":
-        # the input checks of enumerate_count, which this method skips
-        _validate_genus_pair(g, l)
-        _validate_odd_prime(q)
-        group_order(g + 1 - l, q, variant or "full")
-        closed = _expected_stack(g, l, q, variant)
+        closed = closed_form_count(g, l, q, variant=variant)
     else:
         method = "naive" if args.method == "brute" else args.method
         record = enumerate_count(g, l, q, variant=variant, method=method)
         try:
-            closed = _expected_stack(g, l, q, variant)
+            closed = closed_form_count(g, l, q, variant=variant)
         except ValueError:  # the case is valid, so it has no closed form
             closed = None
     row = {

@@ -7,7 +7,8 @@ beta^2 - 4 alpha gamma is square-free.  This module enumerates such triples
 over odd prime fields, divides by the order of the acting group to get stack
 counts, evaluates the known closed-form answers, stratifies the triples by
 how the leading form meets the discriminant, and checks the Euler
-characteristic of the stable series against the reversed count polynomials.
+characteristic of the stable series against the closed-form count
+polynomials, reversed.
 
 Enumeration never walks all q^(3g+6) tuples one by one: for a fixed nonzero
 alpha the map gamma -> beta^2 - 4 alpha gamma is a bijection onto a coset of
@@ -100,6 +101,27 @@ def _validate_genus_pair(g, l, *, within_family: bool = True) -> None:
         raise ValueError(f"genus must be at least 2: {g}")
     if l < 0 or (within_family and l > g + 1):
         raise ValueError(f"l must satisfy 0 <= l <= g+1 = {g + 1}: {l}")
+
+
+def _resolve_variant(g, l, variant):
+    """The acting group of the (g, l) family, for a validated pair.
+
+    For l <= g the surface index n = g+1-l is positive and the group is
+    pinned to ``full``; at l = g+1 the index-0 surface offers the larger
+    ``g0`` and the section-preserving ``g0prime``, so the caller must choose.
+    """
+    n = g + 1 - l
+    if n == 0:
+        if variant not in ("g0", "g0prime"):
+            raise ValueError(
+                "l = g+1 lands on the index-0 surface: pass variant='g0' or variant='g0prime'"
+            )
+        return variant
+    if variant not in (None, "full"):
+        raise ValueError(
+            f"for l <= g the acting group is the full index-{n} group; got variant={variant!r}"
+        )
+    return "full"
 
 
 # --------------------------------------------------------------------------
@@ -594,30 +616,18 @@ def enumerate_count(
 ) -> CountRecord:
     """Count triples with square-free discriminant and divide by the group.
 
-    For l <= g the surface index n = g+1-l is positive and the acting group
-    is pinned to ``full``; at l = g+1 the index-0 surface offers the larger
-    ``g0`` and the section-preserving ``g0prime``, so the caller must choose.
-    The stack count is an exact Fraction collapsed to int when integral.
+    The group is ``full`` for l <= g; at l = g+1 ``variant`` must name
+    ``g0`` or ``g0prime`` (see `_resolve_variant`).  The stack count is an
+    exact Fraction collapsed to int when integral.
     """
     _validate_genus_pair(g, l)
     _validate_odd_prime(q)
     if method not in ("coset", "naive"):
         raise ValueError(f"unknown method {method!r}: expected 'coset' or 'naive'")
     _check_budget(g, l, q, tuple_budget)
-    n = g + 1 - l
-    if n == 0:
-        if variant not in ("g0", "g0prime"):
-            raise ValueError(
-                "l = g+1 lands on the index-0 surface: pass variant='g0' or variant='g0prime'"
-            )
-    elif variant not in (None, "full"):
-        raise ValueError(
-            f"for l <= g the acting group is the full index-{n} group; got variant={variant!r}"
-        )
-    else:
-        variant = "full"
+    variant = _resolve_variant(g, l, variant)
     raw = _enumerate_raw(g, l, q, method=method)
-    order = group_order(n, q, variant)
+    order = group_order(g + 1 - l, q, variant)
     return CountRecord(
         g=g,
         l=l,
@@ -633,9 +643,8 @@ def enumerate_count(
 # --------------------------------------------------------------------------
 
 _UNSUPPORTED_HINT = (
-    "supported: l in {1, 2, 3} for any genus, l = 4 (part='stable' for any "
-    "genus, part='total' only when 12 divides g), and part='g0prime' at "
-    "l = g+1 for g in {3, 4}"
+    "supported: l in {0, 1, 2, 3} for any genus, l = 4 (part='stable' for any "
+    "genus, part='total' only when 12 divides g), and l = g+1 for g in {2, 3, 4}"
 )
 
 
@@ -652,20 +661,51 @@ def _stable_l4_form(g: int) -> QPolynomial:
     return quotient
 
 
-def closed_form_count(g: int, l: int, q: int | None = None, *, part: str = "total"):
+def closed_form_count(
+    g: int,
+    l: int,
+    q: int | None = None,
+    *,
+    variant: str | None = None,
+    part: str = "total",
+):
     """The closed-form stack count as a polynomial in q, or its value at q.
 
-    ``part`` selects the flavor: ``total`` for l in {1, 2, 3} (any genus)
-    and l = 4 (genus divisible by 12 only), ``stable`` for the
-    genus-independent part at l = 4, and ``g0prime`` for the marked-section
-    counts at l = g+1, available for g in {3, 4}.  The l = 4 quotient is
-    Euclidean division with the remainder discarded.  The degree-0
-    correction term in the l = 2 and l = 3 forms applies at even genus
-    only; see ``delta_sq`` below.
+    ``part="total"`` takes the (g, l, q, variant) of `enumerate_count` and,
+    wherever a form exists, equals that call's ``stack_count``: l in
+    {0, 1, 2, 3} for any genus, l = 4 when 12 divides g, and l = g+1 for g
+    in {2, 3, 4}.  The forms at l = g+1 count the ``g0prime`` stack; ``g0``
+    is q+1 times larger, so its form is the exact quotient by q+1.
+    ``part="stable"`` is the genus-independent l = 4 form for any genus and
+    takes no variant.  The l = 4 quotient is Euclidean division with the
+    remainder discarded.  Inputs are checked in the order pair, q, variant.
     """
-    if part not in ("total", "stable", "g0prime"):
-        raise ValueError(f"unknown part {part!r}: expected total, stable, or g0prime")
-    _validate_genus_pair(g, l, within_family=part != "stable")
+    if part not in ("total", "stable"):
+        raise ValueError(f"unknown part {part!r}: expected total or stable")
+    _validate_genus_pair(g, l, within_family=part == "total")
+    if q is not None:
+        _validate_odd_prime(q)
+    if part == "stable":
+        if l != 4 or variant is not None:
+            raise ValueError(
+                "part='stable' is the l = 4 genus-independent form and takes no "
+                f"variant; got l = {l}, variant = {variant!r}"
+            )
+        poly = _stable_l4_form(g)
+    else:
+        variant = _resolve_variant(g, l, variant)
+        poly = _total_form(g, l)
+        if variant == "g0":
+            poly = poly.divide_exact(QPolynomial({1: 1, 0: 1}))
+    return poly if q is None else poly(q)
+
+
+def _total_form(g: int, l: int) -> QPolynomial:
+    """The stack count of the (g, l) family; at l = g+1 that of ``g0prime``.
+
+    The degree-0 correction term in the l = 2 and l = 3 forms applies at
+    even genus only; see ``delta_sq``.
+    """
     # The correction term is nonzero exactly at even genus.  The opposite
     # parity would predict stack counts 324, 2915, 972 at (g, l, q) =
     # (2, 2, 3), (3, 2, 3), (2, 3, 3); exhaustive enumeration by three
@@ -673,36 +713,23 @@ def closed_form_count(g: int, l: int, q: int | None = None, *, part: str = "tota
     # rule at every measured point (q in {3, 5}, genera 2 through 5).
     delta_sq = 0 if g % 2 else 1
     q_plus_one = QPolynomial({1: 1, 0: 1})
-    if part == "g0prime":
-        if l != g + 1 or g not in (3, 4):
-            raise ValueError(
-                f"no closed form for the marked-section count at (g, l) = ({g}, {l}); {_UNSUPPORTED_HINT}"
-            )
+    if l == 0:
+        return QPolynomial({2 * g - 1: 1})
+    if l == g + 1 and g in (3, 4):
         if g == 3:
-            poly = QPolynomial({8: 1}) * q_plus_one
-        else:
-            poly = (
-                q_plus_one
-                * QPolynomial({2: 1})
-                * QPolynomial({9: 1, 3: 1, 2: -1, 1: -1, 0: -1})
-            )
-    elif part == "stable":
-        if l != 4:
-            raise ValueError(
-                f"part='stable' is the l = 4 genus-independent form; got l = {l}"
-            )
-        poly = _stable_l4_form(g)
-    elif l == 1:
-        poly = q_plus_one * QPolynomial({2 * g - 1: 1})
-    elif l == 2:
-        poly = q_plus_one * QPolynomial({2 * g: 1}) - QPolynomial({0: delta_sq})
-    elif l == 3:
-        poly = q_plus_one * (QPolynomial({2 * g + 1: 1}) - QPolynomial({0: delta_sq}))
-    elif l == 4:
-        if g % 12 != 0:
-            raise ValueError(
-                f"the l = 4 total is only available when 12 divides g; got g = {g}; {_UNSUPPORTED_HINT}"
-            )
+            return QPolynomial({8: 1}) * q_plus_one
+        return (
+            q_plus_one
+            * QPolynomial({2: 1})
+            * QPolynomial({9: 1, 3: 1, 2: -1, 1: -1, 0: -1})
+        )
+    if l == 1:
+        return q_plus_one * QPolynomial({2 * g - 1: 1})
+    if l == 2:
+        return q_plus_one * QPolynomial({2 * g: 1}) - QPolynomial({0: delta_sq})
+    if l == 3:
+        return q_plus_one * (QPolynomial({2 * g + 1: 1}) - QPolynomial({0: delta_sq}))
+    if l == 4 and g % 12 == 0:
         unstable = QPolynomial(
             {
                 3: -3 * g * g - g,
@@ -711,15 +738,8 @@ def closed_form_count(g: int, l: int, q: int | None = None, *, part: str = "tota
                 0: -6 * g * g + 5 * g,
             }
         )
-        poly = _stable_l4_form(g) + unstable
-    else:
-        raise ValueError(
-            f"no closed form for (g, l) = ({g}, {l}); {_UNSUPPORTED_HINT}"
-        )
-    if q is None:
-        return poly
-    _validate_odd_prime(q)
-    return poly(q)
+        return _stable_l4_form(g) + unstable
+    raise ValueError(f"no closed form for (g, l) = ({g}, {l}); {_UNSUPPORTED_HINT}")
 
 
 # --------------------------------------------------------------------------
@@ -1023,54 +1043,17 @@ def orbit_spot_check(
 # Euler characteristic identity
 # --------------------------------------------------------------------------
 
-def _power_series_inverse(coeffs, nterms):
-    """First ``nterms`` coefficients of 1/sum(coeffs[i] x^i), coeffs[0] = 1."""
-    out = [1]
-    for j in range(1, nterms):
-        acc = 0
-        for i in range(1, min(j, len(coeffs) - 1) + 1):
-            acc -= coeffs[i] * out[j - i]
-        out.append(acc)
-    return out
-
-
-def _reversed_count_series(l: int, window: int) -> dict:
-    """Reversal of the degree-(2g-1+l) count polynomial, g symbolically large.
-
-    Terms are carried as coeff * q^(2g + k); the reversed L-exponent of such
-    a term is l - 1 - k, independent of g.  Terms whose q-exponent does not
-    grow with g (the parity constants, the low-degree error of replacing the
-    Euclidean quotient by its power-series expansion) reverse to exponents
-    of size 2g - O(1) and leave every fixed window once g is large.
-    """
-    terms = []
-    if l == 1:
-        terms = [(1, 0), (1, -1)]
-    elif l == 2:
-        terms = [(1, 1), (1, 0)]
-    elif l == 3:
-        terms = [(1, 2), (1, 1)]
-    elif l == 4:
-        terms = [(1, 3), (1, 2)]
-        series = _power_series_inverse([1, 1, 1, 1], max(window - 5, 1))
-        for j, c in enumerate(series):
-            if 6 + j <= window:
-                terms.append((c, -3 - j))
-    out = {e: 0 for e in range(window + 1)}
-    for coeff, k in terms:
-        exponent = l - 1 - k
-        if 0 <= exponent <= window:
-            out[exponent] += coeff
-    return out
-
-
 def euler_identity_check(l: int, stable: GradedTateSeries) -> dict:
     """Compare (1+L) times the stable series at t = -1 with the reversed count.
 
-    The comparison window runs over L^0..L^ceil(3l/2); the right-hand side
-    is the reversed count polynomial with the genus symbolically large.  The
-    window is trustworthy only when the series truncation reaches twice the
-    window, since a degree-i term can carry L-exponents as low as i/2.
+    The comparison window runs over L^0..L^ceil(3l/2).  The right-hand side
+    reverses the genus-12 count polynomial of degree 23+l: rhs[e] is its
+    coefficient of q^(23+l-e).  Genus 12 is the smallest with a total form
+    for every l <= 4, and its terms whose q-exponent does not grow with g
+    (the parity constants, the unstable q^0..q^3 at l = 4) reverse to
+    exponents beyond every window.  The window is trustworthy only when the
+    series truncation reaches twice the window, since a degree-i term can
+    carry L-exponents as low as i/2.
     """
     if not isinstance(l, int) or isinstance(l, bool) or not 1 <= l <= 4:
         raise ValueError(f"closed-form counts feed this check for l = 1..4 only: {l!r}")
@@ -1082,5 +1065,6 @@ def euler_identity_check(l: int, stable: GradedTateSeries) -> dict:
     value = evaluate_t(stable, -1)
     product = TatePolynomial({0: 1, 1: 1}) * value
     lhs = {e: product.coefficient(e) for e in range(window + 1)}
-    rhs = _reversed_count_series(l, window)
+    count = closed_form_count(12, l)
+    rhs = {e: count.coefficient(23 + l - e) for e in range(window + 1)}
     return {"l": l, "window": window, "lhs": lhs, "rhs": rhs, "match": lhs == rhs}

@@ -126,10 +126,6 @@ class PointOnSurface:
             x, y, z = x / scale, y / scale, z / scale**n
         return cls("off_exceptional", (x, y, z), n)
 
-    @property
-    def ruling_line(self) -> tuple:
-        return self.coords[:2]
-
 
 def _integral_base(u, v) -> tuple:
     """(lam*u, lam*v, lam) with lam the lcm of the denominators of u and v."""

@@ -482,8 +482,8 @@ def _parse_cache(payload, n: int) -> dict:
     """The layers of a decoded cache file; raises KeyError, TypeError or ValueError.
 
     ``cycle_types`` must be spelled and ordered as `_save_cache` writes it.
-    Then every layer holds its traces in `partitions(n)` order and is taken
-    as it stands (`CharacterVector.from_vector`).
+    Then every layer holds its traces in `partitions(n)` order and goes to
+    the `CharacterVector` constructor as it stands.
     """
     if not isinstance(payload, dict):
         raise TypeError(f"the file holds a JSON {type(payload).__name__}, not an object")
@@ -511,7 +511,7 @@ def _parse_cache(payload, n: int) -> dict:
             raise ValueError(
                 f"layer {i} has {len(traces)} traces for {len(labels)} cycle types"
             )
-        layers[i] = CharacterVector.from_vector(n, traces)
+        layers[i] = CharacterVector(n, traces)
     return layers
 
 
@@ -553,7 +553,7 @@ def equivariant_poincare_m0n(n: int, cache_dir=None) -> EquivariantPoincare:
         for i, layer in enumerate(traces):
             value = quotient[n - 3 - i]
             layer.append(-value if i % 2 else value)
-    layers = {i: CharacterVector.from_vector(n, vector) for i, vector in enumerate(traces)}
+    layers = {i: CharacterVector(n, vector) for i, vector in enumerate(traces)}
     _validate_layers(n, layers, source=f"computed layers for n={n}")
     ep = EquivariantPoincare(n=n, layers=layers)
     _save_cache(path, ep)

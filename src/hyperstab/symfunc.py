@@ -149,39 +149,13 @@ class CharacterVector:
 
     ``vector`` holds one int per partition of the degree, in the order of
     `partitions(degree)`; ``values`` derives the same data as a fresh dict
-    keyed by those partitions.  The dict constructor accepts the cycle
-    lengths in any order and must be given a value for every partition of
-    the degree; `from_vector` takes the dense tuple as it stands.  Lookups
-    accept any ordering of the cycle lengths.
+    keyed by those partitions.  Lookups accept any ordering of the cycle
+    lengths.
     """
 
     __slots__ = ("degree", "vector")
 
-    def __init__(self, degree: int, values: dict):
-        expected = _positions(degree)
-        normalized = {}
-        stray = False
-        for mu, v in values.items():
-            if mu not in expected:
-                mu = canonical_partition(mu)
-                if sum(mu) != degree:
-                    raise ValueError(f"cycle type {mu} does not have weight {degree}")
-                stray = stray or mu not in expected
-            if type(v) is not int:
-                raise ValueError(f"character value at {mu} must be an integer: {v!r}")
-            normalized[mu] = v
-        if len(normalized) != len(values):
-            raise ValueError("a cycle type is given more than once, in another order")
-        # Every key is now a partition of the degree unless one was stray, so
-        # equal sizes mean equal key sets.
-        if stray or len(normalized) != len(expected):
-            missing = expected.keys() - normalized.keys()
-            raise ValueError(f"values missing for cycle types: {sorted(missing)}")
-        self.degree = degree
-        self.vector = tuple(map(normalized.__getitem__, partitions(degree)))
-
-    @classmethod
-    def from_vector(cls, degree: int, vector) -> "CharacterVector":
+    def __init__(self, degree: int, vector):
         """The class function whose value at ``partitions(degree)[j]`` is ``vector[j]``."""
         vector = tuple(vector)
         parts = partitions(degree)
@@ -193,10 +167,8 @@ class CharacterVector:
             for mu, v in zip(parts, vector):
                 if type(v) is not int:
                     raise ValueError(f"character value at {mu} must be an integer: {v!r}")
-        self = cls.__new__(cls)
         self.degree = degree
         self.vector = vector
-        return self
 
     @property
     def values(self) -> dict:
@@ -225,17 +197,17 @@ class CharacterVector:
 
     @classmethod
     def trivial(cls, n: int) -> "CharacterVector":
-        return cls.from_vector(n, (1,) * len(partitions(n)))
+        return cls(n, (1,) * len(partitions(n)))
 
     @classmethod
     def sign_character(cls, n: int) -> "CharacterVector":
-        return cls.from_vector(n, (_z_sign(mu)[1] for mu in partitions(n)))
+        return cls(n, (_z_sign(mu)[1] for mu in partitions(n)))
 
     @classmethod
     def irreducible(cls, lam) -> "CharacterVector":
         lam = canonical_partition(lam)
         n = sum(lam)
-        return cls.from_vector(n, (_mn(lam, mu) for mu in partitions(n)))
+        return cls(n, (_mn(lam, mu) for mu in partitions(n)))
 
 
 # A cycle type is also coded as one integer: a 16-bit field per part length d

@@ -28,12 +28,12 @@ from hyperstab.cli import (
     REFERENCE_FIVE_POINT_CONFIGURATION,
     REFERENCE_FIVE_POINT_STRATA,
     REFERENCE_STABLE_ROWS,
-    _expected_stack,
     suite_diffscan,
     suite_euler,
     suite_ranks,
 )
 from hyperstab.ffcount import (
+    closed_form_count,
     enumerate_count,
     psi_roundtrip_check,
     stratified_count,
@@ -207,8 +207,9 @@ def full_grid():
 
 def test_criterion_6_point_counts(full_grid):
     records, timings = full_grid
-    for (g, l, q), record in records.items():
-        assert record.stack_count == _expected_stack(g, l, q), (g, l, q)
+    for g, l, q, variant in COUNT_CASES_FULL:
+        expected = closed_form_count(g, l, q, variant=variant)
+        assert records[(g, l, q)].stack_count == expected, (g, l, q)
     assert sum(timings.values()) < 3600.0
     assert max(timings.values()) < 600.0
     _report(6, "PASS", f"{len(records)}/{len(records)} closed forms reproduced "

@@ -261,11 +261,12 @@ def test_count_csv_row(capsys):
 
 
 def test_count_closed_only(capsys):
-    assert main(["count", "--g", "3", "--l", "2", "--q", "3",
-                 "--method", "closed", "--format", "json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["stack"] == 2916
-    assert payload["raw"] is None and payload["match"] is None
+    for g, l, q, stack in ((3, 2, 3, 2916), (2, 0, 3, 27)):
+        assert main(["count", "--g", str(g), "--l", str(l), "--q", str(q),
+                     "--method", "closed", "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["stack"] == ffcount.closed_form_count(g, l, q) == stack
+        assert payload["raw"] is None and payload["match"] is None
 
 
 def test_count_g0_divides_the_g0prime_closed_form_by_q_plus_one(capsys):
@@ -282,8 +283,10 @@ def test_count_g0_divides_the_g0prime_closed_form_by_q_plus_one(capsys):
     [
         (2, 1, 9, "field size must be a prime: 9"),
         (5, 5, 3, ffcount._UNSUPPORTED_HINT),
+        # q is checked before the case is looked up
+        (5, 5, 9, "field size must be a prime: 9"),
     ],
-    ids=["q-not-prime", "no-closed-form"],
+    ids=["q-not-prime", "no-closed-form", "q-before-the-form"],
 )
 def test_count_closed_usage_errors(capsys, g, l, q, message):
     assert main(["count", "--g", str(g), "--l", str(l), "--q", str(q),

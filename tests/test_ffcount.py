@@ -11,7 +11,9 @@ Oracles:
   the enumerated stack counts;
 * brute-force orders of the small matrix groups acting on the triples;
 * the scalar walk of the substitution round trip, frozen as it stood before
-  the walk went to blocks of row operations.
+  the walk went to blocks of row operations;
+* the hand-typed term lists of the reversed count polynomials, frozen as
+  they stood before the Euler check read its right side off the closed forms.
 """
 
 import itertools
@@ -384,23 +386,52 @@ def test_closed_form_symbolic_small_l():
     assert closed_form_count(3, 1) == QPolynomial({6: 1, 5: 1})
     assert closed_form_count(2, 2) == QPolynomial({5: 1, 4: 1, 0: -1})
     assert closed_form_count(3, 2) == QPolynomial({7: 1, 6: 1})
-    assert closed_form_count(2, 3) == QPolynomial({6: 1, 5: 1, 1: -1, 0: -1})
+    # l = 3 is l = g+1 at g = 2, where the form counts the g0prime stack
+    assert closed_form_count(2, 3, variant="g0prime") == QPolynomial({6: 1, 5: 1, 1: -1, 0: -1})
     assert closed_form_count(3, 3) == QPolynomial({8: 1, 7: 1})
     assert closed_form_count(2, 1, 3) == 108
     assert closed_form_count(3, 2, 3) == 2916
-    assert closed_form_count(2, 3, 3) == 968
+    assert closed_form_count(2, 3, 3, variant="g0prime") == 968
 
 
 def test_closed_form_marked_section_cases():
-    assert closed_form_count(3, 4, part="g0prime") == QPolynomial({9: 1, 8: 1})
+    assert closed_form_count(3, 4, variant="g0prime") == QPolynomial({9: 1, 8: 1})
     expected = (
         QPolynomial({1: 1, 0: 1})
         * QPolynomial({2: 1})
         * QPolynomial({9: 1, 3: 1, 2: -1, 1: -1, 0: -1})
     )
-    assert closed_form_count(4, 5, part="g0prime") == expected
-    assert closed_form_count(3, 4, 3, part="g0prime") == 26244
-    assert closed_form_count(4, 5, 3, part="g0prime") == 709092
+    assert closed_form_count(4, 5, variant="g0prime") == expected
+    assert closed_form_count(3, 4, 3, variant="g0prime") == 26244
+    assert closed_form_count(4, 5, 3, variant="g0prime") == 709092
+
+
+def test_closed_form_count_answers_what_the_cli_answers():
+    # the l = 0 form
+    assert closed_form_count(2, 0) == QPolynomial({3: 1})
+    assert closed_form_count(2, 0, 3) == 27
+    # g0 at l = g+1: the g0prime form divided exactly by q+1
+    g0 = {(2, 3, 3): 242, (3, 4, 3): 6561, (4, 5, 3): 177273}
+    for (g, l, q), value in g0.items():
+        assert closed_form_count(g, l, q, variant="g0") == value
+        assert closed_form_count(g, l, q, variant="g0prime") == value * (q + 1)
+    for g, l, q in ((2, 3, 3), (3, 4, 3)):
+        assert enumerate_count(g, l, q, variant="g0").stack_count == g0[(g, l, q)]
+    hint = ffcount._UNSUPPORTED_HINT
+    assert "l in {0, 1, 2, 3}" in hint and "l = g+1 for g in {2, 3, 4}" in hint
+
+
+def test_closed_form_checks_the_pair_then_q_then_the_variant():
+    with pytest.raises(ValueError, match="l must satisfy"):
+        closed_form_count(2, 9, 9, variant="g0")
+    with pytest.raises(ValueError, match="field size must be a prime: 9"):
+        closed_form_count(3, 4, 9)
+    with pytest.raises(ValueError, match="field size must be a prime: 9"):
+        closed_form_count(5, 5, 9)
+    with pytest.raises(ValueError, match="index-0 surface"):
+        closed_form_count(3, 4, 3)
+    with pytest.raises(ValueError, match="full index-1 group"):
+        closed_form_count(3, 3, 3, variant="g0")
 
 
 def o_qpoly_floordiv(num, den):
@@ -478,18 +509,20 @@ def test_closed_form_total_l4_only_at_genus_multiples_of_twelve():
 
 
 def test_closed_form_rejects_unsupported_inputs():
-    with pytest.raises(ValueError, match="closed form"):
-        closed_form_count(2, 0)
     with pytest.raises(ValueError):
         closed_form_count(2, 5)
-    with pytest.raises(ValueError):
-        closed_form_count(2, 3, part="g0prime")  # marked forms exist for g in {3, 4}
-    with pytest.raises(ValueError):
-        closed_form_count(5, 6, part="g0prime")
+    with pytest.raises(ValueError, match="no closed form"):
+        closed_form_count(5, 6, variant="g0prime")  # l = g+1 forms exist for g <= 4
+    with pytest.raises(ValueError, match="no closed form"):
+        closed_form_count(5, 5)
     with pytest.raises(ValueError):
         closed_form_count(3, 3, part="stable")
+    with pytest.raises(ValueError, match="no variant"):
+        closed_form_count(12, 4, variant="full", part="stable")
     with pytest.raises(ValueError):
         closed_form_count(3, 1, part="nonsense")
+    with pytest.raises(ValueError, match="unknown part"):
+        closed_form_count(3, 4, part="g0prime")
 
 
 # --------------------------------------------------------------------------
@@ -960,6 +993,59 @@ def test_euler_identity_for_each_printed_section_count():
         assert report["match"] is True
         assert report["lhs"] == both_sides
         assert report["rhs"] == both_sides
+
+
+def o_power_series_inverse(coeffs, nterms):
+    """First ``nterms`` coefficients of 1/sum(coeffs[i] x^i), coeffs[0] = 1."""
+    out = [1]
+    for j in range(1, nterms):
+        acc = 0
+        for i in range(1, min(j, len(coeffs) - 1) + 1):
+            acc -= coeffs[i] * out[j - i]
+        out.append(acc)
+    return out
+
+
+def o_reversed_count_series(l, window):
+    """The reversed count polynomial over L^0..L^window, g symbolically large.
+
+    Frozen copy of the term lists typed into ``ffcount`` before the Euler
+    check read its right side off `closed_form_count`.  Terms are carried as
+    coeff * q^(2g + k); the reversed L-exponent of such a term is l - 1 - k.
+    """
+    terms = []
+    if l == 1:
+        terms = [(1, 0), (1, -1)]
+    elif l == 2:
+        terms = [(1, 1), (1, 0)]
+    elif l == 3:
+        terms = [(1, 2), (1, 1)]
+    elif l == 4:
+        terms = [(1, 3), (1, 2)]
+        series = o_power_series_inverse([1, 1, 1, 1], max(window - 5, 1))
+        for j, c in enumerate(series):
+            if 6 + j <= window:
+                terms.append((c, -3 - j))
+    out = {e: 0 for e in range(window + 1)}
+    for coeff, k in terms:
+        exponent = l - 1 - k
+        if 0 <= exponent <= window:
+            out[exponent] += coeff
+    return out
+
+
+def test_reversed_closed_forms_equal_the_frozen_term_lists():
+    # 1/(1 + x + x^2 + x^3) = (1 - x)/(1 - x^4)
+    assert o_power_series_inverse([1, 1, 1, 1], 9) == [1, -1, 0, 0, 1, -1, 0, 0, 1]
+    for l in (1, 2, 3, 4):
+        count = closed_form_count(12, l)
+        for window in range(15):
+            derived = {e: count.coefficient(23 + l - e) for e in range(window + 1)}
+            assert derived == o_reversed_count_series(l, window), (l, window)
+    series = stable_series(12)
+    for l in (1, 2, 3, 4):
+        report = euler_identity_check(l, series)
+        assert report["rhs"] == o_reversed_count_series(l, report["window"])
 
 
 def test_euler_identity_window_requires_enough_truncation():

@@ -143,15 +143,15 @@ def test_section_space_rejects_bad_parameters():
 def test_point_normalization_and_ruling_line():
     p = PointOnSurface.off_exceptional(2, 6, 8, 1)
     assert p.coords == (1, 3, 4)
-    assert p.ruling_line == (1, 3)
+    assert p.coords[:2] == (1, 3)
 
     q = PointOnSurface.off_exceptional(0, 2, 6, 1)
     assert q.coords == (0, 1, 3)
-    assert q.ruling_line == (0, 1)
+    assert q.coords[:2] == (0, 1)
 
     e = PointOnSurface.on_exceptional(3, 6)
     assert e.coords == (1, 2)
-    assert e.ruling_line == (1, 2)
+    assert e.coords[:2] == (1, 2)
 
     # weight enters the fiber coordinate normalization
     w = PointOnSurface.off_exceptional(2, 2, 8, 2)
@@ -387,7 +387,7 @@ def test_pair_on_ruling_line_has_rank_five():
     for _ in range(10):
         points = sample_configuration(CT(0, 0, 1), 7, 0, rng)
         assert len(points) == 2
-        assert points[0].ruling_line == points[1].ruling_line
+        assert points[0].coords[:2] == points[1].coords[:2]
         assert points[0] != points[1]
         rows = stacked_rows(points, space)
         assert kernel_dimension(rows) == space.dimension - 5
@@ -399,7 +399,7 @@ def test_type_111_cuts_eleven_conditions():
     space = SectionSpace(12, 1)
     for _ in range(10):
         points = sample_configuration(CT(1, 1, 1), 12, 1, rng)
-        lines = [p.ruling_line for p in points]
+        lines = [p.coords[:2] for p in points]
         assert len(points) == 4  # one on E, one off, one fiber pair
         assert len(set(lines)) == 3
         rows = stacked_rows(points, space)
@@ -416,7 +416,7 @@ def test_sample_configuration_structure():
     assert all(type(c) is int for p in points for c in p.coords)
     lines = {}
     for p in points:
-        lines.setdefault(p.ruling_line, []).append(p)
+        lines.setdefault(p.coords[:2], []).append(p)
     assert len(lines) == 7  # distinct sites
     paired = [group for group in lines.values() if len(group) == 2]
     assert len(paired) == 2
