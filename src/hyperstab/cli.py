@@ -72,6 +72,7 @@ from .spectral import (
     render_columns_csv,
     render_columns_markdown,
     scan_differential_system,
+    types_with_sites,
 )
 from .stable import cli_payload, cohomology_table, stable_series
 from .symfunc import schur_expand
@@ -262,12 +263,7 @@ COUNT_CASES_FULL = COUNT_CASES_SMALL + (
 )
 
 # the nine one- and two-site types plus every three-site type
-RANK_TYPES = tuple(
-    CT(k1, k2, sites - k1 - k2)
-    for sites in (1, 2, 3)
-    for k1 in range(sites + 1)
-    for k2 in range(sites + 1 - k1)
-)
+RANK_TYPES = tuple(c for sites in (1, 2, 3) for c in types_with_sites(sites))
 
 REQUIRED_CANDIDATES = (
     (CT(1, 3, 1), CT(2, 2, 1), "I"),

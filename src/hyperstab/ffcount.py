@@ -72,9 +72,6 @@ DEFAULT_TUPLE_BUDGET = 10**9
 # from 40 to 47 MB and saved no time.
 _PSI_BLOCK_ROWS = 1024
 
-_VARIANTS = ("full", "g0", "g0prime")
-
-
 def _validate_prime(q) -> None:
     if not fq.is_prime(q):
         raise ValueError(f"field size must be a prime: {q!r}")
@@ -103,14 +100,13 @@ def _validate_genus_pair(g, l, *, within_family: bool = True) -> None:
         raise ValueError(f"l must satisfy 0 <= l <= g+1 = {g + 1}: {l}")
 
 
-def _resolve_variant(g, l, variant):
-    """The acting group of the (g, l) family, for a validated pair.
+def _resolve_variant(n, variant):
+    """The acting group on the index-n surface; the (g, l) family has n = g+1-l.
 
-    For l <= g the surface index n = g+1-l is positive and the group is
-    pinned to ``full``; at l = g+1 the index-0 surface offers the larger
-    ``g0`` and the section-preserving ``g0prime``, so the caller must choose.
+    For n >= 1 (l <= g) the group is pinned to ``full``; at n = 0 (l = g+1)
+    the index-0 surface offers the larger ``g0`` and the section-preserving
+    ``g0prime``, so the caller must choose.
     """
-    n = g + 1 - l
     if n == 0:
         if variant not in ("g0", "g0prime"):
             raise ValueError(
@@ -386,34 +382,25 @@ def gl2_order(q: int) -> int:
     return (q * q - 1) * (q * q - q)
 
 
-def group_order(n: int, q: int, variant: str = "full") -> int:
+def group_order(n: int, q: int, variant: str | None = None) -> int:
     """Order of the group acting on section triples on the index-n surface.
 
     ``full`` (n >= 1): coordinate changes of the base, fiber rescalings, and
     translations by a degree-n form.  ``g0``: both rulings of the index-0
     surface, modulo the shared scalar.  ``g0prime``: the subgroup of ``g0``
     preserving the distinguished section, which degenerates to affine maps
-    of the fiber coordinate.
+    of the fiber coordinate.  Which variants an index allows is
+    `_resolve_variant`'s rule.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ValueError(f"surface index must be a nonnegative integer: {n!r}")
     _validate_prime(q)
+    variant = _resolve_variant(n, variant)
     if variant == "full":
-        if n == 0:
-            raise ValueError(
-                "the index-0 surface has the larger product group; choose variant='g0' or 'g0prime'"
-            )
         return gl2_order(q) * (q - 1) * q ** (n + 1)
     if variant == "g0":
-        if n != 0:
-            raise ValueError("variant 'g0' applies to the index-0 surface only")
-        order = gl2_order(q) ** 2
-        return order // (q - 1)
-    if variant == "g0prime":
-        if n != 0:
-            raise ValueError("variant 'g0prime' applies to the index-0 surface only")
-        return q * (q - 1) * gl2_order(q)
-    raise ValueError(f"unknown variant {variant!r}: expected one of {_VARIANTS}")
+        return gl2_order(q) ** 2 // (q - 1)
+    return q * (q - 1) * gl2_order(q)
 
 
 # --------------------------------------------------------------------------
@@ -625,9 +612,8 @@ def enumerate_count(
     if method not in ("coset", "naive"):
         raise ValueError(f"unknown method {method!r}: expected 'coset' or 'naive'")
     _check_budget(g, l, q, tuple_budget)
-    variant = _resolve_variant(g, l, variant)
-    raw = _enumerate_raw(g, l, q, method=method)
     order = group_order(g + 1 - l, q, variant)
+    raw = _enumerate_raw(g, l, q, method=method)
     return CountRecord(
         g=g,
         l=l,
@@ -693,7 +679,7 @@ def closed_form_count(
             )
         poly = _stable_l4_form(g)
     else:
-        variant = _resolve_variant(g, l, variant)
+        variant = _resolve_variant(g + 1 - l, variant)
         poly = _total_form(g, l)
         if variant == "g0":
             poly = poly.divide_exact(QPolynomial({1: 1, 0: 1}))

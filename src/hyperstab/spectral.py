@@ -5,7 +5,9 @@ lines; each configuration type contributes a block of Borel-Moore classes
 to a column indexed by its number of distinct sites.  This module computes
 those blocks, merges them into columns and scans the numerical admissibility
 system for differentials between blocks.  Columns start at three sites; the
-package holds no table of the one- and two-site columns.
+package holds no table of the one- and two-site columns.  The layer
+multiplicities of a block are the type pairings of `stable.type_pairings`,
+the same numbers the stable series is assembled from.
 """
 
 import csv
@@ -14,10 +16,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from . import m0n
-from .m0n import EquivariantPoincare
 from .series import GradedTateSeries, TatePolynomial
-from .symfunc import hall_inner_product_induced
+from .stable import type_pairings
 
 # Each PGL2-orbit factor carries a pair of classes: (weight drop, degree shift).
 _ORBIT_CLASSES = ((1, 3), (3, 6))
@@ -86,45 +86,21 @@ def _sorted_types_with_sites(sites: int) -> tuple:
 # twisted Borel-Moore homology of a configuration block
 # --------------------------------------------------------------------------
 
-def _layer_multiplicities(config: ConfigurationType, ep: EquivariantPoincare) -> dict:
-    """Multiplicity of each sign-twisted invariant layer, keyed by twist j.
-
-    Layer ``i`` of the site-labelling action sits at twist ``j = L - 3 - i``;
-    its multiplicity is the Hall pairing against the two sign factors and
-    the induced double-line factor.
-    """
-    L = config.site_count
-    out = {}
-    for i, layer in ep.layers.items():
-        mult = hall_inner_product_induced(layer, config.k1, config.k2, config.h)
-        if mult < 0:
-            raise ArithmeticError(f"negative layer multiplicity for {config}")
-        if mult:
-            out[L - 3 - i] = mult
-    return out
-
-
-def twisted_config_homology(
-    config: ConfigurationType, ep: EquivariantPoincare
-) -> GradedTateSeries:
+def twisted_config_homology(config: ConfigurationType) -> GradedTateSeries:
     """Twisted Borel-Moore homology of the configuration block for ``config``.
 
     Returns a graded series whose degree-``t`` term records Tate weights:
     the coefficient of ``L^(-w)`` in term ``t`` is the multiplicity of the
-    weight ``-2w`` piece in homological degree ``t``.  Requires at least
-    three sites and a labelling character table of matching size.
+    weight ``-2w`` piece in homological degree ``t``.  Layer ``i`` of the
+    site-labelling action sits at twist ``j = L - 3 - i``, with the
+    multiplicity ``type_pairings`` gives it.  Requires at least three sites.
     """
     L = config.site_count
-    if L < 3:
-        raise ValueError("twisted block homology needs at least three sites")
-    if ep.n != L:
-        raise ValueError(
-            f"labelling data is for {ep.n} sites, configuration has {L}"
-        )
     base_degree = 2 * config.k2 + 2 * config.h
     base_weight = config.k2 + config.h
     terms: dict = {}
-    for j, mult in _layer_multiplicities(config, ep).items():
+    for i, mult in type_pairings(config.k1, config.k2, config.h).items():
+        j = L - 3 - i
         for weight_drop, degree_shift in _ORBIT_CLASSES:
             t = base_degree + (L - 3) + j + degree_shift
             w = -(base_weight + j + weight_drop)
@@ -150,9 +126,7 @@ class StratumClass:
             raise ValueError("multiplicity must be positive")
 
 
-def stratum_homology(
-    config: ConfigurationType, v: int, ep: EquivariantPoincare
-) -> tuple:
+def stratum_homology(config: ConfigurationType, v: int) -> tuple:
     """Borel-Moore classes of one stratum, in the main-table row convention.
 
     ``v`` is the dimension of the ambient space of sections; the table row
@@ -161,7 +135,7 @@ def stratum_homology(
     site count align with the reference tables.
     """
     L = config.site_count
-    series = twisted_config_homology(config, ep)
+    series = twisted_config_homology(config)
     degree_shift = 2 * v - 8 * config.h - 5 * config.k1 - 5 * config.k2 - L
     classes = []
     for t, poly in series.terms.items():
@@ -185,13 +159,11 @@ class E1Column:
     classes: tuple
 
 
-def _column_cells(L: int, v: int, ep: EquivariantPoincare | None = None) -> dict:
+def _column_cells(L: int, v: int) -> dict:
     """(bm_degree, twist) -> [multiplicity, contributing types] for one column."""
-    if ep is None:
-        ep = m0n.equivariant_poincare_m0n(L)
     cells: dict = {}
     for config in _sorted_types_with_sites(L):
-        for cls in stratum_homology(config, v, ep):
+        for cls in stratum_homology(config, v):
             key = (cls.bm_degree, cls.weight_twist)
             entry = cells.setdefault(key, [0, []])
             entry[0] += cls.multiplicity
@@ -253,8 +225,7 @@ def five_point_configuration_table() -> dict:
                 continue
             h = (5 - k1 - k2) // 2
             config = ConfigurationType(k1, k2, h)
-            ep = m0n.equivariant_poincare_m0n(config.site_count)
-            series = twisted_config_homology(config, ep)
+            series = twisted_config_homology(config)
             if series.terms:
                 live.append((config, series))
     for config, series in live:
@@ -283,10 +254,9 @@ def five_point_stratum_table() -> dict:
     positions = {config: pos for pos, config in enumerate(_FIVE_POINT_COLUMNS, start=1)}
     v = 0
     for config in _FIVE_POINT_COLUMNS:
-        ep = m0n.equivariant_poincare_m0n(config.site_count)
         pos = positions[config]
         L = config.site_count
-        for cls in stratum_homology(config, v, ep):
+        for cls in stratum_homology(config, v):
             row = cls.bm_degree - 2 * v + (L + 1) - (pos + 2)
             table.setdefault(row, []).append((config, -cls.weight_twist))
     for row in table:

@@ -5,18 +5,22 @@ of L^{2k1+k2+3h} t^{3k1+k2+4h} shifted copies of the equivariant layer
 multiplicities of M_{0,k1+k2+h}, divided by (1+Lt)(1+L^2 t^3).  The n > 0
 variant multiplies by (1+Lt^2).  Expanding the result per degree into
 multisets of Tate twists gives the cohomology table.
+
+The layer multiplicities come from `type_pairings`, which the column code of
+`spectral` shares; it is the one place that pairs M_{0,n} layers with a type.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .m0n import EquivariantPoincare, equivariant_poincare_m0n
+from .m0n import equivariant_poincare_m0n
 from .series import GradedTateSeries, TatePolynomial, invert_unit, multiply
 from .symfunc import hall_inner_product_induced
 
 __all__ = [
     "StableCohomologyTable",
+    "type_pairings",
     "numerator_term",
     "stable_series",
     "stable_series_positive_n",
@@ -42,37 +46,48 @@ class StableCohomologyTable:
         return dict(self.rows.get(degree, {}))
 
 
-def numerator_term(
-    k1: int,
-    k2: int,
-    h: int,
-    ep: EquivariantPoincare,
-    *,
-    truncation: int | None = None,
-) -> GradedTateSeries:
-    """Contribution of one configuration type to the numerator sum.
+def type_pairings(k1: int, k2: int, h: int, top_layer: int | None = None) -> dict:
+    """{i: <H^i(M_{0,n}), e_{k1} e_{k2} h_h>} for the nonzero pairings, n = k1+k2+h.
 
-    Layer i of M_{0,k1+k2+h} enters with t-degree 3k1+k2+4h+i, Tate weight
-    2k1+k2+3h+i, and multiplicity <layer_i, e_{k1} e_{k2} h_h>.
+    Only the layers i <= ``top_layer`` are paired (every layer by default).
     """
     if min(k1, k2, h) < 0:
         raise ValueError("type components must be nonnegative")
     n = k1 + k2 + h
     if n < 3:
         raise ValueError(f"type ({k1},{k2},{h}) has fewer than 3 singular points")
-    if ep.n != n:
-        raise ValueError(f"layer data is for n={ep.n}, type needs n={n}")
-    base_weight = 2 * k1 + k2 + 3 * h
-    base_degree = 3 * k1 + k2 + 4 * h
-    top = truncation if truncation is not None else base_degree + (n - 3)
-    terms = {}
-    for i, layer in ep.layers.items():
-        t = base_degree + i
-        if t > top:
+    out = {}
+    for i, layer in equivariant_poincare_m0n(n).layers.items():
+        if top_layer is not None and i > top_layer:
             continue
         mult = hall_inner_product_induced(layer, k1, k2, h)
+        if mult < 0:
+            raise ArithmeticError(f"negative layer multiplicity for type ({k1},{k2},{h})")
         if mult:
-            terms[t] = TatePolynomial({base_weight + i: mult})
+            out[i] = mult
+    return out
+
+
+def numerator_term(
+    k1: int,
+    k2: int,
+    h: int,
+    *,
+    truncation: int | None = None,
+) -> GradedTateSeries:
+    """Contribution of one configuration type to the numerator sum.
+
+    Layer i of M_{0,k1+k2+h} enters with t-degree 3k1+k2+4h+i, Tate weight
+    2k1+k2+3h+i, and multiplicity <layer_i, e_{k1} e_{k2} h_h>; only the
+    layers with t-degree <= ``truncation`` are paired.
+    """
+    base_weight = 2 * k1 + k2 + 3 * h
+    base_degree = 3 * k1 + k2 + 4 * h
+    top = truncation if truncation is not None else base_degree + (k1 + k2 + h - 3)
+    terms = {
+        base_degree + i: TatePolynomial({base_weight + i: mult})
+        for i, mult in type_pairings(k1, k2, h, top - base_degree).items()
+    }
     return GradedTateSeries(top, terms)
 
 
@@ -115,8 +130,7 @@ def stable_series(
     bound = max(max_degree, triple_bound if triple_bound is not None else -1)
     numerator = GradedTateSeries.zero(max_degree)
     for k1, k2, h in _configuration_types(bound):
-        ep = equivariant_poincare_m0n(k1 + k2 + h)
-        numerator = numerator + numerator_term(k1, k2, h, ep, truncation=max_degree)
+        numerator = numerator + numerator_term(k1, k2, h, truncation=max_degree)
     inverse = invert_unit(_denominator(max_degree))
     return GradedTateSeries.one(max_degree) + multiply(numerator, inverse)
 

@@ -14,7 +14,7 @@ section for the full accounting.
 
 import pytest
 
-from hyperstab import m0n, spectral
+from hyperstab import m0n, spectral, stable
 from hyperstab.spectral import (
     ConfigurationType,
     StratumClass,
@@ -181,22 +181,15 @@ def as_table(s):
 
 
 def test_twisted_config_homology_examples():
-    ep3 = m0n.equivariant_poincare_m0n(3)
-    assert as_table(twisted_config_homology(CT(1, 1, 1), ep3)) == {
+    assert as_table(twisted_config_homology(CT(1, 1, 1))) == {
         7: {-3: 1},
         10: {-5: 1},
     }
-    assert as_table(twisted_config_homology(CT(0, 0, 3), ep3)) == {
+    assert as_table(twisted_config_homology(CT(0, 0, 3))) == {
         9: {-4: 1},
         12: {-6: 1},
     }
-    assert twisted_config_homology(CT(3, 0, 0), ep3).terms == {}
-
-
-def test_twisted_config_homology_degree_mismatch():
-    ep4 = m0n.equivariant_poincare_m0n(4)
-    with pytest.raises(ValueError):
-        twisted_config_homology(CT(1, 1, 1), ep4)
+    assert twisted_config_homology(CT(3, 0, 0)).terms == {}
 
 
 def test_five_point_configuration_table():
@@ -213,25 +206,23 @@ def test_five_point_configuration_table():
 
 
 def test_five_point_table_rejects_a_repeated_class(monkeypatch):
-    monkeypatch.setattr(spectral, "hall_inner_product_induced", lambda *args: 2)
+    monkeypatch.setattr(stable, "hall_inner_product_induced", lambda *args: 2)
     with pytest.raises(ArithmeticError, match="multiplicity"):
         five_point_configuration_table()
 
 
 def test_five_point_cancellation_pairing():
     """Arrow-paired columns cancel: they differ by one homological degree."""
-    ep3 = m0n.equivariant_poincare_m0n(3)
-    ep4 = m0n.equivariant_poincare_m0n(4)
     shifted = {
-        t + 1: p for t, p in twisted_config_homology(CT(0, 1, 2), ep3).terms.items()
+        t + 1: p for t, p in twisted_config_homology(CT(0, 1, 2)).terms.items()
     }
-    assert as_table(twisted_config_homology(CT(1, 2, 1), ep4)) == {
+    assert as_table(twisted_config_homology(CT(1, 2, 1))) == {
         t: dict(p.coeffs) for t, p in shifted.items()
     }
     shifted = {
-        t + 1: p for t, p in twisted_config_homology(CT(1, 0, 2), ep3).terms.items()
+        t + 1: p for t, p in twisted_config_homology(CT(1, 0, 2)).terms.items()
     }
-    assert as_table(twisted_config_homology(CT(2, 1, 1), ep4)) == {
+    assert as_table(twisted_config_homology(CT(2, 1, 1))) == {
         t: dict(p.coeffs) for t, p in shifted.items()
     }
 
@@ -241,17 +232,16 @@ def test_five_point_cancellation_pairing():
 # --------------------------------------------------------------------------
 
 def test_stratum_homology_examples():
-    ep3 = m0n.equivariant_poincare_m0n(3)
     v = 20
     cells = {
         (cls.bm_degree - 2 * v, cls.weight_twist): cls.multiplicity
-        for cls in stratum_homology(CT(0, 1, 2), v, ep3)
+        for cls in stratum_homology(CT(0, 1, 2), v)
     }
     assert cells == {(-12, 7): 1, (-15, 9): 1}
 
     cells = {
         (cls.bm_degree - 2 * v, cls.weight_twist): cls.multiplicity
-        for cls in stratum_homology(CT(1, 1, 1), v, ep3)
+        for cls in stratum_homology(CT(1, 1, 1), v)
     }
     assert cells == {(-11, 6): 1, (-14, 8): 1}
 
@@ -273,7 +263,7 @@ def test_stratum_total_dimension_preserves_product_structure():
                     hall_inner_product_induced(layer, k1, k2, h)
                     for layer in ep.layers.values()
                 )
-                total = sum(cls.multiplicity for cls in stratum_homology(c, 50, ep))
+                total = sum(cls.multiplicity for cls in stratum_homology(c, 50))
                 assert total == 2 * inner, c
 
 

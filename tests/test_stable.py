@@ -17,7 +17,9 @@ from hyperstab.stable import (
     stable_series,
     stable_series_positive_n,
     table_from_series,
+    type_pairings,
 )
+from hyperstab.symfunc import hall_inner_product_induced
 
 # degree -> {twist exponent: multiplicity}; omitted degrees are zero
 REFERENCE_ROWS = {
@@ -42,22 +44,46 @@ def series_coeffs(s: GradedTateSeries, t: int) -> dict:
 # numerator terms
 # --------------------------------------------------------------------------
 
+def test_type_pairings_equal_the_layer_route():
+    """Every type with n <= 8: the Hall pairing of each M_{0,n} layer."""
+    for n in range(3, 9):
+        layers = m0n.equivariant_poincare_m0n(n).layers
+        for k1 in range(n + 1):
+            for k2 in range(n + 1 - k1):
+                h = n - k1 - k2
+                pairs = {
+                    i: hall_inner_product_induced(layer, k1, k2, h)
+                    for i, layer in layers.items()
+                }
+                expected = {i: mult for i, mult in pairs.items() if mult}
+                assert type_pairings(k1, k2, h) == expected, (k1, k2, h)
+                for top in range(-1, n - 2):
+                    assert type_pairings(k1, k2, h, top) == {
+                        i: mult for i, mult in expected.items() if i <= top
+                    }, (k1, k2, h, top)
+
+
+def test_type_pairings_reject_invalid_types():
+    with pytest.raises(ValueError, match="nonnegative"):
+        type_pairings(-1, 2, 2)
+    with pytest.raises(ValueError, match="fewer than 3"):
+        type_pairings(1, 1, 0)
+
+
 def test_numerator_term_examples():
-    ep3 = m0n.equivariant_poincare_m0n(3)
-    term = numerator_term(1, 1, 1, ep3)
+    term = numerator_term(1, 1, 1)
     assert {t: dict(p.coeffs) for t, p in term.terms.items()} == {8: {6: 1}}
 
-    assert numerator_term(0, 3, 0, ep3).terms == {}
+    assert numerator_term(0, 3, 0).terms == {}
 
-    ep4 = m0n.equivariant_poincare_m0n(4)
-    term = numerator_term(2, 2, 0, ep4)
+    term = numerator_term(2, 2, 0)
     assert {t: dict(p.coeffs) for t, p in term.terms.items()} == {9: {7: 1}}
 
 
-def test_numerator_term_degree_mismatch():
-    ep4 = m0n.equivariant_poincare_m0n(4)
-    with pytest.raises(ValueError):
-        numerator_term(1, 1, 1, ep4)
+def test_numerator_term_rejects_a_negative_pairing(monkeypatch):
+    monkeypatch.setattr(stable, "hall_inner_product_induced", lambda *args: -1)
+    with pytest.raises(ArithmeticError, match="negative layer multiplicity"):
+        numerator_term(1, 1, 1)
 
 
 # --------------------------------------------------------------------------
@@ -148,7 +174,7 @@ def test_stable_series_shares_the_layer_cache_with_spectral():
     for L in range(3, 9):
         spectral.e1_column(L, 30)
         config = spectral.ConfigurationType(1, 0, L - 1)
-        spectral.twisted_config_homology(config, m0n.equivariant_poincare_m0n(L))
+        spectral.twisted_config_homology(config)
     spectral.five_point_configuration_table()
     assert m0n.equivariant_poincare_m0n.cache_info().misses == misses
 

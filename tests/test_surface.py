@@ -7,7 +7,9 @@ spelled ``Class.method``.  A name is reached when some module of the package
 refers to it outside its own definition and outside ``__all__``; importing it
 does not count, and a method is matched by its bare name.  The few names that
 nothing refers to are the oracles and API in ``KEPT``, each with the reason it
-stays.  A public name that is neither goes, with its tests.
+stays.  A public name that is neither goes, with its tests.  The last check
+keeps the pairing of M_{0,n} layers with a configuration type in one place:
+only the definitions in ``CALLERS`` call the layer route.
 """
 
 import ast
@@ -138,3 +140,31 @@ def test_kept_names_are_public_unreached_and_explained():
         assert name in _public(modules[module]), (module, name)
         assert (module, name) in unreached, f"{module}.{name} is reached; drop it from KEPT"
         assert reason, (module, name)
+
+
+# function -> the (module, top-level definition) pairs that may call it: the
+# pairing of M_{0,n} layers with a configuration type is decided in one place
+CALLERS = {
+    "hall_inner_product_induced": {("stable", "type_pairings")},
+    "equivariant_poincare_m0n": {("stable", "type_pairings"), ("cli", "cmd_m0n")},
+}
+
+
+def _call_sites(name) -> set:
+    """(module, top-level definition) of every call of ``name`` in the package."""
+    out = set()
+    for module, tree in _modules().items():
+        for node in tree.body:
+            for sub in ast.walk(node):
+                if not isinstance(sub, ast.Call):
+                    continue
+                func = sub.func
+                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if called == name:
+                    out.add((module, getattr(node, "name", None)))
+    return out
+
+
+def test_type_pairings_are_the_one_caller_of_the_layer_route():
+    for name, allowed in CALLERS.items():
+        assert _call_sites(name) <= allowed, name
