@@ -21,6 +21,8 @@ Subcommands
     no closed form exists.
 ``rankcheck``
     Re-run the evaluation-matrix rank verification for one type.
+    ``--witness`` runs the below-bound witness at its own type, d and n; it
+    exits 2 if given ``--type``, ``--d``, ``--n`` or ``--modulus``.
 
 Every command accepts ``--out DIR`` to write its report files together with
 ``manifest.json`` (input flags, library versions, seeds, and SHA-256 hashes
@@ -934,6 +936,14 @@ def _parse_type(text: str) -> ConfigurationType:
 
 
 def cmd_rankcheck(args) -> int:
+    fixed = [flag for flag in ("type", "d", "n", "modulus") if getattr(args, flag) is not None]
+    if args.witness and fixed:
+        raise ValueError(
+            "--witness runs type 2,0,0 at d = 3, n = 1 over Q and takes no "
+            + ", ".join(f"--{flag}" for flag in fixed)
+        )
+    if args.n is None:
+        args.n = 0  # the default twist, recorded as such in the manifest
     if args.witness:
         report = rank_drop_witness(trials=args.trials, seed=args.seed)
     else:
@@ -1014,12 +1024,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rankcheck", help="verify evaluation-matrix ranks for one type")
     p.add_argument("--type", help="configuration type as k1,k2,h")
     p.add_argument("--d", type=int)
-    p.add_argument("--n", type=int, default=0)
+    p.add_argument("--n", type=int, help="twist (default 0)")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--modulus", type=int)
     p.add_argument("--witness", action="store_true",
-                   help="run the below-bound rank-drop witness instead")
+                   help="run the below-bound rank-drop witness instead "
+                        "(takes --trials and --seed only)")
     p.add_argument("--format", choices=("json", "md"), default="json")
     p.add_argument("--out")
     p.set_defaults(func=cmd_rankcheck)

@@ -8,13 +8,17 @@ module builds those conditions explicitly, computes kernel dimensions by
 fraction-free elimination, and verifies that random configurations of a
 fixed type always cut out the expected codimension 3*k1 + 3*k2 + 5*h.
 
-The verification certifies most trials without the integer elimination: a
-rank modulo a prime is a lower bound on the rank over Q, and one exact
-linear relation per fiber pair (``_pairs_certified``) bounds it above by the
-codimension.  Trials where the two bounds do not meet fall back to Bareiss.
+``_row_array`` is the one formula for the rows: exact Python integers, or
+int64 residues modulo a prime below 2^31 built from reduced power tables.
+The verification samples integer coordinates and certifies most trials
+without exact integers: the rank of the residue rows modulo a prime is a
+lower bound on the rank over Q, and one exact linear relation per fiber
+pair (``_pairs_certified``), checked on exact rows of the pair points only,
+bounds it above by the codimension.  A trial where the two bounds do not
+meet gets its own exact rows and falls back to Bareiss.
 
-No command calls `singularity_rows`, the rows of one point; it is the oracle
-of the batched rows that the verification builds.
+No command calls `singularity_rows`, the rows of one rational point; it is
+the oracle of the rows that the verification builds.
 """
 
 from __future__ import annotations
@@ -166,28 +170,89 @@ def _integral_point(point: PointOnSurface, space: SectionSpace) -> tuple:
     return (u, v) + _SECTION_FIBER
 
 
-def _power_tables(bases: np.ndarray, top: int) -> tuple:
-    """Object arrays of base^e and of e*base^(e-1), e = 0..top, one row per base."""
+def _power_tables(bases: np.ndarray, top: int, p: int | None) -> tuple:
+    """base^e and e*base^(e-1) for e = 0..top, along a new last axis; mod p unless p is None."""
     import numpy as np
 
-    powers = np.empty((len(bases), top + 1), dtype=object)
-    powers[:, 0] = 1
+    powers = np.empty(bases.shape + (top + 1,), dtype=bases.dtype)
+    powers[..., 0] = 1
     for e in range(1, top + 1):
-        powers[:, e] = powers[:, e - 1] * bases
+        powers[..., e] = _reduce(powers[..., e - 1] * bases, p)
     derivatives = np.empty_like(powers)
-    derivatives[:, 0] = 0
-    derivatives[:, 1:] = powers[:, :-1] * np.arange(1, top + 1, dtype=object)
+    derivatives[..., 0] = 0
+    derivatives[..., 1:] = _reduce(
+        powers[..., :-1] * np.arange(1, top + 1, dtype=bases.dtype), p
+    )
     return powers, derivatives
 
 
-def _singularity_array(configurations, space: SectionSpace) -> np.ndarray:
-    """The stacked singularity rows of equal-size configurations, as one array.
+def _reduce(values, p: int | None):
+    return values if p is None else values % p
 
-    The result has shape (configurations, 3 * points, space.dimension) and
-    ``dtype=object``, so its entries are exact Python integers; the rows of
-    each configuration are those of its points in order, three per point, as
-    ``singularity_rows`` gives them.  Each point is moved to integers once
-    and its rows are products of its power tables, indexed by the basis.
+
+def _row_array(x, y, zp, dz, space: SectionSpace, p: int | None = None) -> np.ndarray:
+    """The singularity rows of a batch of integral points, the one row formula.
+
+    ``y`` has shape (batch, points), ``x`` the same shape or ``None`` for
+    points in the chart x = 1, and the fiber tables ``zp`` and ``dz`` (see
+    ``_integral_point``) shape (batch, points, 3).  The rows of a point are
+    x^a y^b zp[c] differentiated in x, in y, and with dz[c] for the fiber,
+    one entry per monomial x^a y^b z^c of the basis; in the chart x = 1,
+    x^a is 1 and its x-derivative a.  The result has shape (batch,
+    3 * points, space.dimension), three rows per point in order.  With
+    ``p=None`` the entries are exact Python integers in an ``object`` array.
+    A prime p below 2^31 gives int64 residues: the power tables are reduced
+    mod p and so is every product of two residues, which fits int64.  A
+    larger p gives the exact rows reduced mod p.
+    """
+    import numpy as np
+
+    word = p is not None and p < 2**31
+    q = p if word else None
+    dtype = np.int64 if word else object
+
+    def residues(values):
+        return _reduce(np.asarray(values).astype(dtype), q)
+
+    a, b, c = np.array(space.monomials, dtype=np.intp).T
+    yp, dyp = _power_tables(residues(y), space.d, q)
+    yb, dyb = yp[..., b], dyp[..., b]
+    if x is None:
+        dxa_yb, xa_dyb, xa_yb = _reduce(a.astype(dtype) * yb, q), dyb, yb
+    else:
+        xp, dxp = _power_tables(residues(x), space.d, q)
+        xa = xp[..., a]
+        dxa_yb = _reduce(dxp[..., a] * yb, q)
+        xa_dyb, xa_yb = _reduce(xa * dyb, q), _reduce(xa * yb, q)
+    zc, dzc = residues(zp)[..., c], residues(dz)[..., c]
+    rows = np.stack(
+        (_reduce(dxa_yb * zc, q), _reduce(xa_dyb * zc, q), _reduce(xa_yb * dzc, q)), axis=2
+    )
+    rows = rows.reshape(yb.shape[0], 3 * yb.shape[1], space.dimension)
+    return rows if word else _reduce(rows, p)
+
+
+def _sampled_points(slopes: np.ndarray, fibers: np.ndarray, on_section: int) -> tuple:
+    """``_row_array``'s (x, y, zp, dz) of sampled points: x = 1, so ``None``.
+
+    The first ``on_section`` points of each row of ``slopes`` are [1, s] on
+    the section; the others are (1, s, z) with z the fiber value.
+    """
+    import numpy as np
+
+    ones = np.ones_like(slopes)
+    zp = np.stack((ones, fibers, fibers * fibers), axis=-1)
+    dz = np.stack((0 * ones, ones, 2 * fibers), axis=-1)
+    zp[:, :on_section], dz[:, :on_section] = _SECTION_FIBER
+    return None, slopes, zp, dz
+
+
+def _singularity_array(configurations, space: SectionSpace) -> np.ndarray:
+    """The exact singularity rows of equal-size configurations of rational points.
+
+    Each point is moved to integers by ``_integral_point``, and the batch
+    goes through ``_row_array``; the result has shape (configurations,
+    3 * points, space.dimension) and holds Python integers.
     """
     import numpy as np
 
@@ -198,15 +263,10 @@ def _singularity_array(configurations, space: SectionSpace) -> np.ndarray:
     xs, ys, zp, dz = zip(*(
         _integral_point(point, space) for points in configurations for point in points
     ))
-    a, b, c = np.array(space.monomials, dtype=np.intp).T
-    xp, dxp = _power_tables(np.array(xs, dtype=object), space.d)
-    yp, dyp = _power_tables(np.array(ys, dtype=object), space.d)
-    zp, dz = np.array(zp, dtype=object), np.array(dz, dtype=object)
-    xa, yb, zc = xp[:, a], yp[:, b], zp[:, c]
-    rows = np.stack(
-        (dxp[:, a] * yb * zc, xa * dyp[:, b] * zc, xa * yb * dz[:, c]), axis=1
-    )
-    return rows.reshape(len(configurations), 3 * size, space.dimension)
+    shape = (len(configurations), size)
+    x, y = (np.array(v, dtype=object).reshape(shape) for v in (xs, ys))
+    zp, dz = (np.array(v, dtype=object).reshape(shape + (3,)) for v in (zp, dz))
+    return _row_array(x, y, zp, dz, space)
 
 
 def singularity_rows(point: PointOnSurface, space: SectionSpace) -> tuple:
@@ -280,16 +340,21 @@ def _ranks_mod_p(matrices, p: int) -> np.ndarray:
     Every matrix is eliminated with its own pivots, all of them in the same
     array operations.  A row below the pivot becomes lead*row - entry*pivot,
     a row operation with a unit factor, so no inverse is needed.  Below
-    2^31 the residues and the product of any two fit in int64; larger
-    primes run the same code on Python integers in an ``object`` array.
+    2^31 the residues and the product of any two fit in int64, and an int64
+    batch, such as the residue rows of ``_row_array``, is reduced without
+    leaving int64; larger primes, and entries beyond int64, run the same
+    code on Python integers in an ``object`` array.
     """
     import numpy as np
 
     if not len(matrices):
         return np.zeros(0, dtype=np.intp)
-    m = np.asarray(matrices, dtype=object) % p
+    m = np.asarray(matrices)
+    if m.dtype != np.int64 or p >= 2**31:
+        m = m.astype(object)
+    m = m % p
     if p < 2**31:
-        m = m.astype(np.int64)
+        m = m.astype(np.int64, copy=False)
     batch, n_rows, n_cols = m.shape
     rank = np.zeros(batch, dtype=np.intp)
     row_ids = np.arange(n_rows)
@@ -332,40 +397,41 @@ def _degree_bound(config: ConfigurationType, n: int) -> Fraction:
 
 
 def sample_configuration(
-    config: ConfigurationType, d: int, n: int, rng: random.Random, box: int = 50
+    config: ConfigurationType, rng: random.Random, box: int = 50
 ) -> tuple:
     """Random configuration of the given type with distinct ruling lines.
 
-    Slopes and fiber coordinates are integers drawn uniformly from a box,
-    redrawn on collision; points on the section come first, then single
-    off-section points, then fiber pairs (adjacent in the result).
+    Returns (slopes, fibers), one integer of each per point, drawn uniformly
+    from a box and redrawn on collision: the k1 points [1, s] on the section
+    come first (fiber 0), then the k2 single points (1, s, z) off it, then
+    the h fiber pairs (1, s, z1), (1, s, z2), adjacent.
     """
     box = max(box, 3 * config.site_count)
-    slopes: set = set()
+    used: set = set()
 
     def fresh_slope() -> int:
         while True:
             s = rng.randint(-box, box)
-            if s not in slopes:
-                slopes.add(s)
+            if s not in used:
+                used.add(s)
                 return s
 
-    points = []
+    slopes, fibers = [], []
     for _ in range(config.k1):
-        points.append(PointOnSurface.on_exceptional(1, fresh_slope()))
+        slopes.append(fresh_slope())
+        fibers.append(0)
     for _ in range(config.k2):
-        points.append(
-            PointOnSurface.off_exceptional(1, fresh_slope(), rng.randint(-box, box), n)
-        )
+        slopes.append(fresh_slope())
+        fibers.append(rng.randint(-box, box))
     for _ in range(config.h):
         s = fresh_slope()
         z1 = rng.randint(-box, box)
         z2 = rng.randint(-box, box)
         while z2 == z1:
             z2 = rng.randint(-box, box)
-        points.append(PointOnSurface.off_exceptional(1, s, z1, n))
-        points.append(PointOnSurface.off_exceptional(1, s, z2, n))
-    return tuple(points)
+        slopes += (s, s)
+        fibers += (z1, z2)
+    return tuple(slopes), tuple(fibers)
 
 
 def _validate_modulus(modulus: int, d: int, n: int) -> None:
@@ -380,47 +446,59 @@ def _validate_modulus(modulus: int, d: int, n: int) -> None:
 
 
 def _pairs_certified(
-    configurations, rows: np.ndarray, config: ConfigurationType, space: SectionSpace
+    slopes: np.ndarray, fibers: np.ndarray, config: ConfigurationType, space: SectionSpace
 ) -> np.ndarray:
     """Which trials' fiber pairs all satisfy the Euler relation exactly.
 
-    ``rows`` is the ``_singularity_array`` of the configurations.  For
-    p1 = (1, s, z1) and p2 = (1, s, z2) on one ruling line, Euler's identity
-    for each coefficient form gives, for every section f,
+    ``slopes`` and ``fibers`` are the sampled coordinates of a block of
+    trials, one row per trial.  For p1 = (1, s, z1) and p2 = (1, s, z2) on
+    one ruling line, Euler's identity for each coefficient form gives, for
+    every section f,
 
         2(f_x + s f_y)(p1) - 2(f_x + s f_y)(p2)
           + [2(d-n) z2 - (d-2n)(z1+z2)] f_z(p1)
           + [(d-2n)(z1+z2) - 2(d-n) z1] f_z(p2) = 0.
 
-    The relation is checked on the rows themselves, so wherever it holds it
-    is a linear dependency (its first coefficient is 2).  The h relations
-    have disjoint supports, so when all hold the rank is at most rows - h,
-    which is the codimension.  Pairs are the trailing points, adjacent, as
-    ``sample_configuration`` orders them; a trial with a pair point not of
-    the form (1, s, z) with integer s and z gets no certificate.
+    The relation is checked on the exact rows of the 2h pair points, the
+    only exact rows a certified trial needs, so wherever it holds it is a
+    linear dependency (its first coefficient is 2).  The h relations have
+    disjoint supports, so when all hold the rank is at most rows - h, which
+    is the codimension.  Pairs are the trailing points, adjacent, as
+    ``sample_configuration`` orders them, and s is read from the first
+    point of each pair.
     """
     import numpy as np
 
+    h = config.h
+    if not h:
+        return np.ones(len(slopes), dtype=bool)
     d, n = space.d, space.n
-    first = config.k1 + config.k2
-    certified = np.ones(len(configurations), dtype=bool)
-    for i in range(first, first + 2 * config.h, 2):
-        weights = []  # (s, w1, w2) per trial; zeros where the guard fails
-        for trial, points in enumerate(configurations):
-            coords = points[i].coords + points[i + 1].coords
-            if any(c.denominator != 1 for c in coords) or (coords[0], coords[3]) != (1, 1):
-                certified[trial] = False
-                weights.append((0, 0, 0))
-                continue
-            _, s, z1, _, _, z2 = map(int, coords)
-            w1 = 2 * (d - n) * z2 - (d - 2 * n) * (z1 + z2)
-            w2 = (d - 2 * n) * (z1 + z2) - 2 * (d - n) * z1
-            weights.append((s, w1, w2))
-        s, w1, w2 = np.array(weights, dtype=object).T[:, :, None]
-        x1, y1, f1, x2, y2, f2 = rows[:, 3 * i : 3 * i + 6].transpose(1, 0, 2)
-        relation = 2 * (x1 + s * y1 - x2 - s * y2) + w1 * f1 + w2 * f2
-        certified &= ~(relation != 0).any(axis=1)
-    return certified
+    slopes, fibers = slopes[:, -2 * h :], fibers[:, -2 * h :]
+    rows = _row_array(*_sampled_points(slopes, fibers, 0), space)
+    s, z1, z2 = slopes[:, ::2], fibers[:, ::2], fibers[:, 1::2]
+    w1 = 2 * (d - n) * z2 - (d - 2 * n) * (z1 + z2)
+    w2 = (d - 2 * n) * (z1 + z2) - 2 * (d - n) * z1
+    s, w1, w2 = (v.astype(object)[..., None] for v in (s, w1, w2))
+    x1, y1, f1, x2, y2, f2 = rows.reshape(len(rows), h, 6, -1).transpose(2, 0, 1, 3)
+    relation = 2 * (x1 - x2 + s * (y1 - y2)) + w1 * f1 + w2 * f2
+    return ~(relation != 0).any(axis=(1, 2))
+
+
+@lru_cache(maxsize=1)
+def _sampled_block(config: ConfigurationType, seed: int, block: range) -> tuple:
+    """(slopes, fibers) of the trials in ``block``, read-only int64, a row per trial.
+
+    The draws depend on the type, the seed and the trial only, not on d or
+    n, so ``verify ranks``, which checks each type at two twists in a row,
+    samples each block once.
+    """
+    import numpy as np
+
+    samples = (sample_configuration(config, random.Random(f"{seed}:{t}")) for t in block)
+    arrays = tuple(np.array(column, dtype=np.int64) for column in zip(*samples))
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
 
 
 # Trials sampled, built and ranked together in verify_bundle_rank.  At least
@@ -467,15 +545,12 @@ def verify_bundle_rank(
     failures = []
     for start in range(0, trials, _RANK_BLOCK_TRIALS):
         block = range(start, min(trials, start + _RANK_BLOCK_TRIALS))
-        configurations = [
-            sample_configuration(config, d, n, random.Random(f"{seed}:{trial}"))
-            for trial in block
-        ]
-        rows = _singularity_array(configurations, space)
-        ranks = _ranks_mod_p(rows, prime)
+        slopes, fibers = _sampled_block(config, seed, block)
+        residues = _row_array(*_sampled_points(slopes, fibers, config.k1), space, prime)
+        ranks = _ranks_mod_p(residues, prime)
         if modulus is None:
             certified = (ranks == config.codimension) & _pairs_certified(
-                configurations, rows, config, space
+                slopes, fibers, config, space
             )
         for offset, trial in enumerate(block):
             if modulus is not None:
@@ -483,7 +558,9 @@ def verify_bundle_rank(
             elif certified[offset]:
                 kernel = expected
             else:
-                kernel = kernel_dimension(rows[offset].tolist())
+                one = slice(offset, offset + 1)
+                rows = _row_array(*_sampled_points(slopes[one], fibers[one], config.k1), space)
+                kernel = kernel_dimension(rows[0].tolist())
             if kernel != expected:
                 failures.append({"trial": trial, "kernel_dimension": kernel})
     return {

@@ -362,6 +362,26 @@ def test_rankcheck_witness(capsys):
     assert "| failures | 6 trial(s) |" in out
 
 
+@pytest.mark.parametrize(
+    "extra, flag",
+    [
+        (["--modulus", "4"], "--modulus"),
+        (["--modulus", "101"], "--modulus"),
+        (["--type", "1,1,1", "--d", "2"], "--type, --d"),
+        (["--d", "3"], "--d"),
+        (["--n", "1"], "--n"),
+        (["--n", "0", "--trials", "3"], "--n"),
+    ],
+    ids=["modulus-not-prime", "modulus-prime", "type-and-d", "d", "n", "n-zero"],
+)
+def test_rankcheck_witness_refuses_its_fixed_flags(capsys, extra, flag):
+    assert main(["rankcheck", "--witness"] + extra) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --witness")
+    assert captured.err.rstrip().endswith(flag)
+    assert captured.out == ""
+
+
 def test_rankcheck_below_bound_is_usage_error(capsys):
     assert main(["rankcheck", "--type", "2,0,0", "--d", "4", "--n", "1"]) == 2
     assert "bound" in capsys.readouterr().err
@@ -653,6 +673,17 @@ PINNED_OUT_HASHES = [
      "65f11b92f5eb520fae754eea22923f9b70665c7efc59f6517075894e1012c576"),
     (["rankcheck", "--type", "2,0,0", "--d", "7", "--n", "1"], "rankcheck.json",
      "e2db1c00a95de53f15f232f956f40f5f4513feb7c1c333dd9487fb130cd6161c"),
+    (["rankcheck", "--type", "1,1,1", "--d", "9", "--n", "1", "--trials", "20",
+      "--seed", "3", "--modulus", "101"], "rankcheck.json",
+     "506fa6c696ce5239097122a6a310f6f108bc3e5e29ff1d7c7b5bbd66f04fb8cc"),
+    # two blocks of 128 + 22 trials, certified by the fiber pairs
+    (["rankcheck", "--type", "0,1,2", "--d", "12", "--n", "0", "--trials", "150",
+      "--seed", "11"], "rankcheck.json",
+     "505f95729b1e945ad35cba42eec1d804b7107679a804ed256b2ae4ba67aa27aa"),
+    # a prime above 2^31: the object-array route
+    (["rankcheck", "--type", "0,0,2", "--d", "9", "--n", "0", "--trials", "30",
+      "--seed", "5", "--modulus", "2147483659"], "rankcheck.json",
+     "7696f5d0839849b655c9e3e9db9e1a16cf1a0aae61ad7f111df2aee32de84905"),
     (["rankcheck", "--witness", "--format", "md"], "rankcheck.md",
      "c6e336329b4bce15f4e9daa488fdb2bbcc0a5f689a26dda973b8832a390041d9"),
     (["verify", "all", "--budget", "small", "--seed", "11"], "verify.json",

@@ -26,7 +26,7 @@ from hyperstab.linalg import (
     singularity_rows,
     verify_bundle_rank,
 )
-from hyperstab.spectral import ConfigurationType
+from hyperstab.spectral import ConfigurationType, types_with_sites
 
 CT = ConfigurationType
 
@@ -36,6 +36,46 @@ def stacked_rows(points, space, rows_of=singularity_rows):
     for p in points:
         rows.extend(rows_of(p, space))
     return rows
+
+
+def points_of(config, sample, n):
+    """Sampled (slopes, fibers) as rational points: [1, s] on the section, then (1, s, z)."""
+    slopes, fibers = sample
+    return tuple(
+        PointOnSurface.on_exceptional(1, s) if i < config.k1
+        else PointOnSurface.off_exceptional(1, s, z, n)
+        for i, (s, z) in enumerate(zip(slopes, fibers))
+    )
+
+
+def o_sample_configuration(config, d, n, rng, box=50):
+    """Frozen sampler that built the rational points themselves, same draws."""
+    box = max(box, 3 * config.site_count)
+    slopes = set()
+
+    def fresh_slope():
+        while True:
+            s = rng.randint(-box, box)
+            if s not in slopes:
+                slopes.add(s)
+                return s
+
+    points = []
+    for _ in range(config.k1):
+        points.append(PointOnSurface.on_exceptional(1, fresh_slope()))
+    for _ in range(config.k2):
+        points.append(
+            PointOnSurface.off_exceptional(1, fresh_slope(), rng.randint(-box, box), n)
+        )
+    for _ in range(config.h):
+        s = fresh_slope()
+        z1 = rng.randint(-box, box)
+        z2 = rng.randint(-box, box)
+        while z2 == z1:
+            z2 = rng.randint(-box, box)
+        points.append(PointOnSurface.off_exceptional(1, s, z1, n))
+        points.append(PointOnSurface.off_exceptional(1, s, z2, n))
+    return tuple(points)
 
 
 def _frac_power(base, exponent):
@@ -255,7 +295,7 @@ def test_integral_points_keep_the_fraction_rows_exactly():
     rng = random.Random(2024)
     for config, d, n in [(CT(2, 1, 1), 12, 1), (CT(1, 2, 2), 14, 0), (CT(0, 1, 2), 13, 3)]:
         space = SectionSpace(d, n)
-        points = list(sample_configuration(config, d, n, rng))
+        points = list(points_of(config, sample_configuration(config, rng), n))
         points.append(PointOnSurface.off_exceptional(0, 1, -7, n))
         points.append(PointOnSurface.on_exceptional(0, 5))
         for point in points:
@@ -376,7 +416,7 @@ def test_single_generic_point_cuts_three_conditions():
         d, n = rng.choice([(5, 0), (6, 1), (7, 2), (9, 1)])
         space = SectionSpace(d, n)
         config = CT(1, 0, 0) if trial % 2 == 0 else CT(0, 1, 0)
-        points = sample_configuration(config, d, n, rng)
+        points = points_of(config, sample_configuration(config, rng), n)
         rows = stacked_rows(points, space)
         assert kernel_dimension(rows) == space.dimension - 3
 
@@ -385,7 +425,7 @@ def test_pair_on_ruling_line_has_rank_five():
     rng = random.Random(7)
     space = SectionSpace(7, 0)
     for _ in range(10):
-        points = sample_configuration(CT(0, 0, 1), 7, 0, rng)
+        points = points_of(CT(0, 0, 1), sample_configuration(CT(0, 0, 1), rng), 0)
         assert len(points) == 2
         assert points[0].coords[:2] == points[1].coords[:2]
         assert points[0] != points[1]
@@ -398,7 +438,7 @@ def test_type_111_cuts_eleven_conditions():
     rng = random.Random(11)
     space = SectionSpace(12, 1)
     for _ in range(10):
-        points = sample_configuration(CT(1, 1, 1), 12, 1, rng)
+        points = points_of(CT(1, 1, 1), sample_configuration(CT(1, 1, 1), rng), 1)
         lines = [p.coords[:2] for p in points]
         assert len(points) == 4  # one on E, one off, one fiber pair
         assert len(set(lines)) == 3
@@ -407,21 +447,83 @@ def test_type_111_cuts_eleven_conditions():
 
 
 def test_sample_configuration_structure():
-    rng = random.Random(5)
-    points = sample_configuration(CT(2, 3, 2), 14, 1, rng)
-    assert len(points) == 2 + 3 + 4
-    on = [p for p in points if p.locus == "on_exceptional"]
-    off = [p for p in points if p.locus == "off_exceptional"]
-    assert len(on) == 2 and len(off) == 7
-    assert all(type(c) is int for p in points for c in p.coords)
-    lines = {}
-    for p in points:
-        lines.setdefault(p.coords[:2], []).append(p)
-    assert len(lines) == 7  # distinct sites
-    paired = [group for group in lines.values() if len(group) == 2]
-    assert len(paired) == 2
-    for a, b in paired:
-        assert a != b and a.locus == b.locus == "off_exceptional"
+    slopes, fibers = sample_configuration(CT(2, 3, 2), random.Random(5))
+    assert len(slopes) == len(fibers) == 2 + 3 + 4
+    assert all(type(value) is int for value in slopes + fibers)
+    assert fibers[:2] == (0, 0)  # section points carry no fiber value
+    assert len(set(slopes)) == 7  # distinct sites
+    for first in (5, 7):  # the fiber pairs, adjacent and last
+        assert slopes[first] == slopes[first + 1]
+        assert fibers[first] != fibers[first + 1]
+
+
+# (config, box, trials): the rank suite's types, then 4-8 sites, also with a
+# box small enough that it grows to 3 * sites
+SAMPLER_CASES = [(config, 50, 150) for config in RANK_TYPES] + [
+    (config, box, 12)
+    for sites in range(4, 9)
+    for config in types_with_sites(sites)
+    for box in (50, 5)
+]
+
+
+@pytest.mark.parametrize("seed", [11, 20260816])
+def test_sampler_draws_the_frozen_coordinates(seed):
+    for config, box, trials in SAMPLER_CASES:
+        for n in (0, 2):
+            for trial in range(trials):
+                new, old = random.Random(f"{seed}:{trial}"), random.Random(f"{seed}:{trial}")
+                sample = sample_configuration(config, new, box)
+                assert points_of(config, sample, n) == o_sample_configuration(
+                    config, 0, n, old, box
+                ), (config, n, trial)
+                # the same draws, and every pair point is (1, s, z) with integers
+                assert new.random() == old.random()
+                assert all(type(value) is int for value in sample[0] + sample[1])
+
+
+def test_sampled_blocks_are_read_only():
+    slopes, fibers = linalg._sampled_block(CT(1, 1, 1), 11, range(3))
+    assert slopes.shape == fibers.shape == (3, 4) and slopes.dtype == np.int64
+    for array in (slopes, fibers):
+        with pytest.raises(ValueError):
+            array[0, 0] = 1
+    for trial in range(3):
+        sample = sample_configuration(CT(1, 1, 1), random.Random(f"11:{trial}"))
+        assert (tuple(slopes[trial]), tuple(fibers[trial])) == sample
+
+
+@st.composite
+def _sampled_case(draw):
+    """(config, space, p, samples): up to 8 sites, d from the bound to the bound + 3."""
+    sites = draw(st.integers(1, 8))
+    k1 = draw(st.integers(0, sites))
+    k2 = draw(st.integers(0, sites - k1))
+    config = CT(k1, k2, sites - k1 - k2)
+    n = draw(st.integers(0, 3))
+    low = max(math.ceil(linalg._degree_bound(config, n)), 2 * n)
+    space = SectionSpace(draw(st.integers(low, low + 3)), n)
+    p = draw(st.sampled_from((101, 2**31 - 1, 2147483659)))
+    seed = draw(st.integers(0, 10**6))
+    samples = [sample_configuration(config, random.Random(f"{seed}:{trial}"))
+               for trial in range(draw(st.integers(1, 3)))]
+    return config, space, p, samples
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sampled_case())
+def test_residue_rows_equal_the_frozen_exact_rows_mod_p(case):
+    config, space, p, samples = case
+    slopes, fibers = (np.array(column, dtype=np.int64) for column in zip(*samples))
+    points = linalg._sampled_points(slopes, fibers, config.k1)
+    exact = linalg._row_array(*points, space)
+    residues = linalg._row_array(*points, space, p)
+    assert residues.dtype == (np.int64 if p < 2**31 else object)
+    assert exact.shape == residues.shape == (len(samples), 3 * len(slopes[0]), space.dimension)
+    for matrix, residue, sample in zip(exact.tolist(), residues.tolist(), samples):
+        frozen = stacked_rows(points_of(config, sample, space.n), space, o_singularity_rows)
+        assert list(map(tuple, matrix)) == frozen
+        assert residue == [[entry % p for entry in row] for row in frozen]
 
 
 # --------------------------------------------------------------------------
@@ -488,12 +590,10 @@ def test_prime_field_agrees_with_rationals_on_same_seed():
     ratio = verify_bundle_rank(CT(1, 1, 1), 9, 1, trials=20, seed=3)
     modp = verify_bundle_rank(CT(1, 1, 1), 9, 1, trials=20, seed=3, modulus=101)
     assert ratio["failures"] == modp["failures"] == []
-    rng_a, rng_b = random.Random(17), random.Random(17)
     space = SectionSpace(9, 1)
-    pts_a = sample_configuration(CT(0, 2, 1), 9, 1, rng_a)
-    pts_b = sample_configuration(CT(0, 2, 1), 9, 1, rng_b)
-    assert pts_a == pts_b
-    rows = stacked_rows(pts_a, space)
+    sample = sample_configuration(CT(0, 2, 1), random.Random(17))
+    assert sample == sample_configuration(CT(0, 2, 1), random.Random(17))
+    rows = stacked_rows(points_of(CT(0, 2, 1), sample, 1), space)
     rank = linalg._ranks_mod_p([linalg._integer_rows(rows)], 101)[0]
     assert kernel_dimension(rows) == space.dimension - rank
 
@@ -563,13 +663,15 @@ def o_rank_mod_p(matrix, p):
 
 
 def bareiss_report(config, d, n, trials, seed):
-    """verify_bundle_rank's report with every kernel from Bareiss elimination."""
+    """verify_bundle_rank's report with every kernel from Bareiss elimination
+    on the frozen per-point rows."""
     space = SectionSpace(d, n)
     expected = space.dimension - config.codimension
     failures = []
     for trial in range(trials):
-        points = sample_configuration(config, d, n, random.Random(f"{seed}:{trial}"))
-        kernel = kernel_dimension(stacked_rows(points, space))
+        sample = sample_configuration(config, random.Random(f"{seed}:{trial}"))
+        points = points_of(config, sample, n)
+        kernel = kernel_dimension(stacked_rows(points, space, o_singularity_rows))
         if kernel != expected:
             failures.append({"trial": trial, "kernel_dimension": kernel})
     return {
@@ -584,10 +686,10 @@ def bareiss_report(config, d, n, trials, seed):
     }
 
 
-def pair_certificate(points, space, config):
-    """``_pairs_certified`` on a batch of one configuration."""
-    rows = np.array([stacked_rows(points, space)], dtype=object)
-    (certified,) = linalg._pairs_certified([points], rows, config, space)
+def pair_certificate(sample, space, config):
+    """``_pairs_certified`` on a block of one sampled configuration."""
+    slopes, fibers = (np.array([column], dtype=np.int64) for column in sample)
+    (certified,) = linalg._pairs_certified(slopes, fibers, config, space)
     return certified
 
 
@@ -602,6 +704,21 @@ def kernel_calls(monkeypatch):
 
     monkeypatch.setattr(linalg, "kernel_dimension", counting_kernel)
     return calls
+
+
+@pytest.fixture
+def exact_rows(monkeypatch):
+    """(trials, rows) of each exact-integer row array that linalg builds."""
+    shapes = []
+    real = linalg._row_array
+
+    def spy(x, y, zp, dz, space, p=None):
+        if p is None:
+            shapes.append(np.shape(y)[:1] + (3 * np.shape(y)[1],))
+        return real(x, y, zp, dz, space, p)
+
+    monkeypatch.setattr(linalg, "_row_array", spy)
+    return shapes
 
 
 _PRIMES = (3, 5, 7, 101, 65537, 2**31 - 1, 2147483659, 2**61 - 1)
@@ -653,6 +770,9 @@ def test_batched_ranks_agree_with_the_frozen_kernel_and_bareiss(case):
         assert rank <= exact
         if p > _hadamard_bound(matrix):
             assert rank == exact
+    if all(abs(entry) < 2**63 for matrix in batch for row in matrix for entry in row):
+        # an int64 batch, negative entries included, takes the int64 route
+        assert (linalg._ranks_mod_p(np.array(batch, dtype=np.int64), p) == ranks).all()
 
 
 def test_batched_ranks_of_an_empty_batch():
@@ -665,11 +785,11 @@ def test_certified_kernels_equal_bareiss_on_every_rank_type(n):
         d = _minimal_valid_degree(config, n)
         space = SectionSpace(d, n)
         for trial in range(10):
-            points = sample_configuration(config, d, n, random.Random(f"5:{trial}"))
-            rows = stacked_rows(points, space)
+            sample = sample_configuration(config, random.Random(f"5:{trial}"))
+            rows = stacked_rows(points_of(config, sample, n), space)
             rank = linalg._ranks_mod_p([rows], linalg._CERTIFYING_PRIME)[0]
             assert rank == config.codimension, (config, trial)
-            assert pair_certificate(points, space, config), (config, trial)
+            assert pair_certificate(sample, space, config), (config, trial)
             assert kernel_dimension(rows) == space.dimension - config.codimension
         assert verify_bundle_rank(config, d, n, trials=10, seed=5) == bareiss_report(
             config, d, n, trials=10, seed=5
@@ -679,25 +799,13 @@ def test_certified_kernels_equal_bareiss_on_every_rank_type(n):
 def test_pair_certificate_rejects_points_on_different_ruling_lines():
     space = SectionSpace(9, 1)
     config = CT(0, 0, 1)
-    same = (PointOnSurface.off_exceptional(1, 4, -3, 1),
-            PointOnSurface.off_exceptional(1, 4, 7, 1))
-    apart = (same[0], PointOnSurface.off_exceptional(1, 5, 7, 1))
+    same = ((4, 4), (-3, 7))  # (slopes, fibers)
+    apart = ((4, 5), (-3, 7))
     assert pair_certificate(same, space, config)
     assert not pair_certificate(apart, space, config)
     # the two points on different lines impose six conditions, not five
-    assert kernel_dimension(stacked_rows(apart, space)) == space.dimension - 6
-
-
-def test_pair_certificate_needs_integral_points_with_x_one():
-    space = SectionSpace(9, 1)
-    config = CT(0, 0, 1)
-    for pair in (
-        (PointOnSurface.off_exceptional(1, Fraction(1, 2), 3, 1),
-         PointOnSurface.off_exceptional(1, Fraction(1, 2), 5, 1)),
-        (PointOnSurface.off_exceptional(0, 1, 3, 1),
-         PointOnSurface.off_exceptional(0, 1, 5, 1)),
-    ):
-        assert not pair_certificate(pair, space, config)
+    points = points_of(config, apart, 1)
+    assert kernel_dimension(stacked_rows(points, space)) == space.dimension - 6
 
 
 def test_under_reported_ranks_fall_back_to_bareiss(monkeypatch, kernel_calls):
@@ -718,7 +826,7 @@ def test_under_reported_ranks_fall_back_to_bareiss(monkeypatch, kernel_calls):
 def test_failed_pair_certificates_fall_back_to_bareiss(monkeypatch, kernel_calls):
     monkeypatch.setattr(
         linalg, "_pairs_certified",
-        lambda configurations, *rest: np.zeros(len(configurations), dtype=bool),
+        lambda slopes, *rest: np.zeros(len(slopes), dtype=bool),
     )
     report = verify_bundle_rank(CT(0, 1, 1), 7, 0, trials=6, seed=2)
     assert len(kernel_calls) == 6
@@ -729,6 +837,18 @@ def test_witness_trials_all_go_to_bareiss(kernel_calls):
     report = rank_drop_witness(trials=12)
     assert len(kernel_calls) == 12
     assert report == bareiss_report(CT(2, 0, 0), 3, 1, trials=12, seed=20260816)
+
+
+def test_exact_rows_only_for_pair_points_and_fallbacks(exact_rows, kernel_calls):
+    # two blocks of type (0,1,2): exact rows for the four pair points only
+    report = verify_bundle_rank(CT(0, 1, 2), 12, 0, trials=150, seed=11)
+    assert report["failures"] == [] and kernel_calls == []
+    assert exact_rows == [(128, 12), (22, 12)]
+    # below the bound every trial falls back, each with its own exact rows
+    exact_rows.clear()
+    rank_drop_witness(12)
+    assert exact_rows == [(1, 6)] * 12
+    assert len(kernel_calls) == 12
 
 
 def test_block_size_leaves_reports_unchanged(monkeypatch):

@@ -25,7 +25,13 @@ KEPT = (
      "the inverse of the paper's substitution psi; psi_roundtrip_check runs "
      "its row-wise form"),
     ("linalg", "singularity_rows",
-     "the rows of one point; the oracle of the batched rows of the rank checks"),
+     "the rows of one rational point; the oracle of the rows of the rank checks"),
+    ("linalg", "PointOnSurface.on_exceptional",
+     "a rational point on the section for the singularity_rows oracle; the "
+     "rank checks sample integer coordinates instead"),
+    ("linalg", "PointOnSurface.off_exceptional",
+     "a rational point off the section for the singularity_rows oracle; the "
+     "rank checks sample integer coordinates instead"),
     ("m0n", "twisted_count_config_p1",
      "the sparse-polynomial oracle of the integer layer counts"),
     ("m0n", "brute_twisted_count",
