@@ -21,8 +21,9 @@ Subcommands
     no closed form exists.
 ``rankcheck``
     Re-run the evaluation-matrix rank verification for one type.
-    ``--witness`` runs the below-bound witness at its own type, d and n; it
-    exits 2 if given ``--type``, ``--d``, ``--n`` or ``--modulus``.
+    ``--n`` defaults to 0.  ``--witness`` runs the below-bound witness at its
+    own type, d and n, which its manifest records; it exits 2 if given
+    ``--type``, ``--d``, ``--n`` or ``--modulus``.
 
 Every command accepts ``--out DIR`` to write its report files together with
 ``manifest.json`` (input flags, library versions, seeds, and SHA-256 hashes
@@ -942,11 +943,14 @@ def cmd_rankcheck(args) -> int:
             "--witness runs type 2,0,0 at d = 3, n = 1 over Q and takes no "
             + ", ".join(f"--{flag}" for flag in fixed)
         )
-    if args.n is None:
-        args.n = 0  # the default twist, recorded as such in the manifest
     if args.witness:
         report = rank_drop_witness(trials=args.trials, seed=args.seed)
+        # the manifest records the type, d and n the witness ran at
+        args.type = ",".join(map(str, report["type"]))
+        args.d, args.n = report["d"], report["n"]
     else:
+        if args.n is None:
+            args.n = 0  # the default twist, recorded as such in the manifest
         if args.type is None or args.d is None:
             raise ValueError("rankcheck needs --type and --d (or --witness)")
         config = _parse_type(args.type)

@@ -8,17 +8,16 @@ module builds those conditions explicitly, computes kernel dimensions by
 fraction-free elimination, and verifies that random configurations of a
 fixed type always cut out the expected codimension 3*k1 + 3*k2 + 5*h.
 
-``_row_array`` is the one formula for the rows: exact Python integers, or
-int64 residues modulo a prime below 2^31 built from reduced power tables.
-The verification samples integer coordinates and certifies most trials
-without exact integers: the rank of the residue rows modulo a prime is a
-lower bound on the rank over Q, and one exact linear relation per fiber
-pair (``_pairs_certified``), checked on exact rows of the pair points only,
+The configurations are integer points in the chart x = 1: a point [1, s] on
+the distinguished section, or (1, s, z) off it, given by its slope s and
+fiber value z.  ``_row_array`` is the one formula for their rows: exact
+Python integers, or int64 residues modulo a prime below 2^31 built from
+reduced power tables.  The verification certifies most trials without
+exact integers: the rank of the residue rows modulo a prime is a lower
+bound on the rank over Q, and one exact linear relation per fiber pair
+(``_pairs_certified``), checked on exact rows of the pair points only,
 bounds it above by the codimension.  A trial where the two bounds do not
 meet gets its own exact rows and falls back to Bareiss.
-
-No command calls `singularity_rows`, the rows of one rational point; it is
-the oracle of the rows that the verification builds.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
 from typing import TYPE_CHECKING
 
 from . import fq
@@ -39,8 +37,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "SectionSpace",
-    "PointOnSurface",
-    "singularity_rows",
     "kernel_dimension",
     "sample_configuration",
     "verify_bundle_rank",
@@ -83,91 +79,10 @@ def _monomial_basis(d: int, n: int) -> tuple:
     return tuple(basis)
 
 
-def _rational(value):
-    """A coordinate as an int or a Fraction, whichever it was given as."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return int(value)
-    raise ValueError(f"coordinates must be rational, got {value!r}")
-
-
-@dataclass(frozen=True)
-class PointOnSurface:
-    """A point, either on the distinguished section or off it.
-
-    On the distinguished section the point is a base point [u, v]; off it
-    the representative is [x, y, z] with z the fiber coordinate of weight
-    ``weight`` (the surface twist n), normalized so that the first nonzero
-    base coordinate is 1.  Off-section points must have a well-defined
-    ruling line, i.e. (x, y) != (0, 0).  Integer coordinates stay ints
-    unless that normalization divides them.
-    """
-
-    locus: str
-    coords: tuple
-    weight: int = 0
-
-    @classmethod
-    def on_exceptional(cls, u, v) -> "PointOnSurface":
-        u, v = _rational(u), _rational(v)
-        if u == 0 and v == 0:
-            raise ValueError("degenerate point: [0, 0]")
-        scale = u if u != 0 else v
-        if scale != 1:
-            scale = Fraction(scale)
-            u, v = u / scale, v / scale
-        return cls("on_exceptional", (u, v))
-
-    @classmethod
-    def off_exceptional(cls, x, y, z, n) -> "PointOnSurface":
-        x, y, z = _rational(x), _rational(y), _rational(z)
-        if x == 0 and y == 0:
-            raise ValueError("degenerate point: no ruling line through [0, 0, z]")
-        scale = x if x != 0 else y
-        if scale != 1:
-            scale = Fraction(scale)
-            x, y, z = x / scale, y / scale, z / scale**n
-        return cls("off_exceptional", (x, y, z), n)
-
-
-def _integral_base(u, v) -> tuple:
-    """(lam*u, lam*v, lam) with lam the lcm of the denominators of u and v."""
-    lam = lcm(u.denominator, v.denominator)
-    return (
-        u.numerator * (lam // u.denominator),
-        v.numerator * (lam // v.denominator),
-        lam,
-    )
-
-
 # Fiber tables of a point on the distinguished section: its two base
 # derivatives read the top coefficient (the z^2 block) and its third row the
 # middle coefficient (the z block).
 _SECTION_FIBER = ((0, 0, 1), (0, 1, 0))
-
-
-def _integral_point(point: PointOnSurface, space: SectionSpace) -> tuple:
-    """A point as integers (x, y, zp, dz), its rows built from x^a y^b zp[c] and dz[c].
-
-    Off the section zp[c] is z^c and dz[c] is c*z^(c-1), both homogenised by
-    the denominator D of the fiber coordinate: zp = (D^2, zD, z^2) and
-    dz = (0, D, 2z).  On the section they are ``_SECTION_FIBER``.
-    """
-    if point.locus == "off_exceptional":
-        if point.weight != space.n:
-            raise ValueError(
-                f"point has fiber weight {point.weight}, space has twist {space.n}"
-            )
-        x0, y0, z0 = point.coords
-        x, y, lam = _integral_base(x0, y0)
-        z_num = lam**space.n * z0.numerator
-        z_den = z0.denominator
-        common = gcd(z_num, z_den)
-        z, den = z_num // common, z_den // common
-        return x, y, (den * den, z * den, z * z), (0, den, 2 * z)
-    u, v, _ = _integral_base(*point.coords)
-    return (u, v) + _SECTION_FIBER
 
 
 def _power_tables(bases: np.ndarray, top: int, p: int | None) -> tuple:
@@ -190,20 +105,20 @@ def _reduce(values, p: int | None):
     return values if p is None else values % p
 
 
-def _row_array(x, y, zp, dz, space: SectionSpace, p: int | None = None) -> np.ndarray:
-    """The singularity rows of a batch of integral points, the one row formula.
+def _row_array(y, zp, dz, space: SectionSpace, p: int | None = None) -> np.ndarray:
+    """The singularity rows of a batch of integer points in the chart x = 1.
 
-    ``y`` has shape (batch, points), ``x`` the same shape or ``None`` for
-    points in the chart x = 1, and the fiber tables ``zp`` and ``dz`` (see
-    ``_integral_point``) shape (batch, points, 3).  The rows of a point are
-    x^a y^b zp[c] differentiated in x, in y, and with dz[c] for the fiber,
-    one entry per monomial x^a y^b z^c of the basis; in the chart x = 1,
-    x^a is 1 and its x-derivative a.  The result has shape (batch,
-    3 * points, space.dimension), three rows per point in order.  With
-    ``p=None`` the entries are exact Python integers in an ``object`` array.
-    A prime p below 2^31 gives int64 residues: the power tables are reduced
-    mod p and so is every product of two residues, which fits int64.  A
-    larger p gives the exact rows reduced mod p.
+    This is the one row formula.  ``y`` holds the slopes, shape (batch,
+    points), and the fiber tables ``zp`` and ``dz`` (see
+    ``_sampled_points``) have shape (batch, points, 3).  The rows of a point
+    are x^a y^b zp[c] differentiated in x, in y, and with dz[c] for the
+    fiber, one entry per monomial x^a y^b z^c of the basis, at x = 1: x^a
+    is 1 and its x-derivative a.  The result has shape (batch, 3 * points,
+    space.dimension), three rows per point in order.  With ``p=None`` the
+    entries are exact Python integers in an ``object`` array.  A prime p
+    below 2^31 gives int64 residues: the power tables are reduced mod p and
+    so is every product of two residues, which fits int64.  A larger p
+    gives the exact rows reduced mod p.
     """
     import numpy as np
 
@@ -217,26 +132,21 @@ def _row_array(x, y, zp, dz, space: SectionSpace, p: int | None = None) -> np.nd
     a, b, c = np.array(space.monomials, dtype=np.intp).T
     yp, dyp = _power_tables(residues(y), space.d, q)
     yb, dyb = yp[..., b], dyp[..., b]
-    if x is None:
-        dxa_yb, xa_dyb, xa_yb = _reduce(a.astype(dtype) * yb, q), dyb, yb
-    else:
-        xp, dxp = _power_tables(residues(x), space.d, q)
-        xa = xp[..., a]
-        dxa_yb = _reduce(dxp[..., a] * yb, q)
-        xa_dyb, xa_yb = _reduce(xa * dyb, q), _reduce(xa * yb, q)
+    dxa_yb = _reduce(a.astype(dtype) * yb, q)
     zc, dzc = residues(zp)[..., c], residues(dz)[..., c]
     rows = np.stack(
-        (_reduce(dxa_yb * zc, q), _reduce(xa_dyb * zc, q), _reduce(xa_yb * dzc, q)), axis=2
+        (_reduce(dxa_yb * zc, q), _reduce(dyb * zc, q), _reduce(yb * dzc, q)), axis=2
     )
     rows = rows.reshape(yb.shape[0], 3 * yb.shape[1], space.dimension)
     return rows if word else _reduce(rows, p)
 
 
 def _sampled_points(slopes: np.ndarray, fibers: np.ndarray, on_section: int) -> tuple:
-    """``_row_array``'s (x, y, zp, dz) of sampled points: x = 1, so ``None``.
+    """``_row_array``'s (y, zp, dz) of sampled points in the chart x = 1.
 
     The first ``on_section`` points of each row of ``slopes`` are [1, s] on
-    the section; the others are (1, s, z) with z the fiber value.
+    the section, with the fiber tables ``_SECTION_FIBER``; the others are
+    (1, s, z) with z the fiber value, zp = (1, z, z^2) and dz = (0, 1, 2z).
     """
     import numpy as np
 
@@ -244,68 +154,12 @@ def _sampled_points(slopes: np.ndarray, fibers: np.ndarray, on_section: int) -> 
     zp = np.stack((ones, fibers, fibers * fibers), axis=-1)
     dz = np.stack((0 * ones, ones, 2 * fibers), axis=-1)
     zp[:, :on_section], dz[:, :on_section] = _SECTION_FIBER
-    return None, slopes, zp, dz
-
-
-def _singularity_array(configurations, space: SectionSpace) -> np.ndarray:
-    """The exact singularity rows of equal-size configurations of rational points.
-
-    Each point is moved to integers by ``_integral_point``, and the batch
-    goes through ``_row_array``; the result has shape (configurations,
-    3 * points, space.dimension) and holds Python integers.
-    """
-    import numpy as np
-
-    configurations = list(configurations)
-    size = len(configurations[0])
-    if any(len(points) != size for points in configurations):
-        raise ValueError("configurations in one batch must have equal sizes")
-    xs, ys, zp, dz = zip(*(
-        _integral_point(point, space) for points in configurations for point in points
-    ))
-    shape = (len(configurations), size)
-    x, y = (np.array(v, dtype=object).reshape(shape) for v in (xs, ys))
-    zp, dz = (np.array(v, dtype=object).reshape(shape + (3,)) for v in (zp, dz))
-    return _row_array(x, y, zp, dz, space)
-
-
-def singularity_rows(point: PointOnSurface, space: SectionSpace) -> tuple:
-    """Three linear functionals on ``space`` vanishing iff f is singular there.
-
-    Off the distinguished section these are the partial derivatives of f in
-    the weighted coordinates; on it, where the fiber chart around the section
-    reads alpha + beta*w + gamma*w^2, they are the two base derivatives of
-    the top coefficient together with the middle coefficient.
-
-    The rows are integers.  A point is first moved to integer coordinates
-    by the weighted action (x, y, z) -> (lam*x, lam*y, lam^n*z), lam the lcm
-    of the base denominators; if the fiber coordinate is still fractional
-    (always possible for n = 0) with denominator D, the entries are also
-    multiplied by D^2 (D for the fiber derivative).  Each row is thereby
-    scaled by one nonzero constant, so the common kernel is unchanged, and
-    points with integer coordinates and x = 1, as sampled by
-    ``sample_configuration``, get exactly their unscaled rows.  This is a
-    batch of one for ``_singularity_array``.
-    """
-    return tuple(map(tuple, _singularity_array([(point,)], space)[0].tolist()))
-
-
-def _integer_rows(rows) -> list:
-    """Rows as integer lists; a row with rational entries is cleared of denominators."""
-    cleared = []
-    for row in rows:
-        if set(map(type, row)) <= {int}:
-            cleared.append(list(row))
-            continue
-        fracs = [Fraction(entry) for entry in row]
-        scale = lcm(*(f.denominator for f in fracs)) if fracs else 1
-        cleared.append([int(f * scale) for f in fracs])
-    return cleared
+    return slopes, zp, dz
 
 
 def _rank_bareiss(matrix: list) -> int:
     """Rank of an integer matrix by fraction-free (Bareiss) elimination."""
-    m = [row[:] for row in matrix]
+    m = [list(row) for row in matrix]
     n_rows, n_cols = len(m), len(m[0])
     rank = 0
     prev = 1
@@ -380,14 +234,16 @@ def _ranks_mod_p(matrices, p: int) -> np.ndarray:
 
 
 def kernel_dimension(rows) -> int:
-    """Dimension of the common kernel of the given row functionals."""
+    """Dimension of the common kernel of the given integer row functionals."""
     rows = list(rows)
     if not rows:
         raise ValueError("no rows given; the ambient dimension would be ambiguous")
     width = len(rows[0])
     if any(len(row) != width for row in rows):
         raise ValueError("rows have inconsistent lengths")
-    return width - _rank_bareiss(_integer_rows(rows))
+    if any(type(entry) is not int for row in rows for entry in row):
+        raise ValueError("rows must hold Python integers")
+    return width - _rank_bareiss(rows)
 
 
 def _degree_bound(config: ConfigurationType, n: int) -> Fraction:

@@ -114,22 +114,12 @@ def _configuration_types(bound: int):
                     yield k1, k2, h
 
 
-def stable_series(
-    max_degree: int,
-    *,
-    triple_bound: int | None = None,
-) -> GradedTateSeries:
-    """The stable series for the surface-index-zero regime, truncated exactly.
-
-    `triple_bound` widens the configuration-type enumeration beyond the
-    truncation; the result must not change (monotonicity), which the tests
-    exercise directly.
-    """
+def stable_series(max_degree: int) -> GradedTateSeries:
+    """The stable series for the surface-index-zero regime, truncated exactly."""
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
-    bound = max(max_degree, triple_bound if triple_bound is not None else -1)
     numerator = GradedTateSeries.zero(max_degree)
-    for k1, k2, h in _configuration_types(bound):
+    for k1, k2, h in _configuration_types(max_degree):
         numerator = numerator + numerator_term(k1, k2, h, truncation=max_degree)
     inverse = invert_unit(_denominator(max_degree))
     return GradedTateSeries.one(max_degree) + multiply(numerator, inverse)

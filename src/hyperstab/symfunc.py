@@ -7,9 +7,9 @@ data is recovered from them on demand.  A class function of degree n is one
 tuple of integers, dense in the order of `partitions(n)`, so a pairing reads
 its values by position and never hashes a cycle type.
 
-`z_order`, `sign` and `irreducible_character` are the textbook API on single
-cycle types; no command calls them, and the tests use them as the oracles of
-the dense class functions.
+`irreducible_character` is the textbook API on single cycle types; no
+command calls it, and the tests use it as an oracle of the dense class
+functions.
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ from functools import lru_cache
 __all__ = [
     "canonical_partition",
     "partitions",
-    "z_order",
-    "sign",
     "irreducible_character",
     "CharacterVector",
     "hall_inner_product_induced",
@@ -96,16 +94,6 @@ def _z_sign(mu: tuple) -> tuple:
         z *= d * run_length
         even += not d & 1
     return z, -1 if even & 1 else 1
-
-
-def z_order(mu) -> int:
-    """Centralizer order of a permutation of cycle type mu: prod d^c_d c_d!."""
-    return _z_sign(canonical_partition(mu))[0]
-
-
-def sign(mu) -> int:
-    """Sign of a permutation of cycle type mu: (-1)^(|mu| - #parts)."""
-    return _z_sign(canonical_partition(mu))[1]
 
 
 @lru_cache(maxsize=None)

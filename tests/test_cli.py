@@ -362,6 +362,24 @@ def test_rankcheck_witness(capsys):
     assert "| failures | 6 trial(s) |" in out
 
 
+def test_rankcheck_witness_manifest_records_the_inputs_it_ran_at(tmp_path, capsys):
+    witness = tmp_path / "witness"
+    assert main(["rankcheck", "--witness", "--trials", "6", "--out", str(witness)]) == 0
+    inputs = json.loads((witness / "manifest.json").read_text())["inputs"]
+    assert inputs == {
+        "d": 3, "format": "json", "n": 1, "seed": 20260816, "trials": 6,
+        "type": "2,0,0", "witness": True,
+    }
+    report = json.loads((witness / "rankcheck.json").read_text())
+    assert [report["type"], report["d"], report["n"]] == [[2, 0, 0], 3, 1]
+    # without --witness an omitted --n is the default twist 0
+    plain = tmp_path / "plain"
+    assert main(["rankcheck", "--type", "2,0,0", "--d", "7", "--trials", "3",
+                 "--out", str(plain)]) == 0
+    inputs = json.loads((plain / "manifest.json").read_text())["inputs"]
+    assert (inputs["type"], inputs["d"], inputs["n"], inputs["witness"]) == ("2,0,0", 7, 0, False)
+
+
 @pytest.mark.parametrize(
     "extra, flag",
     [

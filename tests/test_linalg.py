@@ -8,6 +8,7 @@ them, against the codimension count 3*k1 + 3*k2 + 5*h.
 import json
 import math
 import random
+from collections import namedtuple
 from fractions import Fraction
 
 import numpy as np
@@ -18,12 +19,10 @@ from hypothesis import strategies as st
 from hyperstab import linalg
 from hyperstab.cli import RANK_TYPES, _minimal_valid_degree
 from hyperstab.linalg import (
-    PointOnSurface,
     SectionSpace,
     kernel_dimension,
     rank_drop_witness,
     sample_configuration,
-    singularity_rows,
     verify_bundle_rank,
 )
 from hyperstab.spectral import ConfigurationType, types_with_sites
@@ -31,7 +30,20 @@ from hyperstab.spectral import ConfigurationType, types_with_sites
 CT = ConfigurationType
 
 
-def stacked_rows(points, space, rows_of=singularity_rows):
+# An integer point in the chart x = 1, as the frozen oracles read it: coords
+# (1, s) on the section, or (1, s, z) off it with fiber weight the twist n.
+Point = namedtuple("Point", "locus coords weight", defaults=(0,))
+
+
+def on_section(s):
+    return Point("on_exceptional", (1, s))
+
+
+def off_section(s, z, n):
+    return Point("off_exceptional", (1, s, z), n)
+
+
+def stacked_rows(points, space, rows_of):
     rows = []
     for p in points:
         rows.extend(rows_of(p, space))
@@ -39,17 +51,23 @@ def stacked_rows(points, space, rows_of=singularity_rows):
 
 
 def points_of(config, sample, n):
-    """Sampled (slopes, fibers) as rational points: [1, s] on the section, then (1, s, z)."""
+    """Sampled (slopes, fibers) as points: [1, s] on the section, then (1, s, z)."""
     slopes, fibers = sample
     return tuple(
-        PointOnSurface.on_exceptional(1, s) if i < config.k1
-        else PointOnSurface.off_exceptional(1, s, z, n)
+        on_section(s) if i < config.k1 else off_section(s, z, n)
         for i, (s, z) in enumerate(zip(slopes, fibers))
     )
 
 
+def sampled_rows(config, sample, space):
+    """The exact rows ``_row_array`` builds for one sampled configuration."""
+    slopes, fibers = (np.array([column], dtype=np.int64) for column in sample)
+    points = linalg._sampled_points(slopes, fibers, config.k1)
+    return [tuple(row) for row in linalg._row_array(*points, space)[0].tolist()]
+
+
 def o_sample_configuration(config, d, n, rng, box=50):
-    """Frozen sampler that built the rational points themselves, same draws."""
+    """Frozen sampler that built the points themselves, same draws."""
     box = max(box, 3 * config.site_count)
     slopes = set()
 
@@ -62,19 +80,17 @@ def o_sample_configuration(config, d, n, rng, box=50):
 
     points = []
     for _ in range(config.k1):
-        points.append(PointOnSurface.on_exceptional(1, fresh_slope()))
+        points.append(on_section(fresh_slope()))
     for _ in range(config.k2):
-        points.append(
-            PointOnSurface.off_exceptional(1, fresh_slope(), rng.randint(-box, box), n)
-        )
+        points.append(off_section(fresh_slope(), rng.randint(-box, box), n))
     for _ in range(config.h):
         s = fresh_slope()
         z1 = rng.randint(-box, box)
         z2 = rng.randint(-box, box)
         while z2 == z1:
             z2 = rng.randint(-box, box)
-        points.append(PointOnSurface.off_exceptional(1, s, z1, n))
-        points.append(PointOnSurface.off_exceptional(1, s, z2, n))
+        points.append(off_section(s, z1, n))
+        points.append(off_section(s, z2, n))
     return tuple(points)
 
 
@@ -177,35 +193,6 @@ def test_section_space_rejects_bad_parameters():
 
 
 # --------------------------------------------------------------------------
-# points
-# --------------------------------------------------------------------------
-
-def test_point_normalization_and_ruling_line():
-    p = PointOnSurface.off_exceptional(2, 6, 8, 1)
-    assert p.coords == (1, 3, 4)
-    assert p.coords[:2] == (1, 3)
-
-    q = PointOnSurface.off_exceptional(0, 2, 6, 1)
-    assert q.coords == (0, 1, 3)
-    assert q.coords[:2] == (0, 1)
-
-    e = PointOnSurface.on_exceptional(3, 6)
-    assert e.coords == (1, 2)
-    assert e.coords[:2] == (1, 2)
-
-    # weight enters the fiber coordinate normalization
-    w = PointOnSurface.off_exceptional(2, 2, 8, 2)
-    assert w.coords == (1, 1, 2)
-
-
-def test_degenerate_points_rejected():
-    with pytest.raises(ValueError):
-        PointOnSurface.on_exceptional(0, 0)
-    with pytest.raises(ValueError):
-        PointOnSurface.off_exceptional(0, 0, 1, 1)  # no ruling line
-
-
-# --------------------------------------------------------------------------
 # singularity rows: hand-computed coefficient extractions
 # --------------------------------------------------------------------------
 
@@ -218,8 +205,7 @@ def test_rows_off_exceptional_coordinate_point():
         (2, 0, 1), (1, 1, 1), (0, 2, 1),
         (2, 0, 2), (1, 1, 2), (0, 2, 2),
     )
-    p = PointOnSurface.off_exceptional(1, 0, 0, 0)
-    rows = singularity_rows(p, space)
+    rows = sampled_rows(CT(0, 1, 0), ((0,), (0,)), space)  # (1, 0, 0): slope 0, fiber 0
     assert rows[0] == (2, 0, 0, 0, 0, 0, 0, 0, 0)  # d/dx
     assert rows[1] == (0, 1, 0, 0, 0, 0, 0, 0, 0)  # d/dy
     assert rows[2] == (0, 0, 0, 1, 0, 0, 0, 0, 0)  # d/dz
@@ -234,132 +220,60 @@ def test_rows_on_exceptional_point():
         (3, 0, 1), (2, 1, 1), (1, 2, 1), (0, 3, 1),
         (2, 0, 2), (1, 1, 2), (0, 2, 2),
     )
-    p = PointOnSurface.on_exceptional(1, 2)
-    rows = singularity_rows(p, space)
+    rows = sampled_rows(CT(1, 0, 0), ((2,), (0,)), space)  # [1, 2] on the section
     # d(alpha)/dx, d(alpha)/dy on the z^2 block; beta values on the z block
     assert rows[0] == (0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 2, 0)
     assert rows[1] == (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 4)
     assert rows[2] == (0, 0, 0, 0, 0, 1, 2, 4, 8, 0, 0, 0)
 
 
-def _non_integral():
-    return st.builds(
-        Fraction,
-        st.integers(-30, 30).filter(bool),
-        st.integers(2, 12),
-    ).filter(lambda f: f.denominator > 1)
-
-
-@st.composite
-def _rational_configuration(draw):
-    n = draw(st.integers(0, 3))
-    d = draw(st.integers(max(2, 2 * n), 2 * n + 7))
-    coordinate = st.one_of(_non_integral(), st.integers(-9, 9))
-    points = []
-    for _ in range(draw(st.integers(1, 4))):
-        if draw(st.booleans()):
-            x = draw(st.one_of(_non_integral(), st.just(0)))
-            y = draw(_non_integral())
-            points.append(PointOnSurface.off_exceptional(x, y, draw(_non_integral()), n))
-        else:
-            u = draw(st.one_of(_non_integral(), st.just(0)))
-            points.append(PointOnSurface.on_exceptional(u, draw(_non_integral())))
-    point = PointOnSurface.off_exceptional(
-        draw(coordinate), draw(_non_integral()), draw(coordinate), n
-    )
-    points.append(point)
-    return SectionSpace(d, n), points
-
-
-@settings(max_examples=150, deadline=None)
-@given(_rational_configuration())
-def test_integer_rows_rescale_the_fraction_rows(case):
-    space, points = case
-    for point in points:
-        for new, old in zip(singularity_rows(point, space),
-                            fraction_singularity_rows(point, space)):
-            assert all(type(entry) is int for entry in new)
-            pivot = next((j for j, entry in enumerate(old) if entry), None)
-            if pivot is None:
-                assert not any(new)
-                continue
-            scale = Fraction(new[pivot]) / old[pivot]
-            assert scale != 0
-            assert all(a == scale * b for a, b in zip(new, old))
-    assert kernel_dimension(stacked_rows(points, space)) == kernel_dimension(
-        stacked_rows(points, space, fraction_singularity_rows)
-    )
-
-
 def test_integral_points_keep_the_fraction_rows_exactly():
     rng = random.Random(2024)
     for config, d, n in [(CT(2, 1, 1), 12, 1), (CT(1, 2, 2), 14, 0), (CT(0, 1, 2), 13, 3)]:
         space = SectionSpace(d, n)
-        points = list(points_of(config, sample_configuration(config, rng), n))
-        points.append(PointOnSurface.off_exceptional(0, 1, -7, n))
-        points.append(PointOnSurface.on_exceptional(0, 5))
-        for point in points:
-            assert singularity_rows(point, space) == fraction_singularity_rows(point, space)
-
-
-def test_off_exceptional_weight_must_match_space():
-    space = SectionSpace(6, 2)
-    p = PointOnSurface.off_exceptional(1, 2, 3, 1)
-    with pytest.raises(ValueError):
-        singularity_rows(p, space)
-    good = PointOnSurface.off_exceptional(1, 2, 3, 2)
-    with pytest.raises(ValueError):
-        linalg._singularity_array([(good, good), (good, p)], space)
-
-
-def test_batched_rows_need_equal_size_configurations():
-    space = SectionSpace(6, 1)
-    p = PointOnSurface.on_exceptional(1, 2)
-    with pytest.raises(ValueError, match="equal sizes"):
-        linalg._singularity_array([(p,), (p, p)], space)
+        sample = sample_configuration(config, rng)
+        frozen = stacked_rows(points_of(config, sample, n), space, fraction_singularity_rows)
+        assert sampled_rows(config, sample, space) == frozen
 
 
 @st.composite
 def _point_batch(draw):
-    """(space, configurations): 1-4 configurations of one size, mixing points
-    on and off the section, with integer, Fraction and zero coordinates."""
+    """(space, on_section, slopes, fibers): 1-4 configurations of one size,
+    the first ``on_section`` points of each on the section, with small, zero
+    and large integer coordinates."""
     n = draw(st.integers(0, 3))
     d = draw(st.integers(max(2, 2 * n), 2 * n + 7))
-    coordinate = st.one_of(_non_integral(), st.integers(-9, 9))
+    coordinate = st.one_of(st.integers(-9, 9), st.integers(-(10**4), 10**4))
     size = draw(st.integers(1, 4))
-    configurations = []
-    for _ in range(draw(st.integers(1, 4))):
-        points = []
-        for _ in range(size):
-            base = draw(st.one_of(coordinate, st.just(0)))
-            other = draw(coordinate if base else coordinate.filter(bool))
-            if draw(st.booleans()):
-                z = draw(coordinate)
-                points.append(PointOnSurface.off_exceptional(base, other, z, n))
-            else:
-                points.append(PointOnSurface.on_exceptional(base, other))
-        configurations.append(tuple(points))
-    return SectionSpace(d, n), configurations
+    on_section = draw(st.integers(0, size))
+    batch = draw(st.integers(1, 4))
+    slopes, fibers = (
+        draw(st.lists(st.lists(coordinate, min_size=size, max_size=size),
+                      min_size=batch, max_size=batch))
+        for _ in range(2)
+    )
+    return SectionSpace(d, n), on_section, slopes, fibers
 
 
 @settings(max_examples=200, deadline=None)
 @given(_point_batch())
-@example((SectionSpace(4, 0), [
-    (PointOnSurface.off_exceptional(0, Fraction(2, 3), Fraction(5, 7), 0),
-     PointOnSurface.on_exceptional(Fraction(-1, 2), 3)),
-    (PointOnSurface.on_exceptional(0, Fraction(4, 9)),
-     PointOnSurface.off_exceptional(Fraction(3, 2), 1, Fraction(-1, 6), 0)),
-]))
+@example((SectionSpace(4, 0), 1, [[-1, 3], [0, 4]], [[0, 5], [0, -6]]))
 def test_batched_rows_equal_the_frozen_per_point_rows(case):
-    space, configurations = case
-    rows = linalg._singularity_array(configurations, space)
-    size = len(configurations[0])
-    assert rows.shape == (len(configurations), 3 * size, space.dimension)
-    for matrix, points in zip(rows.tolist(), configurations):
+    space, on_section, slopes, fibers = case
+    points = linalg._sampled_points(
+        np.array(slopes, dtype=np.int64), np.array(fibers, dtype=np.int64), on_section
+    )
+    rows = linalg._row_array(*points, space)
+    size = len(slopes[0])
+    assert rows.shape == (len(slopes), 3 * size, space.dimension)
+    config = CT(on_section, size - on_section, 0)
+    for matrix, sample in zip(rows.tolist(), zip(slopes, fibers)):
         assert all(type(entry) is int for row in matrix for entry in row)
-        assert list(map(tuple, matrix)) == stacked_rows(points, space, o_singularity_rows)
-    for point in configurations[-1]:
-        assert singularity_rows(point, space) == o_singularity_rows(point, space)
+        frozen = stacked_rows(points_of(config, sample, space.n), space, o_singularity_rows)
+        assert list(map(tuple, matrix)) == frozen
+        assert frozen == stacked_rows(
+            points_of(config, sample, space.n), space, fraction_singularity_rows
+        )
 
 
 # --------------------------------------------------------------------------
@@ -389,7 +303,10 @@ def test_kernel_dimension_matches_numpy_rank():
 
 
 def test_kernel_dimension_with_fractions_and_modulus():
-    assert kernel_dimension([(Fraction(1, 2), 1)]) == 1
+    # the rows are integers: a Fraction, a float or a numpy integer is refused
+    for entry in (Fraction(1, 2), Fraction(2), 0.5, np.int64(1)):
+        with pytest.raises(ValueError, match="Python integers"):
+            kernel_dimension([(entry, 1)])
     # rank drops mod p but not over the rationals; primes from 2^31 up take
     # the object-array path
     for p in (7, 2147483659, 2**61 - 1):
@@ -416,8 +333,7 @@ def test_single_generic_point_cuts_three_conditions():
         d, n = rng.choice([(5, 0), (6, 1), (7, 2), (9, 1)])
         space = SectionSpace(d, n)
         config = CT(1, 0, 0) if trial % 2 == 0 else CT(0, 1, 0)
-        points = points_of(config, sample_configuration(config, rng), n)
-        rows = stacked_rows(points, space)
+        rows = sampled_rows(config, sample_configuration(config, rng), space)
         assert kernel_dimension(rows) == space.dimension - 3
 
 
@@ -425,11 +341,12 @@ def test_pair_on_ruling_line_has_rank_five():
     rng = random.Random(7)
     space = SectionSpace(7, 0)
     for _ in range(10):
-        points = points_of(CT(0, 0, 1), sample_configuration(CT(0, 0, 1), rng), 0)
+        sample = sample_configuration(CT(0, 0, 1), rng)
+        points = points_of(CT(0, 0, 1), sample, 0)
         assert len(points) == 2
         assert points[0].coords[:2] == points[1].coords[:2]
         assert points[0] != points[1]
-        rows = stacked_rows(points, space)
+        rows = sampled_rows(CT(0, 0, 1), sample, space)
         assert kernel_dimension(rows) == space.dimension - 5
         assert np.linalg.matrix_rank(np.array(rows, dtype=float)) == 5
 
@@ -438,11 +355,12 @@ def test_type_111_cuts_eleven_conditions():
     rng = random.Random(11)
     space = SectionSpace(12, 1)
     for _ in range(10):
-        points = points_of(CT(1, 1, 1), sample_configuration(CT(1, 1, 1), rng), 1)
+        sample = sample_configuration(CT(1, 1, 1), rng)
+        points = points_of(CT(1, 1, 1), sample, 1)
         lines = [p.coords[:2] for p in points]
         assert len(points) == 4  # one on E, one off, one fiber pair
         assert len(set(lines)) == 3
-        rows = stacked_rows(points, space)
+        rows = sampled_rows(CT(1, 1, 1), sample, space)
         assert kernel_dimension(rows) == space.dimension - 11
 
 
@@ -593,8 +511,8 @@ def test_prime_field_agrees_with_rationals_on_same_seed():
     space = SectionSpace(9, 1)
     sample = sample_configuration(CT(0, 2, 1), random.Random(17))
     assert sample == sample_configuration(CT(0, 2, 1), random.Random(17))
-    rows = stacked_rows(points_of(CT(0, 2, 1), sample, 1), space)
-    rank = linalg._ranks_mod_p([linalg._integer_rows(rows)], 101)[0]
+    rows = sampled_rows(CT(0, 2, 1), sample, space)
+    rank = linalg._ranks_mod_p([rows], 101)[0]
     assert kernel_dimension(rows) == space.dimension - rank
 
 
@@ -712,10 +630,10 @@ def exact_rows(monkeypatch):
     shapes = []
     real = linalg._row_array
 
-    def spy(x, y, zp, dz, space, p=None):
+    def spy(y, zp, dz, space, p=None):
         if p is None:
             shapes.append(np.shape(y)[:1] + (3 * np.shape(y)[1],))
-        return real(x, y, zp, dz, space, p)
+        return real(y, zp, dz, space, p)
 
     monkeypatch.setattr(linalg, "_row_array", spy)
     return shapes
@@ -786,7 +704,7 @@ def test_certified_kernels_equal_bareiss_on_every_rank_type(n):
         space = SectionSpace(d, n)
         for trial in range(10):
             sample = sample_configuration(config, random.Random(f"5:{trial}"))
-            rows = stacked_rows(points_of(config, sample, n), space)
+            rows = sampled_rows(config, sample, space)
             rank = linalg._ranks_mod_p([rows], linalg._CERTIFYING_PRIME)[0]
             assert rank == config.codimension, (config, trial)
             assert pair_certificate(sample, space, config), (config, trial)
@@ -804,8 +722,7 @@ def test_pair_certificate_rejects_points_on_different_ruling_lines():
     assert pair_certificate(same, space, config)
     assert not pair_certificate(apart, space, config)
     # the two points on different lines impose six conditions, not five
-    points = points_of(config, apart, 1)
-    assert kernel_dimension(stacked_rows(points, space)) == space.dimension - 6
+    assert kernel_dimension(sampled_rows(config, apart, space)) == space.dimension - 6
 
 
 def test_under_reported_ranks_fall_back_to_bareiss(monkeypatch, kernel_calls):

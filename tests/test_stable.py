@@ -1,8 +1,8 @@
 """Tests for the assembled stable cohomology series and table.
 
 The 19-row table frozen below is the reference ground truth this assembly
-must hit exactly; everything else (monotone enumeration bounds, truncation
-consistency, the positive-n factor) is checked against independent
+must hit exactly; everything else (the completeness of the type enumeration,
+truncation consistency, the positive-n factor) is checked against independent
 recomputation.
 """
 
@@ -111,9 +111,24 @@ def test_evaluate_at_minus_one_low_degrees():
     assert value == TatePolynomial({0: 1, 6: 1, 7: -1})
 
 
-def test_monotone_triple_bound():
-    """Admitting extra configuration types never changes truncated output."""
-    assert stable_series(10) == stable_series(10, triple_bound=14)
+def test_configuration_types_are_complete_for_the_truncation():
+    """Every type with 3k1+k2+4h <= 10 enters stable_series(10); a type with
+    10 < 3k1+k2+4h <= 14 is left out and would add nothing."""
+    def types(low, high):
+        return {
+            (k1, k2, h)
+            for k1 in range(high // 3 + 1)
+            for k2 in range(high + 1)
+            for h in range(high // 4 + 1)
+            if k1 + k2 + h >= 3 and low < 3 * k1 + k2 + 4 * h <= high
+        }
+
+    assert set(stable._configuration_types(10)) == types(-1, 10)
+    beyond = types(10, 14)
+    assert len(beyond) == 45
+    for k1, k2, h in beyond:
+        term = numerator_term(k1, k2, h, truncation=10)
+        assert (term.truncation, term.terms) == (10, {}), (k1, k2, h)
 
 
 def test_truncation_consistency():

@@ -8,8 +8,9 @@ refers to it outside its own definition and outside ``__all__``; importing it
 does not count, and a method is matched by its bare name.  The few names that
 nothing refers to are the oracles and API in ``KEPT``, each with the reason it
 stays.  A public name that is neither goes, with its tests.  The last check
-keeps the pairing of M_{0,n} layers with a configuration type in one place:
-only the definitions in ``CALLERS`` call the layer route.
+keeps the pairing of M_{0,n} layers with a configuration type in one place,
+and the one row formula of the rank checks with its callers: only the
+definitions in ``CALLERS`` call those routes.
 """
 
 import ast
@@ -24,22 +25,10 @@ KEPT = (
     ("ffcount", "psi_inverse",
      "the inverse of the paper's substitution psi; psi_roundtrip_check runs "
      "its row-wise form"),
-    ("linalg", "singularity_rows",
-     "the rows of one rational point; the oracle of the rows of the rank checks"),
-    ("linalg", "PointOnSurface.on_exceptional",
-     "a rational point on the section for the singularity_rows oracle; the "
-     "rank checks sample integer coordinates instead"),
-    ("linalg", "PointOnSurface.off_exceptional",
-     "a rational point off the section for the singularity_rows oracle; the "
-     "rank checks sample integer coordinates instead"),
     ("m0n", "twisted_count_config_p1",
      "the sparse-polynomial oracle of the integer layer counts"),
     ("m0n", "brute_twisted_count",
      "the oracle that counts by walking Frobenius orbits"),
-    ("symfunc", "z_order",
-     "centralizer order of one cycle type; the oracle of the Hall pairings"),
-    ("symfunc", "sign",
-     "sign of one cycle type; the oracle of the sign character"),
     ("symfunc", "irreducible_character",
      "one irreducible character value; the oracle of the dense characters"),
     ("symfunc", "CharacterVector.sign_character",
@@ -149,10 +138,12 @@ def test_kept_names_are_public_unreached_and_explained():
 
 
 # function -> the (module, top-level definition) pairs that may call it: the
-# pairing of M_{0,n} layers with a configuration type is decided in one place
+# pairing of M_{0,n} layers with a configuration type is decided in one place,
+# and the one row formula of the rank checks has one set of callers
 CALLERS = {
     "hall_inner_product_induced": {("stable", "type_pairings")},
     "equivariant_poincare_m0n": {("stable", "type_pairings"), ("cli", "cmd_m0n")},
+    "_row_array": {("linalg", "verify_bundle_rank"), ("linalg", "_pairs_certified")},
 }
 
 
