@@ -832,38 +832,50 @@ def psi_roundtrip_check(
     discriminants, and checks that dividing beta^2 - delta by 4 alpha
     recovers gamma exactly.  ``limit`` caps the number of members visited;
     with ``limit=None`` the count of members independently re-derives the
-    raw enumeration total.  For each nonzero alpha the (gamma, beta) pairs
-    go through in blocks of at most ``_PSI_BLOCK_ROWS`` rows: one matrix
-    product forms every discriminant of a block, the square-free bitmap
-    picks the members, and one row-wise division recovers their gammas.
+    raw enumeration total.  For each nonzero alpha one row-wise division
+    runs over every numerator form of degree 2g+2: the division table has
+    the q^(2g+3) rows of ``_digit_matrix``, the size and order of the
+    square-free bitmap, and keeps the base-q code of each quotient, or -1
+    where 4 alpha does not divide.  The (gamma, beta) pairs then go through
+    in blocks of at most ``_PSI_BLOCK_ROWS`` rows: one matrix product forms
+    every discriminant of a block, the square-free bitmap picks the
+    members, and each member's own numerator beta^2 - delta looks up its
+    quotient, which must be the code of its gamma.
     """
     import numpy as np
 
     _validate_genus_pair(g, l)
     _validate_odd_prime(q)
+    if limit is not None and (
+        not isinstance(limit, int) or isinstance(limit, bool) or limit < 1
+    ):
+        raise ValueError(f"limit must be an integer of at least 1, got {limit!r}")
     _check_budget(g, l, q, tuple_budget)
     disc_degree = 2 * g + 2
     squarefree = _squarefree_bitmap(disc_degree, q)
+    numerators = _digit_matrix(disc_degree + 1, q)
     powers = q ** np.arange(disc_degree + 1, dtype=np.int64)
     beta_squares = _beta_square_rows(g, q).astype(np.int64)
     gammas = _digit_matrix(disc_degree - l + 1, q)[:, ::-1]
+    gamma_powers = powers[: disc_degree - l + 1]
+    gamma_codes = gammas @ gamma_powers
     # Blocks are whole runs of gammas times all betas, or one gamma times a
     # run of betas when there are more betas than rows in a block; either
     # way they follow the lexicographic order of (gamma, beta).
     gamma_step = max(1, _PSI_BLOCK_ROWS // len(beta_squares))
     beta_step = min(len(beta_squares), _PSI_BLOCK_ROWS)
-    if limit is not None and limit < 1:
-        raise ValueError(f"limit must be at least 1, got {limit}")
     members = 0
     failures = 0
     for alpha in itertools.product(range(q), repeat=l + 1):
         if not any(alpha):
             continue
         den = tuple(4 * c % q for c in alpha)
+        quotient, divides = _exact_div_rows(numerators, den, q)
+        quotient_codes = np.where(divides, quotient @ gamma_powers, -1)
         times_den = _times_matrix(den, disc_degree - l)
         for g0 in range(0, len(gammas), gamma_step):
-            gamma = gammas[g0 : g0 + gamma_step]
-            scaled = gamma @ times_den
+            gamma = gamma_codes[g0 : g0 + gamma_step]
+            scaled = gammas[g0 : g0 + gamma_step] @ times_den
             for b0 in range(0, len(beta_squares), beta_step):
                 bsq = beta_squares[b0 : b0 + beta_step]
                 delta = ((bsq[None, :, :] - scaled[:, None, :]) % q).reshape(
@@ -872,10 +884,9 @@ def psi_roundtrip_check(
                 found = np.flatnonzero(squarefree[delta @ powers])
                 if limit is not None:
                     found = found[: limit - members]
-                delta = delta[found]
                 gamma_of, beta_of = np.divmod(found, len(bsq))
-                quotient, divides = _exact_div_rows(bsq[beta_of] - delta, den, q)
-                wrong = ~divides | (quotient != gamma[gamma_of]).any(axis=1)
+                numerator = (bsq[beta_of] - delta[found]) % q
+                wrong = quotient_codes[numerator @ powers] != gamma[gamma_of]
                 members += len(found)
                 failures += int(np.count_nonzero(wrong))
                 if limit is not None and members >= limit:

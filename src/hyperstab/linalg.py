@@ -192,12 +192,19 @@ def _ranks_mod_p(matrices, p: int) -> np.ndarray:
     """Ranks over F_p of a batch of equal-shape integer matrices.
 
     Every matrix is eliminated with its own pivots, all of them in the same
-    array operations.  A row below the pivot becomes lead*row - entry*pivot,
-    a row operation with a unit factor, so no inverse is needed.  Below
-    2^31 the residues and the product of any two fit in int64, and an int64
-    batch, such as the residue rows of ``_row_array``, is reduced without
-    leaving int64; larger primes, and entries beyond int64, run the same
-    code on Python integers in an ``object`` array.
+    array operations.  Since rank(M) = rank(M^T), the elimination runs
+    along the short side: one step per column of whichever of M and M^T is
+    the taller, stored column by column, so that each column and each
+    trailing block is contiguous.  A step takes as pivot the first row
+    with a nonzero entry in the column and updates the trailing block in
+    place: every row becomes lead*row - entry*pivot_row, a row operation
+    with a unit factor, so no inverse is needed.  That zeroes the pivot row
+    too, so no row is swapped or set aside; a matrix without a pivot in the
+    column takes lead = 1 and keeps its block.  Below 2^31 the residues and
+    the product of any two fit in int64, and an int64 batch, such as the
+    residue rows of ``_row_array``, is reduced without leaving int64; larger
+    primes, and entries beyond int64, run the same code on Python integers
+    in an ``object`` array.
     """
     import numpy as np
 
@@ -205,31 +212,31 @@ def _ranks_mod_p(matrices, p: int) -> np.ndarray:
         return np.zeros(0, dtype=np.intp)
     m = np.asarray(matrices)
     if m.dtype != np.int64 or p >= 2**31:
-        m = m.astype(object)
-    m = m % p
+        # built from the input, not from m: numpy reads a list that mixes
+        # negative entries with entries in [2^63, 2^64) as float64
+        m = np.array(matrices, dtype=object)
+    # m[b, col, row]: the columns of a tall matrix, or the rows of a wide
+    # one, which are the columns of its transpose
+    if m.shape[1] > m.shape[2]:
+        m = m.transpose(0, 2, 1)
+    m = np.ascontiguousarray(m % p)
     if p < 2**31:
         m = m.astype(np.int64, copy=False)
-    batch, n_rows, n_cols = m.shape
+    batch, n_cols, _ = m.shape
     rank = np.zeros(batch, dtype=np.intp)
-    row_ids = np.arange(n_rows)
+    each = np.arange(batch)
     for col in range(n_cols):
-        if (rank == n_rows).all():
-            break
-        candidates = (m[:, :, col] != 0) & (row_ids >= rank[:, None])
-        live = np.flatnonzero(candidates.any(axis=1))
-        if not len(live):
-            continue
-        r = rank[live]
-        pivot = candidates[live].argmax(axis=1)
-        m[live, r], m[live, pivot] = m[live, pivot], m[live, r]
-        # Rows at or above the pivot are never read again, so every row
-        # takes the update; the pivot row itself becomes zero.
-        tail = m[live, :, col:]
-        lead = tail[np.arange(len(live)), r]
-        m[live, :, col:] = (
-            lead[:, None, :1] * tail - tail[:, :, :1] * lead[:, None, :]
+        column = m[:, col]
+        pivot = (column != 0).argmax(axis=1)
+        lead = column[each, pivot]
+        found = lead != 0
+        rank += found
+        block = m[:, col + 1 :]
+        pivot_row = block[each, :, pivot]
+        lead = np.where(found, lead, 1)
+        block[...] = (
+            lead[:, None, None] * block - pivot_row[:, :, None] * column[:, None]
         ) % p
-        rank[live] += 1
     return rank
 
 

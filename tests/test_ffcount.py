@@ -911,30 +911,64 @@ def test_psi_roundtrip_check_full_run_counts_every_member(g, l, q, variant):
     assert report["members"] == enumerate_count(g, l, q, variant=variant).raw_count
 
 
-@pytest.mark.parametrize("limit", [0, -1, -37])
-def test_psi_roundtrip_check_rejects_a_limit_below_one(limit):
+@pytest.mark.parametrize("limit", [0, -1, -37, 2.5, True, False, "3"])
+def test_psi_roundtrip_check_rejects_a_limit_below_one(monkeypatch, limit):
+    # the limit is refused before any table is built
+    monkeypatch.setattr(ffcount, "_squarefree_bitmap", None)
     with pytest.raises(ValueError, match="limit"):
         psi_roundtrip_check(2, 1, 3, limit=limit)
 
 
 def test_psi_roundtrip_check_reports_a_wrong_quotient(monkeypatch):
-    real = ffcount._exact_div_rows
+    # The first nonzero alpha, (0, 1), gets a wrong quotient for the
+    # numerator of the second gamma in lexicographic order, (0, ..., 0, 1).
+    # Members reach that numerator; the zero numerator of the first gamma
+    # has none, since beta^2 is never square-free.
+    g, l, q = 2, 1, 3
+    den = (0, 4 % q)
+    gamma = (0,) * (2 * g + 2 - l) + (1,)
+    target = tuple(4 * c % q for c in o_mul((0, 1), gamma, q))
+    code = sum(c * q**i for i, c in enumerate(target))
+    real_rows, real_scalar = ffcount._exact_div_rows, ffcount._exact_div
     corrupted = []
 
-    def corrupt_once(num_rows, den, q):
-        quotient, divides = real(num_rows, den, q)
-        if not corrupted and len(quotient):
+    def corrupt_rows(num_rows, den_, q_):
+        quotient, divides = real_rows(num_rows, den_, q_)
+        if tuple(den_) == den:
+            assert tuple(num_rows[code]) == target and divides[code]
             quotient = quotient.copy()
-            quotient[0, 0] = (quotient[0, 0] + 1) % q
+            quotient[code, 0] = (quotient[code, 0] + 1) % q_
             corrupted.append(True)
         return quotient, divides
 
-    monkeypatch.setattr(ffcount, "_exact_div_rows", corrupt_once)
-    report = psi_roundtrip_check(2, 1, 3, limit=4000)
-    assert corrupted
-    assert report["ok"] is False
-    assert report["failures"] == 1
-    assert report["members"] == 4000
+    def corrupt_scalar(num, den_, q_):
+        quotient = real_scalar(num, den_, q_)
+        if tuple(num) == target and tuple(den_) == den:
+            quotient = ((quotient[0] + 1) % q_,) + quotient[1:]
+        return quotient
+
+    monkeypatch.setattr(ffcount, "_exact_div_rows", corrupt_rows)
+    report = psi_roundtrip_check(g, l, q, limit=4000)
+    assert corrupted == [True]
+    monkeypatch.setattr(ffcount, "_exact_div", corrupt_scalar)
+    expected = o_psi_roundtrip_check(g, l, q, limit=4000)
+    assert expected["failures"] > 1
+    assert report == expected
+    assert report["ok"] is False and report["members"] == 4000
+
+
+def test_psi_roundtrip_check_divides_once_per_leading_form(monkeypatch):
+    real = ffcount._exact_div_rows
+    calls = []
+
+    def counting(num_rows, den, q):
+        calls.append(den)
+        return real(num_rows, den, q)
+
+    monkeypatch.setattr(ffcount, "_exact_div_rows", counting)
+    report = psi_roundtrip_check(2, 1, 3)
+    assert report["ok"] is True
+    assert len(calls) == len(set(calls)) == 3**2 - 1
 
 
 # --------------------------------------------------------------------------

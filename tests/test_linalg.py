@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hyperstab import linalg
+from hyperstab import cli, linalg
 from hyperstab.cli import RANK_TYPES, _minimal_valid_degree
 from hyperstab.linalg import (
     SectionSpace,
@@ -645,9 +645,14 @@ _PRIMES = (3, 5, 7, 101, 65537, 2**31 - 1, 2147483659, 2**61 - 1)
 @st.composite
 def _matrix_batch(draw):
     """(matrices, p): 1-8 matrices of one shape, some products of thin
-    factors (rank-deficient), some with entries far beyond the prime."""
+    factors (rank-deficient), some with entries far beyond the prime.  The
+    shape is square, wide or tall, with sides up to 18 and 27, the largest
+    blocks of ``verify ranks``."""
     p = draw(st.sampled_from(_PRIMES))
-    n_rows, n_cols = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    short = draw(st.integers(1, 18))
+    orientation = draw(st.sampled_from(("square", "wide", "tall")))
+    long = short if orientation == "square" else draw(st.integers(short, 27))
+    n_rows, n_cols = (long, short) if orientation == "tall" else (short, long)
     small = st.integers(-4, 4)
     batch = []
     for kind in draw(st.lists(st.sampled_from("tgwz"), min_size=1, max_size=8)):
@@ -678,6 +683,8 @@ def _hadamard_bound(matrix):
 
 @settings(max_examples=300, deadline=None)
 @given(_matrix_batch())
+# -1 next to 2^63 makes numpy read the batch as float64
+@example(([[[1, -1], [-1, 1]], [[0, 2**63], [0, 0]]], 2147483659))
 def test_batched_ranks_agree_with_the_frozen_kernel_and_bareiss(case):
     batch, p = case
     ranks = linalg._ranks_mod_p(batch, p)
@@ -691,6 +698,24 @@ def test_batched_ranks_agree_with_the_frozen_kernel_and_bareiss(case):
     if all(abs(entry) < 2**63 for matrix in batch for row in matrix for entry in row):
         # an int64 batch, negative entries included, takes the int64 route
         assert (linalg._ranks_mod_p(np.array(batch, dtype=np.int64), p) == ranks).all()
+
+
+def test_suite_blocks_rank_as_the_frozen_elimination(monkeypatch):
+    real = linalg._ranks_mod_p
+    blocks = []
+
+    def spy(matrices, p):
+        ranks = real(matrices, p)
+        blocks.append((np.array(matrices), p, ranks))
+        return ranks
+
+    monkeypatch.setattr(linalg, "_ranks_mod_p", spy)
+    assert all(check.status == "pass" for check in cli.suite_ranks(seed=11).checks)
+    shapes = [matrices.shape for matrices, _, _ in blocks]
+    assert len(blocks) == 39
+    assert (100, 18, 18) in shapes and (100, 9, 27) in shapes
+    for matrices, p, ranks in blocks:
+        assert ranks.tolist() == [o_rank_mod_p(m, p) for m in matrices.tolist()]
 
 
 def test_batched_ranks_of_an_empty_batch():
