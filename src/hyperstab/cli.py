@@ -669,7 +669,7 @@ def suite_diffscan() -> SuiteResult:
         )
     )
     candidates = {
-        (cand.source, cand.target, cand.kind) for cand in differential_candidates(8)
+        (cand.source, cand.target, cand.kind) for cand in differential_candidates(scan)
     }
     missing = [c for c in REQUIRED_CANDIDATES if c not in candidates]
     checks.append(

@@ -13,24 +13,28 @@ polynomials, reversed.
 Enumeration never walks all q^(3g+6) tuples one by one: for a fixed nonzero
 alpha the map gamma -> beta^2 - 4 alpha gamma is a bijection onto a coset of
 the subspace alpha * (forms of complementary degree), so counting admissible
-gamma reduces to bucketing square-free forms by coset label.  Nor does it
-visit every alpha.  Let G = GL_2(F_q) x F_q^* act by alpha -> c (alpha o g).
-Substituting g in all three forms maps triples bijectively and the
-discriminant to its composite with g, square-free exactly when it is, and
-(alpha, gamma) -> (c alpha, gamma / c) keeps the discriminant; so the members
-with leading form alpha, and their strata (m, lambda), depend only on the
-G-orbit of alpha, and one representative per orbit, weighted by the orbit
-size, stands for all of it.  The naive loop over every triple survives as
-``method="naive"`` and doubles as an oracle at the smallest sizes; it decides
-square-freeness by gcd with the derivative, while the fast route uses a sieve
-over irreducible squares, so the two routes differ in strategy and share only
-the F_q polynomial kernels of `fq`.
+gamma reduces to bucketing square-free forms by coset label, which is the
+remainder by alpha.  `_divide` is the one division of binary forms here, for
+labels, divisibility, factoring and psi; it is linear in the numerator, so
+the remainders of many forms are one product with those of the basis forms.
+Nor does it visit every alpha.  Let G = GL_2(F_q) x F_q^* act by
+alpha -> c (alpha o g).  Substituting g in all three forms maps triples
+bijectively and the discriminant to its composite with g, square-free
+exactly when it is, and (alpha, gamma) -> (c alpha, gamma / c) keeps the
+discriminant; so the members with leading form alpha, and their strata
+(m, lambda), depend only on the G-orbit of alpha, and one representative per
+orbit, weighted by the orbit size, stands for all of it.  The naive loop
+over every triple survives as ``method="naive"`` and doubles as an oracle at
+the smallest sizes; it decides square-freeness by gcd with the derivative,
+while the fast route uses a sieve over irreducible squares, so the two
+routes differ in strategy and share only the F_q polynomial kernels of `fq`.
 
 `is_squarefree` is the oracle test of the naive route and of
 `SectionTriple.is_member`.  `psi_inverse`, the inverse of the paper's
-substitution psi, is API that no command calls; `psi_roundtrip_check` runs its
-row-wise form.  `verify counts --budget full` runs `orbit_spot_check`, which
-moves members by `apply_group_element`.
+substitution psi, is API that no command calls; `psi_roundtrip_check` runs
+it on rows, through the quotient and remainder matrices of `_divide`.
+`verify counts --budget full` runs `orbit_spot_check`, which moves members
+by `apply_group_element`.
 """
 
 from __future__ import annotations
@@ -98,6 +102,11 @@ def _validate_genus_pair(g, l, *, within_family: bool = True) -> None:
         raise ValueError(f"genus must be at least 2: {g}")
     if l < 0 or (within_family and l > g + 1):
         raise ValueError(f"l must satisfy 0 <= l <= g+1 = {g + 1}: {l}")
+
+
+def _validate_count(name, value) -> None:
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
 
 
 def _resolve_variant(n, variant):
@@ -213,57 +222,21 @@ class CountRecord:
 # coefficient-tuple arithmetic (ascending x-exponent)
 # --------------------------------------------------------------------------
 
-def _exact_div(num, den, q):
-    """Quotient form of num/den, or None when den does not divide num.
+def _divide(num, den, q):
+    """(quotient, remainder) of the form num by the nonzero form den.
 
-    Degrees are read from the tuple lengths, so a divisor with top zeros is
-    a y-power times its x-part and is handled by truncation before the
-    Euclidean division by the x-part.
+    A divisor with top zeros is a y-power times its x-part: the top
+    coefficients of num under that y-power go into the remainder unchanged,
+    and the others are divided by the x-part.  The remainder is linear in
+    num, has min(deg den, deg num + 1) entries, and vanishes exactly when
+    den divides num; it is the coset label of num modulo den * (forms of the
+    complementary degree).
     """
+    top = max(i for i, c in enumerate(den) if c % q)
+    cut = max(len(num) - (len(den) - 1 - top), 0)
     num = [c % q for c in num]
-    top = max((i for i, c in enumerate(den) if c % q), default=None)
-    if top is None:
-        return None
-    y_power = len(den) - 1 - top
-    if y_power >= len(num):
-        # y^y_power exceeds the degree of num, so only zero is divisible
-        return None if any(num) else ()
-    if any(num[len(num) - y_power :]):
-        return None
-    quot, rem = fq.divmod(num[: len(num) - y_power], den[: top + 1], q)
-    return None if rem else quot
-
-
-def _exact_div_rows(num_rows, den, q):
-    """Row-wise :func:`_exact_div` by one divisor: (quotient rows, divides mask).
-
-    Row r of the quotient equals ``_exact_div(num_rows[r], den, q)`` wherever
-    the mask is set; where it is clear the quotient row is meaningless.  A
-    divisor with top zeros truncates the same y-power as the scalar route.
-    """
-    import numpy as np
-
-    # Coefficient-major copy: each step of the division reads one contiguous
-    # row.  Entries stay unreduced until the final remainder test.
-    num = np.array(np.asarray(num_rows).T, dtype=np.int64)
-    width, rows = num.shape
-    top = max((i for i, c in enumerate(den) if c % q), default=None)
-    if top is None:
-        return np.zeros((rows, 0), dtype=np.int64), np.zeros(rows, dtype=bool)
-    y_power = len(den) - 1 - top
-    if y_power >= width:
-        return np.zeros((rows, 0), dtype=np.int64), ~(num % q).any(axis=0)
-    divides = ~(num[width - y_power :] % q).any(axis=0)
-    num = num[: width - y_power]
-    quot = np.zeros((max(len(num) - top, 0), rows), dtype=np.int64)
-    low = np.array(den[: top + 1], dtype=np.int64) % q
-    inv = pow(int(low[top]), q - 2, q)
-    for i in range(len(quot) - 1, -1, -1):
-        c = num[top + i] * inv % q
-        quot[i] = c
-        num[i : i + top + 1] -= low[:, None] * c
-    divides &= ~(num % q).any(axis=0)
-    return quot.T, divides
+    quot, rem = fq.divmod(num[:cut], [c % q for c in den[: top + 1]], q)
+    return quot, tuple(rem) + (0,) * (min(top, cut) - len(rem)) + tuple(num[cut:])
 
 
 def _gcd_with_derivative_is_constant(u, q):
@@ -309,8 +282,8 @@ def _factor_form(coeffs, q, irreducibles):
     for pi in irreducibles:
         exponent = 0
         while True:
-            quotient = _exact_div(rest, pi, q)
-            if quotient is None:
+            quotient, remainder = _divide(rest, pi, q)
+            if any(remainder):
                 break
             rest = quotient
             exponent += 1
@@ -433,59 +406,19 @@ def _check_budget(g, l, q, tuple_budget):
         )
 
 
-def _rref_mod(rows, q, ncols):
-    """Reduced row echelon form over F_q; returns (pivot columns, rows)."""
-    mat = [list(r) for r in rows]
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        sel = next((r for r in range(rank, len(mat)) if mat[r][col] % q), None)
-        if sel is None:
-            continue
-        mat[rank], mat[sel] = mat[sel], mat[rank]
-        inv = pow(mat[rank][col], q - 2, q)
-        mat[rank] = [v * inv % q for v in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col] % q:
-                c = mat[r][col]
-                mat[r] = [(v - c * w) % q for v, w in zip(mat[r], mat[rank])]
-        pivots.append(col)
-        rank += 1
-    return pivots, mat[:rank]
+def _labels(rows, form, q):
+    """Coset label of each row modulo form * (forms of the complementary degree).
 
-
-def _coset_labeler(form, target_degree, q):
-    """Label data for the subspace form * (forms of complementary degree).
-
-    Returns (pivot column array, free column array, reduced-row block) such
-    that two coefficient vectors lie in the same coset exactly when their
-    labels computed by :func:`_labels` agree.
+    The label is the row's remainder by form (see `_divide`) read in base q,
+    so it is 0 exactly when form divides the row.  By linearity the
+    remainders of all rows are one product with R, the remainders of the
+    basis forms.
     """
     import numpy as np
 
-    rows = _times_matrix(form, target_degree - (len(form) - 1)).tolist()
-    pivots, reduced = _rref_mod(rows, q, target_degree + 1)
-    pivot_set = set(pivots)
-    free = [c for c in range(target_degree + 1) if c not in pivot_set]
-    block = np.array(
-        [[reduced[k][f] for f in free] for k in range(len(pivots))], dtype=np.int64
-    )
-    return (
-        np.array(pivots, dtype=np.intp),
-        np.array(free, dtype=np.intp),
-        block,
-    )
-
-
-def _labels(rows, pivots, free, block, q):
-    """Coset label index for each coefficient row (canonical representative)."""
-    import numpy as np
-
-    if len(free) == 0:
-        return np.zeros(len(rows), dtype=np.int64)
-    rows = rows.astype(np.int64, copy=False)
-    reduced = (rows[:, free] - rows[:, pivots] @ block) % q
-    return reduced @ (q ** np.arange(len(free), dtype=np.int64))
+    basis = np.eye(rows.shape[1], dtype=np.int64).tolist()
+    rem = np.array([_divide(e, form, q)[1] for e in basis], dtype=np.int64)
+    return (rows @ rem % q) @ q ** np.arange(rem.shape[1], dtype=np.int64)
 
 
 def _beta_square_rows(g, q):
@@ -539,14 +472,8 @@ def _member_weights(g, l, q):
     if squarefree[beta_squares.astype(np.int64) @ q ** np.arange(disc_degree + 1)].any():
         raise AssertionError("a pure square discriminant tested square-free")
     for alpha, size in _alpha_orbits(l, q):
-        pivots, free, block = _coset_labeler(alpha, disc_degree, q)
-        if len(free) != l:
-            raise AssertionError("multiplication by a nonzero form lost rank")
-        per_label = np.bincount(
-            _labels(beta_squares, pivots, free, block, q), minlength=q**l
-        )
-        labels = _labels(digits, pivots, free, block, q)
-        yield alpha, size, np.where(squarefree, per_label[labels], 0)
+        per_label = np.bincount(_labels(beta_squares, alpha, q), minlength=q**l)
+        yield alpha, size, np.where(squarefree, per_label[_labels(digits, alpha, q)], 0)
 
 
 def _enumerate_raw(g, l, q, method="coset"):
@@ -735,18 +662,14 @@ def _total_form(g: int, l: int) -> QPolynomial:
 def _stratified_raw(g, l, q):
     import numpy as np
 
-    disc_degree = 2 * g + 2
-    digits = _digit_matrix(disc_degree + 1, q)
+    digits = _digit_matrix(2 * g + 3, q)
     irreducibles = _monic_irreducible_forms(q, max(l, 1))
     strata = {}
     for alpha, size, weights in _member_weights(g, l, q):
         factors = _factor_form(alpha, q, irreducibles)
         pattern = np.zeros(len(digits), dtype=np.int64)
         for i, (pi, _) in enumerate(factors):
-            piv2, free2, block2 = _coset_labeler(pi, disc_degree, q)
-            labels2 = _labels(digits, piv2, free2, block2, q)
-            divides = labels2 == 0
-            pattern += divides.astype(np.int64) << i
+            pattern += (_labels(digits, pi, q) == 0).astype(np.int64) << i
         for bits in range(1 << len(factors)):
             count = int(weights[pattern == bits].sum())
             if count == 0:
@@ -812,8 +735,8 @@ def psi_inverse(alpha: BinaryForm, beta: BinaryForm, delta: BinaryForm) -> Secti
     bsq = fq.mul(beta.coefficients, beta.coefficients, q)
     num = tuple((x - y) % q for x, y in zip(bsq, delta.coefficients))
     den = tuple(4 * c % q for c in alpha.coefficients)
-    gamma = _exact_div(num, den, q)
-    if gamma is None:
+    gamma, remainder = _divide(num, den, q)
+    if any(remainder):
         raise ValueError("beta^2 - delta is not divisible by 4 alpha")
     return SectionTriple(alpha, beta, BinaryForm(2 * g + 2 - l, gamma, q))
 
@@ -832,28 +755,29 @@ def psi_roundtrip_check(
     discriminants, and checks that dividing beta^2 - delta by 4 alpha
     recovers gamma exactly.  ``limit`` caps the number of members visited;
     with ``limit=None`` the count of members independently re-derives the
-    raw enumeration total.  For each nonzero alpha one row-wise division
-    runs over every numerator form of degree 2g+2: the division table has
-    the q^(2g+3) rows of ``_digit_matrix``, the size and order of the
-    square-free bitmap, and keeps the base-q code of each quotient, or -1
-    where 4 alpha does not divide.  The (gamma, beta) pairs then go through
-    in blocks of at most ``_PSI_BLOCK_ROWS`` rows: one matrix product forms
-    every discriminant of a block, the square-free bitmap picks the
-    members, and each member's own numerator beta^2 - delta looks up its
-    quotient, which must be the code of its gamma.
+    raw enumeration total.  For each nonzero alpha, `_divide` runs once per
+    basis form of degree 2g+2, which gives the matrices Q and R: by
+    linearity the quotient and remainder by 4 alpha of a numerator row are
+    its products with Q and R.  They fill a division table over the q^(2g+3)
+    rows of ``_digit_matrix``, the size and order of the square-free bitmap,
+    which keeps the base-q code of each quotient, or -1 where the remainder
+    is not zero.  The (gamma, beta) pairs then go through in blocks of at
+    most ``_PSI_BLOCK_ROWS`` rows: one matrix product forms every
+    discriminant of a block, the square-free bitmap picks the members, and
+    each member's own numerator beta^2 - delta looks up its quotient, which
+    must be the code of its gamma.
     """
     import numpy as np
 
     _validate_genus_pair(g, l)
     _validate_odd_prime(q)
-    if limit is not None and (
-        not isinstance(limit, int) or isinstance(limit, bool) or limit < 1
-    ):
-        raise ValueError(f"limit must be an integer of at least 1, got {limit!r}")
+    if limit is not None:
+        _validate_count("limit", limit)
     _check_budget(g, l, q, tuple_budget)
     disc_degree = 2 * g + 2
     squarefree = _squarefree_bitmap(disc_degree, q)
     numerators = _digit_matrix(disc_degree + 1, q)
+    basis = np.eye(disc_degree + 1, dtype=np.int64).tolist()
     powers = q ** np.arange(disc_degree + 1, dtype=np.int64)
     beta_squares = _beta_square_rows(g, q).astype(np.int64)
     gammas = _digit_matrix(disc_degree - l + 1, q)[:, ::-1]
@@ -870,8 +794,12 @@ def psi_roundtrip_check(
         if not any(alpha):
             continue
         den = tuple(4 * c % q for c in alpha)
-        quotient, divides = _exact_div_rows(numerators, den, q)
-        quotient_codes = np.where(divides, quotient @ gamma_powers, -1)
+        quot, rem = (
+            np.array(part, dtype=np.int64) for part in zip(*[_divide(e, den, q) for e in basis])
+        )
+        quotient_codes = np.where(
+            (numerators @ rem % q).any(axis=1), -1, (numerators @ quot % q) @ gamma_powers
+        )
         times_den = _times_matrix(den, disc_degree - l)
         for g0 in range(0, len(gammas), gamma_step):
             gamma = gamma_codes[g0 : g0 + gamma_step]
@@ -988,6 +916,8 @@ def orbit_spot_check(
     """
     _validate_genus_pair(g, l)
     _validate_odd_prime(q)
+    _validate_count("elements", elements)
+    _validate_count("samples", samples)
     n = g + 1 - l
     rng = random.Random(f"{seed}:orbit:{g}:{l}:{q}")
 

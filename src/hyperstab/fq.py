@@ -1,10 +1,11 @@
 """Prime fields F_q and polynomial arithmetic over them.
 
 A polynomial is a tuple of residues in ascending order of the exponent.
-These kernels are shared by the square-free sieve and the exact division of
-`ffcount` and the Frobenius-orbit oracle of `m0n`.  Primality is decided in
-one place, `is_prime`, and irreducibility in one place: trial division by
-the memoised monic irreducibles of at most half the degree.
+These kernels are shared by the square-free sieve and the one division of
+binary forms in `ffcount` and the Frobenius-orbit oracle of `m0n`.
+Primality is decided in one place, `is_prime`, and irreducibility in one
+place: trial division by the memoised monic irreducibles of at most half the
+degree.
 """
 
 from __future__ import annotations

@@ -391,8 +391,8 @@ def verify_bundle_rank(
     trial gets its kernel dimension from Bareiss elimination over the
     integers.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, not {trials}")
+    if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
+        raise ValueError(f"trials must be at least 1 and an integer, not {trials!r}")
     space = SectionSpace(d, n)
     bound = _degree_bound(config, n)
     if enforce_bound and d < bound:

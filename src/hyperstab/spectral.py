@@ -356,13 +356,12 @@ def scan_differential_system(bound: int) -> dict:
     return results
 
 
-def differential_candidates(bound: int) -> tuple:
-    """Admissible differentials between types with at most ``bound`` sites.
+def differential_candidates(scan: dict) -> tuple:
+    """Admissible differentials of a `scan_differential_system` result.
 
     Kind "I" candidates raise the twist by one and stay within a column;
     kind "II" candidates preserve the twist and drop the site count by one.
     """
-    scan = scan_differential_system(bound)
     seen = set()
     out = []
     for name, kind in (("f", "I"), ("g", "II")):

@@ -7,6 +7,8 @@ Oracles:
 * the naive triple loop over (alpha, beta, gamma), which shares neither the
   coset-label enumeration strategy nor the sieve-based square-free bitmap
   with the fast route it checks;
+* the F_q row-echelon coset labeler, frozen as it stood before coset labels
+  became remainders of the one division of binary forms;
 * closed-form counts evaluated exactly as polynomials in q and compared to
   the enumerated stack counts;
 * brute-force orders of the small matrix groups acting on the triples;
@@ -596,6 +598,78 @@ def test_alpha_orbits_match_a_walk_over_the_whole_group(l, q):
     assert ffcount._alpha_orbits(l, q) == expected
 
 
+def o_rref_mod(rows, q, ncols):
+    """Reduced row echelon form over F_q; returns (pivot columns, rows).
+
+    Frozen copy of ``ffcount._rref_mod`` as it stood before coset labels
+    became remainders of `ffcount._divide`.
+    """
+    mat = [list(r) for r in rows]
+    pivots = []
+    rank = 0
+    for col in range(ncols):
+        sel = next((r for r in range(rank, len(mat)) if mat[r][col] % q), None)
+        if sel is None:
+            continue
+        mat[rank], mat[sel] = mat[sel], mat[rank]
+        inv = pow(mat[rank][col], q - 2, q)
+        mat[rank] = [v * inv % q for v in mat[rank]]
+        for r in range(len(mat)):
+            if r != rank and mat[r][col] % q:
+                c = mat[r][col]
+                mat[r] = [(v - c * w) % q for v, w in zip(mat[r], mat[rank])]
+        pivots.append(col)
+        rank += 1
+    return pivots, mat[:rank]
+
+
+def o_coset_labeler(form, target_degree, q):
+    """(pivot columns, free columns, reduced-row block) of the subspace
+    form * (forms of complementary degree), frozen with `o_rref_mod`: two
+    rows lie in the same coset exactly when their `o_labels` agree."""
+    cofactor_deg = target_degree - (len(form) - 1)
+    rows = [[0] * i + list(form) + [0] * (cofactor_deg - i) for i in range(cofactor_deg + 1)]
+    pivots, reduced = o_rref_mod(rows, q, target_degree + 1)
+    pivot_set = set(pivots)
+    free = [c for c in range(target_degree + 1) if c not in pivot_set]
+    block = np.array(
+        [[reduced[k][f] for f in free] for k in range(len(pivots))], dtype=np.int64
+    )
+    return np.array(pivots, dtype=np.intp), np.array(free, dtype=np.intp), block
+
+
+def o_labels(rows, pivots, free, block, q):
+    """Coset label index for each coefficient row (canonical representative)."""
+    if len(free) == 0:
+        return np.zeros(len(rows), dtype=np.int64)
+    rows = rows.astype(np.int64, copy=False)
+    reduced = (rows[:, free] - rows[:, pivots] @ block) % q
+    return reduced @ (q ** np.arange(len(free), dtype=np.int64))
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_remainder_labels_split_the_forms_like_the_frozen_labeler(q):
+    digits = ffcount._digit_matrix(7, q).astype(np.int64)
+    frozen = {}  # the frozen labels depend only on the subspace, i.e. its RREF
+    for l in range(4):
+        for alpha in all_forms(l, q):
+            if not any(alpha):
+                continue
+            pivots, free, block = o_coset_labeler(alpha, 6, q)
+            key = (pivots.tobytes(), block.tobytes())
+            if key not in frozen:
+                frozen[key] = o_labels(digits, pivots, free, block, q)
+            theirs = frozen[key]
+            ours = ffcount._labels(digits, alpha, q)
+            # each label takes all q^l values, and ours determines theirs,
+            # so the classes are the same
+            to_theirs = np.zeros(q**l, dtype=np.int64)
+            to_theirs[ours] = theirs
+            assert (to_theirs[ours] == theirs).all(), alpha
+            for labels in (ours, theirs):
+                assert np.count_nonzero(np.bincount(labels, minlength=q**l)) == q**l, alpha
+
+
 def o_enumerate_raw(g, l, q):
     """The coset route over every nonzero alpha, frozen as it stood before
     enumeration took one alpha per orbit."""
@@ -607,12 +681,12 @@ def o_enumerate_raw(g, l, q):
     for alpha in all_forms(l, q):
         if not any(alpha):
             continue
-        pivots, free, block = ffcount._coset_labeler(alpha, disc_degree, q)
+        pivots, free, block = o_coset_labeler(alpha, disc_degree, q)
         bucket = np.bincount(
-            ffcount._labels(digits, pivots, free, block, q)[squarefree],
+            o_labels(digits, pivots, free, block, q)[squarefree],
             minlength=q ** len(free),
         )
-        beta_labels = ffcount._labels(beta_squares, pivots, free, block, q)
+        beta_labels = o_labels(beta_squares, pivots, free, block, q)
         total += int(bucket[beta_labels].sum())
     return total
 
@@ -624,22 +698,21 @@ def o_stratified_raw(g, l, q):
     digits = ffcount._digit_matrix(disc_degree + 1, q)
     squarefree = ffcount._squarefree_bitmap(disc_degree, q)
     beta_squares = ffcount._beta_square_rows(g, q)
-    irreducibles = ffcount._monic_irreducible_forms(q, max(l, 1))
+    irreducibles = o_monic_irreducible_forms(q, max(l, 1))
     strata = {}
     for alpha in all_forms(l, q):
         if not any(alpha):
             continue
-        pivots, free, block = ffcount._coset_labeler(alpha, disc_degree, q)
-        beta_labels = ffcount._labels(beta_squares, pivots, free, block, q)
+        pivots, free, block = o_coset_labeler(alpha, disc_degree, q)
+        beta_labels = o_labels(beta_squares, pivots, free, block, q)
         per_label = np.bincount(beta_labels, minlength=q ** len(free))
         weights = np.where(
-            squarefree, per_label[ffcount._labels(digits, pivots, free, block, q)], 0
+            squarefree, per_label[o_labels(digits, pivots, free, block, q)], 0
         )
-        factors = ffcount._factor_form(alpha, q, irreducibles)
+        factors = list(o_factor(alpha, q, irreducibles).items())
         pattern = np.zeros(len(digits), dtype=np.int64)
         for i, (pi, _) in enumerate(factors):
-            piv2, free2, block2 = ffcount._coset_labeler(pi, disc_degree, q)
-            divides = ffcount._labels(digits, piv2, free2, block2, q) == 0
+            divides = o_labels(digits, *o_coset_labeler(pi, disc_degree, q), q) == 0
             pattern += divides.astype(np.int64) << i
         local = {}
         for bits in range(1 << len(factors)):
@@ -770,15 +843,16 @@ def test_psi_roundtrip_check_reports():
 @st.composite
 def _division_case(draw, primes=(3, 5, 7)):
     """(numerator rows, divisor, q): products of the divisor, perturbed ones,
-    zero and random rows; the divisor may be zero or carry top zeros, and
-    its y-power may exceed the degree of the rows."""
+    zero and random rows; the divisor is nonzero and may carry top zeros,
+    and its y-power may exceed the degree of the rows."""
     q = draw(st.sampled_from(primes))
     coeff = st.integers(-q, 2 * q - 1)
     width = draw(st.integers(1, 8))
     den_kind = draw(st.sampled_from(("top zeros", "long y-power", "any")))
     if den_kind == "any":
         den_len = draw(st.integers(1, 4))
-        den = draw(st.lists(coeff, min_size=den_len, max_size=den_len))
+        den = draw(st.lists(coeff, min_size=den_len, max_size=den_len).filter(
+            lambda d: any(c % q for c in d)))
     else:
         top = draw(st.integers(0, 3))
         if den_kind == "long y-power":
@@ -809,37 +883,44 @@ def _division_case(draw, primes=(3, 5, 7)):
 
 @settings(max_examples=300, deadline=None)
 @given(_division_case())
-def test_exact_div_rows_agrees_with_the_scalar_division(case):
+def test_division_matrices_agree_with_the_scalar_division(case):
+    # the quotient and remainder are linear in the numerator, so the rows
+    # of Q and R, divided off the basis forms, divide every row at once
     rows, den, q = case
-    quotient, divides = ffcount._exact_div_rows(np.array(rows), den, q)
-    assert divides.shape == (len(rows),)
-    for r, row in enumerate(rows):
-        expected = ffcount._exact_div(row, den, q)
-        assert bool(divides[r]) == (expected is not None)
-        if expected is not None:
-            assert tuple(int(c) for c in quotient[r]) == expected
+    basis = np.eye(len(rows[0]), dtype=np.int64).tolist()
+    quot, rem = (
+        np.array(part, dtype=np.int64)
+        for part in zip(*[ffcount._divide(e, den, q) for e in basis])
+    )
+    for row in rows:
+        quotient, remainder = ffcount._divide(row, den, q)
+        assert tuple(int(c) for c in np.array(row) @ quot % q) == quotient
+        assert tuple(int(c) for c in np.array(row) @ rem % q) == remainder
 
 
 @settings(max_examples=300, deadline=None)
 @given(_division_case(primes=(3, 5, 7, 11)))
-def test_exact_div_matches_the_frozen_long_division(case):
+def test_divide_matches_the_frozen_long_division(case):
     rows, den, q = case
     for row in rows:
-        assert ffcount._exact_div(row, den, q) == o_exact_div(row, den, q)
+        quotient, remainder = ffcount._divide(row, den, q)
+        expected = o_exact_div(row, den, q)
+        assert len(remainder) == min(len(den) - 1, len(row))
+        assert (expected is not None) == (not any(remainder))
+        if expected is not None:
+            assert quotient == expected
 
 
-def test_exact_div_rejects_a_y_power_beyond_the_numerator_degree():
-    # y / y^3 and (x + y) / y^2 are not forms; zero divides into the empty form
-    assert ffcount._exact_div((1, 0), (1, 0, 0, 0), 3) is None
-    assert ffcount._exact_div((1, 1), (2, 0, 0), 5) is None
-    assert ffcount._exact_div((0, 3), (1, 0, 0), 3) == ()
-    assert ffcount._exact_div((2, 0, 0), (1, 0), 3) == (2, 0)
-    quotient, divides = ffcount._exact_div_rows(np.array([[1, 0], [0, 3]]), (1, 0, 0, 0), 3)
-    assert divides.tolist() == [False, True]
-    assert quotient.shape == (2, 0)
+def test_divide_leaves_a_numerator_below_the_y_power_whole():
+    # y / y^3 and (x + y) / y^2 are not forms: the numerator is all remainder
+    assert ffcount._divide((1, 0), (1, 0, 0, 0), 3) == ((), (1, 0))
+    assert ffcount._divide((1, 1), (2, 0, 0), 5) == ((), (1, 1))
+    assert ffcount._divide((0, 3), (1, 0, 0), 3) == ((), (0, 0))
+    assert ffcount._divide((2, 0, 0), (1, 0), 3) == ((2, 0), (0,))
+    assert ffcount._labels(np.array([[1, 0], [0, 3]]), (1, 0, 0, 0), 3).tolist() == [1, 0]
 
 
-def o_psi_roundtrip_check(g, l, q, *, limit=None):
+def o_psi_roundtrip_check(g, l, q, *, limit=None, divide=o_exact_div):
     """The scalar walk over every tuple, one division per member."""
     disc_degree = 2 * g + 2
     squarefree = ffcount._squarefree_bitmap(disc_degree, q)
@@ -864,7 +945,7 @@ def o_psi_roundtrip_check(g, l, q, *, limit=None):
                     continue
                 members += 1
                 num = tuple((x - y) % q for x, y in zip(bsq, delta))
-                if ffcount._exact_div(num, den, q) != gamma:
+                if divide(num, den, q) != gamma:
                     failures += 1
                 if limit is not None and members >= limit:
                     done = True
@@ -920,55 +1001,56 @@ def test_psi_roundtrip_check_rejects_a_limit_below_one(monkeypatch, limit):
 
 
 def test_psi_roundtrip_check_reports_a_wrong_quotient(monkeypatch):
-    # The first nonzero alpha, (0, 1), gets a wrong quotient for the
-    # numerator of the second gamma in lexicographic order, (0, ..., 0, 1).
-    # Members reach that numerator; the zero numerator of the first gamma
-    # has none, since beta^2 is never square-free.
+    # The first nonzero alpha, (0, 1), gets a wrong row of Q: the quotient
+    # of the basis form x^6 gains 1 in its constant term, so every
+    # numerator with an x^6 term gets a wrong quotient, as it does in the
+    # scalar walk under the same corruption.
     g, l, q = 2, 1, 3
     den = (0, 4 % q)
-    gamma = (0,) * (2 * g + 2 - l) + (1,)
-    target = tuple(4 * c % q for c in o_mul((0, 1), gamma, q))
-    code = sum(c * q**i for i, c in enumerate(target))
-    real_rows, real_scalar = ffcount._exact_div_rows, ffcount._exact_div
+    top = 2 * g + 2
+    basis_top = (0,) * top + (1,)
+    real = ffcount._divide
     corrupted = []
 
-    def corrupt_rows(num_rows, den_, q_):
-        quotient, divides = real_rows(num_rows, den_, q_)
-        if tuple(den_) == den:
-            assert tuple(num_rows[code]) == target and divides[code]
-            quotient = quotient.copy()
-            quotient[code, 0] = (quotient[code, 0] + 1) % q_
-            corrupted.append(True)
-        return quotient, divides
-
-    def corrupt_scalar(num, den_, q_):
-        quotient = real_scalar(num, den_, q_)
-        if tuple(num) == target and tuple(den_) == den:
+    def corrupt_divide(num, den_, q_):
+        quotient, remainder = real(num, den_, q_)
+        if tuple(num) == basis_top and tuple(den_) == den:
             quotient = ((quotient[0] + 1) % q_,) + quotient[1:]
+            corrupted.append(True)
+        return quotient, remainder
+
+    def corrupt_oracle(num, den_, q_):
+        quotient = o_exact_div(num, den_, q_)
+        if quotient is not None and tuple(den_) == den:
+            quotient = ((quotient[0] + num[top]) % q_,) + quotient[1:]
         return quotient
 
-    monkeypatch.setattr(ffcount, "_exact_div_rows", corrupt_rows)
+    monkeypatch.setattr(ffcount, "_divide", corrupt_divide)
     report = psi_roundtrip_check(g, l, q, limit=4000)
     assert corrupted == [True]
-    monkeypatch.setattr(ffcount, "_exact_div", corrupt_scalar)
-    expected = o_psi_roundtrip_check(g, l, q, limit=4000)
+    expected = o_psi_roundtrip_check(g, l, q, limit=4000, divide=corrupt_oracle)
     assert expected["failures"] > 1
     assert report == expected
     assert report["ok"] is False and report["members"] == 4000
 
 
 def test_psi_roundtrip_check_divides_once_per_leading_form(monkeypatch):
-    real = ffcount._exact_div_rows
+    # one build of Q and R per nonzero alpha: a division of each of the
+    # seven basis forms of degree 6 by 4 alpha
+    real = ffcount._divide
     calls = []
 
-    def counting(num_rows, den, q):
+    def counting(num, den, q):
         calls.append(den)
-        return real(num_rows, den, q)
+        return real(num, den, q)
 
-    monkeypatch.setattr(ffcount, "_exact_div_rows", counting)
+    monkeypatch.setattr(ffcount, "_divide", counting)
     report = psi_roundtrip_check(2, 1, 3)
     assert report["ok"] is True
-    assert len(calls) == len(set(calls)) == 3**2 - 1
+    assert len(calls) == 7 * (3**2 - 1)
+    builds = [calls[i] for i in range(0, len(calls), 7)]
+    assert len(set(builds)) == len(builds) == 3**2 - 1
+    assert calls == [den for den in builds for _ in range(7)]
 
 
 # --------------------------------------------------------------------------
@@ -997,6 +1079,13 @@ def test_apply_group_element_identity_and_equivariance():
     expected = tuple(scale * scale * c % 3 for c in composed)
     assert psi_forward(moved).coefficients == expected
     assert moved.is_member()
+
+
+@pytest.mark.parametrize("name", ["elements", "samples"])
+@pytest.mark.parametrize("value", [0, -3, True, 2.5])
+def test_orbit_spot_check_refuses_a_check_that_moves_nothing(name, value):
+    with pytest.raises(ValueError, match=name):
+        orbit_spot_check(2, 1, 3, **{name: value})
 
 
 def test_orbit_spot_check_keeps_samples_in_the_family():

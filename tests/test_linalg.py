@@ -493,6 +493,12 @@ def test_a_rank_check_needs_at_least_one_trial(trials):
         rank_drop_witness(trials=trials)
 
 
+@pytest.mark.parametrize("trials", [True, 2.5])
+def test_a_rank_check_needs_an_integer_count_of_trials(trials):
+    with pytest.raises(ValueError, match="trials must be at least 1 and an integer"):
+        verify_bundle_rank(CT(2, 0, 0), 7, 1, trials=trials, seed=0)
+
+
 def test_below_bound_witness_shows_rank_drop():
     report = rank_drop_witness(trials=12, seed=20260816)
     assert report["type"] == [2, 0, 0]

@@ -397,13 +397,14 @@ def test_differential_scan_f_g_structure():
 
 
 def test_differential_candidate_examples():
-    pairs = {(c.source, c.target, c.kind) for c in differential_candidates(8)}
+    candidates = differential_candidates(scan_differential_system(8))
+    pairs = {(c.source, c.target, c.kind) for c in candidates}
     assert (CT(1, 3, 1), CT(2, 2, 1), "I") in pairs
     assert (CT(2, 3, 1), CT(2, 1, 2), "II") in pairs
     for source, target, kind in pairs:
         assert kind in ("I", "II")
     # no pure-double-line type is ever a source
-    assert not any(c.source.k1 == 0 and c.source.k2 == 0 for c in differential_candidates(8))
+    assert not any(c.source.k1 == 0 and c.source.k2 == 0 for c in candidates)
 
 
 def test_differential_scan_matches_independent_enumeration():

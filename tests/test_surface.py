@@ -10,7 +10,10 @@ nothing refers to are the oracles and API in ``KEPT``, each with the reason it
 stays.  A public name that is neither goes, with its tests.  The last check
 keeps the pairing of M_{0,n} layers with a configuration type in one place,
 and the one row formula of the rank checks with its callers: only the
-definitions in ``CALLERS`` call those routes.
+definitions in ``CALLERS`` call those routes.  The last test keeps one
+division of binary forms: only ``ffcount._divide`` calls ``fq.divmod``, and
+only ``ffcount._labels`` and ``ffcount.psi_roundtrip_check`` build the
+quotient and remainder matrices, dividing basis forms in a comprehension.
 """
 
 import ast
@@ -144,6 +147,8 @@ CALLERS = {
     "hall_inner_product_induced": {("stable", "type_pairings")},
     "equivariant_poincare_m0n": {("stable", "type_pairings"), ("cli", "cmd_m0n")},
     "_row_array": {("linalg", "verify_bundle_rank"), ("linalg", "_pairs_certified")},
+    "_divide": {("ffcount", "_labels"), ("ffcount", "psi_roundtrip_check"),
+                ("ffcount", "_factor_form"), ("ffcount", "psi_inverse")},
 }
 
 
@@ -165,3 +170,32 @@ def _call_sites(name) -> set:
 def test_type_pairings_are_the_one_caller_of_the_layer_route():
     for name, allowed in CALLERS.items():
         assert _call_sites(name) <= allowed, name
+
+
+def _definitions_calling(matches, scopes=None) -> set:
+    """(module, top-level definition) of every call that ``matches``; with
+    ``scopes``, of every such call inside a node of one of those types."""
+    out = set()
+    for module, tree in _modules().items():
+        for node in tree.body:
+            inner = [s for s in ast.walk(node) if isinstance(s, scopes)] if scopes else [node]
+            if any(
+                isinstance(sub, ast.Call) and matches(sub.func)
+                for scope in inner
+                for sub in ast.walk(scope)
+            ):
+                out.add((module, getattr(node, "name", None)))
+    return out
+
+
+def test_binary_forms_are_divided_in_one_place():
+    # fq.divmod is matched by its module, so np.divmod and QPolynomial.divmod
+    # do not count
+    assert _definitions_calling(
+        lambda f: isinstance(f, ast.Attribute) and f.attr == "divmod"
+        and isinstance(f.value, ast.Name) and f.value.id == "fq"
+    ) == {("ffcount", "_divide")}
+    assert _definitions_calling(
+        lambda f: isinstance(f, ast.Name) and f.id == "_divide",
+        (ast.ListComp, ast.GeneratorExp),
+    ) == {("ffcount", "_labels"), ("ffcount", "psi_roundtrip_check")}
