@@ -10,7 +10,10 @@ Subcommands
     suite to the whole enumeration grid and adds an orbit spot check per
     case: random members moved by random group elements stay members.
 ``e1``
-    Render discriminant-column tables for a range of L values.
+    Render discriminant-column tables for a range of L values.  The rows
+    and twists are relative to the dimension of the space of sections, so
+    ``--d`` and ``--n`` are only validated (d >= 2n >= 0) and recorded in
+    the manifest; they do not change the tables.
 ``m0n``
     Emit the symmetric-group layer table of the genus-zero moduli space.
 ``count``
@@ -307,12 +310,16 @@ def _render_tate(coeffs: dict) -> str:
     return " + ".join(parts) if parts else "0"
 
 
-def _render_rows_diff(computed: dict, reference: dict) -> str:
-    rows = sorted(
+def _deviating_rows(computed: dict, reference: dict) -> list:
+    """The rows, ascending, where two columns differ."""
+    return sorted(
         row
         for row in set(computed) | set(reference)
         if computed.get(row) != reference.get(row)
     )
+
+
+def _render_rows_diff(rows: list) -> str:
     if not rows:
         return "equal"
     return "differs at rows " + ", ".join(str(r) for r in rows)
@@ -370,7 +377,7 @@ def suite_example19() -> SuiteResult:
 def suite_tables() -> SuiteResult:
     """Main-table columns L = 3..6 and the five-point tables."""
     checks = []
-    computed = {L: column_rows(L, 40) for L in (3, 4, 5, 6)}
+    computed = {L: column_rows(L) for L in (3, 4, 5, 6)}
 
     for L in (3, 4):
         checks.append(
@@ -378,7 +385,7 @@ def suite_tables() -> SuiteResult:
                 f"e1-L{L}-entrywise",
                 computed[L] == REFERENCE_COLUMNS[L],
                 "reference column entry-for-entry",
-                _render_rows_diff(computed[L], REFERENCE_COLUMNS[L]),
+                _render_rows_diff(_deviating_rows(computed[L], REFERENCE_COLUMNS[L])),
                 "tabulated",
             )
         )
@@ -387,11 +394,7 @@ def suite_tables() -> SuiteResult:
     # computed cells there are the corrected values, and the orbit-pairing
     # structure validates the computation while refuting the reference.
     reference5 = REFERENCE_COLUMNS[5]
-    deviating = sorted(
-        row
-        for row in set(computed[5]) | set(reference5)
-        if computed[5].get(row) != reference5.get(row)
-    )
+    deviating = _deviating_rows(computed[5], reference5)
     corrected_ok = deviating == sorted(L5_CORRECTED_ROWS) and all(
         computed[5][row] == L5_CORRECTED_ROWS[row] for row in L5_CORRECTED_ROWS
     )
@@ -400,20 +403,21 @@ def suite_tables() -> SuiteResult:
             "e1-L5-deviation-set",
             corrected_ok,
             "rows -22, -18 only, with the consistent cell values",
-            _render_rows_diff(computed[5], reference5),
+            _render_rows_diff(deviating),
             "oracle",
         )
     )
+    computed_pairs = _pairing_chains_consistent(computed[5])
+    reference_pairs = _pairing_chains_consistent(reference5)
     checks.append(
         _check(
             "e1-L5-orbit-pairing",
-            _pairing_chains_consistent(computed[5])
-            and not _pairing_chains_consistent(reference5),
+            computed_pairs and not reference_pairs,
             "computed column decomposes into orbit pairs; reference does not",
             "computed %s, reference %s"
             % (
-                "decomposes" if _pairing_chains_consistent(computed[5]) else "fails",
-                "fails" if not _pairing_chains_consistent(reference5) else "decomposes",
+                "decomposes" if computed_pairs else "fails",
+                "decomposes" if reference_pairs else "fails",
             ),
             "oracle",
         )
@@ -438,8 +442,10 @@ def suite_tables() -> SuiteResult:
             top_ok,
             "reference rows -19..-23 entry-for-entry",
             _render_rows_diff(
-                {r: computed[6].get(r, {}) for r in L6_COMPLETE_ROWS},
-                {r: reference6.get(r, {}) for r in L6_COMPLETE_ROWS},
+                _deviating_rows(
+                    {r: computed[6].get(r, {}) for r in L6_COMPLETE_ROWS},
+                    {r: reference6.get(r, {}) for r in L6_COMPLETE_ROWS},
+                )
             ),
             "tabulated",
         )
@@ -840,11 +846,10 @@ def cmd_e1(args) -> int:
         raise ValueError(
             f"need d >= 2n >= 0 for a base-point-free system: d={args.d}, n={args.n}"
         )
-    v = 3 * (args.d - args.n + 1)
     if args.format == "md":
-        text = render_columns_markdown(v, L_values)
+        text = render_columns_markdown(L_values)
     else:
-        text = render_columns_csv(v, L_values)
+        text = render_columns_csv(L_values)
     name = f"e1.{args.format}"
     _deliver(args, "e1", {name: text}, name)
     return 0
@@ -1003,8 +1008,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("e1", help="render discriminant-column tables")
     p.add_argument("--L", required=True, help="range like 3..6 or list like 3,4,5")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int, default=0)
+    p.add_argument("--d", type=int, required=True, help="validated and recorded only")
+    p.add_argument("--n", type=int, default=0, help="validated and recorded only")
     p.add_argument("--format", choices=("md", "csv"), default="md")
     p.add_argument("--out")
     p.set_defaults(func=cmd_e1)

@@ -56,7 +56,9 @@ class SectionSpace:
     n: int
 
     def __post_init__(self):
-        if not (isinstance(self.d, int) and isinstance(self.n, int)):
+        if not all(
+            isinstance(value, int) and not isinstance(value, bool) for value in (self.d, self.n)
+        ):
             raise ValueError("d and n must be integers")
         if not self.d >= 2 * self.n >= 0:
             raise ValueError(f"need d >= 2n >= 0, got d={self.d}, n={self.n}")

@@ -1,13 +1,16 @@
 """Column bookkeeping for the discriminant stratification.
 
 Singular sections degenerate along configurations of points and double
-lines; each configuration type contributes a block of Borel-Moore classes
-to a column indexed by its number of distinct sites.  This module computes
-those blocks, merges them into columns and scans the numerical admissibility
-system for differentials between blocks.  Columns start at three sites; the
-package holds no table of the one- and two-site columns.  The layer
-multiplicities of a block are the type pairings of `stable.type_pairings`,
-the same numbers the stable series is assembled from.
+lines; each configuration type contributes a block of classes to a column
+indexed by its number of distinct sites.  One cell formula, `type_cells`,
+reads the block of a type straight off its layer multiplicities, the type
+pairings of `stable.type_pairings` that the stable series is assembled
+from.  Every column, both five-point tables and both renderers are built
+on those cells.  A cell's row and twist are relative to the dimension of
+the space of sections, so no function here depends on that dimension.
+This module also scans the numerical admissibility system for
+differentials between blocks.  Columns start at three sites; the package
+holds no table of the one- and two-site columns.
 """
 
 import csv
@@ -16,7 +19,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .series import GradedTateSeries, TatePolynomial
 from .stable import type_pairings
 
 # Each PGL2-orbit factor carries a pair of classes: (weight drop, degree shift).
@@ -38,7 +40,7 @@ class ConfigurationType:
     def __post_init__(self):
         for name in ("k1", "k2", "h"):
             value = getattr(self, name)
-            if not isinstance(value, int) or value < 0:
+            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
                 raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
         if self.k1 + self.k2 + 2 * self.h < 1:
             raise ValueError("a configuration type needs at least one site")
@@ -83,117 +85,54 @@ def _sorted_types_with_sites(sites: int) -> tuple:
 
 
 # --------------------------------------------------------------------------
-# twisted Borel-Moore homology of a configuration block
+# column cells
 # --------------------------------------------------------------------------
 
-def twisted_config_homology(config: ConfigurationType) -> GradedTateSeries:
-    """Twisted Borel-Moore homology of the configuration block for ``config``.
+def type_cells(config: ConfigurationType) -> tuple:
+    """The classes one configuration type adds to its column: ((row, twist, mult), ...).
 
-    Returns a graded series whose degree-``t`` term records Tate weights:
-    the coefficient of ``L^(-w)`` in term ``t`` is the multiplicity of the
-    weight ``-2w`` piece in homological degree ``t``.  Layer ``i`` of the
-    site-labelling action sits at twist ``j = L - 3 - i``, with the
-    multiplicity ``type_pairings`` gives it.  Requires at least three sites.
+    A class of Borel-Moore degree ``2v + row`` and Tate twist ``Q(-twist)``
+    is recorded as ``(row, twist)``, v being the dimension of the space of
+    sections.  Layer ``i`` of the site-labelling action sits at
+    ``j = L - 3 - i`` with the multiplicity ``type_pairings`` gives it.  Each
+    orbit class (drop, shift) of that layer lands in row
+    ``j + shift - 3 - 5k1 - 3k2 - 6h`` with twist ``3k1 + 2k2 + 4h - j - drop``.
+    Requires at least three sites.
     """
-    L = config.site_count
-    base_degree = 2 * config.k2 + 2 * config.h
-    base_weight = config.k2 + config.h
-    terms: dict = {}
-    for i, mult in type_pairings(config.k1, config.k2, config.h).items():
-        j = L - 3 - i
-        for weight_drop, degree_shift in _ORBIT_CLASSES:
-            t = base_degree + (L - 3) + j + degree_shift
-            w = -(base_weight + j + weight_drop)
-            poly = terms.get(t, TatePolynomial())
-            terms[t] = poly + TatePolynomial({w: mult})
-    return GradedTateSeries(base_degree + 2 * L, terms)
+    k1, k2, h = config.k1, config.k2, config.h
+    base_row = -3 - 5 * k1 - 3 * k2 - 6 * h
+    base_twist = 3 * k1 + 2 * k2 + 4 * h
+    cells = []
+    for i, mult in type_pairings(k1, k2, h).items():
+        j = config.site_count - 3 - i
+        for drop, shift in _ORBIT_CLASSES:
+            cells.append((base_row + j + shift, base_twist - j - drop, mult))
+    return tuple(cells)
 
 
-# --------------------------------------------------------------------------
-# strata classes in the main-table convention
-# --------------------------------------------------------------------------
+def _column_cells(L: int) -> dict:
+    """(row, twist) -> [multiplicity, contributing types] of the site-count-``L`` column.
 
-@dataclass(frozen=True)
-class StratumClass:
-    """One Tate class contributed by a stratum: degree, twist, multiplicity."""
-
-    bm_degree: int
-    weight_twist: int
-    multiplicity: int
-
-    def __post_init__(self):
-        if self.multiplicity < 1:
-            raise ValueError("multiplicity must be positive")
-
-
-def stratum_homology(config: ConfigurationType, v: int) -> tuple:
-    """Borel-Moore classes of one stratum, in the main-table row convention.
-
-    ``v`` is the dimension of the ambient space of sections; the table row
-    of a class is ``bm_degree - 2 * v`` and its printed twist exponent is
-    ``weight_twist``.  Rows are normalised so that merged columns of equal
-    site count align with the reference tables.
-    """
-    L = config.site_count
-    series = twisted_config_homology(config)
-    degree_shift = 2 * v - 8 * config.h - 5 * config.k1 - 5 * config.k2 - L
-    classes = []
-    for t, poly in series.terms.items():
-        for w, mult in poly.coeffs.items():
-            classes.append(
-                StratumClass(
-                    bm_degree=t + degree_shift,
-                    weight_twist=config.codimension + w,
-                    multiplicity=mult,
-                )
-            )
-    classes.sort(key=lambda cls: (-cls.bm_degree, cls.weight_twist))
-    return tuple(classes)
-
-
-@dataclass(frozen=True)
-class E1Column:
-    """Merged classes of all strata with a common site count ``L``."""
-
-    L: int
-    classes: tuple
-
-
-def _column_cells(L: int, v: int) -> dict:
-    """(bm_degree, twist) -> [multiplicity, contributing types] for one column."""
-    cells: dict = {}
-    for config in _sorted_types_with_sites(L):
-        for cls in stratum_homology(config, v):
-            key = (cls.bm_degree, cls.weight_twist)
-            entry = cells.setdefault(key, [0, []])
-            entry[0] += cls.multiplicity
-            entry[1].append(config)
-    return cells
-
-
-def e1_column(L: int, v: int) -> E1Column:
-    """The merged column of all site-count-``L`` strata classes.
-
-    Multiplicities of coinciding (degree, twist) pairs are summed across
-    configuration types.  Requires ``L >= 3``.
+    Multiplicities of coinciding cells are summed across configuration types,
+    which are listed in type order.  Cells come rows descending, then twists
+    ascending.  Requires ``L >= 3``.
     """
     if L < 3:
         raise ValueError("merged columns are computed for at least three sites")
-    cells = _column_cells(L, v)
-    classes = tuple(
-        StratumClass(bm_degree=bm, weight_twist=tw, multiplicity=entry[0])
-        for (bm, tw), entry in sorted(
-            cells.items(), key=lambda item: (-item[0][0], item[0][1])
-        )
-    )
-    return E1Column(L=L, classes=classes)
+    cells: dict = {}
+    for config in _sorted_types_with_sites(L):
+        for row, twist, mult in type_cells(config):
+            entry = cells.setdefault((row, twist), [0, []])
+            entry[0] += mult
+            entry[1].append(config)
+    return dict(sorted(cells.items(), key=lambda item: (-item[0][0], item[0][1])))
 
 
-def column_rows(L: int, v: int) -> dict:
-    """{row: {twist: multiplicity}} of ``e1_column(L, v)``, row = bm_degree - 2v."""
+def column_rows(L: int) -> dict:
+    """{row: {twist: multiplicity}} of the merged site-count-``L`` column."""
     rows: dict = {}
-    for cls in e1_column(L, v).classes:
-        rows.setdefault(cls.bm_degree - 2 * v, {})[cls.weight_twist] = cls.multiplicity
+    for (row, twist), (mult, _) in _column_cells(L).items():
+        rows.setdefault(row, {})[twist] = mult
     return rows
 
 
@@ -207,60 +146,51 @@ _FIVE_POINT_COLUMNS = (
     ConfigurationType(2, 1, 1),
     ConfigurationType(1, 2, 1),
 )
+_FIVE_POINT_POSITIONS = {config: pos for pos, config in enumerate(_FIVE_POINT_COLUMNS, start=1)}
 
 
 def five_point_configuration_table() -> dict:
     """Twisted block homology of all five-point types, in table layout.
 
-    Maps a printed row (homological degree minus the column position) to
-    the list of ``(type, weight)`` entries appearing there.  Only four of
-    the twelve five-point types contribute.
+    Maps a printed row (homological degree ``row + 5k1 + 5k2 + 8h + L`` of a
+    cell minus the column position) to the list of ``(type, codimension -
+    twist)`` entries appearing there.  Only four of the twelve five-point
+    types contribute.
     """
     table: dict = {}
-    positions = {config: pos for pos, config in enumerate(_FIVE_POINT_COLUMNS, start=1)}
-    live = []
     for k1 in range(6):
         for k2 in range(6 - k1):
             if (5 - k1 - k2) % 2:
                 continue
-            h = (5 - k1 - k2) // 2
-            config = ConfigurationType(k1, k2, h)
-            series = twisted_config_homology(config)
-            if series.terms:
-                live.append((config, series))
-    for config, series in live:
-        pos = positions[config]
-        for t, poly in sorted(series.terms.items()):
-            for w, mult in poly.coeffs.items():
+            config = ConfigurationType(k1, k2, (5 - k1 - k2) // 2)
+            for row, twist, mult in sorted(type_cells(config)):
                 if mult != 1:
                     raise ArithmeticError(
-                        f"five-point type {config}: class L^{w} in degree {t} "
+                        f"five-point type {config}: class of twist {twist} in row {row} "
                         f"has multiplicity {mult}, the table layout needs 1"
                     )
-                table.setdefault(t - pos, []).append((config, -w))
+                degree = row + 5 * k1 + 5 * k2 + 8 * config.h + config.site_count
+                table.setdefault(degree - _FIVE_POINT_POSITIONS[config], []).append(
+                    (config, config.codimension - twist)
+                )
     for row in table:
-        table[row].sort(key=lambda entry: positions[entry[0]])
+        table[row].sort(key=lambda entry: _FIVE_POINT_POSITIONS[entry[0]])
     return table
 
 
 def five_point_stratum_table() -> dict:
     """Strata classes of the five-point types relative to the ambient dimension.
 
-    Maps a printed row offset (``bm_degree - 2v`` minus the column position
-    plus the main-table normalisation) to ``(type, -twist)`` entries; the
-    printed twist of an entry is ``v`` plus the recorded negative offset.
+    Maps a printed row offset (``row + L - 1`` of a cell minus the column
+    position) to ``(type, -twist)`` entries; the printed twist of an entry
+    is the ambient dimension plus the recorded negative offset.
     """
     table: dict = {}
-    positions = {config: pos for pos, config in enumerate(_FIVE_POINT_COLUMNS, start=1)}
-    v = 0
-    for config in _FIVE_POINT_COLUMNS:
-        pos = positions[config]
-        L = config.site_count
-        for cls in stratum_homology(config, v):
-            row = cls.bm_degree - 2 * v + (L + 1) - (pos + 2)
-            table.setdefault(row, []).append((config, -cls.weight_twist))
+    for pos, config in enumerate(_FIVE_POINT_COLUMNS, start=1):
+        for row, twist, _ in type_cells(config):
+            table.setdefault(row + config.site_count - 1 - pos, []).append((config, -twist))
     for row in table:
-        table[row].sort(key=lambda entry: positions[entry[0]])
+        table[row].sort(key=lambda entry: _FIVE_POINT_POSITIONS[entry[0]])
     return dict(sorted(table.items(), reverse=True))
 
 
@@ -390,32 +320,21 @@ def _format_cell(twists: dict) -> str:
     return " + ".join(parts)
 
 
-def render_columns_csv(v: int, L_values: Iterable[int] = (3, 4, 5, 6)) -> str:
+def render_columns_csv(L_values: Iterable[int] = (3, 4, 5, 6)) -> str:
     """Render merged columns as CSV with one line per (row, twist) cell."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["L", "row", "twist", "multiplicity", "contributing_types"])
     for L in L_values:
-        cells = _column_cells(L, v)
-        for (bm, tw), (mult, configs) in sorted(
-            cells.items(), key=lambda item: (-item[0][0], item[0][1])
-        ):
-            writer.writerow(
-                [
-                    L,
-                    bm - 2 * v,
-                    tw,
-                    mult,
-                    ";".join(_format_type(c) for c in configs),
-                ]
-            )
+        for (row, twist), (mult, configs) in _column_cells(L).items():
+            writer.writerow([L, row, twist, mult, ";".join(_format_type(c) for c in configs)])
     return buffer.getvalue()
 
 
-def render_columns_markdown(v: int, L_values: Iterable[int] = (3, 4, 5, 6)) -> str:
+def render_columns_markdown(L_values: Iterable[int] = (3, 4, 5, 6)) -> str:
     """Render merged columns as a Markdown grid, one column per site count."""
     L_values = tuple(L_values)
-    columns = {L: column_rows(L, v) for L in L_values}
+    columns = {L: column_rows(L) for L in L_values}
     all_rows = sorted({row for rows in columns.values() for row in rows}, reverse=True)
     lines = ["| row | " + " | ".join(f"L={L}" for L in L_values) + " |"]
     lines.append("| --- | " + " | ".join("---" for _ in L_values) + " |")

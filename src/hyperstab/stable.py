@@ -6,8 +6,10 @@ multiplicities of M_{0,k1+k2+h}, divided by (1+Lt)(1+L^2 t^3).  The n > 0
 variant multiplies by (1+Lt^2).  Expanding the result per degree into
 multisets of Tate twists gives the cohomology table.
 
-The layer multiplicities come from `type_pairings`, which the column code of
-`spectral` shares; it is the one place that pairs M_{0,n} layers with a type.
+The layer multiplicities come from `type_pairings`, the one place that pairs
+M_{0,n} layers with a type.  Its two callers are `numerator_term` here and
+`spectral.type_cells`, which reads the discriminant-column cells of a type
+off the same multiplicities.
 """
 
 from __future__ import annotations
@@ -51,8 +53,8 @@ def type_pairings(k1: int, k2: int, h: int, top_layer: int | None = None) -> dic
 
     Only the layers i <= ``top_layer`` are paired (every layer by default).
     """
-    if min(k1, k2, h) < 0:
-        raise ValueError("type components must be nonnegative")
+    if any(not isinstance(c, int) or isinstance(c, bool) or c < 0 for c in (k1, k2, h)):
+        raise ValueError(f"type components must be nonnegative integers, got ({k1},{k2},{h})")
     n = k1 + k2 + h
     if n < 3:
         raise ValueError(f"type ({k1},{k2},{h}) has fewer than 3 singular points")

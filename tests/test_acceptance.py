@@ -83,7 +83,7 @@ def test_criterion_1_example_reproduction(tmp_path):
 # --------------------------------------------------------------------------
 
 def test_criterion_2_main_table_and_example_columns():
-    computed = {L: column_rows(L, 40) for L in (3, 4, 5, 6)}
+    computed = {L: column_rows(L) for L in (3, 4, 5, 6)}
     for L in (3, 4):
         assert computed[L] == REFERENCE_COLUMNS[L], f"L={L}"
     assert five_point_configuration_table() == REFERENCE_FIVE_POINT_CONFIGURATION
@@ -112,7 +112,7 @@ def test_criterion_2_main_table_and_example_columns():
 
 
 def test_criterion_2_literal_entrywise_clause():
-    computed = {L: column_rows(L, 40) for L in (5, 6)}
+    computed = {L: column_rows(L) for L in (5, 6)}
     if all(computed[L] == REFERENCE_COLUMNS[L] for L in (5, 6)):
         _report(2, "PASS", "L=5/L=6 also match entry-for-entry")
         return

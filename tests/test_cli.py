@@ -124,6 +124,21 @@ def test_suite_tables_computes_each_five_point_table_once(monkeypatch):
     assert [(c.status, c.actual) for c in five_point] == [("pass", "equal")] * 2
 
 
+def test_suite_tables_walks_each_L5_pairing_chain_once(monkeypatch):
+    walked = []
+    real = cli._pairing_chains_consistent
+
+    def counted(rows):
+        walked.append(rows)
+        return real(rows)
+
+    monkeypatch.setattr(cli, "_pairing_chains_consistent", counted)
+    result = cli.suite_tables()
+    assert walked == [cli.column_rows(5), cli.REFERENCE_COLUMNS[5]]
+    [pairing] = [c for c in result.checks if c.id == "e1-L5-orbit-pairing"]
+    assert (pairing.status, pairing.actual) == ("pass", "computed decomposes, reference fails")
+
+
 def test_verify_counts_small_budget(capsys):
     assert main(["verify", "counts"]) == 0
     out = capsys.readouterr().out
@@ -211,6 +226,23 @@ def test_e1_csv_and_list_syntax(capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "L,row,twist,multiplicity,contributing_types"
     assert set(line.split(",")[0] for line in out[1:]) == {"3", "5"}
+
+
+def test_e1_tables_do_not_depend_on_the_section_dimension(tmp_path):
+    """--d and --n are validated and recorded; the tables are the same bytes."""
+    texts = {"md": set(), "csv": set()}
+    for flags, (d, n) in (
+        (["--d", "12"], (12, 0)),
+        (["--d", "24"], (24, 0)),
+        (["--d", "40", "--n", "5"], (40, 5)),
+    ):
+        for fmt in texts:
+            out = tmp_path / f"{d}-{fmt}"
+            assert main(["e1", "--L", "3..6", *flags, "--format", fmt, "--out", str(out)]) == 0
+            texts[fmt].add((out / f"e1.{fmt}").read_bytes())
+            inputs = json.loads((out / "manifest.json").read_text())["inputs"]
+            assert (inputs["d"], inputs["n"]) == (d, n)
+    assert [len(found) for found in texts.values()] == [1, 1]
 
 
 def test_e1_rejects_empty_range_and_small_degree(capsys):

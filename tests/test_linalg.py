@@ -192,6 +192,12 @@ def test_section_space_rejects_bad_parameters():
         SectionSpace(4, -1)
 
 
+def test_section_space_rejects_bools():
+    for d, n in ((True, False), (True, 0), (4, False)):
+        with pytest.raises(ValueError, match="integers"):
+            SectionSpace(d, n)
+
+
 # --------------------------------------------------------------------------
 # singularity rows: hand-computed coefficient extractions
 # --------------------------------------------------------------------------

@@ -3,6 +3,9 @@
 The column contents for L = 3..6, the small-type columns, and both five-point
 example tables are frozen from the reference tabulation; the differential scan
 is checked against an exhaustive independent enumeration done here in the test.
+The cell formula `type_cells` is checked against a frozen copy of the route it
+replaced, which built each block as twisted Borel-Moore homology, shifted it by
+twice the section-space dimension v and subtracted 2v back out per row.
 
 The reference tabulation itself is imperfect, and the tests pin this down
 exactly rather than glossing over it: its L=5 column is off in two cells
@@ -15,17 +18,17 @@ section for the full accounting.
 import pytest
 
 from hyperstab import m0n, spectral, stable
+from hyperstab.series import GradedTateSeries, TatePolynomial
 from hyperstab.spectral import (
     ConfigurationType,
-    StratumClass,
+    column_rows,
     differential_candidates,
-    e1_column,
     five_point_configuration_table,
     five_point_stratum_table,
     scan_differential_system,
-    stratum_homology,
-    twisted_config_homology,
+    type_cells,
     type_sort_key,
+    types_with_sites,
 )
 from hyperstab.symfunc import hall_inner_product_induced
 
@@ -90,22 +93,11 @@ REFERENCE_COLUMNS = {3: COLUMN_L3, 4: COLUMN_L4, 5: COLUMN_L5, 6: COLUMN_L6}
 L5_CORRECTED_ROWS = {-18: {10: 1, 11: 1}, -22: {13: 6}}
 
 
-def column_rows(col, v):
-    rows = {}
-    for cls in col.classes:
-        rows.setdefault(cls.bm_degree - 2 * v, {})[cls.weight_twist] = (
-            rows.get(cls.bm_degree - 2 * v, {}).get(cls.weight_twist, 0)
-            + cls.multiplicity
-        )
-    return rows
-
-
-def column_cells(col, v):
-    cells = {}
-    for cls in col.classes:
-        key = (cls.bm_degree - 2 * v, cls.weight_twist)
-        cells[key] = cells.get(key, 0) + cls.multiplicity
-    return cells
+def column_cells(L):
+    """{(row, twist): multiplicity} of the merged site-count-``L`` column."""
+    return {
+        (row, m): mult for row, classes in column_rows(L).items() for m, mult in classes.items()
+    }
 
 
 def pairing_chains_consistent(cells):
@@ -133,6 +125,109 @@ def pairing_chains_consistent(cells):
 
 
 # --------------------------------------------------------------------------
+# frozen oracle: the Borel-Moore route the cell formula replaced
+# --------------------------------------------------------------------------
+
+# Each PGL2-orbit factor carries a pair of classes: (weight drop, degree shift).
+O_ORBIT_CLASSES = ((1, 3), (3, 6))
+O_FIVE_POINT_COLUMNS = (CT(1, 0, 2), CT(0, 1, 2), CT(2, 1, 1), CT(1, 2, 1))
+
+
+def o_twisted_config_homology(config):
+    """Twisted Borel-Moore homology of a configuration block, as a graded series.
+
+    The coefficient of ``L^(-w)`` in term ``t`` is the multiplicity of the
+    weight ``-2w`` piece in homological degree ``t``.
+    """
+    L = config.site_count
+    base_degree = 2 * config.k2 + 2 * config.h
+    base_weight = config.k2 + config.h
+    terms = {}
+    for i, mult in stable.type_pairings(config.k1, config.k2, config.h).items():
+        j = L - 3 - i
+        for weight_drop, degree_shift in O_ORBIT_CLASSES:
+            t = base_degree + (L - 3) + j + degree_shift
+            w = -(base_weight + j + weight_drop)
+            terms[t] = terms.get(t, TatePolynomial()) + TatePolynomial({w: mult})
+    return GradedTateSeries(base_degree + 2 * L, terms)
+
+
+def o_stratum_homology(config, v):
+    """(bm_degree, twist, multiplicity) of one stratum, ambient dimension ``v``."""
+    L = config.site_count
+    degree_shift = 2 * v - 8 * config.h - 5 * config.k1 - 5 * config.k2 - L
+    classes = [
+        (t + degree_shift, config.codimension + w, mult)
+        for t, poly in o_twisted_config_homology(config).terms.items()
+        for w, mult in poly.coeffs.items()
+    ]
+    return sorted(classes, key=lambda cls: (-cls[0], cls[1]))
+
+
+def o_column_cells(L, v):
+    """(bm_degree, twist) -> [multiplicity, contributing types], rows descending."""
+    cells = {}
+    for config in sorted(types_with_sites(L), key=type_sort_key):
+        for bm, twist, mult in o_stratum_homology(config, v):
+            entry = cells.setdefault((bm, twist), [0, []])
+            entry[0] += mult
+            entry[1].append(config)
+    return dict(sorted(cells.items(), key=lambda item: (-item[0][0], item[0][1])))
+
+
+def o_five_point_configuration_table():
+    positions = {config: pos for pos, config in enumerate(O_FIVE_POINT_COLUMNS, start=1)}
+    table = {}
+    for k1 in range(6):
+        for k2 in range(6 - k1):
+            if (5 - k1 - k2) % 2 == 0:
+                config = CT(k1, k2, (5 - k1 - k2) // 2)
+                for t, poly in sorted(o_twisted_config_homology(config).terms.items()):
+                    for w, mult in poly.coeffs.items():
+                        assert mult == 1
+                        table.setdefault(t - positions[config], []).append((config, -w))
+    for row in table:
+        table[row].sort(key=lambda entry: positions[entry[0]])
+    return table
+
+
+def o_five_point_stratum_table():
+    positions = {config: pos for pos, config in enumerate(O_FIVE_POINT_COLUMNS, start=1)}
+    table = {}
+    for config in O_FIVE_POINT_COLUMNS:
+        L = config.site_count
+        for bm, twist, _ in o_stratum_homology(config, 0):
+            row = bm + (L + 1) - (positions[config] + 2)
+            table.setdefault(row, []).append((config, -twist))
+    for row in table:
+        table[row].sort(key=lambda entry: positions[entry[0]])
+    return dict(sorted(table.items(), reverse=True))
+
+
+@pytest.mark.parametrize("v", [40, 77])
+def test_columns_equal_the_borel_moore_route(v):
+    for L in range(3, 10):
+        expected = {
+            (bm - 2 * v, twist): entry for (bm, twist), entry in o_column_cells(L, v).items()
+        }
+        cells = spectral._column_cells(L)
+        assert list(cells.items()) == list(expected.items()), L
+        rows = {}
+        for (row, twist), (mult, _) in expected.items():
+            rows.setdefault(row, {})[twist] = mult
+        assert column_rows(L) == rows, L
+
+
+def test_five_point_tables_equal_the_borel_moore_route():
+    assert list(five_point_configuration_table().items()) == list(
+        o_five_point_configuration_table().items()
+    )
+    assert list(five_point_stratum_table().items()) == list(
+        o_five_point_stratum_table().items()
+    )
+
+
+# --------------------------------------------------------------------------
 # types and their order
 # --------------------------------------------------------------------------
 
@@ -147,6 +242,12 @@ def test_configuration_type_validation():
         CT(0, 0, 0)
     with pytest.raises(ValueError):
         CT(-1, 1, 0)
+
+
+def test_configuration_type_rejects_bools_and_non_integers():
+    for components in ((True, 1, 1), (1, False, 1), (1, 1, 1.0)):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            CT(*components)
 
 
 def test_type_order_examples():
@@ -173,23 +274,28 @@ def test_type_order_matches_listed_sequence():
 
 
 # --------------------------------------------------------------------------
-# twisted homology of configuration spaces
+# the cells of one configuration type
 # --------------------------------------------------------------------------
 
-def as_table(s):
-    return {t: dict(p.coeffs) for t, p in s.terms.items()}
+def block_homology(config):
+    """{homological degree: {-weight: multiplicity}} of a type's block, from its cells."""
+    table = {}
+    for row, twist, mult in type_cells(config):
+        degree = row + 5 * config.k1 + 5 * config.k2 + 8 * config.h + config.site_count
+        table.setdefault(degree, {})[twist - config.codimension] = mult
+    return table
 
 
 def test_twisted_config_homology_examples():
-    assert as_table(twisted_config_homology(CT(1, 1, 1))) == {
+    assert block_homology(CT(1, 1, 1)) == {
         7: {-3: 1},
         10: {-5: 1},
     }
-    assert as_table(twisted_config_homology(CT(0, 0, 3))) == {
+    assert block_homology(CT(0, 0, 3)) == {
         9: {-4: 1},
         12: {-6: 1},
     }
-    assert twisted_config_homology(CT(3, 0, 0)).terms == {}
+    assert type_cells(CT(3, 0, 0)) == ()
 
 
 def test_five_point_configuration_table():
@@ -213,18 +319,10 @@ def test_five_point_table_rejects_a_repeated_class(monkeypatch):
 
 def test_five_point_cancellation_pairing():
     """Arrow-paired columns cancel: they differ by one homological degree."""
-    shifted = {
-        t + 1: p for t, p in twisted_config_homology(CT(0, 1, 2)).terms.items()
-    }
-    assert as_table(twisted_config_homology(CT(1, 2, 1))) == {
-        t: dict(p.coeffs) for t, p in shifted.items()
-    }
-    shifted = {
-        t + 1: p for t, p in twisted_config_homology(CT(1, 0, 2)).terms.items()
-    }
-    assert as_table(twisted_config_homology(CT(2, 1, 1))) == {
-        t: dict(p.coeffs) for t, p in shifted.items()
-    }
+    shifted = {t + 1: weights for t, weights in block_homology(CT(0, 1, 2)).items()}
+    assert block_homology(CT(1, 2, 1)) == shifted
+    shifted = {t + 1: weights for t, weights in block_homology(CT(1, 0, 2)).items()}
+    assert block_homology(CT(2, 1, 1)) == shifted
 
 
 # --------------------------------------------------------------------------
@@ -232,23 +330,17 @@ def test_five_point_cancellation_pairing():
 # --------------------------------------------------------------------------
 
 def test_stratum_homology_examples():
-    v = 20
-    cells = {
-        (cls.bm_degree - 2 * v, cls.weight_twist): cls.multiplicity
-        for cls in stratum_homology(CT(0, 1, 2), v)
-    }
+    cells = {(row, twist): mult for row, twist, mult in type_cells(CT(0, 1, 2))}
     assert cells == {(-12, 7): 1, (-15, 9): 1}
 
-    cells = {
-        (cls.bm_degree - 2 * v, cls.weight_twist): cls.multiplicity
-        for cls in stratum_homology(CT(1, 1, 1), v)
-    }
+    cells = {(row, twist): mult for row, twist, mult in type_cells(CT(1, 1, 1))}
     assert cells == {(-11, 6): 1, (-14, 8): 1}
 
 
-def test_stratum_class_multiplicity_positive():
-    with pytest.raises(ValueError):
-        StratumClass(bm_degree=0, weight_twist=1, multiplicity=0)
+def test_type_cells_multiplicities_are_positive():
+    for L in range(3, 9):
+        for config in types_with_sites(L):
+            assert all(mult >= 1 for _, _, mult in type_cells(config)), config
 
 
 def test_stratum_total_dimension_preserves_product_structure():
@@ -263,8 +355,8 @@ def test_stratum_total_dimension_preserves_product_structure():
                     hall_inner_product_induced(layer, k1, k2, h)
                     for layer in ep.layers.values()
                 )
-                total = sum(cls.multiplicity for cls in stratum_homology(c, 50))
-                assert total == 2 * inner, c
+                total = sum(mult for _, _, mult in type_cells(c))
+                assert total == 2 * inner == 2 * sum(stable.type_pairings(k1, k2, h).values()), c
 
 
 def test_five_point_stratum_table():
@@ -284,13 +376,11 @@ def test_five_point_stratum_table():
 
 def test_reference_columns_exact_L3_L4():
     for L in (3, 4):
-        col = e1_column(L, 40)
-        assert col.L == L
-        assert column_rows(col, 40) == REFERENCE_COLUMNS[L], f"L={L}"
+        assert column_rows(L) == REFERENCE_COLUMNS[L], f"L={L}"
 
 
 def test_reference_column_L5_deviates_in_exactly_two_cells():
-    computed = column_rows(e1_column(5, 40), 40)
+    computed = column_rows(5)
     reference = REFERENCE_COLUMNS[5]
     assert set(computed) == set(reference)
     differing = {row for row in computed if computed[row] != reference[row]}
@@ -303,7 +393,7 @@ def test_reference_column_L5_deviates_in_exactly_two_cells():
 
 
 def test_orbit_pairing_validates_computed_L5_and_refutes_reference():
-    assert pairing_chains_consistent(column_cells(e1_column(5, 40), 40))
+    assert pairing_chains_consistent(column_cells(5))
     reference_cells = {
         (row, m): mult
         for row, classes in REFERENCE_COLUMNS[5].items()
@@ -314,11 +404,11 @@ def test_orbit_pairing_validates_computed_L5_and_refutes_reference():
 
 def test_all_computed_columns_satisfy_orbit_pairing():
     for L in range(3, 8):
-        assert pairing_chains_consistent(column_cells(e1_column(L, 40), 40)), L
+        assert pairing_chains_consistent(column_cells(L)), L
 
 
 def test_reference_column_L6_is_truncation_of_computed():
-    computed = column_rows(e1_column(6, 40), 40)
+    computed = column_rows(6)
     reference = REFERENCE_COLUMNS[6]
     # the rows the reference lists completely agree entry-for-entry
     for row in (-19, -20, -21, -22, -23):
@@ -342,7 +432,7 @@ def test_reference_columns_strict_entrywise():
     """
     deviations = {}
     for L, reference in REFERENCE_COLUMNS.items():
-        computed = column_rows(e1_column(L, 40), 40)
+        computed = column_rows(L)
         if computed != reference:
             deviations[L] = sorted(
                 row
@@ -361,14 +451,11 @@ def test_reference_columns_strict_entrywise():
     )
 
 
-def test_column_rows_independent_of_section_dimension():
-    for L in (3, 5):
-        assert column_rows(e1_column(L, 40), 40) == column_rows(e1_column(L, 77), 77)
-
-
 def test_e1_column_requires_L_at_least_3():
-    with pytest.raises(ValueError):
-        e1_column(2, 40)
+    with pytest.raises(ValueError, match="at least three sites"):
+        column_rows(2)
+    with pytest.raises(ValueError, match="at least three sites"):
+        spectral.render_columns_csv((2,))
 
 
 # --------------------------------------------------------------------------
@@ -460,7 +547,7 @@ def test_differential_scan_matches_independent_enumeration():
 # --------------------------------------------------------------------------
 
 def test_csv_renderer():
-    text = spectral.render_columns_csv(40, (3, 4))
+    text = spectral.render_columns_csv((3, 4))
     lines = text.strip().splitlines()
     assert lines[0] == "L,row,twist,multiplicity,contributing_types"
     assert any(line.startswith("3,-12,7,1,") and "(0,1,2)" in line for line in lines)
@@ -468,7 +555,7 @@ def test_csv_renderer():
 
 
 def test_markdown_renderer():
-    text = spectral.render_columns_markdown(40, (3, 4, 5, 6))
+    text = spectral.render_columns_markdown((3, 4, 5, 6))
     assert "| L=3 |" in text or "L=3" in text
     assert "Q(-9)^2" in text
     assert "-32" in text

@@ -70,6 +70,12 @@ def test_type_pairings_reject_invalid_types():
         type_pairings(1, 1, 0)
 
 
+def test_type_pairings_reject_bools_and_non_integers():
+    for components in ((1.0, 1, 1), (True, 1, 1), (1, 1, 1.5)):
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            type_pairings(*components)
+
+
 def test_numerator_term_examples():
     term = numerator_term(1, 1, 1)
     assert {t: dict(p.coeffs) for t, p in term.terms.items()} == {8: {6: 1}}
@@ -187,9 +193,8 @@ def test_stable_series_shares_the_layer_cache_with_spectral():
     stable_series(8)
     misses = m0n.equivariant_poincare_m0n.cache_info().misses
     for L in range(3, 9):
-        spectral.e1_column(L, 30)
-        config = spectral.ConfigurationType(1, 0, L - 1)
-        spectral.twisted_config_homology(config)
+        spectral.column_rows(L)
+        spectral.type_cells(spectral.ConfigurationType(1, 0, L - 1))
     spectral.five_point_configuration_table()
     assert m0n.equivariant_poincare_m0n.cache_info().misses == misses
 

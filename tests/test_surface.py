@@ -9,11 +9,14 @@ does not count, and a method is matched by its bare name.  The few names that
 nothing refers to are the oracles and API in ``KEPT``, each with the reason it
 stays.  A public name that is neither goes, with its tests.  The last check
 keeps the pairing of M_{0,n} layers with a configuration type in one place,
-and the one row formula of the rank checks with its callers: only the
-definitions in ``CALLERS`` call those routes.  The last test keeps one
-division of binary forms: only ``ffcount._divide`` calls ``fq.divmod``, and
-only ``ffcount._labels`` and ``ffcount.psi_roundtrip_check`` build the
-quotient and remainder matrices, dividing basis forms in a comprehension.
+the type pairings with their two readers (the stable numerator and the
+column cells), and the one row formula of the rank checks with its callers:
+only the definitions in ``CALLERS`` call those routes.  The column code
+works on integer cells, so ``spectral`` imports nothing from ``series``.
+The last test keeps one division of binary forms: only ``ffcount._divide``
+calls ``fq.divmod``, and only ``ffcount._labels`` and
+``ffcount.psi_roundtrip_check`` build the quotient and remainder matrices,
+dividing basis forms in a comprehension.
 """
 
 import ast
@@ -146,6 +149,7 @@ def test_kept_names_are_public_unreached_and_explained():
 CALLERS = {
     "hall_inner_product_induced": {("stable", "type_pairings")},
     "equivariant_poincare_m0n": {("stable", "type_pairings"), ("cli", "cmd_m0n")},
+    "type_pairings": {("stable", "numerator_term"), ("spectral", "type_cells")},
     "_row_array": {("linalg", "verify_bundle_rank"), ("linalg", "_pairs_certified")},
     "_divide": {("ffcount", "_labels"), ("ffcount", "psi_roundtrip_check"),
                 ("ffcount", "_factor_form"), ("ffcount", "psi_inverse")},
@@ -170,6 +174,16 @@ def _call_sites(name) -> set:
 def test_type_pairings_are_the_one_caller_of_the_layer_route():
     for name, allowed in CALLERS.items():
         assert _call_sites(name) <= allowed, name
+
+
+def test_spectral_imports_nothing_from_series():
+    imported = set()
+    for node in ast.walk(_modules()["spectral"]):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert not [name for name in imported if name.rpartition(".")[2] == "series"]
 
 
 def _definitions_calling(matches, scopes=None) -> set:
