@@ -60,6 +60,7 @@ from pathlib import Path
 from . import __version__
 from .ffcount import (
     DEFAULT_SEED,
+    ResourceGuardError,
     closed_form_count,
     enumerate_count,
     euler_identity_check,
@@ -68,7 +69,7 @@ from .ffcount import (
     stratified_count,
 )
 from .linalg import _degree_bound, rank_drop_witness, verify_bundle_rank
-from .m0n import ResourceGuardError, equivariant_poincare_m0n
+from .m0n import equivariant_poincare_m0n
 from .spectral import (
     ConfigurationType,
     column_rows,

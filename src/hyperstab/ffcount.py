@@ -30,11 +30,11 @@ while the fast route uses a sieve over irreducible squares, so the two
 routes differ in strategy and share only the F_q polynomial kernels of `fq`.
 
 `is_squarefree` is the oracle test of the naive route and of
-`SectionTriple.is_member`.  `psi_inverse`, the inverse of the paper's
-substitution psi, is API that no command calls; `psi_roundtrip_check` runs
-it on rows, through the quotient and remainder matrices of `_divide`.
-`verify counts --budget full` runs `orbit_spot_check`, which moves members
-by `apply_group_element`.
+`SectionTriple.is_member`.  `psi_roundtrip_check` inverts the paper's
+substitution psi on rows, through the quotient and remainder matrices of
+`_divide`.  `verify counts --budget full` runs `orbit_spot_check`, which
+moves members by `apply_group_element`.  The closed forms are integer
+polynomials in q (`series.TatePolynomial`) divided only by monic divisors.
 """
 
 from __future__ import annotations
@@ -46,13 +46,13 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import fq
-from .m0n import QPolynomial, ResourceGuardError
 from .series import GradedTateSeries, TatePolynomial, evaluate_t
 
 __all__ = [
     "BinaryForm",
     "SectionTriple",
     "CountRecord",
+    "ResourceGuardError",
     "DEFAULT_SEED",
     "DEFAULT_TUPLE_BUDGET",
     "apply_group_element",
@@ -64,7 +64,6 @@ __all__ = [
     "is_squarefree",
     "orbit_spot_check",
     "psi_forward",
-    "psi_inverse",
     "psi_roundtrip_check",
     "stratified_count",
 ]
@@ -75,6 +74,11 @@ DEFAULT_TUPLE_BUDGET = 10**9
 # of a block: 2^15-row blocks raised the peak RSS of `verify all --budget small`
 # from 40 to 47 MB and saved no time.
 _PSI_BLOCK_ROWS = 1024
+
+
+class ResourceGuardError(RuntimeError):
+    """Raised when a brute-force enumeration would exceed its budget."""
+
 
 def _validate_prime(q) -> None:
     if not fq.is_prime(q):
@@ -561,11 +565,11 @@ _UNSUPPORTED_HINT = (
 )
 
 
-def _stable_l4_form(g: int) -> QPolynomial:
-    numerator = QPolynomial({2 * g: 1}) * QPolynomial(
+def _stable_l4_form(g: int) -> TatePolynomial:
+    numerator = TatePolynomial({2 * g: 1}) * TatePolynomial(
         {6: 1, 5: 2, 4: 2, 3: 2, 2: 1, 0: 1}
     )
-    denominator = QPolynomial({2: 1, 0: 1}) * QPolynomial({1: 1, 0: 1})
+    denominator = TatePolynomial({2: 1, 0: 1}) * TatePolynomial({1: 1, 0: 1})
     quotient, remainder = numerator.divmod(denominator)
     if denominator * quotient + remainder != numerator:
         raise AssertionError("Euclidean division dropped mass")
@@ -582,7 +586,7 @@ def closed_form_count(
     variant: str | None = None,
     part: str = "total",
 ):
-    """The closed-form stack count as a polynomial in q, or its value at q.
+    """The closed-form stack count as a `TatePolynomial` in q, or its value at q.
 
     ``part="total"`` takes the (g, l, q, variant) of `enumerate_count` and,
     wherever a form exists, equals that call's ``stack_count``: l in
@@ -609,11 +613,11 @@ def closed_form_count(
         variant = _resolve_variant(g + 1 - l, variant)
         poly = _total_form(g, l)
         if variant == "g0":
-            poly = poly.divide_exact(QPolynomial({1: 1, 0: 1}))
+            poly = poly.divide_exact(TatePolynomial({1: 1, 0: 1}))
     return poly if q is None else poly(q)
 
 
-def _total_form(g: int, l: int) -> QPolynomial:
+def _total_form(g: int, l: int) -> TatePolynomial:
     """The stack count of the (g, l) family; at l = g+1 that of ``g0prime``.
 
     The degree-0 correction term in the l = 2 and l = 3 forms applies at
@@ -625,25 +629,27 @@ def _total_form(g: int, l: int) -> QPolynomial:
     # independent strategies gives 323, 2916, 968, matching the even-genus
     # rule at every measured point (q in {3, 5}, genera 2 through 5).
     delta_sq = 0 if g % 2 else 1
-    q_plus_one = QPolynomial({1: 1, 0: 1})
+    q_plus_one = TatePolynomial({1: 1, 0: 1})
     if l == 0:
-        return QPolynomial({2 * g - 1: 1})
+        return TatePolynomial({2 * g - 1: 1})
     if l == g + 1 and g in (3, 4):
         if g == 3:
-            return QPolynomial({8: 1}) * q_plus_one
+            return TatePolynomial({8: 1}) * q_plus_one
         return (
             q_plus_one
-            * QPolynomial({2: 1})
-            * QPolynomial({9: 1, 3: 1, 2: -1, 1: -1, 0: -1})
+            * TatePolynomial({2: 1})
+            * TatePolynomial({9: 1, 3: 1, 2: -1, 1: -1, 0: -1})
         )
     if l == 1:
-        return q_plus_one * QPolynomial({2 * g - 1: 1})
+        return q_plus_one * TatePolynomial({2 * g - 1: 1})
     if l == 2:
-        return q_plus_one * QPolynomial({2 * g: 1}) - QPolynomial({0: delta_sq})
+        return q_plus_one * TatePolynomial({2 * g: 1}) - TatePolynomial({0: delta_sq})
     if l == 3:
-        return q_plus_one * (QPolynomial({2 * g + 1: 1}) - QPolynomial({0: delta_sq}))
+        return q_plus_one * (
+            TatePolynomial({2 * g + 1: 1}) - TatePolynomial({0: delta_sq})
+        )
     if l == 4 and g % 12 == 0:
-        unstable = QPolynomial(
+        unstable = TatePolynomial(
             {
                 3: -3 * g * g - g,
                 2: 6 * g * g - g - 1,
@@ -717,28 +723,6 @@ def psi_forward(triple: SectionTriple) -> BinaryForm:
     prod = fq.mul(triple.alpha.coefficients, triple.gamma.coefficients, q)
     delta = tuple((x - 4 * y) % q for x, y in zip(bsq, prod))
     return BinaryForm(len(delta) - 1, delta, q)
-
-
-def psi_inverse(alpha: BinaryForm, beta: BinaryForm, delta: BinaryForm) -> SectionTriple:
-    """Recover the triple from (alpha, beta, discriminant): gamma = (beta^2-delta)/(4 alpha)."""
-    if alpha.is_zero():
-        raise ValueError("the inverse needs a nonzero leading form")
-    q = alpha.q
-    if beta.q != q or delta.q != q:
-        raise ValueError("all forms must live over the same field")
-    g = beta.degree - 1
-    l = alpha.degree
-    if delta.degree != 2 * g + 2:
-        raise ValueError(
-            f"the discriminant must have degree {2 * g + 2}, got {delta.degree}"
-        )
-    bsq = fq.mul(beta.coefficients, beta.coefficients, q)
-    num = tuple((x - y) % q for x, y in zip(bsq, delta.coefficients))
-    den = tuple(4 * c % q for c in alpha.coefficients)
-    gamma, remainder = _divide(num, den, q)
-    if any(remainder):
-        raise ValueError("beta^2 - delta is not divisible by 4 alpha")
-    return SectionTriple(alpha, beta, BinaryForm(2 * g + 2 - l, gamma, q))
 
 
 def psi_roundtrip_check(

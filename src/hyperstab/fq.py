@@ -2,7 +2,7 @@
 
 A polynomial is a tuple of residues in ascending order of the exponent.
 These kernels are shared by the square-free sieve and the one division of
-binary forms in `ffcount` and the Frobenius-orbit oracle of `m0n`.
+binary forms in `ffcount`, and by the Frobenius-orbit oracle of the tests.
 Primality is decided in one place, `is_prime`, and irreducibility in one
 place: trial division by the memoised monic irreducibles of at most half the
 degree.
@@ -14,7 +14,7 @@ import itertools
 from functools import lru_cache
 
 __all__ = [
-    "divmod", "first_irreducible", "is_irreducible", "is_prime",
+    "divmod", "is_irreducible", "is_prime",
     "monic_irreducibles", "mul", "poly_mod",
 ]
 
@@ -107,15 +107,3 @@ def monic_irreducibles(q, max_deg) -> tuple:
         return ()
     found = tuple(p for p in _monic(max_deg, q) if is_irreducible(p, q))
     return monic_irreducibles(q, max_deg - 1) + found
-
-
-def first_irreducible(d, q) -> tuple:
-    """The first monic irreducible of degree d >= 1 in `_monic` order.
-
-    Only the irreducibles of degree <= d/2 are listed; the candidates of
-    degree d are tested one at a time until the first one passes.
-    """
-    for p in _monic(d, q):
-        if is_irreducible(p, q):
-            return p
-    raise AssertionError(f"no monic irreducible of degree {d} over F_{q}")

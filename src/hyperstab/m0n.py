@@ -12,346 +12,28 @@ share d^c a_d (a_d - 1) ... (a_d - c + 1) of c cycles of length d is the
 integer polynomial prod_{k<c} (b_d - d*k); b_d itself is q^d minus the b_e of
 the proper divisors e of d, plus 1 at d = 1 for the point at infinity.  Each
 N_mu is a dense product of memoised factors, divided by q^3 - q by integer
-synthetic division.  The sparse `QPolynomial` route (`closed_point_count`,
-`twisted_count_config_p1`), which goes through Moebius sums and rational
-coefficients, is kept as the oracle for this one, and `brute_twisted_count`
-checks both by walking Frobenius orbits; no command calls these three oracles.
-`brute_twisted_count` builds F_{q^d} with the shared F_q kernels of `fq` but
-walks and counts the orbits itself; it never counts irreducibles.
+synthetic division.  Its oracles live with the tests (`tests/oracles.py`):
+a sparse route through Moebius sums with rational coefficients, and a walk
+over the Frobenius orbits of explicit extension fields.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
-import math
 import operator
 import os
 import tempfile
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
-from . import fq
-from .symfunc import CharacterVector, canonical_partition, partitions
+from .symfunc import CharacterVector, partitions
 
 __all__ = [
-    "QPolynomial",
     "EquivariantPoincare",
-    "ResourceGuardError",
-    "closed_point_count",
-    "twisted_count_config_p1",
-    "brute_twisted_count",
     "equivariant_poincare_m0n",
     "default_cache_dir",
 ]
-
-
-class ResourceGuardError(RuntimeError):
-    """Raised when a brute-force enumeration would exceed its budget."""
-
-
-def _normalize_coeff(c):
-    if isinstance(c, bool):
-        raise ValueError(f"coefficient must be a number: {c!r}")
-    if isinstance(c, int):
-        return c
-    if isinstance(c, Fraction):
-        return int(c) if c.denominator == 1 else c
-    raise ValueError(f"coefficient must be an int or Fraction: {c!r}")
-
-
-class QPolynomial:
-    """Exact polynomial in the point-count variable q.
-
-    Stored sparsely as {exponent: coefficient} with exponents >= 0.
-    Coefficients are integers whenever possible; rationals such as the
-    closed-point count (q^2 - q)/2 are carried as Fractions and collapse
-    back to int the moment a product clears the denominator.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: dict | None = None):
-        out = {}
-        for e, c in (coeffs or {}).items():
-            if not isinstance(e, int) or isinstance(e, bool) or e < 0:
-                raise ValueError(f"exponent must be a nonnegative integer: {e!r}")
-            c = _normalize_coeff(c)
-            if c:
-                out[e] = c
-        self.coeffs = out
-
-    def is_integral(self) -> bool:
-        return all(isinstance(c, int) for c in self.coeffs.values())
-
-    def coefficient(self, e: int) -> int:
-        return self.coeffs.get(e, 0)
-
-    def degree(self) -> int:
-        """Degree of the polynomial; -1 for the zero polynomial."""
-        return max(self.coeffs, default=-1)
-
-    def _coerce(self, other):
-        if isinstance(other, QPolynomial):
-            return other
-        if isinstance(other, int):
-            return QPolynomial({0: other})
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0) + c
-        return QPolynomial(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QPolynomial({e: -c for e, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                out[e] = out.get(e, 0) + c1 * c2
-        return QPolynomial(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative power")
-        result = QPolynomial({0: 1})
-        for _ in range(k):
-            result = result * self
-        return result
-
-    def __call__(self, q: int):
-        total = sum(c * q ** e for e, c in self.coeffs.items())
-        return _normalize_coeff(Fraction(total)) if total else 0
-
-    def divmod(self, other: "QPolynomial") -> tuple:
-        """Euclidean division: (quotient, remainder), the remainder of lower degree."""
-        other = self._coerce(other)
-        if not other.coeffs:
-            raise ZeroDivisionError("division by the zero polynomial")
-        lead_e = other.degree()
-        lead_c = Fraction(other.coeffs[lead_e])
-        rem = dict(self.coeffs)
-        quot = {}
-        while rem:
-            e = max(rem)
-            if e < lead_e:
-                break
-            f = rem[e] / lead_c
-            quot[e - lead_e] = f
-            for e2, c2 in other.coeffs.items():
-                e3 = e2 + e - lead_e
-                rem[e3] = rem.get(e3, 0) - f * c2
-                if rem[e3] == 0:
-                    del rem[e3]
-        return QPolynomial(quot), QPolynomial(rem)
-
-    def divide_exact(self, other: "QPolynomial") -> "QPolynomial":
-        """Polynomial long division; raises unless the remainder is zero."""
-        quot, rem = self.divmod(other)
-        if rem.coeffs:
-            raise ArithmeticError(f"inexact division: remainder {rem.coeffs}")
-        return quot
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.coeffs.items())))
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "QPolynomial(0)"
-        terms = " + ".join(f"{c}*q^{e}" for e, c in sorted(self.coeffs.items(), reverse=True))
-        return f"QPolynomial({terms})"
-
-
-def _moebius(k: int) -> int:
-    if k < 1:
-        raise ValueError("moebius argument must be positive")
-    out = 1
-    p = 2
-    while p * p <= k:
-        if k % p == 0:
-            k //= p
-            if k % p == 0:
-                return 0
-            out = -out
-        else:
-            p += 1
-    if k > 1:
-        out = -out
-    return out
-
-
-@lru_cache(maxsize=None)
-def closed_point_count(d: int) -> QPolynomial:
-    """Number of closed points of degree d on P^1 over F_q, as a polynomial a_d(q).
-
-    a_1 = q + 1; for d >= 2, a_d = (1/d) * sum_{e | d} moebius(d/e) q^e,
-    with the division checked to be exact.
-    """
-    if d < 1:
-        raise ValueError("degree must be >= 1")
-    if d == 1:
-        return QPolynomial({1: 1, 0: 1})
-    total = QPolynomial()
-    for e in range(1, d + 1):
-        if d % e == 0:
-            total = total + QPolynomial({e: _moebius(d // e)})
-    if not total.is_integral():
-        raise ArithmeticError(f"closed point count for d={d}: non-integral Moebius sum")
-    return QPolynomial({e: Fraction(c, d) for e, c in total.coeffs.items()})
-
-
-@lru_cache(maxsize=None)
-def _falling_product(d: int, count: int) -> QPolynomial:
-    """a_d (a_d - 1) ... (a_d - count + 1), memoized across cycle types."""
-    if count == 0:
-        return QPolynomial({0: 1})
-    return _falling_product(d, count - 1) * (closed_point_count(d) - (count - 1))
-
-
-def twisted_count_config_p1(n: int, mu) -> QPolynomial:
-    """Fixed points of (sigma o Frobenius) on ordered n-point configurations of P^1.
-
-    For sigma of cycle type mu, the count is prod_d d^{c_d} a_d (a_d-1) ...
-    (a_d - c_d + 1) over cycle lengths d with multiplicity c_d: each d-cycle
-    occupies a degree-d closed point (d possible alignments), distinct cycles
-    of equal length occupying distinct points.
-    """
-    mu = canonical_partition(mu)
-    if sum(mu) != n:
-        raise ValueError(f"cycle type {mu} does not have weight {n}")
-    result = QPolynomial({0: 1})
-    for d in set(mu):
-        c = mu.count(d)
-        result = result * QPolynomial({0: d ** c}) * _falling_product(d, c)
-    if not result.is_integral():
-        raise ArithmeticError(f"twisted count for mu={mu} is not integral: {result!r}")
-    return result
-
-
-# --------------------------------------------------------------------------
-# brute-force oracle: explicit Frobenius orbits in small extension fields
-# --------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _closed_point_orbits(d: int, q: int):
-    """Frobenius orbits of size exactly d on P^1(F_{q^d}), each verified.
-
-    Returns the number of orbits.  F_{q^d} is F_q[x] modulo the first monic
-    irreducible of degree d.  Each orbit is walked explicitly: we check that
-    the Frobenius x -> x^q returns to the start after exactly d steps.
-    """
-    if d == 1:
-        # P^1(F_q): every point is its own orbit
-        return q + 1
-    modulus = fq.first_irreducible(d, q)
-
-    def reduce(poly):
-        rem = fq.poly_mod(poly, modulus, q)
-        return tuple(rem) + (0,) * (d - len(rem))
-
-    # Frobenius is F_q-linear and a ring map: it sends x^i to (x^q)^i
-    xq = reduce((0,) * q + (1,))
-    images = [(1,) + (0,) * (d - 1)]
-    for _ in range(d - 1):
-        images.append(reduce(fq.mul(images[-1], xq, q)))
-
-    def frob(elem):
-        out = [0] * d
-        for coeff, img in zip(elem, images):
-            if coeff:
-                for j in range(d):
-                    out[j] = (out[j] + coeff * img[j]) % q
-        return tuple(out)
-
-    seen = set()
-    orbits = 0
-    for elem in itertools.product(range(q), repeat=d):
-        if elem in seen:
-            continue
-        orbit = [elem]
-        current = frob(elem)
-        while current != elem:
-            orbit.append(current)
-            current = frob(current)
-        for pt in orbit:
-            seen.add(pt)
-        if len(orbit) == d:
-            orbits += 1
-    # the point at infinity is Frobenius-fixed, so it never has orbit size d >= 2
-    return orbits
-
-
-def brute_twisted_count(n: int, mu, q: int, max_points: int = 2 ** 20) -> int:
-    """Count (sigma o Frobenius)-fixed ordered configurations by direct orbit search.
-
-    Independent of the closed product formula: extension fields are built
-    explicitly, orbits enumerated, and cycle-to-orbit assignments counted by
-    recursion over the cycles, d alignments per cycle of length d (verified
-    by the explicit orbit walk).
-    """
-    mu = canonical_partition(mu)
-    if sum(mu) != n:
-        raise ValueError(f"cycle type {mu} does not have weight {n}")
-    if n > 6:
-        raise ValueError("brute enumeration supports n <= 6 only")
-    if q > 11:
-        raise ValueError("brute enumeration supports q <= 11 only")
-    if not fq.is_prime(q):
-        raise ValueError(f"brute enumeration needs a prime field size: {q!r}")
-    if n == 0:
-        return 1
-    lcm = math.lcm(*mu)
-    if q ** lcm > max_points:
-        raise ResourceGuardError(
-            f"q^lcm(mu) = {q}^{lcm} exceeds the enumeration budget {max_points}"
-        )
-    available = {d: _closed_point_orbits(d, q) for d in set(mu)}
-    used = dict.fromkeys(available, 0)
-
-    def assign(cycles):
-        if not cycles:
-            return 1
-        d = cycles[0]
-        free = available[d] - used[d]
-        if free <= 0:
-            return 0
-        used[d] += 1
-        rest = assign(cycles[1:])
-        used[d] -= 1
-        return d * free * rest
-
-    return assign(list(mu))
 
 
 # --------------------------------------------------------------------------

@@ -19,7 +19,12 @@ __all__ = [
 
 
 class TatePolynomial:
-    """Integer Laurent polynomial in L, stored sparsely as {exponent: coeff}."""
+    """Integer Laurent polynomial in L, stored sparsely as {exponent: coeff}.
+
+    The closed-form point counts of `ffcount` are polynomials of the same
+    kind in q, the field size, which a point count puts in place of L; they
+    are divided by `divmod` and evaluated by calling them at an integer q.
+    """
 
     __slots__ = ("coeffs",)
 
@@ -43,6 +48,52 @@ class TatePolynomial:
 
     def is_zero(self) -> bool:
         return not self.coeffs
+
+    def degree(self) -> int | None:
+        """The top exponent; None for the zero polynomial."""
+        return max(self.coeffs, default=None)
+
+    def divmod(self, other: "TatePolynomial") -> tuple:
+        """Euclidean division: (quotient, remainder), the remainder of lower degree.
+
+        The divisor's top coefficient must be 1 or -1, so that both parts
+        stay integral; any other divisor, zero included, raises ValueError.
+        """
+        top = other.degree()
+        if top is None or other.coeffs[top] not in (1, -1):
+            raise ValueError(f"divisor must have top coefficient 1 or -1: {other!r}")
+        sign = other.coeffs[top]
+        rem = dict(self.coeffs)
+        quot = {}
+        while rem:
+            e = max(rem)
+            if e < top:
+                break
+            f = rem[e] * sign
+            quot[e - top] = f
+            for e2, c2 in other.coeffs.items():
+                e3 = e2 + e - top
+                c = rem.get(e3, 0) - f * c2
+                if c:
+                    rem[e3] = c
+                else:
+                    del rem[e3]
+        return TatePolynomial(quot), TatePolynomial(rem)
+
+    def divide_exact(self, other: "TatePolynomial") -> "TatePolynomial":
+        """The quotient by ``other``; ArithmeticError when a remainder is left."""
+        quot, rem = self.divmod(other)
+        if rem.coeffs:
+            raise ArithmeticError(f"inexact division: remainder {rem!r}")
+        return quot
+
+    def __call__(self, q: int) -> int:
+        """The value at an integer q; a negative exponent raises ValueError."""
+        if not isinstance(q, int) or isinstance(q, bool):
+            raise ValueError(f"a polynomial is evaluated at an integer only: {q!r}")
+        if min(self.coeffs, default=0) < 0:
+            raise ValueError(f"{self!r} has a negative exponent, so no integer value")
+        return sum(c * q**e for e, c in self.coeffs.items())
 
     def __add__(self, other: "TatePolynomial") -> "TatePolynomial":
         out = dict(self.coeffs)
@@ -94,11 +145,11 @@ class GradedTateSeries:
     __slots__ = ("truncation", "terms")
 
     def __init__(self, truncation: int, terms: dict | None = None):
-        if not isinstance(truncation, int) or truncation < 0:
+        if not isinstance(truncation, int) or isinstance(truncation, bool) or truncation < 0:
             raise ValueError(f"truncation must be a nonnegative integer: {truncation!r}")
         clean = {}
         for t, poly in (terms or {}).items():
-            if not isinstance(t, int) or t < 0 or t > truncation:
+            if not isinstance(t, int) or isinstance(t, bool) or t < 0 or t > truncation:
                 raise ValueError(
                     f"t-degree {t!r} outside the truncation range 0..{truncation}"
                 )
@@ -192,6 +243,8 @@ def invert_unit(a: GradedTateSeries) -> GradedTateSeries:
 
 def evaluate_t(a: GradedTateSeries, t0: int) -> TatePolynomial:
     """Evaluate at an integer t; the result depends on the truncation."""
+    if not isinstance(t0, int) or isinstance(t0, bool):
+        raise ValueError(f"a series is evaluated at an integer t only: {t0!r}")
     total = TatePolynomial()
     for t, poly in a.terms.items():
         total = total + poly * (t0 ** t)

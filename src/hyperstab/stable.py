@@ -118,8 +118,8 @@ def _configuration_types(bound: int):
 
 def stable_series(max_degree: int) -> GradedTateSeries:
     """The stable series for the surface-index-zero regime, truncated exactly."""
-    if max_degree < 0:
-        raise ValueError("max_degree must be nonnegative")
+    if not isinstance(max_degree, int) or isinstance(max_degree, bool) or max_degree < 0:
+        raise ValueError(f"max_degree must be a nonnegative integer: {max_degree!r}")
     numerator = GradedTateSeries.zero(max_degree)
     for k1, k2, h in _configuration_types(max_degree):
         numerator = numerator + numerator_term(k1, k2, h, truncation=max_degree)

@@ -5,11 +5,9 @@ indexes a conjugacy class of S_n.  Characters are stored as class functions
 (`CharacterVector`), which keeps every pairing exact and integral; Schur-basis
 data is recovered from them on demand.  A class function of degree n is one
 tuple of integers, dense in the order of `partitions(n)`, so a pairing reads
-its values by position and never hashes a cycle type.
-
-`irreducible_character` is the textbook API on single cycle types; no
-command calls it, and the tests use it as an oracle of the dense class
-functions.
+its values by position and never hashes a cycle type.  The irreducible and
+sign characters that the tests check these routes with are built from
+`_mn` and `_z_sign` in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ from functools import lru_cache
 __all__ = [
     "canonical_partition",
     "partitions",
-    "irreducible_character",
     "CharacterVector",
     "hall_inner_product_induced",
     "schur_expand",
@@ -123,15 +120,6 @@ def _mn(lam: tuple, mu: tuple) -> int:
     return total
 
 
-def irreducible_character(lam, mu) -> int:
-    """Value chi^lam(mu) of the irreducible S_n character at cycle type mu."""
-    lam = canonical_partition(lam)
-    mu = canonical_partition(mu)
-    if sum(lam) != sum(mu):
-        raise ValueError(f"|lam|={sum(lam)} != |mu|={sum(mu)}")
-    return _mn(lam, mu)
-
-
 class CharacterVector:
     """Integer class function on S_n, stored densely by cycle type.
 
@@ -186,16 +174,6 @@ class CharacterVector:
     @classmethod
     def trivial(cls, n: int) -> "CharacterVector":
         return cls(n, (1,) * len(partitions(n)))
-
-    @classmethod
-    def sign_character(cls, n: int) -> "CharacterVector":
-        return cls(n, (_z_sign(mu)[1] for mu in partitions(n)))
-
-    @classmethod
-    def irreducible(cls, lam) -> "CharacterVector":
-        lam = canonical_partition(lam)
-        n = sum(lam)
-        return cls(n, (_mn(lam, mu) for mu in partitions(n)))
 
 
 # A cycle type is also coded as one integer: a 16-bit field per part length d

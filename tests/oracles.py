@@ -1,0 +1,507 @@
+"""Oracles of the tests: the independent routes that check the package.
+
+No command runs these; each one checks a fast route of the package from a
+route that does not share the primitive under test.  Keep them as they
+are when the package changes, so that a change cannot move its own check.
+
+* ``QPolynomial``, a polynomial in q with rational coefficients, and the
+  twisted point counts of M_{0,n} built on it through Moebius sums
+  (`closed_point_count`, `twisted_count_config_p1`; Kisin-Lehrer,
+  J. Algebra 2002), the oracle of the integer layer counts of `m0n`;
+* `brute_twisted_count`, which counts the same configurations by walking
+  the Frobenius orbits of explicit extension fields, built from the
+  trial-division search `o_find_irreducible` rather than `fq.is_irreducible`;
+* single irreducible characters of S_n (`irreducible_character`,
+  `irreducible`) and the sign character, built on the Murnaghan-Nakayama
+  recursion `symfunc._mn` and the signs of `symfunc._z_sign`, the oracles of
+  the dense class functions, the Hall pairings and the M_{0,n} layers;
+* `psi_inverse`, the inverse of the paper's substitution psi, which divides
+  with the frozen long division `o_exact_div` rather than `ffcount._divide`;
+* `o_qpoly_floordiv`, the Euclidean division of polynomials in q that the
+  closed forms used before `series.TatePolynomial.divmod`.
+"""
+
+import itertools
+import math
+from fractions import Fraction
+from functools import lru_cache
+
+from hyperstab import fq
+from hyperstab.ffcount import BinaryForm, ResourceGuardError, SectionTriple
+from hyperstab.symfunc import CharacterVector, _mn, _z_sign, canonical_partition, partitions
+
+
+# --------------------------------------------------------------------------
+# polynomials in q and the twisted point counts of M_{0,n}
+# --------------------------------------------------------------------------
+
+def _normalize_coeff(c):
+    if isinstance(c, bool):
+        raise ValueError(f"coefficient must be a number: {c!r}")
+    if isinstance(c, int):
+        return c
+    if isinstance(c, Fraction):
+        return int(c) if c.denominator == 1 else c
+    raise ValueError(f"coefficient must be an int or Fraction: {c!r}")
+
+
+class QPolynomial:
+    """Exact polynomial in the point-count variable q.
+
+    Stored sparsely as {exponent: coefficient} with exponents >= 0.
+    Coefficients are integers whenever possible; rationals such as the
+    closed-point count (q^2 - q)/2 are carried as Fractions and collapse
+    back to int the moment a product clears the denominator.
+    """
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: dict | None = None):
+        out = {}
+        for e, c in (coeffs or {}).items():
+            if not isinstance(e, int) or isinstance(e, bool) or e < 0:
+                raise ValueError(f"exponent must be a nonnegative integer: {e!r}")
+            c = _normalize_coeff(c)
+            if c:
+                out[e] = c
+        self.coeffs = out
+
+    def is_integral(self) -> bool:
+        return all(isinstance(c, int) for c in self.coeffs.values())
+
+    def coefficient(self, e: int) -> int:
+        return self.coeffs.get(e, 0)
+
+    def degree(self) -> int:
+        """Degree of the polynomial; -1 for the zero polynomial."""
+        return max(self.coeffs, default=-1)
+
+    def _coerce(self, other):
+        if isinstance(other, QPolynomial):
+            return other
+        if isinstance(other, int):
+            return QPolynomial({0: other})
+        return NotImplemented
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        out = dict(self.coeffs)
+        for e, c in other.coeffs.items():
+            out[e] = out.get(e, 0) + c
+        return QPolynomial(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return QPolynomial({e: -c for e, c in self.coeffs.items()})
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        out = {}
+        for e1, c1 in self.coeffs.items():
+            for e2, c2 in other.coeffs.items():
+                e = e1 + e2
+                out[e] = out.get(e, 0) + c1 * c2
+        return QPolynomial(out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k: int):
+        if k < 0:
+            raise ValueError("negative power")
+        result = QPolynomial({0: 1})
+        for _ in range(k):
+            result = result * self
+        return result
+
+    def __call__(self, q: int):
+        total = sum(c * q ** e for e, c in self.coeffs.items())
+        return _normalize_coeff(Fraction(total)) if total else 0
+
+    def divmod(self, other: "QPolynomial") -> tuple:
+        """Euclidean division: (quotient, remainder), the remainder of lower degree."""
+        other = self._coerce(other)
+        if not other.coeffs:
+            raise ZeroDivisionError("division by the zero polynomial")
+        lead_e = other.degree()
+        lead_c = Fraction(other.coeffs[lead_e])
+        rem = dict(self.coeffs)
+        quot = {}
+        while rem:
+            e = max(rem)
+            if e < lead_e:
+                break
+            f = rem[e] / lead_c
+            quot[e - lead_e] = f
+            for e2, c2 in other.coeffs.items():
+                e3 = e2 + e - lead_e
+                rem[e3] = rem.get(e3, 0) - f * c2
+                if rem[e3] == 0:
+                    del rem[e3]
+        return QPolynomial(quot), QPolynomial(rem)
+
+    def divide_exact(self, other: "QPolynomial") -> "QPolynomial":
+        """Polynomial long division; raises unless the remainder is zero."""
+        quot, rem = self.divmod(other)
+        if rem.coeffs:
+            raise ArithmeticError(f"inexact division: remainder {rem.coeffs}")
+        return quot
+
+    def __eq__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(tuple(sorted(self.coeffs.items())))
+
+    def __repr__(self):
+        if not self.coeffs:
+            return "QPolynomial(0)"
+        terms = " + ".join(f"{c}*q^{e}" for e, c in sorted(self.coeffs.items(), reverse=True))
+        return f"QPolynomial({terms})"
+
+
+def _moebius(k: int) -> int:
+    if k < 1:
+        raise ValueError("moebius argument must be positive")
+    out = 1
+    p = 2
+    while p * p <= k:
+        if k % p == 0:
+            k //= p
+            if k % p == 0:
+                return 0
+            out = -out
+        else:
+            p += 1
+    if k > 1:
+        out = -out
+    return out
+
+
+@lru_cache(maxsize=None)
+def closed_point_count(d: int) -> QPolynomial:
+    """Number of closed points of degree d on P^1 over F_q, as a polynomial a_d(q).
+
+    a_1 = q + 1; for d >= 2, a_d = (1/d) * sum_{e | d} moebius(d/e) q^e,
+    with the division checked to be exact.
+    """
+    if d < 1:
+        raise ValueError("degree must be >= 1")
+    if d == 1:
+        return QPolynomial({1: 1, 0: 1})
+    total = QPolynomial()
+    for e in range(1, d + 1):
+        if d % e == 0:
+            total = total + QPolynomial({e: _moebius(d // e)})
+    if not total.is_integral():
+        raise ArithmeticError(f"closed point count for d={d}: non-integral Moebius sum")
+    return QPolynomial({e: Fraction(c, d) for e, c in total.coeffs.items()})
+
+
+@lru_cache(maxsize=None)
+def _falling_product(d: int, count: int) -> QPolynomial:
+    """a_d (a_d - 1) ... (a_d - count + 1), memoized across cycle types."""
+    if count == 0:
+        return QPolynomial({0: 1})
+    return _falling_product(d, count - 1) * (closed_point_count(d) - (count - 1))
+
+
+def twisted_count_config_p1(n: int, mu) -> QPolynomial:
+    """Fixed points of (sigma o Frobenius) on ordered n-point configurations of P^1.
+
+    For sigma of cycle type mu, the count is prod_d d^{c_d} a_d (a_d-1) ...
+    (a_d - c_d + 1) over cycle lengths d with multiplicity c_d: each d-cycle
+    occupies a degree-d closed point (d possible alignments), distinct cycles
+    of equal length occupying distinct points.
+    """
+    mu = canonical_partition(mu)
+    if sum(mu) != n:
+        raise ValueError(f"cycle type {mu} does not have weight {n}")
+    result = QPolynomial({0: 1})
+    for d in set(mu):
+        c = mu.count(d)
+        result = result * QPolynomial({0: d ** c}) * _falling_product(d, c)
+    if not result.is_integral():
+        raise ArithmeticError(f"twisted count for mu={mu} is not integral: {result!r}")
+    return result
+
+
+# --------------------------------------------------------------------------
+# brute-force oracle: explicit Frobenius orbits in small extension fields
+# --------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _closed_point_orbits(d: int, q: int):
+    """Frobenius orbits of size exactly d on P^1(F_{q^d}), each verified.
+
+    Returns the number of orbits.  F_{q^d} is F_q[x] modulo the first monic
+    irreducible of degree d, found by `o_find_irreducible`.  Each orbit is
+    walked explicitly: we check that the Frobenius x -> x^q returns to the
+    start after exactly d steps.
+    """
+    if d == 1:
+        # P^1(F_q): every point is its own orbit
+        return q + 1
+    modulus = o_find_irreducible(d, q)
+
+    def reduce(poly):
+        rem = fq.poly_mod(poly, modulus, q)
+        return tuple(rem) + (0,) * (d - len(rem))
+
+    # Frobenius is F_q-linear and a ring map: it sends x^i to (x^q)^i
+    xq = reduce((0,) * q + (1,))
+    images = [(1,) + (0,) * (d - 1)]
+    for _ in range(d - 1):
+        images.append(reduce(fq.mul(images[-1], xq, q)))
+
+    def frob(elem):
+        out = [0] * d
+        for coeff, img in zip(elem, images):
+            if coeff:
+                for j in range(d):
+                    out[j] = (out[j] + coeff * img[j]) % q
+        return tuple(out)
+
+    seen = set()
+    orbits = 0
+    for elem in itertools.product(range(q), repeat=d):
+        if elem in seen:
+            continue
+        orbit = [elem]
+        current = frob(elem)
+        while current != elem:
+            orbit.append(current)
+            current = frob(current)
+        for pt in orbit:
+            seen.add(pt)
+        if len(orbit) == d:
+            orbits += 1
+    # the point at infinity is Frobenius-fixed, so it never has orbit size d >= 2
+    return orbits
+
+
+def brute_twisted_count(n: int, mu, q: int, max_points: int = 2 ** 20) -> int:
+    """Count (sigma o Frobenius)-fixed ordered configurations by direct orbit search.
+
+    Independent of the closed product formula: extension fields are built
+    explicitly, orbits enumerated, and cycle-to-orbit assignments counted by
+    recursion over the cycles, d alignments per cycle of length d (verified
+    by the explicit orbit walk).
+    """
+    mu = canonical_partition(mu)
+    if sum(mu) != n:
+        raise ValueError(f"cycle type {mu} does not have weight {n}")
+    if n > 6:
+        raise ValueError("brute enumeration supports n <= 6 only")
+    if q > 11:
+        raise ValueError("brute enumeration supports q <= 11 only")
+    if not fq.is_prime(q):
+        raise ValueError(f"brute enumeration needs a prime field size: {q!r}")
+    if n == 0:
+        return 1
+    lcm = math.lcm(*mu)
+    if q ** lcm > max_points:
+        raise ResourceGuardError(
+            f"q^lcm(mu) = {q}^{lcm} exceeds the enumeration budget {max_points}"
+        )
+    available = {d: _closed_point_orbits(d, q) for d in set(mu)}
+    used = dict.fromkeys(available, 0)
+
+    def assign(cycles):
+        if not cycles:
+            return 1
+        d = cycles[0]
+        free = available[d] - used[d]
+        if free <= 0:
+            return 0
+        used[d] += 1
+        rest = assign(cycles[1:])
+        used[d] -= 1
+        return d * free * rest
+
+    return assign(list(mu))
+
+
+# --------------------------------------------------------------------------
+# characters of the symmetric group
+# --------------------------------------------------------------------------
+
+def irreducible_character(lam, mu) -> int:
+    """Value chi^lam(mu) of the irreducible S_n character at cycle type mu."""
+    lam = canonical_partition(lam)
+    mu = canonical_partition(mu)
+    if sum(lam) != sum(mu):
+        raise ValueError(f"|lam|={sum(lam)} != |mu|={sum(mu)}")
+    return _mn(lam, mu)
+
+
+def irreducible(lam) -> CharacterVector:
+    """The irreducible character chi^lam as a class function."""
+    lam = canonical_partition(lam)
+    n = sum(lam)
+    return CharacterVector(n, (_mn(lam, mu) for mu in partitions(n)))
+
+
+def sign_character(n: int) -> CharacterVector:
+    """The sign character of S_n as a class function."""
+    return CharacterVector(n, (_z_sign(mu)[1] for mu in partitions(n)))
+
+
+# --------------------------------------------------------------------------
+# binary forms over F_q and the inverse of the substitution psi
+# --------------------------------------------------------------------------
+# Forms of degree D are coefficient tuples (c_0, ..., c_D) with c_i the
+# coefficient of x^i y^(D-i); leading zeros encode roots at [1:0].
+
+def o_mul(a, b, q):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                out[i + j] = (out[i + j] + ca * cb) % q
+    return tuple(out)
+
+
+def o_exact_div(num, den, q):
+    """Quotient form of num/den, or None when den does not divide num.
+
+    Frozen copy of ``ffcount._exact_div`` as it stood before its long
+    division moved to ``fq.divmod``.
+    """
+    num = [c % q for c in num]
+    top = None
+    for i in range(len(den) - 1, -1, -1):
+        if den[i] % q:
+            top = i
+            break
+    if top is None:
+        return None
+    y_power = len(den) - 1 - top
+    if y_power >= len(num):
+        # y^y_power exceeds the degree of num, so only zero is divisible
+        return None if any(num) else ()
+    if y_power:
+        if any(num[len(num) - y_power:]):
+            return None
+        del num[len(num) - y_power:]
+    quot_deg = len(num) - 1 - top
+    if quot_deg < 0:
+        return None if any(num) else ()
+    inv = pow(den[top] % q, q - 2, q)
+    quot = [0] * (quot_deg + 1)
+    for i in range(quot_deg, -1, -1):
+        c = (num[top + i] * inv) % q
+        quot[i] = c
+        if c:
+            for j in range(top + 1):
+                num[i + j] = (num[i + j] - c * den[j]) % q
+    if any(num):
+        return None
+    return tuple(quot)
+
+
+def psi_inverse(alpha: BinaryForm, beta: BinaryForm, delta: BinaryForm) -> SectionTriple:
+    """Recover the triple from (alpha, beta, discriminant): gamma = (beta^2-delta)/(4 alpha)."""
+    if alpha.is_zero():
+        raise ValueError("the inverse needs a nonzero leading form")
+    q = alpha.q
+    if beta.q != q or delta.q != q:
+        raise ValueError("all forms must live over the same field")
+    g = beta.degree - 1
+    l = alpha.degree
+    if delta.degree != 2 * g + 2:
+        raise ValueError(
+            f"the discriminant must have degree {2 * g + 2}, got {delta.degree}"
+        )
+    bsq = o_mul(beta.coefficients, beta.coefficients, q)
+    num = tuple((x - y) % q for x, y in zip(bsq, delta.coefficients))
+    den = tuple(4 * c % q for c in alpha.coefficients)
+    gamma = o_exact_div(num, den, q)
+    if gamma is None:
+        raise ValueError("beta^2 - delta is not divisible by 4 alpha")
+    return SectionTriple(alpha, beta, BinaryForm(2 * g + 2 - l, gamma, q))
+
+
+# --------------------------------------------------------------------------
+# polynomials over F_q: the search for a monic irreducible
+# --------------------------------------------------------------------------
+
+def o_tuples(length, q):
+    if length == 0:
+        yield ()
+        return
+    for rest in o_tuples(length - 1, q):
+        for c in range(q):
+            yield rest + (c,)
+
+
+def o_poly_remainder_zero(a, b, q):
+    a = list(a)
+    db = len(b) - 1
+    inv_lead = pow(b[-1], -1, q)
+    for top in range(len(a) - 1, db - 1, -1):
+        c = a[top]
+        if c:
+            f = c * inv_lead % q
+            for j in range(db + 1):
+                a[top - db + j] = (a[top - db + j] - f * b[j]) % q
+    return not any(a)
+
+
+def o_find_irreducible(d, q):
+    """Monic irreducible polynomial of degree d over F_q, coefficients ascending."""
+    if d == 1:
+        return (0, 1)
+
+    def is_irreducible(poly):
+        # trial division by all monic polynomials of degree <= d/2
+        for deg in range(1, d // 2 + 1):
+            for tail in o_tuples(deg, q):
+                divisor = tail + (1,)
+                if o_poly_remainder_zero(poly, divisor, q):
+                    return False
+        return True
+
+    for tail in o_tuples(d, q):
+        poly = tail + (1,)
+        if is_irreducible(poly):
+            return poly
+    raise AssertionError(f"no irreducible polynomial of degree {d} over F_{q}")
+
+
+# --------------------------------------------------------------------------
+# Euclidean division of polynomials in q
+# --------------------------------------------------------------------------
+
+def o_qpoly_floordiv(num, den):
+    """Euclidean division of polynomials in q: (quotient, remainder).
+
+    Frozen copy of ``ffcount._qpoly_floordiv``, which ``QPolynomial.divmod``
+    replaced, and ``TatePolynomial.divmod`` after it.
+    """
+    quot = QPolynomial({})
+    rem = num
+    dd = den.degree()
+    lead = den.coefficient(dd)
+    while rem.coeffs and rem.degree() >= dd:
+        e = rem.degree()
+        term = QPolynomial({e - dd: Fraction(rem.coefficient(e), lead)})
+        quot = quot + term
+        rem = rem - term * den
+    return quot, rem

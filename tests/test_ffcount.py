@@ -1,9 +1,10 @@
 """Tests for finite-field enumeration of the hyperelliptic section triples.
 
 Oracles:
-* a test-local binary-form factory (multiplication, exact division, trial
-  factorization over small prime fields) used to decide square-freeness by
-  checking every irreducible square divisor explicitly;
+* a binary-form factory (multiplication and exact division from
+  `oracles.py`, trial factorization over small prime fields here) used to
+  decide square-freeness by checking every irreducible square divisor
+  explicitly;
 * the naive triple loop over (alpha, beta, gamma), which shares neither the
   coset-label enumeration strategy nor the sieve-based square-free bitmap
   with the fast route it checks;
@@ -15,7 +16,11 @@ Oracles:
 * the scalar walk of the substitution round trip, frozen as it stood before
   the walk went to blocks of row operations;
 * the hand-typed term lists of the reversed count polynomials, frozen as
-  they stood before the Euler check read its right side off the closed forms.
+  they stood before the Euler check read its right side off the closed forms;
+* `oracles.psi_inverse`, the inverse of psi by the frozen long division, for
+  the discriminant map `psi_forward`;
+* `oracles.o_qpoly_floordiv`, the Euclidean division of `oracles.QPolynomial`,
+  for `TatePolynomial.divmod` and the closed forms built on it.
 """
 
 import itertools
@@ -31,6 +36,7 @@ from hyperstab import ffcount
 from hyperstab.cli import COUNT_CASES_SMALL
 from hyperstab.ffcount import (
     BinaryForm,
+    ResourceGuardError,
     SectionTriple,
     apply_group_element,
     closed_form_count,
@@ -41,12 +47,12 @@ from hyperstab.ffcount import (
     is_squarefree,
     orbit_spot_check,
     psi_forward,
-    psi_inverse,
     psi_roundtrip_check,
     stratified_count,
 )
-from hyperstab.m0n import QPolynomial, ResourceGuardError
+from hyperstab.series import TatePolynomial
 from hyperstab.stable import stable_series
+from oracles import QPolynomial, o_exact_div, o_mul, o_qpoly_floordiv, psi_inverse
 
 
 # --------------------------------------------------------------------------
@@ -54,53 +60,6 @@ from hyperstab.stable import stable_series
 # --------------------------------------------------------------------------
 # Forms of degree D are coefficient tuples (c_0, ..., c_D) with c_i the
 # coefficient of x^i y^(D-i); leading zeros encode roots at [1:0].
-
-def o_mul(a, b, q):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] = (out[i + j] + ca * cb) % q
-    return tuple(out)
-
-
-def o_exact_div(num, den, q):
-    """Quotient form of num/den, or None when den does not divide num.
-
-    Frozen copy of ``ffcount._exact_div`` as it stood before its long
-    division moved to ``fq.divmod``.
-    """
-    num = [c % q for c in num]
-    top = None
-    for i in range(len(den) - 1, -1, -1):
-        if den[i] % q:
-            top = i
-            break
-    if top is None:
-        return None
-    y_power = len(den) - 1 - top
-    if y_power >= len(num):
-        # y^y_power exceeds the degree of num, so only zero is divisible
-        return None if any(num) else ()
-    if y_power:
-        if any(num[len(num) - y_power:]):
-            return None
-        del num[len(num) - y_power:]
-    quot_deg = len(num) - 1 - top
-    if quot_deg < 0:
-        return None if any(num) else ()
-    inv = pow(den[top] % q, q - 2, q)
-    quot = [0] * (quot_deg + 1)
-    for i in range(quot_deg, -1, -1):
-        c = (num[top + i] * inv) % q
-        quot[i] = c
-        if c:
-            for j in range(top + 1):
-                num[i + j] = (num[i + j] - c * den[j]) % q
-    if any(num):
-        return None
-    return tuple(quot)
-
 
 def o_monic_irreducible_forms(q, max_deg):
     """All monic irreducible forms of degree <= max_deg, including y itself."""
@@ -384,24 +343,26 @@ def test_enumerate_count_budget_guard_names_feasible_grid():
 # --------------------------------------------------------------------------
 
 def test_closed_form_symbolic_small_l():
-    assert closed_form_count(2, 1) == QPolynomial({4: 1, 3: 1})
-    assert closed_form_count(3, 1) == QPolynomial({6: 1, 5: 1})
-    assert closed_form_count(2, 2) == QPolynomial({5: 1, 4: 1, 0: -1})
-    assert closed_form_count(3, 2) == QPolynomial({7: 1, 6: 1})
+    assert closed_form_count(2, 1) == TatePolynomial({4: 1, 3: 1})
+    assert closed_form_count(3, 1) == TatePolynomial({6: 1, 5: 1})
+    assert closed_form_count(2, 2) == TatePolynomial({5: 1, 4: 1, 0: -1})
+    assert closed_form_count(3, 2) == TatePolynomial({7: 1, 6: 1})
     # l = 3 is l = g+1 at g = 2, where the form counts the g0prime stack
-    assert closed_form_count(2, 3, variant="g0prime") == QPolynomial({6: 1, 5: 1, 1: -1, 0: -1})
-    assert closed_form_count(3, 3) == QPolynomial({8: 1, 7: 1})
+    assert closed_form_count(2, 3, variant="g0prime") == TatePolynomial(
+        {6: 1, 5: 1, 1: -1, 0: -1}
+    )
+    assert closed_form_count(3, 3) == TatePolynomial({8: 1, 7: 1})
     assert closed_form_count(2, 1, 3) == 108
     assert closed_form_count(3, 2, 3) == 2916
     assert closed_form_count(2, 3, 3, variant="g0prime") == 968
 
 
 def test_closed_form_marked_section_cases():
-    assert closed_form_count(3, 4, variant="g0prime") == QPolynomial({9: 1, 8: 1})
+    assert closed_form_count(3, 4, variant="g0prime") == TatePolynomial({9: 1, 8: 1})
     expected = (
-        QPolynomial({1: 1, 0: 1})
-        * QPolynomial({2: 1})
-        * QPolynomial({9: 1, 3: 1, 2: -1, 1: -1, 0: -1})
+        TatePolynomial({1: 1, 0: 1})
+        * TatePolynomial({2: 1})
+        * TatePolynomial({9: 1, 3: 1, 2: -1, 1: -1, 0: -1})
     )
     assert closed_form_count(4, 5, variant="g0prime") == expected
     assert closed_form_count(3, 4, 3, variant="g0prime") == 26244
@@ -410,7 +371,7 @@ def test_closed_form_marked_section_cases():
 
 def test_closed_form_count_answers_what_the_cli_answers():
     # the l = 0 form
-    assert closed_form_count(2, 0) == QPolynomial({3: 1})
+    assert closed_form_count(2, 0) == TatePolynomial({3: 1})
     assert closed_form_count(2, 0, 3) == 27
     # g0 at l = g+1: the g0prime form divided exactly by q+1
     g0 = {(2, 3, 3): 242, (3, 4, 3): 6561, (4, 5, 3): 177273}
@@ -436,64 +397,58 @@ def test_closed_form_checks_the_pair_then_q_then_the_variant():
         closed_form_count(3, 3, 3, variant="g0")
 
 
-def o_qpoly_floordiv(num, den):
-    """Euclidean division of polynomials in q: (quotient, remainder).
-
-    Frozen copy of ``ffcount._qpoly_floordiv``, which ``QPolynomial.divmod``
-    replaced.
-    """
-    quot = QPolynomial({})
-    rem = num
-    dd = den.degree()
-    lead = den.coefficient(dd)
-    while rem.coeffs and rem.degree() >= dd:
-        e = rem.degree()
-        term = QPolynomial({e - dd: Fraction(rem.coefficient(e), lead)})
-        quot = quot + term
-        rem = rem - term * den
-    return quot, rem
-
-
 def test_closed_form_stable_l4_is_the_euclidean_quotient():
-    den = QPolynomial({2: 1, 0: 1}) * QPolynomial({1: 1, 0: 1})
-    sextic = QPolynomial({6: 1, 5: 2, 4: 2, 3: 2, 2: 1, 0: 1})
+    den = TatePolynomial({2: 1, 0: 1}) * TatePolynomial({1: 1, 0: 1})
+    sextic = TatePolynomial({6: 1, 5: 2, 4: 2, 3: 2, 2: 1, 0: 1})
     for g in (2, 3, 5, 12):
-        num = QPolynomial({2 * g: 1}) * sextic
+        num = TatePolynomial({2 * g: 1}) * sextic
         got = closed_form_count(g, 4, part="stable")
-        quot, rem = o_qpoly_floordiv(num, den)
-        assert got == quot
-        assert den * got + rem == num
+        quot, rem = o_qpoly_floordiv(QPolynomial(num.coeffs), QPolynomial(den.coeffs))
+        assert isinstance(got, TatePolynomial)
+        assert got.coeffs == quot.coeffs
+        assert den * got + TatePolynomial(rem.coeffs) == num
         assert rem.degree() < den.degree()
-        assert got.is_integral()
     # The g = 12 case splits as q^24 (q^3 + q^2) plus the quotient of q^24
     # by q^3 + q^2 + q + 1.
     head = QPolynomial({27: 1, 26: 1})
     tail, _ = o_qpoly_floordiv(QPolynomial({24: 1}), QPolynomial({3: 1, 2: 1, 1: 1, 0: 1}))
-    assert closed_form_count(12, 4, part="stable") == head + tail
+    assert closed_form_count(12, 4, part="stable").coeffs == (head + tail).coeffs
 
 
-def _qpolynomials(nonzero=False):
-    coeffs = st.one_of(
-        st.integers(-12, 12),
-        st.fractions(min_value=-12, max_value=12, max_denominator=7),
-    )
-    polys = st.dictionaries(st.integers(0, 5), coeffs, max_size=6).map(QPolynomial)
-    return polys.filter(lambda p: p.coeffs) if nonzero else polys
+_INT_POLYNOMIALS = st.dictionaries(
+    st.integers(0, 8), st.integers(-12, 12), max_size=9
+).map(TatePolynomial)
+
+
+@st.composite
+def _unit_divisors(draw):
+    """A divisor of top coefficient 1 or -1: the top term plus a lower part."""
+    top = draw(st.integers(0, 8))
+    lower = draw(st.dictionaries(st.integers(0, max(top - 1, 0)), st.integers(-12, 12),
+                                 max_size=top))
+    return TatePolynomial({**lower, top: draw(st.sampled_from((1, -1)))})
 
 
 @settings(max_examples=120, deadline=None)
-@given(_qpolynomials(), _qpolynomials(nonzero=True), st.sampled_from((3, 5, 7, 11)))
+@given(_INT_POLYNOMIALS, _unit_divisors(), st.sampled_from((3, 5, 7, 11)))
 def test_divmod_matches_the_frozen_floordiv(num, den, q):
     quot, rem = num.divmod(den)
-    assert (quot, rem) == o_qpoly_floordiv(num, den)
-    assert rem.degree() < den.degree()
+    o_quot, o_rem = o_qpoly_floordiv(QPolynomial(num.coeffs), QPolynomial(den.coeffs))
+    assert (quot.coeffs, rem.coeffs) == (o_quot.coeffs, o_rem.coeffs)
+    assert rem.is_zero() or rem.degree() < den.degree()
+    assert num(q) == QPolynomial(num.coeffs)(q)
     assert (den * quot + rem)(q) == num(q)
     assert (num * den).divide_exact(den) == num
+    if rem.is_zero():
+        assert num.divide_exact(den) == quot
+    else:
+        with pytest.raises(ArithmeticError, match="inexact"):
+            num.divide_exact(den)
 
 
 def test_closed_form_total_l4_only_at_genus_multiples_of_twelve():
     for g in (12, 24):
-        unstable = QPolynomial(
+        unstable = TatePolynomial(
             {
                 3: -3 * g * g - g,
                 2: 6 * g * g - g - 1,

@@ -2,9 +2,9 @@
 
 Oracles: trial division for the prime test; the Frobenius-orbit oracle's own
 arithmetic, frozen as it stood before it moved onto these kernels:
-multiplication reduced modulo a monic polynomial, a divisibility test, and
-the search for a monic irreducible by trial division by every monic
-polynomial of at most half the degree.
+multiplication reduced modulo a monic polynomial, and, from `oracles.py`, a
+divisibility test and the search for a monic irreducible by trial division
+by every monic polynomial of at most half the degree.
 """
 
 import itertools
@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperstab import fq
+from oracles import o_find_irreducible, o_poly_remainder_zero
 
 PRIMES = (3, 5, 7, 11)
 
@@ -67,15 +68,6 @@ def test_is_prime_refuses_beyond_the_deterministic_bound():
 # --------------------------------------------------------------------------
 
 
-def o_tuples(length, q):
-    if length == 0:
-        yield ()
-        return
-    for rest in o_tuples(length - 1, q):
-        for c in range(q):
-            yield rest + (c,)
-
-
 def o_poly_mul_mod(a, b, modulus, q):
     """Product of coefficient tuples (ascending) reduced mod (modulus, q)."""
     d = len(modulus) - 1
@@ -94,40 +86,6 @@ def o_poly_mul_mod(a, b, modulus, q):
     out = prod[:d]
     out += [0] * (d - len(out))
     return tuple(out)
-
-
-def o_poly_remainder_zero(a, b, q):
-    a = list(a)
-    db = len(b) - 1
-    inv_lead = pow(b[-1], -1, q)
-    for top in range(len(a) - 1, db - 1, -1):
-        c = a[top]
-        if c:
-            f = c * inv_lead % q
-            for j in range(db + 1):
-                a[top - db + j] = (a[top - db + j] - f * b[j]) % q
-    return not any(a)
-
-
-def o_find_irreducible(d, q):
-    """Monic irreducible polynomial of degree d over F_q, coefficients ascending."""
-    if d == 1:
-        return (0, 1)
-
-    def is_irreducible(poly):
-        # trial division by all monic polynomials of degree <= d/2
-        for deg in range(1, d // 2 + 1):
-            for tail in o_tuples(deg, q):
-                divisor = tail + (1,)
-                if o_poly_remainder_zero(poly, divisor, q):
-                    return False
-        return True
-
-    for tail in o_tuples(d, q):
-        poly = tail + (1,)
-        if is_irreducible(poly):
-            return poly
-    raise AssertionError(f"no irreducible polynomial of degree {d} over F_{q}")
 
 
 @st.composite
@@ -179,13 +137,6 @@ def test_divmod_has_a_fixed_length_quotient_and_a_short_remainder(data):
     assert recombined == list(a) + [0] * (len(recombined) - len(a))
 
 
-@settings(max_examples=40, deadline=None)
-@given(_field_and_degree())
-def test_first_irreducible_matches_the_frozen_oracle(field_and_degree):
-    q, d = field_and_degree
-    assert fq.first_irreducible(d, q) == o_find_irreducible(d, q)
-
-
 def test_monic_irreducibles_are_the_necklace_count_in_search_order():
     for q in (3, 5):
         listed = fq.monic_irreducibles(q, 4)
@@ -199,4 +150,4 @@ def test_monic_irreducibles_are_the_necklace_count_in_search_order():
             assert len(of_degree) * d == necklaces, (q, d)
             monic = [t + (1,) for t in itertools.product(range(q), repeat=d)]
             assert of_degree == [p for p in monic if fq.is_irreducible(p, q)]
-            assert of_degree[0] == fq.first_irreducible(d, q)
+            assert of_degree[0] == o_find_irreducible(d, q)

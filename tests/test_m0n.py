@@ -1,10 +1,13 @@
 """Tests for twisted point counts and the equivariant layers of M_{0,n}.
 
 Oracles:
+* the sparse route through Moebius sums with rational coefficients
+  (`oracles.twisted_count_config_p1` on `oracles.QPolynomial`) for the
+  integer counts and layers;
 * brute-force counts of monic irreducible polynomials over small prime fields
-  for the closed-point polynomials a_d;
-* the package's own Frobenius-orbit enumerator (`brute_twisted_count`), which
-  shares no formulas with the closed product route it checks;
+  for its closed-point polynomials a_d;
+* the Frobenius-orbit enumerator `oracles.brute_twisted_count`, which shares
+  no formulas with the two product routes it checks;
 * the classical identity-layer Poincare product prod_{j=2}^{n-2} (1 + j t).
 """
 
@@ -15,10 +18,14 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from hyperstab import m0n
 from hyperstab import symfunc as sf
-from hyperstab.m0n import QPolynomial
+from hyperstab.ffcount import ResourceGuardError
+from oracles import QPolynomial, o_qpoly_floordiv
 
 
 # --------------------------------------------------------------------------
@@ -87,25 +94,44 @@ def test_qpolynomial_rejects_negative_exponent():
         QPolynomial({-1: 2})
 
 
+def _qpolynomials(nonzero=False):
+    coeffs = st.one_of(
+        st.integers(-12, 12),
+        st.fractions(min_value=-12, max_value=12, max_denominator=7),
+    )
+    polys = st.dictionaries(st.integers(0, 5), coeffs, max_size=6).map(QPolynomial)
+    return polys.filter(lambda p: p.coeffs) if nonzero else polys
+
+
+@settings(max_examples=120, deadline=None)
+@given(_qpolynomials(), _qpolynomials(nonzero=True), st.sampled_from((3, 5, 7, 11)))
+def test_qpolynomial_divmod_matches_the_frozen_floordiv(num, den, q):
+    quot, rem = num.divmod(den)
+    assert (quot, rem) == o_qpoly_floordiv(num, den)
+    assert rem.degree() < den.degree()
+    assert (den * quot + rem)(q) == num(q)
+    assert (num * den).divide_exact(den) == num
+
+
 # --------------------------------------------------------------------------
 # closed_point_count
 # --------------------------------------------------------------------------
 
 def test_closed_point_count_degree_one():
-    a1 = m0n.closed_point_count(1)
+    a1 = oracles.closed_point_count(1)
     assert a1 == QPolynomial({1: 1, 0: 1})
 
 
 def test_closed_point_count_matches_brute_irreducible_counts():
     for q in (3, 5):
         for d in (2, 3):
-            assert m0n.closed_point_count(d)(q) == brute_monic_irreducible_count(d, q)
+            assert oracles.closed_point_count(d)(q) == brute_monic_irreducible_count(d, q)
 
 
 def test_closed_point_count_closed_forms():
     q = QPolynomial({1: 1})
-    assert m0n.closed_point_count(2) * QPolynomial({0: 2}) == q * q - q
-    assert m0n.closed_point_count(3) * QPolynomial({0: 3}) == q ** 3 - q
+    assert oracles.closed_point_count(2) * QPolynomial({0: 2}) == q * q - q
+    assert oracles.closed_point_count(3) * QPolynomial({0: 3}) == q ** 3 - q
 
 
 # --------------------------------------------------------------------------
@@ -115,21 +141,21 @@ def test_closed_point_count_closed_forms():
 def test_twisted_count_examples():
     q = QPolynomial({1: 1})
     one = QPolynomial({0: 1})
-    assert m0n.twisted_count_config_p1(3, (1, 1, 1)) == (q + one) * q * (q - one)
-    assert m0n.twisted_count_config_p1(2, (2,)) == q * q - q
-    a2 = m0n.closed_point_count(2)
-    assert m0n.twisted_count_config_p1(4, (2, 2)) == QPolynomial({0: 4}) * a2 * (a2 - one)
+    assert oracles.twisted_count_config_p1(3, (1, 1, 1)) == (q + one) * q * (q - one)
+    assert oracles.twisted_count_config_p1(2, (2,)) == q * q - q
+    a2 = oracles.closed_point_count(2)
+    assert oracles.twisted_count_config_p1(4, (2, 2)) == QPolynomial({0: 4}) * a2 * (a2 - one)
 
 
 def test_brute_twisted_count_examples():
-    assert m0n.brute_twisted_count(3, (1, 1, 1), 5) == 120
-    assert m0n.brute_twisted_count(4, (2, 2), 3) == 24
-    assert m0n.brute_twisted_count(2, (1, 1), 3) == 12
+    assert oracles.brute_twisted_count(3, (1, 1, 1), 5) == 120
+    assert oracles.brute_twisted_count(4, (2, 2), 3) == 24
+    assert oracles.brute_twisted_count(2, (1, 1), 3) == 12
 
 
 def test_brute_twisted_count_resource_guard():
-    with pytest.raises(m0n.ResourceGuardError):
-        m0n.brute_twisted_count(6, (6,), 11, max_points=1000)
+    with pytest.raises(ResourceGuardError):
+        oracles.brute_twisted_count(6, (6,), 11, max_points=1000)
 
 
 @pytest.mark.parametrize("q", [4, 6, 9])
@@ -137,7 +163,7 @@ def test_brute_twisted_count_rejects_a_field_size_that_is_not_prime(q):
     # Z/q[x] is no field here: at 4 and 6 the orbit walk never ends, at 9
     # it counted 0 where the twisted count is 720
     with pytest.raises(ValueError, match="prime"):
-        m0n.brute_twisted_count(3, (2, 1), q)
+        oracles.brute_twisted_count(3, (2, 1), q)
 
 
 def test_twisted_count_matches_brute_enumeration():
@@ -145,10 +171,10 @@ def test_twisted_count_matches_brute_enumeration():
     for n in range(1, 6):
         for mu in sf.partitions(n):
             for q in (3, 5, 7):
-                assert m0n.twisted_count_config_p1(n, mu)(q) == m0n.brute_twisted_count(n, mu, q), (mu, q)
+                assert oracles.twisted_count_config_p1(n, mu)(q) == oracles.brute_twisted_count(n, mu, q), (mu, q)
     for mu in sf.partitions(6):
         if math.lcm(*mu) <= 6:
-            assert m0n.twisted_count_config_p1(6, mu)(3) == m0n.brute_twisted_count(6, mu, 3), mu
+            assert oracles.twisted_count_config_p1(6, mu)(3) == oracles.brute_twisted_count(6, mu, 3), mu
 
 
 # --------------------------------------------------------------------------
@@ -159,7 +185,7 @@ def test_m0n_divisibility_by_pgl2_count():
     pgl2 = QPolynomial({3: 1, 1: -1})
     for n in range(3, 11):
         for mu in sf.partitions(n):
-            m0n.twisted_count_config_p1(n, mu).divide_exact(pgl2)
+            oracles.twisted_count_config_p1(n, mu).divide_exact(pgl2)
 
 
 def test_integer_layers_match_qpolynomial_route():
@@ -167,7 +193,7 @@ def test_integer_layers_match_qpolynomial_route():
     pgl2 = QPolynomial({3: 1, 1: -1})
     for n in range(3, 13):
         for mu in sf.partitions(n):
-            oracle = m0n.twisted_count_config_p1(n, mu)
+            oracle = oracles.twisted_count_config_p1(n, mu)
             count = m0n._integer_twisted_count(mu)
             assert count == [oracle.coefficient(e) for e in range(n + 1)], mu
             quotient = oracle.divide_exact(pgl2)
@@ -182,7 +208,7 @@ def test_integer_counts_match_brute_enumeration():
             count = m0n._integer_twisted_count(mu)
             for q in (3, 5):
                 assert sum(c * q**e for e, c in enumerate(count)) == \
-                    m0n.brute_twisted_count(n, mu, q), (mu, q)
+                    oracles.brute_twisted_count(n, mu, q), (mu, q)
 
 
 def test_division_by_pgl2_rejects_a_remainder():
@@ -198,7 +224,7 @@ def test_equivariant_poincare_small_cases(tmp_path):
 
     ep4 = m0n.equivariant_poincare_m0n(4, cache_dir=tmp_path)
     assert ep4.layers[0] == sf.CharacterVector.trivial(4)
-    assert ep4.layers[1] == sf.CharacterVector.irreducible((2, 2))
+    assert ep4.layers[1] == oracles.irreducible((2, 2))
 
     ep5 = m0n.equivariant_poincare_m0n(5, cache_dir=tmp_path)
     dims = [ep5.layers[i].dimension() for i in range(3)]

@@ -80,6 +80,24 @@ def test_tate_polynomial_allows_negative_exponents():
     assert p.coefficient(0) == 0
 
 
+def test_tate_polynomial_division_and_evaluation_refuse_what_is_not_integral():
+    num = TatePolynomial({3: 2, 0: 1})
+    with pytest.raises(ValueError, match="top coefficient 1 or -1"):
+        num.divmod(TatePolynomial())
+    with pytest.raises(ValueError, match="top coefficient 1 or -1"):
+        num.divide_exact(TatePolynomial({1: 2, 0: 1}))
+    with pytest.raises(ValueError, match="negative exponent"):
+        TatePolynomial({-1: 1, 2: 1})(3)
+    for q in (True, 3.0):
+        with pytest.raises(ValueError, match="integer only"):
+            num(q)
+    assert num(3) == 55 and TatePolynomial()(5) == 0
+    assert num.divmod(TatePolynomial({1: -1, 0: 1})) == (
+        TatePolynomial({2: -2, 1: -2, 0: -2}),
+        TatePolynomial({0: 3}),
+    )
+
+
 # --------------------------------------------------------------------------
 # multiplication
 # --------------------------------------------------------------------------
@@ -119,6 +137,16 @@ def test_terms_beyond_truncation_rejected():
         from_table({5: {0: 1}}, 4)
     with pytest.raises(ValueError):
         from_table({-1: {0: 1}}, 4)
+
+
+def test_a_bool_truncation_is_rejected():
+    with pytest.raises(ValueError, match="truncation must be a nonnegative integer"):
+        GradedTateSeries(True, {})
+
+
+def test_a_bool_t_degree_is_rejected():
+    with pytest.raises(ValueError, match="t-degree True"):
+        GradedTateSeries(3, {True: {1: 1}})
 
 
 def test_multiply_associative_commutative_random():
@@ -184,6 +212,14 @@ def test_evaluate_t_examples():
     one_plus_Lt = from_table({0: {0: 1}, 1: {1: 1}}, 4)
     assert series.evaluate_t(one_plus_Lt, -1) == TatePolynomial({0: 1, 1: -1})
     assert series.evaluate_t(GradedTateSeries.one(7), 12345) == TatePolynomial({0: 1})
+
+
+def test_evaluate_t_refuses_a_non_integer_t():
+    # 1.5 raised AttributeError before, which no exit code of the CLI covers
+    one_plus_Lt = from_table({0: {0: 1}, 1: {1: 1}}, 4)
+    for t0 in (1.5, True):
+        with pytest.raises(ValueError, match="integer t only"):
+            series.evaluate_t(one_plus_Lt, t0)
 
 
 def test_evaluate_t_ring_homomorphism_below_half_truncation():

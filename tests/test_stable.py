@@ -11,7 +11,6 @@ import pytest
 from hyperstab import m0n, spectral, stable
 from hyperstab.series import GradedTateSeries, TatePolynomial, evaluate_t
 from hyperstab.stable import (
-    StableCohomologyTable,
     cohomology_table,
     numerator_term,
     stable_series,
@@ -103,6 +102,12 @@ def test_stable_series_low_degree_coefficients():
         assert series_coeffs(s, t) == {}, t
     assert series_coeffs(s, 8) == {6: 1}
     assert series_coeffs(s, 12) == {9: 1, 10: 1}
+
+
+def test_stable_series_rejects_a_bool_degree():
+    # True passed as an int before, and the series came back truncated at True
+    with pytest.raises(ValueError, match="max_degree must be a nonnegative integer"):
+        stable_series(True)
 
 
 def test_reference_example_rows_exact():

@@ -5,18 +5,20 @@ every top-level name that does not start with an underscore.  The public
 methods and properties of a module-level class count as public names too,
 spelled ``Class.method``.  A name is reached when some module of the package
 refers to it outside its own definition and outside ``__all__``; importing it
-does not count, and a method is matched by its bare name.  The few names that
-nothing refers to are the oracles and API in ``KEPT``, each with the reason it
-stays.  A public name that is neither goes, with its tests.  The last check
+does not count, and a method is matched by its bare name.  A name that
+nothing refers to stays only if it is listed in ``KEPT`` with the reason it
+stays; the list is empty, because the oracles live in ``tests/oracles.py``,
+and no name defined there is defined in the package too.  A public name
+that is neither reached nor kept goes, with its tests.  The next check
 keeps the pairing of M_{0,n} layers with a configuration type in one place,
 the type pairings with their two readers (the stable numerator and the
 column cells), and the one row formula of the rank checks with its callers:
 only the definitions in ``CALLERS`` call those routes.  The column code
-works on integer cells, so ``spectral`` imports nothing from ``series``.
-The last test keeps one division of binary forms: only ``ffcount._divide``
-calls ``fq.divmod``, and only ``ffcount._labels`` and
-``ffcount.psi_roundtrip_check`` build the quotient and remainder matrices,
-dividing basis forms in a comprehension.
+works on integer cells, so ``spectral`` imports nothing from ``series``, and
+``ffcount`` imports nothing from ``m0n``.  The last test keeps one division
+of binary forms: only ``ffcount._divide`` calls ``fq.divmod``, and only
+``ffcount._labels`` and ``ffcount.psi_roundtrip_check`` build the quotient
+and remainder matrices, dividing basis forms in a comprehension.
 """
 
 import ast
@@ -25,24 +27,10 @@ from pathlib import Path
 import hyperstab
 
 PACKAGE = Path(hyperstab.__file__).parent
+ORACLES = Path(__file__).with_name("oracles.py")
 
 # (module, name, why it stays although no module of the package refers to it)
-KEPT = (
-    ("ffcount", "psi_inverse",
-     "the inverse of the paper's substitution psi; psi_roundtrip_check runs "
-     "its row-wise form"),
-    ("m0n", "twisted_count_config_p1",
-     "the sparse-polynomial oracle of the integer layer counts"),
-    ("m0n", "brute_twisted_count",
-     "the oracle that counts by walking Frobenius orbits"),
-    ("symfunc", "irreducible_character",
-     "one irreducible character value; the oracle of the dense characters"),
-    ("symfunc", "CharacterVector.sign_character",
-     "the sign character of S_n; a test oracle of the dense class functions"),
-    ("symfunc", "CharacterVector.irreducible",
-     "one irreducible character of S_n; the test oracle of the Hall pairings "
-     "and of the M_{0,n} layers"),
-)
+KEPT = ()
 
 
 def _modules() -> dict:
@@ -143,6 +131,20 @@ def test_kept_names_are_public_unreached_and_explained():
         assert reason, (module, name)
 
 
+def test_an_oracle_lives_in_one_place():
+    # no name that tests/oracles.py defines is defined in the package too,
+    # at the top level of a module or as a method of one of its classes
+    oracles = set(_definitions(ast.parse(ORACLES.read_text())))
+    forked = []
+    for module, tree in _modules().items():
+        for name, node in _definitions(tree).items():
+            names = {name}
+            if isinstance(node, ast.ClassDef):
+                names.update(sub.name for sub in node.body if isinstance(sub, ast.FunctionDef))
+            forked.extend((module, bare) for bare in sorted(names & oracles))
+    assert forked == []
+
+
 # function -> the (module, top-level definition) pairs that may call it: the
 # pairing of M_{0,n} layers with a configuration type is decided in one place,
 # and the one row formula of the rank checks has one set of callers
@@ -152,7 +154,7 @@ CALLERS = {
     "type_pairings": {("stable", "numerator_term"), ("spectral", "type_cells")},
     "_row_array": {("linalg", "verify_bundle_rank"), ("linalg", "_pairs_certified")},
     "_divide": {("ffcount", "_labels"), ("ffcount", "psi_roundtrip_check"),
-                ("ffcount", "_factor_form"), ("ffcount", "psi_inverse")},
+                ("ffcount", "_factor_form")},
 }
 
 
@@ -176,14 +178,23 @@ def test_type_pairings_are_the_one_caller_of_the_layer_route():
         assert _call_sites(name) <= allowed, name
 
 
-def test_spectral_imports_nothing_from_series():
+def _imported_modules(module) -> set:
+    """The last dotted part of every module that ``module`` imports from."""
     imported = set()
-    for node in ast.walk(_modules()["spectral"]):
+    for node in ast.walk(_modules()[module]):
         if isinstance(node, ast.ImportFrom):
             imported.add(node.module or "")
         elif isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names)
-    assert not [name for name in imported if name.rpartition(".")[2] == "series"]
+    return {name.rpartition(".")[2] for name in imported}
+
+
+def test_spectral_imports_nothing_from_series():
+    assert "series" not in _imported_modules("spectral")
+
+
+def test_ffcount_imports_nothing_from_m0n():
+    assert "m0n" not in _imported_modules("ffcount")
 
 
 def _definitions_calling(matches, scopes=None) -> set:
@@ -203,8 +214,8 @@ def _definitions_calling(matches, scopes=None) -> set:
 
 
 def test_binary_forms_are_divided_in_one_place():
-    # fq.divmod is matched by its module, so np.divmod and QPolynomial.divmod
-    # do not count
+    # fq.divmod is matched by its module, so np.divmod and
+    # TatePolynomial.divmod do not count
     assert _definitions_calling(
         lambda f: isinstance(f, ast.Attribute) and f.attr == "divmod"
         and isinstance(f.value, ast.Name) and f.value.id == "fq"
