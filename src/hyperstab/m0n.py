@@ -118,7 +118,7 @@ def _cache_path(cache_dir, n: int) -> Path:
 
 def _cycle_type_labels(n: int) -> list:
     """The partitions of n as `_save_cache` spells them, in `partitions(n)` order."""
-    return [[str(p) for p in mu] for mu in partitions(n)]
+    return [list(map(str, mu)) for mu in partitions(n)]
 
 
 def _save_cache(path: Path, ep: EquivariantPoincare) -> None:

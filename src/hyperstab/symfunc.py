@@ -5,9 +5,15 @@ indexes a conjugacy class of S_n.  Characters are stored as class functions
 (`CharacterVector`), which keeps every pairing exact and integral; Schur-basis
 data is recovered from them on demand.  A class function of degree n is one
 tuple of integers, dense in the order of `partitions(n)`, so a pairing reads
-its values by position and never hashes a cycle type.  The irreducible and
-sign characters that the tests check these routes with are built from
-`_mn` and `_z_sign` in `tests/oracles.py`.
+its values by position and never hashes a cycle type.
+
+Each degree n has one table of cycle-type data, `_cycle_types(n)`: the code,
+centralizer order z_mu and sign of each partition of n, in `partitions(n)`
+order, built in the same recursion as the partitions.  The power-sum weights
+of the Hall pairings and the Schur expansion read it.  Its oracle is the
+one-pass formula `_z_sign` in `tests/oracles.py`, and the irreducible and
+sign characters that the tests check these routes with are built there from
+`_mn` and `_z_sign`.
 """
 
 from __future__ import annotations
@@ -43,54 +49,49 @@ def canonical_partition(parts) -> tuple:
     return out
 
 
-@lru_cache(maxsize=None)
 def partitions(n: int) -> tuple:
     """All partitions of n in reverse lexicographic order, (n,) first.
 
     Reverse lexicographic means plain tuple comparison descending, so the
-    sequence starts at (n,) and ends at (1,)*n.  The partitions with first
-    part p are p followed by the partitions of n - p whose parts are at most
-    p, which are a suffix of the memoised `partitions(n - p)`.  The result is
-    cached and must not be mutated.
+    sequence starts at (n,) and ends at (1,)*n.  The result is cached and
+    must not be mutated.  A bool, a float or a negative n raises ValueError.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    if type(n) is not int or n < 0:
+        raise ValueError(f"n must be a nonnegative integer: {n!r}")
+    return _partitions(n)
+
+
+@lru_cache(maxsize=None)
+def _partitions(n: int) -> tuple:
+    """`partitions` past its check, memoised.
+
+    The partitions with first part p are p followed by the partitions of
+    n - p whose parts are at most p, a suffix of `_partitions(n - p)`.
+    """
     if n == 0:
         return ((),)
     out = []
     for part in range(n, 0, -1):
-        rest = partitions(n - part)
-        if n - part > part:
-            # rest descends by first part: drop the prefix whose first part exceeds part
-            rest = rest[bisect_left(rest, -part, key=lambda mu: -mu[0]):]
-        out.extend([(part, *mu) for mu in rest])
+        rest = _partitions(n - part)
+        out.extend([(part, *mu) for mu in rest[_bounded_start(n - part, part):]])
     return tuple(out)
+
+
+def _bounded_start(m: int, part: int) -> int:
+    """Index of the first partition of m with no part above ``part``.
+
+    `_partitions(m)` descends by first part, so those partitions are its suffix
+    from this index on.
+    """
+    if m <= part:
+        return 0
+    return bisect_left(_partitions(m), -part, key=lambda mu: -mu[0])
 
 
 @lru_cache(maxsize=None)
 def _positions(n: int) -> dict:
     """Each partition of n mapped to its index in `partitions(n)`."""
     return {mu: i for i, mu in enumerate(partitions(n))}
-
-
-def _z_sign(mu: tuple) -> tuple:
-    """(z_mu, sgn(mu)) for a canonical cycle type, in one pass over its parts.
-
-    z_mu = prod_d d^c_d c_d! is the centralizer order, and the sign is
-    (-1)^(number of even parts).
-    """
-    z = 1
-    even = 0
-    run_value = None
-    run_length = 0
-    for d in mu:
-        if d == run_value:
-            run_length += 1
-        else:
-            run_value, run_length = d, 1
-        z *= d * run_length
-        even += not d & 1
-    return z, -1 if even & 1 else 1
 
 
 @lru_cache(maxsize=None)
@@ -183,15 +184,33 @@ _FIELD_BITS = 16
 
 
 @lru_cache(maxsize=None)
-def _codes(n: int) -> tuple:
-    """The code of each partition of n, in the order of `partitions(n)`."""
-    return tuple(sum([1 << (_FIELD_BITS * (d - 1)) for d in mu]) for mu in partitions(n))
+def _cycle_types(n: int) -> tuple:
+    """(codes, z's, signs) of the cycle types of n, each in `partitions(n)` order.
+
+    Built in the recursion of `_partitions`, at O(1) per partition: the
+    partition (p, *mu) has code code(mu) + 2^(16(p-1)), centralizer order
+    z_mu p (r+1), where r counts the parts of mu equal to p, and sign
+    sgn(mu) (-1)^(p-1) (Macdonald, Symmetric Functions and Hall Polynomials,
+    I.2).  No part of mu exceeds p, so r is all of code(mu) above the field
+    of p.
+    """
+    if n == 0:
+        return (0,), (1,), (1,)
+    codes, zs, signs = [], [], []
+    for part in range(n, 0, -1):
+        start = _bounded_start(n - part, part)
+        rest_codes, rest_zs, rest_signs = (t[start:] for t in _cycle_types(n - part))
+        shift = _FIELD_BITS * (part - 1)
+        codes.extend([code + (1 << shift) for code in rest_codes])
+        zs.extend([z * part * ((code >> shift) + 1) for code, z in zip(rest_codes, rest_zs)])
+        signs.extend(rest_signs if part & 1 else [-s for s in rest_signs])
+    return tuple(codes), tuple(zs), tuple(signs)
 
 
 @lru_cache(maxsize=None)
 def _code_positions(n: int) -> dict:
     """The code of each partition of n mapped to its index in `partitions(n)`."""
-    return {code: i for i, code in enumerate(_codes(n))}
+    return {code: i for i, code in enumerate(_cycle_types(n)[0])}
 
 
 @lru_cache(maxsize=None)
@@ -202,11 +221,10 @@ def _block_weights(k: int, signed: bool) -> tuple:
     (Macdonald, Symmetric Functions and Hall Polynomials, I.2).
     """
     f = math.factorial(k)
-    out = []
-    for code, mu in zip(_codes(k), partitions(k)):
-        z, s = _z_sign(mu)
-        out.append((code, (s if signed else 1) * (f // z)))
-    return tuple(out)
+    codes, zs, signs = _cycle_types(k)
+    if signed:
+        return tuple(zip(codes, [s * (f // z) for z, s in zip(zs, signs)]))
+    return tuple(zip(codes, [f // z for z in zs]))
 
 
 def _times(table, block) -> dict:
@@ -219,12 +237,6 @@ def _times(table, block) -> dict:
     return out
 
 
-@lru_cache(maxsize=64)
-def _e_pair_weights(k1: int, k2: int) -> tuple:
-    """k1! k2! e_{k1} e_{k2} in the power-sum basis, as (code, weight) pairs."""
-    return tuple(_times(_block_weights(k1, True), _block_weights(k2, True)).items())
-
-
 @lru_cache(maxsize=8)
 def _induced_weights(k1: int, k2: int, h: int) -> tuple:
     """k1! k2! h! e_{k1} e_{k2} h_h in the power-sum basis: (positions, weights).
@@ -232,15 +244,20 @@ def _induced_weights(k1: int, k2: int, h: int) -> tuple:
     The positions index the cycle types of nonzero weight in
     `partitions(k1 + k2 + h)`, the order of `CharacterVector.vector`; the
     weight at mu is the sum over all triples merging to mu that the
-    Frobenius-reciprocity pairing walks.  Callers pair every layer of one type
-    back to back, so a small memo suffices.
+    Frobenius-reciprocity pairing walks.  The two shortest of the three blocks
+    are merged first, so the larger product runs over the fewest terms.
+    Callers pair every layer of one type back to back, so a small memo
+    suffices.
     """
-    pair = _e_pair_weights(min(k1, k2), max(k1, k2))
+    small, middle, large = sorted(
+        (_block_weights(k1, True), _block_weights(k2, True), _block_weights(h, False)), key=len
+    )
     position = _code_positions(k1 + k2 + h)
-    nonzero = [
-        (position[c], w) for c, w in _times(pair, _block_weights(h, False)).items() if w
-    ]
-    return tuple(i for i, _ in nonzero), tuple(w for _, w in nonzero)
+    # the identity class has weight 1, so some weight is nonzero
+    positions, weights = zip(
+        *[(position[c], w) for c, w in _times(_times(small, middle).items(), large).items() if w]
+    )
+    return positions, weights
 
 
 def hall_inner_product_induced(char: CharacterVector, k1: int, k2: int, h: int) -> int:
@@ -253,8 +270,9 @@ def hall_inner_product_induced(char: CharacterVector, k1: int, k2: int, h: int) 
     (`_induced_weights`), so each pairing is one integer dot product with the
     character's dense values, divided once by k1! k2! h!.
     """
-    if min(k1, k2, h) < 0:
-        raise ValueError("block sizes must be nonnegative")
+    # before the memo of `_induced_weights`, which takes True for 1
+    if any(type(k) is not int or k < 0 for k in (k1, k2, h)):
+        raise ValueError(f"block sizes must be nonnegative integers, got ({k1},{k2},{h})")
     n = k1 + k2 + h
     if char.degree != n:
         raise ValueError(f"character degree {char.degree} != k1+k2+h = {n}")
@@ -277,7 +295,7 @@ def schur_expand(char: CharacterVector) -> dict:
     n = char.degree
     fact = math.factorial(n)
     parts = partitions(n)
-    weighted = [(fact // _z_sign(mu)[0]) * v for mu, v in zip(parts, char.vector)]
+    weighted = [(fact // z) * v for z, v in zip(_cycle_types(n)[1], char.vector)]
     out = {}
     for lam in parts:
         total = sum(w * _mn(lam, mu) for w, mu in zip(weighted, parts))

@@ -11,10 +11,13 @@ are when the package changes, so that a change cannot move its own check.
 * `brute_twisted_count`, which counts the same configurations by walking
   the Frobenius orbits of explicit extension fields, built from the
   trial-division search `o_find_irreducible` rather than `fq.is_irreducible`;
+* `_z_sign`, the centralizer order and sign of one cycle type in one pass
+  over its parts, the oracle of the per-degree table `symfunc._cycle_types`
+  that builds them in the recursion of the partitions;
 * single irreducible characters of S_n (`irreducible_character`,
   `irreducible`) and the sign character, built on the Murnaghan-Nakayama
-  recursion `symfunc._mn` and the signs of `symfunc._z_sign`, the oracles of
-  the dense class functions, the Hall pairings and the M_{0,n} layers;
+  recursion `symfunc._mn` and the signs of `_z_sign`, the oracles of the
+  dense class functions, the Hall pairings and the M_{0,n} layers;
 * `psi_inverse`, the inverse of the paper's substitution psi, which divides
   with the frozen long division `o_exact_div` rather than `ffcount._divide`;
 * `o_qpoly_floordiv`, the Euclidean division of polynomials in q that the
@@ -28,7 +31,7 @@ from functools import lru_cache
 
 from hyperstab import fq
 from hyperstab.ffcount import BinaryForm, ResourceGuardError, SectionTriple
-from hyperstab.symfunc import CharacterVector, _mn, _z_sign, canonical_partition, partitions
+from hyperstab.symfunc import CharacterVector, _mn, canonical_partition, partitions
 
 
 # --------------------------------------------------------------------------
@@ -341,6 +344,26 @@ def brute_twisted_count(n: int, mu, q: int, max_points: int = 2 ** 20) -> int:
 # --------------------------------------------------------------------------
 # characters of the symmetric group
 # --------------------------------------------------------------------------
+
+def _z_sign(mu: tuple) -> tuple:
+    """(z_mu, sgn(mu)) for a canonical cycle type, in one pass over its parts.
+
+    z_mu = prod_d d^c_d c_d! is the centralizer order, and the sign is
+    (-1)^(number of even parts).
+    """
+    z = 1
+    even = 0
+    run_value = None
+    run_length = 0
+    for d in mu:
+        if d == run_value:
+            run_length += 1
+        else:
+            run_value, run_length = d, 1
+        z *= d * run_length
+        even += not d & 1
+    return z, -1 if even & 1 else 1
+
 
 def irreducible_character(lam, mu) -> int:
     """Value chi^lam(mu) of the irreducible S_n character at cycle type mu."""

@@ -6,11 +6,15 @@ truncation consistency, the positive-n factor) is checked against independent
 recomputation.
 """
 
+import hashlib
+import json
+
 import pytest
 
 from hyperstab import m0n, spectral, stable
 from hyperstab.series import GradedTateSeries, TatePolynomial, evaluate_t
 from hyperstab.stable import (
+    cli_payload,
     cohomology_table,
     numerator_term,
     stable_series,
@@ -33,6 +37,9 @@ REFERENCE_ROWS = {
     17: {13: 3, 14: 2, 15: 1},
     18: {14: 2, 15: 3},
 }
+
+
+STABLE_30_SHA256 = "c9e64685d9d51c3953e639dfd3607e570aab4b315bf11286f9d539be69f96f69"
 
 
 def series_coeffs(s: GradedTateSeries, t: int) -> dict:
@@ -191,6 +198,10 @@ def test_all_multiplicities_nonnegative_to_degree_30():
         assert all(
             mult > 0 for row in table.rows.values() for mult in row.values()
         )
+        if n == 0:
+            # the bytes `stable --max-deg 30 --format json` writes
+            text = json.dumps(cli_payload(table, positive_n=False), indent=2, sort_keys=True)
+            assert hashlib.sha256((text + "\n").encode()).hexdigest() == STABLE_30_SHA256
 
 
 def test_stable_series_shares_the_layer_cache_with_spectral():

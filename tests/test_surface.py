@@ -12,7 +12,8 @@ and no name defined there is defined in the package too.  A public name
 that is neither reached nor kept goes, with its tests.  The next check
 keeps the pairing of M_{0,n} layers with a configuration type in one place,
 the type pairings with their two readers (the stable numerator and the
-column cells), and the one row formula of the rank checks with its callers:
+column cells), the one row formula of the rank checks with its callers, and
+the per-degree table of cycle-type codes, z's and signs with its readers:
 only the definitions in ``CALLERS`` call those routes.  The column code
 works on integer cells, so ``spectral`` imports nothing from ``series``, and
 ``ffcount`` imports nothing from ``m0n``.  The last test keeps one division
@@ -147,7 +148,9 @@ def test_an_oracle_lives_in_one_place():
 
 # function -> the (module, top-level definition) pairs that may call it: the
 # pairing of M_{0,n} layers with a configuration type is decided in one place,
-# and the one row formula of the rank checks has one set of callers
+# the one row formula of the rank checks has one set of callers, and the
+# per-degree table of cycle-type codes, z's and signs has one owner, its own
+# recursion, and three readers
 CALLERS = {
     "hall_inner_product_induced": {("stable", "type_pairings")},
     "equivariant_poincare_m0n": {("stable", "type_pairings"), ("cli", "cmd_m0n")},
@@ -155,6 +158,8 @@ CALLERS = {
     "_row_array": {("linalg", "verify_bundle_rank"), ("linalg", "_pairs_certified")},
     "_divide": {("ffcount", "_labels"), ("ffcount", "psi_roundtrip_check"),
                 ("ffcount", "_factor_form")},
+    "_cycle_types": {("symfunc", "_cycle_types"), ("symfunc", "_code_positions"),
+                     ("symfunc", "_block_weights"), ("symfunc", "schur_expand")},
 }
 
 

@@ -271,6 +271,12 @@ def test_partition_count_examples():
     assert len(sf.partitions(10)) == 42
 
 
+@pytest.mark.parametrize("n", [True, False, 2.0, -1])
+def test_partitions_refuse_bools_and_non_integers(n):
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        sf.partitions(n)
+
+
 def test_partitions_reverse_lex_order():
     assert sf.partitions(4) == ((4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1))
     for n in range(1, 12):
@@ -288,18 +294,50 @@ def test_partitions_reverse_lex_order():
 # centralizer orders and signs of cycle types
 # --------------------------------------------------------------------------
 
+# the z's and signs of the package's table, keyed by cycle type
+def table_z_sign(n):
+    _, zs, signs = sf._cycle_types(n)
+    return dict(zip(sf.partitions(n), zip(zs, signs)))
+
+
 def test_z_order_against_brute_enumeration():
     for n in range(1, 7):
         sizes = brute_class_sizes(n)
+        table = table_z_sign(n)
         for mu in sf.partitions(n):
-            assert sf._z_sign(mu)[0] * sizes[mu] == math.factorial(n)
+            assert oracles._z_sign(mu)[0] * sizes[mu] == math.factorial(n)
+            assert table[mu][0] * sizes[mu] == math.factorial(n)
 
 
 def test_sign_against_permutation_parity():
     for n in range(1, 7):
+        table = table_z_sign(n)
         for perm in itertools.permutations(range(n)):
             inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
-            assert sf._z_sign(cycle_type_of(perm))[1] == (-1) ** inversions, perm
+            mu = cycle_type_of(perm)
+            assert oracles._z_sign(mu)[1] == table[mu][1] == (-1) ** inversions, perm
+
+
+def test_cycle_type_table_matches_the_one_pass_formula_to_degree_30():
+    for n in range(31):
+        codes, zs, signs = sf._cycle_types(n)
+        parts = sf.partitions(n)
+        assert len(codes) == len(zs) == len(signs) == len(parts)
+        for mu, code, z, sign in zip(parts, codes, zs, signs):
+            assert code == sum(1 << (16 * (d - 1)) for d in mu), mu
+            assert (z, sign) == oracles._z_sign(mu), mu
+
+
+def test_block_weights_are_factorial_over_z_with_sign():
+    for k in range(25):
+        f = math.factorial(k)
+        codes = sf._cycle_types(k)[0]
+        for signed in (False, True):
+            expected = []
+            for code, mu in zip(codes, sf.partitions(k)):
+                z, sign = oracles._z_sign(mu)
+                expected.append((code, (sign if signed else 1) * (f // z)))
+            assert sf._block_weights(k, signed) == tuple(expected), (k, signed)
 
 
 @pytest.mark.parametrize("parts", [(1.5, 1.5), (2.5, 0.5), (2, 1.0), (True, 1), ("2", 1)])
@@ -315,22 +353,19 @@ def test_canonical_partition_rejects_non_integer_parts(parts):
 
 
 def test_z_order_examples():
-    assert sf._z_sign((1, 1, 1)) == (6, 1)
-    assert sf._z_sign((2, 2)) == (8, 1)
+    assert oracles._z_sign((1, 1, 1)) == table_z_sign(3)[(1, 1, 1)] == (6, 1)
+    assert oracles._z_sign((2, 2)) == table_z_sign(4)[(2, 2)] == (8, 1)
     for n in range(1, 9):
-        assert sf._z_sign((n,)) == (n, (-1) ** (n - 1))
+        assert oracles._z_sign((n,)) == table_z_sign(n)[(n,)] == (n, (-1) ** (n - 1))
 
 
 def test_class_sizes_partition_symmetric_group():
     # the derived class sizes n!/z must sum to n!
     for n in range(1, 11):
         fact = math.factorial(n)
-        total = 0
-        for mu in sf.partitions(n):
-            z = sf._z_sign(mu)[0]
-            assert fact % z == 0
-            total += fact // z
-        assert total == fact
+        for zs in ([oracles._z_sign(mu)[0] for mu in sf.partitions(n)], sf._cycle_types(n)[1]):
+            assert all(fact % z == 0 for z in zs)
+            assert sum(fact // z for z in zs) == fact
 
 
 # --------------------------------------------------------------------------
@@ -357,7 +392,7 @@ def test_character_sign_representation():
     for n in range(1, 8):
         lam = (1,) * n
         for mu in sf.partitions(n):
-            assert oracles.irreducible_character(lam, mu) == sf._z_sign(mu)[1]
+            assert oracles.irreducible_character(lam, mu) == oracles._z_sign(mu)[1]
 
 
 def test_character_size_mismatch_rejected():
@@ -369,7 +404,7 @@ def test_orthogonality_to_degree_12():
     for n in range(1, 13):
         parts = sf.partitions(n)
         fact = math.factorial(n)
-        cls = {mu: fact // sf._z_sign(mu)[0] for mu in parts}
+        cls = {mu: fact // oracles._z_sign(mu)[0] for mu in parts}
         table = {lam: [oracles.irreducible_character(lam, mu) for mu in parts] for lam in parts}
         for i, lam in enumerate(parts):
             for nu in parts[: i + 1]:
@@ -423,6 +458,12 @@ def test_character_vector_rejects_bools_and_misshapen_vectors():
     assert chi == oracles.sign_character(2)
 
 
+@pytest.mark.parametrize("degree", [True, 1.0])
+def test_character_vector_refuses_a_bool_or_non_integer_degree(degree):
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        sf.CharacterVector(degree, (1,))
+
+
 def test_character_vector_values_is_derived_and_read_only():
     chi = oracles.irreducible((2, 1))
     assert chi.vector == (-1, 0, 2)
@@ -471,6 +512,12 @@ def test_hall_examples():
 def test_hall_degree_mismatch_rejected():
     with pytest.raises(ValueError):
         sf.hall_inner_product_induced(sf.CharacterVector.trivial(3), 1, 1, 2)
+
+
+@pytest.mark.parametrize("blocks", [(True, 1, 1), (1.0, 1, 1), (1, 1, True), (1, 1, -1)])
+def test_hall_pairing_refuses_bool_and_non_integer_blocks(blocks):
+    with pytest.raises(ValueError, match="nonnegative integers"):
+        sf.hall_inner_product_induced(sf.CharacterVector.trivial(3), *blocks)
 
 
 def nonzero(expansion):
