@@ -12,8 +12,7 @@ Subcommands
 ``e1``
     Render discriminant-column tables for a range of L values.  The rows
     and twists are relative to the dimension of the space of sections, so
-    ``--d`` and ``--n`` are only validated (d >= 2n >= 0) and recorded in
-    the manifest; they do not change the tables.
+    the tables take no section degree or twist.
 ``m0n``
     Emit the symmetric-group layer table of the genus-zero moduli space.
 ``count``
@@ -843,10 +842,6 @@ def _parse_L_values(text: str) -> tuple:
 
 def cmd_e1(args) -> int:
     L_values = _parse_L_values(args.L)
-    if not args.d >= 2 * args.n >= 0:
-        raise ValueError(
-            f"need d >= 2n >= 0 for a base-point-free system: d={args.d}, n={args.n}"
-        )
     if args.format == "md":
         text = render_columns_markdown(L_values)
     else:
@@ -1009,8 +1004,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("e1", help="render discriminant-column tables")
     p.add_argument("--L", required=True, help="range like 3..6 or list like 3,4,5")
-    p.add_argument("--d", type=int, required=True, help="validated and recorded only")
-    p.add_argument("--n", type=int, default=0, help="validated and recorded only")
     p.add_argument("--format", choices=("md", "csv"), default="md")
     p.add_argument("--out")
     p.set_defaults(func=cmd_e1)

@@ -23,11 +23,14 @@ bijectively and the discriminant to its composite with g, square-free
 exactly when it is, and (alpha, gamma) -> (c alpha, gamma / c) keeps the
 discriminant; so the members with leading form alpha, and their strata
 (m, lambda), depend only on the G-orbit of alpha, and one representative per
-orbit, weighted by the orbit size, stands for all of it.  The naive loop
-over every triple survives as ``method="naive"`` and doubles as an oracle at
-the smallest sizes; it decides square-freeness by gcd with the derivative,
-while the fast route uses a sieve over irreducible squares, so the two
-routes differ in strategy and share only the F_q polynomial kernels of `fq`.
+orbit, weighted by the orbit size, stands for all of it.  The strata come
+from the same pass, `_coset_census`: a factor pi of alpha divides every form
+of a coset delta + alpha * h or none, so the stratum is one per label.  The
+naive loop over every triple survives as ``method="naive"`` and doubles as
+an oracle at the smallest sizes; it decides square-freeness by gcd with the
+derivative, while the fast route uses a sieve over irreducible squares, so
+the two routes differ in strategy and share only the F_q polynomial kernels
+of `fq`.
 
 `is_squarefree` is the oracle test of the naive route and of
 `SectionTriple.is_member`.  `psi_roundtrip_check` inverts the paper's
@@ -460,12 +463,15 @@ def _alpha_orbits(l, q):
     return [(tuple(int(c) for c in forms[r]), int(size)) for r, size in zip(reps, sizes)]
 
 
-def _member_weights(g, l, q):
-    """(representative, orbit size, weights) per orbit of nonzero alphas.
+@lru_cache(maxsize=1)
+def _coset_census(g, l, q):
+    """{(m, lambda): raw members} of the (g, l) family, one pass per alpha orbit.
 
-    weights[i] counts the members with the representative as leading form
-    and the i-th discriminant of `_digit_matrix`: one gamma per beta whose
-    square lies in its coset, none off the square-free discriminants.
+    The members with leading form alpha and a given coset label number (betas
+    whose square has the label) times (square-free discriminants with it).  A
+    factor of alpha divides a whole coset or none of it, so each label's
+    stratum is read off one discriminant that carries it.  The one census
+    kept serves both `enumerate_count` and `stratified_count` of a case.
     """
     import numpy as np
 
@@ -475,9 +481,37 @@ def _member_weights(g, l, q):
     beta_squares = _beta_square_rows(g, q)
     if squarefree[beta_squares.astype(np.int64) @ q ** np.arange(disc_degree + 1)].any():
         raise AssertionError("a pure square discriminant tested square-free")
+    irreducibles = _monic_irreducible_forms(q, max(l, 1))
+    census = {}
     for alpha, size in _alpha_orbits(l, q):
-        per_label = np.bincount(_labels(beta_squares, alpha, q), minlength=q**l)
-        yield alpha, size, np.where(squarefree, per_label[_labels(digits, alpha, q)], 0)
+        labels = _labels(digits, alpha, q)
+        members = np.bincount(_labels(beta_squares, alpha, q), minlength=q**l)
+        members *= np.bincount(labels[squarefree], minlength=q**l)
+        carrier = np.zeros(q**l, dtype=np.int64)  # a discriminant of each label
+        carrier[labels] = np.arange(len(labels))
+        factors = _factor_form(alpha, q, irreducibles)
+        pattern = np.zeros(q**l, dtype=np.int64)
+        for i, (pi, _) in enumerate(factors):
+            pattern += (_labels(digits[carrier], pi, q) == 0).astype(np.int64) << i
+        for bits in range(1 << len(factors)):
+            count = int(members[pattern == bits].sum())
+            if count == 0:
+                continue
+            meeting_degree = 0
+            coprime_parts = []
+            for i, (pi, exponent) in enumerate(factors):
+                if bits >> i & 1:
+                    if exponent != 1:
+                        raise AssertionError(
+                            "a repeated factor of the leading form divides a "
+                            "square-free discriminant"
+                        )
+                    meeting_degree += len(pi) - 1
+                else:
+                    coprime_parts.extend([exponent] * (len(pi) - 1))
+            key = (meeting_degree, tuple(sorted(coprime_parts, reverse=True)))
+            census[key] = census.get(key, 0) + size * count
+    return census
 
 
 def _enumerate_raw(g, l, q, method="coset"):
@@ -520,7 +554,7 @@ def _enumerate_raw(g, l, q, method="coset"):
     if method != "coset":
         raise ValueError(f"unknown method {method!r}: expected 'coset' or 'naive'")
 
-    return sum(size * int(weights.sum()) for _, size, weights in _member_weights(g, l, q))
+    return sum(_coset_census(g, l, q).values())
 
 
 def enumerate_count(
@@ -665,38 +699,6 @@ def _total_form(g: int, l: int) -> TatePolynomial:
 # stratification by contact with the discriminant
 # --------------------------------------------------------------------------
 
-def _stratified_raw(g, l, q):
-    import numpy as np
-
-    digits = _digit_matrix(2 * g + 3, q)
-    irreducibles = _monic_irreducible_forms(q, max(l, 1))
-    strata = {}
-    for alpha, size, weights in _member_weights(g, l, q):
-        factors = _factor_form(alpha, q, irreducibles)
-        pattern = np.zeros(len(digits), dtype=np.int64)
-        for i, (pi, _) in enumerate(factors):
-            pattern += (_labels(digits, pi, q) == 0).astype(np.int64) << i
-        for bits in range(1 << len(factors)):
-            count = int(weights[pattern == bits].sum())
-            if count == 0:
-                continue
-            meeting_degree = 0
-            coprime_parts = []
-            for i, (pi, exponent) in enumerate(factors):
-                if bits >> i & 1:
-                    if exponent != 1:
-                        raise AssertionError(
-                            "a repeated factor of the leading form divides a "
-                            "square-free discriminant"
-                        )
-                    meeting_degree += len(pi) - 1
-                else:
-                    coprime_parts.extend([exponent] * (len(pi) - 1))
-            key = (meeting_degree, tuple(sorted(coprime_parts, reverse=True)))
-            strata[key] = strata.get(key, 0) + size * count
-    return strata
-
-
 def stratified_count(
     g: int, l: int, q: int, *, tuple_budget: int = DEFAULT_TUPLE_BUDGET
 ) -> dict:
@@ -705,11 +707,14 @@ def stratified_count(
     m is the degree of the part of alpha dividing the discriminant (always
     square-free for actual members) and lambda is the multiplicity partition
     of the coprime part, one entry per geometric root, so lambda ⊢ l - m.
+    A factor pi of alpha divides delta + alpha * h exactly when it divides
+    delta, so the stratum is one per coset label and the values split the
+    raw count of `enumerate_count`, read from the same census.
     """
     _validate_genus_pair(g, l)
     _validate_odd_prime(q)
     _check_budget(g, l, q, tuple_budget)
-    return _stratified_raw(g, l, q)
+    return dict(_coset_census(g, l, q))
 
 
 # --------------------------------------------------------------------------

@@ -289,8 +289,8 @@ def hall_inner_product_induced(char: CharacterVector, k1: int, k2: int, h: int) 
 def schur_expand(char: CharacterVector) -> dict:
     """Multiplicities <char, chi^lam> for every lam of the character's degree.
 
-    Raises if any multiplicity is non-integral (i.e. the class function is
-    not a virtual character).
+    Raises ArithmeticError if any multiplicity is non-integral (i.e. the
+    class function is not a virtual character).
     """
     n = char.degree
     fact = math.factorial(n)
@@ -300,7 +300,7 @@ def schur_expand(char: CharacterVector) -> dict:
     for lam in parts:
         total = sum(w * _mn(lam, mu) for w, mu in zip(weighted, parts))
         if total % fact:
-            raise ValueError(
+            raise ArithmeticError(
                 f"multiplicity of chi^{lam} is not integral: {Fraction(total, fact)}"
             )
         out[lam] = total // fact

@@ -13,7 +13,7 @@ import numpy
 import pytest
 
 import hyperstab
-from hyperstab import cli, ffcount, linalg, m0n
+from hyperstab import cli, ffcount, linalg, m0n, symfunc
 from hyperstab.cli import Check, SuiteResult, main
 
 # the package's parent directory, for the PYTHONPATH of child processes
@@ -160,6 +160,23 @@ def test_verify_counts_full_budget_adds_one_orbit_check_per_case(monkeypatch):
     assert orbit[0].actual == "500 images, all in the family"
 
 
+def test_verify_counts_takes_one_census_per_case(monkeypatch, capsys):
+    # the census is the one walk over the alpha orbits, so each walk is one
+    # census; enumerate_count and stratified_count of a case share it
+    real = ffcount._alpha_orbits
+    walks = []
+
+    def counting(l, q):
+        walks.append((l, q))
+        return real(l, q)
+
+    monkeypatch.setattr(ffcount, "_alpha_orbits", counting)
+    ffcount._coset_census.cache_clear()
+    assert main(["verify", "counts"]) == 0
+    assert walks == [(1, 3), (2, 3), (3, 3), (0, 3)]
+    capsys.readouterr()
+
+
 def test_verify_euler_window(capsys):
     assert main(["verify", "euler"]) == 0
     out = capsys.readouterr().out
@@ -215,42 +232,22 @@ def test_verify_out_writes_suite_payload(tmp_path, capsys):
 # --------------------------------------------------------------------------
 
 def test_e1_markdown_columns(capsys):
-    assert main(["e1", "--L", "3..4", "--d", "30", "--n", "0"]) == 0
+    assert main(["e1", "--L", "3..4"]) == 0
     out = capsys.readouterr().out
     assert out.splitlines()[0] == "| row | L=3 | L=4 |"
     assert "| -11 | Q(-6) |  |" in out
 
 
 def test_e1_csv_and_list_syntax(capsys):
-    assert main(["e1", "--L", "3,5", "--d", "14", "--n", "1", "--format", "csv"]) == 0
+    assert main(["e1", "--L", "3,5", "--format", "csv"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "L,row,twist,multiplicity,contributing_types"
     assert set(line.split(",")[0] for line in out[1:]) == {"3", "5"}
 
 
-def test_e1_tables_do_not_depend_on_the_section_dimension(tmp_path):
-    """--d and --n are validated and recorded; the tables are the same bytes."""
-    texts = {"md": set(), "csv": set()}
-    for flags, (d, n) in (
-        (["--d", "12"], (12, 0)),
-        (["--d", "24"], (24, 0)),
-        (["--d", "40", "--n", "5"], (40, 5)),
-    ):
-        for fmt in texts:
-            out = tmp_path / f"{d}-{fmt}"
-            assert main(["e1", "--L", "3..6", *flags, "--format", fmt, "--out", str(out)]) == 0
-            texts[fmt].add((out / f"e1.{fmt}").read_bytes())
-            inputs = json.loads((out / "manifest.json").read_text())["inputs"]
-            assert (inputs["d"], inputs["n"]) == (d, n)
-    assert [len(found) for found in texts.values()] == [1, 1]
-
-
-def test_e1_rejects_empty_range_and_small_degree(capsys):
-    assert main(["e1", "--L", "4..3", "--d", "30"]) == 2
-    assert main(["e1", "--L", "3", "--d", "1", "--n", "1"]) == 2
-    capsys.readouterr()
-    assert main(["e1", "--L", "3", "--d", "-5", "--n", "-3"]) == 2
-    assert "need d >= 2n >= 0" in capsys.readouterr().err
+def test_e1_rejects_an_empty_range(capsys):
+    assert main(["e1", "--L", "4..3"]) == 2
+    assert capsys.readouterr().err == "error: no L values in '4..3'\n"
 
 
 # --------------------------------------------------------------------------
@@ -493,12 +490,30 @@ def test_broken_stratification_invariant_exits_three(monkeypatch, capsys):
         return [(pi, 2 * e) for pi, e in factor_form(coeffs, q, irreducibles)]
 
     monkeypatch.setattr(ffcount, "_factor_form", squared)
-    assert main(["verify", "counts"]) == 3
+    # a census kept from an earlier test would not factor again, and one made
+    # here must not outlive the patch
+    ffcount._coset_census.cache_clear()
+    try:
+        assert main(["verify", "counts"]) == 3
+    finally:
+        ffcount._coset_census.cache_clear()
     captured = capsys.readouterr()
     assert captured.err == (
         "error: internal invariant: a repeated factor of the leading form "
         "divides a square-free discriminant\n"
     )
+
+
+def test_a_layer_that_is_not_a_virtual_character_exits_three(monkeypatch, capsys):
+    # the indicator of the identity of S_2 pairs to 1/2 with each irreducible
+    layer = symfunc.CharacterVector(2, [0, 1])
+    monkeypatch.setattr(
+        cli, "equivariant_poincare_m0n", lambda n: m0n.EquivariantPoincare(n, {0: layer})
+    )
+    assert main(["m0n", "--n", "5"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: internal invariant: multiplicity of chi^")
+    assert captured.out == ""
 
 
 def test_cache_with_a_cycle_type_spelled_twice_is_a_usage_error(
@@ -690,7 +705,7 @@ def test_stable_e1_and_m0n_never_import_numpy():
         "import sys",
         "import hyperstab.cli",
         "assert 'numpy' not in sys.modules, 'import hyperstab.cli'",
-        "for argv in (['stable', '--max-deg', '8'], ['e1', '--L', '3..4', '--d', '12'],",
+        "for argv in (['stable', '--max-deg', '8'], ['e1', '--L', '3..4'],",
         "             ['m0n', '--n', '6']):",
         "    assert hyperstab.cli.main(argv) == 0, argv",
         "    assert 'numpy' not in sys.modules, argv",
@@ -711,9 +726,9 @@ PINNED_OUT_HASHES = [
      "b0ded0f4d58016a4ae922cdafb15486bb72317240b1224af0633b898657f6dca"),
     (["stable", "--max-deg", "20", "--regime", "npos", "--format", "csv"], "stable.csv",
      "0ae61fe13e64c3787a4a455ebcceeaebd9d66a9fc8d81fdf55ea596dae849338"),
-    (["e1", "--L", "3..6", "--d", "24"], "e1.md",
+    (["e1", "--L", "3..6"], "e1.md",
      "08498592ffe2ab2492fff1159b1d0d73a3d8fbc3e6ebc345d28507f791ee57c0"),
-    (["e1", "--L", "3..6", "--d", "24", "--format", "csv"], "e1.csv",
+    (["e1", "--L", "3..6", "--format", "csv"], "e1.csv",
      "863f55139c8b5d4174778afc8b14d1de01a5ad16be2d2112c31eeda0ef1abea0"),
     (["m0n", "--n", "7"], "m0n.md",
      "96cdc29139d19f62e4fd0c05239b1dac2d7006079fd1bb275416f29aed35483f"),
@@ -738,6 +753,8 @@ PINNED_OUT_HASHES = [
      "c6e336329b4bce15f4e9daa488fdb2bbcc0a5f689a26dda973b8832a390041d9"),
     (["verify", "all", "--budget", "small", "--seed", "11"], "verify.json",
      "1ee1d7d5b5332b6de39274b58bbc2a4232f8ca6f6df38d8ab80fab400b44d249"),
+    (["verify", "counts", "--budget", "full"], "verify.json",
+     "9550e5ba3a03182912a4f927b1bbcf2339466c09aad5337afef39793f55a36da"),
 ]
 
 

@@ -691,13 +691,50 @@ def o_stratified_raw(g, l, q):
 
 @pytest.mark.parametrize(
     "g, l, q",
-    [(g, l, q) for g, l, q, _ in COUNT_CASES_SMALL] + [(3, 1, 3), (3, 2, 3), (2, 1, 5)],
+    [(g, l, q) for g, l, q, _ in COUNT_CASES_SMALL]
+    + [(3, 1, 3), (3, 2, 3), (2, 1, 5), (2, 2, 5), (3, 4, 3)],
 )
 def test_orbit_walk_equals_the_full_alpha_loop(g, l, q):
     assert ffcount._enumerate_raw(g, l, q) == o_enumerate_raw(g, l, q)
     # same counts and the same key order
-    strata = ffcount._stratified_raw(g, l, q)
+    strata = stratified_count(g, l, q)
     assert list(strata.items()) == list(o_stratified_raw(g, l, q).items())
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_a_factor_of_alpha_divides_a_whole_coset_or_none_of_it(q):
+    # the identity the census reads its strata by: pi | alpha, so pi divides
+    # delta + alpha * h exactly when it divides delta.  The forms of degree 6
+    # that pi divides are the products pi * h of the frozen o_mul, q^(7 - deg pi)
+    # of them since multiplying by pi is injective.
+    digits = ffcount._digit_matrix(7, q).astype(np.int64)
+    powers = q ** np.arange(7)
+    irreducibles = o_monic_irreducible_forms(q, 3)
+    divisible = {}
+    for pi in irreducibles:
+        products = np.array([o_mul(pi, h, q) for h in all_forms(7 - len(pi), q)])
+        divisible[pi] = np.zeros(q**7, dtype=bool)
+        divisible[pi][products @ powers] = True
+        assert np.count_nonzero(divisible[pi]) == len(products)
+    for l in range(4):
+        for alpha in all_forms(l, q):
+            if not any(alpha):
+                continue
+            labels = ffcount._labels(digits, alpha, q)
+            sizes = np.bincount(labels, minlength=q**l)
+            for pi in o_factor(alpha, q, irreducibles):
+                hits = np.bincount(labels[divisible[pi]], minlength=q**l)
+                assert ((hits == 0) | (hits == sizes)).all(), (alpha, pi)
+                assert hits[0] == sizes[0]  # alpha * h, the coset of 0
+
+
+def test_the_census_is_kept_and_handed_out_as_a_copy():
+    ffcount._coset_census.cache_clear()
+    first = stratified_count(2, 1, 3)
+    first[(9, ())] = 1
+    assert list(stratified_count(2, 1, 3).items()) == [((0, (1,)), 209952), ((1, ()), 69984)]
+    assert enumerate_count(2, 1, 3).raw_count == 279936
+    assert ffcount._coset_census.cache_info().misses == 1
 
 
 # --------------------------------------------------------------------------
@@ -756,7 +793,7 @@ def test_stratified_count_matches_factorization_oracle_at_genus_one():
                         lam.extend([exp] * (len(pi) - 1))
                 key = (m, tuple(sorted(lam, reverse=True)))
                 expected[key] = expected.get(key, 0) + 1
-    assert ffcount._stratified_raw(1, 1, 3) == expected
+    assert ffcount._coset_census(1, 1, 3) == expected
 
 
 def test_psi_substitution_round_trips():

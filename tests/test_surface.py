@@ -13,8 +13,10 @@ that is neither reached nor kept goes, with its tests.  The next check
 keeps the pairing of M_{0,n} layers with a configuration type in one place,
 the type pairings with their two readers (the stable numerator and the
 column cells), the one row formula of the rank checks with its callers, and
-the per-degree table of cycle-type codes, z's and signs with its readers:
-only the definitions in ``CALLERS`` call those routes.  The column code
+the per-degree table of cycle-type codes, z's and signs with its readers,
+and the walk over the orbits of leading forms with the one coset census that
+gives both the raw count and its strata: only the definitions in
+``CALLERS`` call those routes.  The column code
 works on integer cells, so ``spectral`` imports nothing from ``series``, and
 ``ffcount`` imports nothing from ``m0n``.  The last test keeps one division
 of binary forms: only ``ffcount._divide`` calls ``fq.divmod``, and only
@@ -148,9 +150,10 @@ def test_an_oracle_lives_in_one_place():
 
 # function -> the (module, top-level definition) pairs that may call it: the
 # pairing of M_{0,n} layers with a configuration type is decided in one place,
-# the one row formula of the rank checks has one set of callers, and the
+# the one row formula of the rank checks has one set of callers, the
 # per-degree table of cycle-type codes, z's and signs has one owner, its own
-# recursion, and three readers
+# recursion, and three readers, and one coset census per case walks the
+# alpha orbits for both the raw count and its strata
 CALLERS = {
     "hall_inner_product_induced": {("stable", "type_pairings")},
     "equivariant_poincare_m0n": {("stable", "type_pairings"), ("cli", "cmd_m0n")},
@@ -160,6 +163,8 @@ CALLERS = {
                 ("ffcount", "_factor_form")},
     "_cycle_types": {("symfunc", "_cycle_types"), ("symfunc", "_code_positions"),
                      ("symfunc", "_block_weights"), ("symfunc", "schur_expand")},
+    "_alpha_orbits": {("ffcount", "_coset_census")},
+    "_coset_census": {("ffcount", "_enumerate_raw"), ("ffcount", "stratified_count")},
 }
 
 
