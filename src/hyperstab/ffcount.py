@@ -16,28 +16,31 @@ the subspace alpha * (forms of complementary degree), so counting admissible
 gamma reduces to bucketing square-free forms by coset label, which is the
 remainder by alpha.  `_divide` is the one division of binary forms here, for
 labels, divisibility, factoring and psi; it is linear in the numerator, so
-the remainders of many forms are one product with those of the basis forms.
-Nor does it visit every alpha.  Let G = GL_2(F_q) x F_q^* act by
-alpha -> c (alpha o g).  Substituting g in all three forms maps triples
-bijectively and the discriminant to its composite with g, square-free
-exactly when it is, and (alpha, gamma) -> (c alpha, gamma / c) keeps the
-discriminant; so the members with leading form alpha, and their strata
-(m, lambda), depend only on the G-orbit of alpha, and one representative per
-orbit, weighted by the orbit size, stands for all of it.  The strata come
-from the same pass, `_coset_census`: a factor pi of alpha divides every form
-of a coset delta + alpha * h or none, so the stratum is one per label.  The
-naive loop over every triple survives as ``method="naive"`` and doubles as
-an oracle at the smallest sizes; it decides square-freeness by gcd with the
+the quotients and remainders of many forms are products with those of the
+basis forms, which `_division_matrices` alone divides.  Nor does it visit
+every alpha.  Let G = GL_2(F_q) x F_q^* act by alpha -> c (alpha o g).
+Substituting g in all three forms maps triples bijectively and the
+discriminant to its composite with g, square-free exactly when it is, and
+(alpha, gamma) -> (c alpha, gamma / c) keeps the discriminant; so the members
+with leading form alpha, and their strata (m, lambda), depend only on the
+G-orbit of alpha, and one representative per orbit, weighted by the orbit
+size, stands for all of it.  The strata come from the same pass,
+`_coset_census`: a factor pi of alpha divides every form of a coset delta +
+alpha * h or none, so the stratum is one per label.  The naive loop over
+every triple survives as ``method="naive"`` (`_naive_raw`) and doubles as an
+oracle at the smallest sizes; it decides square-freeness by gcd with the
 derivative, while the fast route uses a sieve over irreducible squares, so
 the two routes differ in strategy and share only the F_q polynomial kernels
 of `fq`.
 
 `is_squarefree` is the oracle test of the naive route and of
 `SectionTriple.is_member`.  `psi_roundtrip_check` inverts the paper's
-substitution psi on rows, through the quotient and remainder matrices of
-`_divide`.  `verify counts --budget full` runs `orbit_spot_check`, which
-moves members by `apply_group_element`.  The closed forms are integer
-polynomials in q (`series.TatePolynomial`) divided only by monic divisors.
+substitution psi once per (alpha, gamma), since every member's numerator
+beta^2 - delta is 4 alpha gamma, through the quotient and remainder matrices
+of `_division_matrices`.  `verify counts --budget full` runs
+`orbit_spot_check`, which moves members by `apply_group_element`.  The closed
+forms are integer polynomials in q (`series.TatePolynomial`) divided only by
+monic divisors.
 """
 
 from __future__ import annotations
@@ -77,6 +80,9 @@ DEFAULT_TUPLE_BUDGET = 10**9
 # of a block: 2^15-row blocks raised the peak RSS of `verify all --budget small`
 # from 40 to 47 MB and saved no time.
 _PSI_BLOCK_ROWS = 1024
+# random group elements, and random members each one moves, in orbit_spot_check
+_ORBIT_ELEMENTS = 20
+_ORBIT_SAMPLES = 25
 
 
 class ResourceGuardError(RuntimeError):
@@ -109,11 +115,6 @@ def _validate_genus_pair(g, l, *, within_family: bool = True) -> None:
         raise ValueError(f"genus must be at least 2: {g}")
     if l < 0 or (within_family and l > g + 1):
         raise ValueError(f"l must satisfy 0 <= l <= g+1 = {g + 1}: {l}")
-
-
-def _validate_count(name, value) -> None:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
 
 
 def _resolve_variant(n, variant):
@@ -413,18 +414,30 @@ def _check_budget(g, l, q, tuple_budget):
         )
 
 
+def _division_matrices(den, width, q):
+    """(Q, R): quotients and remainders by den of the width basis forms.
+
+    `_divide` is linear in the numerator, so the quotient and remainder of
+    any rows of that width are their products with Q and R, mod q.
+    """
+    import numpy as np
+
+    basis = np.eye(width, dtype=np.int64).tolist()
+    quot, rem = zip(*[_divide(e, den, q) for e in basis])
+    return np.array(quot, dtype=np.int64), np.array(rem, dtype=np.int64)
+
+
 def _labels(rows, form, q):
     """Coset label of each row modulo form * (forms of the complementary degree).
 
     The label is the row's remainder by form (see `_divide`) read in base q,
     so it is 0 exactly when form divides the row.  By linearity the
     remainders of all rows are one product with R, the remainders of the
-    basis forms.
+    basis forms from `_division_matrices`.
     """
     import numpy as np
 
-    basis = np.eye(rows.shape[1], dtype=np.int64).tolist()
-    rem = np.array([_divide(e, form, q)[1] for e in basis], dtype=np.int64)
+    rem = _division_matrices(form, rows.shape[1], q)[1]
     return (rows @ rem % q) @ q ** np.arange(rem.shape[1], dtype=np.int64)
 
 
@@ -514,47 +527,39 @@ def _coset_census(g, l, q):
     return census
 
 
-def _enumerate_raw(g, l, q, method="coset"):
-    """Raw count of triples with square-free discriminant; no group division."""
+def _naive_raw(g, l, q):
+    """Raw count of triples with square-free discriminant, one triple at a time."""
     disc_degree = 2 * g + 2
-    if method == "naive":
-        squarefree_cache = {}
+    squarefree_cache = {}
 
-        def seen_squarefree(delta):
-            idx = 0
-            for c in reversed(delta):
-                idx = idx * q + c
-            cached = squarefree_cache.get(idx)
-            if cached is None:
-                cached = is_squarefree(BinaryForm(disc_degree, delta, q))
-                squarefree_cache[idx] = cached
-            return cached
+    def seen_squarefree(delta):
+        idx = 0
+        for c in reversed(delta):
+            idx = idx * q + c
+        cached = squarefree_cache.get(idx)
+        if cached is None:
+            cached = is_squarefree(BinaryForm(disc_degree, delta, q))
+            squarefree_cache[idx] = cached
+        return cached
 
-        betas = [
-            fq.mul(b, b, q) for b in itertools.product(range(q), repeat=g + 2)
-        ]
-        total = 0
-        for alpha in itertools.product(range(q), repeat=l + 1):
-            if not any(alpha):
-                # beta^2 alone: every root is doubled, so nothing to count —
-                # but keep the loop honest and let the test run.
-                for bsq in betas:
-                    if seen_squarefree(bsq):
-                        raise AssertionError("a pure square tested square-free")
-                continue
-            for gamma in itertools.product(range(q), repeat=disc_degree - l + 1):
-                prod = fq.mul(alpha, gamma, q)
-                scaled = tuple(4 * c % q for c in prod)
-                for bsq in betas:
-                    delta = tuple((x - y) % q for x, y in zip(bsq, scaled))
-                    if seen_squarefree(delta):
-                        total += 1
-        return total
-
-    if method != "coset":
-        raise ValueError(f"unknown method {method!r}: expected 'coset' or 'naive'")
-
-    return sum(_coset_census(g, l, q).values())
+    betas = [fq.mul(b, b, q) for b in itertools.product(range(q), repeat=g + 2)]
+    total = 0
+    for alpha in itertools.product(range(q), repeat=l + 1):
+        if not any(alpha):
+            # beta^2 alone: every root is doubled, so nothing to count —
+            # but keep the loop honest and let the test run.
+            for bsq in betas:
+                if seen_squarefree(bsq):
+                    raise AssertionError("a pure square tested square-free")
+            continue
+        for gamma in itertools.product(range(q), repeat=disc_degree - l + 1):
+            prod = fq.mul(alpha, gamma, q)
+            scaled = tuple(4 * c % q for c in prod)
+            for bsq in betas:
+                delta = tuple((x - y) % q for x, y in zip(bsq, scaled))
+                if seen_squarefree(delta):
+                    total += 1
+    return total
 
 
 def enumerate_count(
@@ -578,7 +583,10 @@ def enumerate_count(
         raise ValueError(f"unknown method {method!r}: expected 'coset' or 'naive'")
     _check_budget(g, l, q, tuple_budget)
     order = group_order(g + 1 - l, q, variant)
-    raw = _enumerate_raw(g, l, q, method=method)
+    if method == "naive":
+        raw = _naive_raw(g, l, q)
+    else:
+        raw = sum(_coset_census(g, l, q).values())
     return CountRecord(
         g=g,
         l=l,
@@ -730,88 +738,54 @@ def psi_forward(triple: SectionTriple) -> BinaryForm:
     return BinaryForm(len(delta) - 1, delta, q)
 
 
-def psi_roundtrip_check(
-    g: int,
-    l: int,
-    q: int,
-    *,
-    limit: int | None = None,
-    tuple_budget: int = DEFAULT_TUPLE_BUDGET,
-) -> dict:
-    """Apply the substitution and its printed inverse to members of the family.
+def psi_roundtrip_check(g: int, l: int, q: int) -> dict:
+    """Apply the substitution and its printed inverse to every member of the family.
 
-    Walks triples in lexicographic order, restricts to square-free
-    discriminants, and checks that dividing beta^2 - delta by 4 alpha
-    recovers gamma exactly.  ``limit`` caps the number of members visited;
-    with ``limit=None`` the count of members independently re-derives the
-    raw enumeration total.  For each nonzero alpha, `_divide` runs once per
-    basis form of degree 2g+2, which gives the matrices Q and R: by
-    linearity the quotient and remainder by 4 alpha of a numerator row are
-    its products with Q and R.  They fill a division table over the q^(2g+3)
-    rows of ``_digit_matrix``, the size and order of the square-free bitmap,
-    which keeps the base-q code of each quotient, or -1 where the remainder
-    is not zero.  The (gamma, beta) pairs then go through in blocks of at
-    most ``_PSI_BLOCK_ROWS`` rows: one matrix product forms every
-    discriminant of a block, the square-free bitmap picks the members, and
-    each member's own numerator beta^2 - delta looks up its quotient, which
-    must be the code of its gamma.
+    A member (alpha, beta, gamma) has delta = beta^2 - 4 alpha gamma
+    square-free, and the inverse recovers gamma as (beta^2 - delta) / (4 alpha).
+    That numerator is 4 alpha gamma whatever beta is, so one division per
+    (alpha, gamma) decides the check for all of its members.  For each
+    nonzero alpha, one product with `_times_matrix` forms every numerator
+    4 alpha gamma, and their products with the quotient and remainder
+    matrices of `_division_matrices` mark a gamma wrong where the remainder
+    is not zero or the quotient is not gamma; the members of a wrong gamma
+    are failures.  The members, the betas that make delta square-free, are
+    found by looking up the code of every discriminant in the square-free
+    bitmap, in blocks of whole runs of gammas times all betas, at most
+    ``_PSI_BLOCK_ROWS`` rows but at least one gamma a block.  They are not
+    read from the coset census, so their total is a second derivation of
+    the raw enumeration count, by neither coset labels nor alpha orbits.
     """
     import numpy as np
 
     _validate_genus_pair(g, l)
     _validate_odd_prime(q)
-    if limit is not None:
-        _validate_count("limit", limit)
-    _check_budget(g, l, q, tuple_budget)
+    _check_budget(g, l, q, DEFAULT_TUPLE_BUDGET)
     disc_degree = 2 * g + 2
     squarefree = _squarefree_bitmap(disc_degree, q)
-    numerators = _digit_matrix(disc_degree + 1, q)
-    basis = np.eye(disc_degree + 1, dtype=np.int64).tolist()
     powers = q ** np.arange(disc_degree + 1, dtype=np.int64)
     beta_squares = _beta_square_rows(g, q).astype(np.int64)
-    gammas = _digit_matrix(disc_degree - l + 1, q)[:, ::-1]
-    gamma_powers = powers[: disc_degree - l + 1]
-    gamma_codes = gammas @ gamma_powers
-    # Blocks are whole runs of gammas times all betas, or one gamma times a
-    # run of betas when there are more betas than rows in a block; either
-    # way they follow the lexicographic order of (gamma, beta).
-    gamma_step = max(1, _PSI_BLOCK_ROWS // len(beta_squares))
-    beta_step = min(len(beta_squares), _PSI_BLOCK_ROWS)
+    # terms[i, c] is, for each beta, the x^i term of the code of beta^2 - c x^i,
+    # so the code of a discriminant is a sum of rows, one per coefficient
+    terms = (beta_squares.T[:, None] - np.arange(q)[:, None]) % q * powers[:, None, None]
+    coefficient = np.arange(disc_degree + 1)
+    gammas = _digit_matrix(disc_degree - l + 1, q)
+    step = max(1, _PSI_BLOCK_ROWS // len(beta_squares))
     members = 0
     failures = 0
     for alpha in itertools.product(range(q), repeat=l + 1):
         if not any(alpha):
             continue
         den = tuple(4 * c % q for c in alpha)
-        quot, rem = (
-            np.array(part, dtype=np.int64) for part in zip(*[_divide(e, den, q) for e in basis])
-        )
-        quotient_codes = np.where(
-            (numerators @ rem % q).any(axis=1), -1, (numerators @ quot % q) @ gamma_powers
-        )
-        times_den = _times_matrix(den, disc_degree - l)
-        for g0 in range(0, len(gammas), gamma_step):
-            gamma = gamma_codes[g0 : g0 + gamma_step]
-            scaled = gammas[g0 : g0 + gamma_step] @ times_den
-            for b0 in range(0, len(beta_squares), beta_step):
-                bsq = beta_squares[b0 : b0 + beta_step]
-                delta = ((bsq[None, :, :] - scaled[:, None, :]) % q).reshape(
-                    -1, disc_degree + 1
-                )
-                found = np.flatnonzero(squarefree[delta @ powers])
-                if limit is not None:
-                    found = found[: limit - members]
-                gamma_of, beta_of = np.divmod(found, len(bsq))
-                numerator = (bsq[beta_of] - delta[found]) % q
-                wrong = quotient_codes[numerator @ powers] != gamma[gamma_of]
-                members += len(found)
-                failures += int(np.count_nonzero(wrong))
-                if limit is not None and members >= limit:
-                    return _psi_report(g, l, q, members, failures, limit)
-    return _psi_report(g, l, q, members, failures, limit)
-
-
-def _psi_report(g, l, q, members, failures, limit):
+        quot, rem = _division_matrices(den, disc_degree + 1, q)
+        numerators = gammas @ _times_matrix(den, disc_degree - l) % q
+        wrong = (numerators @ rem % q).any(axis=1)
+        wrong |= (numerators @ quot % q != gammas).any(axis=1)
+        for g0 in range(0, len(gammas), step):
+            codes = terms[coefficient, numerators[g0 : g0 + step]].sum(axis=1)
+            found = squarefree[codes].sum(axis=1)
+            members += int(found.sum())
+            failures += int(found[wrong[g0 : g0 + step]].sum())
     return {
         "g": g,
         "l": l,
@@ -819,7 +793,6 @@ def _psi_report(g, l, q, members, failures, limit):
         "members": members,
         "failures": failures,
         "ok": failures == 0,
-        "limit": limit,
     }
 
 
@@ -893,20 +866,17 @@ def orbit_spot_check(
     l: int,
     q: int,
     *,
-    elements: int = 20,
-    samples: int = 25,
-    seed: int = DEFAULT_SEED,
+    seed: int,
 ) -> dict:
     """Move random members by random group elements and verify membership.
 
-    Rejection-samples ``samples`` members, applies ``elements`` random group
-    elements to each, and reports whether every image still has square-free
-    discriminant (orbit closure of the family).
+    Rejection-samples ``_ORBIT_SAMPLES`` members, applies ``_ORBIT_ELEMENTS``
+    random group elements to each, and reports whether every image still has
+    square-free discriminant (orbit closure of the family).
     """
     _validate_genus_pair(g, l)
     _validate_odd_prime(q)
-    _validate_count("elements", elements)
-    _validate_count("samples", samples)
+    elements, samples = _ORBIT_ELEMENTS, _ORBIT_SAMPLES
     n = g + 1 - l
     rng = random.Random(f"{seed}:orbit:{g}:{l}:{q}")
 

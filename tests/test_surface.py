@@ -12,16 +12,17 @@ and no name defined there is defined in the package too.  A public name
 that is neither reached nor kept goes, with its tests.  The next check
 keeps the pairing of M_{0,n} layers with a configuration type in one place,
 the type pairings with their two readers (the stable numerator and the
-column cells), the one row formula of the rank checks with its callers, and
-the per-degree table of cycle-type codes, z's and signs with its readers,
-and the walk over the orbits of leading forms with the one coset census that
-gives both the raw count and its strata: only the definitions in
-``CALLERS`` call those routes.  The column code
-works on integer cells, so ``spectral`` imports nothing from ``series``, and
-``ffcount`` imports nothing from ``m0n``.  The last test keeps one division
+column cells), the one row formula of the rank checks with its callers, the
+per-degree table of cycle-type codes, z's and signs with its readers, the
+walk over the orbits of leading forms with the one coset census that gives
+both the raw count and its strata, and the division matrices of basis forms
+with the coset labels and the psi check: only the definitions in ``CALLERS``
+call those routes.  The column code works on integer cells, so ``spectral``
+imports nothing from ``series``, and ``ffcount`` imports nothing from
+``m0n``.  The last test keeps one division
 of binary forms: only ``ffcount._divide`` calls ``fq.divmod``, and only
-``ffcount._labels`` and ``ffcount.psi_roundtrip_check`` build the quotient
-and remainder matrices, dividing basis forms in a comprehension.
+``ffcount._division_matrices`` builds the quotient and remainder matrices,
+dividing basis forms in a comprehension, for its two callers in ``CALLERS``.
 """
 
 import ast
@@ -152,19 +153,20 @@ def test_an_oracle_lives_in_one_place():
 # pairing of M_{0,n} layers with a configuration type is decided in one place,
 # the one row formula of the rank checks has one set of callers, the
 # per-degree table of cycle-type codes, z's and signs has one owner, its own
-# recursion, and three readers, and one coset census per case walks the
-# alpha orbits for both the raw count and its strata
+# recursion, and three readers, one coset census per case walks the alpha
+# orbits for both the raw count and its strata, and the division matrices of
+# basis forms serve the coset labels and the psi check
 CALLERS = {
     "hall_inner_product_induced": {("stable", "type_pairings")},
     "equivariant_poincare_m0n": {("stable", "type_pairings"), ("cli", "cmd_m0n")},
     "type_pairings": {("stable", "numerator_term"), ("spectral", "type_cells")},
     "_row_array": {("linalg", "verify_bundle_rank"), ("linalg", "_pairs_certified")},
-    "_divide": {("ffcount", "_labels"), ("ffcount", "psi_roundtrip_check"),
-                ("ffcount", "_factor_form")},
+    "_divide": {("ffcount", "_division_matrices"), ("ffcount", "_factor_form")},
+    "_division_matrices": {("ffcount", "_labels"), ("ffcount", "psi_roundtrip_check")},
     "_cycle_types": {("symfunc", "_cycle_types"), ("symfunc", "_code_positions"),
                      ("symfunc", "_block_weights"), ("symfunc", "schur_expand")},
     "_alpha_orbits": {("ffcount", "_coset_census")},
-    "_coset_census": {("ffcount", "_enumerate_raw"), ("ffcount", "stratified_count")},
+    "_coset_census": {("ffcount", "enumerate_count"), ("ffcount", "stratified_count")},
 }
 
 
@@ -233,4 +235,4 @@ def test_binary_forms_are_divided_in_one_place():
     assert _definitions_calling(
         lambda f: isinstance(f, ast.Name) and f.id == "_divide",
         (ast.ListComp, ast.GeneratorExp),
-    ) == {("ffcount", "_labels"), ("ffcount", "psi_roundtrip_check")}
+    ) == {("ffcount", "_division_matrices")}
