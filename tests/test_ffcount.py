@@ -23,6 +23,7 @@ Oracles:
   for `TatePolynomial.divmod` and the closed forms built on it.
 """
 
+import functools
 import itertools
 from fractions import Fraction
 from math import comb
@@ -678,17 +679,49 @@ def test_orbit_walk_equals_the_full_alpha_loop(g, l, q):
     assert list(strata.items()) == list(o_stratified_raw(g, l, q).items())
 
 
+@functools.cache
+def degree_six_labels(q):
+    """The remainder labels of the degree-6 forms for every nonzero alpha of
+    degree l <= 3, one `_labels` pass per alpha shared by the two tests
+    below; the labels lie below q^3 and are kept as bytes."""
+    digits = ffcount._digit_matrix(7, q).astype(np.int64)
+    return {
+        alpha: ffcount._labels(digits, alpha, q).astype(np.uint8)
+        for l in range(4)
+        for alpha in all_forms(l, q)
+        if any(alpha)
+    }
+
+
 @pytest.mark.parametrize("q", [3, 5])
 def test_remainder_labels_split_the_forms_like_the_frozen_labeler(q):
-    # Two identities of the remainder labels of the degree-6 forms, for every
-    # nonzero alpha of degree l <= 3, labelled once per alpha.  First, the
-    # labels split the forms into the cosets of alpha * (forms of degree
-    # 6 - l) as the frozen RREF labeler does.  Second, the identity the
-    # census reads its strata by: pi | alpha, so pi divides delta + alpha * h
-    # exactly when it divides delta.  The forms of degree 6 that pi divides
-    # are the products pi * h of the frozen o_mul, q^(7 - deg pi) of them
-    # since multiplying by pi is injective.
+    # the labels split the degree-6 forms into the cosets of
+    # alpha * (forms of degree 6 - l) as the frozen RREF labeler does
     digits = ffcount._digit_matrix(7, q).astype(np.int64)
+    frozen = {}  # the frozen labels depend only on the subspace, i.e. its RREF
+    for alpha, ours in degree_six_labels(q).items():
+        l = len(alpha) - 1
+        pivots, free, block = o_coset_labeler(alpha, 6, q)
+        key = (pivots.tobytes(), block.tobytes())
+        if key not in frozen:
+            frozen[key] = o_labels(digits, pivots, free, block, q)
+        theirs = frozen[key]
+        # each label takes all q^l values, and ours determines theirs,
+        # so the classes are the same
+        to_theirs = np.zeros(q**l, dtype=np.int64)
+        to_theirs[ours] = theirs
+        assert (to_theirs[ours] == theirs).all(), ("the frozen labeler's cosets", alpha)
+        for labels in (ours, theirs):
+            taken = np.count_nonzero(np.bincount(labels, minlength=q**l))
+            assert taken == q**l, ("the frozen labeler's cosets", alpha)
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_a_factor_of_alpha_divides_a_whole_coset_or_none_of_it(q):
+    # the identity the census reads its strata by: pi | alpha, so pi divides
+    # delta + alpha * h exactly when it divides delta.  The forms of degree 6
+    # that pi divides are the products pi * h of the frozen o_mul, q^(7 - deg pi)
+    # of them since multiplying by pi is injective.
     powers = q ** np.arange(7)
     irreducibles = o_monic_irreducible_forms(q, 3)
     divisible = {}
@@ -697,32 +730,15 @@ def test_remainder_labels_split_the_forms_like_the_frozen_labeler(q):
         divisible[pi] = np.zeros(q**7, dtype=bool)
         divisible[pi][products @ powers] = True
         assert np.count_nonzero(divisible[pi]) == len(products)
-    frozen = {}  # the frozen labels depend only on the subspace, i.e. its RREF
-    for l in range(4):
-        for alpha in all_forms(l, q):
-            if not any(alpha):
-                continue
-            ours = ffcount._labels(digits, alpha, q)
-            pivots, free, block = o_coset_labeler(alpha, 6, q)
-            key = (pivots.tobytes(), block.tobytes())
-            if key not in frozen:
-                frozen[key] = o_labels(digits, pivots, free, block, q)
-            theirs = frozen[key]
-            # each label takes all q^l values, and ours determines theirs,
-            # so the classes are the same
-            to_theirs = np.zeros(q**l, dtype=np.int64)
-            to_theirs[ours] = theirs
-            assert (to_theirs[ours] == theirs).all(), ("the frozen labeler's cosets", alpha)
-            for labels in (ours, theirs):
-                taken = np.count_nonzero(np.bincount(labels, minlength=q**l))
-                assert taken == q**l, ("the frozen labeler's cosets", alpha)
-            sizes = np.bincount(ours, minlength=q**l)
-            for pi in o_factor(alpha, q, irreducibles):
-                hits = np.bincount(ours[divisible[pi]], minlength=q**l)
-                whole = ((hits == 0) | (hits == sizes)).all()
-                assert whole, ("a factor keeps cosets whole", alpha, pi)
-                # alpha * h, the coset of 0
-                assert hits[0] == sizes[0], ("a factor keeps cosets whole", alpha, pi)
+    for alpha, labels in degree_six_labels(q).items():
+        l = len(alpha) - 1
+        sizes = np.bincount(labels, minlength=q**l)
+        for pi in o_factor(alpha, q, irreducibles):
+            hits = np.bincount(labels[divisible[pi]], minlength=q**l)
+            whole = ((hits == 0) | (hits == sizes)).all()
+            assert whole, ("a factor keeps cosets whole", alpha, pi)
+            # alpha * h, the coset of 0
+            assert hits[0] == sizes[0], ("a factor keeps cosets whole", alpha, pi)
 
 
 def test_the_census_is_kept_and_handed_out_as_a_copy():
@@ -939,18 +955,29 @@ def o_psi_roundtrip_check(g, l, q, *, divide=o_exact_div):
     }
 
 
-def test_psi_roundtrip_check_matches_the_scalar_walk():
-    # (2, 0, 3) is the cheapest family to walk in full: 2 alphas, 3^7 gammas
-    assert psi_roundtrip_check(2, 0, 3) == o_psi_roundtrip_check(2, 0, 3)
+@functools.cache
+def o_full_walk(g, l, q):
+    """The scalar walk's report, walked once per family for the tests below."""
+    return o_psi_roundtrip_check(g, l, q)
 
 
-@pytest.mark.parametrize(
-    "g, l, q, rows", [(2, 1, 3, 1), (2, 1, 3, 50), (2, 1, 3, 200), (2, 2, 5, 50), (2, 2, 5, 200)]
-)
-def test_psi_roundtrip_check_reports_the_same_at_any_block_size(monkeypatch, g, l, q, rows):
-    # 1 and 50 rows lie below the 81 betas at q = 3, so a block holds one
-    # gamma; 200 rows hold two.  The report at the default size is the
-    # full-run count of every member.
+@pytest.mark.parametrize("rows", [1, 37, 4000])
+@pytest.mark.parametrize("g, l, q", [(2, 1, 3), (2, 2, 3), (2, 3, 3), (2, 0, 3)])
+def test_psi_roundtrip_check_matches_the_scalar_walk(monkeypatch, g, l, q, rows):
+    # a full run at 1, 37 and 4000 block rows (one gamma, one gamma and
+    # whole runs of gammas a block at q = 3) reports what the scalar walk does
+    monkeypatch.setattr(ffcount, "_PSI_BLOCK_ROWS", rows)
+    assert psi_roundtrip_check(g, l, q) == o_full_walk(g, l, q)
+
+
+@pytest.mark.parametrize("rows", [1, 50, 200])
+@pytest.mark.parametrize("g, l, q", [(2, 1, 3), (2, 2, 5)])
+def test_psi_roundtrip_check_blocks_keep_the_walk_order(monkeypatch, rows, g, l, q):
+    # The blocks cut the walk over (alpha, gamma) into runs of whole gammas,
+    # and where they cut must not change the report.  1 and 50 rows lie
+    # below the 81 betas at q = 3 and the 625 at q = 5, so a block holds one
+    # gamma; 200 rows hold two at q = 3.  The report is the full-run count
+    # of every member.
     monkeypatch.setattr(ffcount, "_PSI_BLOCK_ROWS", rows)
     members = {(2, 1, 3): 279936, (2, 2, 5): 179952000}[g, l, q]
     assert psi_roundtrip_check(g, l, q) == {
