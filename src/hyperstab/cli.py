@@ -1,5 +1,9 @@
 """Command-line front end: verification suites and table/report emission.
 
+Every report format lives here: ``_json``, ``_markdown`` and ``_csv`` write
+the reports of all six commands and the manifest, so the computing modules
+return numbers and this module alone turns them into text.
+
 Subcommands
 -----------
 ``stable``
@@ -48,7 +52,9 @@ definitional facts (partitions summing to a total, round-trips), and
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
+import io
 import json
 import platform
 import sys
@@ -71,16 +77,15 @@ from .linalg import _degree_bound, rank_drop_witness, verify_bundle_rank
 from .m0n import equivariant_poincare_m0n
 from .spectral import (
     ConfigurationType,
+    column_cells,
     column_rows,
     differential_candidates,
     five_point_configuration_table,
     five_point_stratum_table,
-    render_columns_csv,
-    render_columns_markdown,
     scan_differential_system,
     types_with_sites,
 )
-from .stable import cli_payload, cohomology_table, stable_series
+from .stable import BOUNDARY_NOTE, cohomology_table, stable_series
 from .symfunc import schur_expand
 
 CT = ConfigurationType
@@ -278,8 +283,26 @@ REQUIRED_CANDIDATES = (
 
 
 # ---------------------------------------------------------------------------
-# rendering helpers
+# report writers and rendering helpers
 # ---------------------------------------------------------------------------
+
+def _json(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _markdown(header, rows) -> str:
+    """A Markdown table: the header line, a ``---`` rule, one line per row."""
+    lines = [header, ["---"] * len(header), *rows]
+    return "".join("| " + " | ".join(map(str, line)) + " |\n" for line in lines)
+
+
+def _csv(header, rows) -> str:
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue()
+
 
 def _render_classes(classes: dict) -> str:
     """``{twist: mult}`` as ``Q(0)``, ``Q(-9) + Q(-10)``, ``2Q(-12)``, or ``0``."""
@@ -291,6 +314,14 @@ def _render_classes(classes: dict) -> str:
         prefix = "" if mult == 1 else str(mult)
         parts.append(f"{prefix}Q(-{twist})" if twist else f"{prefix}Q(0)")
     return " + ".join(parts)
+
+
+def _render_column_cell(classes: dict) -> str:
+    """``{twist: mult}`` of one discriminant-column cell as ``Q(-9)^2 + Q(-10)``."""
+    return " + ".join(
+        f"Q(-{twist})" + (f"^{mult}" if mult > 1 else "")
+        for twist, mult in sorted(classes.items())
+    )
 
 
 def _render_tate(coeffs: dict) -> str:
@@ -750,7 +781,7 @@ def _manifest(command: str, args, files: dict) -> str:
             "python": platform.python_version(),
         },
     }
-    return json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    return _json(manifest)
 
 
 def _deliver(args, command: str, files: dict, primary: str) -> None:
@@ -771,35 +802,27 @@ def _deliver(args, command: str, files: dict, primary: str) -> None:
 # commands
 # ---------------------------------------------------------------------------
 
-def _stable_markdown(payload: dict) -> str:
-    lines = ["| degree | classes |", "| --- | --- |"]
-    for row in payload["rows"]:
-        classes = {entry["twist"]: entry["mult"] for entry in row["classes"]}
-        lines.append(f"| {row['i']} | {_render_classes(classes)} |")
-    lines.append("")
-    lines.append(payload["stable_range_note"])
-    return "\n".join(lines) + "\n"
-
-
-def _stable_csv(payload: dict) -> str:
-    lines = ["degree,twist,multiplicity"]
-    for row in payload["rows"]:
-        for entry in row["classes"]:
-            lines.append(f"{row['i']},{entry['twist']},{entry['mult']}")
-    return "\n".join(lines) + "\n"
+def _stable_report(table, regime: str, fmt: str) -> str:
+    """The ``stable`` report of ``table`` in ``fmt``: every degree up to its bound."""
+    degrees = range(table.max_degree + 1)
+    cells = {i: sorted(table.classes(i).items()) for i in degrees}
+    if fmt == "json":
+        rows = [{"i": i, "classes": [{"twist": w, "mult": m} for w, m in cells[i]]}
+                for i in degrees]
+        return _json({"surface_index_regime": "n>0" if regime == "npos" else "n=0",
+                      "max_degree": table.max_degree, "rows": rows,
+                      "stable_range_note": BOUNDARY_NOTE})
+    if fmt == "md":
+        rows = [(i, _render_classes(table.classes(i))) for i in degrees]
+        return _markdown(("degree", "classes"), rows) + "\n" + BOUNDARY_NOTE + "\n"
+    return _csv(("degree", "twist", "multiplicity"),
+                [(i, w, m) for i in degrees for w, m in cells[i]])
 
 
 def cmd_stable(args) -> int:
     table = cohomology_table(0 if args.regime == "n0" else 1, args.max_deg)
-    payload = cli_payload(table, positive_n=args.regime == "npos")
-    if args.format == "json":
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    elif args.format == "md":
-        text = _stable_markdown(payload)
-    else:
-        text = _stable_csv(payload)
     name = f"stable.{args.format}"
-    _deliver(args, "stable", {name: text}, name)
+    _deliver(args, "stable", {name: _stable_report(table, args.regime, args.format)}, name)
     return 0
 
 
@@ -821,20 +844,23 @@ def cmd_verify(args) -> int:
     failed = sum(result.failed() for result in results)
     print(f"total: {failed} failing check(s) across {len(results)} suite(s)")
     if args.out is not None:
-        text = (
-            json.dumps([r.payload() for r in results], indent=2, sort_keys=True) + "\n"
-        )
+        text = _json([r.payload() for r in results])
         _deliver(args, "verify", {"verify.json": text}, "verify.json")
     return 1 if failed else 0
 
 
 def _parse_L_values(text: str) -> tuple:
     """Accept ``3..6``, ``3,4,5``, or a single value like ``4``."""
-    if ".." in text:
-        lo, _, hi = text.partition("..")
-        values = tuple(range(int(lo), int(hi) + 1))
-    else:
-        values = tuple(int(part) for part in text.split(","))
+    try:
+        if ".." in text:
+            lo, _, hi = text.partition("..")
+            values = tuple(range(int(lo), int(hi) + 1))
+        else:
+            values = tuple(int(part) for part in text.split(","))
+    except ValueError:
+        raise ValueError(
+            f"--L wants a range like 3..6, a list like 3,4,5 or one value like 4: {text!r}"
+        ) from None
     if not values:
         raise ValueError(f"no L values in {text!r}")
     return values
@@ -843,9 +869,19 @@ def _parse_L_values(text: str) -> tuple:
 def cmd_e1(args) -> int:
     L_values = _parse_L_values(args.L)
     if args.format == "md":
-        text = render_columns_markdown(L_values)
+        columns = [column_rows(L) for L in L_values]
+        rows = sorted({row for column in columns for row in column}, reverse=True)
+        text = _markdown(
+            ["row", *(f"L={L}" for L in L_values)],
+            [[row, *(_render_column_cell(column.get(row, {})) for column in columns)]
+             for row in rows],
+        )
     else:
-        text = render_columns_csv(L_values)
+        text = _csv(
+            ("L", "row", "twist", "multiplicity", "contributing_types"),
+            [(L, row, twist, mult, ";".join(f"({c.k1},{c.k2},{c.h})" for c in configs))
+             for L in L_values for (row, twist), (mult, configs) in column_cells(L).items()],
+        )
     name = f"e1.{args.format}"
     _deliver(args, "e1", {name: text}, name)
     return 0
@@ -874,13 +910,13 @@ def cmd_m0n(args) -> int:
                 for i, rows in layers.items()
             ],
         }
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        text = _json(payload)
     else:
-        lines = ["| i | class | multiplicity |", "| --- | --- | --- |"]
-        for i, rows in layers.items():
-            for lam, mult in rows.items():
-                lines.append(f"| {i} | {_partition_label(lam)} | {mult} |")
-        text = "\n".join(lines) + "\n"
+        text = _markdown(
+            ("i", "class", "multiplicity"),
+            [(i, _partition_label(lam), mult)
+             for i, rows in layers.items() for lam, mult in rows.items()],
+        )
     name = "m0n.json" if args.format == "json" else "m0n.md"
     _deliver(args, "m0n", {name: text}, name)
     return 0
@@ -914,17 +950,10 @@ def cmd_count(args) -> int:
         "match": (record.stack_count == closed) if record and closed is not None else None,
     }
     if args.format == "json":
-        text = json.dumps({k: str(v) if isinstance(v, Fraction) else v
-                           for k, v in row.items()}, indent=2, sort_keys=True) + "\n"
-    elif args.format == "csv":
-        header = ",".join(row)
-        values = ",".join("" if value is None else str(value) for value in row.values())
-        text = header + "\n" + values + "\n"
+        text = _json({k: str(v) if isinstance(v, Fraction) else v for k, v in row.items()})
     else:
-        lines = ["| " + " | ".join(row) + " |",
-                 "| " + " | ".join("---" for _ in row) + " |",
-                 "| " + " | ".join("" if v is None else str(v) for v in row.values()) + " |"]
-        text = "\n".join(lines) + "\n"
+        writer = _csv if args.format == "csv" else _markdown
+        text = writer(list(row), [["" if v is None else v for v in row.values()]])
     name = f"count.{args.format}"
     _deliver(args, "count", {name: text}, name)
     return 0 if row["match"] in (True, None) else 1
@@ -960,15 +989,13 @@ def cmd_rankcheck(args) -> int:
             modulus=args.modulus,
         )
     if args.format == "json":
-        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        text = _json(report)
     else:
-        lines = ["| field | value |", "| --- | --- |"]
-        for key in sorted(report):
-            value = report[key]
-            if key == "failures":
-                value = f"{len(value)} trial(s)"
-            lines.append(f"| {key} | {value} |")
-        text = "\n".join(lines) + "\n"
+        text = _markdown(
+            ("field", "value"),
+            [(key, f"{len(value)} trial(s)" if key == "failures" else value)
+             for key, value in sorted(report.items())],
+        )
     name = "rankcheck.json" if args.format == "json" else "rankcheck.md"
     _deliver(args, "rankcheck", {name: text}, name)
     if args.witness:

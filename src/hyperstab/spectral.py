@@ -5,19 +5,17 @@ lines; each configuration type contributes a block of classes to a column
 indexed by its number of distinct sites.  One cell formula, `type_cells`,
 reads the block of a type straight off its layer multiplicities, the type
 pairings of `stable.type_pairings` that the stable series is assembled
-from.  Every column, both five-point tables and both renderers are built
-on those cells.  A cell's row and twist are relative to the dimension of
-the space of sections, so no function here depends on that dimension.
-This module also scans the numerical admissibility system for
-differentials between blocks.  Columns start at three sites; the package
-holds no table of the one- and two-site columns.
+from.  Every column and both five-point tables are built on those cells;
+``cli`` writes them out as tables.  A cell's row and twist are relative to
+the dimension of the space of sections, so no function here depends on
+that dimension.  This module also scans the numerical admissibility system
+for differentials between blocks.  Columns start at three sites; the
+package holds no table of the one- and two-site columns.
 """
 
-import csv
-import io
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .stable import type_pairings
 
@@ -110,7 +108,7 @@ def type_cells(config: ConfigurationType) -> tuple:
     return tuple(cells)
 
 
-def _column_cells(L: int) -> dict:
+def column_cells(L: int) -> dict:
     """(row, twist) -> [multiplicity, contributing types] of the site-count-``L`` column.
 
     Multiplicities of coinciding cells are summed across configuration types,
@@ -131,7 +129,7 @@ def _column_cells(L: int) -> dict:
 def column_rows(L: int) -> dict:
     """{row: {twist: multiplicity}} of the merged site-count-``L`` column."""
     rows: dict = {}
-    for (row, twist), (mult, _) in _column_cells(L).items():
+    for (row, twist), (mult, _) in column_cells(L).items():
         rows.setdefault(row, {})[twist] = mult
     return rows
 
@@ -303,45 +301,3 @@ def differential_candidates(scan: dict) -> tuple:
     out.sort(key=lambda c: (type_sort_key(c.source), type_sort_key(c.target)))
     return tuple(out)
 
-
-# --------------------------------------------------------------------------
-# renderers
-# --------------------------------------------------------------------------
-
-def _format_type(config: ConfigurationType) -> str:
-    return f"({config.k1},{config.k2},{config.h})"
-
-
-def _format_cell(twists: dict) -> str:
-    parts = []
-    for tw in sorted(twists):
-        mult = twists[tw]
-        parts.append(f"Q(-{tw})" + (f"^{mult}" if mult > 1 else ""))
-    return " + ".join(parts)
-
-
-def render_columns_csv(L_values: Iterable[int] = (3, 4, 5, 6)) -> str:
-    """Render merged columns as CSV with one line per (row, twist) cell."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["L", "row", "twist", "multiplicity", "contributing_types"])
-    for L in L_values:
-        for (row, twist), (mult, configs) in _column_cells(L).items():
-            writer.writerow([L, row, twist, mult, ";".join(_format_type(c) for c in configs)])
-    return buffer.getvalue()
-
-
-def render_columns_markdown(L_values: Iterable[int] = (3, 4, 5, 6)) -> str:
-    """Render merged columns as a Markdown grid, one column per site count."""
-    L_values = tuple(L_values)
-    columns = {L: column_rows(L) for L in L_values}
-    all_rows = sorted({row for rows in columns.values() for row in rows}, reverse=True)
-    lines = ["| row | " + " | ".join(f"L={L}" for L in L_values) + " |"]
-    lines.append("| --- | " + " | ".join("---" for _ in L_values) + " |")
-    for row in all_rows:
-        cells = [
-            _format_cell(columns[L][row]) if row in columns[L] else ""
-            for L in L_values
-        ]
-        lines.append(f"| {row} | " + " | ".join(cells) + " |")
-    return "\n".join(lines) + "\n"

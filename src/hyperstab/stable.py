@@ -9,7 +9,9 @@ multisets of Tate twists gives the cohomology table.
 The layer multiplicities come from `type_pairings`, the one place that pairs
 M_{0,n} layers with a type.  Its two callers are `numerator_term` here and
 `spectral.type_cells`, which reads the discriminant-column cells of a type
-off the same multiplicities.
+off the same multiplicities.  The module computes the table and its
+stable-range note, `BOUNDARY_NOTE`; ``cli`` writes them out in each report
+format.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .series import GradedTateSeries, TatePolynomial, invert_unit, multiply
 from .symfunc import hall_inner_product_induced
 
 __all__ = [
+    "BOUNDARY_NOTE",
     "StableCohomologyTable",
     "type_pairings",
     "numerator_term",
@@ -28,7 +31,6 @@ __all__ = [
     "stable_series_positive_n",
     "table_from_series",
     "cohomology_table",
-    "cli_payload",
 ]
 
 BOUNDARY_NOTE = (
@@ -164,22 +166,3 @@ def cohomology_table(n: int, max_degree: int) -> StableCohomologyTable:
         s = stable_series_positive_n(max_degree)
     return table_from_series(s)
 
-
-def cli_payload(table: StableCohomologyTable, *, positive_n: bool) -> dict:
-    """JSON-ready dict: regime, degree bound, explicit rows, range note."""
-    rows = [
-        {
-            "i": i,
-            "classes": [
-                {"twist": w, "mult": m}
-                for w, m in sorted(table.rows.get(i, {}).items())
-            ],
-        }
-        for i in range(table.max_degree + 1)
-    ]
-    return {
-        "surface_index_regime": "n>0" if positive_n else "n=0",
-        "max_degree": table.max_degree,
-        "rows": rows,
-        "stable_range_note": BOUNDARY_NOTE,
-    }

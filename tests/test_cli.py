@@ -90,6 +90,20 @@ def test_stable_csv_lists_nonzero_cells(capsys):
     assert out[1:] == ["0,0,1", "8,6,1", "9,7,1"]
 
 
+def test_stable_json_shape(capsys):
+    assert main(["stable", "--max-deg", "9", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["surface_index_regime"] == "n=0"
+    assert payload["max_degree"] == 9
+    rows = {entry["i"]: entry["classes"] for entry in payload["rows"]}
+    assert rows[8] == [{"twist": 6, "mult": 1}]
+    assert "stable_range_note" in payload
+
+    assert main(["stable", "--max-deg", "4", "--regime", "npos", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["surface_index_regime"] == "n>0"
+
+
 # --------------------------------------------------------------------------
 # verify
 # --------------------------------------------------------------------------
@@ -245,9 +259,34 @@ def test_e1_csv_and_list_syntax(capsys):
     assert set(line.split(",")[0] for line in out[1:]) == {"3", "5"}
 
 
+def test_e1_csv_renderer(capsys):
+    assert main(["e1", "--L", "3,4", "--format", "csv"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[0] == "L,row,twist,multiplicity,contributing_types"
+    assert any(line.startswith("3,-12,7,1,") and "(0,1,2)" in line for line in lines)
+    assert any(line.startswith("4,-16,9,3,") for line in lines)
+
+
+def test_e1_markdown_renderer(capsys):
+    assert main(["e1", "--L", "3..6"]) == 0
+    text = capsys.readouterr().out
+    assert "| L=3 |" in text or "L=3" in text
+    assert "Q(-9)^2" in text
+    assert "-32" in text
+
+
 def test_e1_rejects_an_empty_range(capsys):
     assert main(["e1", "--L", "4..3"]) == 2
     assert capsys.readouterr().err == "error: no L values in '4..3'\n"
+
+
+def test_e1_names_the_flag_of_a_malformed_L(capsys):
+    for text in ("..4", "3..x", "3,,4"):
+        assert main(["e1", "--L", text]) == 2
+        assert capsys.readouterr().err == (
+            "error: --L wants a range like 3..6, a list like 3,4,5 or one value "
+            f"like 4: {text!r}\n"
+        )
 
 
 # --------------------------------------------------------------------------
@@ -736,6 +775,24 @@ PINNED_OUT_HASHES = [
      "9d37feeb520ee381ce619b518a3ac8b5c733e3a0682b983e6af1eb37b40b921a"),
     (["count", "--g", "2", "--l", "1", "--q", "3"], "count.md",
      "65f11b92f5eb520fae754eea22923f9b70665c7efc59f6517075894e1012c576"),
+    (["count", "--g", "2", "--l", "1", "--q", "3", "--format", "csv"], "count.csv",
+     "8a276c0b5a339236ecea180e6ac4175d127fefcb03fa6545c5ed53bfe34368f6"),
+    (["count", "--g", "2", "--l", "1", "--q", "3", "--format", "json"], "count.json",
+     "9f60978d1db7cd030734070126f07dd5edb4ba57b528b72fdc7f65c96e093569"),
+    (["count", "--g", "3", "--l", "4", "--q", "3", "--format", "csv"], "count.csv",
+     "6d04defc9d16e42e7242b47406c4355c9fe7c650026e5a572ba727c10f334854"),
+    (["count", "--g", "3", "--l", "4", "--q", "3", "--format", "json"], "count.json",
+     "5454492bce2bd0d80475451b0bcf0ab4aeff9fed2e57f7b1206256078c9d226f"),
+    # no closed form at (4, 4, 3): blank CSV cells and JSON nulls
+    (["count", "--g", "4", "--l", "4", "--q", "3", "--format", "csv"], "count.csv",
+     "972c7f861b8cb643e5bb8c3a8a9f875e2b7583ae098d50dbb1095ea2436545b9"),
+    (["count", "--g", "4", "--l", "4", "--q", "3", "--format", "json"], "count.json",
+     "9309e182a5b4178f83c3cba6f06e6a3665d1daf867d2bb2b82d070a3d0a1355a"),
+    (["rankcheck", "--type", "1,1,1", "--d", "9", "--n", "1", "--format", "md"],
+     "rankcheck.md",
+     "ef7fdfea6b40ecadba7a82f57844423bc992c4fcb6a2ec0f0a10948412c9968b"),
+    (["stable", "--max-deg", "20", "--regime", "npos", "--format", "md"], "stable.md",
+     "6680d294d2c8f759657419e2c34ddca719da8c687a19f2c39b6caccb94a5f8a1"),
     (["rankcheck", "--type", "2,0,0", "--d", "7", "--n", "1"], "rankcheck.json",
      "e2db1c00a95de53f15f232f956f40f5f4513feb7c1c333dd9487fb130cd6161c"),
     (["rankcheck", "--type", "1,1,1", "--d", "9", "--n", "1", "--trials", "20",

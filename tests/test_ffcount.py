@@ -970,13 +970,15 @@ def test_psi_roundtrip_check_matches_the_scalar_walk(monkeypatch, g, l, q, rows)
     assert psi_roundtrip_check(g, l, q) == o_full_walk(g, l, q)
 
 
-@pytest.mark.parametrize("rows", [1, 50, 200])
-@pytest.mark.parametrize("g, l, q", [(2, 1, 3), (2, 2, 5)])
-def test_psi_roundtrip_check_blocks_keep_the_walk_order(monkeypatch, rows, g, l, q):
+@pytest.mark.parametrize(
+    "g, l, q, rows", [(2, 1, 3, 1), (2, 1, 3, 50), (2, 1, 3, 200), (2, 2, 5, 1)]
+)
+def test_psi_roundtrip_check_blocks_keep_the_walk_order(monkeypatch, g, l, q, rows):
     # The blocks cut the walk over (alpha, gamma) into runs of whole gammas,
     # and where they cut must not change the report.  1 and 50 rows lie
-    # below the 81 betas at q = 3 and the 625 at q = 5, so a block holds one
-    # gamma; 200 rows hold two at q = 3.  The report is the full-run count
+    # below the 81 betas at q = 3, so a block holds one gamma; 200 rows hold
+    # two.  With 625 betas at q = 5, every size below 1250 rows gives a block
+    # one gamma, so one size covers q = 5.  The report is the full-run count
     # of every member.
     monkeypatch.setattr(ffcount, "_PSI_BLOCK_ROWS", rows)
     members = {(2, 1, 3): 279936, (2, 2, 5): 179952000}[g, l, q]

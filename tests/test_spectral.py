@@ -210,7 +210,7 @@ def test_columns_equal_the_borel_moore_route(v):
         expected = {
             (bm - 2 * v, twist): entry for (bm, twist), entry in o_column_cells(L, v).items()
         }
-        cells = spectral._column_cells(L)
+        cells = spectral.column_cells(L)
         assert list(cells.items()) == list(expected.items()), L
         rows = {}
         for (row, twist), (mult, _) in expected.items():
@@ -455,7 +455,7 @@ def test_e1_column_requires_L_at_least_3():
     with pytest.raises(ValueError, match="at least three sites"):
         column_rows(2)
     with pytest.raises(ValueError, match="at least three sites"):
-        spectral.render_columns_csv((2,))
+        spectral.column_cells(2)
 
 
 # --------------------------------------------------------------------------
@@ -540,22 +540,3 @@ def test_differential_scan_matches_independent_enumeration():
             for s in scan[name]
         }
         assert got == expected[name], name
-
-
-# --------------------------------------------------------------------------
-# renderers
-# --------------------------------------------------------------------------
-
-def test_csv_renderer():
-    text = spectral.render_columns_csv((3, 4))
-    lines = text.strip().splitlines()
-    assert lines[0] == "L,row,twist,multiplicity,contributing_types"
-    assert any(line.startswith("3,-12,7,1,") and "(0,1,2)" in line for line in lines)
-    assert any(line.startswith("4,-16,9,3,") for line in lines)
-
-
-def test_markdown_renderer():
-    text = spectral.render_columns_markdown((3, 4, 5, 6))
-    assert "| L=3 |" in text or "L=3" in text
-    assert "Q(-9)^2" in text
-    assert "-32" in text

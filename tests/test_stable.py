@@ -7,14 +7,12 @@ recomputation.
 """
 
 import hashlib
-import json
 
 import pytest
 
-from hyperstab import m0n, spectral, stable
+from hyperstab import cli, m0n, spectral, stable
 from hyperstab.series import GradedTateSeries, TatePolynomial, evaluate_t
 from hyperstab.stable import (
-    cli_payload,
     cohomology_table,
     numerator_term,
     stable_series,
@@ -200,8 +198,8 @@ def test_all_multiplicities_nonnegative_to_degree_30():
         )
         if n == 0:
             # the bytes `stable --max-deg 30 --format json` writes
-            text = json.dumps(cli_payload(table, positive_n=False), indent=2, sort_keys=True)
-            assert hashlib.sha256((text + "\n").encode()).hexdigest() == STABLE_30_SHA256
+            text = cli._stable_report(table, "n0", "json")
+            assert hashlib.sha256(text.encode()).hexdigest() == STABLE_30_SHA256
 
 
 def test_stable_series_shares_the_layer_cache_with_spectral():
@@ -243,20 +241,3 @@ def test_stable_series_from_loaded_layers_equals_the_cold_series(tmp_path, monke
         m0n.equivariant_poincare_m0n.cache_clear()
     assert warm == cold
     assert len(calls) == 1283
-
-
-# --------------------------------------------------------------------------
-# CLI payload
-# --------------------------------------------------------------------------
-
-def test_cli_payload_shape():
-    table = cohomology_table(0, 9)
-    payload = stable.cli_payload(table, positive_n=False)
-    assert payload["surface_index_regime"] == "n=0"
-    assert payload["max_degree"] == 9
-    rows = {entry["i"]: entry["classes"] for entry in payload["rows"]}
-    assert rows[8] == [{"twist": 6, "mult": 1}]
-    assert "stable_range_note" in payload
-
-    payload = stable.cli_payload(cohomology_table(2, 4), positive_n=True)
-    assert payload["surface_index_regime"] == "n>0"

@@ -19,10 +19,12 @@ both the raw count and its strata, and the division matrices of basis forms
 with the coset labels and the psi check: only the definitions in ``CALLERS``
 call those routes.  The column code works on integer cells, so ``spectral``
 imports nothing from ``series``, and ``ffcount`` imports nothing from
-``m0n``.  The last test keeps one division
-of binary forms: only ``ffcount._divide`` calls ``fq.divmod``, and only
-``ffcount._division_matrices`` builds the quotient and remainder matrices,
-dividing basis forms in a comprehension, for its two callers in ``CALLERS``.
+``m0n``; no module but ``cli`` imports ``csv`` or ``io``, so every report
+is written in ``cli`` and the others hold only mathematics.  The last test
+keeps one division of binary forms: only ``ffcount._divide`` calls
+``fq.divmod``, and only ``ffcount._division_matrices`` builds the quotient
+and remainder matrices, dividing basis forms in a comprehension, for its two
+callers in ``CALLERS``.
 """
 
 import ast
@@ -207,6 +209,14 @@ def test_spectral_imports_nothing_from_series():
 
 def test_ffcount_imports_nothing_from_m0n():
     assert "m0n" not in _imported_modules("ffcount")
+
+
+def test_reports_are_rendered_in_cli_only():
+    writers = {"csv", "io"}
+    assert {
+        module for module in _modules()
+        if module != "cli" and writers & _imported_modules(module)
+    } == set()
 
 
 def _definitions_calling(matches, scopes=None) -> set:
