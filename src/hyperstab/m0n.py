@@ -7,14 +7,14 @@ divisible by #PGL_2(F_q) = q^3 - q, and the quotient's coefficients carry the
 traces layer by layer.
 
 The layers are computed in integers only (Kisin-Lehrer, J. Algebra 2002).
-With b_d = d * a_d the number of points of P^1(F_{q^d}) of exact degree d, the
-share d^c a_d (a_d - 1) ... (a_d - c + 1) of c cycles of length d is the
-integer polynomial prod_{k<c} (b_d - d*k); b_d itself is q^d minus the b_e of
-the proper divisors e of d, plus 1 at d = 1 for the point at infinity.  Each
-N_mu is a dense product of memoised factors, divided by q^3 - q by integer
-synthetic division.  Its oracles live with the tests (`tests/oracles.py`):
-a sparse route through Moebius sums with rational coefficients, and a walk
-over the Frobenius orbits of explicit extension fields.
+With b_d the number of points of A^1(F_{q^d}) of exact degree d (q^d minus the
+b_e of the proper divisors e of d), c cycles of length d contribute the factor
+prod_{k<c} (b_d + [d = 1] - d*k) to N_mu, [d = 1] for the point at infinity.
+`_twisted_counts` builds the N_mu of one degree in the recursion of the
+partitions, one multiplication each; each is divided by q^3 - q by integer
+synthetic division.  Its oracles live with the tests (`tests/oracles.py`): one
+product of those factors per cycle type, Moebius sums with rational
+coefficients, and a walk over the Frobenius orbits of explicit extension fields.
 """
 
 from __future__ import annotations
@@ -40,14 +40,14 @@ __all__ = [
 # integer twisted counts: dense coefficient tuples, ascending in q
 # --------------------------------------------------------------------------
 
-def _dense_mul(a, b) -> list:
+def _dense_mul(a, b) -> tuple:
     out = [0] * (len(a) + len(b) - 1)
     terms = [(j, c) for j, c in enumerate(b) if c]
     for i, c1 in enumerate(a):
         if c1:
             for j, c2 in terms:
                 out[i + j] += c1 * c2
-    return out
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -63,21 +63,24 @@ def _exact_degree_points(d: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _cycle_factor(d: int, c: int) -> tuple:
-    """prod_{k<c} (b_d - d*k), the share of c cycles of length d in N_mu."""
-    if c == 0:
-        return (1,)
-    factor = list(_exact_degree_points(d))
-    factor[0] += (d == 1) - d * (c - 1)  # d = 1: the point at infinity
-    return tuple(_dense_mul(_cycle_factor(d, c - 1), factor))
+def _twisted_counts(m: int) -> tuple:
+    """N_mu(q) for each partition mu of m, in `partitions(m)` order, dense and ascending.
 
-
-def _integer_twisted_count(mu: tuple) -> list:
-    """N_mu(q) for a canonical cycle type, as dense integer coefficients."""
-    count = [1]
-    for d in set(mu):
-        count = _dense_mul(count, _cycle_factor(d, mu.count(d)))
-    return count
+    A partition with first part p is p followed by a partition of m - p with no
+    part above p, so N_(p, *rest) = N_rest (b_p + [p = 1] - p r), where r counts
+    the parts of rest equal to p, which lead it.  Cached; must not be mutated.
+    """
+    if m == 0:
+        return ((1,),)
+    counts = []
+    for part in range(m, 0, -1):
+        head, *tail = _exact_degree_points(part)
+        counts.extend(
+            _dense_mul(count, [head + (part == 1) - part * rest.count(part), *tail])
+            for rest, count in zip(partitions(m - part), _twisted_counts(m - part))
+            if not rest or rest[0] <= part
+        )
+    return tuple(counts)
 
 
 def _divide_by_pgl2(count: list) -> list:
@@ -122,20 +125,19 @@ def _cycle_type_labels(n: int) -> list:
 
 
 def _save_cache(path: Path, ep: EquivariantPoincare) -> None:
-    # every layer lists its traces in the order of the one top-level cycle-type list
-    payload = {
-        "n": str(ep.n),
-        "cycle_types": _cycle_type_labels(ep.n),
-        "layers": [
-            {"i": str(i), "values": [{"trace": str(v)} for v in layer.vector]}
-            for i, layer in sorted(ep.layers.items())
-        ],
-    }
+    # the bytes of compact json.dumps, joined directly: decimal strings need no escapes
+    labels = json.dumps(_cycle_type_labels(ep.n), separators=(",", ":"))
+    layers = ",".join(
+        f'{{"i":"{i}","values":[{{"trace":"'
+        + '"},{"trace":"'.join(map(str, layer.vector))
+        + '"}]}'
+        for i, layer in sorted(ep.layers.items())
+    )
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(json.dumps(payload, separators=(",", ":")))
+            handle.write(f'{{"n":"{ep.n}","cycle_types":{labels},"layers":[{layers}]}}')
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -210,10 +212,10 @@ def _validate_layers(n: int, layers: dict, source: str) -> None:
 def equivariant_poincare_m0n(n: int, cache_dir=None) -> EquivariantPoincare:
     """S_n-equivariant cohomology layers of M_{0,n}.
 
-    For each cycle type mu, the twisted configuration count N_mu(q) is divided
-    exactly by #PGL_2(F_q) = q^3 - q; writing the quotient as
-    sum_i (-1)^i tr(sigma | H^i) q^{(n-3)-i} recovers each layer's character.
-    Both steps are integer-only (see the module docstring).
+    The twisted counts N_mu(q) of all cycle types mu come from one recursion
+    over the partitions of n, one multiplication each.  Each is divided exactly
+    by #PGL_2(F_q) = q^3 - q, and the quotient sum_i (-1)^i tr(sigma | H^i)
+    q^{(n-3)-i} gives layer i at coefficient n-3-i (see the module docstring).
     Results are cached on disk under `cache_dir`, the HYPERSTAB_CACHE
     directory, or ~/.cache/hyperstab, in that order of preference: one file
     m0n_<n>.json per n, integers as decimal strings, holding
@@ -229,13 +231,11 @@ def equivariant_poincare_m0n(n: int, cache_dir=None) -> EquivariantPoincare:
     path = _cache_path(cache_dir, n)
     if path.exists():
         return _load_cache(path, n)
-    traces = [[] for _ in range(n - 2)]
-    for mu in partitions(n):
-        quotient = _divide_by_pgl2(_integer_twisted_count(mu))
-        for i, layer in enumerate(traces):
-            value = quotient[n - 3 - i]
-            layer.append(-value if i % 2 else value)
-    layers = {i: CharacterVector(n, vector) for i, vector in enumerate(traces)}
+    columns = zip(*[_divide_by_pgl2(count) for count in _twisted_counts(n)])
+    layers = {
+        i: CharacterVector(n, map(operator.neg, column) if i % 2 else column)
+        for i, column in enumerate(reversed(list(columns)))
+    }
     _validate_layers(n, layers, source=f"computed layers for n={n}")
     ep = EquivariantPoincare(n=n, layers=layers)
     _save_cache(path, ep)

@@ -8,6 +8,9 @@ are when the package changes, so that a change cannot move its own check.
   twisted point counts of M_{0,n} built on it through Moebius sums
   (`closed_point_count`, `twisted_count_config_p1`; Kisin-Lehrer,
   J. Algebra 2002), the oracle of the integer layer counts of `m0n`;
+* `o_integer_twisted_count`, the same counts as one dense integer product
+  of cycle factors per cycle type, the oracle of the recursion that builds
+  them one part at a time, at sizes the rational route is too slow for;
 * `brute_twisted_count`, which counts the same configurations by walking
   the Frobenius orbits of explicit extension fields, built from the
   trial-division search `o_find_irreducible` rather than `fq.is_irreducible`;
@@ -243,6 +246,42 @@ def twisted_count_config_p1(n: int, mu) -> QPolynomial:
     if not result.is_integral():
         raise ArithmeticError(f"twisted count for mu={mu} is not integral: {result!r}")
     return result
+
+
+def o_dense_mul(a, b) -> list:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c1 in enumerate(a):
+        for j, c2 in enumerate(b):
+            out[i + j] += c1 * c2
+    return out
+
+
+@lru_cache(maxsize=None)
+def o_cycle_factor(d: int, c: int) -> tuple:
+    """prod_{k<c} (d a_d - d k), the share of c cycles of length d, as dense integers.
+
+    Frozen from ``m0n._cycle_factor`` as it stood before the counts were
+    built one part at a time; d a_d comes from the Moebius sum of
+    `closed_point_count` rather than from ``m0n._exact_degree_points``.
+    """
+    if c == 0:
+        return (1,)
+    points = closed_point_count(d) * QPolynomial({0: d})
+    factor = [points.coefficient(e) for e in range(d + 1)]
+    factor[0] -= d * (c - 1)
+    return tuple(o_dense_mul(o_cycle_factor(d, c - 1), factor))
+
+
+def o_integer_twisted_count(mu) -> list:
+    """N_mu(q) as dense integer coefficients: one product of cycle factors per mu.
+
+    Frozen from ``m0n._integer_twisted_count``, the oracle of the recursion
+    ``m0n._twisted_counts`` at sizes the rational route is too slow for.
+    """
+    count = [1]
+    for d in set(mu):
+        count = o_dense_mul(count, o_cycle_factor(d, mu.count(d)))
+    return count
 
 
 # --------------------------------------------------------------------------

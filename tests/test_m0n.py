@@ -4,6 +4,9 @@ Oracles:
 * the sparse route through Moebius sums with rational coefficients
   (`oracles.twisted_count_config_p1` on `oracles.QPolynomial`) for the
   integer counts and layers;
+* the frozen product of cycle factors per cycle type
+  (`oracles.o_integer_twisted_count`) for the counts built one part at a
+  time, at sizes the rational route is too slow for;
 * brute-force counts of monic irreducible polynomials over small prime fields
   for its closed-point polynomials a_d;
 * the Frobenius-orbit enumerator `oracles.brute_twisted_count`, which shares
@@ -192,10 +195,9 @@ def test_integer_layers_match_qpolynomial_route():
     """Dense integer counts and quotients == the sparse rational route, n <= 12."""
     pgl2 = QPolynomial({3: 1, 1: -1})
     for n in range(3, 13):
-        for mu in sf.partitions(n):
+        for mu, count in zip(sf.partitions(n), m0n._twisted_counts(n), strict=True):
             oracle = oracles.twisted_count_config_p1(n, mu)
-            count = m0n._integer_twisted_count(mu)
-            assert count == [oracle.coefficient(e) for e in range(n + 1)], mu
+            assert list(count) == [oracle.coefficient(e) for e in range(n + 1)], mu
             quotient = oracle.divide_exact(pgl2)
             assert m0n._divide_by_pgl2(count) == [
                 quotient.coefficient(e) for e in range(n - 2)
@@ -204,11 +206,17 @@ def test_integer_layers_match_qpolynomial_route():
 
 def test_integer_counts_match_brute_enumeration():
     for n in range(1, 6):
-        for mu in sf.partitions(n):
-            count = m0n._integer_twisted_count(mu)
+        for mu, count in zip(sf.partitions(n), m0n._twisted_counts(n), strict=True):
             for q in (3, 5):
                 assert sum(c * q**e for e, c in enumerate(count)) == \
                     oracles.brute_twisted_count(n, mu, q), (mu, q)
+
+
+def test_recursive_counts_match_one_product_per_cycle_type():
+    """The counts built one part at a time == the frozen product of cycle factors, n <= 20."""
+    for n in range(0, 21):
+        for mu, count in zip(sf.partitions(n), m0n._twisted_counts(n), strict=True):
+            assert list(count) == oracles.o_integer_twisted_count(mu), mu
 
 
 def test_division_by_pgl2_rejects_a_remainder():
@@ -281,7 +289,7 @@ def test_cache_roundtrip(tmp_path):
     assert again.layers == ep.layers
 
 
-def _no_recompute(mu):
+def _no_recompute(m):
     raise AssertionError("the cache file was not read")
 
 
@@ -302,7 +310,7 @@ def test_cache_file_is_compact_and_indented_files_still_load(tmp_path, monkeypat
     indented = tmp_path / "indented"
     indented.mkdir()
     (indented / "m0n_5.json").write_text(json.dumps(payload, indent=1))
-    monkeypatch.setattr(m0n, "_integer_twisted_count", _no_recompute)
+    monkeypatch.setattr(m0n, "_twisted_counts", _no_recompute)
     assert m0n.equivariant_poincare_m0n(5, cache_dir=indented).layers == ep.layers
 
 
@@ -347,7 +355,7 @@ def test_loader_accepts_every_label_spelling(tmp_path, monkeypatch, indent):
     # whitespace around them may differ
     computed = m0n.equivariant_poincare_m0n(6, cache_dir=tmp_path / "computed")
     cache = _rewritten_cache(tmp_path, 6, lambda payload: None, indent)
-    monkeypatch.setattr(m0n, "_integer_twisted_count", _no_recompute)
+    monkeypatch.setattr(m0n, "_twisted_counts", _no_recompute)
     assert m0n._load_cache(cache / "m0n_6.json", 6).layers == computed.layers
 
 
@@ -387,7 +395,7 @@ def test_loader_rejects_any_other_cycle_types_list(tmp_path, monkeypatch, edit):
     cache = _rewritten_cache(tmp_path, 6, edit)
     path = cache / "m0n_6.json"
     assert json.loads(path.read_text())["cycle_types"] != m0n._cycle_type_labels(6)
-    monkeypatch.setattr(m0n, "_integer_twisted_count", _no_recompute)
+    monkeypatch.setattr(m0n, "_twisted_counts", _no_recompute)
     with pytest.raises(ValueError, match="delete the file to recompute it") as raised:
         m0n._load_cache(path, 6)
     assert str(path) in str(raised.value)
@@ -407,6 +415,16 @@ def test_written_cache_files_keep_their_bytes(tmp_path, n):
     m0n.equivariant_poincare_m0n(n, cache_dir=tmp_path)
     digest = hashlib.sha256((tmp_path / f"m0n_{n}.json").read_bytes()).hexdigest()
     assert digest == PINNED_CACHE_HASHES[n]
+
+
+def test_written_cache_through_degree_24_keeps_its_bytes(tmp_path):
+    # SHA-256 of m0n_3.json .. m0n_24.json concatenated in n order, as written
+    # by json.dumps: this covers two-digit labels and negative traces
+    digest = hashlib.sha256()
+    for n in range(3, 25):
+        m0n.equivariant_poincare_m0n(n, cache_dir=tmp_path)
+        digest.update((tmp_path / f"m0n_{n}.json").read_bytes())
+    assert digest.hexdigest() == "6e1a91e9576adb17bcd2cdcaca5d4a9a62b922d662147cd028f9a2c92e655520"
 
 
 def test_loader_keeps_the_character_errors(tmp_path):

@@ -230,10 +230,10 @@ def test_stable_series_from_loaded_layers_equals_the_cold_series(tmp_path, monke
         assert len(calls) == 1283
         assert len(list(tmp_path.glob("m0n_*.json"))) == 22
 
-        def no_recompute(mu):
+        def no_recompute(m):
             raise AssertionError("a layer was recomputed, not loaded")
 
-        monkeypatch.setattr(m0n, "_integer_twisted_count", no_recompute)
+        monkeypatch.setattr(m0n, "_twisted_counts", no_recompute)
         m0n.equivariant_poincare_m0n.cache_clear()
         del calls[:]
         warm = stable_series(24)

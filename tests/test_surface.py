@@ -17,10 +17,13 @@ per-degree table of cycle-type codes, z's and signs with its readers, the
 walk over the orbits of leading forms with the one coset census that gives
 both the raw count and its strata, and the division matrices of basis forms
 with the coset labels and the psi check: only the definitions in ``CALLERS``
-call those routes.  The column code works on integer cells, so ``spectral``
-imports nothing from ``series``, and ``ffcount`` imports nothing from
-``m0n``; no module but ``cli`` imports ``csv`` or ``io``, so every report
-is written in ``cli`` and the others hold only mathematics.  The last test
+call those routes.  The twisted counts of M_{0,n} take one route as well:
+only ``m0n.equivariant_poincare_m0n`` divides a count by q^3 - q, and only
+it and their own recursion call ``m0n._twisted_counts``.  The column code
+works on integer cells, so ``spectral`` imports nothing from ``series``,
+and ``ffcount`` imports nothing from ``m0n``; no module but ``cli`` imports
+``csv`` or ``io``, so every report is written in ``cli`` and the others
+hold only mathematics.  The last test
 keeps one division of binary forms: only ``ffcount._divide`` calls
 ``fq.divmod``, and only ``ffcount._division_matrices`` builds the quotient
 and remainder matrices, dividing basis forms in a comprehension, for its two
@@ -153,6 +156,7 @@ def test_an_oracle_lives_in_one_place():
 
 # function -> the (module, top-level definition) pairs that may call it: the
 # pairing of M_{0,n} layers with a configuration type is decided in one place,
+# the twisted counts of M_{0,n} are built and divided for the layers alone,
 # the one row formula of the rank checks has one set of callers, the
 # per-degree table of cycle-type codes, z's and signs has one owner, its own
 # recursion, and three readers, one coset census per case walks the alpha
@@ -169,6 +173,8 @@ CALLERS = {
                      ("symfunc", "_block_weights"), ("symfunc", "schur_expand")},
     "_alpha_orbits": {("ffcount", "_coset_census")},
     "_coset_census": {("ffcount", "enumerate_count"), ("ffcount", "stratified_count")},
+    "_twisted_counts": {("m0n", "equivariant_poincare_m0n"), ("m0n", "_twisted_counts")},
+    "_divide_by_pgl2": {("m0n", "equivariant_poincare_m0n")},
 }
 
 
