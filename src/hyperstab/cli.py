@@ -592,10 +592,10 @@ def suite_counts(budget: str = "small", seed: int = DEFAULT_SEED) -> SuiteResult
 
 def suite_euler() -> SuiteResult:
     """Euler-characteristic identity between the series and count routes."""
-    series = stable_series(12)
+    table = stable_series(12)
     checks = []
     for l in (1, 2, 3, 4):
-        report = euler_identity_check(l, series)
+        report = euler_identity_check(l, table)
         checks.append(
             _check(
                 f"euler-l{l}",

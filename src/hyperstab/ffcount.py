@@ -52,7 +52,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import fq
-from .series import GradedTateSeries, TatePolynomial, evaluate_t
+from .series import TatePolynomial
 
 __all__ = [
     "BinaryForm",
@@ -167,9 +167,6 @@ class BinaryForm:
             if not isinstance(c, int) or isinstance(c, bool):
                 raise ValueError(f"coefficients must be integers: {c!r}")
         object.__setattr__(self, "coefficients", tuple(c % self.q for c in coeffs))
-
-    def is_zero(self) -> bool:
-        return not any(self.coefficients)
 
 
 @dataclass(frozen=True)
@@ -929,27 +926,32 @@ def orbit_spot_check(
 # Euler characteristic identity
 # --------------------------------------------------------------------------
 
-def euler_identity_check(l: int, stable: GradedTateSeries) -> dict:
+def euler_identity_check(l: int, table) -> dict:
     """Compare (1+L) times the stable series at t = -1 with the reversed count.
 
-    The comparison window runs over L^0..L^ceil(3l/2).  The right-hand side
-    reverses the genus-12 count polynomial of degree 23+l: rhs[e] is its
-    coefficient of q^(23+l-e).  Genus 12 is the smallest with a total form
-    for every l <= 4, and its terms whose q-exponent does not grow with g
-    (the parity constants, the unstable q^0..q^3 at l = 4) reverse to
-    exponents beyond every window.  The window is trustworthy only when the
-    series truncation reaches twice the window, since a degree-i term can
-    carry L-exponents as low as i/2.
+    ``table`` is the n = 0 stable table: its ``rows`` {t: {twist: mult}}
+    through t-degree ``max_degree``; the series at t = -1 is the sum of
+    (-1)^t mult L^twist over its classes.  The comparison window runs over
+    L^0..L^ceil(3l/2).  The right-hand side reverses the genus-12 count
+    polynomial of degree 23+l: rhs[e] is its coefficient of q^(23+l-e).
+    Genus 12 is the smallest with a total form for every l <= 4, and its
+    terms whose q-exponent does not grow with g (the parity constants, the
+    unstable q^0..q^3 at l = 4) reverse to exponents beyond every window.
+    The window is trustworthy only when the table's truncation reaches twice
+    the window, since a degree-i term can carry L-exponents as low as i/2.
     """
     if not isinstance(l, int) or isinstance(l, bool) or not 1 <= l <= 4:
         raise ValueError(f"closed-form counts feed this check for l = 1..4 only: {l!r}")
     window = (3 * l + 1) // 2
-    if stable.truncation < 2 * window:
+    if table.max_degree < 2 * window:
         raise ValueError(
-            f"the window L^0..L^{window} needs series truncation >= {2 * window}, got {stable.truncation}"
+            f"the window L^0..L^{window} needs series truncation >= {2 * window}, got {table.max_degree}"
         )
-    value = evaluate_t(stable, -1)
-    product = TatePolynomial({0: 1, 1: 1}) * value
+    value = {}
+    for t, row in table.rows.items():
+        for twist, mult in row.items():
+            value[twist] = value.get(twist, 0) + (-1) ** t * mult
+    product = TatePolynomial({0: 1, 1: 1}) * TatePolynomial(value)
     lhs = {e: product.coefficient(e) for e in range(window + 1)}
     count = closed_form_count(12, l)
     rhs = {e: count.coefficient(23 + l - e) for e in range(window + 1)}

@@ -261,17 +261,20 @@ def _degree_bound(config: ConfigurationType, n: int) -> Fraction:
     return max(moduli_part, independence_part)
 
 
-def sample_configuration(
-    config: ConfigurationType, rng: random.Random, box: int = 50
-) -> tuple:
+# half-width of the box that sample_configuration draws coordinates from
+_SAMPLE_BOX = 50
+
+
+def sample_configuration(config: ConfigurationType, rng: random.Random) -> tuple:
     """Random configuration of the given type with distinct ruling lines.
 
     Returns (slopes, fibers), one integer of each per point, drawn uniformly
-    from a box and redrawn on collision: the k1 points [1, s] on the section
-    come first (fiber 0), then the k2 single points (1, s, z) off it, then
-    the h fiber pairs (1, s, z1), (1, s, z2), adjacent.
+    from the box [-_SAMPLE_BOX, _SAMPLE_BOX], widened to 3 * sites, and
+    redrawn on collision: the k1 points [1, s] on the section come first
+    (fiber 0), then the k2 single points (1, s, z) off it, then the h fiber
+    pairs (1, s, z1), (1, s, z2), adjacent.
     """
-    box = max(box, 3 * config.site_count)
+    box = max(_SAMPLE_BOX, 3 * config.site_count)
     used: set = set()
 
     def fresh_slope() -> int:

@@ -1,13 +1,14 @@
-"""Assembly of the stable cohomology series for hyperelliptic loci.
+"""The stable cohomology table for hyperelliptic loci, built in one pass.
 
 The generating series is 1 plus a sum over configuration types (k1, k2, h)
 of L^{2k1+k2+3h} t^{3k1+k2+4h} shifted copies of the equivariant layer
 multiplicities of M_{0,k1+k2+h}, divided by (1+Lt)(1+L^2 t^3).  The n > 0
-variant multiplies by (1+Lt^2).  Expanding the result per degree into
-multisets of Tate twists gives the cohomology table.
+variant multiplies by (1+Lt^2).  The table holds the series itself: row t
+is the multiset of Tate twists in cohomological degree t.  The numerator is
+summed into the rows, and each factor is divided out or multiplied in place.
 
 The layer multiplicities come from `type_pairings`, the one place that pairs
-M_{0,n} layers with a type.  Its two callers are `numerator_term` here and
+M_{0,n} layers with a type.  Its two callers are `stable_series` here and
 `spectral.type_cells`, which reads the discriminant-column cells of a type
 off the same multiplicities.  The module computes the table and its
 stable-range note, `BOUNDARY_NOTE`; ``cli`` writes them out in each report
@@ -19,17 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .m0n import equivariant_poincare_m0n
-from .series import GradedTateSeries, TatePolynomial, invert_unit, multiply
 from .symfunc import hall_inner_product_induced
 
 __all__ = [
     "BOUNDARY_NOTE",
     "StableCohomologyTable",
     "type_pairings",
-    "numerator_term",
     "stable_series",
-    "stable_series_positive_n",
-    "table_from_series",
     "cohomology_table",
 ]
 
@@ -72,42 +69,10 @@ def type_pairings(k1: int, k2: int, h: int, top_layer: int | None = None) -> dic
     return out
 
 
-def numerator_term(
-    k1: int,
-    k2: int,
-    h: int,
-    *,
-    truncation: int | None = None,
-) -> GradedTateSeries:
-    """Contribution of one configuration type to the numerator sum.
-
-    Layer i of M_{0,k1+k2+h} enters with t-degree 3k1+k2+4h+i, Tate weight
-    2k1+k2+3h+i, and multiplicity <layer_i, e_{k1} e_{k2} h_h>; only the
-    layers with t-degree <= ``truncation`` are paired.
-    """
-    base_weight = 2 * k1 + k2 + 3 * h
-    base_degree = 3 * k1 + k2 + 4 * h
-    top = truncation if truncation is not None else base_degree + (k1 + k2 + h - 3)
-    terms = {
-        base_degree + i: TatePolynomial({base_weight + i: mult})
-        for i, mult in type_pairings(k1, k2, h, top - base_degree).items()
-    }
-    return GradedTateSeries(top, terms)
-
-
-def _denominator(truncation: int) -> GradedTateSeries:
-    """(1+Lt)(1+L^2 t^3) at the requested truncation."""
-    factor1 = {0: TatePolynomial.one(), 1: TatePolynomial({1: 1})}
-    factor2 = {0: TatePolynomial.one(), 3: TatePolynomial({2: 1})}
-    a = GradedTateSeries(truncation, {t: p for t, p in factor1.items() if t <= truncation})
-    b = GradedTateSeries(truncation, {t: p for t, p in factor2.items() if t <= truncation})
-    return multiply(a, b)
-
-
 def _configuration_types(bound: int):
     """All (k1, k2, h) with k1+k2+h >= 3 and 3k1+k2+4h <= bound.
 
-    The bound is complete for a series truncated at `bound`: every layer of a
+    The bound is complete for a table truncated at `bound`: every layer of a
     type enters at t-degree >= 3k1+k2+4h and dividing by the denominator only
     raises t-degrees further.
     """
@@ -118,51 +83,61 @@ def _configuration_types(bound: int):
                     yield k1, k2, h
 
 
-def stable_series(max_degree: int) -> GradedTateSeries:
-    """The stable series for the surface-index-zero regime, truncated exactly."""
+def _times_factor(rows: dict, top: int, twist: int, step: int, divide: bool = False) -> None:
+    """Multiply ``rows`` by 1 + L^twist t^step in place, or divide by it, through t = top.
+
+    Rows are {t: {twist: mult}}.  The product runs in decreasing t, so that
+    row t - step is still the factor's input; the quotient runs in increasing
+    t, so that it is already the output.  Zero entries are left in place.
+    """
+    sign = -1 if divide else 1
+    for t in range(step, top + 1) if divide else range(top, step - 1, -1):
+        lower = rows.get(t - step)
+        if lower:
+            row = rows.setdefault(t, {})
+            for w, mult in lower.items():
+                row[w + twist] = row.get(w + twist, 0) + sign * mult
+
+
+def stable_series(max_degree: int) -> StableCohomologyTable:
+    """The table of the surface-index-zero regime through t-degree ``max_degree``.
+
+    The numerator sums every type's layer pairings, layer i of type
+    (k1, k2, h) at t-degree 3k1+k2+4h+i with twist 2k1+k2+3h+i; it is divided
+    in place by 1+Lt and then by 1+L^2 t^3, and 1 is added at t = 0.  A
+    negative multiplicity or twist raises ArithmeticError.
+    """
     if not isinstance(max_degree, int) or isinstance(max_degree, bool) or max_degree < 0:
         raise ValueError(f"max_degree must be a nonnegative integer: {max_degree!r}")
-    numerator = GradedTateSeries.zero(max_degree)
+    rows: dict = {}
     for k1, k2, h in _configuration_types(max_degree):
-        numerator = numerator + numerator_term(k1, k2, h, truncation=max_degree)
-    inverse = invert_unit(_denominator(max_degree))
-    return GradedTateSeries.one(max_degree) + multiply(numerator, inverse)
-
-
-def stable_series_positive_n(max_degree: int) -> GradedTateSeries:
-    """The stable series for positive surface index: (1+Lt^2) times the base series."""
-    base = stable_series(max_degree)
-    factor = {0: TatePolynomial.one(), 2: TatePolynomial({1: 1})}
-    modifier = GradedTateSeries(
-        max_degree, {t: p for t, p in factor.items() if t <= max_degree}
-    )
-    return multiply(modifier, base)
-
-
-def table_from_series(s: GradedTateSeries) -> StableCohomologyTable:
-    """Expand a series into per-degree twist multisets, validating positivity."""
-    rows = {}
-    for t, poly in s.terms.items():
-        row = {}
-        for exponent, mult in poly.coeffs.items():
-            if mult < 0 or exponent < 0:
+        degree, twist = 3 * k1 + k2 + 4 * h, 2 * k1 + k2 + 3 * h
+        for i, mult in type_pairings(k1, k2, h, max_degree - degree).items():
+            row = rows.setdefault(degree + i, {})
+            row[twist + i] = row.get(twist + i, 0) + mult
+    _times_factor(rows, max_degree, 1, 1, divide=True)
+    _times_factor(rows, max_degree, 2, 3, divide=True)
+    rows[0] = {0: 1}  # no type reaches t = 0
+    table = {}
+    for t, row in rows.items():
+        row = {w: mult for w, mult in row.items() if mult}
+        for w, mult in row.items():
+            if mult < 0 or w < 0:
                 raise ArithmeticError(
-                    f"degree {t}: invalid class L^{exponent} x {mult} "
+                    f"degree {t}: invalid class L^{w} x {mult} "
                     "(assembly produced a non-effective term)"
                 )
-            row[exponent] = mult
         if row:
-            rows[t] = row
-    return StableCohomologyTable(max_degree=s.truncation, rows=rows)
+            table[t] = row
+    return StableCohomologyTable(max_degree=max_degree, rows=table)
 
 
 def cohomology_table(n: int, max_degree: int) -> StableCohomologyTable:
-    """Stable cohomology table for surface index n (n = 0 and n > 0 regimes)."""
-    if n < 0:
-        raise ValueError("surface index must be nonnegative")
-    if n == 0:
-        s = stable_series(max_degree)
-    else:
-        s = stable_series_positive_n(max_degree)
-    return table_from_series(s)
-
+    """Stable cohomology table for surface index n: the n = 0 table, times
+    1+Lt^2 when n > 0."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        raise ValueError(f"surface index must be a nonnegative integer: {n!r}")
+    table = stable_series(max_degree)
+    if n > 0:
+        _times_factor(table.rows, max_degree, 1, 2)
+    return table

@@ -480,7 +480,7 @@ def o_exact_div(num, den, q):
 
 def psi_inverse(alpha: BinaryForm, beta: BinaryForm, delta: BinaryForm) -> SectionTriple:
     """Recover the triple from (alpha, beta, discriminant): gamma = (beta^2-delta)/(4 alpha)."""
-    if alpha.is_zero():
+    if not any(alpha.coefficients):
         raise ValueError("the inverse needs a nonzero leading form")
     q = alpha.q
     if beta.q != q or delta.q != q:

@@ -793,6 +793,8 @@ PINNED_OUT_HASHES = [
      "ef7fdfea6b40ecadba7a82f57844423bc992c4fcb6a2ec0f0a10948412c9968b"),
     (["stable", "--max-deg", "20", "--regime", "npos", "--format", "md"], "stable.md",
      "6680d294d2c8f759657419e2c34ddca719da8c687a19f2c39b6caccb94a5f8a1"),
+    (["stable", "--max-deg", "30", "--regime", "npos", "--format", "json"], "stable.json",
+     "8b85c6ca010082c15e6e60473472603bbbad1ee3d2deddfdf206101faa1c8d4a"),
     (["rankcheck", "--type", "2,0,0", "--d", "7", "--n", "1"], "rankcheck.json",
      "e2db1c00a95de53f15f232f956f40f5f4513feb7c1c333dd9487fb130cd6161c"),
     (["rankcheck", "--type", "1,1,1", "--d", "9", "--n", "1", "--trials", "20",

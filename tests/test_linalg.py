@@ -392,12 +392,13 @@ SAMPLER_CASES = [(config, 50, 150) for config in RANK_TYPES] + [
 
 
 @pytest.mark.parametrize("seed", [11, 20260816])
-def test_sampler_draws_the_frozen_coordinates(seed):
+def test_sampler_draws_the_frozen_coordinates(seed, monkeypatch):
     for config, box, trials in SAMPLER_CASES:
+        monkeypatch.setattr(linalg, "_SAMPLE_BOX", box)
         for n in (0, 2):
             for trial in range(trials):
                 new, old = random.Random(f"{seed}:{trial}"), random.Random(f"{seed}:{trial}")
-                sample = sample_configuration(config, new, box)
+                sample = sample_configuration(config, new)
                 assert points_of(config, sample, n) == o_sample_configuration(
                     config, 0, n, old, box
                 ), (config, n, trial)

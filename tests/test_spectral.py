@@ -18,7 +18,7 @@ section for the full accounting.
 import pytest
 
 from hyperstab import m0n, spectral, stable
-from hyperstab.series import GradedTateSeries, TatePolynomial
+from hyperstab.series import TatePolynomial
 from hyperstab.spectral import (
     ConfigurationType,
     column_rows,
@@ -134,7 +134,7 @@ O_FIVE_POINT_COLUMNS = (CT(1, 0, 2), CT(0, 1, 2), CT(2, 1, 1), CT(1, 2, 1))
 
 
 def o_twisted_config_homology(config):
-    """Twisted Borel-Moore homology of a configuration block, as a graded series.
+    """Twisted Borel-Moore homology of a configuration block, as {t: TatePolynomial}.
 
     The coefficient of ``L^(-w)`` in term ``t`` is the multiplicity of the
     weight ``-2w`` piece in homological degree ``t``.
@@ -149,7 +149,7 @@ def o_twisted_config_homology(config):
             t = base_degree + (L - 3) + j + degree_shift
             w = -(base_weight + j + weight_drop)
             terms[t] = terms.get(t, TatePolynomial()) + TatePolynomial({w: mult})
-    return GradedTateSeries(base_degree + 2 * L, terms)
+    return terms
 
 
 def o_stratum_homology(config, v):
@@ -158,7 +158,7 @@ def o_stratum_homology(config, v):
     degree_shift = 2 * v - 8 * config.h - 5 * config.k1 - 5 * config.k2 - L
     classes = [
         (t + degree_shift, config.codimension + w, mult)
-        for t, poly in o_twisted_config_homology(config).terms.items()
+        for t, poly in o_twisted_config_homology(config).items()
         for w, mult in poly.coeffs.items()
     ]
     return sorted(classes, key=lambda cls: (-cls[0], cls[1]))
@@ -182,7 +182,7 @@ def o_five_point_configuration_table():
         for k2 in range(6 - k1):
             if (5 - k1 - k2) % 2 == 0:
                 config = CT(k1, k2, (5 - k1 - k2) // 2)
-                for t, poly in sorted(o_twisted_config_homology(config).terms.items()):
+                for t, poly in sorted(o_twisted_config_homology(config).items()):
                     for w, mult in poly.coeffs.items():
                         assert mult == 1
                         table.setdefault(t - positions[config], []).append((config, -w))

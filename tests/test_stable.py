@@ -1,25 +1,22 @@
-"""Tests for the assembled stable cohomology series and table.
+"""Tests for the stable cohomology table, the series built in one pass.
 
 The 19-row table frozen below is the reference ground truth this assembly
 must hit exactly; everything else (the completeness of the type enumeration,
 truncation consistency, the positive-n factor) is checked against independent
-recomputation.
+recomputation, chiefly the literal expansion: the numerator from
+`type_pairings` convolved with the geometric series of 1/(1+Lt) and
+1/(1+L^2 t^3) written out term by term.
 """
 
 import hashlib
 
 import pytest
 
+from test_series import convolve
+
 from hyperstab import cli, m0n, spectral, stable
-from hyperstab.series import GradedTateSeries, TatePolynomial, evaluate_t
-from hyperstab.stable import (
-    cohomology_table,
-    numerator_term,
-    stable_series,
-    stable_series_positive_n,
-    table_from_series,
-    type_pairings,
-)
+from hyperstab.series import TatePolynomial
+from hyperstab.stable import cohomology_table, stable_series, type_pairings
 from hyperstab.symfunc import hall_inner_product_induced
 
 # degree -> {twist exponent: multiplicity}; omitted degrees are zero
@@ -40,8 +37,33 @@ REFERENCE_ROWS = {
 STABLE_30_SHA256 = "c9e64685d9d51c3953e639dfd3607e570aab4b315bf11286f9d539be69f96f69"
 
 
-def series_coeffs(s: GradedTateSeries, t: int) -> dict:
-    return dict(s.term(t).coeffs)
+def literal_expansion(n: int, top: int, numerator: dict) -> dict:
+    """1 + numerator / ((1+Lt)(1+L^2 t^3)), times 1+Lt^2 when n > 0, through
+    t = top, from the geometric sums written out literally."""
+    geo1 = {k: {k: (-1) ** k} for k in range(top + 1)}              # sum (-L)^k t^k
+    geo2 = {3 * b: {2 * b: (-1) ** b} for b in range(top // 3 + 1)}  # sum (-L^2)^b t^3b
+    quotient = convolve(convolve(numerator, geo1, top), geo2, top)
+    series = {0: {0: 1}, **quotient}  # the numerator starts at t^3
+    if n > 0:
+        series = convolve(series, {0: {0: 1}, 2: {1: 1}}, top)
+    return series
+
+
+def numerator_through(top: int) -> dict:
+    """The numerator: layer i of each type (k1, k2, h) with n = k1+k2+h >= 3,
+    at t^{3k1+k2+4h+i} L^{2k1+k2+3h+i}, every layer paired."""
+    numerator = {}
+    for k1 in range(top // 3 + 1):
+        for k2 in range(top + 1):
+            for h in range(top // 4 + 1):
+                if k1 + k2 + h < 3 or 3 * k1 + k2 + 4 * h > top:
+                    continue
+                for i, mult in type_pairings(k1, k2, h).items():
+                    t, e = 3 * k1 + k2 + 4 * h + i, 2 * k1 + k2 + 3 * h + i
+                    if t <= top:
+                        row = numerator.setdefault(t, {})
+                        row[e] = row.get(e, 0) + mult
+    return numerator
 
 
 # --------------------------------------------------------------------------
@@ -81,19 +103,22 @@ def test_type_pairings_reject_bools_and_non_integers():
 
 
 def test_numerator_term_examples():
-    term = numerator_term(1, 1, 1)
-    assert {t: dict(p.coeffs) for t, p in term.terms.items()} == {8: {6: 1}}
-
-    assert numerator_term(0, 3, 0).terms == {}
-
-    term = numerator_term(2, 2, 0)
-    assert {t: dict(p.coeffs) for t, p in term.terms.items()} == {9: {7: 1}}
+    """The numerator terms of three types: (1,1,1) gives L^6 t^8, (2,2,0)
+    L^7 t^9, and (0,3,0) nothing; with (0,1,2), also at L^7 t^9, they are
+    the numerator through t^9."""
+    assert type_pairings(1, 1, 1) == {0: 1}
+    assert type_pairings(0, 3, 0) == {}
+    assert type_pairings(2, 2, 0) == {1: 1}
+    assert type_pairings(0, 1, 2) == {0: 1}
+    assert numerator_through(9) == {8: {6: 1}, 9: {7: 2}}
 
 
 def test_numerator_term_rejects_a_negative_pairing(monkeypatch):
     monkeypatch.setattr(stable, "hall_inner_product_induced", lambda *args: -1)
     with pytest.raises(ArithmeticError, match="negative layer multiplicity"):
-        numerator_term(1, 1, 1)
+        type_pairings(1, 1, 1)
+    with pytest.raises(ArithmeticError, match="negative layer multiplicity"):
+        stable_series(8)
 
 
 # --------------------------------------------------------------------------
@@ -102,11 +127,11 @@ def test_numerator_term_rejects_a_negative_pairing(monkeypatch):
 
 def test_stable_series_low_degree_coefficients():
     s = stable_series(12)
-    assert series_coeffs(s, 0) == {0: 1}
+    assert s.classes(0) == {0: 1}
     for t in range(1, 8):
-        assert series_coeffs(s, t) == {}, t
-    assert series_coeffs(s, 8) == {6: 1}
-    assert series_coeffs(s, 12) == {9: 1, 10: 1}
+        assert s.classes(t) == {}, t
+    assert s.classes(8) == {6: 1}
+    assert s.classes(12) == {9: 1, 10: 1}
 
 
 def test_stable_series_rejects_a_bool_degree():
@@ -123,8 +148,11 @@ def test_reference_example_rows_exact():
 
 
 def test_evaluate_at_minus_one_low_degrees():
-    value = evaluate_t(stable_series(10), -1)
-    assert value == TatePolynomial({0: 1, 6: 1, 7: -1})
+    value = {}
+    for t, row in stable_series(10).rows.items():
+        for e, mult in row.items():
+            value[e] = value.get(e, 0) + (-1) ** t * mult
+    assert TatePolynomial(value) == TatePolynomial({0: 1, 6: 1, 7: -1})
 
 
 def test_configuration_types_are_complete_for_the_truncation():
@@ -142,16 +170,17 @@ def test_configuration_types_are_complete_for_the_truncation():
     assert set(stable._configuration_types(10)) == types(-1, 10)
     beyond = types(10, 14)
     assert len(beyond) == 45
-    for k1, k2, h in beyond:
-        term = numerator_term(k1, k2, h, truncation=10)
-        assert (term.truncation, term.terms) == (10, {}), (k1, k2, h)
+    # the literal expansion over every type through 14, cut at 10, is the table
+    numerator = numerator_through(14)
+    cut = {t: row for t, row in numerator.items() if t <= 10}
+    assert stable_series(10).rows == literal_expansion(0, 10, cut)
 
 
 def test_truncation_consistency():
     big = stable_series(18)
     small = stable_series(12)
     for t in range(13):
-        assert series_coeffs(big, t) == series_coeffs(small, t), t
+        assert big.classes(t) == small.classes(t), t
 
 
 # --------------------------------------------------------------------------
@@ -159,12 +188,29 @@ def test_truncation_consistency():
 # --------------------------------------------------------------------------
 
 def test_positive_n_series():
-    psn = stable_series_positive_n(10)
-    assert series_coeffs(psn, 0) == {0: 1}
-    assert series_coeffs(psn, 2) == {1: 1}
+    psn = cohomology_table(1, 10)
+    assert psn.classes(0) == {0: 1}
+    assert psn.classes(2) == {1: 1}
     base = stable_series(10)
-    expected = TatePolynomial({1: 1}) * base.term(8) + base.term(10)
-    assert psn.term(10) == expected
+    expected = TatePolynomial({1: 1}) * TatePolynomial(base.classes(8)) + TatePolynomial(
+        base.classes(10)
+    )
+    assert TatePolynomial(psn.classes(10)) == expected
+
+
+def test_stable_series_equals_the_literal_expansion():
+    numerator = numerator_through(30)
+    for top in (*range(13), 18, 24, 30):
+        cut = {t: row for t, row in numerator.items() if t <= top}
+        for n in (0, 1):
+            assert cohomology_table(n, top).rows == literal_expansion(n, top, cut), (n, top)
+
+
+def test_cohomology_table_rejects_a_bool_or_fractional_surface_index():
+    # True and 0.5 returned the n > 0 table before
+    for n in (True, 0.5, -1):
+        with pytest.raises(ValueError, match="surface index must be a nonnegative integer"):
+            cohomology_table(n, 4)
 
 
 # --------------------------------------------------------------------------
@@ -183,10 +229,15 @@ def test_cohomology_table_positive_n_degree_zero():
     assert table.rows[2] == {1: 1}
 
 
-def test_negative_multiplicity_is_internal_error():
-    bad = GradedTateSeries(3, {0: TatePolynomial({0: 1}), 2: TatePolynomial({1: -2})})
-    with pytest.raises(ArithmeticError):
-        table_from_series(bad)
+def test_negative_multiplicity_is_internal_error(monkeypatch):
+    # one class at t^3 L^3: dividing by 1+Lt leaves -L^4 t^4
+    monkeypatch.setattr(
+        stable, "type_pairings",
+        lambda k1, k2, h, top_layer=None: {0: 1} if (k1, k2, h) == (0, 3, 0) else {},
+    )
+    assert stable_series(3).rows == {0: {0: 1}, 3: {3: 1}}
+    with pytest.raises(ArithmeticError, match="degree 4: invalid class L\\^4 x -1"):
+        stable_series(4)
 
 
 def test_all_multiplicities_nonnegative_to_degree_30():

@@ -11,8 +11,8 @@ stays; the list is empty, because the oracles live in ``tests/oracles.py``,
 and no name defined there is defined in the package too.  A public name
 that is neither reached nor kept goes, with its tests.  The next check
 keeps the pairing of M_{0,n} layers with a configuration type in one place,
-the type pairings with their two readers (the stable numerator and the
-column cells), the one row formula of the rank checks with its callers, the
+the type pairings with their two readers (the stable table, whose
+numerator they are, and the column cells), the one row formula of the rank checks with its callers, the
 per-degree table of cycle-type codes, z's and signs with its readers, the
 walk over the orbits of leading forms with the one coset census that gives
 both the raw count and its strata, and the division matrices of basis forms
@@ -165,7 +165,7 @@ def test_an_oracle_lives_in_one_place():
 CALLERS = {
     "hall_inner_product_induced": {("stable", "type_pairings")},
     "equivariant_poincare_m0n": {("stable", "type_pairings"), ("cli", "cmd_m0n")},
-    "type_pairings": {("stable", "numerator_term"), ("spectral", "type_cells")},
+    "type_pairings": {("stable", "stable_series"), ("spectral", "type_cells")},
     "_row_array": {("linalg", "verify_bundle_rank"), ("linalg", "_pairs_certified")},
     "_divide": {("ffcount", "_division_matrices"), ("ffcount", "_factor_form")},
     "_division_matrices": {("ffcount", "_labels"), ("ffcount", "psi_roundtrip_check")},
