@@ -31,7 +31,7 @@ Subcommands
     own type, d and n, which its manifest records; it exits 2 if given
     ``--type``, ``--d``, ``--n`` or ``--modulus``.
 
-Every command accepts ``--out DIR`` to write its report files together with
+Every command accepts ``--out DIR`` to write its one report together with
 ``manifest.json`` (input flags, library versions, seeds, and SHA-256 hashes
 of the outputs); without ``--out`` the report goes to stdout.  Nothing in
 the outputs depends on time, process, or machine, so re-running a command
@@ -127,9 +127,6 @@ class SuiteResult:
         for check in self.checks:
             out[check.status] += 1
         return out
-
-    def failed(self) -> int:
-        return self.counts()["fail"]
 
     def payload(self) -> dict:
         return {
@@ -761,7 +758,7 @@ def _numpy_version() -> str:
     return version("numpy")
 
 
-def _manifest(command: str, args, files: dict) -> str:
+def _manifest(command: str, args, name: str, text: str) -> str:
     inputs = {
         key: value
         for key, value in sorted(vars(args).items())
@@ -770,10 +767,7 @@ def _manifest(command: str, args, files: dict) -> str:
     manifest = {
         "command": command,
         "inputs": inputs,
-        "outputs": {
-            name: "sha256:" + hashlib.sha256(text.encode()).hexdigest()
-            for name, text in sorted(files.items())
-        },
+        "outputs": {name: "sha256:" + hashlib.sha256(text.encode()).hexdigest()},
         "seeds": {"seed": inputs["seed"]} if "seed" in inputs else {},
         "versions": {
             "hyperstab": __version__,
@@ -784,18 +778,16 @@ def _manifest(command: str, args, files: dict) -> str:
     return _json(manifest)
 
 
-def _deliver(args, command: str, files: dict, primary: str) -> None:
-    """Write ``files`` plus a manifest under --out, or print the primary report."""
+def _deliver(args, command: str, name: str, text: str) -> None:
+    """Write the report ``name`` plus a manifest under --out, or print the report."""
     if args.out is None:
-        sys.stdout.write(files[primary])
+        sys.stdout.write(text)
         return
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for name, text in sorted(files.items()):
-        (out / name).write_text(text)
-    (out / "manifest.json").write_text(_manifest(command, args, files))
-    names = ", ".join(sorted(files) + ["manifest.json"])
-    print(f"wrote {names} to {out}")
+    (out / name).write_text(text)
+    (out / "manifest.json").write_text(_manifest(command, args, name, text))
+    print(f"wrote {name}, manifest.json to {out}")
 
 
 # ---------------------------------------------------------------------------
@@ -821,8 +813,8 @@ def _stable_report(table, regime: str, fmt: str) -> str:
 
 def cmd_stable(args) -> int:
     table = cohomology_table(0 if args.regime == "n0" else 1, args.max_deg)
-    name = f"stable.{args.format}"
-    _deliver(args, "stable", {name: _stable_report(table, args.regime, args.format)}, name)
+    _deliver(args, "stable", f"stable.{args.format}",
+             _stable_report(table, args.regime, args.format))
     return 0
 
 
@@ -830,6 +822,7 @@ def cmd_verify(args) -> int:
     names = SUITE_ORDER if args.suite == "all" else (args.suite,)
     results = run_suites(names, budget=args.budget, seed=args.seed, trials=args.trials)
     label = {"pass": "PASS", "fail": "FAIL", "skipped": "SKIP"}
+    failed = 0
     for result in results:
         for check in result.checks:
             print(
@@ -841,11 +834,10 @@ def cmd_verify(args) -> int:
             f"suite {result.suite}: {counts['pass']} passed, "
             f"{counts['fail']} failed, {counts['skipped']} skipped"
         )
-    failed = sum(result.failed() for result in results)
+        failed += counts["fail"]
     print(f"total: {failed} failing check(s) across {len(results)} suite(s)")
     if args.out is not None:
-        text = _json([r.payload() for r in results])
-        _deliver(args, "verify", {"verify.json": text}, "verify.json")
+        _deliver(args, "verify", "verify.json", _json([r.payload() for r in results]))
     return 1 if failed else 0
 
 
@@ -883,7 +875,7 @@ def cmd_e1(args) -> int:
              for L in L_values for (row, twist), (mult, configs) in column_cells(L).items()],
         )
     name = f"e1.{args.format}"
-    _deliver(args, "e1", {name: text}, name)
+    _deliver(args, "e1", name, text)
     return 0
 
 
@@ -918,7 +910,7 @@ def cmd_m0n(args) -> int:
              for i, rows in layers.items() for lam, mult in rows.items()],
         )
     name = "m0n.json" if args.format == "json" else "m0n.md"
-    _deliver(args, "m0n", {name: text}, name)
+    _deliver(args, "m0n", name, text)
     return 0
 
 
@@ -955,15 +947,16 @@ def cmd_count(args) -> int:
         writer = _csv if args.format == "csv" else _markdown
         text = writer(list(row), [["" if v is None else v for v in row.values()]])
     name = f"count.{args.format}"
-    _deliver(args, "count", {name: text}, name)
+    _deliver(args, "count", name, text)
     return 0 if row["match"] in (True, None) else 1
 
 
 def _parse_type(text: str) -> ConfigurationType:
-    parts = [int(piece) for piece in text.split(",")]
-    if len(parts) != 3:
-        raise ValueError(f"--type wants three comma-separated integers: {text!r}")
-    return CT(*parts)
+    try:
+        k1, k2, h = map(int, text.split(","))
+    except ValueError:
+        raise ValueError(f"--type wants three comma-separated integers: {text!r}") from None
+    return CT(k1, k2, h)
 
 
 def cmd_rankcheck(args) -> int:
@@ -997,7 +990,7 @@ def cmd_rankcheck(args) -> int:
              for key, value in sorted(report.items())],
         )
     name = "rankcheck.json" if args.format == "json" else "rankcheck.md"
-    _deliver(args, "rankcheck", {name: text}, name)
+    _deliver(args, "rankcheck", name, text)
     if args.witness:
         return 0
     return 0 if report["failures"] == [] else 1

@@ -203,12 +203,9 @@ class SectionTriple:
     def q(self) -> int:
         return self.alpha.q
 
-    def discriminant(self) -> BinaryForm:
-        return psi_forward(self)
-
     def is_member(self) -> bool:
         """Whether the cut-out curve is smooth: square-free discriminant."""
-        return is_squarefree(self.discriminant())
+        return is_squarefree(psi_forward(self))
 
 
 @dataclass(frozen=True)

@@ -27,12 +27,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
-from .symfunc import CharacterVector, partitions
+from .symfunc import CharacterVector, _bounded_start, partitions
 
 __all__ = [
     "EquivariantPoincare",
     "equivariant_poincare_m0n",
-    "default_cache_dir",
 ]
 
 
@@ -67,18 +66,20 @@ def _twisted_counts(m: int) -> tuple:
     """N_mu(q) for each partition mu of m, in `partitions(m)` order, dense and ascending.
 
     A partition with first part p is p followed by a partition of m - p with no
-    part above p, so N_(p, *rest) = N_rest (b_p + [p = 1] - p r), where r counts
-    the parts of rest equal to p, which lead it.  Cached; must not be mutated.
+    part above p, one of the suffix of `partitions(m - p)` from `_bounded_start`,
+    so N_(p, *rest) = N_rest (b_p + [p = 1] - p r), where r counts the parts of
+    rest equal to p, which lead it.  Cached; must not be mutated.
     """
     if m == 0:
         return ((1,),)
     counts = []
     for part in range(m, 0, -1):
         head, *tail = _exact_degree_points(part)
+        start = _bounded_start(m - part, part)
+        rests = partitions(m - part)[start:]
         counts.extend(
             _dense_mul(count, [head + (part == 1) - part * rest.count(part), *tail])
-            for rest, count in zip(partitions(m - part), _twisted_counts(m - part))
-            if not rest or rest[0] <= part
+            for rest, count in zip(rests, _twisted_counts(m - part)[start:])
         )
     return tuple(counts)
 
@@ -107,15 +108,10 @@ class EquivariantPoincare:
     layers: dict
 
 
-def default_cache_dir() -> Path:
+def _cache_path(n: int) -> Path:
+    """The layer file of n: under HYPERSTAB_CACHE if set, else ~/.cache/hyperstab."""
     env = os.environ.get("HYPERSTAB_CACHE")
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "hyperstab"
-
-
-def _cache_path(cache_dir, n: int) -> Path:
-    base = Path(cache_dir) if cache_dir is not None else default_cache_dir()
+    base = Path(env) if env else Path.home() / ".cache" / "hyperstab"
     return base / f"m0n_{n}.json"
 
 
@@ -209,16 +205,16 @@ def _validate_layers(n: int, layers: dict, source: str) -> None:
 
 
 @lru_cache(maxsize=None)
-def equivariant_poincare_m0n(n: int, cache_dir=None) -> EquivariantPoincare:
+def equivariant_poincare_m0n(n: int) -> EquivariantPoincare:
     """S_n-equivariant cohomology layers of M_{0,n}.
 
     The twisted counts N_mu(q) of all cycle types mu come from one recursion
     over the partitions of n, one multiplication each.  Each is divided exactly
     by #PGL_2(F_q) = q^3 - q, and the quotient sum_i (-1)^i tr(sigma | H^i)
     q^{(n-3)-i} gives layer i at coefficient n-3-i (see the module docstring).
-    Results are cached on disk under `cache_dir`, the HYPERSTAB_CACHE
-    directory, or ~/.cache/hyperstab, in that order of preference: one file
-    m0n_<n>.json per n, integers as decimal strings, holding
+    Results are cached on disk under the HYPERSTAB_CACHE directory, or
+    ~/.cache/hyperstab when it is unset: one file m0n_<n>.json per n,
+    integers as decimal strings, holding
     ``{"n": ..., "cycle_types": [...], "layers": [{"i": ..., "values":
     [{"trace": ...}, ...]}, ...]}``.  ``cycle_types`` spells each partition of
     n once, in `partitions(n)` order, and every layer lists its traces in that
@@ -228,7 +224,7 @@ def equivariant_poincare_m0n(n: int, cache_dir=None) -> EquivariantPoincare:
     """
     if n < 3:
         raise ValueError("n must be >= 3")
-    path = _cache_path(cache_dir, n)
+    path = _cache_path(n)
     if path.exists():
         return _load_cache(path, n)
     columns = zip(*[_divide_by_pgl2(count) for count in _twisted_counts(n)])

@@ -33,10 +33,6 @@ class TatePolynomial:
                 out[e] = c
         self.coeffs = out
 
-    @classmethod
-    def one(cls) -> "TatePolynomial":
-        return cls({0: 1})
-
     def coefficient(self, e: int) -> int:
         return self.coeffs.get(e, 0)
 
@@ -98,20 +94,13 @@ class TatePolynomial:
     def __sub__(self, other: "TatePolynomial") -> "TatePolynomial":
         return self + (-other)
 
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return TatePolynomial({e: c * other for e, c in self.coeffs.items()})
+    def __mul__(self, other: "TatePolynomial") -> "TatePolynomial":
         out = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
                 e = e1 + e2
                 out[e] = out.get(e, 0) + c1 * c2
         return TatePolynomial(out)
-
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self * other
-        return NotImplemented
 
     def __eq__(self, other):
         if not isinstance(other, TatePolynomial):

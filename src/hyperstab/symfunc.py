@@ -25,28 +25,11 @@ from fractions import Fraction
 from functools import lru_cache
 
 __all__ = [
-    "canonical_partition",
     "partitions",
     "CharacterVector",
     "hall_inner_product_induced",
     "schur_expand",
 ]
-
-
-def canonical_partition(parts) -> tuple:
-    """Sort into weakly decreasing order and validate the parts.
-
-    Every part must be a positive int; a bool, a float or any other number
-    raises ValueError, so the exact routes never see a non-integer part.
-    """
-    parts = tuple(parts)
-    for p in parts:
-        if type(p) is not int:
-            raise ValueError(f"partition parts must be integers: {parts!r}")
-    out = tuple(sorted(parts, reverse=True))
-    if out and out[-1] <= 0:
-        raise ValueError(f"partition parts must be positive: {parts!r}")
-    return out
 
 
 def partitions(n: int) -> tuple:
@@ -89,12 +72,6 @@ def _bounded_start(m: int, part: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _positions(n: int) -> dict:
-    """Each partition of n mapped to its index in `partitions(n)`."""
-    return {mu: i for i, mu in enumerate(partitions(n))}
-
-
-@lru_cache(maxsize=None)
 def _mn(lam: tuple, mu: tuple) -> int:
     """Murnaghan-Nakayama recursion on canonical tuples."""
     if not mu:
@@ -125,9 +102,8 @@ class CharacterVector:
     """Integer class function on S_n, stored densely by cycle type.
 
     ``vector`` holds one int per partition of the degree, in the order of
-    `partitions(degree)`; ``values`` derives the same data as a fresh dict
-    keyed by those partitions.  Lookups accept any ordering of the cycle
-    lengths.
+    `partitions(degree)`, and is read by position only: the value at the
+    cycle type ``partitions(degree)[j]`` is ``vector[j]``.
     """
 
     __slots__ = ("degree", "vector")
@@ -146,14 +122,6 @@ class CharacterVector:
                     raise ValueError(f"character value at {mu} must be an integer: {v!r}")
         self.degree = degree
         self.vector = vector
-
-    @property
-    def values(self) -> dict:
-        """The values keyed by the partitions of the degree (a fresh dict)."""
-        return dict(zip(partitions(self.degree), self.vector))
-
-    def __getitem__(self, mu) -> int:
-        return self.vector[_positions(self.degree)[canonical_partition(mu)]]
 
     def __eq__(self, other):
         return (

@@ -25,6 +25,9 @@ are when the package changes, so that a change cannot move its own check.
   with the frozen long division `o_exact_div` rather than `ffcount._divide`;
 * `o_qpoly_floordiv`, the Euclidean division of polynomials in q that the
   closed forms used before `series.TatePolynomial.divmod`.
+
+The oracles take a cycle type in any order of its parts and sort it with
+`canonical_partition`; the package reads class functions by position only.
 """
 
 import itertools
@@ -34,7 +37,23 @@ from functools import lru_cache
 
 from hyperstab import fq
 from hyperstab.ffcount import BinaryForm, ResourceGuardError, SectionTriple
-from hyperstab.symfunc import CharacterVector, _mn, canonical_partition, partitions
+from hyperstab.symfunc import CharacterVector, _mn, partitions
+
+
+def canonical_partition(parts) -> tuple:
+    """Sort into weakly decreasing order and validate the parts.
+
+    Every part must be a positive int; a bool, a float or any other number
+    raises ValueError, so the oracles never see a non-integer part.
+    """
+    parts = tuple(parts)
+    for p in parts:
+        if type(p) is not int:
+            raise ValueError(f"partition parts must be integers: {parts!r}")
+    out = tuple(sorted(parts, reverse=True))
+    if out and out[-1] <= 0:
+        raise ValueError(f"partition parts must be positive: {parts!r}")
+    return out
 
 
 # --------------------------------------------------------------------------

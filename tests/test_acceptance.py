@@ -184,7 +184,7 @@ def test_criterion_4_codimension_lemma():
 
 def test_criterion_5_differential_scan():
     result = suite_diffscan()
-    assert result.failed() == 0
+    assert result.counts()["fail"] == 0
     assert all(check.status == "pass" for check in result.checks)
     _report(5, "PASS", "scan to eight sites: families a-e empty; only the "
                        "kind I (twist offset 1) and kind II (twist preserved) "

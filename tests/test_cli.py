@@ -41,7 +41,6 @@ def test_suite_result_counts_and_payload():
         ),
     )
     assert result.counts() == {"pass": 1, "fail": 1, "skipped": 1}
-    assert result.failed() == 1
     payload = result.payload()
     assert payload["suite"] == "demo"
     assert [c["id"] for c in payload["checks"]] == ["a", "b", "c"]
@@ -494,6 +493,14 @@ def test_rankcheck_requires_type_or_witness(capsys):
     assert main(["rankcheck", "--d", "7"]) == 2
 
 
+def test_rankcheck_names_the_flag_of_a_malformed_type(capsys):
+    for text in ("a,b,c", "1,2", "1,2,3,4", "1,,2", ""):
+        assert main(["rankcheck", "--type", text, "--d", "7"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --type wants three comma-separated integers: {text!r}\n"
+        )
+
+
 def test_default_seed_is_the_one_of_ffcount():
     assert cli.DEFAULT_SEED is ffcount.DEFAULT_SEED == 20260816
     witness = inspect.signature(linalg.rank_drop_witness).parameters["seed"]
@@ -505,21 +512,16 @@ def test_default_seed_is_the_one_of_ffcount():
 # --------------------------------------------------------------------------
 
 @pytest.mark.parametrize("error", [ArithmeticError, AssertionError])
-def test_broken_invariant_exits_three(monkeypatch, tmp_path, capsys, error):
+def test_broken_invariant_exits_three(monkeypatch, layer_cache, capsys, error):
     def broken(count):
         raise error("inexact division by q^3 - q")
 
-    monkeypatch.setenv("HYPERSTAB_CACHE", str(tmp_path))
     monkeypatch.setattr(m0n, "_divide_by_pgl2", broken)
-    m0n.equivariant_poincare_m0n.cache_clear()
-    try:
-        assert main(["m0n", "--n", "5"]) == 3
-    finally:
-        m0n.equivariant_poincare_m0n.cache_clear()
+    assert main(["m0n", "--n", "5"]) == 3
     captured = capsys.readouterr()
     assert captured.err == "error: internal invariant: inexact division by q^3 - q\n"
     assert captured.out == ""
-    assert list(tmp_path.iterdir()) == []
+    assert list(layer_cache.iterdir()) == []
 
 
 def test_broken_stratification_invariant_exits_three(monkeypatch, capsys):
@@ -555,11 +557,9 @@ def test_a_layer_that_is_not_a_virtual_character_exits_three(monkeypatch, capsys
     assert captured.out == ""
 
 
-def test_cache_with_a_cycle_type_spelled_twice_is_a_usage_error(
-    monkeypatch, tmp_path, capsys
-):
-    m0n.equivariant_poincare_m0n(5, cache_dir=tmp_path)
-    path = tmp_path / "m0n_5.json"
+def test_cache_with_a_cycle_type_spelled_twice_is_a_usage_error(layer_cache, capsys):
+    m0n.equivariant_poincare_m0n(5)
+    path = layer_cache / "m0n_5.json"
     payload = json.loads(path.read_text())
     payload["cycle_types"].append(["1", "1", "3"])
     for layer in payload["layers"]:
@@ -568,12 +568,8 @@ def test_cache_with_a_cycle_type_spelled_twice_is_a_usage_error(
     with pytest.raises(ValueError, match="cycle_types is not the list"):
         m0n._load_cache(path, 5)
 
-    monkeypatch.setenv("HYPERSTAB_CACHE", str(tmp_path))
-    m0n.equivariant_poincare_m0n.cache_clear()
-    try:
-        assert main(["stable", "--max-deg", "8"]) == 2
-    finally:
-        m0n.equivariant_poincare_m0n.cache_clear()
+    m0n.equivariant_poincare_m0n.cache_clear()  # so that stable reads the edited file
+    assert main(["stable", "--max-deg", "8"]) == 2
     captured = capsys.readouterr()
     assert "cycle_types is not the list" in captured.err
     assert captured.out == ""
@@ -643,22 +639,16 @@ def _repeat_first_label(payload):
         "layer-repeated",
     ],
 )
-def test_malformed_layer_cache_is_a_usage_error(
-    monkeypatch, tmp_path, capsys, edit, message
-):
-    m0n.equivariant_poincare_m0n(4, cache_dir=tmp_path)
-    path = tmp_path / "m0n_4.json"
+def test_malformed_layer_cache_is_a_usage_error(layer_cache, capsys, edit, message):
+    m0n.equivariant_poincare_m0n(4)
+    path = layer_cache / "m0n_4.json"
     path.write_text(json.dumps(edit(json.loads(path.read_text()))))
     with pytest.raises(ValueError, match=message) as raised:
         m0n._load_cache(path, 4)
     assert str(path) in str(raised.value)
 
-    monkeypatch.setenv("HYPERSTAB_CACHE", str(tmp_path))
-    m0n.equivariant_poincare_m0n.cache_clear()
-    try:
-        assert main(["stable", "--max-deg", "8"]) == 2
-    finally:
-        m0n.equivariant_poincare_m0n.cache_clear()
+    m0n.equivariant_poincare_m0n.cache_clear()  # so that stable reads the edited file
+    assert main(["stable", "--max-deg", "8"]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: {path}: ")
     assert message in captured.err
@@ -705,10 +695,10 @@ def test_manifest_hashes_match_written_files(tmp_path, capsys, monkeypatch):
     assert manifest["seeds"] == {"seed": 11}
     assert manifest["versions"]["numpy"] == numpy.__version__ == version("numpy")
     args = cli._build_parser().parse_args(["verify", "euler", "--seed", "11"])
-    files = {"verify.json": (out / "verify.json").read_text()}
-    assert cli._manifest("verify", args, files) == text
+    report = (out / "verify.json").read_text()
+    assert cli._manifest("verify", args, "verify.json", report) == text
     monkeypatch.delitem(sys.modules, "numpy")
-    assert cli._manifest("verify", args, files) == text
+    assert cli._manifest("verify", args, "verify.json", report) == text
 
 
 def test_unwritable_out_is_usage_error(tmp_path, capsys):

@@ -18,6 +18,7 @@ import hashlib
 import itertools
 import json
 import math
+import os
 import random
 
 import pytest
@@ -225,24 +226,24 @@ def test_division_by_pgl2_rejects_a_remainder():
         m0n._divide_by_pgl2([1, 0, 0, 1])
 
 
-def test_equivariant_poincare_small_cases(tmp_path):
-    ep3 = m0n.equivariant_poincare_m0n(3, cache_dir=tmp_path)
+def test_equivariant_poincare_small_cases(layer_cache):
+    ep3 = m0n.equivariant_poincare_m0n(3)
     assert set(ep3.layers) == {0}
     assert ep3.layers[0] == sf.CharacterVector.trivial(3)
 
-    ep4 = m0n.equivariant_poincare_m0n(4, cache_dir=tmp_path)
+    ep4 = m0n.equivariant_poincare_m0n(4)
     assert ep4.layers[0] == sf.CharacterVector.trivial(4)
     assert ep4.layers[1] == oracles.irreducible((2, 2))
 
-    ep5 = m0n.equivariant_poincare_m0n(5, cache_dir=tmp_path)
+    ep5 = m0n.equivariant_poincare_m0n(5)
     dims = [ep5.layers[i].dimension() for i in range(3)]
     assert dims == [1, 5, 6]
 
 
-def test_identity_layer_poincare_product(tmp_path):
+def test_identity_layer_poincare_product(layer_cache):
     """Identity traces must expand prod_{j=2}^{n-2} (1 + j t)."""
     for n in range(3, 11):
-        ep = m0n.equivariant_poincare_m0n(n, cache_dir=tmp_path)
+        ep = m0n.equivariant_poincare_m0n(n)
         coeffs = [1]
         for j in range(2, n - 1):
             coeffs = [c + (j * coeffs[i - 1] if i else 0) for i, c in enumerate(coeffs)] + [j * coeffs[-1]]
@@ -251,18 +252,18 @@ def test_identity_layer_poincare_product(tmp_path):
         assert actual == expected, n
 
 
-def test_layers_are_honest_characters(tmp_path):
+def test_layers_are_honest_characters(layer_cache):
     for n in range(3, 11):
-        ep = m0n.equivariant_poincare_m0n(n, cache_dir=tmp_path)
+        ep = m0n.equivariant_poincare_m0n(n)
         assert set(ep.layers) <= set(range(n - 2))
         for i, layer in ep.layers.items():
             mults = sf.schur_expand(layer)
             assert all(m >= 0 for m in mults.values()), (n, i)
 
 
-def test_layer_zero_forced_trivial(tmp_path):
+def test_layer_zero_forced_trivial(layer_cache):
     for n in range(3, 9):
-        ep = m0n.equivariant_poincare_m0n(n, cache_dir=tmp_path)
+        ep = m0n.equivariant_poincare_m0n(n)
         assert ep.layers[0] == sf.CharacterVector.trivial(n)
 
 
@@ -270,9 +271,9 @@ def test_layer_zero_forced_trivial(tmp_path):
 # disk cache
 # --------------------------------------------------------------------------
 
-def test_cache_roundtrip(tmp_path):
-    ep = m0n.equivariant_poincare_m0n(6, cache_dir=tmp_path)
-    path = tmp_path / "m0n_6.json"
+def test_cache_roundtrip(layer_cache, monkeypatch):
+    ep = m0n.equivariant_poincare_m0n(6)
+    path = layer_cache / "m0n_6.json"
     assert path.exists()
     payload = json.loads(path.read_text())
     assert payload["n"] == "6"
@@ -285,7 +286,9 @@ def test_cache_roundtrip(tmp_path):
             assert list(entry) == ["trace"]
             int(entry["trace"])
     # a reload must parse the cache, not recompute
-    again = m0n.equivariant_poincare_m0n(6, cache_dir=tmp_path)
+    monkeypatch.setattr(m0n, "_twisted_counts", _no_recompute)
+    m0n.equivariant_poincare_m0n.cache_clear()
+    again = m0n.equivariant_poincare_m0n(6)
     assert again.layers == ep.layers
 
 
@@ -293,10 +296,10 @@ def _no_recompute(m):
     raise AssertionError("the cache file was not read")
 
 
-def test_cache_file_is_compact_and_indented_files_still_load(tmp_path, monkeypatch):
-    written = tmp_path / "written"
-    ep = m0n.equivariant_poincare_m0n(5, cache_dir=written)
-    text = (written / "m0n_5.json").read_text()
+def test_cache_file_is_compact_and_indented_files_still_load(layer_cache, monkeypatch):
+    ep = m0n.equivariant_poincare_m0n(5)
+    path = layer_cache / "m0n_5.json"
+    text = path.read_text()
     assert "\n" not in text and ": " not in text
     payload = json.loads(text)
     traces = [[int(v["trace"]) for v in layer["values"]] for layer in payload["layers"]]
@@ -305,37 +308,39 @@ def test_cache_file_is_compact_and_indented_files_still_load(tmp_path, monkeypat
     # each label is written exactly once in the file
     for label in payload["cycle_types"]:
         assert text.count(json.dumps(label, separators=(",", ":"))) == 1, label
-    assert traces == [[ep.layers[i][mu] for mu in cycle_types] for i in range(3)]
+    values = [dict(zip(sf.partitions(5), ep.layers[i].vector)) for i in range(3)]
+    assert traces == [[layer[mu] for mu in cycle_types] for layer in values]
 
-    indented = tmp_path / "indented"
-    indented.mkdir()
-    (indented / "m0n_5.json").write_text(json.dumps(payload, indent=1))
+    path.write_text(json.dumps(payload, indent=1))
     monkeypatch.setattr(m0n, "_twisted_counts", _no_recompute)
-    assert m0n.equivariant_poincare_m0n(5, cache_dir=indented).layers == ep.layers
-
-
-def test_cache_env_var(tmp_path, monkeypatch):
-    monkeypatch.setenv("HYPERSTAB_CACHE", str(tmp_path / "envcache"))
     m0n.equivariant_poincare_m0n.cache_clear()
+    assert m0n.equivariant_poincare_m0n(5).layers == ep.layers
+
+
+def test_cache_env_var(layer_cache):
+    assert os.environ["HYPERSTAB_CACHE"] == str(layer_cache)
     m0n.equivariant_poincare_m0n(4)
-    assert (tmp_path / "envcache" / "m0n_4.json").exists()
-    m0n.equivariant_poincare_m0n.cache_clear()
+    assert (layer_cache / "m0n_4.json").exists()
 
 
-def test_corrupt_cache_rejected(tmp_path):
-    path = tmp_path / "m0n_4.json"
+def test_cache_defaults_to_the_home_directory(tmp_path, monkeypatch):
+    monkeypatch.delenv("HYPERSTAB_CACHE")
+    monkeypatch.setenv("HOME", str(tmp_path))
+    assert m0n._cache_path(4) == tmp_path / ".cache" / "hyperstab" / "m0n_4.json"
+
+
+def test_corrupt_cache_rejected(layer_cache):
+    path = layer_cache / "m0n_4.json"
     path.write_text(json.dumps({"n": "4", "layers": []}))
     with pytest.raises(ValueError):
-        m0n.equivariant_poincare_m0n(4, cache_dir=tmp_path)
+        m0n.equivariant_poincare_m0n(4)
 
 
-def _rewritten_cache(tmp_path, n, edit, indent=None):
-    """A cache directory holding the written m0n_<n>.json after ``edit(payload)``."""
-    written = tmp_path / "written"
-    m0n.equivariant_poincare_m0n(n, cache_dir=written)
-    payload = json.loads((written / f"m0n_{n}.json").read_text())
+def _rewritten_cache(layer_cache, edited, n, edit, indent=None):
+    """The directory ``edited``, holding the written m0n_<n>.json after ``edit(payload)``."""
+    m0n.equivariant_poincare_m0n(n)
+    payload = json.loads((layer_cache / f"m0n_{n}.json").read_text())
     edit(payload)
-    edited = tmp_path / "edited"
     edited.mkdir(exist_ok=True)
     (edited / f"m0n_{n}.json").write_text(json.dumps(payload, indent=indent))
     return edited
@@ -350,11 +355,11 @@ def _relabel(label_of):
 @pytest.mark.parametrize(
     "indent", [2, None, "\t"], ids=["indented", "spaced", "tabs"]
 )
-def test_loader_accepts_every_label_spelling(tmp_path, monkeypatch, indent):
+def test_loader_accepts_every_label_spelling(layer_cache, tmp_path, monkeypatch, indent):
     # the labels must be written as the writer spells them; only the JSON
     # whitespace around them may differ
-    computed = m0n.equivariant_poincare_m0n(6, cache_dir=tmp_path / "computed")
-    cache = _rewritten_cache(tmp_path, 6, lambda payload: None, indent)
+    computed = m0n.equivariant_poincare_m0n(6)
+    cache = _rewritten_cache(layer_cache, tmp_path, 6, lambda payload: None, indent)
     monkeypatch.setattr(m0n, "_twisted_counts", _no_recompute)
     assert m0n._load_cache(cache / "m0n_6.json", 6).layers == computed.layers
 
@@ -391,8 +396,8 @@ def _drop_first_cycle_type(payload):
     ],
     ids=["reordered", "zero-padded", "integers", "shuffled", "stray", "missing"],
 )
-def test_loader_rejects_any_other_cycle_types_list(tmp_path, monkeypatch, edit):
-    cache = _rewritten_cache(tmp_path, 6, edit)
+def test_loader_rejects_any_other_cycle_types_list(layer_cache, tmp_path, monkeypatch, edit):
+    cache = _rewritten_cache(layer_cache, tmp_path, 6, edit)
     path = cache / "m0n_6.json"
     assert json.loads(path.read_text())["cycle_types"] != m0n._cycle_type_labels(6)
     monkeypatch.setattr(m0n, "_twisted_counts", _no_recompute)
@@ -411,43 +416,45 @@ PINNED_CACHE_HASHES = {
 
 
 @pytest.mark.parametrize("n", sorted(PINNED_CACHE_HASHES))
-def test_written_cache_files_keep_their_bytes(tmp_path, n):
-    m0n.equivariant_poincare_m0n(n, cache_dir=tmp_path)
-    digest = hashlib.sha256((tmp_path / f"m0n_{n}.json").read_bytes()).hexdigest()
+def test_written_cache_files_keep_their_bytes(layer_cache, n):
+    m0n.equivariant_poincare_m0n(n)
+    digest = hashlib.sha256((layer_cache / f"m0n_{n}.json").read_bytes()).hexdigest()
     assert digest == PINNED_CACHE_HASHES[n]
 
 
-def test_written_cache_through_degree_24_keeps_its_bytes(tmp_path):
+def test_written_cache_through_degree_24_keeps_its_bytes(layer_cache):
     # SHA-256 of m0n_3.json .. m0n_24.json concatenated in n order, as written
     # by json.dumps: this covers two-digit labels and negative traces
     digest = hashlib.sha256()
     for n in range(3, 25):
-        m0n.equivariant_poincare_m0n(n, cache_dir=tmp_path)
-        digest.update((tmp_path / f"m0n_{n}.json").read_bytes())
+        m0n.equivariant_poincare_m0n(n)
+        digest.update((layer_cache / f"m0n_{n}.json").read_bytes())
     assert digest.hexdigest() == "6e1a91e9576adb17bcd2cdcaca5d4a9a62b922d662147cd028f9a2c92e655520"
 
 
-def test_loader_keeps_the_character_errors(tmp_path):
+def test_loader_keeps_the_character_errors(layer_cache, tmp_path):
     def untrivial(payload):
         payload["layers"][0]["values"][0]["trace"] = "2"
 
-    cache = _rewritten_cache(tmp_path / "untrivial", 5, untrivial)
+    cache = _rewritten_cache(layer_cache, tmp_path / "untrivial", 5, untrivial)
     with pytest.raises(ValueError, match="layer 0 is not the trivial character"):
         m0n._load_cache(cache / "m0n_5.json", 5)
 
     def layer_dropped(payload):
         del payload["layers"][-1]
 
-    cache = _rewritten_cache(tmp_path / "dropped", 5, layer_dropped)
+    cache = _rewritten_cache(layer_cache, tmp_path / "dropped", 5, layer_dropped)
     with pytest.raises(ValueError, match=r"expected layers 0..2, found \[0, 1\]"):
         m0n._load_cache(cache / "m0n_5.json", 5)
 
 
-def test_loaded_layers_share_the_partition_tuples(tmp_path):
-    m0n.equivariant_poincare_m0n(7, cache_dir=tmp_path)
-    loaded = m0n._load_cache(tmp_path / "m0n_7.json", 7)
+def test_loaded_layers_share_the_partition_tuples(layer_cache):
+    computed = m0n.equivariant_poincare_m0n(7)
+    loaded = m0n._load_cache(layer_cache / "m0n_7.json", 7)
     interned = sf.partitions(7)
-    for layer in loaded.layers.values():
-        keys = sorted(layer.values, reverse=True)
-        assert len(keys) == len(interned)
+    for i, layer in loaded.layers.items():
+        keyed = dict(zip(interned, layer.vector))
+        keys = sorted(keyed, reverse=True)
+        assert len(keys) == len(interned) == len(layer.vector)
         assert all(key is mu for key, mu in zip(keys, interned))
+        assert keyed == dict(zip(interned, computed.layers[i].vector))

@@ -264,9 +264,8 @@ def test_stable_series_shares_the_layer_cache_with_spectral():
     assert m0n.equivariant_poincare_m0n.cache_info().misses == misses
 
 
-def test_stable_series_from_loaded_layers_equals_the_cold_series(tmp_path, monkeypatch):
+def test_stable_series_from_loaded_layers_equals_the_cold_series(layer_cache, monkeypatch):
     """A warm run reads every layer from disk and pairs exactly as a cold one."""
-    monkeypatch.setenv("HYPERSTAB_CACHE", str(tmp_path))
     calls = []
     pairing = stable.hall_inner_product_induced
 
@@ -275,20 +274,16 @@ def test_stable_series_from_loaded_layers_equals_the_cold_series(tmp_path, monke
         return pairing(*args)
 
     monkeypatch.setattr(stable, "hall_inner_product_induced", counting)
+    cold = stable_series(24)
+    assert len(calls) == 1283
+    assert len(list(layer_cache.glob("m0n_*.json"))) == 22
+
+    def no_recompute(m):
+        raise AssertionError("a layer was recomputed, not loaded")
+
+    monkeypatch.setattr(m0n, "_twisted_counts", no_recompute)
     m0n.equivariant_poincare_m0n.cache_clear()
-    try:
-        cold = stable_series(24)
-        assert len(calls) == 1283
-        assert len(list(tmp_path.glob("m0n_*.json"))) == 22
-
-        def no_recompute(m):
-            raise AssertionError("a layer was recomputed, not loaded")
-
-        monkeypatch.setattr(m0n, "_twisted_counts", no_recompute)
-        m0n.equivariant_poincare_m0n.cache_clear()
-        del calls[:]
-        warm = stable_series(24)
-    finally:
-        m0n.equivariant_poincare_m0n.cache_clear()
+    del calls[:]
+    warm = stable_series(24)
     assert warm == cold
     assert len(calls) == 1283

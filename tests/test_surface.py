@@ -5,7 +5,10 @@ every top-level name that does not start with an underscore.  The public
 methods and properties of a module-level class count as public names too,
 spelled ``Class.method``.  A name is reached when some module of the package
 refers to it outside its own definition and outside ``__all__``; importing it
-does not count, and a method is matched by its bare name.  A name that
+does not count.  A method is reached only by a call of an attribute of its
+name, and a property only by a read of an attribute of its name that is not
+called; a bare name reaches neither, so a local variable or a dict's
+``values()`` does not keep a method or property of that name.  A name that
 nothing refers to stays only if it is listed in ``KEPT`` with the reason it
 stays; the list is empty, because the oracles live in ``tests/oracles.py``,
 and no name defined there is defined in the package too.  A public name
@@ -72,34 +75,56 @@ def _public_names(tree) -> tuple:
     return tuple(name for name in _definitions(tree) if not name.startswith("_"))
 
 
+def _is_property(node) -> bool:
+    return any(
+        isinstance(decorator, ast.Name) and decorator.id == "property"
+        for decorator in node.decorator_list
+    )
+
+
 def _public(tree) -> dict:
-    """Public name -> (its defining node, the top-level node that holds it).
+    """Public name -> (its defining node, the top-level node that holds it, its kind).
 
     The public methods and properties of each module-level class come in as
-    ``Class.method``.
+    ``Class.method``, of kind ``"call"`` and ``"read"``; every other public
+    name is of kind ``"name"``.  The kind is the key of `_references` that
+    reaches it.
     """
     definitions = _definitions(tree)
-    out = {name: (definitions.get(name),) * 2 for name in _public_names(tree)}
+    out = {name: (definitions.get(name),) * 2 + ("name",) for name in _public_names(tree)}
     for name, node in definitions.items():
         if isinstance(node, ast.ClassDef):
             for sub in node.body:
                 if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
-                    out[f"{name}.{sub.name}"] = (sub, node)
+                    kind = "read" if _is_property(sub) else "call"
+                    out[f"{name}.{sub.name}"] = (sub, node, kind)
     return out
 
 
-def _references(node, skip=None) -> set:
-    """The names and attribute names used anywhere in ``node``, outside ``skip``."""
-    found = set()
+def _references(node, skip=None) -> dict:
+    """What ``node`` uses anywhere outside ``skip``, by kind.
+
+    ``"name"``: every name and attribute name; ``"call"``: the attribute
+    names that are called; ``"read"``: the attribute names read without a
+    call.
+    """
+    found = {"name": set(), "call": set(), "read": set()}
+    called = set()  # the ids of the attributes that are the func of a call
     stack = [node]
     while stack:
         sub = stack.pop()
         if sub is skip:
             continue
+        if isinstance(sub, ast.Call):
+            called.add(id(sub.func))  # a call is visited before its func
         if isinstance(sub, ast.Name):
-            found.add(sub.id)
+            found["name"].add(sub.id)
         elif isinstance(sub, ast.Attribute):
-            found.add(sub.attr)
+            found["name"].add(sub.attr)
+            if id(sub) in called:
+                found["call"].add(sub.attr)
+            elif isinstance(sub.ctx, ast.Load):
+                found["read"].add(sub.attr)
         stack.extend(ast.iter_child_nodes(sub))
     return found
 
@@ -115,12 +140,12 @@ def _unreached() -> set:
     ]
     out = set()
     for module, tree in modules.items():
-        for name, (own, holder) in _public(tree).items():
+        for name, (own, holder, kind) in _public(tree).items():
             bare = name.rpartition(".")[2]
-            reached = any(bare in refs for node, refs in uses if node is not holder)
+            reached = any(bare in refs[kind] for node, refs in uses if node is not holder)
             if not reached and own is not holder:
                 # a method is also reached from its own class, outside its def
-                reached = bare in _references(holder, skip=own)
+                reached = bare in _references(holder, skip=own)[kind]
             if not reached:
                 out.add((module, name))
     return out
