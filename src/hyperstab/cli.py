@@ -26,12 +26,14 @@ Subcommands
     input (the pair is checked first, then q, then the variant) and where
     no closed form exists.
 ``rankcheck``
-    Re-run the evaluation-matrix rank verification for one type.
+    Re-run the evaluation-matrix rank verification for one type.  ``--d``
+    must exceed the type's degree bound; at or below it the command exits 2.
     ``--n`` defaults to 0.  ``--witness`` runs the below-bound witness at its
     own type, d and n, which its manifest records; it exits 2 if given
     ``--type``, ``--d``, ``--n`` or ``--modulus``.
 
-Every command accepts ``--out DIR`` to write its one report together with
+Every command accepts ``--out DIR`` to write its one report,
+``<command>.<format>`` (``verify.json`` for ``verify``), together with
 ``manifest.json`` (input flags, library versions, seeds, and SHA-256 hashes
 of the outputs); without ``--out`` the report goes to stdout.  Nothing in
 the outputs depends on time, process, or machine, so re-running a command
@@ -503,26 +505,20 @@ def suite_tables() -> SuiteResult:
         )
     )
 
-    config_ok = five_point_configuration_table() == REFERENCE_FIVE_POINT_CONFIGURATION
-    checks.append(
-        _check(
-            "five-point-config-table",
-            config_ok,
-            "reference five-point block table",
-            "equal" if config_ok else "differs",
-            "tabulated",
+    for name, noun, table, reference in (
+        ("config", "block", five_point_configuration_table, REFERENCE_FIVE_POINT_CONFIGURATION),
+        ("stratum", "stratum", five_point_stratum_table, REFERENCE_FIVE_POINT_STRATA),
+    ):
+        ok = table() == reference
+        checks.append(
+            _check(
+                f"five-point-{name}-table",
+                ok,
+                f"reference five-point {noun} table",
+                "equal" if ok else "differs",
+                "tabulated",
+            )
         )
-    )
-    strata_ok = five_point_stratum_table() == REFERENCE_FIVE_POINT_STRATA
-    checks.append(
-        _check(
-            "five-point-stratum-table",
-            strata_ok,
-            "reference five-point stratum table",
-            "equal" if strata_ok else "differs",
-            "tabulated",
-        )
-    )
     return SuiteResult("tables", tuple(checks))
 
 
@@ -620,7 +616,12 @@ def suite_euler() -> SuiteResult:
 
 
 def _minimal_valid_degree(config: ConfigurationType, n: int) -> int:
-    """Smallest d accepted by the rank verifier for this type and n."""
+    """``max(ceil(bound), 2n) + 1``, with ``bound = _degree_bound(config, n)``.
+
+    The verifier accepts d > bound >= 2n, so this is its smallest degree for an
+    integer bound (34 of the 38 ``verify ranks`` cases) and one above it for a
+    fractional one.  The ``rank-<type>-d<d>-n<n>`` check ids pin these values.
+    """
     bound = _degree_bound(config, n)
     ceiling = -(-bound.numerator // bound.denominator)
     return max(ceiling, 2 * n) + 1
@@ -670,38 +671,26 @@ def suite_diffscan() -> SuiteResult:
                 "tabulated",
             )
         )
-    kind1 = scan["f"]
-    kind1_ok = bool(kind1) and all(
-        sol.r == 1
-        and sol.j_target == sol.j_source + 1
-        and sol.target == CT(sol.source.k1 + 1, sol.source.k2 - 1, sol.source.h)
-        for sol in kind1
-    )
-    checks.append(
-        _check(
-            "diffscan-kind-I-structure",
-            kind1_ok,
-            "r = 1, twist offset 1, move (k1+1, k2-1, h)",
-            f"{len(kind1)} solutions, structure {'confirmed' if kind1_ok else 'violated'}",
-            "tabulated",
+    for family, kind, offset, (dk1, dk2, dh), expected in (
+        ("f", "I", 1, (1, -1, 0), "r = 1, twist offset 1, move (k1+1, k2-1, h)"),
+        ("g", "II", 0, (0, -2, 1), "r = 1, twist preserved, move (k1, k2-2, h+1)"),
+    ):
+        solutions = scan[family]
+        ok = bool(solutions) and all(
+            sol.r == 1
+            and sol.j_target == sol.j_source + offset
+            and sol.target == CT(sol.source.k1 + dk1, sol.source.k2 + dk2, sol.source.h + dh)
+            for sol in solutions
         )
-    )
-    kind2 = scan["g"]
-    kind2_ok = bool(kind2) and all(
-        sol.r == 1
-        and sol.j_target == sol.j_source
-        and sol.target == CT(sol.source.k1, sol.source.k2 - 2, sol.source.h + 1)
-        for sol in kind2
-    )
-    checks.append(
-        _check(
-            "diffscan-kind-II-structure",
-            kind2_ok,
-            "r = 1, twist preserved, move (k1, k2-2, h+1)",
-            f"{len(kind2)} solutions, structure {'confirmed' if kind2_ok else 'violated'}",
-            "tabulated",
+        checks.append(
+            _check(
+                f"diffscan-kind-{kind}-structure",
+                ok,
+                expected,
+                f"{len(solutions)} solutions, structure {'confirmed' if ok else 'violated'}",
+                "tabulated",
+            )
         )
-    )
     candidates = {
         (cand.source, cand.target, cand.kind) for cand in differential_candidates(scan)
     }
@@ -718,29 +707,18 @@ def suite_diffscan() -> SuiteResult:
     return SuiteResult("diffscan", tuple(checks))
 
 
-# Suite name -> runner on the shared options, in the order of ``verify all``.
+# Suite name -> runner on the parsed ``verify`` flags, in ``verify all`` order.
 # Each runner looks its suite function up when it runs, so a suite function
 # rebound on this module (a test double, a tracing wrapper) is the one called.
 _SUITES = {
-    "example19": lambda o: suite_example19(),
-    "tables": lambda o: suite_tables(),
-    "counts": lambda o: suite_counts(budget=o["budget"], seed=o["seed"]),
-    "euler": lambda o: suite_euler(),
-    "ranks": lambda o: suite_ranks(seed=o["seed"], trials=o["trials"]),
-    "diffscan": lambda o: suite_diffscan(),
+    "example19": lambda a: suite_example19(),
+    "tables": lambda a: suite_tables(),
+    "counts": lambda a: suite_counts(budget=a.budget, seed=a.seed),
+    "euler": lambda a: suite_euler(),
+    "ranks": lambda a: suite_ranks(seed=a.seed, trials=a.trials),
+    "diffscan": lambda a: suite_diffscan(),
 }
 SUITE_ORDER = tuple(_SUITES)
-
-
-def run_suites(names, *, budget: str = "small",
-               seed: int = DEFAULT_SEED, trials: int = 100) -> list:
-    options = {"budget": budget, "seed": seed, "trials": trials}
-    results = []
-    for name in names:
-        if name not in _SUITES:
-            raise ValueError(f"unknown suite: {name!r}")
-        results.append(_SUITES[name](options))
-    return results
 
 
 # ---------------------------------------------------------------------------
@@ -758,14 +736,14 @@ def _numpy_version() -> str:
     return version("numpy")
 
 
-def _manifest(command: str, args, name: str, text: str) -> str:
+def _manifest(args, name: str, text: str) -> str:
     inputs = {
         key: value
         for key, value in sorted(vars(args).items())
         if key not in ("func", "command", "out") and value is not None
     }
     manifest = {
-        "command": command,
+        "command": args.command,
         "inputs": inputs,
         "outputs": {name: "sha256:" + hashlib.sha256(text.encode()).hexdigest()},
         "seeds": {"seed": inputs["seed"]} if "seed" in inputs else {},
@@ -778,15 +756,16 @@ def _manifest(command: str, args, name: str, text: str) -> str:
     return _json(manifest)
 
 
-def _deliver(args, command: str, name: str, text: str) -> None:
-    """Write the report ``name`` plus a manifest under --out, or print the report."""
+def _deliver(args, text: str) -> None:
+    """Write the report ``<command>.<format>`` plus a manifest under --out, or print it."""
     if args.out is None:
         sys.stdout.write(text)
         return
+    name = f"{args.command}.{getattr(args, 'format', 'json')}"  # verify has no --format
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / name).write_text(text)
-    (out / "manifest.json").write_text(_manifest(command, args, name, text))
+    (out / "manifest.json").write_text(_manifest(args, name, text))
     print(f"wrote {name}, manifest.json to {out}")
 
 
@@ -813,14 +792,13 @@ def _stable_report(table, regime: str, fmt: str) -> str:
 
 def cmd_stable(args) -> int:
     table = cohomology_table(0 if args.regime == "n0" else 1, args.max_deg)
-    _deliver(args, "stable", f"stable.{args.format}",
-             _stable_report(table, args.regime, args.format))
+    _deliver(args, _stable_report(table, args.regime, args.format))
     return 0
 
 
 def cmd_verify(args) -> int:
     names = SUITE_ORDER if args.suite == "all" else (args.suite,)
-    results = run_suites(names, budget=args.budget, seed=args.seed, trials=args.trials)
+    results = [_SUITES[name](args) for name in names]
     label = {"pass": "PASS", "fail": "FAIL", "skipped": "SKIP"}
     failed = 0
     for result in results:
@@ -837,7 +815,7 @@ def cmd_verify(args) -> int:
         failed += counts["fail"]
     print(f"total: {failed} failing check(s) across {len(results)} suite(s)")
     if args.out is not None:
-        _deliver(args, "verify", "verify.json", _json([r.payload() for r in results]))
+        _deliver(args, _json([r.payload() for r in results]))
     return 1 if failed else 0
 
 
@@ -874,8 +852,7 @@ def cmd_e1(args) -> int:
             [(L, row, twist, mult, ";".join(f"({c.k1},{c.k2},{c.h})" for c in configs))
              for L in L_values for (row, twist), (mult, configs) in column_cells(L).items()],
         )
-    name = f"e1.{args.format}"
-    _deliver(args, "e1", name, text)
+    _deliver(args, text)
     return 0
 
 
@@ -884,10 +861,9 @@ def _partition_label(partition: tuple) -> str:
 
 
 def cmd_m0n(args) -> int:
-    ep = equivariant_poincare_m0n(args.n)
     layers = {}
-    for i in sorted(ep.layers):
-        expansion = schur_expand(ep.layers[i])
+    for i, character in sorted(equivariant_poincare_m0n(args.n).items()):
+        expansion = schur_expand(character)
         layers[i] = {
             lam: mult for lam, mult in sorted(expansion.items(), reverse=True) if mult
         }
@@ -909,8 +885,7 @@ def cmd_m0n(args) -> int:
             [(i, _partition_label(lam), mult)
              for i, rows in layers.items() for lam, mult in rows.items()],
         )
-    name = "m0n.json" if args.format == "json" else "m0n.md"
-    _deliver(args, "m0n", name, text)
+    _deliver(args, text)
     return 0
 
 
@@ -946,8 +921,7 @@ def cmd_count(args) -> int:
     else:
         writer = _csv if args.format == "csv" else _markdown
         text = writer(list(row), [["" if v is None else v for v in row.values()]])
-    name = f"count.{args.format}"
-    _deliver(args, "count", name, text)
+    _deliver(args, text)
     return 0 if row["match"] in (True, None) else 1
 
 
@@ -989,8 +963,7 @@ def cmd_rankcheck(args) -> int:
             [(key, f"{len(value)} trial(s)" if key == "failures" else value)
              for key, value in sorted(report.items())],
         )
-    name = "rankcheck.json" if args.format == "json" else "rankcheck.md"
-    _deliver(args, "rankcheck", name, text)
+    _deliver(args, text)
     if args.witness:
         return 0
     return 0 if report["failures"] == [] else 1

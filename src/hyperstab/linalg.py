@@ -69,16 +69,11 @@ class SectionSpace:
 
     @property
     def monomials(self) -> tuple:
-        return _monomial_basis(self.d, self.n)
-
-
-@lru_cache(maxsize=None)
-def _monomial_basis(d: int, n: int) -> tuple:
-    basis = []
-    for c in range(3):
-        deg = d - c * n
-        basis.extend((a, deg - a, c) for a in range(deg, -1, -1))
-    return tuple(basis)
+        return tuple(
+            (a, self.d - c * self.n - a, c)
+            for c in range(3)
+            for a in range(self.d - c * self.n, -1, -1)
+        )
 
 
 # Fiber tables of a point on the distinguished section: its two base
@@ -386,12 +381,15 @@ def verify_bundle_rank(
 ) -> dict:
     """Check that every sampled configuration cuts exactly codim conditions.
 
+    Unless ``enforce_bound`` is false, d must exceed ``_degree_bound``.
     Returns a JSON-ready report; ``failures`` lists the trials whose kernel
-    dimension differed from dimension - (3*k1 + 3*k2 + 5*h).  The trials
-    go in blocks of ``_RANK_BLOCK_TRIALS``.  The rows of a block form one
-    array, ranked in one batched elimination modulo ``modulus``, which then
-    gives the answer, or else modulo ``_CERTIFYING_PRIME``: a trial whose
-    rank there is the codimension and whose fiber pairs pass
+    dimension differed from dimension - (3*k1 + 3*k2 + 5*h).  That expected
+    kernel dimension goes under ``expected_rank``, a misnomer that pinned
+    reports keep: the expected rank is the codimension.  The trials go in
+    blocks of ``_RANK_BLOCK_TRIALS``.  The rows of a block form one array,
+    ranked in one batched elimination modulo ``modulus``, which then gives
+    the answer, or else modulo ``_CERTIFYING_PRIME``: a trial whose rank
+    there is the codimension and whose fiber pairs pass
     ``_pairs_certified`` has exactly the expected kernel, and any other
     trial gets its kernel dimension from Bareiss elimination over the
     integers.
@@ -400,9 +398,9 @@ def verify_bundle_rank(
         raise ValueError(f"trials must be at least 1 and an integer, not {trials!r}")
     space = SectionSpace(d, n)
     bound = _degree_bound(config, n)
-    if enforce_bound and d < bound:
+    if enforce_bound and d <= bound:
         raise ValueError(
-            f"degree {d} is below the bound max(k1+k2+5h/3+n-1, "
+            f"degree {d} must exceed the bound max(k1+k2+5h/3+n-1, "
             f"2k1+2k2+h+2n-1) = {bound} for type "
             f"({config.k1}, {config.k2}, {config.h}) at n={n}"
         )

@@ -23,16 +23,12 @@ import json
 import operator
 import os
 import tempfile
-from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
 from .symfunc import CharacterVector, _bounded_start, partitions
 
-__all__ = [
-    "EquivariantPoincare",
-    "equivariant_poincare_m0n",
-]
+__all__ = ["equivariant_poincare_m0n"]
 
 
 # --------------------------------------------------------------------------
@@ -100,14 +96,6 @@ def _divide_by_pgl2(count: list) -> list:
 # equivariant layers
 # --------------------------------------------------------------------------
 
-@dataclass
-class EquivariantPoincare:
-    """Cohomology layers of M_{0,n}: layer i is the S_n-character of H^i."""
-
-    n: int
-    layers: dict
-
-
 def _cache_path(n: int) -> Path:
     """The layer file of n: under HYPERSTAB_CACHE if set, else ~/.cache/hyperstab."""
     env = os.environ.get("HYPERSTAB_CACHE")
@@ -120,20 +108,20 @@ def _cycle_type_labels(n: int) -> list:
     return [list(map(str, mu)) for mu in partitions(n)]
 
 
-def _save_cache(path: Path, ep: EquivariantPoincare) -> None:
+def _save_cache(path: Path, n: int, layers: dict) -> None:
     # the bytes of compact json.dumps, joined directly: decimal strings need no escapes
-    labels = json.dumps(_cycle_type_labels(ep.n), separators=(",", ":"))
-    layers = ",".join(
+    labels = json.dumps(_cycle_type_labels(n), separators=(",", ":"))
+    entries = ",".join(
         f'{{"i":"{i}","values":[{{"trace":"'
         + '"},{"trace":"'.join(map(str, layer.vector))
         + '"}]}'
-        for i, layer in sorted(ep.layers.items())
+        for i, layer in sorted(layers.items())
     )
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(f'{{"n":"{ep.n}","cycle_types":{labels},"layers":[{layers}]}}')
+            handle.write(f'{{"n":"{n}","cycle_types":{labels},"layers":[{entries}]}}')
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -141,7 +129,7 @@ def _save_cache(path: Path, ep: EquivariantPoincare) -> None:
         raise
 
 
-def _load_cache(path: Path, n: int) -> EquivariantPoincare:
+def _load_cache(path: Path, n: int) -> dict:
     try:
         layers = _parse_cache(json.loads(path.read_text(), parse_float=_no_float), n)
     except KeyError as exc:
@@ -151,7 +139,7 @@ def _load_cache(path: Path, n: int) -> EquivariantPoincare:
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
     _validate_layers(n, layers, source=str(path))
-    return EquivariantPoincare(n=n, layers=layers)
+    return layers
 
 
 def _no_float(text: str):
@@ -205,8 +193,8 @@ def _validate_layers(n: int, layers: dict, source: str) -> None:
 
 
 @lru_cache(maxsize=None)
-def equivariant_poincare_m0n(n: int) -> EquivariantPoincare:
-    """S_n-equivariant cohomology layers of M_{0,n}.
+def equivariant_poincare_m0n(n: int) -> dict:
+    """{i: the S_n-character of H^i(M_{0,n})} for i = 0..n-3; cached, do not mutate.
 
     The twisted counts N_mu(q) of all cycle types mu come from one recursion
     over the partitions of n, one multiplication each.  Each is divided exactly
@@ -233,6 +221,5 @@ def equivariant_poincare_m0n(n: int) -> EquivariantPoincare:
         for i, column in enumerate(reversed(list(columns)))
     }
     _validate_layers(n, layers, source=f"computed layers for n={n}")
-    ep = EquivariantPoincare(n=n, layers=layers)
-    _save_cache(path, ep)
-    return ep
+    _save_cache(path, n, layers)
+    return layers

@@ -9,12 +9,13 @@ from.  Every column and both five-point tables are built on those cells;
 ``cli`` writes them out as tables.  A cell's row and twist are relative to
 the dimension of the space of sections, so no function here depends on
 that dimension.  This module also scans the numerical admissibility system
-for differentials between blocks.  Columns start at three sites; the
+for differentials between blocks, along seven family moves, each one step
+(dk1, dk2, dh) on a type's components.  Columns start at three sites; the
 package holds no table of the one- and two-site columns.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import count
 from typing import Iterator
 
 from .stable import type_pairings
@@ -77,7 +78,6 @@ def types_with_sites(sites: int) -> Iterator[ConfigurationType]:
                 yield ConfigurationType(k1, k2, h)
 
 
-@lru_cache(maxsize=None)
 def _sorted_types_with_sites(sites: int) -> tuple:
     return tuple(sorted(types_with_sites(sites), key=type_sort_key))
 
@@ -217,15 +217,16 @@ class DifferentialCandidate:
     kind: str
 
 
-# family name -> (target move, max step given the source components)
+# family name -> its move (dk1, dk2, dh) on (k1, k2, h), applied r times;
+# every move lowers at least one component, which bounds r
 _FAMILIES = {
-    "a": (lambda k1, k2, h, r: (k1, k2, h - r), lambda k1, k2, h: h),
-    "b": (lambda k1, k2, h, r: (k1 - r, k2, h), lambda k1, k2, h: k1),
-    "c": (lambda k1, k2, h, r: (k1, k2 - r, h), lambda k1, k2, h: k2),
-    "d": (lambda k1, k2, h, r: (k1 + r, k2, h - r), lambda k1, k2, h: h),
-    "e": (lambda k1, k2, h, r: (k1, k2 + r, h - r), lambda k1, k2, h: h),
-    "f": (lambda k1, k2, h, r: (k1 + r, k2 - r, h), lambda k1, k2, h: k2),
-    "g": (lambda k1, k2, h, r: (k1, k2 - 2 * r, h + r), lambda k1, k2, h: k2 // 2),
+    "a": (0, 0, -1),
+    "b": (-1, 0, 0),
+    "c": (0, -1, 0),
+    "d": (1, 0, -1),
+    "e": (0, 1, -1),
+    "f": (1, -1, 0),
+    "g": (0, -2, 1),
 }
 
 
@@ -241,9 +242,10 @@ def scan_differential_system(bound: int) -> dict:
     """Solve the two-equation admissibility system for every family move.
 
     Enumerates source types with between 3 and ``bound`` sites, applies
-    each family move for every feasible step ``r``, and keeps the twist
-    pairs where both the degree and the weight balance hold.  Returns a
-    dict mapping family name to a sorted list of solutions.
+    each family move ``r`` times for every ``r`` that leaves no component
+    negative, and keeps the twist pairs where both the degree and the
+    weight balance hold.  Returns a dict mapping family name to a sorted
+    list of solutions.
     """
     if bound < 3:
         raise ValueError("scan needs a site bound of at least 3")
@@ -251,9 +253,12 @@ def scan_differential_system(bound: int) -> dict:
     for L in range(3, bound + 1):
         for source in _sorted_types_with_sites(L):
             d_src, w_src = _degree_weight_balance(source)
-            for name, (move, max_step) in _FAMILIES.items():
-                for r in range(1, max_step(source.k1, source.k2, source.h) + 1):
-                    t1, t2, t3 = move(source.k1, source.k2, source.h, r)
+            k1, k2, h = source.k1, source.k2, source.h
+            for name, (dk1, dk2, dh) in _FAMILIES.items():
+                for r in count(1):
+                    t1, t2, t3 = k1 + r * dk1, k2 + r * dk2, h + r * dh
+                    if t1 < 0 or t2 < 0 or t3 < 0:
+                        break
                     if t1 + t2 + t3 < 3:
                         continue
                     target = ConfigurationType(t1, t2, t3)

@@ -58,7 +58,7 @@ def type_pairings(k1: int, k2: int, h: int, top_layer: int | None = None) -> dic
     if n < 3:
         raise ValueError(f"type ({k1},{k2},{h}) has fewer than 3 singular points")
     out = {}
-    for i, layer in equivariant_poincare_m0n(n).layers.items():
+    for i, layer in equivariant_poincare_m0n(n).items():
         if top_layer is not None and i > top_layer:
             continue
         mult = hall_inner_product_induced(layer, k1, k2, h)

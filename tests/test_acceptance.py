@@ -151,14 +151,14 @@ def test_criterion_3_m0n_oracle_equivalence():
                 oracles.brute_twisted_count(6, mu, 3), mu
 
     for n in range(3, 11):
-        ep = m0n.equivariant_poincare_m0n(n)
+        layers = m0n.equivariant_poincare_m0n(n)
         coeffs = [1]
         for j in range(2, n - 1):
             coeffs = [c + (j * coeffs[i - 1] if i else 0)
                       for i, c in enumerate(coeffs)] + [j * coeffs[-1]]
-        assert {i: layer.dimension() for i, layer in ep.layers.items()} == \
+        assert {i: layer.dimension() for i, layer in layers.items()} == \
             {i: c for i, c in enumerate(coeffs)}, n
-        for i, layer in ep.layers.items():
+        for i, layer in layers.items():
             assert all(m >= 0 for m in sf.schur_expand(layer).values()), (n, i)
     _report(3, "PASS", "closed twisted counts equal brute enumeration "
                        "(n <= 5 at q = 3,5,7; n = 6 with lcm <= 6 at q = 3); "

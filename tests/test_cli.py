@@ -548,9 +548,7 @@ def test_broken_stratification_invariant_exits_three(monkeypatch, capsys):
 def test_a_layer_that_is_not_a_virtual_character_exits_three(monkeypatch, capsys):
     # the indicator of the identity of S_2 pairs to 1/2 with each irreducible
     layer = symfunc.CharacterVector(2, [0, 1])
-    monkeypatch.setattr(
-        cli, "equivariant_poincare_m0n", lambda n: m0n.EquivariantPoincare(n, {0: layer})
-    )
+    monkeypatch.setattr(cli, "equivariant_poincare_m0n", lambda n: {0: layer})
     assert main(["m0n", "--n", "5"]) == 3
     captured = capsys.readouterr()
     assert captured.err.startswith("error: internal invariant: multiplicity of chi^")
@@ -696,9 +694,9 @@ def test_manifest_hashes_match_written_files(tmp_path, capsys, monkeypatch):
     assert manifest["versions"]["numpy"] == numpy.__version__ == version("numpy")
     args = cli._build_parser().parse_args(["verify", "euler", "--seed", "11"])
     report = (out / "verify.json").read_text()
-    assert cli._manifest("verify", args, "verify.json", report) == text
+    assert cli._manifest(args, "verify.json", report) == text
     monkeypatch.delitem(sys.modules, "numpy")
-    assert cli._manifest("verify", args, "verify.json", report) == text
+    assert cli._manifest(args, "verify.json", report) == text
 
 
 def test_unwritable_out_is_usage_error(tmp_path, capsys):

@@ -485,11 +485,32 @@ def test_degree_bound_is_enforced_with_explanation():
     # bound for (2,0,0) at n=1 is max(2+1-1, 4+2-1) = 5
     with pytest.raises(ValueError, match="bound"):
         verify_bundle_rank(CT(2, 0, 0), 4, 1, trials=1, seed=0)
-    # fractional part of the bound: (0,0,2) at n=1 needs d >= 10/3
+    # fractional part of the bound: (0,0,2) at n=1 needs d > 10/3
     with pytest.raises(ValueError, match="bound"):
         verify_bundle_rank(CT(0, 0, 2), 3, 1, trials=1, seed=0)
     report = verify_bundle_rank(CT(0, 0, 2), 4, 1, trials=5, seed=0)
     assert report["failures"] == []
+
+
+def test_a_degree_equal_to_the_bound_is_refused():
+    # the lemma fails on the bound itself: (0,0,3) at n = 2 drops rank on
+    # every trial and (0,1,1) at n = 0 on some, so the bound is strict
+    for config, d, n in ((CT(0, 0, 3), 6, 2), (CT(0, 1, 1), 2, 0)):
+        assert linalg._degree_bound(config, n) == d
+        with pytest.raises(ValueError, match=f"degree {d} must exceed the bound"):
+            verify_bundle_rank(config, d, n, trials=1, seed=0)
+        report = verify_bundle_rank(config, d, n, trials=100, seed=7, enforce_bound=False)
+        assert report["failures"], (config, d, n)
+
+
+@pytest.mark.parametrize("n", [0, 2])
+def test_every_rank_type_passes_at_its_smallest_admissible_degree(n):
+    for config in RANK_TYPES:
+        d = max(math.floor(linalg._degree_bound(config, n)) + 1, 2 * n)
+        with pytest.raises(ValueError):  # on or below the bound, or below 2n
+            verify_bundle_rank(config, d - 1, n, trials=1, seed=0)
+        report = verify_bundle_rank(config, d, n, trials=40, seed=7)
+        assert report["failures"] == [], (config, d, n)
 
 
 @pytest.mark.parametrize("trials", [0, -5])

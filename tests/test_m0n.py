@@ -227,44 +227,44 @@ def test_division_by_pgl2_rejects_a_remainder():
 
 
 def test_equivariant_poincare_small_cases(layer_cache):
-    ep3 = m0n.equivariant_poincare_m0n(3)
-    assert set(ep3.layers) == {0}
-    assert ep3.layers[0] == sf.CharacterVector.trivial(3)
+    layers3 = m0n.equivariant_poincare_m0n(3)
+    assert set(layers3) == {0}
+    assert layers3[0] == sf.CharacterVector.trivial(3)
 
-    ep4 = m0n.equivariant_poincare_m0n(4)
-    assert ep4.layers[0] == sf.CharacterVector.trivial(4)
-    assert ep4.layers[1] == oracles.irreducible((2, 2))
+    layers4 = m0n.equivariant_poincare_m0n(4)
+    assert layers4[0] == sf.CharacterVector.trivial(4)
+    assert layers4[1] == oracles.irreducible((2, 2))
 
-    ep5 = m0n.equivariant_poincare_m0n(5)
-    dims = [ep5.layers[i].dimension() for i in range(3)]
+    layers5 = m0n.equivariant_poincare_m0n(5)
+    dims = [layers5[i].dimension() for i in range(3)]
     assert dims == [1, 5, 6]
 
 
 def test_identity_layer_poincare_product(layer_cache):
     """Identity traces must expand prod_{j=2}^{n-2} (1 + j t)."""
     for n in range(3, 11):
-        ep = m0n.equivariant_poincare_m0n(n)
+        layers = m0n.equivariant_poincare_m0n(n)
         coeffs = [1]
         for j in range(2, n - 1):
             coeffs = [c + (j * coeffs[i - 1] if i else 0) for i, c in enumerate(coeffs)] + [j * coeffs[-1]]
         expected = {i: c for i, c in enumerate(coeffs)}
-        actual = {i: layer.dimension() for i, layer in ep.layers.items()}
+        actual = {i: layer.dimension() for i, layer in layers.items()}
         assert actual == expected, n
 
 
 def test_layers_are_honest_characters(layer_cache):
     for n in range(3, 11):
-        ep = m0n.equivariant_poincare_m0n(n)
-        assert set(ep.layers) <= set(range(n - 2))
-        for i, layer in ep.layers.items():
+        layers = m0n.equivariant_poincare_m0n(n)
+        assert set(layers) <= set(range(n - 2))
+        for i, layer in layers.items():
             mults = sf.schur_expand(layer)
             assert all(m >= 0 for m in mults.values()), (n, i)
 
 
 def test_layer_zero_forced_trivial(layer_cache):
     for n in range(3, 9):
-        ep = m0n.equivariant_poincare_m0n(n)
-        assert ep.layers[0] == sf.CharacterVector.trivial(n)
+        layers = m0n.equivariant_poincare_m0n(n)
+        assert layers[0] == sf.CharacterVector.trivial(n)
 
 
 # --------------------------------------------------------------------------
@@ -272,7 +272,7 @@ def test_layer_zero_forced_trivial(layer_cache):
 # --------------------------------------------------------------------------
 
 def test_cache_roundtrip(layer_cache, monkeypatch):
-    ep = m0n.equivariant_poincare_m0n(6)
+    layers = m0n.equivariant_poincare_m0n(6)
     path = layer_cache / "m0n_6.json"
     assert path.exists()
     payload = json.loads(path.read_text())
@@ -289,7 +289,7 @@ def test_cache_roundtrip(layer_cache, monkeypatch):
     monkeypatch.setattr(m0n, "_twisted_counts", _no_recompute)
     m0n.equivariant_poincare_m0n.cache_clear()
     again = m0n.equivariant_poincare_m0n(6)
-    assert again.layers == ep.layers
+    assert again == layers
 
 
 def _no_recompute(m):
@@ -297,7 +297,7 @@ def _no_recompute(m):
 
 
 def test_cache_file_is_compact_and_indented_files_still_load(layer_cache, monkeypatch):
-    ep = m0n.equivariant_poincare_m0n(5)
+    layers = m0n.equivariant_poincare_m0n(5)
     path = layer_cache / "m0n_5.json"
     text = path.read_text()
     assert "\n" not in text and ": " not in text
@@ -308,13 +308,13 @@ def test_cache_file_is_compact_and_indented_files_still_load(layer_cache, monkey
     # each label is written exactly once in the file
     for label in payload["cycle_types"]:
         assert text.count(json.dumps(label, separators=(",", ":"))) == 1, label
-    values = [dict(zip(sf.partitions(5), ep.layers[i].vector)) for i in range(3)]
+    values = [dict(zip(sf.partitions(5), layers[i].vector)) for i in range(3)]
     assert traces == [[layer[mu] for mu in cycle_types] for layer in values]
 
     path.write_text(json.dumps(payload, indent=1))
     monkeypatch.setattr(m0n, "_twisted_counts", _no_recompute)
     m0n.equivariant_poincare_m0n.cache_clear()
-    assert m0n.equivariant_poincare_m0n(5).layers == ep.layers
+    assert m0n.equivariant_poincare_m0n(5) == layers
 
 
 def test_cache_env_var(layer_cache):
@@ -361,7 +361,7 @@ def test_loader_accepts_every_label_spelling(layer_cache, tmp_path, monkeypatch,
     computed = m0n.equivariant_poincare_m0n(6)
     cache = _rewritten_cache(layer_cache, tmp_path, 6, lambda payload: None, indent)
     monkeypatch.setattr(m0n, "_twisted_counts", _no_recompute)
-    assert m0n._load_cache(cache / "m0n_6.json", 6).layers == computed.layers
+    assert m0n._load_cache(cache / "m0n_6.json", 6) == computed
 
 
 def _shuffle_cycle_types(payload):
@@ -448,13 +448,6 @@ def test_loader_keeps_the_character_errors(layer_cache, tmp_path):
         m0n._load_cache(cache / "m0n_5.json", 5)
 
 
-def test_loaded_layers_share_the_partition_tuples(layer_cache):
+def test_loaded_layers_equal_the_computed_layers(layer_cache):
     computed = m0n.equivariant_poincare_m0n(7)
-    loaded = m0n._load_cache(layer_cache / "m0n_7.json", 7)
-    interned = sf.partitions(7)
-    for i, layer in loaded.layers.items():
-        keyed = dict(zip(interned, layer.vector))
-        keys = sorted(keyed, reverse=True)
-        assert len(keys) == len(interned) == len(layer.vector)
-        assert all(key is mu for key, mu in zip(keys, interned))
-        assert keyed == dict(zip(interned, computed.layers[i].vector))
+    assert m0n._load_cache(layer_cache / "m0n_7.json", 7) == computed

@@ -346,14 +346,14 @@ def test_type_cells_multiplicities_are_positive():
 def test_stratum_total_dimension_preserves_product_structure():
     """Total class count = (PGL2 classes) x (sum of layer multiplicities)."""
     for L in range(3, 7):
-        ep = m0n.equivariant_poincare_m0n(L)
+        layers = m0n.equivariant_poincare_m0n(L)
         for k1 in range(L + 1):
             for k2 in range(L + 1 - k1):
                 h = L - k1 - k2
                 c = CT(k1, k2, h)
                 inner = sum(
                     hall_inner_product_induced(layer, k1, k2, h)
-                    for layer in ep.layers.values()
+                    for layer in layers.values()
                 )
                 total = sum(mult for _, _, mult in type_cells(c))
                 assert total == 2 * inner == 2 * sum(stable.type_pairings(k1, k2, h).values()), c

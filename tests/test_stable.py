@@ -73,7 +73,7 @@ def numerator_through(top: int) -> dict:
 def test_type_pairings_equal_the_layer_route():
     """Every type with n <= 8: the Hall pairing of each M_{0,n} layer."""
     for n in range(3, 9):
-        layers = m0n.equivariant_poincare_m0n(n).layers
+        layers = m0n.equivariant_poincare_m0n(n)
         for k1 in range(n + 1):
             for k2 in range(n + 1 - k1):
                 h = n - k1 - k2

@@ -600,9 +600,9 @@ def test_hall_pairing_agrees_with_the_triple_walk(char):
 
 def test_hall_pairing_agrees_with_the_triple_walk_on_every_m0n_layer():
     for n in range(3, 13):
-        ep = m0n.equivariant_poincare_m0n(n)
+        layers = m0n.equivariant_poincare_m0n(n)
         for k1, k2, h in splits(n):
-            for i, layer in ep.layers.items():
+            for i, layer in layers.items():
                 assert sf.hall_inner_product_induced(layer, k1, k2, h) == (
                     o_hall_inner_product_induced(layer, k1, k2, h)
                 ), (n, i, k1, k2, h)
