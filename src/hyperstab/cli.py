@@ -426,7 +426,7 @@ def suite_tables() -> SuiteResult:
     reference5 = REFERENCE_COLUMNS[5]
     deviating = _deviating_rows(computed[5], reference5)
     corrected_ok = deviating == sorted(L5_CORRECTED_ROWS) and all(
-        computed[5][row] == L5_CORRECTED_ROWS[row] for row in L5_CORRECTED_ROWS
+        computed[5].get(row) == L5_CORRECTED_ROWS[row] for row in L5_CORRECTED_ROWS
     )
     checks.append(
         _check(

@@ -33,14 +33,17 @@ derivative, while the fast route uses a sieve over irreducible squares, so
 the two routes differ in strategy and share only the F_q polynomial kernels
 of `fq`.
 
-`is_squarefree` is the oracle test of the naive route and of
-`SectionTriple.is_member`.  `psi_roundtrip_check` inverts the paper's
-substitution psi once per (alpha, gamma), since every member's numerator
-beta^2 - delta is 4 alpha gamma, through the quotient and remainder matrices
-of `_division_matrices`.  `verify counts --budget full` runs
-`orbit_spot_check`, which moves members by `apply_group_element`.  The closed
-forms are integer polynomials in q (`series.TatePolynomial`) divided only by
-monic divisors.
+A binary form of degree D is the tuple of its D+1 coefficients, ascending
+in x: entry i multiplies x^i y^(D-i), so the degree is the length minus one
+and top zeros encode roots at [1:0].  A section triple is the tuple
+(alpha, beta, gamma) of three such forms.  `is_squarefree` is the oracle
+test of the naive route and of `orbit_spot_check`, which `verify counts
+--budget full` runs and which moves members by `apply_group_element`.
+`psi_roundtrip_check` inverts the paper's substitution psi once per
+(alpha, gamma), since every member's numerator beta^2 - delta is
+4 alpha gamma, through the quotient and remainder matrices of
+`_division_matrices`.  The closed forms are integer polynomials in q
+(`series.TatePolynomial`) divided only by monic divisors.
 """
 
 from __future__ import annotations
@@ -55,8 +58,6 @@ from . import fq
 from .series import TatePolynomial
 
 __all__ = [
-    "BinaryForm",
-    "SectionTriple",
     "CountRecord",
     "ResourceGuardError",
     "DEFAULT_SEED",
@@ -142,73 +143,6 @@ def _resolve_variant(n, variant):
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class BinaryForm:
-    """Binary form of fixed degree: coefficients[i] multiplies x^i y^(degree-i).
-
-    Leading zeros are allowed — these are forms of a declared degree, not
-    polynomials of exact degree — so the zero form of every degree exists and
-    top zero coefficients encode roots at [1:0].
-    """
-
-    degree: int
-    coefficients: tuple
-    q: int
-
-    def __post_init__(self):
-        if not isinstance(self.degree, int) or isinstance(self.degree, bool) or self.degree < 0:
-            raise ValueError(f"degree must be a nonnegative integer: {self.degree!r}")
-        _validate_prime(self.q)
-        coeffs = tuple(self.coefficients)
-        if len(coeffs) != self.degree + 1:
-            raise ValueError(
-                f"need {self.degree + 1} coefficients for degree {self.degree}, got {len(coeffs)}"
-            )
-        for c in coeffs:
-            if not isinstance(c, int) or isinstance(c, bool):
-                raise ValueError(f"coefficients must be integers: {c!r}")
-        object.__setattr__(self, "coefficients", tuple(c % self.q for c in coeffs))
-
-
-@dataclass(frozen=True)
-class SectionTriple:
-    """Section alpha z^2 + beta z + gamma with the hyperelliptic degree pattern.
-
-    The genus g and the parameter l are read off the degrees: deg beta = g+1
-    and deg alpha = l, which forces deg gamma = 2g+2-l.
-    """
-
-    alpha: BinaryForm
-    beta: BinaryForm
-    gamma: BinaryForm
-
-    def __post_init__(self):
-        g = self.beta.degree - 1
-        l = self.alpha.degree
-        if g < 1:
-            raise ValueError(f"beta must have degree at least 2, got {self.beta.degree}")
-        if l > g + 1:
-            raise ValueError(f"alpha degree {l} exceeds g+1 = {g + 1}")
-        if self.gamma.degree != 2 * g + 2 - l:
-            raise ValueError(
-                f"gamma must have degree {2 * g + 2 - l}, got {self.gamma.degree}"
-            )
-        if not (self.alpha.q == self.beta.q == self.gamma.q):
-            raise ValueError("all three forms must live over the same field")
-
-    @property
-    def genus(self) -> int:
-        return self.beta.degree - 1
-
-    @property
-    def q(self) -> int:
-        return self.alpha.q
-
-    def is_member(self) -> bool:
-        """Whether the cut-out curve is smooth: square-free discriminant."""
-        return is_squarefree(psi_forward(self))
-
-
-@dataclass(frozen=True)
 class CountRecord:
     """One enumeration outcome: raw tuple count and its stack normalization."""
 
@@ -252,20 +186,21 @@ def _gcd_with_derivative_is_constant(u, q):
     return len(a) == 1
 
 
-def is_squarefree(f: BinaryForm) -> bool:
-    """Whether f has no repeated root on the projective line over the closure.
+def is_squarefree(coeffs, q) -> bool:
+    """Whether the form has no repeated root on the projective line over the closure.
 
-    Checks the root at [1:0] through the top coefficients and the finite
-    roots through gcd(f(x,1), d/dx f(x,1)); the zero form is not square-free.
+    The coefficients are reduced mod q first.  Checks the root at [1:0]
+    through the top coefficients and the finite roots through
+    gcd(f(x,1), d/dx f(x,1)); the zero form is not square-free.
     """
-    _validate_odd_prime(f.q)
-    coeffs = f.coefficients
+    _validate_odd_prime(q)
+    coeffs = [c % q for c in coeffs]
     if not any(coeffs):
         return False
     top = max(i for i, c in enumerate(coeffs) if c)
-    if f.degree - top >= 2:
+    if len(coeffs) - 1 - top >= 2:
         return False
-    return _gcd_with_derivative_is_constant(list(coeffs[: top + 1]), f.q)
+    return _gcd_with_derivative_is_constant(coeffs[: top + 1], q)
 
 
 # --------------------------------------------------------------------------
@@ -527,13 +462,9 @@ def _naive_raw(g, l, q):
     squarefree_cache = {}
 
     def seen_squarefree(delta):
-        idx = 0
-        for c in reversed(delta):
-            idx = idx * q + c
-        cached = squarefree_cache.get(idx)
+        cached = squarefree_cache.get(delta)
         if cached is None:
-            cached = is_squarefree(BinaryForm(disc_degree, delta, q))
-            squarefree_cache[idx] = cached
+            cached = squarefree_cache[delta] = is_squarefree(delta, q)
         return cached
 
     betas = [fq.mul(b, b, q) for b in itertools.product(range(q), repeat=g + 2)]
@@ -723,13 +654,11 @@ def stratified_count(
 # the discriminant substitution and its inverse
 # --------------------------------------------------------------------------
 
-def psi_forward(triple: SectionTriple) -> BinaryForm:
+def psi_forward(alpha, beta, gamma, q) -> tuple:
     """Discriminant beta^2 - 4 alpha gamma of a section triple."""
-    q = triple.q
-    bsq = fq.mul(triple.beta.coefficients, triple.beta.coefficients, q)
-    prod = fq.mul(triple.alpha.coefficients, triple.gamma.coefficients, q)
-    delta = tuple((x - 4 * y) % q for x, y in zip(bsq, prod))
-    return BinaryForm(len(delta) - 1, delta, q)
+    bsq = fq.mul(beta, beta, q)
+    prod = fq.mul(alpha, gamma, q)
+    return tuple((x - 4 * y) % q for x, y in zip(bsq, prod))
 
 
 def psi_roundtrip_check(g: int, l: int, q: int) -> dict:
@@ -814,30 +743,26 @@ def _compose(coeffs, matrix, q):
     return tuple(out)
 
 
-def apply_group_element(
-    triple: SectionTriple, matrix, scale: int, translation
-) -> SectionTriple:
+def apply_group_element(triple, matrix, scale: int, translation, q) -> tuple:
     """Substitute (x, y) -> matrix (x, y) and z -> scale z + translation(x, y).
 
-    ``translation`` is a form of degree n = g+1-l (a constant at n = 0,
-    where this is the section-preserving subgroup of the product group).
-    The discriminant transforms by scale^2 times the coordinate change, so
-    membership is preserved.
+    ``triple`` is (alpha, beta, gamma) and so is the result.
+    ``translation`` is a form of degree n = g+1-l = len(beta) - len(alpha)
+    (a constant at n = 0, where this is the section-preserving subgroup of
+    the product group).  The discriminant transforms by scale^2 times the
+    coordinate change, so membership is preserved.
     """
-    q = triple.q
     (a, b), (c, d) = matrix
     if (a * d - b * c) % q == 0:
         raise ValueError("the coordinate change must be invertible")
     scale %= q
     if scale == 0:
         raise ValueError("the fiber rescaling must be a unit")
-    n = triple.genus + 1 - triple.alpha.degree
+    n = len(triple[1]) - len(triple[0])
     shift = tuple(t % q for t in translation)
     if len(shift) != n + 1:
         raise ValueError(f"the translation must be a form of degree {n}")
-    alpha_c = _compose(triple.alpha.coefficients, matrix, q)
-    beta_c = _compose(triple.beta.coefficients, matrix, q)
-    gamma_c = _compose(triple.gamma.coefficients, matrix, q)
+    alpha_c, beta_c, gamma_c = (_compose(form, matrix, q) for form in triple)
     new_alpha = tuple(scale * scale * v % q for v in alpha_c)
     shift_alpha = fq.mul(shift, alpha_c, q)
     new_beta = tuple(
@@ -848,11 +773,7 @@ def apply_group_element(
     new_gamma = tuple(
         (x + y + z) % q for x, y, z in zip(shift_sq_alpha, shift_beta, gamma_c)
     )
-    return SectionTriple(
-        BinaryForm(triple.alpha.degree, new_alpha, q),
-        BinaryForm(triple.beta.degree, new_beta, q),
-        BinaryForm(triple.gamma.degree, new_gamma, q),
-    )
+    return new_alpha, new_beta, new_gamma
 
 
 def orbit_spot_check(
@@ -882,12 +803,10 @@ def orbit_spot_check(
 
     found = []
     while len(found) < samples:
-        triple = SectionTriple(
-            BinaryForm(l, random_form(l, nonzero=True), q),
-            BinaryForm(g + 1, random_form(g + 1), q),
-            BinaryForm(2 * g + 2 - l, random_form(2 * g + 2 - l), q),
+        triple = (
+            random_form(l, nonzero=True), random_form(g + 1), random_form(2 * g + 2 - l)
         )
-        if triple.is_member():
+        if is_squarefree(psi_forward(*triple, q), q):
             found.append(triple)
 
     moved = 0
@@ -903,9 +822,9 @@ def orbit_spot_check(
         scale = rng.randrange(1, q)
         shift = random_form(n)
         for triple in found:
-            image = apply_group_element(triple, matrix, scale, shift)
+            image = apply_group_element(triple, matrix, scale, shift, q)
             moved += 1
-            if not image.is_member():
+            if not is_squarefree(psi_forward(*image, q), q):
                 all_in = False
     return {
         "g": g,

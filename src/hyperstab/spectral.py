@@ -153,7 +153,7 @@ def five_point_configuration_table() -> dict:
     Maps a printed row (homological degree ``row + 5k1 + 5k2 + 8h + L`` of a
     cell minus the column position) to the list of ``(type, codimension -
     twist)`` entries appearing there.  Only four of the twelve five-point
-    types contribute.
+    types contribute; a class of any other one raises ArithmeticError.
     """
     table: dict = {}
     for k1 in range(6):
@@ -161,7 +161,12 @@ def five_point_configuration_table() -> dict:
             if (5 - k1 - k2) % 2:
                 continue
             config = ConfigurationType(k1, k2, (5 - k1 - k2) // 2)
-            for row, twist, mult in sorted(type_cells(config)):
+            cells = sorted(type_cells(config))
+            if cells and config not in _FIVE_POINT_POSITIONS:
+                raise ArithmeticError(
+                    f"five-point type {config} has classes, but the table has no column for it"
+                )
+            for row, twist, mult in cells:
                 if mult != 1:
                     raise ArithmeticError(
                         f"five-point type {config}: class of twist {twist} in row {row} "

@@ -36,7 +36,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from hyperstab import fq
-from hyperstab.ffcount import BinaryForm, ResourceGuardError, SectionTriple
+from hyperstab.ffcount import ResourceGuardError
 from hyperstab.symfunc import CharacterVector, _mn, partitions
 
 
@@ -497,26 +497,26 @@ def o_exact_div(num, den, q):
     return tuple(quot)
 
 
-def psi_inverse(alpha: BinaryForm, beta: BinaryForm, delta: BinaryForm) -> SectionTriple:
-    """Recover the triple from (alpha, beta, discriminant): gamma = (beta^2-delta)/(4 alpha)."""
-    if not any(alpha.coefficients):
+def psi_inverse(alpha, beta, delta, q) -> tuple:
+    """Recover the triple from (alpha, beta, discriminant): gamma = (beta^2-delta)/(4 alpha).
+
+    Forms are coefficient tuples ascending in x, of degree their length
+    minus one; the result is (alpha, beta, gamma).
+    """
+    if not any(c % q for c in alpha):
         raise ValueError("the inverse needs a nonzero leading form")
-    q = alpha.q
-    if beta.q != q or delta.q != q:
-        raise ValueError("all forms must live over the same field")
-    g = beta.degree - 1
-    l = alpha.degree
-    if delta.degree != 2 * g + 2:
+    g = len(beta) - 2
+    if len(delta) != 2 * g + 3:
         raise ValueError(
-            f"the discriminant must have degree {2 * g + 2}, got {delta.degree}"
+            f"the discriminant must have degree {2 * g + 2}, got {len(delta) - 1}"
         )
-    bsq = o_mul(beta.coefficients, beta.coefficients, q)
-    num = tuple((x - y) % q for x, y in zip(bsq, delta.coefficients))
-    den = tuple(4 * c % q for c in alpha.coefficients)
+    bsq = o_mul(beta, beta, q)
+    num = tuple((x - y) % q for x, y in zip(bsq, delta))
+    den = tuple(4 * c % q for c in alpha)
     gamma = o_exact_div(num, den, q)
     if gamma is None:
         raise ValueError("beta^2 - delta is not divisible by 4 alpha")
-    return SectionTriple(alpha, beta, BinaryForm(2 * g + 2 - l, gamma, q))
+    return alpha, beta, gamma
 
 
 # --------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import numpy
 import pytest
 
 import hyperstab
-from hyperstab import cli, ffcount, linalg, m0n, symfunc
+from hyperstab import cli, ffcount, linalg, m0n, spectral, symfunc
 from hyperstab.cli import Check, SuiteResult, main
 
 # the package's parent directory, for the PYTHONPATH of child processes
@@ -150,6 +150,18 @@ def test_suite_tables_walks_each_L5_pairing_chain_once(monkeypatch):
     assert walked == [cli.column_rows(5), cli.REFERENCE_COLUMNS[5]]
     [pairing] = [c for c in result.checks if c.id == "e1-L5-orbit-pairing"]
     assert (pairing.status, pairing.actual) == ("pass", "computed decomposes, reference fails")
+
+
+def test_a_missing_L5_row_fails_the_deviation_check(monkeypatch, capsys):
+    # the computed L = 5 column loses row -18 and keeps {13: 6} at row -22
+    real = cli.column_rows
+
+    def without_row(L):
+        return {row: c for row, c in real(L).items() if (L, row) != (5, -18)}
+
+    monkeypatch.setattr(cli, "column_rows", without_row)
+    assert main(["verify", "tables"]) == 1
+    assert "FAIL tables/e1-L5-deviation-set" in capsys.readouterr().out
 
 
 def test_verify_counts_small_budget(capsys):
@@ -553,6 +565,23 @@ def test_a_layer_that_is_not_a_virtual_character_exits_three(monkeypatch, capsys
     captured = capsys.readouterr()
     assert captured.err.startswith("error: internal invariant: multiplicity of chi^")
     assert captured.out == ""
+
+
+def test_a_five_point_type_without_a_column_exits_three(monkeypatch, capsys):
+    # a wrong layer that still loads, such as layer 1 of M_{0,4} with the sign
+    # character added, gives classes to the five-point type (0, 3, 1)
+    real = spectral.type_pairings
+
+    def widened(k1, k2, h):
+        pairings = real(k1, k2, h)
+        return {**pairings, 1: 1} if (k1, k2, h) == (0, 3, 1) else pairings
+
+    monkeypatch.setattr(spectral, "type_pairings", widened)
+    assert main(["verify", "tables"]) == 3
+    assert capsys.readouterr().err == (
+        "error: internal invariant: five-point type ConfigurationType(0, 3, 1) "
+        "has classes, but the table has no column for it\n"
+    )
 
 
 def test_cache_with_a_cycle_type_spelled_twice_is_a_usage_error(layer_cache, capsys):

@@ -36,9 +36,7 @@ from hypothesis import strategies as st
 from hyperstab import ffcount
 from hyperstab.cli import COUNT_CASES_SMALL
 from hyperstab.ffcount import (
-    BinaryForm,
     ResourceGuardError,
-    SectionTriple,
     apply_group_element,
     closed_form_count,
     enumerate_count,
@@ -115,38 +113,35 @@ def all_forms(degree, q):
 
 def test_is_squarefree_basic_examples():
     # x^2 - y^2 = (x-y)(x+y): distinct roots.
-    assert is_squarefree(BinaryForm(2, (-1, 0, 1), 3))
+    assert is_squarefree((-1, 0, 1), 3)
     # x^2 y has the double root [0:1].
-    assert not is_squarefree(BinaryForm(3, (0, 0, 1, 0), 3))
+    assert not is_squarefree((0, 0, 1, 0), 3)
     # y^2 as a degree-2 form: double root at [1:0].
-    assert not is_squarefree(BinaryForm(2, (1, 0, 0), 3))
+    assert not is_squarefree((1, 0, 0), 3)
     # x y (x + y): three distinct roots.
-    assert is_squarefree(BinaryForm(3, (0, 1, 1, 0), 3))
+    assert is_squarefree((0, 1, 1, 0), 3)
     # (x + y)^2 = x^2 + 2xy + y^2.
-    assert not is_squarefree(BinaryForm(2, (1, 2, 1), 3))
+    assert not is_squarefree((1, 2, 1), 3)
     # The zero form is never square-free; nonzero constants vacuously are.
-    assert not is_squarefree(BinaryForm(2, (0, 0, 0), 3))
-    assert is_squarefree(BinaryForm(0, (2,), 3))
+    assert not is_squarefree((0, 0, 0), 3)
+    assert is_squarefree((2,), 3)
     # x^5 y - x y^5 = x y (x^4 - y^4) over F_5: six distinct roots.
-    assert is_squarefree(BinaryForm(6, (0, -1, 0, 0, 0, 1, 0), 5))
+    assert is_squarefree((0, -1, 0, 0, 0, 1, 0), 5)
     # ... while x y^5 piles five roots onto [1:0].
-    assert not is_squarefree(BinaryForm(6, (0, 1, 0, 0, 0, 0, 0), 5))
+    assert not is_squarefree((0, 1, 0, 0, 0, 0, 0), 5)
 
 
-def test_is_squarefree_rejects_characteristic_two_and_bad_shapes():
+def test_is_squarefree_rejects_characteristic_two_and_prime_powers():
     with pytest.raises(ValueError, match="odd"):
-        is_squarefree(BinaryForm(2, (1, 1, 1), 2))
-    with pytest.raises(ValueError):
-        BinaryForm(2, (1, 1), 3)  # length must be degree + 1
-    with pytest.raises(ValueError):
-        BinaryForm(2, (1, 1, 1), 9)  # field size must be prime
-    with pytest.raises(ValueError):
-        BinaryForm(-1, (), 3)
+        is_squarefree((1, 1, 1), 2)
+    with pytest.raises(ValueError, match="prime"):
+        is_squarefree((1, 1, 1), 9)
 
 
-def test_binary_form_normalizes_coefficients_mod_q():
-    f = BinaryForm(2, (4, -1, 3), 3)
-    assert f.coefficients == (1, 2, 0)
+def test_is_squarefree_reduces_coefficients_mod_q():
+    # (1, 1, 0, 3) is y^3 + x y^2 + 3 x^3, which mod 3 is y^2 (x + y) with a
+    # double root at [1:0]; read unreduced, its top coefficient hides that root
+    assert not is_squarefree((1, 1, 0, 3), 3)
 
 
 def test_is_squarefree_matches_factorization_oracle_exhaustively():
@@ -154,14 +149,14 @@ def test_is_squarefree_matches_factorization_oracle_exhaustively():
     irr = o_monic_irreducible_forms(3, 3)
     for coeffs in all_forms(6, 3):
         expected = o_squarefree(coeffs, 3, irr)
-        assert is_squarefree(BinaryForm(6, coeffs, 3)) is expected
+        assert is_squarefree(coeffs, 3) is expected
 
 
 def test_is_squarefree_matches_factorization_oracle_f5():
     irr = o_monic_irreducible_forms(5, 2)
     for coeffs in all_forms(4, 5):
         expected = o_squarefree(coeffs, 5, irr)
-        assert is_squarefree(BinaryForm(4, coeffs, 5)) is expected
+        assert is_squarefree(coeffs, 5) is expected
 
 
 def test_sieve_bitmap_agrees_with_pointwise_squarefree():
@@ -170,11 +165,11 @@ def test_sieve_bitmap_agrees_with_pointwise_squarefree():
     for index, coeffs in enumerate(all_forms(6, 3)):
         # all_forms iterates c_0 fastest last; index must follow base-q digits
         idx = sum(c * 3**i for i, c in enumerate(coeffs))
-        assert bool(bitmap[idx]) == is_squarefree(BinaryForm(6, coeffs, 3))
+        assert bool(bitmap[idx]) == is_squarefree(coeffs, 3)
     bitmap5 = ffcount._squarefree_bitmap(4, 5)
     for coeffs in all_forms(4, 5):
         idx = sum(c * 5**i for i, c in enumerate(coeffs))
-        assert bool(bitmap5[idx]) == is_squarefree(BinaryForm(4, coeffs, 5))
+        assert bool(bitmap5[idx]) == is_squarefree(coeffs, 5)
 
 
 # --------------------------------------------------------------------------
@@ -810,15 +805,14 @@ def test_stratified_count_matches_factorization_oracle_at_genus_one():
 
 
 def test_psi_substitution_round_trips():
-    alpha = BinaryForm(1, (0, 1), 3)            # x
-    beta = BinaryForm(3, (1, 0, 0, 1), 3)       # x^3 + y^3
-    gamma = BinaryForm(5, (1, 0, 0, 0, 0, 0), 3)  # y^5
-    triple = SectionTriple(alpha, beta, gamma)
-    delta = psi_forward(triple)
-    assert delta.degree == 6
-    assert psi_inverse(alpha, beta, delta) == triple
+    alpha = (0, 1)                  # x
+    beta = (1, 0, 0, 1)             # x^3 + y^3
+    gamma = (1, 0, 0, 0, 0, 0)      # y^5
+    delta = psi_forward(alpha, beta, gamma, 3)
+    assert len(delta) - 1 == 6
+    assert psi_inverse(alpha, beta, delta, 3) == (alpha, beta, gamma)
     with pytest.raises(ValueError):
-        psi_inverse(BinaryForm(1, (0, 0), 3), beta, delta)
+        psi_inverse((0, 0), beta, delta, 3)
 
 
 def test_psi_round_trips_on_random_triples():
@@ -827,15 +821,13 @@ def test_psi_round_trips_on_random_triples():
     rng = random.Random(20260816)
     for _ in range(200):
         g, l, q = rng.choice([(2, 1, 3), (2, 2, 3), (3, 2, 5)])
-        alpha = BinaryForm(l, tuple(rng.randrange(q) for _ in range(l + 1)), q)
-        if not any(alpha.coefficients):
+        alpha = tuple(rng.randrange(q) for _ in range(l + 1))
+        if not any(alpha):
             continue
-        beta = BinaryForm(g + 1, tuple(rng.randrange(q) for _ in range(g + 2)), q)
-        gamma = BinaryForm(
-            2 * g + 2 - l, tuple(rng.randrange(q) for _ in range(2 * g + 3 - l)), q
-        )
-        triple = SectionTriple(alpha, beta, gamma)
-        assert psi_inverse(alpha, beta, psi_forward(triple)) == triple
+        beta = tuple(rng.randrange(q) for _ in range(g + 2))
+        gamma = tuple(rng.randrange(q) for _ in range(2 * g + 3 - l))
+        delta = psi_forward(alpha, beta, gamma, q)
+        assert psi_inverse(alpha, beta, delta, q) == (alpha, beta, gamma)
 
 
 def test_psi_roundtrip_check_reports():
@@ -1054,27 +1046,32 @@ def test_psi_roundtrip_check_divides_once_per_leading_form(monkeypatch):
 # --------------------------------------------------------------------------
 
 def test_apply_group_element_identity_and_equivariance():
-    alpha = BinaryForm(1, (0, 1), 3)
-    beta = BinaryForm(3, (0, 0, 0, 1), 3)
-    gamma = BinaryForm(5, (1, 0, 0, 0, 0, 0), 3)
-    triple = SectionTriple(alpha, beta, gamma)
-    assert triple.is_member()
-    same = apply_group_element(triple, ((1, 0), (0, 1)), 1, (0, 0, 0))
+    triple = ((0, 1), (0, 0, 0, 1), (1, 0, 0, 0, 0, 0))
+    assert is_squarefree(psi_forward(*triple, 3), 3)
+    same = apply_group_element(triple, ((1, 0), (0, 1)), 1, (0, 0, 0), 3)
     assert same == triple
+    # n = len(beta) - len(alpha) = 2, so the translation has three coefficients
+    for matrix, scale, shift, message in (
+        (((1, 1), (1, 1)), 1, (0, 0, 0), "invertible"),
+        (((1, 0), (0, 1)), 3, (0, 0, 0), "unit"),
+        (((1, 0), (0, 1)), 1, (0, 0), "degree 2"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            apply_group_element(triple, matrix, scale, shift, 3)
 
     matrix, scale, shift = ((1, 1), (0, 1)), 2, (1, 0, 1)
-    moved = apply_group_element(triple, matrix, scale, shift)
-    assert (moved.alpha.degree, moved.beta.degree, moved.gamma.degree) == (1, 3, 5)
+    moved = apply_group_element(triple, matrix, scale, shift, 3)
+    assert [len(form) - 1 for form in moved] == [1, 3, 5]
     # The discriminant transforms by scale^2 and the coordinate change alone.
-    delta = psi_forward(triple).coefficients
+    delta = psi_forward(*triple, 3)
     composed = [0] * 7
     for i, c in enumerate(delta):
         # substitute x -> x + y, y -> y and expand (x + y)^i
         for j in range(i + 1):
             composed[j] = (composed[j] + c * comb(i, j)) % 3
     expected = tuple(scale * scale * c % 3 for c in composed)
-    assert psi_forward(moved).coefficients == expected
-    assert moved.is_member()
+    assert psi_forward(*moved, 3) == expected
+    assert is_squarefree(psi_forward(*moved, 3), 3)
 
 
 def test_orbit_spot_check_keeps_samples_in_the_family():

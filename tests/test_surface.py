@@ -11,8 +11,10 @@ called; a bare name reaches neither, so a local variable or a dict's
 ``values()`` does not keep a method or property of that name.  A name that
 nothing refers to stays only if it is listed in ``KEPT`` with the reason it
 stays; the list is empty, because the oracles live in ``tests/oracles.py``,
-and no name defined there is defined in the package too.  A public name
-that is neither reached nor kept goes, with its tests.  The next check
+and no name defined there is defined in the package too.  The oracles take
+nothing from ``ffcount``, the module they check most, but the exception of
+its budget guard.  A public name that is neither reached nor kept goes,
+with its tests.  The next check
 keeps the pairing of M_{0,n} layers with a configuration type in one place,
 the type pairings with their two readers (the stable table, whose
 numerator they are, and the column cells), the one row formula of the rank checks with its callers, the
@@ -177,6 +179,17 @@ def test_an_oracle_lives_in_one_place():
                 names.update(sub.name for sub in node.body if isinstance(sub, ast.FunctionDef))
             forked.extend((module, bare) for bare in sorted(names & oracles))
     assert forked == []
+
+
+def test_the_oracles_take_nothing_from_ffcount_but_its_budget_error():
+    imported = set()
+    for node in ast.walk(ast.parse(ORACLES.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            imported.update(f"{node.module}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    from_ffcount = {name for name in imported if "ffcount" in name.split(".")}
+    assert from_ffcount <= {"hyperstab.ffcount.ResourceGuardError"}
 
 
 # function -> the (module, top-level definition) pairs that may call it: the
