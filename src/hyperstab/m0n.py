@@ -108,7 +108,8 @@ def _cycle_type_labels(n: int) -> list:
     return [list(map(str, mu)) for mu in partitions(n)]
 
 
-def _save_cache(path: Path, n: int, layers: dict) -> None:
+def _cache_text(n: int, layers: dict) -> str:
+    """The layer file of n as `_save_cache` writes it and `_read_written` reads it."""
     # the bytes of compact json.dumps, joined directly: decimal strings need no escapes
     labels = json.dumps(_cycle_type_labels(n), separators=(",", ":"))
     entries = ",".join(
@@ -117,11 +118,15 @@ def _save_cache(path: Path, n: int, layers: dict) -> None:
         + '"}]}'
         for i, layer in sorted(layers.items())
     )
+    return f'{{"n":"{n}","cycle_types":{labels},"layers":[{entries}]}}'
+
+
+def _save_cache(path: Path, n: int, layers: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(f'{{"n":"{n}","cycle_types":{labels},"layers":[{entries}]}}')
+            handle.write(_cache_text(n, layers))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -129,9 +134,27 @@ def _save_cache(path: Path, n: int, layers: dict) -> None:
         raise
 
 
+def _read_written(text: str, n: int):
+    """The layers of ``text`` if it is exactly `_cache_text`'s rendering of them, else None.
+
+    Splits the text at the writer's own separators, so no JSON object is built.
+    """
+    layers = {}
+    try:
+        for entry in text.split('{"i":"')[1:]:
+            i, traces = entry.partition('"}]}')[0].split('","values":[{"trace":"')
+            layers[int(i)] = CharacterVector(n, map(int, traces.split('"},{"trace":"')))
+    except ValueError:
+        return None
+    return layers if _cache_text(n, layers) == text else None
+
+
 def _load_cache(path: Path, n: int) -> dict:
     try:
-        layers = _parse_cache(json.loads(path.read_text(), parse_float=_no_float), n)
+        text = path.read_text()
+        layers = _read_written(text, n)
+        if layers is None:
+            layers = _parse_cache(json.loads(text, parse_float=_no_float), n)
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc}") from exc
     except TypeError as exc:
@@ -206,9 +229,11 @@ def equivariant_poincare_m0n(n: int) -> dict:
     ``{"n": ..., "cycle_types": [...], "layers": [{"i": ..., "values":
     [{"trace": ...}, ...]}, ...]}``.  ``cycle_types`` spells each partition of
     n once, in `partitions(n)` order, and every layer lists its traces in that
-    order.  Only that list loads, in any JSON whitespace.  Any other file
-    (another spelling or order of the cycle types, or the layout of older
-    versions with a label in every value) raises ValueError naming the file.
+    order.  Only that list loads, in any JSON whitespace: a file in the
+    writer's own bytes is split at its separators, and any other JSON
+    spelling goes through json.  Any other file (another spelling or order
+    of the cycle types, or the layout of older versions with a label in
+    every value) raises ValueError naming the file.
     """
     if n < 3:
         raise ValueError("n must be >= 3")

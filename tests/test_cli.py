@@ -682,6 +682,27 @@ def test_malformed_layer_cache_is_a_usage_error(layer_cache, capsys, edit, messa
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (lambda data: b"", "Expecting value: line 1 column 1 (char 0)"),
+        (lambda data: data[:300], "Expecting value: line 1 column 301 (char 300)"),
+        (lambda data: b"\xff\xfe" + data,
+         "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    ],
+    ids=["empty", "cut", "not-utf-8"],
+)
+def test_damaged_layer_cache_is_a_usage_error(layer_cache, capsys, damage, message):
+    m0n.equivariant_poincare_m0n(7)
+    path = layer_cache / "m0n_7.json"
+    path.write_bytes(damage(path.read_bytes()))
+    m0n.equivariant_poincare_m0n.cache_clear()
+    assert main(["stable", "--max-deg", "8"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {path}: {message}\n"
+    assert captured.out == ""
+
+
 # --------------------------------------------------------------------------
 # output files and manifests
 # --------------------------------------------------------------------------

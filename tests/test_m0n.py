@@ -20,9 +20,10 @@ import json
 import math
 import os
 import random
+import string
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -361,7 +362,15 @@ def test_loader_accepts_every_label_spelling(layer_cache, tmp_path, monkeypatch,
     computed = m0n.equivariant_poincare_m0n(6)
     cache = _rewritten_cache(layer_cache, tmp_path, 6, lambda payload: None, indent)
     monkeypatch.setattr(m0n, "_twisted_counts", _no_recompute)
+    decoded, loads = [], json.loads
+
+    def counted_loads(text, **kwargs):
+        decoded.append(text)
+        return loads(text, **kwargs)
+
+    monkeypatch.setattr(m0n.json, "loads", counted_loads)
     assert m0n._load_cache(cache / "m0n_6.json", 6) == computed
+    assert len(decoded) == 1  # not the writer's bytes, so read through json
 
 
 def _shuffle_cycle_types(payload):
@@ -448,6 +457,60 @@ def test_loader_keeps_the_character_errors(layer_cache, tmp_path):
         m0n._load_cache(cache / "m0n_5.json", 5)
 
 
-def test_loaded_layers_equal_the_computed_layers(layer_cache):
-    computed = m0n.equivariant_poincare_m0n(7)
-    assert m0n._load_cache(layer_cache / "m0n_7.json", 7) == computed
+def test_loaded_layers_equal_the_computed_layers(layer_cache, monkeypatch):
+    # every file the writer writes is read in its own bytes, not through json
+    computed = {n: m0n.equivariant_poincare_m0n(n) for n in range(3, 25)}
+
+    def no_json(*args, **kwargs):
+        raise AssertionError("a written file went through json.loads")
+
+    monkeypatch.setattr(m0n.json, "loads", no_json)
+    for n, layers in computed.items():
+        assert m0n._load_cache(layer_cache / f"m0n_{n}.json", n) == layers
+
+
+@pytest.fixture(scope="module")
+def written_m0n_7(tmp_path_factory):
+    """The text `_save_cache` writes for n = 7, and a directory to edit copies of it in."""
+    directory = tmp_path_factory.mktemp("edited-m0n-7")
+    m0n._save_cache(directory / "m0n_7.json", 7, m0n.equivariant_poincare_m0n(7))
+    return (directory / "m0n_7.json").read_text(), directory
+
+
+def _load_outcome(path, n):
+    try:
+        return m0n._load_cache(path, n)
+    except ValueError as exc:
+        return str(exc)
+
+
+_EDIT_CHARS = string.digits + '-+_ ,:{}[]".e' + string.whitespace
+_EDITS = st.lists(
+    st.tuples(
+        st.sampled_from(["replace", "insert", "delete"]),
+        st.integers(0, 1 << 12),
+        st.sampled_from(_EDIT_CHARS),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+# character 541 is the first trace of layer 1, "0": a changed digit is the
+# writer's rendering of other layers, "-0" is not but still loads
+@settings(max_examples=300, deadline=None)
+@given(_EDITS)
+@example([("replace", 541, "2")])
+@example([("insert", 541, "-")])
+def test_reading_the_written_bytes_agrees_with_json(written_m0n_7, edits):
+    text, directory = written_m0n_7
+    for kind, position, char in edits:
+        position %= len(text) + (kind == "insert")
+        tail = text[position:] if kind == "insert" else text[position + 1:]
+        text = text[:position] + ("" if kind == "delete" else char) + tail
+    path = directory / "m0n_7.json"
+    path.write_text(text)
+    outcome = _load_outcome(path, 7)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(m0n, "_read_written", lambda text, n: None)
+        assert _load_outcome(path, 7) == outcome
