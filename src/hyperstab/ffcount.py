@@ -335,10 +335,13 @@ def _feasible_grid(budget: int) -> str:
 
 
 def _check_budget(g, l, q, tuple_budget):
-    tuples = q ** (3 * g + 6)
-    if tuples > tuple_budget:
+    # q > 2, so an exponent past the budget's bit length is over the budget
+    # without building q^(3g+6), whose digits pass int-to-str's limit at q = 3
+    # from g = 3003 on
+    exponent = 3 * g + 6
+    if exponent > tuple_budget.bit_length() or q ** exponent > tuple_budget:
         raise ResourceGuardError(
-            f"(g={g}, l={l}, q={q}) spans q^(3g+6) = {tuples} tuples, over the "
+            f"(g={g}, l={l}, q={q}) spans q^(3g+6) = {q}^{exponent} tuples, over the "
             f"budget {tuple_budget}; feasible grid at this budget: {_feasible_grid(tuple_budget)}"
         )
 

@@ -205,21 +205,11 @@ def five_point_stratum_table() -> dict:
 class DifferentialSolution:
     """One admissible (source twist, target twist) pair for a family move."""
 
-    family: str
     source: ConfigurationType
     target: ConfigurationType
     r: int
     j_source: int
     j_target: int
-
-
-@dataclass(frozen=True)
-class DifferentialCandidate:
-    """An admissible differential between two configuration types."""
-
-    source: ConfigurationType
-    target: ConfigurationType
-    kind: str
 
 
 # family name -> its move (dk1, dk2, dh) on (k1, k2, h), applied r times;
@@ -279,7 +269,6 @@ def scan_differential_system(bound: int) -> dict:
                         if 0 <= jp <= Lp - 3:
                             results[name].append(
                                 DifferentialSolution(
-                                    family=name,
                                     source=source,
                                     target=target,
                                     r=r,
@@ -292,22 +281,3 @@ def scan_differential_system(bound: int) -> dict:
             key=lambda s: (type_sort_key(s.source), type_sort_key(s.target), s.j_source)
         )
     return results
-
-
-def differential_candidates(scan: dict) -> tuple:
-    """Admissible differentials of a `scan_differential_system` result.
-
-    Kind "I" candidates raise the twist by one and stay within a column;
-    kind "II" candidates preserve the twist and drop the site count by one.
-    """
-    seen = set()
-    out = []
-    for name, kind in (("f", "I"), ("g", "II")):
-        for sol in scan[name]:
-            key = (sol.source, sol.target, kind)
-            if key not in seen:
-                seen.add(key)
-                out.append(DifferentialCandidate(sol.source, sol.target, kind))
-    out.sort(key=lambda c: (type_sort_key(c.source), type_sort_key(c.target)))
-    return tuple(out)
-

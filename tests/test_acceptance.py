@@ -14,6 +14,7 @@ import os
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -172,8 +173,7 @@ def test_criterion_3_m0n_oracle_equivalence():
 
 def test_criterion_4_codimension_lemma():
     result = suite_ranks(trials=100)
-    counts = result.counts()
-    assert counts == {"pass": 39, "fail": 0, "skipped": 0}
+    assert Counter(check.status for check in result) == {"pass": 39}
     _report(4, "PASS", "full rank on 100 exact trials for all 19 types at two "
                        "(d, n) pairs each, plus the below-bound rank-drop witness")
 
@@ -184,8 +184,7 @@ def test_criterion_4_codimension_lemma():
 
 def test_criterion_5_differential_scan():
     result = suite_diffscan()
-    assert result.counts()["fail"] == 0
-    assert all(check.status == "pass" for check in result.checks)
+    assert Counter(check.status for check in result) == {"pass": 8}
     _report(5, "PASS", "scan to eight sites: families a-e empty; only the "
                        "kind I (twist offset 1) and kind II (twist preserved) "
                        "moves admit r = 1 solutions")
@@ -243,8 +242,8 @@ def test_criterion_6_reference_parity_clause(full_grid):
 
 def test_criterion_7_euler_identity():
     result = suite_euler()
-    assert result.counts() == {"pass": 5, "fail": 0, "skipped": 0}
-    window = next(c for c in result.checks if c.id == "euler-l4-window")
+    assert Counter(check.status for check in result) == {"pass": 5}
+    window = next(c for c in result if c.id == "euler-l4-window")
     assert "1 + L + L^6" in window.actual
     _report(7, "PASS", "series and counting routes agree for l = 1..4; the "
                        "l = 4 window reaches L^6 with both sides 1 + L + L^6")

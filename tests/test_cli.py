@@ -14,7 +14,7 @@ import pytest
 
 import hyperstab
 from hyperstab import cli, ffcount, linalg, m0n, spectral, symfunc
-from hyperstab.cli import Check, SuiteResult, main
+from hyperstab.cli import Check, main
 
 # the package's parent directory, for the PYTHONPATH of child processes
 _SRC = str(Path(hyperstab.__file__).resolve().parents[1])
@@ -31,19 +31,23 @@ def test_check_validates_status_and_source():
         Check("x", "pass", "1", "1", "guesswork")
 
 
-def test_suite_result_counts_and_payload():
-    result = SuiteResult(
-        "demo",
-        (
-            Check("a", "pass", "1", "1", "identity"),
-            Check("b", "fail", "1", "2", "oracle"),
-            Check("c", "skipped", "1", "-", "tabulated"),
-        ),
+def test_verify_tallies_and_writes_the_checks_a_suite_returns(monkeypatch, tmp_path, capsys):
+    checks = (
+        Check("a", "pass", "1", "1", "identity"),
+        Check("b", "fail", "1", "2", "oracle"),
+        Check("c", "skipped", "1", "-", "tabulated"),
     )
-    assert result.counts() == {"pass": 1, "fail": 1, "skipped": 1}
-    payload = result.payload()
-    assert payload["suite"] == "demo"
+    monkeypatch.setattr(cli, "suite_euler", lambda: checks)
+    assert main(["verify", "euler", "--out", str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    assert "suite euler: 1 passed, 1 failed, 1 skipped" in out
+    assert "total: 1 failing check(s) across 1 suite(s)" in out
+    [payload] = json.loads((tmp_path / "verify.json").read_text())
+    assert payload["suite"] == "euler"
     assert [c["id"] for c in payload["checks"]] == ["a", "b", "c"]
+    assert payload["checks"][1] == {
+        "id": "b", "status": "fail", "expected": "1", "actual": "2", "source": "oracle",
+    }
 
 
 def test_render_helpers():
@@ -133,7 +137,7 @@ def test_suite_tables_computes_each_five_point_table_once(monkeypatch):
         monkeypatch.setattr(cli, name, counted)
     result = cli.suite_tables()
     assert sorted(calls) == ["five_point_configuration_table", "five_point_stratum_table"]
-    five_point = [c for c in result.checks if c.id.startswith("five-point-")]
+    five_point = [c for c in result if c.id.startswith("five-point-")]
     assert [(c.status, c.actual) for c in five_point] == [("pass", "equal")] * 2
 
 
@@ -148,7 +152,7 @@ def test_suite_tables_walks_each_L5_pairing_chain_once(monkeypatch):
     monkeypatch.setattr(cli, "_pairing_chains_consistent", counted)
     result = cli.suite_tables()
     assert walked == [cli.column_rows(5), cli.REFERENCE_COLUMNS[5]]
-    [pairing] = [c for c in result.checks if c.id == "e1-L5-orbit-pairing"]
+    [pairing] = [c for c in result if c.id == "e1-L5-orbit-pairing"]
     assert (pairing.status, pairing.actual) == ("pass", "computed decomposes, reference fails")
 
 
@@ -164,6 +168,28 @@ def test_a_missing_L5_row_fails_the_deviation_check(monkeypatch, capsys):
     assert "FAIL tables/e1-L5-deviation-set" in capsys.readouterr().out
 
 
+def test_a_changed_row_fails_its_entrywise_check(monkeypatch, capsys):
+    # L = 3 gains a class at row -11 and L = 6 loses its row -20
+    real = cli.column_rows
+
+    def changed(L):
+        rows = dict(real(L))
+        if L == 3:
+            rows[-11] = {6: 2}
+        if L == 6:
+            del rows[-20]
+        return rows
+
+    monkeypatch.setattr(cli, "column_rows", changed)
+    assert main(["verify", "tables"]) == 1
+    out = capsys.readouterr().out
+    assert ("FAIL tables/e1-L3-entrywise [tabulated] expected reference column "
+            "entry-for-entry; got differs at rows -11") in out
+    assert "PASS tables/e1-L4-entrywise" in out
+    assert ("FAIL tables/e1-L6-rows-19-23 [tabulated] expected reference rows -19..-23 "
+            "entry-for-entry; got differs at rows -20") in out
+
+
 def test_verify_counts_small_budget(capsys):
     assert main(["verify", "counts"]) == 0
     out = capsys.readouterr().out
@@ -177,9 +203,9 @@ def test_verify_counts_small_budget(capsys):
 def test_verify_counts_full_budget_adds_one_orbit_check_per_case(monkeypatch):
     monkeypatch.setattr(cli, "COUNT_CASES_FULL", cli.COUNT_CASES_SMALL[:2])
     small = cli.suite_counts("small")
-    assert not [c for c in small.checks if c.id.startswith("orbit-")]
+    assert not [c for c in small if c.id.startswith("orbit-")]
     full = cli.suite_counts("full")
-    orbit = [c for c in full.checks if c.id.startswith("orbit-")]
+    orbit = [c for c in full if c.id.startswith("orbit-")]
     assert [c.id for c in orbit] == ["orbit-g2-l1-q3", "orbit-g2-l2-q3"]
     assert all(c.status == "pass" and c.source == "identity" for c in orbit)
     assert orbit[0].actual == "500 images, all in the family"
@@ -222,6 +248,24 @@ def test_verify_diffscan(capsys):
     assert "suite diffscan: 8 passed, 0 failed, 0 skipped" in out
 
 
+def test_verify_diffscan_fails_without_a_required_pair(monkeypatch, capsys):
+    real = cli.scan_differential_system
+
+    def without_131(bound):
+        scan = real(bound)
+        scan["f"] = [sol for sol in scan["f"] if sol.source != cli.CT(1, 3, 1)]
+        return scan
+
+    monkeypatch.setattr(cli, "scan_differential_system", without_131)
+    assert main(["verify", "diffscan"]) == 1
+    out = capsys.readouterr().out
+    pair = (cli.CT(1, 3, 1), cli.CT(2, 2, 1), "I")
+    assert "FAIL diffscan/diffscan-candidates [tabulated] expected candidate pairs" in out
+    assert f"got missing {[pair]}" in out
+    assert "PASS diffscan/diffscan-kind-I-structure" in out
+    assert "suite diffscan: 7 passed, 1 failed, 0 skipped" in out
+
+
 def test_verify_unknown_suite_is_usage_error():
     with pytest.raises(SystemExit) as excinfo:
         main(["verify", "nonsense"])
@@ -229,9 +273,7 @@ def test_verify_unknown_suite_is_usage_error():
 
 
 def test_verify_failing_check_exits_one(monkeypatch, capsys):
-    failing = SuiteResult(
-        "euler", (Check("euler-l1", "fail", "equal sides", "unequal", "oracle"),)
-    )
+    failing = (Check("euler-l1", "fail", "equal sides", "unequal", "oracle"),)
     monkeypatch.setattr(cli, "suite_euler", lambda: failing)
     assert main(["verify", "euler"]) == 1
     out = capsys.readouterr().out
@@ -398,6 +440,22 @@ def test_count_over_the_tuple_budget_is_usage_error():
     assert done.stderr.startswith("error: (g=9, l=1, q=3) spans q^(3g+6)")
     assert "feasible grid at this budget: q=3: g<=4" in done.stderr
     assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("g", [3003, 100000000])
+def test_count_guard_names_the_power_without_building_it(g):
+    # q^(3g+6) at g = 3003 has more digits than int-to-str allows, and at
+    # g = 10^8 building it takes minutes; the guard prints q^(3g+6) as a power
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    done = subprocess.run(
+        [sys.executable, "-m", "hyperstab.cli", "count", "--g", str(g), "--l", "1", "--q", "3"],
+        capture_output=True, text=True, env=env, timeout=20,
+    )
+    assert done.returncode == 2
+    assert done.stderr.startswith(
+        f"error: (g={g}, l=1, q=3) spans q^(3g+6) = 3^{3 * g + 6} tuples, over the budget"
+    )
+    assert "feasible grid at this budget: q=3: g<=4" in done.stderr
 
 
 # --------------------------------------------------------------------------

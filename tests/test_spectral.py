@@ -22,7 +22,6 @@ from hyperstab.series import TatePolynomial
 from hyperstab.spectral import (
     ConfigurationType,
     column_rows,
-    differential_candidates,
     five_point_configuration_table,
     five_point_stratum_table,
     scan_differential_system,
@@ -484,14 +483,12 @@ def test_differential_scan_f_g_structure():
 
 
 def test_differential_candidate_examples():
-    candidates = differential_candidates(scan_differential_system(8))
-    pairs = {(c.source, c.target, c.kind) for c in candidates}
-    assert (CT(1, 3, 1), CT(2, 2, 1), "I") in pairs
-    assert (CT(2, 3, 1), CT(2, 1, 2), "II") in pairs
-    for source, target, kind in pairs:
-        assert kind in ("I", "II")
+    # kind I candidates are the family-f solutions, kind II the family-g ones
+    scan = scan_differential_system(8)
+    assert (CT(1, 3, 1), CT(2, 2, 1)) in {(s.source, s.target) for s in scan["f"]}
+    assert (CT(2, 3, 1), CT(2, 1, 2)) in {(s.source, s.target) for s in scan["g"]}
     # no pure-double-line type is ever a source
-    assert not any(c.source.k1 == 0 and c.source.k2 == 0 for c in candidates)
+    assert not any(s.source.k1 == 0 and s.source.k2 == 0 for s in scan["f"] + scan["g"])
 
 
 def test_differential_scan_matches_independent_enumeration():
