@@ -586,15 +586,14 @@ def suite_euler() -> tuple:
 
 
 def _minimal_valid_degree(config: ConfigurationType, n: int) -> int:
-    """``max(ceil(bound), 2n) + 1``, with ``bound = _degree_bound(config, n)``.
+    """``ceil(bound) + 1``, with ``bound = _degree_bound(config, n)``.
 
-    The verifier accepts d > bound >= 2n, so this is its smallest degree for an
+    The verifier accepts d > bound, so this is its smallest degree for an
     integer bound (34 of the 38 ``verify ranks`` cases) and one above it for a
     fractional one.  The ``rank-<type>-d<d>-n<n>`` check ids pin these values.
     """
     bound = _degree_bound(config, n)
-    ceiling = -(-bound.numerator // bound.denominator)
-    return max(ceiling, 2 * n) + 1
+    return -(-bound.numerator // bound.denominator) + 1
 
 
 def suite_ranks(seed: int = DEFAULT_SEED, trials: int = 100) -> tuple:
@@ -888,11 +887,19 @@ def cmd_count(args) -> int:
         "closed_form": closed,
         "match": (record.stack_count == closed) if record and closed is not None else None,
     }
-    if args.format == "json":
-        text = _json({k: str(v) if isinstance(v, Fraction) else v for k, v in row.items()})
-    else:
-        writer = _csv if args.format == "csv" else _markdown
-        text = writer(list(row), [["" if v is None else v for v in row.values()]])
+    # a count prints all its digits, in quadratic time: lift CPython's limit (0: none)
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        if args.format == "json":
+            text = _json({k: str(v) if isinstance(v, Fraction) else v for k, v in row.items()})
+        else:
+            writer = _csv if args.format == "csv" else _markdown
+            text = writer(list(row), [["" if v is None else v for v in row.values()]])
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     _deliver(args, text)
     return 0 if row["match"] in (True, None) else 1
 

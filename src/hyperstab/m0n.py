@@ -103,22 +103,17 @@ def _cache_path(n: int) -> Path:
     return base / f"m0n_{n}.json"
 
 
-def _cycle_type_labels(n: int) -> list:
-    """The partitions of n as `_save_cache` spells them, in `partitions(n)` order."""
-    return [list(map(str, mu)) for mu in partitions(n)]
-
-
 def _cache_text(n: int, layers: dict) -> str:
     """The layer file of n as `_save_cache` writes it and `_read_written` reads it."""
     # the bytes of compact json.dumps, joined directly: decimal strings need no escapes
-    labels = json.dumps(_cycle_type_labels(n), separators=(",", ":"))
+    labels = ",".join('["' + '","'.join(map(str, mu)) + '"]' for mu in partitions(n))
     entries = ",".join(
         f'{{"i":"{i}","values":[{{"trace":"'
         + '"},{"trace":"'.join(map(str, layer.vector))
         + '"}]}'
         for i, layer in sorted(layers.items())
     )
-    return f'{{"n":"{n}","cycle_types":{labels},"layers":[{entries}]}}'
+    return f'{{"n":"{n}","cycle_types":[{labels}],"layers":[{entries}]}}'
 
 
 def _save_cache(path: Path, n: int, layers: dict) -> None:
@@ -137,7 +132,8 @@ def _save_cache(path: Path, n: int, layers: dict) -> None:
 def _read_written(text: str, n: int):
     """The layers of ``text`` if it is exactly `_cache_text`'s rendering of them, else None.
 
-    Splits the text at the writer's own separators, so no JSON object is built.
+    Splits the text at the writer's own separators, so no JSON object is built,
+    and renders what it found again: `_cache_text` is the one statement of the layout.
     """
     layers = {}
     try:
@@ -150,59 +146,20 @@ def _read_written(text: str, n: int):
 
 
 def _load_cache(path: Path, n: int) -> dict:
+    """The layers in ``path``, whose JSON must re-encode compactly to the writer's bytes."""
     try:
         text = path.read_text()
         layers = _read_written(text, n)
         if layers is None:
-            layers = _parse_cache(json.loads(text, parse_float=_no_float), n)
-    except KeyError as exc:
-        raise ValueError(f"{path}: missing key {exc}") from exc
-    except TypeError as exc:
-        raise ValueError(f"{path}: wrong type: {exc}") from exc
+            layers = _read_written(json.dumps(json.loads(text), separators=(",", ":")), n)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
+    if layers is None:
+        raise ValueError(
+            f"{path}: not the layers of n={n} in the layout this version writes (an "
+            "older version's layout, or a damaged file): delete the file to recompute it"
+        )
     _validate_layers(n, layers, source=str(path))
-    return layers
-
-
-def _no_float(text: str):
-    raise ValueError(f"a number is not an integer: {text}")
-
-
-def _parse_cache(payload, n: int) -> dict:
-    """The layers of a decoded cache file; raises KeyError, TypeError or ValueError.
-
-    ``cycle_types`` must be spelled and ordered as `_save_cache` writes it.
-    Then every layer holds its traces in `partitions(n)` order and goes to
-    the `CharacterVector` constructor as it stands.
-    """
-    if not isinstance(payload, dict):
-        raise TypeError(f"the file holds a JSON {type(payload).__name__}, not an object")
-    if "cycle_types" not in payload:
-        raise ValueError(
-            "no top-level cycle_types list (an older version's layout, or a damaged "
-            "file): delete the file to recompute it"
-        )
-    if int(payload["n"]) != n:
-        raise ValueError(f"the file is for n={payload['n']}, not {n}")
-    labels = payload["cycle_types"]
-    if labels != _cycle_type_labels(n):
-        raise ValueError(
-            f"cycle_types is not the list of the partitions of {n} that this version "
-            "writes: delete the file to recompute it"
-        )
-    layers = {}
-    trace = operator.itemgetter("trace")
-    for entry in payload["layers"]:
-        i = int(entry["i"])
-        if i in layers:
-            raise ValueError(f"layer {i} is listed more than once")
-        traces = list(map(int, map(trace, entry["values"])))
-        if len(traces) != len(labels):
-            raise ValueError(
-                f"layer {i} has {len(traces)} traces for {len(labels)} cycle types"
-            )
-        layers[i] = CharacterVector(n, traces)
     return layers
 
 
@@ -224,16 +181,12 @@ def equivariant_poincare_m0n(n: int) -> dict:
     by #PGL_2(F_q) = q^3 - q, and the quotient sum_i (-1)^i tr(sigma | H^i)
     q^{(n-3)-i} gives layer i at coefficient n-3-i (see the module docstring).
     Results are cached on disk under the HYPERSTAB_CACHE directory, or
-    ~/.cache/hyperstab when it is unset: one file m0n_<n>.json per n,
-    integers as decimal strings, holding
-    ``{"n": ..., "cycle_types": [...], "layers": [{"i": ..., "values":
-    [{"trace": ...}, ...]}, ...]}``.  ``cycle_types`` spells each partition of
-    n once, in `partitions(n)` order, and every layer lists its traces in that
-    order.  Only that list loads, in any JSON whitespace: a file in the
-    writer's own bytes is split at its separators, and any other JSON
-    spelling goes through json.  Any other file (another spelling or order
-    of the cycle types, or the layout of older versions with a label in
-    every value) raises ValueError naming the file.
+    ~/.cache/hyperstab when it is unset: one file m0n_<n>.json per n, in the
+    bytes of `_cache_text`, which spells each partition of n once, in
+    `partitions(n)` order, and then every layer's traces in that order,
+    integers as decimal strings.  A file loads if its JSON re-encodes
+    compactly to those bytes, so only its whitespace may differ; any other
+    file (the layout of older versions among them) raises ValueError naming it.
     """
     if n < 3:
         raise ValueError("n must be >= 3")

@@ -24,14 +24,20 @@ are when the package changes, so that a change cannot move its own check.
 * `psi_inverse`, the inverse of the paper's substitution psi, which divides
   with the frozen long division `o_exact_div` rather than `ffcount._divide`;
 * `o_qpoly_floordiv`, the Euclidean division of polynomials in q that the
-  closed forms used before `series.TatePolynomial.divmod`.
+  closed forms used before `series.TatePolynomial.divmod`;
+* `o_parse_layer_file`, the structural parser of decoded layer files that
+  `m0n` kept beside its writer before every file had to re-encode to the
+  writer's bytes: looser than the loader, so whatever the loader accepts,
+  it accepts with the same layers.
 
 The oracles take a cycle type in any order of its parts and sort it with
 `canonical_partition`; the package reads class functions by position only.
 """
 
 import itertools
+import json
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
@@ -586,3 +592,46 @@ def o_qpoly_floordiv(num, den):
         quot = quot + term
         rem = rem - term * den
     return quot, rem
+
+
+# --------------------------------------------------------------------------
+# layer files of M_{0,n}
+# --------------------------------------------------------------------------
+
+def _o_no_float(text: str):
+    raise ValueError(f"a number is not an integer: {text}")
+
+
+def o_parse_layer_file(text: str, n: int) -> dict:
+    """The layers of a layer file; raises KeyError, TypeError or ValueError.
+
+    Frozen copy of ``m0n._parse_cache`` on ``json.loads(text)``, floats
+    refused.  ``cycle_types`` must be spelled and ordered as the writer
+    writes it; then every layer holds its traces in `partitions(n)` order
+    and goes to the `CharacterVector` constructor as it stands.  Integer,
+    zero-padded and ``"-0"`` traces load, and so do extra and reordered
+    top-level keys.
+    """
+    payload = json.loads(text, parse_float=_o_no_float)
+    if not isinstance(payload, dict):
+        raise TypeError(f"the file holds a JSON {type(payload).__name__}, not an object")
+    if "cycle_types" not in payload:
+        raise ValueError("no top-level cycle_types list")
+    if int(payload["n"]) != n:
+        raise ValueError(f"the file is for n={payload['n']}, not {n}")
+    labels = payload["cycle_types"]
+    if labels != [list(map(str, mu)) for mu in partitions(n)]:
+        raise ValueError(f"cycle_types is not the list of the partitions of {n}")
+    layers = {}
+    trace = operator.itemgetter("trace")
+    for entry in payload["layers"]:
+        i = int(entry["i"])
+        if i in layers:
+            raise ValueError(f"layer {i} is listed more than once")
+        traces = list(map(int, map(trace, entry["values"])))
+        if len(traces) != len(labels):
+            raise ValueError(
+                f"layer {i} has {len(traces)} traces for {len(labels)} cycle types"
+            )
+        layers[i] = CharacterVector(n, traces)
+    return layers

@@ -390,6 +390,25 @@ def test_count_closed_only(capsys):
         assert payload["raw"] is None and payload["match"] is None
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this interpreter converts ints of any length")
+@pytest.mark.parametrize("fmt", ["md", "csv", "json"])
+def test_count_closed_prints_a_count_past_the_int_digit_limit(capsys, fmt):
+    # the count at g = 4507 is the first past CPython's default 4300 digits;
+    # the report lifts the limit for itself and puts it back after
+    limit = sys.get_int_max_str_digits()
+    assert main(["count", "--g", "4507", "--l", "1", "--q", "3",
+                 "--method", "closed", "--format", fmt]) == 0
+    assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        digits = str(ffcount.closed_form_count(4507, 1, 3))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(digits) > limit > 0
+    assert capsys.readouterr().out.count(digits) == 2  # stack and closed_form
+
+
 def test_count_g0_divides_the_g0prime_closed_form_by_q_plus_one(capsys):
     for method in ("coset", "closed"):
         assert main(["count", "--g", "2", "--l", "3", "--q", "3", "--variant", "g0",
@@ -650,13 +669,14 @@ def test_cache_with_a_cycle_type_spelled_twice_is_a_usage_error(layer_cache, cap
     for layer in payload["layers"]:
         layer["values"].append({"trace": "99"})
     path.write_text(json.dumps(payload))
-    with pytest.raises(ValueError, match="cycle_types is not the list"):
+    with pytest.raises(ValueError, match="delete the file to recompute it"):
         m0n._load_cache(path, 5)
 
     m0n.equivariant_poincare_m0n.cache_clear()  # so that stable reads the edited file
     assert main(["stable", "--max-deg", "8"]) == 2
     captured = capsys.readouterr()
-    assert "cycle_types is not the list" in captured.err
+    assert captured.err.startswith(f"error: {path}: ")
+    assert captured.err.endswith("delete the file to recompute it\n")
     assert captured.out == ""
 
 
@@ -696,47 +716,58 @@ def _repeat_first_label(payload):
     return payload
 
 
+def _layers_of(n):
+    def edit(payload):
+        return json.loads(m0n._cache_text(n, m0n.equivariant_poincare_m0n(n)))
+    return edit
+
+
+LAYOUT_EDITS = {
+    "n-only": lambda payload: {"n": "4"},
+    "layer-without-values": lambda payload: {"n": "4", "layers": [{"i": "0"}]},
+    "previous-layout": _previous_layout,
+    "no-layers": _without("layers"),
+    "no-n": _without("n"),
+    "no-trace": _edit_layer(1, lambda values: values[0].pop("trace")),
+    "top-level-list": lambda payload: [payload],
+    "layers-object": lambda payload: {**payload, "layers": {"0": []}},
+    "cycle-types-string": lambda payload: {**payload, "cycle_types": "4"},
+    "trace-list": _set_first_trace(["1"]),
+    "trace-float": _set_first_trace(1.0),
+    "trace-short": _edit_layer(1, lambda values: values.pop()),
+    "trace-long": _edit_layer(0, lambda values: values.append({"trace": "1"})),
+    "label-repeated": _repeat_first_label,
+    "layer-repeated": lambda payload: {**payload, "layers": payload["layers"] * 2},
+    "trace-integer": _set_first_trace(1),
+    "trace-zero-padded": _set_first_trace("01"),
+    "trace-minus-zero": _edit_layer(1, lambda values: values[0].update(trace="-0")),
+    "extra-key": lambda payload: {**payload, "note": "0"},
+    "keys-reordered": lambda payload: dict(reversed(payload.items())),
+}
+
+
+# every file that does not re-encode to the writer's bytes gets one message;
+# "another-n" is m0n_7.json's payload saved as m0n_6.json
 @pytest.mark.parametrize(
-    "edit, message",
-    [
-        (lambda payload: {"n": "4"}, "delete the file"),
-        (lambda payload: {"n": "4", "layers": [{"i": "0"}]}, "delete the file"),
-        (_previous_layout, "delete the file"),
-        (_without("layers"), "missing key 'layers'"),
-        (_without("n"), "missing key 'n'"),
-        (_edit_layer(1, lambda values: values[0].pop("trace")), "missing key 'trace'"),
-        (lambda payload: [payload], "wrong type"),
-        (lambda payload: {**payload, "layers": {"0": []}}, "wrong type"),
-        (lambda payload: {**payload, "cycle_types": "4"}, "cycle_types is not the list"),
-        (_set_first_trace(["1"]), "wrong type"),
-        (_set_first_trace(1.0), "not an integer"),
-        (_edit_layer(1, lambda values: values.pop()), "layer 1 has 4 traces for 5"),
-        (_edit_layer(0, lambda values: values.append({"trace": "1"})),
-         "layer 0 has 6 traces for 5"),
-        (_repeat_first_label, "cycle_types is not the list"),
-        (lambda payload: {**payload, "layers": payload["layers"] * 2},
-         "layer 0 is listed more than once"),
-    ],
-    ids=[
-        "n-only", "layer-without-values", "previous-layout", "no-layers", "no-n",
-        "no-trace", "top-level-list", "layers-object", "cycle-types-string",
-        "trace-list", "trace-float", "trace-short", "trace-long", "label-repeated",
-        "layer-repeated",
-    ],
+    "n, edit",
+    [(4, edit) for edit in LAYOUT_EDITS.values()] + [(6, _layers_of(7))],
+    ids=[*LAYOUT_EDITS, "another-n"],
 )
-def test_malformed_layer_cache_is_a_usage_error(layer_cache, capsys, edit, message):
-    m0n.equivariant_poincare_m0n(4)
-    path = layer_cache / "m0n_4.json"
+def test_malformed_layer_cache_is_a_usage_error(layer_cache, capsys, n, edit):
+    m0n.equivariant_poincare_m0n(n)
+    path = layer_cache / f"m0n_{n}.json"
     path.write_text(json.dumps(edit(json.loads(path.read_text()))))
-    with pytest.raises(ValueError, match=message) as raised:
-        m0n._load_cache(path, 4)
-    assert str(path) in str(raised.value)
+    with pytest.raises(ValueError) as raised:
+        m0n._load_cache(path, n)
+    assert str(raised.value) == (
+        f"{path}: not the layers of n={n} in the layout this version writes (an older "
+        "version's layout, or a damaged file): delete the file to recompute it"
+    )
 
     m0n.equivariant_poincare_m0n.cache_clear()  # so that stable reads the edited file
     assert main(["stable", "--max-deg", "8"]) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith(f"error: {path}: ")
-    assert message in captured.err
+    assert captured.err == f"error: {raised.value}\n"
     assert captured.out == ""
 
 

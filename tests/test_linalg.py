@@ -503,6 +503,19 @@ def test_a_degree_equal_to_the_bound_is_refused():
         assert report["failures"], (config, d, n)
 
 
+def test_the_degree_bound_is_at_least_2n():
+    # its independence part is 2k1 + 2k2 + h + 2n - 1 and every type has a
+    # site, so the smallest valid degree needs no separate floor at 2n
+    for sites in range(1, 9):
+        for k1 in range(sites + 1):
+            for k2 in range(sites - k1 + 1):
+                config = CT(k1, k2, sites - k1 - k2)
+                for n in range(12):
+                    assert linalg._degree_bound(config, n) >= 2 * n, (config, n)
+                    bound = math.ceil(linalg._degree_bound(config, n))
+                    assert _minimal_valid_degree(config, n) == max(bound, 2 * n) + 1
+
+
 @pytest.mark.parametrize("n", [0, 2])
 def test_every_rank_type_passes_at_its_smallest_admissible_degree(n):
     for config in RANK_TYPES:

@@ -393,6 +393,14 @@ def _drop_first_cycle_type(payload):
         del layer["values"][0]
 
 
+# the partitions of 6 as the writer spells them, in `partitions(6)` order
+WRITTEN_LABELS_OF_6 = [
+    ["6"], ["5", "1"], ["4", "2"], ["4", "1", "1"], ["3", "3"], ["3", "2", "1"],
+    ["3", "1", "1", "1"], ["2", "2", "2"], ["2", "2", "1", "1"],
+    ["2", "1", "1", "1", "1"], ["1", "1", "1", "1", "1", "1"],
+]
+
+
 @pytest.mark.parametrize(
     "edit",
     [
@@ -408,7 +416,9 @@ def _drop_first_cycle_type(payload):
 def test_loader_rejects_any_other_cycle_types_list(layer_cache, tmp_path, monkeypatch, edit):
     cache = _rewritten_cache(layer_cache, tmp_path, 6, edit)
     path = cache / "m0n_6.json"
-    assert json.loads(path.read_text())["cycle_types"] != m0n._cycle_type_labels(6)
+    written = json.loads((layer_cache / "m0n_6.json").read_text())["cycle_types"]
+    assert written == WRITTEN_LABELS_OF_6
+    assert json.loads(path.read_text())["cycle_types"] != WRITTEN_LABELS_OF_6
     monkeypatch.setattr(m0n, "_twisted_counts", _no_recompute)
     with pytest.raises(ValueError, match="delete the file to recompute it") as raised:
         m0n._load_cache(path, 6)
@@ -496,21 +506,67 @@ _EDITS = st.lists(
 )
 
 
-# character 541 is the first trace of layer 1, "0": a changed digit is the
-# writer's rendering of other layers, "-0" is not but still loads
-@settings(max_examples=300, deadline=None)
-@given(_EDITS)
-@example([("replace", 541, "2")])
-@example([("insert", 541, "-")])
-def test_reading_the_written_bytes_agrees_with_json(written_m0n_7, edits):
-    text, directory = written_m0n_7
+def _edited(text, edits):
     for kind, position, char in edits:
         position %= len(text) + (kind == "insert")
         tail = text[position:] if kind == "insert" else text[position + 1:]
         text = text[:position] + ("" if kind == "delete" else char) + tail
+    return text
+
+
+def _frozen_outcome(text, n):
+    try:
+        return oracles.o_parse_layer_file(text, n)
+    except (KeyError, TypeError, ValueError) as exc:
+        return exc
+
+
+# character 541 is the first trace of layer 1, "0": a changed digit is the
+# writer's rendering of other layers, and "-0" is not, so it no longer loads
+@settings(max_examples=300, deadline=None)
+@given(_EDITS)
+@example([("replace", 541, "2")])
+@example([("insert", 541, "-")])
+@example([("insert", 541, " ")])
+def test_loaded_files_parse_alike_in_the_frozen_parser(written_m0n_7, edits):
+    # the loader accepts no text that the frozen structural parser rejects or
+    # reads otherwise, and every text that decodes to the written payload
+    text, directory = written_m0n_7
+    edited = _edited(text, edits)
+    path = directory / "m0n_7.json"
+    path.write_text(edited)
+    outcome = _load_outcome(path, 7)
+    if isinstance(outcome, dict):
+        assert _frozen_outcome(edited, 7) == outcome
+    else:
+        assert outcome.startswith(f"{path}: ")
+    try:
+        decodes_alike = json.loads(edited) == json.loads(text)
+    except ValueError:
+        decodes_alike = False
+    if decodes_alike:
+        assert outcome == m0n.equivariant_poincare_m0n(7)
+
+
+_JSON_WHITESPACE = st.lists(
+    st.tuples(st.integers(0, 1 << 12), st.text(" \t\n\r", min_size=1, max_size=3)),
+    min_size=1,
+    max_size=12,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_JSON_WHITESPACE)
+def test_whitespace_variants_of_the_written_bytes_load(written_m0n_7, insertions):
+    # JSON whitespace may stand before and after every structural character;
+    # the written file has no such character inside a string
+    text, directory = written_m0n_7
+    gaps = sorted({0, len(text)} | {
+        i + after for i, char in enumerate(text) if char in "{}[],:" for after in (0, 1)
+    })
+    placed = sorted(((gaps[k % len(gaps)], blank) for k, blank in insertions), reverse=True)
+    for position, blank in placed:  # from the end, so each gap is still where it was
+        text = text[:position] + blank + text[position:]
     path = directory / "m0n_7.json"
     path.write_text(text)
-    outcome = _load_outcome(path, 7)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(m0n, "_read_written", lambda text, n: None)
-        assert _load_outcome(path, 7) == outcome
+    assert m0n._load_cache(path, 7) == m0n.equivariant_poincare_m0n(7)

@@ -32,7 +32,9 @@ hold only mathematics.  The last test
 keeps one division of binary forms: only ``ffcount._divide`` calls
 ``fq.divmod``, and only ``ffcount._division_matrices`` builds the quotient
 and remainder matrices, dividing basis forms in a comprehension, for its two
-callers in ``CALLERS``.
+callers in ``CALLERS``.  The layout of the layer files of ``m0n`` is stated
+once: no function but the writer ``m0n._cache_text`` and its inverse
+``m0n._read_written`` spells a key of it in a string.
 """
 
 import ast
@@ -290,3 +292,28 @@ def test_binary_forms_are_divided_in_one_place():
         lambda f: isinstance(f, ast.Name) and f.id == "_divide",
         (ast.ListComp, ast.GeneratorExp),
     ) == {("ffcount", "_division_matrices")}
+
+
+def _strings(node):
+    """The string constants under ``node``, f-string parts among them, docstrings left out."""
+    docstrings = {
+        id(sub.body[0].value)
+        for sub in ast.walk(node)
+        if isinstance(sub, (ast.FunctionDef, ast.ClassDef)) and sub.body
+        and isinstance(sub.body[0], ast.Expr) and isinstance(sub.body[0].value, ast.Constant)
+    }
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            if id(sub) not in docstrings:
+                yield sub.value
+
+
+def test_the_layer_file_layout_is_stated_once():
+    spelled = {
+        (module, node.name)
+        for module, tree in _modules().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        and any("cycle_types" in text or "trace" in text for text in _strings(node))
+    }
+    assert spelled == {("m0n", "_cache_text"), ("m0n", "_read_written")}
