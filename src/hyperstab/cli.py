@@ -34,8 +34,9 @@ Subcommands
 
 Every command accepts ``--out DIR`` to write its one report,
 ``<command>.<format>`` (``verify.json`` for ``verify``), together with
-``manifest.json`` (input flags, library versions, seeds, and SHA-256 hashes
-of the outputs); without ``--out`` the report goes to stdout.  Nothing in
+``manifest.json`` (input flags, the versions of hyperstab, Python and, for
+``verify``, ``count`` and ``rankcheck``, numpy, seeds, and SHA-256 hashes of
+the outputs); without ``--out`` the report goes to stdout.  Nothing in
 the outputs depends on time, process, or machine, so re-running a command
 with identical flags produces byte-identical files.
 
@@ -58,6 +59,7 @@ import csv
 import hashlib
 import io
 import json
+import os
 import platform
 import sys
 from collections import Counter
@@ -694,8 +696,8 @@ SUITE_ORDER = tuple(_SUITES)
 # ---------------------------------------------------------------------------
 
 def _numpy_version() -> str:
-    # verify, count and rankcheck have loaded numpy; stable, e1 and m0n never
-    # import it, so they read the installed version instead
+    # a verify suite or count method that does not load numpy reads the
+    # installed version instead, with the same bytes
     numpy = sys.modules.get("numpy")
     if numpy is not None:
         return numpy.__version__
@@ -715,12 +717,10 @@ def _manifest(args, name: str, text: str) -> str:
         "inputs": inputs,
         "outputs": {name: "sha256:" + hashlib.sha256(text.encode()).hexdigest()},
         "seeds": {"seed": inputs["seed"]} if "seed" in inputs else {},
-        "versions": {
-            "hyperstab": __version__,
-            "numpy": _numpy_version(),
-            "python": platform.python_version(),
-        },
+        "versions": {"hyperstab": __version__, "python": platform.python_version()},
     }
+    if args.command in ("verify", "count", "rankcheck"):  # the commands that use numpy
+        manifest["versions"]["numpy"] = _numpy_version()
     return _json(manifest)
 
 
@@ -1014,6 +1014,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # Every array product is int64 or object, so no BLAS routine runs; one
+    # thread keeps OpenBLAS from starting workers that spin on no work.
+    # OpenBLAS reads this when numpy is first imported, which no command
+    # does before this line.
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

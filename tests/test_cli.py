@@ -815,8 +815,8 @@ def test_manifest_hashes_match_written_files(tmp_path, capsys, monkeypatch):
     assert manifest["inputs"] == {
         "format": "csv", "max_deg": 8, "regime": "n0",
     }
-    assert manifest["versions"].keys() == {"hyperstab", "numpy", "python"}
-    assert manifest["versions"]["numpy"] == numpy.__version__
+    # stable never loads numpy, so its manifest does not name it
+    assert manifest["versions"].keys() == {"hyperstab", "python"}
 
     # verify has loaded numpy and reads its version from the module; the
     # manifest bytes are those of the installed package metadata's version
@@ -864,23 +864,51 @@ def test_unwritable_layer_cache_is_usage_error(tmp_path):
     assert done.stdout == ""
 
 
-def test_stable_e1_and_m0n_never_import_numpy():
+def test_stable_e1_and_m0n_never_import_numpy(tmp_path):
     # Each step asserts in the child, so a failure names the step that
-    # loaded numpy; the layer cache is the session's, inherited through env.
+    # loaded numpy or the package metadata reader; each writes its manifest
+    # under --out, and the layer cache is the session's, inherited through env.
     script = "\n".join([
         "import sys",
         "import hyperstab.cli",
         "assert 'numpy' not in sys.modules, 'import hyperstab.cli'",
         "for argv in (['stable', '--max-deg', '8'], ['e1', '--L', '3..4'],",
         "             ['m0n', '--n', '6']):",
+        f"    argv += ['--out', {str(tmp_path)!r} + '/' + argv[0]]",
         "    assert hyperstab.cli.main(argv) == 0, argv",
         "    assert 'numpy' not in sys.modules, argv",
+        "    assert 'importlib.metadata' not in sys.modules, argv",
     ])
     env = dict(os.environ, PYTHONPATH=_SRC)
     done = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_a_run_that_loads_numpy_starts_no_blas_thread():
+    if not Path("/proc/self/task").is_dir():
+        pytest.skip("no /proc/self/task to count threads in")
+    script = "\n".join([
+        "import os, sys",
+        "from hyperstab.cli import main",
+        "assert main(['count', '--g', '2', '--l', '1', '--q', '3']) == 0",
+        "assert 'numpy' in sys.modules",
+        "threads = os.listdir('/proc/self/task')",
+        "assert len(threads) == 1, threads",
+    ])
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+
+
+def test_main_sets_one_blas_thread_whatever_the_environment_says(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+    assert main(["stable", "--max-deg", "2"]) == 0
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
 
 
 # SHA-256 of each report file; the hashes were recorded before the F_q

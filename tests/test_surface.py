@@ -34,11 +34,15 @@ keeps one division of binary forms: only ``ffcount._divide`` calls
 and remainder matrices, dividing basis forms in a comprehension, for its two
 callers in ``CALLERS``.  The layout of the layer files of ``m0n`` is stated
 once: no function but the writer ``m0n._cache_text`` and its inverse
-``m0n._read_written`` spells a key of it in a string.
+``m0n._read_written`` spells a key of it in a string.  No module
+names a BLAS product (``np.dot``, ``np.linalg``, ``x.dot``, ...) or a float
+dtype, so every product runs on integers without BLAS.
 """
 
 import ast
 from pathlib import Path
+
+import numpy
 
 import hyperstab
 
@@ -317,3 +321,41 @@ def test_the_layer_file_layout_is_stated_once():
         and any("cycle_types" in text or "trace" in text for text in _strings(node))
     }
     assert spelled == {("m0n", "_cache_text"), ("m0n", "_read_written")}
+
+
+# The names of numpy's BLAS-backed products.  On int64 and object arrays
+# ``@`` runs numpy's own loops, so with no float dtype in the package either,
+# no BLAS routine runs and the CLI can start OpenBLAS with one thread.
+BLAS_ATTRIBUTES = {"linalg", "dot", "vdot", "matmul", "einsum", "tensordot", "inner"}
+
+
+def _is_float_type(name: str) -> bool:
+    """Whether ``numpy.<name>`` is a float or complex scalar type (np.float64, np.double, ...)."""
+    kind = getattr(numpy, name, None)
+    return isinstance(kind, type) and issubclass(kind, numpy.inexact)
+
+
+def _is_float_dtype(node) -> bool:
+    if isinstance(node, ast.Name):
+        return node.id in ("float", "complex")
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return numpy.dtype(node.value).kind in "fc"
+    return False
+
+
+def test_no_blas_product_and_no_float_dtype():
+    found = set()
+    for module, tree in _modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and (
+                node.attr in BLAS_ATTRIBUTES or _is_float_type(node.attr)
+            ):
+                found.add((module, node.lineno, node.attr))
+            if isinstance(node, ast.Call):
+                dtypes = [k.value for k in node.keywords if k.arg == "dtype"]
+                if isinstance(node.func, ast.Attribute) and node.func.attr == "astype":
+                    dtypes += node.args[:1]
+                found.update(
+                    (module, node.lineno, "dtype") for d in dtypes if _is_float_dtype(d)
+                )
+    assert found == set()
