@@ -950,6 +950,8 @@ PINNED_OUT_HASHES = [
      "6680d294d2c8f759657419e2c34ddca719da8c687a19f2c39b6caccb94a5f8a1"),
     (["stable", "--max-deg", "30", "--regime", "npos", "--format", "json"], "stable.json",
      "8b85c6ca010082c15e6e60473472603bbbad1ee3d2deddfdf206101faa1c8d4a"),
+    (["stable", "--max-deg", "30", "--format", "json"], "stable.json",
+     "c9e64685d9d51c3953e639dfd3607e570aab4b315bf11286f9d539be69f96f69"),
     (["rankcheck", "--type", "2,0,0", "--d", "7", "--n", "1"], "rankcheck.json",
      "e2db1c00a95de53f15f232f956f40f5f4513feb7c1c333dd9487fb130cd6161c"),
     (["rankcheck", "--type", "1,1,1", "--d", "9", "--n", "1", "--trials", "20",
