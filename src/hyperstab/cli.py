@@ -56,7 +56,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import io
 import json
 import os
@@ -66,6 +65,16 @@ from collections import Counter
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from pathlib import Path
+
+# hashlib loads OpenSSL's libcrypto for its digests; one SHA-256 per manifest
+# needs only CPython's built-in module (_sha256 up to 3.11, _sha2 from 3.12)
+try:
+    from _sha256 import sha256
+except ImportError:
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 from . import __version__
 from .ffcount import (
@@ -715,7 +724,7 @@ def _manifest(args, name: str, text: str) -> str:
     manifest = {
         "command": args.command,
         "inputs": inputs,
-        "outputs": {name: "sha256:" + hashlib.sha256(text.encode()).hexdigest()},
+        "outputs": {name: "sha256:" + sha256(text.encode()).hexdigest()},
         "seeds": {"seed": inputs["seed"]} if "seed" in inputs else {},
         "versions": {"hyperstab": __version__, "python": platform.python_version()},
     }

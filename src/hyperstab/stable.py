@@ -10,9 +10,13 @@ summed into the rows, and each factor is divided out or multiplied in place.
 The layer multiplicities come from `type_pairings`, the one place that pairs
 M_{0,n} layers with a type.  Its two callers are `stable_series` here and
 `spectral.type_cells`, which reads the discriminant-column cells of a type
-off the same multiplicities.  The module computes the table and its
-stable-range note, `BOUNDARY_NOTE`; ``cli`` writes them out in each report
-format.
+off the same multiplicities.  A table through t-degree D meets M_{0,D}
+only in layer 0 of type (0, D, 0).  H^0 is the trivial character, so
+`type_pairings` pairs it without the layers of M_{0,D}, and
+`stable_series(D)` reads or writes no layer file of n = D.
+
+The module computes the table and its stable-range note, `BOUNDARY_NOTE`;
+``cli`` writes them out in each report format.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .m0n import equivariant_poincare_m0n
-from .symfunc import hall_inner_product_induced
+from .symfunc import CharacterVector, hall_inner_product_induced
 
 __all__ = [
     "BOUNDARY_NOTE",
@@ -51,14 +55,22 @@ def type_pairings(k1: int, k2: int, h: int, top_layer: int | None = None) -> dic
     """{i: <H^i(M_{0,n}), e_{k1} e_{k2} h_h>} for the nonzero pairings, n = k1+k2+h.
 
     Only the layers i <= ``top_layer`` are paired (every layer by default).
+    With ``top_layer`` 0, H^0 is the trivial character, so no layer of
+    M_{0,n} is loaded or computed.
     """
     if any(not isinstance(c, int) or isinstance(c, bool) or c < 0 for c in (k1, k2, h)):
         raise ValueError(f"type components must be nonnegative integers, got ({k1},{k2},{h})")
     n = k1 + k2 + h
     if n < 3:
         raise ValueError(f"type ({k1},{k2},{h}) has fewer than 3 singular points")
+    if top_layer == 0:
+        # H^0(M_{0,n}) is the trivial character, which every load and every
+        # computation of the layers checks: layer 0 alone needs no layer file
+        layers = {0: CharacterVector.trivial(n)}
+    else:
+        layers = equivariant_poincare_m0n(n)
     out = {}
-    for i, layer in equivariant_poincare_m0n(n).items():
+    for i, layer in layers.items():
         if top_layer is not None and i > top_layer:
             continue
         mult = hall_inner_product_induced(layer, k1, k2, h)

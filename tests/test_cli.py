@@ -1,6 +1,7 @@
 """Tests for the command-line front end: parsing, suites, files, exit codes."""
 
 import hashlib
+import importlib.util
 import inspect
 import json
 import os
@@ -11,6 +12,8 @@ from pathlib import Path
 
 import numpy
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hyperstab
 from hyperstab import cli, ffcount, linalg, m0n, spectral, symfunc
@@ -18,6 +21,9 @@ from hyperstab.cli import Check, main
 
 # the package's parent directory, for the PYTHONPATH of child processes
 _SRC = str(Path(hyperstab.__file__).resolve().parents[1])
+
+# whether CPython has a built-in SHA-256 module, so that no command needs hashlib
+_BUILTIN_SHA256 = any(importlib.util.find_spec(name) for name in ("_sha256", "_sha2"))
 
 
 # --------------------------------------------------------------------------
@@ -771,6 +777,26 @@ def test_malformed_layer_cache_is_a_usage_error(layer_cache, capsys, n, edit):
     assert captured.out == ""
 
 
+def test_a_degree_d_table_reads_no_layer_file_of_n_d(layer_cache, capsys):
+    # the table through degree 8 meets M_{0,8} only in H^0, the trivial character
+    assert main(["stable", "--max-deg", "8"]) == 0
+    table = capsys.readouterr().out
+    written = {path.name for path in layer_cache.iterdir()}
+    assert written == {f"m0n_{n}.json" for n in range(3, 8)}
+
+    path = layer_cache / "m0n_8.json"
+    path.write_text("garbage")
+    m0n.equivariant_poincare_m0n.cache_clear()
+    assert main(["stable", "--max-deg", "8"]) == 0
+    assert capsys.readouterr().out == table
+    assert path.read_text() == "garbage"
+
+    assert main(["stable", "--max-deg", "9"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {path}: Expecting value: line 1 column 1 (char 0)\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize(
     "damage, message",
     [
@@ -838,6 +864,12 @@ def test_manifest_hashes_match_written_files(tmp_path, capsys, monkeypatch):
     assert cli._manifest(args, "verify.json", report) == text
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.binary() | st.text().map(str.encode))
+def test_manifest_sha256_is_hashlibs(data):
+    assert cli.sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
+
+
 def test_unwritable_out_is_usage_error(tmp_path, capsys):
     (tmp_path / "file").write_text("")
     out = tmp_path / "file" / "out"
@@ -866,18 +898,25 @@ def test_unwritable_layer_cache_is_usage_error(tmp_path):
 
 def test_stable_e1_and_m0n_never_import_numpy(tmp_path):
     # Each step asserts in the child, so a failure names the step that
-    # loaded numpy or the package metadata reader; each writes its manifest
-    # under --out, and the layer cache is the session's, inherited through env.
+    # loaded numpy, the package metadata reader or OpenSSL (through hashlib);
+    # each writes its manifest under --out, and the layer cache is the
+    # session's, inherited through env.  count loads numpy, and still no OpenSSL.
     script = "\n".join([
         "import sys",
         "import hyperstab.cli",
         "assert 'numpy' not in sys.modules, 'import hyperstab.cli'",
+        f"builtin_sha256 = {_BUILTIN_SHA256}",
+        f"out = {str(tmp_path)!r} + '/'",
         "for argv in (['stable', '--max-deg', '8'], ['e1', '--L', '3..4'],",
         "             ['m0n', '--n', '6']):",
-        f"    argv += ['--out', {str(tmp_path)!r} + '/' + argv[0]]",
+        "    argv += ['--out', out + argv[0]]",
         "    assert hyperstab.cli.main(argv) == 0, argv",
         "    assert 'numpy' not in sys.modules, argv",
         "    assert 'importlib.metadata' not in sys.modules, argv",
+        "    assert not builtin_sha256 or '_hashlib' not in sys.modules, argv",
+        "argv = ['count', '--g', '2', '--l', '1', '--q', '3', '--out', out + 'count']",
+        "assert hyperstab.cli.main(argv) == 0, argv",
+        "assert not builtin_sha256 or '_hashlib' not in sys.modules, argv",
     ])
     env = dict(os.environ, PYTHONPATH=_SRC)
     done = subprocess.run(

@@ -89,6 +89,25 @@ def test_type_pairings_equal_the_layer_route():
                     }, (k1, k2, h, top)
 
 
+def test_layer_zero_pairings_need_no_layers(monkeypatch):
+    """With top_layer 0, every type with n <= 12 pairs the trivial character
+    as it pairs H^0 of the layer route, without calling that route."""
+    expected = {}
+    for n in range(3, 13):
+        h0 = m0n.equivariant_poincare_m0n(n)[0]
+        for k1 in range(n + 1):
+            for k2 in range(n + 1 - k1):
+                mult = hall_inner_product_induced(h0, k1, k2, n - k1 - k2)
+                expected[k1, k2, n - k1 - k2] = {0: mult} if mult else {}
+
+    def no_layers(n):
+        raise AssertionError(f"the layers of M_(0,{n}) were asked for")
+
+    monkeypatch.setattr(stable, "equivariant_poincare_m0n", no_layers)
+    for (k1, k2, h), pairings in expected.items():
+        assert type_pairings(k1, k2, h, 0) == pairings, (k1, k2, h)
+
+
 def test_type_pairings_reject_invalid_types():
     with pytest.raises(ValueError, match="nonnegative"):
         type_pairings(-1, 2, 2)
@@ -255,7 +274,7 @@ def test_all_multiplicities_nonnegative_to_degree_30():
 
 def test_stable_series_shares_the_layer_cache_with_spectral():
     """The assembly and the column code call the layers with one key shape."""
-    stable_series(8)
+    stable_series(9)  # asks for the layers of every n <= 8, as the columns below do
     misses = m0n.equivariant_poincare_m0n.cache_info().misses
     for L in range(3, 9):
         spectral.column_rows(L)
@@ -276,7 +295,9 @@ def test_stable_series_from_loaded_layers_equals_the_cold_series(layer_cache, mo
     monkeypatch.setattr(stable, "hall_inner_product_induced", counting)
     cold = stable_series(24)
     assert len(calls) == 1283
-    assert len(list(layer_cache.glob("m0n_*.json"))) == 22
+    # types up to degree 24 meet M_{0,24} only in H^0, the trivial character
+    written = {path.name for path in layer_cache.glob("m0n_*.json")}
+    assert written == {f"m0n_{n}.json" for n in range(3, 24)}
 
     def no_recompute(m):
         raise AssertionError("a layer was recomputed, not loaded")

@@ -36,7 +36,9 @@ callers in ``CALLERS``.  The layout of the layer files of ``m0n`` is stated
 once: no function but the writer ``m0n._cache_text`` and its inverse
 ``m0n._read_written`` spells a key of it in a string.  No module
 names a BLAS product (``np.dot``, ``np.linalg``, ``x.dot``, ...) or a float
-dtype, so every product runs on integers without BLAS.
+dtype, so every product runs on integers without BLAS.  No module imports
+``hashlib``, which loads OpenSSL, but in an ``except ImportError`` handler:
+the manifest's SHA-256 comes from CPython's built-in module.
 """
 
 import ast
@@ -358,4 +360,39 @@ def test_no_blas_product_and_no_float_dtype():
                 found.update(
                     (module, node.lineno, "dtype") for d in dtypes if _is_float_dtype(d)
                 )
+    assert found == set()
+
+
+def _imports_hashlib(node) -> bool:
+    """An import statement of hashlib, or a call that imports it by name."""
+    if isinstance(node, ast.Import):
+        return any(alias.name.partition(".")[0] == "hashlib" for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return (node.module or "").partition(".")[0] == "hashlib"
+    return isinstance(node, ast.Call) and any(
+        isinstance(arg, ast.Constant) and arg.value == "hashlib" for arg in node.args
+    )
+
+
+def _catches_import_error(handler) -> bool:
+    caught = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    return any(isinstance(kind, ast.Name) and kind.id == "ImportError" for kind in caught)
+
+
+def test_hashlib_is_imported_only_as_a_fallback():
+    # hashlib loads OpenSSL's libcrypto; the manifest takes SHA-256 from
+    # CPython's built-in module and needs hashlib only where that is missing
+    found = set()
+    for module, tree in _modules().items():
+        fallback = {
+            id(sub)
+            for handler in ast.walk(tree)
+            if isinstance(handler, ast.ExceptHandler) and _catches_import_error(handler)
+            for sub in ast.walk(handler)
+        }
+        found.update(
+            (module, node.lineno)
+            for node in ast.walk(tree)
+            if _imports_hashlib(node) and id(node) not in fallback
+        )
     assert found == set()
