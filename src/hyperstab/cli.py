@@ -30,7 +30,7 @@ Subcommands
     must exceed the type's degree bound; at or below it the command exits 2.
     ``--n`` defaults to 0.  ``--witness`` runs the below-bound witness at its
     own type, d and n, which its manifest records; it exits 2 if given
-    ``--type``, ``--d``, ``--n`` or ``--modulus``.
+    ``--type``, ``--d`` or ``--n``.
 
 Every command accepts ``--out DIR`` to write its one report,
 ``<command>.<format>`` (``verify.json`` for ``verify``), together with
@@ -922,7 +922,7 @@ def _parse_type(text: str) -> ConfigurationType:
 
 
 def cmd_rankcheck(args) -> int:
-    fixed = [flag for flag in ("type", "d", "n", "modulus") if getattr(args, flag) is not None]
+    fixed = [flag for flag in ("type", "d", "n") if getattr(args, flag) is not None]
     if args.witness and fixed:
         raise ValueError(
             "--witness runs type 2,0,0 at d = 3, n = 1 over Q and takes no "
@@ -939,10 +939,7 @@ def cmd_rankcheck(args) -> int:
         if args.type is None or args.d is None:
             raise ValueError("rankcheck needs --type and --d (or --witness)")
         config = _parse_type(args.type)
-        report = verify_bundle_rank(
-            config, args.d, args.n, trials=args.trials, seed=args.seed,
-            modulus=args.modulus,
-        )
+        report = verify_bundle_rank(config, args.d, args.n, trials=args.trials, seed=args.seed)
     if args.format == "json":
         text = _json(report)
     else:
@@ -1011,7 +1008,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, help="twist (default 0)")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--modulus", type=int)
     p.add_argument("--witness", action="store_true",
                    help="run the below-bound rank-drop witness instead "
                         "(takes --trials and --seed only)")

@@ -12,12 +12,13 @@ The configurations are integer points in the chart x = 1: a point [1, s] on
 the distinguished section, or (1, s, z) off it, given by its slope s and
 fiber value z.  ``_row_array`` is the one formula for their rows: exact
 Python integers, or int64 residues modulo a prime below 2^31 built from
-reduced power tables.  The verification certifies most trials without
-exact integers: the rank of the residue rows modulo a prime is a lower
-bound on the rank over Q, and one exact linear relation per fiber pair
-(``_pairs_certified``), checked on exact rows of the pair points only,
-bounds it above by the codimension.  A trial where the two bounds do not
-meet gets its own exact rows and falls back to Bareiss.
+reduced power tables, the only two ways this module holds them.  The
+verification certifies most trials without exact integers: the rank of the
+residue rows modulo 2^31 - 1 is a lower bound on the rank over Q, and one
+exact linear relation per fiber pair (``_pairs_certified``), checked on
+exact rows of the pair points only, bounds it above by the codimension.  A
+trial where the two bounds do not meet gets its own exact rows and falls
+back to Bareiss.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
-from . import fq
 from .ffcount import DEFAULT_SEED
 from .spectral import ConfigurationType
 
@@ -114,28 +114,24 @@ def _row_array(y, zp, dz, space: SectionSpace, p: int | None = None) -> np.ndarr
     space.dimension), three rows per point in order.  With ``p=None`` the
     entries are exact Python integers in an ``object`` array.  A prime p
     below 2^31 gives int64 residues: the power tables are reduced mod p and
-    so is every product of two residues, which fits int64.  A larger p
-    gives the exact rows reduced mod p.
+    so is every product of two residues, which fits int64.
     """
     import numpy as np
 
-    word = p is not None and p < 2**31
-    q = p if word else None
-    dtype = np.int64 if word else object
+    dtype = object if p is None else np.int64
 
     def residues(values):
-        return _reduce(np.asarray(values).astype(dtype), q)
+        return _reduce(np.asarray(values).astype(dtype), p)
 
     a, b, c = np.array(space.monomials, dtype=np.intp).T
-    yp, dyp = _power_tables(residues(y), space.d, q)
+    yp, dyp = _power_tables(residues(y), space.d, p)
     yb, dyb = yp[..., b], dyp[..., b]
-    dxa_yb = _reduce(a.astype(dtype) * yb, q)
+    dxa_yb = _reduce(a.astype(dtype) * yb, p)
     zc, dzc = residues(zp)[..., c], residues(dz)[..., c]
     rows = np.stack(
-        (_reduce(dxa_yb * zc, q), _reduce(dyb * zc, q), _reduce(yb * dzc, q)), axis=2
+        (_reduce(dxa_yb * zc, p), _reduce(dyb * zc, p), _reduce(yb * dzc, p)), axis=2
     )
-    rows = rows.reshape(yb.shape[0], 3 * yb.shape[1], space.dimension)
-    return rows if word else _reduce(rows, p)
+    return rows.reshape(yb.shape[0], 3 * yb.shape[1], space.dimension)
 
 
 def _sampled_points(slopes: np.ndarray, fibers: np.ndarray, on_section: int) -> tuple:
@@ -158,7 +154,6 @@ def _rank_bareiss(matrix: list) -> int:
     """Rank of an integer matrix by fraction-free (Bareiss) elimination."""
     m = [list(row) for row in matrix]
     n_rows, n_cols = len(m), len(m[0])
-    rank = 0
     prev = 1
     r = 0
     for col in range(n_cols):
@@ -174,11 +169,10 @@ def _rank_bareiss(matrix: list) -> int:
             # entries left of col are zero in rows r.. and the col entry cancels
             row[col:] = [(lead * a - factor * b) // prev for a, b in zip(row[col:], tail)]
         prev = lead
-        rank += 1
         r += 1
         if r == n_rows:
             break
-    return rank
+    return r
 
 
 # Prime of the certified ranks in verify_bundle_rank; below 2^31, so int64.
@@ -186,7 +180,7 @@ _CERTIFYING_PRIME = 2**31 - 1
 
 
 def _ranks_mod_p(matrices, p: int) -> np.ndarray:
-    """Ranks over F_p of a batch of equal-shape integer matrices.
+    """Ranks over F_p, 3 <= p < 2^31, of a batch of equal-shape int64 matrices.
 
     Every matrix is eliminated with its own pivots, all of them in the same
     array operations.  Since rank(M) = rank(M^T), the elimination runs
@@ -198,27 +192,23 @@ def _ranks_mod_p(matrices, p: int) -> np.ndarray:
     with a unit factor, so no inverse is needed.  That zeroes the pivot row
     too, so no row is swapped or set aside; a matrix without a pivot in the
     column takes lead = 1 and keeps its block.  Below 2^31 the residues and
-    the product of any two fit in int64, and an int64 batch, such as the
-    residue rows of ``_row_array``, is reduced without leaving int64; larger
-    primes, and entries beyond int64, run the same code on Python integers
-    in an ``object`` array.
+    the product of any two fit in int64, so the batch, such as the residue
+    rows of ``_row_array``, is reduced without leaving int64.  A larger p
+    would overflow silently and raises ``ValueError``; an entry beyond int64
+    raises ``OverflowError`` instead of being read as float64.
     """
     import numpy as np
 
+    if not 3 <= p < 2**31:
+        raise ValueError(f"int64 ranks need a prime in [3, 2^31), got {p}")
     if not len(matrices):
         return np.zeros(0, dtype=np.intp)
-    m = np.asarray(matrices)
-    if m.dtype != np.int64 or p >= 2**31:
-        # built from the input, not from m: numpy reads a list that mixes
-        # negative entries with entries in [2^63, 2^64) as float64
-        m = np.array(matrices, dtype=object)
+    m = np.asarray(matrices, dtype=np.int64)
     # m[b, col, row]: the columns of a tall matrix, or the rows of a wide
     # one, which are the columns of its transpose
     if m.shape[1] > m.shape[2]:
         m = m.transpose(0, 2, 1)
     m = np.ascontiguousarray(m % p)
-    if p < 2**31:
-        m = m.astype(np.int64, copy=False)
     batch, n_cols, _ = m.shape
     rank = np.zeros(batch, dtype=np.intp)
     each = np.arange(batch)
@@ -297,17 +287,6 @@ def sample_configuration(config: ConfigurationType, rng: random.Random) -> tuple
     return tuple(slopes), tuple(fibers)
 
 
-def _validate_modulus(modulus: int, d: int, n: int) -> None:
-    if modulus == 2:
-        raise ValueError("characteristic 2 is excluded")
-    if not fq.is_prime(modulus):
-        raise ValueError(f"modulus {modulus} is not prime")
-    if modulus <= 2 * d:
-        raise ValueError(f"need a prime > 2d = {2 * d}, got {modulus}")
-    if n >= 3 and modulus % n != 1:
-        raise ValueError(f"for twist n={n} the prime must be 1 mod n, got {modulus}")
-
-
 def _pairs_certified(
     slopes: np.ndarray, fibers: np.ndarray, config: ConfigurationType, space: SectionSpace
 ) -> np.ndarray:
@@ -376,7 +355,6 @@ def verify_bundle_rank(
     n: int,
     trials: int,
     seed: int,
-    modulus: int | None = None,
     enforce_bound: bool = True,
 ) -> dict:
     """Check that every sampled configuration cuts exactly codim conditions.
@@ -386,12 +364,11 @@ def verify_bundle_rank(
     dimension differed from dimension - (3*k1 + 3*k2 + 5*h).  That expected
     kernel dimension goes under ``expected_rank``, a misnomer that pinned
     reports keep: the expected rank is the codimension.  The trials go in
-    blocks of ``_RANK_BLOCK_TRIALS``.  The rows of a block form one array,
-    ranked in one batched elimination modulo ``modulus``, which then gives
-    the answer, or else modulo ``_CERTIFYING_PRIME``: a trial whose rank
-    there is the codimension and whose fiber pairs pass
-    ``_pairs_certified`` has exactly the expected kernel, and any other
-    trial gets its kernel dimension from Bareiss elimination over the
+    blocks of ``_RANK_BLOCK_TRIALS``.  The residue rows of a block form one
+    array, ranked in one batched elimination modulo ``_CERTIFYING_PRIME``:
+    a trial whose rank there is the codimension and whose fiber pairs pass
+    ``_pairs_certified`` has exactly the expected kernel over Q, and any
+    other trial gets its kernel dimension from Bareiss elimination over the
     integers.
     """
     if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
@@ -404,29 +381,21 @@ def verify_bundle_rank(
             f"2k1+2k2+h+2n-1) = {bound} for type "
             f"({config.k1}, {config.k2}, {config.h}) at n={n}"
         )
-    if modulus is not None:
-        _validate_modulus(modulus, d, n)
     expected = space.dimension - config.codimension
-    prime = modulus or _CERTIFYING_PRIME
+    prime = _CERTIFYING_PRIME
     failures = []
     for start in range(0, trials, _RANK_BLOCK_TRIALS):
         block = range(start, min(trials, start + _RANK_BLOCK_TRIALS))
         slopes, fibers = _sampled_block(config, seed, block)
         residues = _row_array(*_sampled_points(slopes, fibers, config.k1), space, prime)
         ranks = _ranks_mod_p(residues, prime)
-        if modulus is None:
-            certified = (ranks == config.codimension) & _pairs_certified(
-                slopes, fibers, config, space
-            )
+        certified = (ranks == config.codimension) & _pairs_certified(slopes, fibers, config, space)
         for offset, trial in enumerate(block):
-            if modulus is not None:
-                kernel = space.dimension - int(ranks[offset])
-            elif certified[offset]:
-                kernel = expected
-            else:
-                one = slice(offset, offset + 1)
-                rows = _row_array(*_sampled_points(slopes[one], fibers[one], config.k1), space)
-                kernel = kernel_dimension(rows[0].tolist())
+            if certified[offset]:
+                continue
+            one = slice(offset, offset + 1)
+            rows = _row_array(*_sampled_points(slopes[one], fibers[one], config.k1), space)
+            kernel = kernel_dimension(rows[0].tolist())
             if kernel != expected:
                 failures.append({"trial": trial, "kernel_dimension": kernel})
     return {

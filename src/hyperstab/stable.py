@@ -16,7 +16,12 @@ only in layer 0 of type (0, D, 0).  H^0 is the trivial character, so
 `stable_series(D)` reads or writes no layer file of n = D.
 
 The module computes the table and its stable-range note, `BOUNDARY_NOTE`;
-``cli`` writes them out in each report format.
+``cli`` writes them out in each report format.  The note's range ends where
+the rank bound first refuses a type: with d = g+1+n (``linalg``'s degrees
+d-2n, d-n, d are ``ffcount``'s l, g+1, 2g+2-l), the least t-degree 3k1+k2+4h
+of a type with ``linalg._degree_bound`` >= d is ceil((g-n+2)/2) for g = 2..20
+and n = 0..g+1, and only (0, ceil((g-n+2)/2), 0) attains it.  That is
+evidence, not a proof: the paper may need more than independence there.
 """
 
 from __future__ import annotations

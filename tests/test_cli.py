@@ -497,25 +497,12 @@ def test_rankcheck_report(capsys):
     assert report["seed"] == 20260816
 
 
-# the report the integer (Bareiss) route gives for type 2,0,0 at d = 7, n = 1
-RANKCHECK_200_D7_N1 = {
-    "d": 7, "expected_rank": 15, "failures": [], "n": 1, "seed": 20260816,
-    "trials": 100, "type": [2, 0, 0], "v": 21,
-}
-
-
-@pytest.mark.parametrize("modulus", ["101", "2147483659", "2305843009213693951"])
-def test_rankcheck_modulus(capsys, modulus):
-    # 2147483659 is above 2^31 (object arrays); 2^61 - 1 needs a fast prime test
-    assert main(["rankcheck", "--type", "2,0,0", "--d", "7", "--n", "1",
-                 "--modulus", modulus]) == 0
-    assert json.loads(capsys.readouterr().out) == RANKCHECK_200_D7_N1
-
-
-def test_rankcheck_modulus_beyond_the_prime_test_is_usage_error(capsys):
-    assert main(["rankcheck", "--type", "2,0,0", "--d", "7", "--n", "1",
-                 "--modulus", str(2**89 - 1)]) == 2
-    assert "bound" in capsys.readouterr().err
+def test_rankcheck_refuses_modulus(capsys):
+    # ranks are certified over Q, with no second, uncertified F_p route
+    with pytest.raises(SystemExit) as excinfo:
+        main(["rankcheck", "--type", "1,1,1", "--d", "9", "--n", "1", "--modulus", "101"])
+    assert excinfo.value.code == 2
+    assert "--modulus" in capsys.readouterr().err
 
 
 def test_rankcheck_witness(capsys):
@@ -545,14 +532,12 @@ def test_rankcheck_witness_manifest_records_the_inputs_it_ran_at(tmp_path, capsy
 @pytest.mark.parametrize(
     "extra, flag",
     [
-        (["--modulus", "4"], "--modulus"),
-        (["--modulus", "101"], "--modulus"),
         (["--type", "1,1,1", "--d", "2"], "--type, --d"),
         (["--d", "3"], "--d"),
         (["--n", "1"], "--n"),
         (["--n", "0", "--trials", "3"], "--n"),
     ],
-    ids=["modulus-not-prime", "modulus-prime", "type-and-d", "d", "n", "n-zero"],
+    ids=["type-and-d", "d", "n", "n-zero"],
 )
 def test_rankcheck_witness_refuses_its_fixed_flags(capsys, extra, flag):
     assert main(["rankcheck", "--witness"] + extra) == 2
@@ -993,17 +978,10 @@ PINNED_OUT_HASHES = [
      "c9e64685d9d51c3953e639dfd3607e570aab4b315bf11286f9d539be69f96f69"),
     (["rankcheck", "--type", "2,0,0", "--d", "7", "--n", "1"], "rankcheck.json",
      "e2db1c00a95de53f15f232f956f40f5f4513feb7c1c333dd9487fb130cd6161c"),
-    (["rankcheck", "--type", "1,1,1", "--d", "9", "--n", "1", "--trials", "20",
-      "--seed", "3", "--modulus", "101"], "rankcheck.json",
-     "506fa6c696ce5239097122a6a310f6f108bc3e5e29ff1d7c7b5bbd66f04fb8cc"),
     # two blocks of 128 + 22 trials, certified by the fiber pairs
     (["rankcheck", "--type", "0,1,2", "--d", "12", "--n", "0", "--trials", "150",
       "--seed", "11"], "rankcheck.json",
      "505f95729b1e945ad35cba42eec1d804b7107679a804ed256b2ae4ba67aa27aa"),
-    # a prime above 2^31: the object-array route
-    (["rankcheck", "--type", "0,0,2", "--d", "9", "--n", "0", "--trials", "30",
-      "--seed", "5", "--modulus", "2147483659"], "rankcheck.json",
-     "7696f5d0839849b655c9e3e9db9e1a16cf1a0aae61ad7f111df2aee32de84905"),
     (["rankcheck", "--witness", "--format", "md"], "rankcheck.md",
      "c6e336329b4bce15f4e9daa488fdb2bbcc0a5f689a26dda973b8832a390041d9"),
     (["verify", "all", "--budget", "small", "--seed", "11"], "verify.json",

@@ -308,14 +308,13 @@ def test_kernel_dimension_matches_numpy_rank():
         assert kernel_dimension(mat) == expected
 
 
-def test_kernel_dimension_with_fractions_and_modulus():
+def test_kernel_dimension_with_fractions_and_residues():
     # the rows are integers: a Fraction, a float or a numpy integer is refused
     for entry in (Fraction(1, 2), Fraction(2), 0.5, np.int64(1)):
         with pytest.raises(ValueError, match="Python integers"):
             kernel_dimension([(entry, 1)])
-    # rank drops mod p but not over the rationals; primes from 2^31 up take
-    # the object-array path
-    for p in (7, 2147483659, 2**61 - 1):
+    # rank drops mod p but not over the rationals, up to the largest int64 prime
+    for p in (7, 2**31 - 1):
         mat = [(p, 0), (0, 1)]
         assert kernel_dimension(mat) == 0
         assert linalg._ranks_mod_p([mat], p)[0] == 1
@@ -428,7 +427,7 @@ def _sampled_case(draw):
     n = draw(st.integers(0, 3))
     low = max(math.ceil(linalg._degree_bound(config, n)), 2 * n)
     space = SectionSpace(draw(st.integers(low, low + 3)), n)
-    p = draw(st.sampled_from((101, 2**31 - 1, 2147483659)))
+    p = draw(st.sampled_from((101, 65537, 2**31 - 1)))
     seed = draw(st.integers(0, 10**6))
     samples = [sample_configuration(config, random.Random(f"{seed}:{trial}"))
                for trial in range(draw(st.integers(1, 3)))]
@@ -443,7 +442,7 @@ def test_residue_rows_equal_the_frozen_exact_rows_mod_p(case):
     points = linalg._sampled_points(slopes, fibers, config.k1)
     exact = linalg._row_array(*points, space)
     residues = linalg._row_array(*points, space, p)
-    assert residues.dtype == (np.int64 if p < 2**31 else object)
+    assert residues.dtype == np.int64
     assert exact.shape == residues.shape == (len(samples), 3 * len(slopes[0]), space.dimension)
     for matrix, residue, sample in zip(exact.tolist(), residues.tolist(), samples):
         frozen = stacked_rows(points_of(config, sample, space.n), space, o_singularity_rows)
@@ -553,8 +552,7 @@ def test_below_bound_witness_shows_rank_drop():
 
 def test_prime_field_agrees_with_rationals_on_same_seed():
     ratio = verify_bundle_rank(CT(1, 1, 1), 9, 1, trials=20, seed=3)
-    modp = verify_bundle_rank(CT(1, 1, 1), 9, 1, trials=20, seed=3, modulus=101)
-    assert ratio["failures"] == modp["failures"] == []
+    assert ratio["failures"] == []
     space = SectionSpace(9, 1)
     sample = sample_configuration(CT(0, 2, 1), random.Random(17))
     assert sample == sample_configuration(CT(0, 2, 1), random.Random(17))
@@ -563,15 +561,14 @@ def test_prime_field_agrees_with_rationals_on_same_seed():
     assert kernel_dimension(rows) == space.dimension - rank
 
 
-def test_prime_field_preconditions():
-    with pytest.raises(ValueError):
-        verify_bundle_rank(CT(1, 0, 0), 5, 1, trials=1, seed=0, modulus=2)
-    with pytest.raises(ValueError):
-        verify_bundle_rank(CT(1, 0, 0), 5, 1, trials=1, seed=0, modulus=7)  # p <= 2d
-    with pytest.raises(ValueError):
-        verify_bundle_rank(CT(1, 0, 0), 8, 3, trials=1, seed=0, modulus=29)  # 29 % 3 == 2
-    report = verify_bundle_rank(CT(1, 0, 0), 8, 3, trials=5, seed=0, modulus=31)
-    assert report["failures"] == []
+def test_ranks_mod_p_refuses_what_int64_cannot_hold():
+    # from 2^31 up the product of two residues overflows int64 silently
+    for p in (2147483659, 2**61 - 1):
+        with pytest.raises(ValueError, match=r"\[3, 2\^31\)"):
+            linalg._ranks_mod_p([[[1, 0], [0, 1]]], p)
+    # -1 next to 2^63: numpy would read the batch as float64
+    with pytest.raises(OverflowError):
+        linalg._ranks_mod_p([[[1, -1], [-1, 1]], [[0, 2**63], [0, 0]]], 2**31 - 1)
 
 
 def test_kernel_dimension_constant_for_small_types():
@@ -686,7 +683,7 @@ def exact_rows(monkeypatch):
     return shapes
 
 
-_PRIMES = (3, 5, 7, 101, 65537, 2**31 - 1, 2147483659, 2**61 - 1)
+_PRIMES = (3, 5, 7, 101, 65537, 2**31 - 1)
 
 
 @st.composite
@@ -730,11 +727,12 @@ def _hadamard_bound(matrix):
 
 @settings(max_examples=300, deadline=None)
 @given(_matrix_batch())
-# -1 next to 2^63 makes numpy read the batch as float64
-@example(([[[1, -1], [-1, 1]], [[0, 2**63], [0, 0]]], 2147483659))
+# -1 next to 2^63: unreduced, numpy would read the batch as float64
+@example(([[[1, -1], [-1, 1]], [[0, 2**63], [0, 0]]], 2**31 - 1))
 def test_batched_ranks_agree_with_the_frozen_kernel_and_bareiss(case):
     batch, p = case
-    ranks = linalg._ranks_mod_p(batch, p)
+    # the batch is reduced mod p here; the oracles see the unreduced matrices
+    ranks = linalg._ranks_mod_p([[[a % p for a in row] for row in m] for m in batch], p)
     assert ranks.shape == (len(batch),)
     for matrix, rank in zip(batch, ranks):
         exact = len(matrix[0]) - kernel_dimension(matrix)
@@ -743,7 +741,7 @@ def test_batched_ranks_agree_with_the_frozen_kernel_and_bareiss(case):
         if p > _hadamard_bound(matrix):
             assert rank == exact
     if all(abs(entry) < 2**63 for matrix in batch for row in matrix for entry in row):
-        # an int64 batch, negative entries included, takes the int64 route
+        # an unreduced int64 batch, negative entries included, ranks the same
         assert (linalg._ranks_mod_p(np.array(batch, dtype=np.int64), p) == ranks).all()
 
 
@@ -844,8 +842,8 @@ def test_block_size_leaves_reports_unchanged(monkeypatch):
     default = linalg._RANK_BLOCK_TRIALS
     assert default >= 100  # verify ranks: one block per type
     cases = (
-        # a small prime: some trials drop rank, so failures span blocks
-        dict(config=CT(1, 1, 1), d=9, n=1, trials=40, seed=3, modulus=19),
+        # on its bound: some trials drop rank, so failures span blocks
+        dict(config=CT(0, 1, 1), d=2, n=0, trials=200, seed=3, enforce_bound=False),
         # more trials than one default block, certified by fiber pairs
         dict(config=CT(0, 1, 2), d=12, n=0, trials=default + 22, seed=11),
         # below the bound: every trial falls back to Bareiss
@@ -856,7 +854,7 @@ def test_block_size_leaves_reports_unchanged(monkeypatch):
         monkeypatch.setattr(linalg, "_RANK_BLOCK_TRIALS", block)
         reports[block] = [verify_bundle_rank(**case) for case in cases]
     assert reports[1] == reports[7] == reports[default]
-    modular, paired, witness = reports[1]
-    assert 0 < len(modular["failures"]) < 40
+    on_bound, paired, witness = reports[1]
+    assert 0 < len(on_bound["failures"]) < 200
     assert paired["failures"] == []
     assert len(witness["failures"]) == 12

@@ -14,7 +14,7 @@ import pytest
 
 from test_series import convolve
 
-from hyperstab import cli, m0n, spectral, stable
+from hyperstab import cli, linalg, m0n, spectral, stable
 from hyperstab.series import TatePolynomial
 from hyperstab.stable import cohomology_table, stable_series, type_pairings
 from hyperstab.symfunc import hall_inner_product_induced
@@ -308,3 +308,29 @@ def test_stable_series_from_loaded_layers_equals_the_cold_series(layer_cache, mo
     warm = stable_series(24)
     assert warm == cold
     assert len(calls) == 1283
+
+
+# --------------------------------------------------------------------------
+# the stable range
+# --------------------------------------------------------------------------
+
+def test_the_boundary_degree_is_where_the_rank_bound_first_refuses_a_type():
+    """With d = g+1+n, the least t-degree among the types the rank lemma
+    does not cover (d <= ``_degree_bound``) is ceil((g-n+2)/2), attained by
+    (0, ceil((g-n+2)/2), 0) alone: the reduction the module docstring states."""
+    cases = 0
+    for g in range(2, 21):
+        for n in range(g + 2):
+            d = g + 1 + n
+            boundary = -(-(g - n + 2) // 2)
+            refused = [
+                (k1, k2, h)
+                for k1 in range(boundary // 3 + 1)
+                for k2 in range(boundary + 1)
+                for h in range(boundary // 4 + 1)
+                if 0 < 3 * k1 + k2 + 4 * h <= boundary
+                and d <= linalg._degree_bound(spectral.ConfigurationType(k1, k2, h), n)
+            ]
+            assert refused == [(0, boundary, 0)], (g, n)
+            cases += 1
+    assert cases == 247

@@ -203,7 +203,8 @@ def test_the_oracles_take_nothing_from_ffcount_but_its_budget_error():
 # function -> the (module, top-level definition) pairs that may call it: the
 # pairing of M_{0,n} layers with a configuration type is decided in one place,
 # the twisted counts of M_{0,n} are built and divided for the layers alone,
-# the one row formula of the rank checks has one set of callers, the
+# the one row formula of the rank checks has one set of callers, and their one
+# modular and one fraction-free elimination one caller each, the
 # per-degree table of cycle-type codes, z's and signs has one owner, its own
 # recursion, and three readers, one coset census per case walks the alpha
 # orbits for both the raw count and its strata, and the division matrices of
@@ -213,6 +214,8 @@ CALLERS = {
     "equivariant_poincare_m0n": {("stable", "type_pairings"), ("cli", "cmd_m0n")},
     "type_pairings": {("stable", "stable_series"), ("spectral", "type_cells")},
     "_row_array": {("linalg", "verify_bundle_rank"), ("linalg", "_pairs_certified")},
+    "_ranks_mod_p": {("linalg", "verify_bundle_rank")},
+    "_rank_bareiss": {("linalg", "kernel_dimension")},
     "_divide": {("ffcount", "_division_matrices"), ("ffcount", "_factor_form")},
     "_division_matrices": {("ffcount", "_labels"), ("ffcount", "psi_roundtrip_check")},
     "_cycle_types": {("symfunc", "_cycle_types"), ("symfunc", "_code_positions"),
