@@ -497,10 +497,32 @@ def test_rankcheck_report(capsys):
     assert report["seed"] == 20260816
 
 
-def test_rankcheck_refuses_modulus(capsys):
-    # ranks are certified over Q, with no second, uncertified F_p route
+# the report the integer (Bareiss) route gives for type 2,0,0 at d = 7, n = 1
+RANKCHECK_200_D7_N1 = {
+    "d": 7, "expected_rank": 15, "failures": [], "n": 1, "seed": 20260816,
+    "trials": 100, "type": [2, 0, 0], "v": 21,
+}
+
+
+@pytest.mark.parametrize("modulus", ["101", "2147483659", "2305843009213693951"])
+def test_rankcheck_modulus(capsys, modulus):
+    # ranks are certified over Q, with no second, uncertified F_p route: the
+    # flag is refused, and the certified report is the one the route gave
+    argv = ["rankcheck", "--type", "2,0,0", "--d", "7", "--n", "1"]
     with pytest.raises(SystemExit) as excinfo:
-        main(["rankcheck", "--type", "1,1,1", "--d", "9", "--n", "1", "--modulus", "101"])
+        main(argv + ["--modulus", modulus])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert "--modulus" in captured.err
+    assert captured.out == ""
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out) == RANKCHECK_200_D7_N1
+
+
+def test_rankcheck_modulus_beyond_the_prime_test_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["rankcheck", "--type", "1,1,1", "--d", "9", "--n", "1",
+              "--modulus", str(2**89 - 1)])
     assert excinfo.value.code == 2
     assert "--modulus" in capsys.readouterr().err
 
