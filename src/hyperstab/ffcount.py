@@ -37,8 +37,10 @@ A binary form of degree D is the tuple of its D+1 coefficients, ascending
 in x: entry i multiplies x^i y^(D-i), so the degree is the length minus one
 and top zeros encode roots at [1:0].  A section triple is the tuple
 (alpha, beta, gamma) of three such forms.  `is_squarefree` is the oracle
-test of the naive route and of `orbit_spot_check`, which `verify counts
---budget full` runs and which moves members by `apply_group_element`.
+test of the naive route.  The orbit walk is exact only if the square-free
+bitmap is invariant under delta -> delta o g; `orbit_invariance_check`,
+which `verify counts --budget full` runs, certifies that over every form
+for each generator the walk uses.
 `psi_roundtrip_check` inverts the paper's substitution psi once per
 (alpha, gamma), since every member's numerator beta^2 - delta is
 4 alpha gamma, through the quotient and remainder matrices of
@@ -49,7 +51,6 @@ test of the naive route and of `orbit_spot_check`, which `verify counts
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -62,14 +63,13 @@ __all__ = [
     "ResourceGuardError",
     "DEFAULT_SEED",
     "DEFAULT_TUPLE_BUDGET",
-    "apply_group_element",
     "closed_form_count",
     "enumerate_count",
     "euler_identity_check",
     "gl2_order",
     "group_order",
     "is_squarefree",
-    "orbit_spot_check",
+    "orbit_invariance_check",
     "psi_forward",
     "psi_roundtrip_check",
     "stratified_count",
@@ -81,9 +81,11 @@ DEFAULT_TUPLE_BUDGET = 10**9
 # of a block: 2^15-row blocks raised the peak RSS of `verify all --budget small`
 # from 40 to 47 MB and saved no time.
 _PSI_BLOCK_ROWS = 1024
-# random group elements, and random members each one moves, in orbit_spot_check
-_ORBIT_ELEMENTS = 20
-_ORBIT_SAMPLES = 25
+# forms per gather of orbit_invariance_check.  One gather over all 3^11 forms
+# at (g, q) = (4, 3) took 31 MB of int64 temporaries and raised the peak RSS
+# of `verify counts --budget full` from 63 to 69 MB; blocks of 2^14 forms
+# take 3 MB and no longer.
+_INVARIANCE_BLOCK_FORMS = 1 << 14
 
 
 class ResourceGuardError(RuntimeError):
@@ -392,8 +394,7 @@ def _alpha_orbits(l, q):
 
     forms = _digit_matrix(l + 1, q)[:, ::-1].astype(np.int64)  # lexicographic
     basis = np.eye(l + 1, dtype=np.int64)
-    matrices = [((1, 1), (0, 1)), ((0, 1), (1, 0))] + [((a, 0), (0, 1)) for a in range(2, q)]
-    maps = [np.array([_compose(e, m, q) for e in basis.tolist()]) for m in matrices]
+    maps = [np.array([_compose(e, m, q) for e in basis.tolist()]) for m in _gl2_generators(q)]
     maps += [c * basis for c in range(2, q)]
     steps = np.array([(forms @ m) % q @ q ** np.arange(l, -1, -1) for m in maps])
     first = np.arange(len(forms))
@@ -723,8 +724,15 @@ def psi_roundtrip_check(g: int, l: int, q: int) -> dict:
 
 
 # --------------------------------------------------------------------------
-# orbit closure under the surface automorphisms
+# the coordinate changes of the base
 # --------------------------------------------------------------------------
+
+def _gl2_generators(q):
+    """Generators of GL_2(F_q) for the orbit walk and its check: the elementary
+    matrix and its conjugate by the swap generate SL_2, and the swap and
+    diag(a, 1) reach every determinant."""
+    return [((1, 1), (0, 1)), ((0, 1), (1, 0))] + [((a, 0), (0, 1)) for a in range(2, q)]
+
 
 def _compose(coeffs, matrix, q):
     """Coefficients of f(a x + b y, c x + d y) for f given by ``coeffs``."""
@@ -746,98 +754,42 @@ def _compose(coeffs, matrix, q):
     return tuple(out)
 
 
-def apply_group_element(triple, matrix, scale: int, translation, q) -> tuple:
-    """Substitute (x, y) -> matrix (x, y) and z -> scale z + translation(x, y).
+def orbit_invariance_check(g: int, q: int) -> dict:
+    """Whether the square-free bitmap of degree 2g+2 is invariant under GL_2(F_q).
 
-    ``triple`` is (alpha, beta, gamma) and so is the result.
-    ``translation`` is a form of degree n = g+1-l = len(beta) - len(alpha)
-    (a constant at n = 0, where this is the section-preserving subgroup of
-    the product group).  The discriminant transforms by scale^2 times the
-    coordinate change, so membership is preserved.
+    The census stands one leading form alpha for its orbit, exact when alpha,
+    alpha o M and c alpha lead equally many members.  (beta, gamma) ->
+    (beta o M, gamma o M) and (beta, gamma / c) are bijections taking the
+    discriminant delta to delta o M and to itself, so that holds exactly
+    when delta o M is square-free with delta.  For each generator of
+    `_gl2_generators`, gathers over the codes of all q^(2g+3) forms, in
+    blocks of ``_INVARIANCE_BLOCK_FORMS``, compare the bitmap at delta o M
+    with the bitmap at delta.
     """
-    (a, b), (c, d) = matrix
-    if (a * d - b * c) % q == 0:
-        raise ValueError("the coordinate change must be invertible")
-    scale %= q
-    if scale == 0:
-        raise ValueError("the fiber rescaling must be a unit")
-    n = len(triple[1]) - len(triple[0])
-    shift = tuple(t % q for t in translation)
-    if len(shift) != n + 1:
-        raise ValueError(f"the translation must be a form of degree {n}")
-    alpha_c, beta_c, gamma_c = (_compose(form, matrix, q) for form in triple)
-    new_alpha = tuple(scale * scale * v % q for v in alpha_c)
-    shift_alpha = fq.mul(shift, alpha_c, q)
-    new_beta = tuple(
-        scale * (2 * x + y) % q for x, y in zip(shift_alpha, beta_c)
-    )
-    shift_sq_alpha = fq.mul(fq.mul(shift, shift, q), alpha_c, q)
-    shift_beta = fq.mul(shift, beta_c, q)
-    new_gamma = tuple(
-        (x + y + z) % q for x, y, z in zip(shift_sq_alpha, shift_beta, gamma_c)
-    )
-    return new_alpha, new_beta, new_gamma
+    import numpy as np
 
-
-def orbit_spot_check(
-    g: int,
-    l: int,
-    q: int,
-    *,
-    seed: int,
-) -> dict:
-    """Move random members by random group elements and verify membership.
-
-    Rejection-samples ``_ORBIT_SAMPLES`` members, applies ``_ORBIT_ELEMENTS``
-    random group elements to each, and reports whether every image still has
-    square-free discriminant (orbit closure of the family).
-    """
-    _validate_genus_pair(g, l)
+    _validate_genus_pair(g, 0)
     _validate_odd_prime(q)
-    elements, samples = _ORBIT_ELEMENTS, _ORBIT_SAMPLES
-    n = g + 1 - l
-    rng = random.Random(f"{seed}:orbit:{g}:{l}:{q}")
-
-    def random_form(degree, nonzero=False):
-        while True:
-            coeffs = tuple(rng.randrange(q) for _ in range(degree + 1))
-            if not nonzero or any(coeffs):
-                return coeffs
-
-    found = []
-    while len(found) < samples:
-        triple = (
-            random_form(l, nonzero=True), random_form(g + 1), random_form(2 * g + 2 - l)
-        )
-        if is_squarefree(psi_forward(*triple, q), q):
-            found.append(triple)
-
-    moved = 0
-    all_in = True
-    for _ in range(elements):
-        while True:
-            matrix = (
-                (rng.randrange(q), rng.randrange(q)),
-                (rng.randrange(q), rng.randrange(q)),
-            )
-            if (matrix[0][0] * matrix[1][1] - matrix[0][1] * matrix[1][0]) % q:
-                break
-        scale = rng.randrange(1, q)
-        shift = random_form(n)
-        for triple in found:
-            image = apply_group_element(triple, matrix, scale, shift, q)
-            moved += 1
-            if not is_squarefree(psi_forward(*image, q), q):
-                all_in = False
+    degree = 2 * g + 2
+    squarefree = _squarefree_bitmap(degree, q)
+    digits = _digit_matrix(degree + 1, q)
+    basis = np.eye(degree + 1, dtype=np.int64).tolist()
+    powers = q ** np.arange(degree + 1, dtype=np.int64)
+    generators = _gl2_generators(q)
+    mismatches = 0
+    for matrix in generators:
+        image = np.array([_compose(e, matrix, q) for e in basis], dtype=np.int64)
+        for start in range(0, len(digits), _INVARIANCE_BLOCK_FORMS):
+            block = slice(start, start + _INVARIANCE_BLOCK_FORMS)
+            codes = digits[block] @ image % q @ powers
+            mismatches += int((squarefree[codes] != squarefree[block]).sum())
     return {
         "g": g,
-        "l": l,
         "q": q,
-        "elements": elements,
-        "samples": samples,
-        "seed": seed,
-        "images_checked": moved,
-        "all_in_family": all_in,
+        "forms": len(squarefree),
+        "generators": len(generators),
+        "mismatches": mismatches,
+        "ok": mismatches == 0,
     }
 
 

@@ -102,6 +102,12 @@ def _reduce(values, p: int | None):
     return values if p is None else values % p
 
 
+def _check_residue_prime(p: int) -> None:
+    """Refuse p outside [3, 2^31): from 2^31 up a product of two residues wraps int64."""
+    if not 3 <= p < 2**31:
+        raise ValueError(f"int64 residues need a prime in [3, 2^31), got {p}")
+
+
 def _row_array(y, zp, dz, space: SectionSpace, p: int | None = None) -> np.ndarray:
     """The singularity rows of a batch of integer points in the chart x = 1.
 
@@ -112,12 +118,14 @@ def _row_array(y, zp, dz, space: SectionSpace, p: int | None = None) -> np.ndarr
     fiber, one entry per monomial x^a y^b z^c of the basis, at x = 1: x^a
     is 1 and its x-derivative a.  The result has shape (batch, 3 * points,
     space.dimension), three rows per point in order.  With ``p=None`` the
-    entries are exact Python integers in an ``object`` array.  A prime p
-    below 2^31 gives int64 residues: the power tables are reduced mod p and
-    so is every product of two residues, which fits int64.
+    entries are exact Python integers in an ``object`` array.  A prime p in
+    the range of ``_check_residue_prime`` gives int64 residues: the power
+    tables are reduced mod p and so is every product of two residues.
     """
     import numpy as np
 
+    if p is not None:
+        _check_residue_prime(p)
     dtype = object if p is None else np.int64
 
     def residues(values):
@@ -191,16 +199,14 @@ def _ranks_mod_p(matrices, p: int) -> np.ndarray:
     place: every row becomes lead*row - entry*pivot_row, a row operation
     with a unit factor, so no inverse is needed.  That zeroes the pivot row
     too, so no row is swapped or set aside; a matrix without a pivot in the
-    column takes lead = 1 and keeps its block.  Below 2^31 the residues and
-    the product of any two fit in int64, so the batch, such as the residue
-    rows of ``_row_array``, is reduced without leaving int64.  A larger p
-    would overflow silently and raises ``ValueError``; an entry beyond int64
+    column takes lead = 1 and keeps its block.  For p in the range of
+    ``_check_residue_prime`` the batch, such as the residue rows of
+    ``_row_array``, is reduced without leaving int64.  An entry beyond int64
     raises ``OverflowError`` instead of being read as float64.
     """
     import numpy as np
 
-    if not 3 <= p < 2**31:
-        raise ValueError(f"int64 ranks need a prime in [3, 2^31), got {p}")
+    _check_residue_prime(p)
     if not len(matrices):
         return np.zeros(0, dtype=np.intp)
     m = np.asarray(matrices, dtype=np.int64)
@@ -244,6 +250,33 @@ def _degree_bound(config: ConfigurationType, n: int) -> Fraction:
     moduli_part = Fraction(3 * (config.k1 + config.k2) + 5 * config.h, 3) + n - 1
     independence_part = Fraction(2 * config.k1 + 2 * config.k2 + config.h + 2 * n - 1)
     return max(moduli_part, independence_part)
+
+
+def _jet_degree(config: ConfigurationType, n: int) -> int:
+    """D = max(2k1+h+2n-1, k1+k2+2h+n-1, 2k2+2h-1, 2n), the jet degree of a type.
+
+    From d = D up, every configuration of the type with distinct slopes has
+    full rank.  A section is f = alpha z^2 + beta z + gamma with binary
+    forms of degrees d-2n, d-n, d.  By Euler's identity (d != 0) a point's
+    three rows span the conditions f, f_y and f_z in the chart x = 1, which
+    read only the 1-jets of alpha, beta and gamma at the point's slope s:
+
+    * a point [1, s] on the section asks for alpha(s), alpha'(s), beta(s);
+    * a point (s, z) off it asks for f, 2 alpha z + beta and
+      alpha' z^2 + beta' z + gamma' at s, met by beta(s), gamma(s) and
+      gamma'(s) whatever alpha is;
+    * a fiber pair (s; z1 != z2) has rank 5: alpha(s), beta(s), gamma(s)
+      meet three conditions and (beta'(s), gamma'(s)) the other two, by a
+      2 x 2 system of determinant z1 - z2.
+
+    So alpha, then beta, then gamma meet 2k1 + h, k1 + k2 + 2h and 2k2 + 2h
+    values and first derivatives at distinct slopes.  A confluent
+    Vandermonde system at distinct points is invertible, so a form of
+    degree e meets m of them once e >= m - 1: d - 2n >= 2k1 + h - 1,
+    d - n >= k1 + k2 + 2h - 1 and d >= 2k2 + 2h - 1.  Sections need d >= 2n.
+    """
+    k1, k2, h = config.k1, config.k2, config.h
+    return max(2 * k1 + h + 2 * n - 1, k1 + k2 + 2 * h + n - 1, 2 * k2 + 2 * h - 1, 2 * n)
 
 
 # half-width of the box that sample_configuration draws coordinates from
@@ -359,7 +392,9 @@ def verify_bundle_rank(
 ) -> dict:
     """Check that every sampled configuration cuts exactly codim conditions.
 
-    Unless ``enforce_bound`` is false, d must exceed ``_degree_bound``.
+    Unless ``enforce_bound`` is false, d must exceed ``_degree_bound`` and
+    be at least ``_jet_degree``: below D a configuration can drop rank while
+    random samples miss it, as (0, 1, 2) does at n = 0, d = 4.
     Returns a JSON-ready report; ``failures`` lists the trials whose kernel
     dimension differed from dimension - (3*k1 + 3*k2 + 5*h).  That expected
     kernel dimension goes under ``expected_rank``, a misnomer that pinned
@@ -380,6 +415,13 @@ def verify_bundle_rank(
             f"degree {d} must exceed the bound max(k1+k2+5h/3+n-1, "
             f"2k1+2k2+h+2n-1) = {bound} for type "
             f"({config.k1}, {config.k2}, {config.h}) at n={n}"
+        )
+    jet = _jet_degree(config, n)
+    if enforce_bound and d < jet:
+        raise ValueError(
+            f"degree {d} is below the jet degree D = max(2k1+h+2n-1, k1+k2+2h+n-1, "
+            f"2k2+2h-1, 2n) = {jet} for type ({config.k1}, {config.k2}, {config.h}) "
+            f"at n={n}; from D up every configuration has full rank"
         )
     expected = space.dimension - config.codimension
     prime = _CERTIFYING_PRIME

@@ -23,6 +23,12 @@ are when the package changes, so that a change cannot move its own check.
   dense class functions, the Hall pairings and the M_{0,n} layers;
 * `psi_inverse`, the inverse of the paper's substitution psi, which divides
   with the frozen long division `o_exact_div` rather than `ffcount._divide`;
+* `o_apply_group_element`, the action of the surface automorphisms on
+  section triples (coordinate changes of the base by `o_substitute`, fiber
+  rescalings and translations), and `o_random_images`, which moves random
+  members of a family by random elements of it: the oracle of the orbit
+  walk's invariance, with the translations that its certificate,
+  `ffcount.orbit_invariance_check`, leaves out;
 * `o_qpoly_floordiv`, the Euclidean division of polynomials in q that the
   closed forms used before `series.TatePolynomial.divmod`;
 * `o_parse_layer_file`, the structural parser of decoded layer files that
@@ -523,6 +529,90 @@ def psi_inverse(alpha, beta, delta, q) -> tuple:
     if gamma is None:
         raise ValueError("beta^2 - delta is not divisible by 4 alpha")
     return alpha, beta, gamma
+
+
+# --------------------------------------------------------------------------
+# the group acting on section triples
+# --------------------------------------------------------------------------
+
+def o_substitute(coeffs, matrix, q):
+    """f(a x + b y, c x + d y) for the form f with the given coefficients.
+
+    Each term x^i y^(D-i) is expanded by repeated `o_mul` of the linear
+    forms a x + b y and c x + d y.
+    """
+    (a, b), (c, d) = matrix
+    degree = len(coeffs) - 1
+    out = [0] * (degree + 1)
+    for i, cf in enumerate(coeffs):
+        term = (1,)
+        for _ in range(i):
+            term = o_mul(term, (b, a), q)
+        for _ in range(degree - i):
+            term = o_mul(term, (d, c), q)
+        for j, t in enumerate(term):
+            out[j] = (out[j] + cf * t) % q
+    return tuple(out)
+
+
+def o_apply_group_element(triple, matrix, scale: int, translation, q) -> tuple:
+    """Substitute (x, y) -> matrix (x, y) and z -> scale z + translation(x, y).
+
+    ``triple`` is (alpha, beta, gamma) and so is the result.
+    ``translation`` is a form of degree n = g+1-l = len(beta) - len(alpha)
+    (a constant at n = 0, where this is the section-preserving subgroup of
+    the product group).  The discriminant transforms by scale^2 times the
+    coordinate change, so membership is preserved.
+    """
+    (a, b), (c, d) = matrix
+    if (a * d - b * c) % q == 0:
+        raise ValueError("the coordinate change must be invertible")
+    scale %= q
+    if scale == 0:
+        raise ValueError("the fiber rescaling must be a unit")
+    n = len(triple[1]) - len(triple[0])
+    shift = tuple(t % q for t in translation)
+    if len(shift) != n + 1:
+        raise ValueError(f"the translation must be a form of degree {n}")
+    alpha, beta, gamma = (o_substitute(form, matrix, q) for form in triple)
+    shift_alpha = o_mul(shift, alpha, q)
+    new_alpha = tuple(scale * scale * v % q for v in alpha)
+    new_beta = tuple(scale * (2 * x + y) % q for x, y in zip(shift_alpha, beta))
+    new_gamma = tuple(
+        (x + y + z) % q
+        for x, y, z in zip(o_mul(shift, shift_alpha, q), o_mul(shift, beta, q), gamma)
+    )
+    return new_alpha, new_beta, new_gamma
+
+
+def o_random_images(g, l, q, rng, is_member, members=25, elements=20) -> list:
+    """(member, image) pairs: random members of the (g, l) family, each moved
+    by the same ``elements`` random group elements.
+
+    The members are drawn from uniform triples with a nonzero leading form
+    and kept where ``is_member(triple)``; each element is a random
+    invertible matrix, a fiber rescaling and a translation by a form of
+    degree n = g+1-l, applied by `o_apply_group_element`.
+    """
+    def random_form(degree):
+        return tuple(rng.randrange(q) for _ in range(degree + 1))
+
+    found = []
+    while len(found) < members:
+        triple = (random_form(l), random_form(g + 1), random_form(2 * g + 2 - l))
+        if any(triple[0]) and is_member(triple):
+            found.append(triple)
+    pairs = []
+    for _ in range(elements):
+        matrix = ((0, 0), (0, 0))
+        while (matrix[0][0] * matrix[1][1] - matrix[0][1] * matrix[1][0]) % q == 0:
+            matrix = (random_form(1), random_form(1))
+        scale = rng.randrange(1, q)
+        shift = random_form(g + 1 - l)
+        pairs.extend(
+            (triple, o_apply_group_element(triple, matrix, scale, shift, q)) for triple in found
+        )
+    return pairs
 
 
 # --------------------------------------------------------------------------

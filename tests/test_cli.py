@@ -206,15 +206,22 @@ def test_verify_counts_small_budget(capsys):
     assert " 0 failed" in out
 
 
-def test_verify_counts_full_budget_adds_one_orbit_check_per_case(monkeypatch):
-    monkeypatch.setattr(cli, "COUNT_CASES_FULL", cli.COUNT_CASES_SMALL[:2])
+def test_verify_counts_full_budget_adds_one_invariance_check_per_genus_and_field(monkeypatch):
+    grid = cli.COUNT_CASES_SMALL[:2] + ((2, 1, 5, None),)
+    monkeypatch.setattr(cli, "COUNT_CASES_FULL", grid)
     small = cli.suite_counts("small")
-    assert not [c for c in small if c.id.startswith("orbit-")]
+    assert not [c for c in small if c.id.startswith("invariance-")]
     full = cli.suite_counts("full")
-    orbit = [c for c in full if c.id.startswith("orbit-")]
-    assert [c.id for c in orbit] == ["orbit-g2-l1-q3", "orbit-g2-l2-q3"]
-    assert all(c.status == "pass" and c.source == "identity" for c in orbit)
-    assert orbit[0].actual == "500 images, all in the family"
+    assert not [c for c in full if c.id.startswith("orbit-")]
+    invariance = [c for c in full if c.id.startswith("invariance-")]
+    assert [c.id for c in invariance] == ["invariance-g2-q3", "invariance-g2-q5"]
+    assert all(c.status == "pass" and c.source == "identity" for c in invariance)
+    assert invariance[0].expected == (
+        "square-freeness of all 2187 forms of degree 6 kept by each of the 3 "
+        "generators of GL_2(F_3)"
+    )
+    assert invariance[0].actual == "0 (form, generator) pairs change it"
+    assert full[-1].id == "psi-roundtrip-g2-l1-q3"
 
 
 def test_verify_counts_takes_one_census_per_case(monkeypatch, capsys):
@@ -572,6 +579,19 @@ def test_rankcheck_witness_refuses_its_fixed_flags(capsys, extra, flag):
 def test_rankcheck_below_bound_is_usage_error(capsys):
     assert main(["rankcheck", "--type", "2,0,0", "--d", "4", "--n", "1"]) == 2
     assert "bound" in capsys.readouterr().err
+
+
+def test_rankcheck_below_the_jet_degree_is_usage_error(capsys):
+    # d = 4 exceeds the bound 10/3 of type 0,1,2 at n = 0 but not D = 5;
+    # some configurations drop rank there (test_linalg pins one)
+    assert main(["rankcheck", "--type", "0,1,2", "--d", "4", "--n", "0"]) == 2
+    assert capsys.readouterr().err == (
+        "error: degree 4 is below the jet degree D = max(2k1+h+2n-1, k1+k2+2h+n-1, "
+        "2k2+2h-1, 2n) = 5 for type (0, 1, 2) at n=0; from D up every configuration "
+        "has full rank\n"
+    )
+    assert main(["rankcheck", "--type", "0,1,2", "--d", "5", "--n", "0", "--trials", "5"]) == 0
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize(

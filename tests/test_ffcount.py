@@ -19,6 +19,10 @@ Oracles:
   they stood before the Euler check read its right side off the closed forms;
 * `oracles.psi_inverse`, the inverse of psi by the frozen long division, for
   the discriminant map `psi_forward`;
+* `oracles.o_random_images`, random members moved by random elements of
+  the group, fiber translations among them, with membership decided by the
+  gcd route of `is_squarefree`, beside the certificate that the square-free
+  bitmap is invariant under the generators of the orbit walk;
 * `oracles.o_qpoly_floordiv`, the Euclidean division of `oracles.QPolynomial`,
   for `TatePolynomial.divmod` and the closed forms built on it.
 """
@@ -34,24 +38,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperstab import ffcount
-from hyperstab.cli import COUNT_CASES_SMALL
+from hyperstab.cli import COUNT_CASES_FULL, COUNT_CASES_SMALL
 from hyperstab.ffcount import (
     ResourceGuardError,
-    apply_group_element,
     closed_form_count,
     enumerate_count,
     euler_identity_check,
     gl2_order,
     group_order,
     is_squarefree,
-    orbit_spot_check,
+    orbit_invariance_check,
     psi_forward,
     psi_roundtrip_check,
     stratified_count,
 )
 from hyperstab.series import TatePolynomial
 from hyperstab.stable import stable_series
-from oracles import QPolynomial, o_exact_div, o_mul, o_qpoly_floordiv, psi_inverse
+from oracles import (
+    QPolynomial,
+    o_apply_group_element,
+    o_exact_div,
+    o_mul,
+    o_qpoly_floordiv,
+    o_random_images,
+    o_substitute,
+    psi_inverse,
+)
 
 
 # --------------------------------------------------------------------------
@@ -481,22 +493,6 @@ def test_closed_form_rejects_unsupported_inputs():
 # --------------------------------------------------------------------------
 # one leading form per orbit
 # --------------------------------------------------------------------------
-
-def o_substitute(coeffs, matrix, q):
-    """f(a x + b y, c x + d y) for the form f with the given coefficients."""
-    (a, b), (c, d) = matrix
-    degree = len(coeffs) - 1
-    out = [0] * (degree + 1)
-    for i, cf in enumerate(coeffs):
-        term = (1,)
-        for _ in range(i):
-            term = o_mul(term, (b, a), q)
-        for _ in range(degree - i):
-            term = o_mul(term, (d, c), q)
-        for j, t in enumerate(term):
-            out[j] = (out[j] + cf * t) % q
-    return tuple(out)
-
 
 def o_gl2(q):
     return [
@@ -1045,10 +1041,10 @@ def test_psi_roundtrip_check_divides_once_per_leading_form(monkeypatch):
 # orbit closure under the surface automorphisms
 # --------------------------------------------------------------------------
 
-def test_apply_group_element_identity_and_equivariance():
+def test_the_oracle_mover_moves_the_discriminant_by_the_coordinate_change():
     triple = ((0, 1), (0, 0, 0, 1), (1, 0, 0, 0, 0, 0))
     assert is_squarefree(psi_forward(*triple, 3), 3)
-    same = apply_group_element(triple, ((1, 0), (0, 1)), 1, (0, 0, 0), 3)
+    same = o_apply_group_element(triple, ((1, 0), (0, 1)), 1, (0, 0, 0), 3)
     assert same == triple
     # n = len(beta) - len(alpha) = 2, so the translation has three coefficients
     for matrix, scale, shift, message in (
@@ -1057,10 +1053,10 @@ def test_apply_group_element_identity_and_equivariance():
         (((1, 0), (0, 1)), 1, (0, 0), "degree 2"),
     ):
         with pytest.raises(ValueError, match=message):
-            apply_group_element(triple, matrix, scale, shift, 3)
+            o_apply_group_element(triple, matrix, scale, shift, 3)
 
     matrix, scale, shift = ((1, 1), (0, 1)), 2, (1, 0, 1)
-    moved = apply_group_element(triple, matrix, scale, shift, 3)
+    moved = o_apply_group_element(triple, matrix, scale, shift, 3)
     assert [len(form) - 1 for form in moved] == [1, 3, 5]
     # The discriminant transforms by scale^2 and the coordinate change alone.
     delta = psi_forward(*triple, 3)
@@ -1074,14 +1070,58 @@ def test_apply_group_element_identity_and_equivariance():
     assert is_squarefree(psi_forward(*moved, 3), 3)
 
 
-def test_orbit_spot_check_keeps_samples_in_the_family():
-    report = orbit_spot_check(2, 1, 3, seed=20260816)
-    assert report["all_in_family"] is True
-    assert report["images_checked"] == 20 * 25
-    assert orbit_spot_check(2, 1, 3, seed=20260816) == report
-    # Index-0 surface: the z-action degenerates to affine maps.
-    report = orbit_spot_check(2, 3, 3, seed=7)
-    assert report["all_in_family"] is True
+@pytest.mark.parametrize("g, l, q", [(g, l, q) for g, l, q, _ in COUNT_CASES_FULL])
+def test_random_members_stay_members_under_random_group_elements(g, l, q):
+    # membership by the gcd route of is_squarefree, not the sieve's bitmap,
+    # and the group with its fiber translations, which the bitmap's
+    # invariance under GL_2 leaves out
+    import random
+
+    def is_member(triple):
+        return is_squarefree(psi_forward(*triple, q), q)
+
+    pairs = o_random_images(g, l, q, random.Random(f"{g}:{l}:{q}"), is_member)
+    assert len(pairs) == 25 * 20
+    assert all(is_member(image) for _, image in pairs)
+    assert any(image != triple for triple, image in pairs)
+
+
+@pytest.mark.parametrize("g, q", [(2, 3), (2, 5), (3, 3), (4, 3)])
+def test_orbit_invariance_check_certifies_the_full_grid(g, q):
+    report = orbit_invariance_check(g, q)
+    assert report == {
+        "g": g, "q": q, "forms": q ** (2 * g + 3), "generators": q,
+        "mismatches": 0, "ok": True,
+    }
+
+
+def test_orbit_invariance_check_fails_on_a_one_entry_flip_of_the_bitmap(monkeypatch):
+    real = ffcount._squarefree_bitmap
+    flipped = real(8, 3).copy()
+    # a square-free form: the forms that every element of GL_2(F_3) fixes
+    # in degree 8 are the multiples of (x^3 y - x y^3)^2, a square
+    flipped[flipped.argmax()] = False
+    monkeypatch.setattr(
+        ffcount, "_squarefree_bitmap", lambda d, q: flipped if (d, q) == (8, 3) else real(d, q)
+    )
+    report = orbit_invariance_check(3, 3)
+    assert report["ok"] is False and report["mismatches"] > 0
+    assert orbit_invariance_check(2, 3)["ok"] is True
+
+
+def test_orbit_invariance_check_fails_when_compose_is_not_a_ring_map(monkeypatch):
+    real = ffcount._compose
+
+    def shifted(coeffs, matrix, q):
+        # linear and invertible, but a cyclic shift of the coefficients
+        # does not respect products
+        image = real(coeffs, matrix, q)
+        return image[1:] + image[:1]
+
+    monkeypatch.setattr(ffcount, "_compose", shifted)
+    for g, q in ((2, 3), (3, 3)):
+        report = orbit_invariance_check(g, q)
+        assert report["ok"] is False and report["mismatches"] > 0
 
 
 # --------------------------------------------------------------------------

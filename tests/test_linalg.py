@@ -502,6 +502,19 @@ def test_a_degree_equal_to_the_bound_is_refused():
         assert report["failures"], (config, d, n)
 
 
+def test_a_degree_below_the_jet_degree_is_refused_above_the_bound():
+    # (0,1,2) at n = 0 has bound 10/3 and D = max(1, 4, 5, 0) = 5.  At d = 4
+    # the point (0, -5) and the pairs (1; -5, -4) and (-1; -5, -4) drop rank,
+    # kernel 3 instead of 2, and 2000 random trials at the default seed miss it
+    config, space = CT(0, 1, 2), SectionSpace(4, 0)
+    assert linalg._degree_bound(config, 0) < 4 < linalg._jet_degree(config, 0) == 5
+    rows = sampled_rows(config, ((0, 1, 1, -1, -1), (-5, -5, -4, -5, -4)), space)
+    assert kernel_dimension(rows) == 3 == space.dimension - config.codimension + 1
+    with pytest.raises(ValueError, match=r"degree 4 is below the jet degree D = .* = 5 "):
+        verify_bundle_rank(config, 4, 0, trials=1, seed=0)
+    assert verify_bundle_rank(config, 5, 0, trials=5, seed=0)["failures"] == []
+
+
 def test_the_degree_bound_is_at_least_2n():
     # its independence part is 2k1 + 2k2 + h + 2n - 1 and every type has a
     # site, so the smallest valid degree needs no separate floor at 2n
@@ -518,8 +531,8 @@ def test_the_degree_bound_is_at_least_2n():
 @pytest.mark.parametrize("n", [0, 2])
 def test_every_rank_type_passes_at_its_smallest_admissible_degree(n):
     for config in RANK_TYPES:
-        d = max(math.floor(linalg._degree_bound(config, n)) + 1, 2 * n)
-        with pytest.raises(ValueError):  # on or below the bound, or below 2n
+        d = max(math.floor(linalg._degree_bound(config, n)) + 1, linalg._jet_degree(config, n))
+        with pytest.raises(ValueError):  # on or below the bound, or below D
             verify_bundle_rank(config, d - 1, n, trials=1, seed=0)
         report = verify_bundle_rank(config, d, n, trials=40, seed=7)
         assert report["failures"] == [], (config, d, n)
@@ -569,6 +582,17 @@ def test_ranks_mod_p_refuses_what_int64_cannot_hold():
     # -1 next to 2^63: numpy would read the batch as float64
     with pytest.raises(OverflowError):
         linalg._ranks_mod_p([[[1, -1], [-1, 1]], [[0, 2**63], [0, 0]]], 2**31 - 1)
+
+
+def test_row_array_refuses_what_int64_cannot_hold():
+    # the prime is checked before any residue is built: at 2^61 - 1 the
+    # product of two residues would wrap int64 silently
+    slopes, fibers = np.array([[3, 3]]), np.array([[1, 2]])
+    points = linalg._sampled_points(slopes, fibers, 0)
+    for p in (2147483659, 2**61 - 1):
+        with pytest.raises(ValueError, match=r"\[3, 2\^31\)"):
+            linalg._row_array(*points, SectionSpace(9, 1), p)
+    assert linalg._row_array(*points, SectionSpace(9, 1), 2**31 - 1).dtype == np.int64
 
 
 def test_kernel_dimension_constant_for_small_types():

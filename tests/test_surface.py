@@ -10,8 +10,9 @@ name, and a property only by a read of an attribute of its name that is not
 called; a bare name reaches neither, so a local variable or a dict's
 ``values()`` does not keep a method or property of that name.  A name that
 nothing refers to stays only if it is listed in ``KEPT`` with the reason it
-stays; the list is empty, because the oracles live in ``tests/oracles.py``,
-and no name defined there is defined in the package too.  The oracles take
+stays; the one entry is the public substitution ``ffcount.psi_forward``.
+The oracles live in ``tests/oracles.py``, and no name defined there is
+defined in the package too.  The oracles take
 nothing from ``ffcount``, the module they check most, but the exception of
 its budget guard.  A public name that is neither reached nor kept goes,
 with its tests.  The next check
@@ -20,9 +21,12 @@ the type pairings with their two readers (the stable table, whose
 numerator they are, and the column cells), the one row formula of the rank checks with its callers, the
 per-degree table of cycle-type codes, z's and signs with its readers, the
 walk over the orbits of leading forms with the one coset census that gives
-both the raw count and its strata, and the division matrices of basis forms
-with the coset labels and the psi check: only the definitions in ``CALLERS``
-call those routes.  The twisted counts of M_{0,n} take one route as well:
+both the raw count and its strata, the generators of GL_2(F_q) and the
+composition of a form with one of them with the walk and its certificate
+``ffcount.orbit_invariance_check``, the square-free bitmap with the census,
+the psi check and that certificate, and the division matrices of basis
+forms with the coset labels and the psi check: only the definitions in
+``CALLERS`` call those routes.  The twisted counts of M_{0,n} take one route as well:
 only ``m0n.equivariant_poincare_m0n`` divides a count by q^3 - q, and only
 it and their own recursion call ``m0n._twisted_counts``.  The column code
 works on integer cells, so ``spectral`` imports nothing from ``series``,
@@ -52,7 +56,12 @@ PACKAGE = Path(hyperstab.__file__).parent
 ORACLES = Path(__file__).with_name("oracles.py")
 
 # (module, name, why it stays although no module of the package refers to it)
-KEPT = ()
+KEPT = (
+    ("ffcount", "psi_forward",
+     "the paper's substitution psi on one triple, public for its users; "
+     "psi_roundtrip_check builds the same discriminants in bulk from codes, "
+     "and the tests check it against the oracle psi_inverse"),
+)
 
 
 def _modules() -> dict:
@@ -207,8 +216,11 @@ def test_the_oracles_take_nothing_from_ffcount_but_its_budget_error():
 # modular and one fraction-free elimination one caller each, the
 # per-degree table of cycle-type codes, z's and signs has one owner, its own
 # recursion, and three readers, one coset census per case walks the alpha
-# orbits for both the raw count and its strata, and the division matrices of
-# basis forms serve the coset labels and the psi check
+# orbits for both the raw count and its strata, the orbit walk and its
+# certificate read one list of generators and substitute them by one
+# composition, the square-free bitmap serves the census and the two checks
+# that read it, and the division matrices of basis forms serve the coset
+# labels and the psi check
 CALLERS = {
     "hall_inner_product_induced": {("stable", "type_pairings")},
     "equivariant_poincare_m0n": {("stable", "type_pairings"), ("cli", "cmd_m0n")},
@@ -221,6 +233,10 @@ CALLERS = {
     "_cycle_types": {("symfunc", "_cycle_types"), ("symfunc", "_code_positions"),
                      ("symfunc", "_block_weights"), ("symfunc", "schur_expand")},
     "_alpha_orbits": {("ffcount", "_coset_census")},
+    "_gl2_generators": {("ffcount", "_alpha_orbits"), ("ffcount", "orbit_invariance_check")},
+    "_compose": {("ffcount", "_alpha_orbits"), ("ffcount", "orbit_invariance_check")},
+    "_squarefree_bitmap": {("ffcount", "_coset_census"), ("ffcount", "psi_roundtrip_check"),
+                           ("ffcount", "orbit_invariance_check")},
     "_coset_census": {("ffcount", "enumerate_count"), ("ffcount", "stratified_count")},
     "_twisted_counts": {("m0n", "equivariant_poincare_m0n"), ("m0n", "_twisted_counts")},
     "_divide_by_pgl2": {("m0n", "equivariant_poincare_m0n")},
