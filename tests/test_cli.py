@@ -1029,9 +1029,9 @@ PINNED_OUT_HASHES = [
     (["verify", "all", "--budget", "small", "--seed", "11"], "verify.json",
      "1ee1d7d5b5332b6de39274b58bbc2a4232f8ca6f6df38d8ab80fab400b44d249"),
     (["verify", "counts", "--budget", "full"], "verify.json",
-     "9550e5ba3a03182912a4f927b1bbcf2339466c09aad5337afef39793f55a36da"),
+     "8e8e7230e7c32d30fc54892bdfe4ba0ce7a7e68a658bf0a12146fb932d943c31"),
     (["verify", "all", "--budget", "full"], "verify.json",
-     "b150d28a4f6bdccd08a00e9e5a9f9537b5c6070027dddf1088b09a0109255fc6"),
+     "db493fb3c2f466ef1a862661a213e06f1867fbcf109abbee17a2ca39e393d3d3"),
 ]
 
 
