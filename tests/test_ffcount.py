@@ -1109,19 +1109,22 @@ def test_orbit_invariance_check_fails_on_a_one_entry_flip_of_the_bitmap(monkeypa
     assert orbit_invariance_check(2, 3)["ok"] is True
 
 
-def test_orbit_invariance_check_fails_when_compose_is_not_a_ring_map(monkeypatch):
+@pytest.mark.parametrize("g, q", [(2, 3), (2, 5), (3, 3)])
+def test_orbit_invariance_check_fails_when_compose_is_not_a_ring_map(monkeypatch, g, q):
+    # broken at one generator at a time, so a check that skipped any
+    # generator would pass one of these
     real = ffcount._compose
+    for broken in ffcount._gl2_generators(q):
 
-    def shifted(coeffs, matrix, q):
-        # linear and invertible, but a cyclic shift of the coefficients
-        # does not respect products
-        image = real(coeffs, matrix, q)
-        return image[1:] + image[:1]
+        def shifted(coeffs, matrix, q, broken=broken):
+            # linear and invertible, but a cyclic shift of the coefficients
+            # does not respect products
+            image = real(coeffs, matrix, q)
+            return image[1:] + image[:1] if matrix == broken else image
 
-    monkeypatch.setattr(ffcount, "_compose", shifted)
-    for g, q in ((2, 3), (3, 3)):
+        monkeypatch.setattr(ffcount, "_compose", shifted)
         report = orbit_invariance_check(g, q)
-        assert report["ok"] is False and report["mismatches"] > 0
+        assert report["ok"] is False and report["mismatches"] > 0, broken
 
 
 # --------------------------------------------------------------------------
