@@ -585,9 +585,9 @@ def o_apply_group_element(triple, matrix, scale: int, translation, q) -> tuple:
     return new_alpha, new_beta, new_gamma
 
 
-def o_random_images(g, l, q, rng, is_member, members=25, elements=20) -> list:
-    """(member, image) pairs: random members of the (g, l) family, each moved
-    by the same ``elements`` random group elements.
+def o_random_images(g, l, q, rng, is_member) -> list:
+    """(member, image) pairs: 25 random members of the (g, l) family, each
+    moved by the same 20 random group elements.
 
     The members are drawn from uniform triples with a nonzero leading form
     and kept where ``is_member(triple)``; each element is a random
@@ -598,12 +598,12 @@ def o_random_images(g, l, q, rng, is_member, members=25, elements=20) -> list:
         return tuple(rng.randrange(q) for _ in range(degree + 1))
 
     found = []
-    while len(found) < members:
+    while len(found) < 25:
         triple = (random_form(l), random_form(g + 1), random_form(2 * g + 2 - l))
         if any(triple[0]) and is_member(triple):
             found.append(triple)
     pairs = []
-    for _ in range(elements):
+    for _ in range(20):
         matrix = ((0, 0), (0, 0))
         while (matrix[0][0] * matrix[1][1] - matrix[0][1] * matrix[1][0]) % q == 0:
             matrix = (random_form(1), random_form(1))
