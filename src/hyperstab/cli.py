@@ -81,7 +81,6 @@ except ImportError:
 
 from . import __version__
 from .ffcount import (
-    DEFAULT_SEED,
     ResourceGuardError,
     closed_form_count,
     enumerate_count,
@@ -90,7 +89,7 @@ from .ffcount import (
     psi_roundtrip_check,
     stratified_count,
 )
-from .linalg import _degree_bound, rank_drop_witness, verify_bundle_rank
+from .linalg import DEFAULT_SEED, _degree_bound, rank_drop_witness, verify_bundle_rank
 from .m0n import equivariant_poincare_m0n
 from .spectral import (
     ConfigurationType,

@@ -35,12 +35,14 @@ of `fq`.
 
 A binary form of degree D is the tuple of its D+1 coefficients, ascending
 in x: entry i multiplies x^i y^(D-i), so the degree is the length minus one
-and top zeros encode roots at [1:0].  A section triple is the tuple
+and top zeros encode roots at [1:0]; the tables of forms are indexed by
+their codes, whose layout `_codes` states.  A section triple is the tuple
 (alpha, beta, gamma) of three such forms.  `is_squarefree` is the oracle
 test of the naive route.  The orbit walk is exact only if the square-free
 bitmap is invariant under delta -> delta o g; `orbit_invariance_check`,
 which `verify counts --budget full` runs, certifies that over every form
-for each generator the walk uses.
+for each generator the walk uses, and both substitute a generator by the
+one matrix of `_substitution_matrix`.
 `psi_roundtrip_check` inverts the paper's substitution psi once per
 (alpha, gamma), since every member's numerator beta^2 - delta is
 4 alpha gamma, through the quotient and remainder matrices of
@@ -61,7 +63,6 @@ from .series import TatePolynomial
 __all__ = [
     "CountRecord",
     "ResourceGuardError",
-    "DEFAULT_SEED",
     "DEFAULT_TUPLE_BUDGET",
     "closed_form_count",
     "enumerate_count",
@@ -70,12 +71,10 @@ __all__ = [
     "group_order",
     "is_squarefree",
     "orbit_invariance_check",
-    "psi_forward",
     "psi_roundtrip_check",
     "stratified_count",
 ]
 
-DEFAULT_SEED = 20260816
 DEFAULT_TUPLE_BUDGET = 10**9
 # (gamma, beta) rows per block of psi_roundtrip_check.  It bounds the memory
 # of a block: 2^15-row blocks raised the peak RSS of `verify all --budget small`
@@ -148,9 +147,6 @@ def _resolve_variant(n, variant):
 class CountRecord:
     """One enumeration outcome: raw tuple count and its stack normalization."""
 
-    g: int
-    l: int
-    q: int
     raw_count: int
     group_order: int
     stack_count: object  # int when integral, Fraction otherwise — never rounded
@@ -256,9 +252,20 @@ def _digit_matrix(length, q):
     return out
 
 
+def _codes(rows, matrix, q):
+    """The code of each row's image under ``matrix``, reduced mod q.
+
+    The code of a form (c_0, ..., c_D) is sum(c_i q^i): its row number in
+    `_digit_matrix` and its index in `_squarefree_bitmap`.
+    """
+    import numpy as np
+
+    return rows @ matrix % q @ q ** np.arange(matrix.shape[1], dtype=np.int64)
+
+
 @lru_cache(maxsize=None)
 def _squarefree_bitmap(degree, q):
-    """Boolean array over all q^(degree+1) forms, indexed by sum(c_i q^i).
+    """Boolean array over all q^(degree+1) forms, indexed by their `_codes`.
 
     Sieve route: a form fails to be square-free exactly when the square of
     some monic irreducible form divides it, so the failures are the images
@@ -269,15 +276,13 @@ def _squarefree_bitmap(degree, q):
     _validate_odd_prime(q)
     size = q ** (degree + 1)
     bad = np.zeros(size, dtype=bool)
-    powers = q ** np.arange(degree + 1, dtype=np.int64)
     for pi in _monic_irreducible_forms(q, degree // 2):
         pisq = fq.mul(pi, pi, q)
         cofactor_deg = degree - (len(pisq) - 1)
         if cofactor_deg < 0:
             continue
         digits = _digit_matrix(cofactor_deg + 1, q)
-        products = (digits.astype(np.int64) @ _times_matrix(pisq, cofactor_deg)) % q
-        bad[products @ powers] = True
+        bad[_codes(digits, _times_matrix(pisq, cofactor_deg), q)] = True
     good = ~bad
     good[0] = False
     good.flags.writeable = False
@@ -336,7 +341,10 @@ def _feasible_grid(budget: int) -> str:
     return ", ".join(notes)
 
 
-def _check_budget(g, l, q, tuple_budget):
+def _validate_case(g, l, q, tuple_budget):
+    """Check a (g, l, q) case of the census: the pair, then q, then the budget."""
+    _validate_genus_pair(g, l)
+    _validate_odd_prime(q)
     # q > 2, so an exponent past the budget's bit length is over the budget
     # without building q^(3g+6), whose digits pass int-to-str's limit at q = 3
     # from g = 3003 on
@@ -364,15 +372,12 @@ def _division_matrices(den, width, q):
 def _labels(rows, form, q):
     """Coset label of each row modulo form * (forms of the complementary degree).
 
-    The label is the row's remainder by form (see `_divide`) read in base q,
+    The label is the code of the row's remainder by form (see `_divide`),
     so it is 0 exactly when form divides the row.  By linearity the
     remainders of all rows are one product with R, the remainders of the
     basis forms from `_division_matrices`.
     """
-    import numpy as np
-
-    rem = _division_matrices(form, rows.shape[1], q)[1]
-    return (rows @ rem % q) @ q ** np.arange(rem.shape[1], dtype=np.int64)
+    return _codes(rows, _division_matrices(form, rows.shape[1], q)[1], q)
 
 
 def _beta_square_rows(g, q):
@@ -393,9 +398,8 @@ def _alpha_orbits(l, q):
     import numpy as np
 
     forms = _digit_matrix(l + 1, q)[:, ::-1].astype(np.int64)  # lexicographic
-    basis = np.eye(l + 1, dtype=np.int64)
-    maps = [np.array([_compose(e, m, q) for e in basis.tolist()]) for m in _gl2_generators(q)]
-    maps += [c * basis for c in range(2, q)]
+    maps = [_substitution_matrix(m, l, q) for m in _gl2_generators(q)]
+    maps += [c * np.eye(l + 1, dtype=np.int64) for c in range(2, q)]
     steps = np.array([(forms @ m) % q @ q ** np.arange(l, -1, -1) for m in maps])
     first = np.arange(len(forms))
     while True:
@@ -425,13 +429,16 @@ def _coset_census(g, l, q):
     digits = _digit_matrix(disc_degree + 1, q)
     squarefree = _squarefree_bitmap(disc_degree, q)
     beta_squares = _beta_square_rows(g, q)
-    if squarefree[beta_squares.astype(np.int64) @ q ** np.arange(disc_degree + 1)].any():
+    identity = np.eye(disc_degree + 1, dtype=np.int64)
+    if squarefree[_codes(beta_squares, identity, q)].any():
         raise AssertionError("a pure square discriminant tested square-free")
     irreducibles = _monic_irreducible_forms(q, max(l, 1))
     census = {}
     for alpha, size in _alpha_orbits(l, q):
-        labels = _labels(digits, alpha, q)
-        members = np.bincount(_labels(beta_squares, alpha, q), minlength=q**l)
+        # the labels of `_labels`, from one remainder matrix for both tables
+        rem = _division_matrices(alpha, disc_degree + 1, q)[1]
+        labels = _codes(digits, rem, q)
+        members = np.bincount(_codes(beta_squares, rem, q), minlength=q**l)
         members *= np.bincount(labels[squarefree], minlength=q**l)
         carrier = np.zeros(q**l, dtype=np.int64)  # a discriminant of each label
         carrier[labels] = np.arange(len(labels))
@@ -506,24 +513,15 @@ def enumerate_count(
     ``g0`` or ``g0prime`` (see `_resolve_variant`).  The stack count is an
     exact Fraction collapsed to int when integral.
     """
-    _validate_genus_pair(g, l)
-    _validate_odd_prime(q)
     if method not in ("coset", "naive"):
         raise ValueError(f"unknown method {method!r}: expected 'coset' or 'naive'")
-    _check_budget(g, l, q, tuple_budget)
+    _validate_case(g, l, q, tuple_budget)
     order = group_order(g + 1 - l, q, variant)
     if method == "naive":
         raw = _naive_raw(g, l, q)
     else:
         raw = sum(_coset_census(g, l, q).values())
-    return CountRecord(
-        g=g,
-        l=l,
-        q=q,
-        raw_count=raw,
-        group_order=order,
-        stack_count=_stack_value(raw, order),
-    )
+    return CountRecord(raw_count=raw, group_order=order, stack_count=_stack_value(raw, order))
 
 
 # --------------------------------------------------------------------------
@@ -648,22 +646,13 @@ def stratified_count(
     delta, so the stratum is one per coset label and the values split the
     raw count of `enumerate_count`, read from the same census.
     """
-    _validate_genus_pair(g, l)
-    _validate_odd_prime(q)
-    _check_budget(g, l, q, tuple_budget)
+    _validate_case(g, l, q, tuple_budget)
     return dict(_coset_census(g, l, q))
 
 
 # --------------------------------------------------------------------------
 # the discriminant substitution and its inverse
 # --------------------------------------------------------------------------
-
-def psi_forward(alpha, beta, gamma, q) -> tuple:
-    """Discriminant beta^2 - 4 alpha gamma of a section triple."""
-    bsq = fq.mul(beta, beta, q)
-    prod = fq.mul(alpha, gamma, q)
-    return tuple((x - 4 * y) % q for x, y in zip(bsq, prod))
-
 
 def psi_roundtrip_check(g: int, l: int, q: int) -> dict:
     """Apply the substitution and its printed inverse to every member of the family.
@@ -685,9 +674,7 @@ def psi_roundtrip_check(g: int, l: int, q: int) -> dict:
     """
     import numpy as np
 
-    _validate_genus_pair(g, l)
-    _validate_odd_prime(q)
-    _check_budget(g, l, q, DEFAULT_TUPLE_BUDGET)
+    _validate_case(g, l, q, DEFAULT_TUPLE_BUDGET)
     disc_degree = 2 * g + 2
     squarefree = _squarefree_bitmap(disc_degree, q)
     powers = q ** np.arange(disc_degree + 1, dtype=np.int64)
@@ -734,24 +721,21 @@ def _gl2_generators(q):
     return [((1, 1), (0, 1)), ((0, 1), (1, 0))] + [((a, 0), (0, 1)) for a in range(2, q)]
 
 
-def _compose(coeffs, matrix, q):
-    """Coefficients of f(a x + b y, c x + d y) for f given by ``coeffs``."""
+def _substitution_matrix(matrix, degree, q):
+    """Matrix of f -> f(a x + b y, c x + d y) on forms of the given degree (row vectors).
+
+    Row i is the image of x^i y^(degree-i), (a x + b y)^i (c x + d y)^(degree-i),
+    from one table of the powers of the two linear forms.
+    """
+    import numpy as np
+
     (a, b), (c, d) = matrix
-    degree = len(coeffs) - 1
-    u = (b % q, a % q)
-    v = (d % q, c % q)
-    u_pow = [(1,)]
-    v_pow = [(1,)]
+    u, v = [(1,)], [(1,)]
     for _ in range(degree):
-        u_pow.append(fq.mul(u_pow[-1], u, q))
-        v_pow.append(fq.mul(v_pow[-1], v, q))
-    out = [0] * (degree + 1)
-    for i, cf in enumerate(coeffs):
-        if cf:
-            term = fq.mul(u_pow[i], v_pow[degree - i], q)
-            for j, t in enumerate(term):
-                out[j] = (out[j] + cf * t) % q
-    return tuple(out)
+        u.append(fq.mul(u[-1], (b % q, a % q), q))
+        v.append(fq.mul(v[-1], (d % q, c % q), q))
+    rows = [fq.mul(u[i], v[degree - i], q) for i in range(degree + 1)]
+    return np.array(rows, dtype=np.int64)
 
 
 def orbit_invariance_check(g: int, q: int) -> dict:
@@ -766,22 +750,18 @@ def orbit_invariance_check(g: int, q: int) -> dict:
     blocks of ``_INVARIANCE_BLOCK_FORMS``, compare the bitmap at delta o M
     with the bitmap at delta.
     """
-    import numpy as np
-
     _validate_genus_pair(g, 0)
     _validate_odd_prime(q)
     degree = 2 * g + 2
     squarefree = _squarefree_bitmap(degree, q)
     digits = _digit_matrix(degree + 1, q)
-    basis = np.eye(degree + 1, dtype=np.int64).tolist()
-    powers = q ** np.arange(degree + 1, dtype=np.int64)
     generators = _gl2_generators(q)
     mismatches = 0
     for matrix in generators:
-        image = np.array([_compose(e, matrix, q) for e in basis], dtype=np.int64)
+        image = _substitution_matrix(matrix, degree, q)
         for start in range(0, len(digits), _INVARIANCE_BLOCK_FORMS):
             block = slice(start, start + _INVARIANCE_BLOCK_FORMS)
-            codes = digits[block] @ image % q @ powers
+            codes = _codes(digits[block], image, q)
             mismatches += int((squarefree[codes] != squarefree[block]).sum())
     return {
         "g": g,

@@ -29,7 +29,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
-from .ffcount import DEFAULT_SEED
 from .spectral import ConfigurationType
 
 if TYPE_CHECKING:
@@ -41,7 +40,10 @@ __all__ = [
     "sample_configuration",
     "verify_bundle_rank",
     "rank_drop_witness",
+    "DEFAULT_SEED",
 ]
+
+DEFAULT_SEED = 20260816
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,10 @@ are when the package changes, so that a change cannot move its own check.
   `irreducible`) and the sign character, built on the Murnaghan-Nakayama
   recursion `symfunc._mn` and the signs of `_z_sign`, the oracles of the
   dense class functions, the Hall pairings and the M_{0,n} layers;
-* `psi_inverse`, the inverse of the paper's substitution psi, which divides
-  with the frozen long division `o_exact_div` rather than `ffcount._divide`;
+* `psi_forward`, the paper's substitution psi, the discriminant
+  beta^2 - 4 alpha gamma of one triple by `o_mul`, and `psi_inverse`, its
+  inverse, which divides with the frozen long division `o_exact_div` rather
+  than `ffcount._divide`;
 * `o_apply_group_element`, the action of the surface automorphisms on
   section triples (coordinate changes of the base by `o_substitute`, fiber
   rescalings and translations), and `o_random_images`, which moves random
@@ -507,6 +509,13 @@ def o_exact_div(num, den, q):
     if any(num):
         return None
     return tuple(quot)
+
+
+def psi_forward(alpha, beta, gamma, q) -> tuple:
+    """Discriminant beta^2 - 4 alpha gamma of a section triple."""
+    bsq = o_mul(beta, beta, q)
+    prod = o_mul(alpha, gamma, q)
+    return tuple((x - 4 * y) % q for x, y in zip(bsq, prod))
 
 
 def psi_inverse(alpha, beta, delta, q) -> tuple:

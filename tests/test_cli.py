@@ -623,10 +623,11 @@ def test_rankcheck_names_the_flag_of_a_malformed_type(capsys):
         )
 
 
-def test_default_seed_is_the_one_of_ffcount():
-    assert cli.DEFAULT_SEED is ffcount.DEFAULT_SEED == 20260816
+def test_default_seed_is_the_one_of_linalg():
+    assert cli.DEFAULT_SEED is linalg.DEFAULT_SEED == 20260816
     witness = inspect.signature(linalg.rank_drop_witness).parameters["seed"]
-    assert witness.default == ffcount.DEFAULT_SEED
+    assert witness.default == linalg.DEFAULT_SEED
+    assert not hasattr(ffcount, "DEFAULT_SEED")
 
 
 # --------------------------------------------------------------------------

@@ -18,7 +18,10 @@ Oracles:
 * the hand-typed term lists of the reversed count polynomials, frozen as
   they stood before the Euler check read its right side off the closed forms;
 * `oracles.psi_inverse`, the inverse of psi by the frozen long division, for
-  the discriminant map `psi_forward`;
+  the discriminant map `oracles.psi_forward`;
+* `oracles.o_substitute`, a coordinate change of one form by repeated
+  products of linear forms, for the substitution matrices of the orbit walk
+  and its certificate;
 * `oracles.o_random_images`, random members moved by random elements of
   the group, fiber translations among them, with membership decided by the
   gcd route of `is_squarefree`, beside the certificate that the square-free
@@ -48,7 +51,6 @@ from hyperstab.ffcount import (
     group_order,
     is_squarefree,
     orbit_invariance_check,
-    psi_forward,
     psi_roundtrip_check,
     stratified_count,
 )
@@ -62,6 +64,7 @@ from oracles import (
     o_qpoly_floordiv,
     o_random_images,
     o_substitute,
+    psi_forward,
     psi_inverse,
 )
 
@@ -1086,6 +1089,19 @@ def test_random_members_stay_members_under_random_group_elements(g, l, q):
     assert any(image != triple for triple, image in pairs)
 
 
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_substitution_matrix_moves_forms_like_the_oracle_substitution(q):
+    rng = np.random.default_rng(q)
+    for degree in range(11):
+        # the basis forms, one per row of the matrix, then random forms
+        forms = np.vstack([np.eye(degree + 1, dtype=np.int64),
+                           rng.integers(0, q, size=(8, degree + 1))])
+        for matrix in ffcount._gl2_generators(q):
+            images = forms @ ffcount._substitution_matrix(matrix, degree, q) % q
+            expected = [o_substitute(form, matrix, q) for form in forms.tolist()]
+            assert list(map(tuple, images.tolist())) == expected, (degree, matrix)
+
+
 @pytest.mark.parametrize("g, q", [(2, 3), (2, 5), (3, 3), (4, 3)])
 def test_orbit_invariance_check_certifies_the_full_grid(g, q):
     report = orbit_invariance_check(g, q)
@@ -1110,19 +1126,21 @@ def test_orbit_invariance_check_fails_on_a_one_entry_flip_of_the_bitmap(monkeypa
 
 
 @pytest.mark.parametrize("g, q", [(2, 3), (2, 5), (3, 3)])
-def test_orbit_invariance_check_fails_when_compose_is_not_a_ring_map(monkeypatch, g, q):
+def test_orbit_invariance_check_fails_when_the_substitution_is_not_a_ring_map(
+    monkeypatch, g, q
+):
     # broken at one generator at a time, so a check that skipped any
     # generator would pass one of these
-    real = ffcount._compose
+    real = ffcount._substitution_matrix
     for broken in ffcount._gl2_generators(q):
 
-        def shifted(coeffs, matrix, q, broken=broken):
-            # linear and invertible, but a cyclic shift of the coefficients
-            # does not respect products
-            image = real(coeffs, matrix, q)
-            return image[1:] + image[:1] if matrix == broken else image
+        def rolled(matrix, degree, q, broken=broken):
+            # linear and invertible, but a cyclic shift of the image's
+            # coefficients does not respect products
+            image = real(matrix, degree, q)
+            return np.roll(image, -1, axis=1) if matrix == broken else image
 
-        monkeypatch.setattr(ffcount, "_compose", shifted)
+        monkeypatch.setattr(ffcount, "_substitution_matrix", rolled)
         report = orbit_invariance_check(g, q)
         assert report["ok"] is False and report["mismatches"] > 0, broken
 

@@ -10,7 +10,7 @@ name, and a property only by a read of an attribute of its name that is not
 called; a bare name reaches neither, so a local variable or a dict's
 ``values()`` does not keep a method or property of that name.  A name that
 nothing refers to stays only if it is listed in ``KEPT`` with the reason it
-stays; the one entry is the public substitution ``ffcount.psi_forward``.
+stays; the list is empty.
 The oracles live in ``tests/oracles.py``, and no name defined there is
 defined in the package too.  The oracles take
 nothing from ``ffcount``, the module they check most, but the exception of
@@ -22,20 +22,23 @@ numerator they are, and the column cells), the one row formula of the rank check
 per-degree table of cycle-type codes, z's and signs with its readers, the
 walk over the orbits of leading forms with the one coset census that gives
 both the raw count and its strata, the generators of GL_2(F_q) and the
-composition of a form with one of them with the walk and its certificate
+substitution matrix of one of them with the walk and its certificate
 ``ffcount.orbit_invariance_check``, the square-free bitmap with the census,
-the psi check and that certificate, and the division matrices of basis
-forms with the coset labels and the psi check: only the definitions in
-``CALLERS`` call those routes.  The twisted counts of M_{0,n} take one route as well:
+the psi check and that certificate, the division matrices of basis forms
+with the coset labels, the census and the psi check, the reader of the
+codes of forms with the sieve, the coset labels, the census and the
+certificate, and the checks of a case with the three entry points that
+take one: only the definitions in ``CALLERS`` call those routes.  The twisted counts of M_{0,n} take one route as well:
 only ``m0n.equivariant_poincare_m0n`` divides a count by q^3 - q, and only
 it and their own recursion call ``m0n._twisted_counts``.  The column code
-works on integer cells, so ``spectral`` imports nothing from ``series``,
-and ``ffcount`` imports nothing from ``m0n``; no module but ``cli`` imports
+works on integer cells, so ``spectral`` imports nothing from ``series``;
+``ffcount`` imports nothing from ``m0n``, and ``linalg``, which owns the
+seed of the random draws, nothing from ``ffcount``; no module but ``cli`` imports
 ``csv`` or ``io``, so every report is written in ``cli`` and the others
 hold only mathematics.  The last test
 keeps one division of binary forms: only ``ffcount._divide`` calls
 ``fq.divmod``, and only ``ffcount._division_matrices`` builds the quotient
-and remainder matrices, dividing basis forms in a comprehension, for its two
+and remainder matrices, dividing basis forms in a comprehension, for its three
 callers in ``CALLERS``.  The layout of the layer files of ``m0n`` is stated
 once: no function but the writer ``m0n._cache_text`` and its inverse
 ``m0n._read_written`` spells a key of it in a string.  No module
@@ -56,12 +59,7 @@ PACKAGE = Path(hyperstab.__file__).parent
 ORACLES = Path(__file__).with_name("oracles.py")
 
 # (module, name, why it stays although no module of the package refers to it)
-KEPT = (
-    ("ffcount", "psi_forward",
-     "the paper's substitution psi on one triple, public for its users; "
-     "psi_roundtrip_check builds the same discriminants in bulk from codes, "
-     "and the tests check it against the oracle psi_inverse"),
-)
+KEPT = ()
 
 
 def _modules() -> dict:
@@ -218,9 +216,11 @@ def test_the_oracles_take_nothing_from_ffcount_but_its_budget_error():
 # recursion, and three readers, one coset census per case walks the alpha
 # orbits for both the raw count and its strata, the orbit walk and its
 # certificate read one list of generators and substitute them by one
-# composition, the square-free bitmap serves the census and the two checks
-# that read it, and the division matrices of basis forms serve the coset
-# labels and the psi check
+# matrix, the square-free bitmap serves the census and the two checks that
+# read it, the division matrices of basis forms serve the coset labels, the
+# census and the psi check, one reader of the codes of forms serves the
+# sieve, the coset labels, the census and the certificate, and one guard
+# checks a case for the three entry points that take one
 CALLERS = {
     "hall_inner_product_induced": {("stable", "type_pairings")},
     "equivariant_poincare_m0n": {("stable", "type_pairings"), ("cli", "cmd_m0n")},
@@ -229,12 +229,18 @@ CALLERS = {
     "_ranks_mod_p": {("linalg", "verify_bundle_rank")},
     "_rank_bareiss": {("linalg", "kernel_dimension")},
     "_divide": {("ffcount", "_division_matrices"), ("ffcount", "_factor_form")},
-    "_division_matrices": {("ffcount", "_labels"), ("ffcount", "psi_roundtrip_check")},
+    "_division_matrices": {("ffcount", "_labels"), ("ffcount", "_coset_census"),
+                           ("ffcount", "psi_roundtrip_check")},
     "_cycle_types": {("symfunc", "_cycle_types"), ("symfunc", "_code_positions"),
                      ("symfunc", "_block_weights"), ("symfunc", "schur_expand")},
     "_alpha_orbits": {("ffcount", "_coset_census")},
     "_gl2_generators": {("ffcount", "_alpha_orbits"), ("ffcount", "orbit_invariance_check")},
-    "_compose": {("ffcount", "_alpha_orbits"), ("ffcount", "orbit_invariance_check")},
+    "_substitution_matrix": {("ffcount", "_alpha_orbits"),
+                             ("ffcount", "orbit_invariance_check")},
+    "_codes": {("ffcount", "_squarefree_bitmap"), ("ffcount", "_labels"),
+               ("ffcount", "_coset_census"), ("ffcount", "orbit_invariance_check")},
+    "_validate_case": {("ffcount", "enumerate_count"), ("ffcount", "stratified_count"),
+                       ("ffcount", "psi_roundtrip_check")},
     "_squarefree_bitmap": {("ffcount", "_coset_census"), ("ffcount", "psi_roundtrip_check"),
                            ("ffcount", "orbit_invariance_check")},
     "_coset_census": {("ffcount", "enumerate_count"), ("ffcount", "stratified_count")},
@@ -280,6 +286,10 @@ def test_spectral_imports_nothing_from_series():
 
 def test_ffcount_imports_nothing_from_m0n():
     assert "m0n" not in _imported_modules("ffcount")
+
+
+def test_linalg_imports_nothing_from_ffcount():
+    assert "ffcount" not in _imported_modules("linalg")
 
 
 def test_reports_are_rendered_in_cli_only():
