@@ -22,7 +22,9 @@ from __future__ import annotations
 import json
 import operator
 import os
+import re
 import tempfile
+from collections.abc import Mapping
 from functools import lru_cache
 from pathlib import Path
 
@@ -103,17 +105,38 @@ def _cache_path(n: int) -> Path:
     return base / f"m0n_{n}.json"
 
 
+def _cycle_type_labels(n: int) -> str:
+    """The cycle types of n as a layer file spells them: ``["3","1"],["2","2"]``, ...
+
+    Built in the recursion of the partitions, in `partitions(n)` order: the
+    spelling of (p, *mu) is ``"p"`` then mu's, one of the suffix of the
+    spellings of |mu| from `_bounded_start`.  The spellings of the smaller
+    degrees are dropped after the call, since a memo of them costs more
+    memory than it saves time.
+    """
+    spelled = [[""]]
+    for m in range(1, n + 1):
+        row = []
+        for part in range(m, 0, -1):
+            head = f'"{part}"'
+            row.extend(
+                f"{head},{rest}" if rest else head
+                for rest in spelled[m - part][_bounded_start(m - part, part):]
+            )
+        spelled.append(row)
+    return "[" + "],[".join(spelled[n]) + "]"
+
+
 def _cache_text(n: int, layers: dict) -> str:
     """The layer file of n as `_save_cache` writes it and `_read_written` reads it."""
     # the bytes of compact json.dumps, joined directly: decimal strings need no escapes
-    labels = ",".join('["' + '","'.join(map(str, mu)) + '"]' for mu in partitions(n))
     entries = ",".join(
         f'{{"i":"{i}","values":[{{"trace":"'
         + '"},{"trace":"'.join(map(str, layer.vector))
         + '"}]}'
         for i, layer in sorted(layers.items())
     )
-    return f'{{"n":"{n}","cycle_types":[{labels}],"layers":[{entries}]}}'
+    return f'{{"n":"{n}","cycle_types":[{_cycle_type_labels(n)}],"layers":[{entries}]}}'
 
 
 def _save_cache(path: Path, n: int, layers: dict) -> None:
@@ -129,23 +152,70 @@ def _save_cache(path: Path, n: int, layers: dict) -> None:
         raise
 
 
+class _LoadedLayers(Mapping):
+    """The read-only {i: layer i} of a checked layer file.
+
+    Holds each layer's traces as one comma-joined string until the layer is
+    first read, and then the `CharacterVector` built from them.
+    """
+
+    __slots__ = ("_n", "_layers")
+
+    def __init__(self, n: int, traces: dict):
+        self._n = n
+        self._layers = traces
+
+    def __getitem__(self, i):
+        layer = self._layers[i]
+        if type(layer) is str:
+            layer = self._layers[i] = CharacterVector(self._n, map(int, layer.split(",")))
+        return layer
+
+    def __iter__(self):
+        return iter(self._layers)
+
+    def __len__(self):
+        return len(self._layers)
+
+
 def _read_written(text: str, n: int):
     """The layers of ``text`` if it is exactly `_cache_text`'s rendering of them, else None.
 
-    Splits the text at the writer's own separators, so no JSON object is built,
-    and renders what it found again: `_cache_text` is the one statement of the layout.
+    Checks the text against the writer's layout in one pass and converts no
+    trace: the header spells n and the cycle types as the writer does, the
+    layer indices rise, and each layer holds one trace per cycle type, each
+    an integer in its shortest decimal form, as ``str`` renders an int.  No
+    JSON object is built.  The layers come back as a `_LoadedLayers`, which
+    builds each `CharacterVector` when the layer is first read.
     """
-    layers = {}
-    try:
-        for entry in text.split('{"i":"')[1:]:
-            i, traces = entry.partition('"}]}')[0].split('","values":[{"trace":"')
-            layers[int(i)] = CharacterVector(n, map(int, traces.split('"},{"trace":"')))
-    except ValueError:
+    head = f'{{"n":"{n}","cycle_types":[{_cycle_type_labels(n)}],"layers":['
+    if not text.startswith(head) or not text.endswith("]}"):
         return None
-    return layers if _cache_text(n, layers) == text else None
+    # an int as str renders it, within CPython's default limit of 4300 digits
+    number = "(?:0|-?[1-9][0-9]{0,4299})"
+    separator = '"},{"trace":"'
+    entry = re.compile(
+        r'\{"i":"(' + number + r')","values":\[\{"trace":"('
+        + number + "(?:" + re.escape(separator) + number + r')*)"\}\]\}'
+    )
+    commas = len(partitions(n)) - 1
+    layers, pos, end = {}, len(head), len(text) - 2
+    while pos < end:
+        if layers:  # the entries after the first follow a comma
+            if text[pos] != ",":
+                return None
+            pos += 1
+        match = entry.match(text, pos)
+        if match is None:
+            return None
+        i, traces = int(match[1]), match[2].replace(separator, ",")
+        if (layers and i <= last) or traces.count(",") != commas:
+            return None
+        layers[i], last, pos = traces, i, match.end()
+    return _LoadedLayers(n, layers) if pos == end else None
 
 
-def _load_cache(path: Path, n: int) -> dict:
+def _load_cache(path: Path, n: int) -> Mapping:
     """The layers in ``path``, whose JSON must re-encode compactly to the writer's bytes."""
     try:
         text = path.read_text()
@@ -163,7 +233,7 @@ def _load_cache(path: Path, n: int) -> dict:
     return layers
 
 
-def _validate_layers(n: int, layers: dict, source: str) -> None:
+def _validate_layers(n: int, layers: Mapping, source: str) -> None:
     if set(layers) != set(range(n - 2)):
         raise ValueError(
             f"{source}: expected layers 0..{n - 3}, found {sorted(layers)}"
@@ -173,7 +243,7 @@ def _validate_layers(n: int, layers: dict, source: str) -> None:
 
 
 @lru_cache(maxsize=None)
-def equivariant_poincare_m0n(n: int) -> dict:
+def equivariant_poincare_m0n(n: int) -> Mapping:
     """{i: the S_n-character of H^i(M_{0,n})} for i = 0..n-3; cached, do not mutate.
 
     The twisted counts N_mu(q) of all cycle types mu come from one recursion
@@ -187,6 +257,9 @@ def equivariant_poincare_m0n(n: int) -> dict:
     integers as decimal strings.  A file loads if its JSON re-encodes
     compactly to those bytes, so only its whitespace may differ; any other
     file (the layout of older versions among them) raises ValueError naming it.
+    Every file is checked whole when it loads, but a loaded layer becomes a
+    `CharacterVector` only when first read, so callers that read layers by
+    index (`stable.type_pairings`) convert only the layers they pair.
     """
     if n < 3:
         raise ValueError("n must be >= 3")

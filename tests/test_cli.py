@@ -805,6 +805,33 @@ def test_malformed_layer_cache_is_a_usage_error(layer_cache, capsys, n, edit):
     assert captured.out == ""
 
 
+# a degree-24 table pairs layers 0 and 1 of M_{0,23}, and never the top layer 20
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _edit_layer(-1, lambda values: values[0].update(trace="01")),
+        _edit_layer(-1, lambda values: values[0].update(trace="-0")),
+        _edit_layer(-1, lambda values: values.pop()),
+        _edit_layer(-1, lambda values: values.append({"trace": "1"})),
+    ],
+    ids=["zero-padded", "minus-zero", "trace-dropped", "trace-added"],
+)
+def test_damage_in_a_layer_the_table_never_pairs_is_refused_at_load(layer_cache, capsys, edit):
+    m0n.equivariant_poincare_m0n(23)
+    path = layer_cache / "m0n_23.json"
+    payload = json.loads(path.read_text())
+    assert payload["layers"][-1]["i"] == "20"
+    # the writer's bytes but for the edit
+    path.write_text(json.dumps(edit(payload), separators=(",", ":")))
+
+    m0n.equivariant_poincare_m0n.cache_clear()  # so that stable reads the edited file
+    assert main(["stable", "--max-deg", "24"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {path}: ")
+    assert captured.err.endswith("delete the file to recompute it\n")
+    assert captured.out == ""
+
+
 def test_a_degree_d_table_reads_no_layer_file_of_n_d(layer_cache, capsys):
     # the table through degree 8 meets M_{0,8} only in H^0, the trivial character
     assert main(["stable", "--max-deg", "8"]) == 0

@@ -17,7 +17,7 @@ from test_series import convolve
 from hyperstab import cli, linalg, m0n, spectral, stable
 from hyperstab.series import TatePolynomial
 from hyperstab.stable import cohomology_table, stable_series, type_pairings
-from hyperstab.symfunc import hall_inner_product_induced
+from hyperstab.symfunc import CharacterVector, hall_inner_product_induced, partitions
 
 # degree -> {twist exponent: multiplicity}; omitted degrees are zero
 REFERENCE_ROWS = {
@@ -310,6 +310,22 @@ def test_stable_series_from_loaded_layers_equals_the_cold_series(layer_cache, mo
     assert len(calls) == 1283
 
 
+def test_a_warm_table_parses_only_the_layers_it_pairs(layer_cache):
+    """Through t-degree 24 the table pairs layer i of M_{0,n} only for i <= 24 - n,
+    so a warm run converts those layers to characters and no others."""
+    stable_series(24)
+    m0n.equivariant_poincare_m0n.cache_clear()
+    stable_series(24)
+    values = 0
+    for n in range(3, 24):
+        layers = m0n.equivariant_poincare_m0n(n)  # the lru cache's copy, as the table left it
+        assert isinstance(layers, m0n._LoadedLayers)
+        parsed = {i for i, layer in layers._layers.items() if isinstance(layer, CharacterVector)}
+        assert parsed == set(range(min(n - 3, 24 - n) + 1)), n
+        values += len(parsed) * len(partitions(n))
+    assert values == 28370  # of the 102,032 traces in the files
+
+
 # --------------------------------------------------------------------------
 # the stable range
 # --------------------------------------------------------------------------
@@ -317,20 +333,34 @@ def test_stable_series_from_loaded_layers_equals_the_cold_series(layer_cache, mo
 def test_the_boundary_degree_is_where_the_rank_bound_first_refuses_a_type():
     """With d = g+1+n, the least t-degree among the types the rank lemma
     does not cover (d <= ``_degree_bound``) is ceil((g-n+2)/2), attained by
-    (0, ceil((g-n+2)/2), 0) alone: the reduction the module docstring states."""
-    cases = 0
-    for g in range(2, 21):
+    (0, ceil((g-n+2)/2), 0) alone: the reduction the module docstring states.
+    No type below that degree has jet degree D > d (``linalg._jet_degree``,
+    from which on every configuration has full rank), and at it only
+    (0, (g+3)/2, 0) at n = 0 with g odd does."""
+    cases, jet_refused = 0, []
+    for g in range(2, 41):
         for n in range(g + 2):
             d = g + 1 + n
             boundary = -(-(g - n + 2) // 2)
-            refused = [
-                (k1, k2, h)
+            types = [
+                spectral.ConfigurationType(k1, k2, h)
                 for k1 in range(boundary // 3 + 1)
                 for k2 in range(boundary + 1)
                 for h in range(boundary // 4 + 1)
                 if 0 < 3 * k1 + k2 + 4 * h <= boundary
-                and d <= linalg._degree_bound(spectral.ConfigurationType(k1, k2, h), n)
+            ]
+            refused = [
+                (config.k1, config.k2, config.h)
+                for config in types
+                if d <= linalg._degree_bound(config, n)
             ]
             assert refused == [(0, boundary, 0)], (g, n)
+            jet_refused.extend(
+                (g, n, (config.k1, config.k2, config.h))
+                for config in types
+                if linalg._jet_degree(config, n) > d
+            )
             cases += 1
-    assert cases == 247
+    assert cases == 897
+    # 19 cases, each at t-degree (g+3)/2, the boundary at n = 0
+    assert jet_refused == [(g, 0, (0, (g + 3) // 2, 0)) for g in range(3, 41, 2)]

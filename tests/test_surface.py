@@ -30,7 +30,10 @@ codes of forms with the sieve, the coset labels, the census and the
 certificate, and the checks of a case with the three entry points that
 take one: only the definitions in ``CALLERS`` call those routes.  The twisted counts of M_{0,n} take one route as well:
 only ``m0n.equivariant_poincare_m0n`` divides a count by q^3 - q, and only
-it and their own recursion call ``m0n._twisted_counts``.  The column code
+it and their own recursion call ``m0n._twisted_counts``.  The cycle types
+of a layer file are spelled by ``m0n._cycle_type_labels`` for the writer
+and the reader alone, and only the reader builds ``m0n._LoadedLayers``.
+The column code
 works on integer cells, so ``spectral`` imports nothing from ``series``;
 ``ffcount`` imports nothing from ``m0n``, and ``linalg``, which owns the
 seed of the random draws, nothing from ``ffcount``; no module but ``cli`` imports
@@ -219,8 +222,10 @@ def test_the_oracles_take_nothing_from_ffcount_but_its_budget_error():
 # matrix, the square-free bitmap serves the census and the two checks that
 # read it, the division matrices of basis forms serve the coset labels, the
 # census and the psi check, one reader of the codes of forms serves the
-# sieve, the coset labels, the census and the certificate, and one guard
-# checks a case for the three entry points that take one
+# sieve, the coset labels, the census and the certificate, one guard
+# checks a case for the three entry points that take one, and the layer
+# files spell their cycle types one way, for the writer and the reader,
+# which alone builds the loaded layers
 CALLERS = {
     "hall_inner_product_induced": {("stable", "type_pairings")},
     "equivariant_poincare_m0n": {("stable", "type_pairings"), ("cli", "cmd_m0n")},
@@ -246,6 +251,8 @@ CALLERS = {
     "_coset_census": {("ffcount", "enumerate_count"), ("ffcount", "stratified_count")},
     "_twisted_counts": {("m0n", "equivariant_poincare_m0n"), ("m0n", "_twisted_counts")},
     "_divide_by_pgl2": {("m0n", "equivariant_poincare_m0n")},
+    "_cycle_type_labels": {("m0n", "_cache_text"), ("m0n", "_read_written")},
+    "_LoadedLayers": {("m0n", "_read_written")},
 }
 
 
