@@ -1023,8 +1023,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # Every array product is int64 or object, so no BLAS routine runs; one
-    # thread keeps OpenBLAS from starting workers that spin on no work.
+    # Every array product is int32, int64 or object, so no BLAS routine runs;
+    # one thread keeps OpenBLAS from starting workers that spin on no work.
     # OpenBLAS reads this when numpy is first imported, which no command
     # does before this line.
     os.environ["OPENBLAS_NUM_THREADS"] = "1"

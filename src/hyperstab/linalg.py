@@ -12,13 +12,16 @@ The configurations are integer points in the chart x = 1: a point [1, s] on
 the distinguished section, or (1, s, z) off it, given by its slope s and
 fiber value z.  ``_row_array`` is the one formula for their rows: exact
 Python integers, or int64 residues modulo a prime below 2^31 built from
-reduced power tables, the only two ways this module holds them.  The
-verification certifies most trials without exact integers: the rank of the
-residue rows modulo 2^31 - 1 is a lower bound on the rank over Q, and one
-exact linear relation per fiber pair (``_pairs_certified``), checked on
-exact rows of the pair points only, bounds it above by the codimension.  A
-trial where the two bounds do not meet gets its own exact rows and falls
-back to Bareiss.
+reduced power tables, the only two ways this module builds them.  The
+batched elimination reduces its input mod p and then works in int32 when
+p^2 < 2^31, in int64 otherwise.  The verification certifies most trials
+without exact integers.  One exact linear relation per fiber pair
+(``_pairs_certified``), checked on exact rows of the pair points only,
+bounds the rank over Q above by the codimension.  Each relation also puts
+the f_x row of its pair's second point in the span of the other rows, so
+that row is left out, and the rank of the remaining residue rows modulo
+46337 is a lower bound on the rank over Q.  A trial where the two bounds
+do not meet gets its own exact rows and falls back to Bareiss.
 """
 
 from __future__ import annotations
@@ -185,8 +188,11 @@ def _rank_bareiss(matrix: list) -> int:
     return r
 
 
-# Prime of the certified ranks in verify_bundle_rank; below 2^31, so int64.
-_CERTIFYING_PRIME = 2**31 - 1
+# Prime of the certified ranks in verify_bundle_rank: the largest with
+# p^2 < 2^31, so the elimination runs in int32.  Any prime gives a lower
+# bound on the rank over Q; a spurious drop mod p only sends a trial to
+# Bareiss.
+_CERTIFYING_PRIME = 46337
 
 
 def _ranks_mod_p(matrices, p: int) -> np.ndarray:
@@ -203,8 +209,11 @@ def _ranks_mod_p(matrices, p: int) -> np.ndarray:
     too, so no row is swapped or set aside; a matrix without a pivot in the
     column takes lead = 1 and keeps its block.  For p in the range of
     ``_check_residue_prime`` the batch, such as the residue rows of
-    ``_row_array``, is reduced without leaving int64.  An entry beyond int64
-    raises ``OverflowError`` instead of being read as float64.
+    ``_row_array``, is reduced in int64; an entry beyond int64 raises
+    ``OverflowError`` instead of being read as float64.  The elimination
+    then runs in int32 when p^2 < 2^31 and in int64 otherwise: both
+    products in lead*row - entry*pivot_row lie in [0, (p-1)^2], so their
+    difference fits the chosen type.
     """
     import numpy as np
 
@@ -216,7 +225,7 @@ def _ranks_mod_p(matrices, p: int) -> np.ndarray:
     # one, which are the columns of its transpose
     if m.shape[1] > m.shape[2]:
         m = m.transpose(0, 2, 1)
-    m = np.ascontiguousarray(m % p)
+    m = np.ascontiguousarray(m % p, dtype=np.int32 if p * p < 2**31 else np.int64)
     batch, n_cols, _ = m.shape
     rank = np.zeros(batch, dtype=np.intp)
     each = np.arange(batch)
@@ -402,12 +411,19 @@ def verify_bundle_rank(
     kernel dimension goes under ``expected_rank``, a misnomer that pinned
     reports keep: the expected rank is the codimension.  The trials go in
     blocks of ``_RANK_BLOCK_TRIALS``.  The residue rows of a block form one
-    array, ranked in one batched elimination modulo ``_CERTIFYING_PRIME``:
-    a trial whose rank there is the codimension and whose fiber pairs pass
-    ``_pairs_certified`` has exactly the expected kernel over Q, and any
-    other trial gets its kernel dimension from Bareiss elimination over the
-    integers.
+    array, ranked in one batched elimination modulo ``_CERTIFYING_PRIME``
+    without the f_x row of each pair's second point: codimension rows, and
+    the rank of any subset of the rows mod p is a lower bound on the rank
+    over Q.  A trial whose rank there is the codimension and whose fiber
+    pairs pass ``_pairs_certified`` has exactly the expected kernel over Q,
+    and any other trial gets its kernel dimension from Bareiss elimination
+    over the integers.  The row left out is the one the pair's relation
+    implies: its coefficient there is -2, a unit mod every odd p, so the
+    rows kept have full rank exactly when all of them do.  (The f_y row
+    has coefficient -2s, which vanishes at slope 0.)
     """
+    import numpy as np
+
     if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
         raise ValueError(f"trials must be at least 1 and an integer, not {trials!r}")
     space = SectionSpace(d, n)
@@ -427,12 +443,14 @@ def verify_bundle_rank(
         )
     expected = space.dimension - config.codimension
     prime = _CERTIFYING_PRIME
+    singles = 3 * (config.k1 + config.k2)
+    implied = np.arange(singles + 3, singles + 6 * config.h, 6)
     failures = []
     for start in range(0, trials, _RANK_BLOCK_TRIALS):
         block = range(start, min(trials, start + _RANK_BLOCK_TRIALS))
         slopes, fibers = _sampled_block(config, seed, block)
         residues = _row_array(*_sampled_points(slopes, fibers, config.k1), space, prime)
-        ranks = _ranks_mod_p(residues, prime)
+        ranks = _ranks_mod_p(np.delete(residues, implied, axis=1), prime)
         certified = (ranks == config.codimension) & _pairs_certified(slopes, fibers, config, space)
         for offset, trial in enumerate(block):
             if certified[offset]:

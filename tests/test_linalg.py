@@ -10,6 +10,7 @@ import math
 import random
 from collections import namedtuple
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -648,14 +649,14 @@ def o_rank_mod_p(matrix, p):
     return rank
 
 
-def bareiss_report(config, d, n, trials, seed):
+def bareiss_report(config, d, n, trials, seed, sampler=sample_configuration):
     """verify_bundle_rank's report with every kernel from Bareiss elimination
-    on the frozen per-point rows."""
+    on the frozen per-point rows of ``sampler``'s draws."""
     space = SectionSpace(d, n)
     expected = space.dimension - config.codimension
     failures = []
     for trial in range(trials):
-        sample = sample_configuration(config, random.Random(f"{seed}:{trial}"))
+        sample = sampler(config, random.Random(f"{seed}:{trial}"))
         points = points_of(config, sample, n)
         kernel = kernel_dimension(stacked_rows(points, space, o_singularity_rows))
         if kernel != expected:
@@ -707,7 +708,8 @@ def exact_rows(monkeypatch):
     return shapes
 
 
-_PRIMES = (3, 5, 7, 101, 65537, 2**31 - 1)
+# 46337 is the largest prime eliminated in int32, 46349 the smallest in int64
+_PRIMES = (3, 5, 7, 101, 46337, 46349, 65537, 2**31 - 1)
 
 
 @st.composite
@@ -782,9 +784,31 @@ def test_suite_blocks_rank_as_the_frozen_elimination(monkeypatch):
     assert all(check.status == "pass" for check in cli.suite_ranks(seed=11))
     shapes = [matrices.shape for matrices, _, _ in blocks]
     assert len(blocks) == 39
-    assert (100, 18, 18) in shapes and (100, 9, 27) in shapes
+    # (0,0,3) at d = 5, n = 0 is ranked without its three implied rows
+    assert (100, 15, 18) in shapes and (100, 9, 27) in shapes
     for matrices, p, ranks in blocks:
         assert ranks.tolist() == [o_rank_mod_p(m, p) for m in matrices.tolist()]
+
+
+@pytest.mark.parametrize("p", [46337, 46349])
+def test_ranks_beside_the_int32_bound_equal_the_frozen_elimination(p):
+    # Products of factors with entries -1 and -2 mod p keep residues near
+    # p - 1 through the elimination, where lead*row passes 2^31 once p^2
+    # does: 46337 is eliminated in int32, 46349 in int64.
+    rng = random.Random(p)
+
+    def entry():
+        return rng.choice((p - 1, p - 2, 1, rng.randrange(p)))
+
+    batch = []
+    for _ in range(300):
+        inner = rng.randint(1, 14)
+        left = [[entry() for _ in range(inner)] for _ in range(15)]
+        right = [[entry() for _ in range(18)] for _ in range(inner)]
+        batch.append([[sum(a * b for a, b in zip(row, column)) % p for column in zip(*right)]
+                      for row in left])
+    ranks = linalg._ranks_mod_p(batch, p)
+    assert ranks.tolist() == [o_rank_mod_p(matrix, p) for matrix in batch]
 
 
 def test_batched_ranks_of_an_empty_batch():
@@ -805,6 +829,32 @@ def test_certified_kernels_equal_bareiss_on_every_rank_type(n):
             assert kernel_dimension(rows) == space.dimension - config.codimension
         assert verify_bundle_rank(config, d, n, trials=10, seed=5) == bareiss_report(
             config, d, n, trials=10, seed=5
+        )
+
+
+def with_pairs_at_slope_zero(config, rng):
+    """sample_configuration's draw with slope 0 and the fiber pair's slope
+    swapped, for a type with one pair."""
+    slopes, fibers = sample_configuration(config, rng)
+    s = slopes[-1]
+    return tuple(0 if t == s else s if t == 0 else t for t in slopes), fibers
+
+
+@pytest.mark.parametrize("n", [0, 2])
+def test_the_row_left_out_is_implied_at_slope_zero(monkeypatch, kernel_calls, n):
+    # At slope 0 the pair relation has no f_y term, so only the f_x row of
+    # the second point is implied; leaving out f_y would lose a rank and
+    # send every trial to Bareiss.
+    monkeypatch.setattr(linalg, "sample_configuration", with_pairs_at_slope_zero)
+    monkeypatch.setattr(
+        linalg, "_sampled_block", lru_cache(maxsize=1)(linalg._sampled_block.__wrapped__)
+    )
+    for config in (c for c in RANK_TYPES if c.h == 1):
+        d = _minimal_valid_degree(config, n)
+        report = verify_bundle_rank(config, d, n, trials=10, seed=5)
+        assert kernel_calls == [], config
+        assert report == bareiss_report(
+            config, d, n, trials=10, seed=5, sampler=with_pairs_at_slope_zero
         )
 
 
