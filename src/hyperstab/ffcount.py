@@ -391,16 +391,16 @@ def _alpha_orbits(l, q):
     """Orbits of the nonzero forms of degree l under alpha -> c (alpha o g).
 
     g runs over GL_2(F_q) and c over F_q^*.  Returns [(representative,
-    orbit size)], each representative the lexicographically first form of its
-    orbit, in that order.  Each form takes the least index reached along the
+    orbit size)], each representative the form of least `_codes` in its
+    orbit, in that order.  Each form takes the least code reached along the
     generators (elementary matrices, diag(a, 1), scalars c) until none drops.
     """
     import numpy as np
 
-    forms = _digit_matrix(l + 1, q)[:, ::-1].astype(np.int64)  # lexicographic
+    forms = _digit_matrix(l + 1, q)
     maps = [_substitution_matrix(m, l, q) for m in _gl2_generators(q)]
     maps += [c * np.eye(l + 1, dtype=np.int64) for c in range(2, q)]
-    steps = np.array([(forms @ m) % q @ q ** np.arange(l, -1, -1) for m in maps])
+    steps = np.array([_codes(forms, m, q) for m in maps])
     first = np.arange(len(forms))
     while True:
         lower = np.minimum(first, first[steps].min(axis=0))

@@ -11,17 +11,17 @@ fixed type always cut out the expected codimension 3*k1 + 3*k2 + 5*h.
 The configurations are integer points in the chart x = 1: a point [1, s] on
 the distinguished section, or (1, s, z) off it, given by its slope s and
 fiber value z.  ``_row_array`` is the one formula for their rows: exact
-Python integers, or int64 residues modulo a prime below 2^31 built from
-reduced power tables, the only two ways this module builds them.  The
-batched elimination reduces its input mod p and then works in int32 when
-p^2 < 2^31, in int64 otherwise.  The verification certifies most trials
-without exact integers.  One exact linear relation per fiber pair
-(``_pairs_certified``), checked on exact rows of the pair points only,
-bounds the rank over Q above by the codimension.  Each relation also puts
-the f_x row of its pair's second point in the span of the other rows, so
-that row is left out, and the rank of the remaining residue rows modulo
-46337 is a lower bound on the rank over Q.  A trial where the two bounds
-do not meet gets its own exact rows and falls back to Bareiss.
+Python integers, or int64 residues modulo a prime p with p^2 < 2^31 built
+from reduced power tables, the only two ways this module builds them.  The
+batched elimination reduces its input mod such a prime and works in
+int32.  The verification certifies most trials without exact integers.
+One exact linear relation per fiber pair (``_pairs_certified``), checked
+on exact rows of the pair points only, bounds the rank over Q above by the
+codimension.  Each relation also puts the f_x row of its pair's second
+point in the span of the other rows, so that row is left out, and the
+rank of the remaining residue rows modulo 46337 is a lower bound on the
+rank over Q.  A trial where the two bounds do not meet gets its own exact
+rows and falls back to Bareiss.
 """
 
 from __future__ import annotations
@@ -108,9 +108,9 @@ def _reduce(values, p: int | None):
 
 
 def _check_residue_prime(p: int) -> None:
-    """Refuse p outside [3, 2^31): from 2^31 up a product of two residues wraps int64."""
-    if not 3 <= p < 2**31:
-        raise ValueError(f"int64 residues need a prime in [3, 2^31), got {p}")
+    """Refuse p unless 3 <= p and p^2 < 2^31: a product of two residues must fit int32."""
+    if not (3 <= p and p * p < 2**31):
+        raise ValueError(f"residues need a prime p >= 3 with p^2 < 2^31, got {p}")
 
 
 def _row_array(y, zp, dz, space: SectionSpace, p: int | None = None) -> np.ndarray:
@@ -188,44 +188,38 @@ def _rank_bareiss(matrix: list) -> int:
     return r
 
 
-# Prime of the certified ranks in verify_bundle_rank: the largest with
-# p^2 < 2^31, so the elimination runs in int32.  Any prime gives a lower
-# bound on the rank over Q; a spurious drop mod p only sends a trial to
-# Bareiss.
+# Prime of the certified ranks in verify_bundle_rank: the largest that
+# ``_check_residue_prime`` accepts.  Any prime gives a lower bound on the
+# rank over Q; a spurious drop mod p only sends a trial to Bareiss.
 _CERTIFYING_PRIME = 46337
 
 
 def _ranks_mod_p(matrices, p: int) -> np.ndarray:
-    """Ranks over F_p, 3 <= p < 2^31, of a batch of equal-shape int64 matrices.
+    """Ranks over F_p, 3 <= p and p^2 < 2^31, of a batch of equal-shape int64 matrices.
 
     Every matrix is eliminated with its own pivots, all of them in the same
-    array operations.  Since rank(M) = rank(M^T), the elimination runs
-    along the short side: one step per column of whichever of M and M^T is
-    the taller, stored column by column, so that each column and each
-    trailing block is contiguous.  A step takes as pivot the first row
-    with a nonzero entry in the column and updates the trailing block in
-    place: every row becomes lead*row - entry*pivot_row, a row operation
-    with a unit factor, so no inverse is needed.  That zeroes the pivot row
-    too, so no row is swapped or set aside; a matrix without a pivot in the
-    column takes lead = 1 and keeps its block.  For p in the range of
-    ``_check_residue_prime`` the batch, such as the residue rows of
-    ``_row_array``, is reduced in int64; an entry beyond int64 raises
-    ``OverflowError`` instead of being read as float64.  The elimination
-    then runs in int32 when p^2 < 2^31 and in int64 otherwise: both
+    array operations.  Since rank(M) = rank(M^T), each matrix is eliminated
+    as its transpose, one step per row of M, so that each column and each
+    trailing block of M^T is contiguous; the callers' blocks have no more
+    rows than columns, so the steps run along the short side.  A step takes
+    as pivot the first row with a nonzero entry in the column and updates
+    the trailing block in place: every row becomes lead*row -
+    entry*pivot_row, a row operation with a unit factor, so no inverse is
+    needed.  That zeroes the pivot row too, so no row is swapped or set
+    aside; a matrix without a pivot in the column takes lead = 1 and keeps
+    its block.  The batch, such as the residue rows of ``_row_array``, is
+    reduced in int64; an entry beyond int64 raises ``OverflowError``
+    instead of being read as float64.  The elimination runs in int32: both
     products in lead*row - entry*pivot_row lie in [0, (p-1)^2], so their
-    difference fits the chosen type.
+    difference fits.
     """
     import numpy as np
 
     _check_residue_prime(p)
     if not len(matrices):
         return np.zeros(0, dtype=np.intp)
-    m = np.asarray(matrices, dtype=np.int64)
-    # m[b, col, row]: the columns of a tall matrix, or the rows of a wide
-    # one, which are the columns of its transpose
-    if m.shape[1] > m.shape[2]:
-        m = m.transpose(0, 2, 1)
-    m = np.ascontiguousarray(m % p, dtype=np.int32 if p * p < 2**31 else np.int64)
+    # m[b, col, row]: the rows of M are the columns of its transpose
+    m = np.ascontiguousarray(np.asarray(matrices, dtype=np.int64) % p, dtype=np.int32)
     batch, n_cols, _ = m.shape
     rank = np.zeros(batch, dtype=np.intp)
     each = np.arange(batch)

@@ -314,8 +314,8 @@ def test_kernel_dimension_with_fractions_and_residues():
     for entry in (Fraction(1, 2), Fraction(2), 0.5, np.int64(1)):
         with pytest.raises(ValueError, match="Python integers"):
             kernel_dimension([(entry, 1)])
-    # rank drops mod p but not over the rationals, up to the largest int64 prime
-    for p in (7, 2**31 - 1):
+    # rank drops mod p but not over the rationals, up to the largest prime taken
+    for p in (7, 46337):
         mat = [(p, 0), (0, 1)]
         assert kernel_dimension(mat) == 0
         assert linalg._ranks_mod_p([mat], p)[0] == 1
@@ -428,7 +428,7 @@ def _sampled_case(draw):
     n = draw(st.integers(0, 3))
     low = max(math.ceil(linalg._degree_bound(config, n)), 2 * n)
     space = SectionSpace(draw(st.integers(low, low + 3)), n)
-    p = draw(st.sampled_from((101, 65537, 2**31 - 1)))
+    p = draw(st.sampled_from((101, 46327, 46337)))
     seed = draw(st.integers(0, 10**6))
     samples = [sample_configuration(config, random.Random(f"{seed}:{trial}"))
                for trial in range(draw(st.integers(1, 3)))]
@@ -576,24 +576,24 @@ def test_prime_field_agrees_with_rationals_on_same_seed():
 
 
 def test_ranks_mod_p_refuses_what_int64_cannot_hold():
-    # from 2^31 up the product of two residues overflows int64 silently
-    for p in (2147483659, 2**61 - 1):
-        with pytest.raises(ValueError, match=r"\[3, 2\^31\)"):
+    # from p^2 >= 2^31 up the product of two residues overflows int32 silently
+    for p in (46349, 2**31 - 1, 2**61 - 1):
+        with pytest.raises(ValueError, match=r"p\^2 < 2\^31, got"):
             linalg._ranks_mod_p([[[1, 0], [0, 1]]], p)
     # -1 next to 2^63: numpy would read the batch as float64
     with pytest.raises(OverflowError):
-        linalg._ranks_mod_p([[[1, -1], [-1, 1]], [[0, 2**63], [0, 0]]], 2**31 - 1)
+        linalg._ranks_mod_p([[[1, -1], [-1, 1]], [[0, 2**63], [0, 0]]], 46337)
 
 
 def test_row_array_refuses_what_int64_cannot_hold():
-    # the prime is checked before any residue is built: at 2^61 - 1 the
-    # product of two residues would wrap int64 silently
+    # the prime is checked before any residue is built, in the range of the
+    # elimination: at 2^61 - 1 the product of two residues would wrap int64
     slopes, fibers = np.array([[3, 3]]), np.array([[1, 2]])
     points = linalg._sampled_points(slopes, fibers, 0)
-    for p in (2147483659, 2**61 - 1):
-        with pytest.raises(ValueError, match=r"\[3, 2\^31\)"):
+    for p in (46349, 2**31 - 1, 2**61 - 1):
+        with pytest.raises(ValueError, match=r"p\^2 < 2\^31, got"):
             linalg._row_array(*points, SectionSpace(9, 1), p)
-    assert linalg._row_array(*points, SectionSpace(9, 1), 2**31 - 1).dtype == np.int64
+    assert linalg._row_array(*points, SectionSpace(9, 1), 46337).dtype == np.int64
 
 
 def test_kernel_dimension_constant_for_small_types():
@@ -708,8 +708,9 @@ def exact_rows(monkeypatch):
     return shapes
 
 
-# 46337 is the largest prime eliminated in int32, 46349 the smallest in int64
-_PRIMES = (3, 5, 7, 101, 46337, 46349, 65537, 2**31 - 1)
+# 46337 is the largest prime whose square is below 2^31, the bound of the
+# int32 elimination
+_PRIMES = (3, 5, 7, 101, 46327, 46337)
 
 
 @st.composite
@@ -717,7 +718,8 @@ def _matrix_batch(draw):
     """(matrices, p): 1-8 matrices of one shape, some products of thin
     factors (rank-deficient), some with entries far beyond the prime.  The
     shape is square, wide or tall, with sides up to 18 and 27, the largest
-    blocks of ``verify ranks``."""
+    blocks of ``verify ranks``.  No command ranks a tall block, and one is
+    eliminated along its long side, as given."""
     p = draw(st.sampled_from(_PRIMES))
     short = draw(st.integers(1, 18))
     orientation = draw(st.sampled_from(("square", "wide", "tall")))
@@ -754,7 +756,7 @@ def _hadamard_bound(matrix):
 @settings(max_examples=300, deadline=None)
 @given(_matrix_batch())
 # -1 next to 2^63: unreduced, numpy would read the batch as float64
-@example(([[[1, -1], [-1, 1]], [[0, 2**63], [0, 0]]], 2**31 - 1))
+@example(([[[1, -1], [-1, 1]], [[0, 2**63], [0, 0]]], 46337))
 def test_batched_ranks_agree_with_the_frozen_kernel_and_bareiss(case):
     batch, p = case
     # the batch is reduced mod p here; the oracles see the unreduced matrices
@@ -784,6 +786,9 @@ def test_suite_blocks_rank_as_the_frozen_elimination(monkeypatch):
     assert all(check.status == "pass" for check in cli.suite_ranks(seed=11))
     shapes = [matrices.shape for matrices, _, _ in blocks]
     assert len(blocks) == 39
+    # every block is wide or square, at the certifying prime
+    assert all(p == linalg._CERTIFYING_PRIME for _, p, _ in blocks)
+    assert all(rows <= columns for _, rows, columns in shapes)
     # (0,0,3) at d = 5, n = 0 is ranked without its three implied rows
     assert (100, 15, 18) in shapes and (100, 9, 27) in shapes
     for matrices, p, ranks in blocks:
@@ -794,7 +799,11 @@ def test_suite_blocks_rank_as_the_frozen_elimination(monkeypatch):
 def test_ranks_beside_the_int32_bound_equal_the_frozen_elimination(p):
     # Products of factors with entries -1 and -2 mod p keep residues near
     # p - 1 through the elimination, where lead*row passes 2^31 once p^2
-    # does: 46337 is eliminated in int32, 46349 in int64.
+    # does: 46337 is eliminated in int32, and 46349 is refused.
+    if p * p >= 2**31:
+        with pytest.raises(ValueError, match=r"p\^2 < 2\^31, got 46349"):
+            linalg._ranks_mod_p([[[p - 1, p - 2], [1, p - 1]]], p)
+        return
     rng = random.Random(p)
 
     def entry():

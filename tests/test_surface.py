@@ -26,8 +26,8 @@ substitution matrix of one of them with the walk and its certificate
 ``ffcount.orbit_invariance_check``, the square-free bitmap with the census,
 the psi check and that certificate, the division matrices of basis forms
 with the coset labels, the census and the psi check, the reader of the
-codes of forms with the sieve, the coset labels, the census and the
-certificate, and the checks of a case with the three entry points that
+codes of forms with the sieve, the coset labels, the orbit walk, the
+census and the certificate, and the checks of a case with the three entry points that
 take one: only the definitions in ``CALLERS`` call those routes.  The twisted counts of M_{0,n} take one route as well:
 only ``m0n.equivariant_poincare_m0n`` divides a count by q^3 - q, and only
 it and their own recursion call ``m0n._twisted_counts``.  The cycle types
@@ -243,7 +243,8 @@ CALLERS = {
     "_substitution_matrix": {("ffcount", "_alpha_orbits"),
                              ("ffcount", "orbit_invariance_check")},
     "_codes": {("ffcount", "_squarefree_bitmap"), ("ffcount", "_labels"),
-               ("ffcount", "_coset_census"), ("ffcount", "orbit_invariance_check")},
+               ("ffcount", "_alpha_orbits"), ("ffcount", "_coset_census"),
+               ("ffcount", "orbit_invariance_check")},
     "_validate_case": {("ffcount", "enumerate_count"), ("ffcount", "stratified_count"),
                        ("ffcount", "psi_roundtrip_check")},
     "_squarefree_bitmap": {("ffcount", "_coset_census"), ("ffcount", "psi_roundtrip_check"),
