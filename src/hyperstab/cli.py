@@ -877,15 +877,15 @@ def cmd_count(args) -> int:
     if variant == "auto":
         variant = "g0prime" if l == g + 1 else None
     record = None
-    if args.method == "closed":
-        closed = closed_form_count(g, l, q, variant=variant)
-    else:
+    if args.method != "closed":
         method = "naive" if args.method == "brute" else args.method
         record = enumerate_count(g, l, q, variant=variant, method=method)
-        try:
-            closed = closed_form_count(g, l, q, variant=variant)
-        except ValueError:  # the case is valid, so it has no closed form
-            closed = None
+    try:
+        closed = closed_form_count(g, l, q, variant=variant)
+    except ValueError:
+        if record is None:
+            raise
+        closed = None  # the case counted, so it is valid and has no closed form
     row = {
         "g": g,
         "l": l,

@@ -102,20 +102,15 @@ def _validate_odd_prime(q) -> None:
         raise ValueError("square-freeness of the discriminant needs odd characteristic")
 
 
-def _validate_genus_pair(g, l, *, within_family: bool = True) -> None:
-    """Validate a (genus, divisor-degree) pair.
-
-    With ``within_family`` the pair must index an actual section family
-    (0 <= l <= g+1); without it only integrality and g >= 2 are required,
-    which suits genus-independent polynomial data such as the stable
-    l = 4 form.
-    """
+def _validate_genus_pair(g, l) -> None:
+    """Validate a (genus, divisor-degree) pair: integers that index a
+    section family, g >= 2 and 0 <= l <= g+1."""
     for name, value in (("g", g), ("l", l)):
         if not isinstance(value, int) or isinstance(value, bool):
             raise ValueError(f"{name} must be an integer: {value!r}")
     if g < 2:
         raise ValueError(f"genus must be at least 2: {g}")
-    if l < 0 or (within_family and l > g + 1):
+    if not 0 <= l <= g + 1:
         raise ValueError(f"l must satisfy 0 <= l <= g+1 = {g + 1}: {l}")
 
 
@@ -129,12 +124,12 @@ def _resolve_variant(n, variant):
     if n == 0:
         if variant not in ("g0", "g0prime"):
             raise ValueError(
-                "l = g+1 lands on the index-0 surface: pass variant='g0' or variant='g0prime'"
+                "l = g+1 lands on the index-0 surface: choose the g0 or g0prime variant"
             )
         return variant
     if variant not in (None, "full"):
         raise ValueError(
-            f"for l <= g the acting group is the full index-{n} group; got variant={variant!r}"
+            f"for l <= g the acting group is the full index-{n} group; got the variant {variant!r}"
         )
     return "full"
 
@@ -279,8 +274,6 @@ def _squarefree_bitmap(degree, q):
     for pi in _monic_irreducible_forms(q, degree // 2):
         pisq = fq.mul(pi, pi, q)
         cofactor_deg = degree - (len(pisq) - 1)
-        if cofactor_deg < 0:
-            continue
         digits = _digit_matrix(cofactor_deg + 1, q)
         bad[_codes(digits, _times_matrix(pisq, cofactor_deg), q)] = True
     good = ~bad
@@ -529,8 +522,8 @@ def enumerate_count(
 # --------------------------------------------------------------------------
 
 _UNSUPPORTED_HINT = (
-    "supported: l in {0, 1, 2, 3} for any genus, l = 4 (part='stable' for any "
-    "genus, part='total' only when 12 divides g), and l = g+1 for g in {2, 3, 4}"
+    "supported: l in {0, 1, 2, 3} for any genus, l = 4 when 12 divides g, "
+    "and l = g+1 for g in {2, 3, 4}"
 )
 
 
@@ -547,42 +540,24 @@ def _stable_l4_form(g: int) -> TatePolynomial:
     return quotient
 
 
-def closed_form_count(
-    g: int,
-    l: int,
-    q: int | None = None,
-    *,
-    variant: str | None = None,
-    part: str = "total",
-):
+def closed_form_count(g: int, l: int, q: int | None = None, *, variant: str | None = None):
     """The closed-form stack count as a `TatePolynomial` in q, or its value at q.
 
-    ``part="total"`` takes the (g, l, q, variant) of `enumerate_count` and,
-    wherever a form exists, equals that call's ``stack_count``: l in
-    {0, 1, 2, 3} for any genus, l = 4 when 12 divides g, and l = g+1 for g
-    in {2, 3, 4}.  The forms at l = g+1 count the ``g0prime`` stack; ``g0``
-    is q+1 times larger, so its form is the exact quotient by q+1.
-    ``part="stable"`` is the genus-independent l = 4 form for any genus and
-    takes no variant.  The l = 4 quotient is Euclidean division with the
-    remainder discarded.  Inputs are checked in the order pair, q, variant.
+    Takes the (g, l, q, variant) of `enumerate_count` and, wherever a form
+    exists, equals that call's ``stack_count``: l in {0, 1, 2, 3} for any
+    genus, l = 4 when 12 divides g, and l = g+1 for g in {2, 3, 4}.  The
+    l = 4 total is the Euclidean quotient `_stable_l4_form` (remainder
+    discarded) plus its unstable part.  The forms at l = g+1 count the
+    ``g0prime`` stack; ``g0`` is q+1 times larger, so its form is the exact
+    quotient by q+1.  Inputs are checked in the order pair, q, variant.
     """
-    if part not in ("total", "stable"):
-        raise ValueError(f"unknown part {part!r}: expected total or stable")
-    _validate_genus_pair(g, l, within_family=part == "total")
+    _validate_genus_pair(g, l)
     if q is not None:
         _validate_odd_prime(q)
-    if part == "stable":
-        if l != 4 or variant is not None:
-            raise ValueError(
-                "part='stable' is the l = 4 genus-independent form and takes no "
-                f"variant; got l = {l}, variant = {variant!r}"
-            )
-        poly = _stable_l4_form(g)
-    else:
-        variant = _resolve_variant(g + 1 - l, variant)
-        poly = _total_form(g, l)
-        if variant == "g0":
-            poly = poly.divide_exact(TatePolynomial({1: 1, 0: 1}))
+    variant = _resolve_variant(g + 1 - l, variant)
+    poly = _total_form(g, l)
+    if variant == "g0":
+        poly = poly.divide_exact(TatePolynomial({1: 1, 0: 1}))
     return poly if q is None else poly(q)
 
 

@@ -449,6 +449,19 @@ def test_count_closed_usage_errors(capsys, g, l, q, message):
     assert captured.out == ""
 
 
+def test_count_errors_name_no_python_keyword(capsys):
+    # the CLI takes --variant g0, not variant='g0', and has no part switch
+    for argv, message in (
+        (["--g", "2", "--l", "3", "--variant", "full"], "choose the g0 or g0prime variant"),
+        (["--g", "3", "--l", "3", "--variant", "g0"], "got the variant 'g0'"),
+        (["--g", "5", "--l", "4", "--method", "closed"], ffcount._UNSUPPORTED_HINT),
+    ):
+        assert main(["count", *argv, "--q", "3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "part=" not in err and "variant=" not in err
+
+
 def test_count_enumeration_without_a_closed_form_leaves_the_cell_blank(capsys):
     assert main(["count", "--g", "4", "--l", "4", "--q", "3", "--format", "csv"]) == 0
     row = dict(zip(*(line.split(",") for line in capsys.readouterr().out.splitlines())))

@@ -413,7 +413,7 @@ def test_closed_form_stable_l4_is_the_euclidean_quotient():
     sextic = TatePolynomial({6: 1, 5: 2, 4: 2, 3: 2, 2: 1, 0: 1})
     for g in (2, 3, 5, 12):
         num = TatePolynomial({2 * g: 1}) * sextic
-        got = closed_form_count(g, 4, part="stable")
+        got = ffcount._stable_l4_form(g)
         quot, rem = o_qpoly_floordiv(QPolynomial(num.coeffs), QPolynomial(den.coeffs))
         assert isinstance(got, TatePolynomial)
         assert got.coeffs == quot.coeffs
@@ -423,7 +423,7 @@ def test_closed_form_stable_l4_is_the_euclidean_quotient():
     # by q^3 + q^2 + q + 1.
     head = QPolynomial({27: 1, 26: 1})
     tail, _ = o_qpoly_floordiv(QPolynomial({24: 1}), QPolynomial({3: 1, 2: 1, 1: 1, 0: 1}))
-    assert closed_form_count(12, 4, part="stable").coeffs == (head + tail).coeffs
+    assert ffcount._stable_l4_form(12).coeffs == (head + tail).coeffs
 
 
 _INT_POLYNOMIALS = st.dictionaries(
@@ -467,11 +467,9 @@ def test_closed_form_total_l4_only_at_genus_multiples_of_twelve():
                 0: -6 * g * g + 5 * g,
             }
         )
-        total = closed_form_count(g, 4, part="total")
-        stable = closed_form_count(g, 4, part="stable")
-        assert total - stable == unstable
+        assert closed_form_count(g, 4) - ffcount._stable_l4_form(g) == unstable
     with pytest.raises(ValueError, match="supported"):
-        closed_form_count(5, 4, part="total")
+        closed_form_count(5, 4)
     with pytest.raises(ValueError):
         closed_form_count(2, 4)
 
@@ -483,14 +481,6 @@ def test_closed_form_rejects_unsupported_inputs():
         closed_form_count(5, 6, variant="g0prime")  # l = g+1 forms exist for g <= 4
     with pytest.raises(ValueError, match="no closed form"):
         closed_form_count(5, 5)
-    with pytest.raises(ValueError):
-        closed_form_count(3, 3, part="stable")
-    with pytest.raises(ValueError, match="no variant"):
-        closed_form_count(12, 4, variant="full", part="stable")
-    with pytest.raises(ValueError):
-        closed_form_count(3, 1, part="nonsense")
-    with pytest.raises(ValueError, match="unknown part"):
-        closed_form_count(3, 4, part="g0prime")
 
 
 # --------------------------------------------------------------------------

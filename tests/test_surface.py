@@ -10,7 +10,10 @@ name, and a property only by a read of an attribute of its name that is not
 called; a bare name reaches neither, so a local variable or a dict's
 ``values()`` does not keep a method or property of that name.  A name that
 nothing refers to stays only if it is listed in ``KEPT`` with the reason it
-stays; the list is empty.
+stays; the list is empty.  Every option has a caller: a defaulted
+parameter of a public function or method is set by some call of the
+package, by keyword, by position or through ``*``/``**``, unless it is
+listed in ``KEPT_OPTIONS`` with the reason it stays.
 The oracles live in ``tests/oracles.py``, and no name defined there is
 defined in the package too.  The oracles take
 nothing from ``ffcount``, the module they check most, but the exception of
@@ -63,6 +66,16 @@ ORACLES = Path(__file__).with_name("oracles.py")
 
 # (module, name, why it stays although no module of the package refers to it)
 KEPT = ()
+
+# (module, function, parameter, why it keeps its default although no call in
+# the package sets it)
+KEPT_OPTIONS = (
+    ("cli", "main", "argv", "tests drive the CLI through it; the console script reads sys.argv"),
+    ("ffcount", "enumerate_count", "tuple_budget",
+     "runs the census past the default guard (ROADMAP items 7 and 22)"),
+    ("ffcount", "stratified_count", "tuple_budget",
+     "runs the census past the default guard (ROADMAP items 7 and 22)"),
+)
 
 
 def _modules() -> dict:
@@ -185,6 +198,64 @@ def test_kept_names_are_public_unreached_and_explained():
         assert reason, (module, name)
 
 
+def _called_name(func):
+    """The name a call's func spells: ``f`` of ``f(...)`` and of ``x.f(...)``."""
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def _options(function, is_method) -> dict:
+    """Defaulted parameter of ``function`` -> the index of the positional
+    argument that sets it, None for a keyword-only one; a method's index
+    leaves out its self or cls."""
+    args = function.args
+    positional = args.posonlyargs + args.args
+    bound = is_method and not any(
+        isinstance(d, ast.Name) and d.id == "staticmethod" for d in function.decorator_list
+    )
+    first = len(positional) - len(args.defaults)
+    out = {arg.arg: i - bound for i, arg in enumerate(positional) if i >= first}
+    keyword_only = zip(args.kwonlyargs, args.kw_defaults)
+    out.update((arg.arg, None) for arg, default in keyword_only if default is not None)
+    return out
+
+
+def _sets(call, param, index) -> bool:
+    """Whether ``call`` passes ``param``: by keyword or ``**``, or at ``index`` or by ``*``."""
+    if any(keyword.arg in (param, None) for keyword in call.keywords):
+        return True
+    return index is not None and (
+        len(call.args) > index or any(isinstance(arg, ast.Starred) for arg in call.args)
+    )
+
+
+def _unset_options() -> set:
+    """(module, public function, parameter) of every option no package call sets."""
+    modules = _modules()
+    calls = [
+        sub for tree in modules.values() for sub in ast.walk(tree) if isinstance(sub, ast.Call)
+    ]
+    out = set()
+    for module, tree in modules.items():
+        for name, (own, holder, _) in _public(tree).items():
+            if not isinstance(own, ast.FunctionDef):
+                continue
+            bare = name.rpartition(".")[2]
+            its_calls = [call for call in calls if _called_name(call.func) == bare]
+            for param, index in _options(own, own is not holder).items():
+                if not any(_sets(call, param, index) for call in its_calls):
+                    out.add((module, name, param))
+    return out
+
+
+def test_every_option_is_set_by_a_caller_or_kept():
+    unset = _unset_options()
+    kept = {(module, name, param) for module, name, param, _ in KEPT_OPTIONS}
+    assert sorted(unset - kept) == []
+    for module, name, param, reason in KEPT_OPTIONS:
+        assert (module, name, param) in unset, f"{module}.{name}({param}) is set by a call"
+        assert reason, (module, name, param)
+
+
 def test_an_oracle_lives_in_one_place():
     # no name that tests/oracles.py defines is defined in the package too,
     # at the top level of a module or as a method of one of its classes
@@ -265,9 +336,7 @@ def _call_sites(name) -> set:
             for sub in ast.walk(node):
                 if not isinstance(sub, ast.Call):
                     continue
-                func = sub.func
-                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if called == name:
+                if _called_name(sub.func) == name:
                     out.add((module, getattr(node, "name", None)))
     return out
 
